@@ -7,7 +7,7 @@ import (
 
 // checkMutexCopy flags by-value copies of types that contain sync
 // primitives — a copied sync.Mutex guards nothing, so a value receiver or
-// value parameter on (say) buffer.SyncPool would silently fork the lock
+// value parameter on (say) buffer.ShardedPool would silently fork the lock
 // from the state it protects. Sites checked:
 //
 //   - value (non-pointer) method receivers on lock-holding types;

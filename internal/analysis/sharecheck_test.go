@@ -223,7 +223,8 @@ func GuardedMethods() {
 // TestShareCheckRealRepoClean asserts the repository's own fan-outs —
 // sim.RunPreparedParallel's per-replica slots, the experiments engine's
 // worker pool, the stdlib importer's level workers, and the buffer
-// package (SyncPool's two-mutex design included) — produce no findings.
+// package (ShardedPool's two mutexes per shard included) — produce no
+// findings.
 func TestShareCheckRealRepoClean(t *testing.T) {
 	m := loadRepoModule(t)
 	for _, f := range checkShare(m) {

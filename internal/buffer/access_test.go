@@ -30,7 +30,7 @@ func TestGetTrackedAttribution(t *testing.T) {
 			}
 			// Dirty page 0, fill the 2-page pool, then force an eviction of
 			// the dirty victim: the faulting access must report the write-back.
-			if err := p.MarkDirty(0); err != nil {
+			if err := p.Put(0, pattern(pageSize, 0xD0)); err != nil {
 				t.Fatal(err)
 			}
 			if _, _, err := p.GetTracked(1); err != nil {

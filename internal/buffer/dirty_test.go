@@ -3,7 +3,7 @@ package buffer
 import (
 	"bytes"
 	"errors"
-	"sync"
+	"fmt"
 	"testing"
 
 	"rtreebuf/internal/obs"
@@ -84,30 +84,6 @@ func TestPoolPutFlushDirty(t *testing.T) {
 	// Idempotent: nothing left to write.
 	if err := p.FlushDirty(); err != nil || len(sink.order) != 3 {
 		t.Fatalf("second flush wrote again: %v, order %v", err, sink.order)
-	}
-}
-
-func TestPoolMarkDirty(t *testing.T) {
-	src := &fakeSource{pageSize: 16, numPages: 4}
-	sink := newFakeSink(16)
-	p := NewPool(src, 4, 4)
-	p.SetSink(sink)
-	frame, err := p.Get(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame[0] = 0xEE
-	if err := p.MarkDirty(1); err != nil {
-		t.Fatalf("MarkDirty: %v", err)
-	}
-	if err := p.FlushDirty(); err != nil {
-		t.Fatalf("FlushDirty: %v", err)
-	}
-	if sink.pages[1][0] != 0xEE {
-		t.Fatal("in-place mutation not written back")
-	}
-	if err := p.MarkDirty(3); err == nil {
-		t.Fatal("MarkDirty of a non-resident page accepted")
 	}
 }
 
@@ -247,78 +223,52 @@ func TestPoolGrow(t *testing.T) {
 	}
 }
 
-func TestSyncPoolPutFlushConcurrentReaders(t *testing.T) {
-	src := &fakeSource{pageSize: 16, numPages: 32}
-	sink := newFakeSink(16)
-	s := NewSyncPool(src, 8, 32)
-	s.SetSink(sink)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				page := (g*7 + i) % 16
-				if _, err := s.Get(page); err != nil {
-					t.Errorf("Get(%d): %v", page, err)
-					return
+// TestShardedPoolDirtyListStaysBounded: ShardedPool flushes through
+// dirtySnapshot and never reaches Pool.FlushDirty, so the shard's
+// dirtyList must be trimmed on that path too — otherwise every
+// clean→dirty transition is remembered forever and each flush rescans
+// the whole history.
+func TestShardedPoolDirtyListStaysBounded(t *testing.T) {
+	const pageSize, numPages, perRound = 16, 32, 8
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			sink := newConcSink()
+			s := NewShardedPool(&concSource{pageSize: pageSize, numPages: numPages}, 16, numPages, shards)
+			s.SetSink(sink)
+			round := func(r int) error {
+				for page := 0; page < perRound; page++ {
+					if err := s.Put(page, pattern(pageSize, byte(r))); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return s.FlushDirty()
+			}
+			// slack is how many cleaned entries a shard may still remember.
+			check := func(when string, slack int) {
+				t.Helper()
+				for i, sh := range s.shards {
+					if got, dirty := len(sh.pool.dirtyList), sh.pool.nDirty; got > dirty+slack {
+						t.Fatalf("%s: shard %d remembers %d dirty-list entries for %d dirty pages", when, i, got, dirty)
+					}
 				}
 			}
-		}(g)
-	}
-	// One writer puts and flushes batches while readers hammer the pool.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 50; i++ {
-			page := 16 + i%16
-			if err := s.Put(page, pattern(16, byte(i))); err != nil {
-				t.Errorf("Put(%d): %v", page, err)
-				return
+			for r := 0; r < 50; r++ {
+				if err := round(r); err != nil {
+					t.Fatal(err)
+				}
+				check(fmt.Sprintf("round %d, everything flushed", r), 0)
 			}
-			if i%5 == 4 {
-				if err := s.FlushDirty(); err != nil {
-					t.Errorf("FlushDirty: %v", err)
-					return
+			// A page that stays dirty across flushes (its sink write keeps
+			// failing) must not let the entries cleaned around it pile up:
+			// a shard may remember at most what one round dirtied.
+			sink.failOn[perRound-1] = true
+			for r := 0; r < 50; r++ {
+				if err := round(r); err == nil {
+					t.Fatal("flush through the failing page succeeded")
 				}
 			}
-		}
-	}()
-	wg.Wait()
-	if err := s.FlushDirty(); err != nil {
-		t.Fatalf("final FlushDirty: %v", err)
-	}
-	if s.DirtyPages() != 0 {
-		t.Fatalf("DirtyPages = %d after final flush", s.DirtyPages())
-	}
-	// Every put page reached the sink with its last-written pattern.
-	for i := 34; i < 50; i++ {
-		page := 16 + i%16
-		if !bytes.Equal(sink.pages[page], pattern(16, byte(i))) {
-			t.Fatalf("sink page %d missing final contents", page)
-		}
-	}
-}
-
-func TestSyncPoolDirtyVictimWriteBack(t *testing.T) {
-	src := &fakeSource{pageSize: 16, numPages: 8}
-	sink := newFakeSink(16)
-	s := NewSyncPool(src, 2, 8)
-	s.SetSink(sink)
-	if err := s.Put(0, pattern(16, 0xD0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put(1, pattern(16, 0xD1)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Get(2); err != nil {
-		t.Fatalf("Get(2): %v", err)
-	}
-	if !bytes.Equal(sink.pages[0], pattern(16, 0xD0)) {
-		t.Fatal("dirty victim not written back on fault")
-	}
-	if s.DirtyPages() != 1 {
-		t.Fatalf("DirtyPages = %d, want 1", s.DirtyPages())
+			check("after 50 rounds with one page stuck dirty", perRound)
+		})
 	}
 }
 

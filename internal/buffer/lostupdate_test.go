@@ -21,12 +21,12 @@ func repeatByte(pageSize int, b byte) []byte {
 // probe the miss, capture the dirty version, read the source.
 func beginFault(t *testing.T, p *Pool, page int) (stale []byte, ver uint32) {
 	t.Helper()
-	if _, ok, err := p.TryGet(page); ok || err != nil {
-		t.Fatalf("TryGet(%d) = resident %v, err %v; want a clean miss", page, ok, err)
+	if _, ok, err := p.tryGet(page); ok || err != nil {
+		t.Fatalf("tryGet(%d) = resident %v, err %v; want a clean miss", page, ok, err)
 	}
-	ver = p.faultVersion(page)
+	ver = p.dirtyVer[page]
 	stale = make([]byte, p.src.PageSize())
-	if err := p.readPage(page, stale); err != nil {
+	if err := p.src.ReadPage(page, stale); err != nil {
 		t.Fatalf("staging source read: %v", err)
 	}
 	return stale, ver
@@ -97,6 +97,90 @@ func TestInstallSkipsStaleRefreshAfterFlush(t *testing.T) {
 	}
 }
 
+// The third variant: the Put is flushed AND the page evicted again before
+// the stale install commits. Nothing is resident to protect, but the
+// staged bytes are behind the store; installing them as a clean frame
+// would serve readers (and the updater) contents the store has already
+// moved past. install must refuse, and the retried read sees the Put.
+func TestInstallRejectsStaleFaultAfterFlushAndEvict(t *testing.T) {
+	const pageSize = 32
+	store := newConcStore(pageSize, 8)
+	p := NewPool(store, 1, 8)
+	p.SetSink(store)
+
+	stale, ver := beginFault(t, p, 3)
+	want := stampPage(pageSize, 3, 1)
+	if err := p.Put(3, want); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.FlushDirty(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Get(5); err != nil { // capacity 1: evicts the now-clean page 3
+		t.Fatal(err)
+	}
+	if p.install(3, stale, ver) {
+		t.Error("install accepted bytes staged before a Put that was since flushed and evicted")
+	}
+	got, err := p.Get(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("page 3 reverted to the pre-Put contents: got version %d, want 1", got[4])
+	}
+}
+
+// raceStore runs race once, inside the first ReadPage of page on, after
+// the bytes are staged — the window ShardedPool leaves open by reading
+// the source with no lock held.
+type raceStore struct {
+	*concStore
+	on   int
+	race func()
+}
+
+func (r *raceStore) ReadPage(page int, dst []byte) error {
+	err := r.concStore.ReadPage(page, dst)
+	if race := r.race; page == r.on && race != nil {
+		r.race = nil
+		race()
+	}
+	return err
+}
+
+// The same interleaving end to end: ShardedPool's fault must notice the
+// refused install and read the page again, not hand out the staged bytes.
+func TestShardedPoolRereadsStaleFault(t *testing.T) {
+	const pageSize = 32
+	store := &raceStore{concStore: newConcStore(pageSize, 8), on: 3}
+	p := NewShardedPool(store, 1, 8, 1)
+	p.SetSink(store)
+	want := stampPage(pageSize, 3, 1)
+	store.race = func() {
+		if err := p.Put(3, want); err != nil {
+			t.Error(err)
+		}
+		if err := p.FlushDirty(); err != nil {
+			t.Error(err)
+		}
+		if _, err := p.Get(5); err != nil { // capacity 1: evicts the now-clean page 3
+			t.Error(err)
+		}
+	}
+	got, err := p.Get(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("Get(3) returned version %d staged before the Put, want 1", got[4])
+	}
+	// Three source reads, three misses: page 5, the wasted read, the re-read.
+	if hits, misses, _ := p.Stats(); hits != 0 || misses != 3 {
+		t.Errorf("stats = %d hits / %d misses, want 0/3", hits, misses)
+	}
+}
+
 func TestInstallStillRefreshesDuplicateFault(t *testing.T) {
 	const pageSize = 32
 	src := &faultySource{pageSize: pageSize}
@@ -107,7 +191,7 @@ func TestInstallStillRefreshesDuplicateFault(t *testing.T) {
 	// canonical source bytes.
 	stale, ver := beginFault(t, p, 5)
 	winner := make([]byte, pageSize)
-	if err := p.readPage(5, winner); err != nil {
+	if err := p.src.ReadPage(5, winner); err != nil {
 		t.Fatal(err)
 	}
 	p.install(5, winner, ver)
@@ -140,7 +224,7 @@ func TestInstallPinnedKeepsConcurrentPutFrame(t *testing.T) {
 		t.Fatalf("preparePin = %v/%v, want a read needed", need, err)
 	}
 	stale := make([]byte, pageSize)
-	if err := p.readPage(2, stale); err != nil {
+	if err := p.src.ReadPage(2, stale); err != nil {
 		t.Fatal(err)
 	}
 	want := repeatByte(pageSize, 0xCD)
@@ -183,7 +267,7 @@ func TestInstallPinnedFillsMissingFrame(t *testing.T) {
 		t.Fatalf("preparePin = %v/%v", need, err)
 	}
 	buf := make([]byte, pageSize)
-	if err := p.readPage(6, buf); err != nil {
+	if err := p.src.ReadPage(6, buf); err != nil {
 		t.Fatal(err)
 	}
 	p.installPinned(6, buf, ver)

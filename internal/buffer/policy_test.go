@@ -71,11 +71,11 @@ func TestTwoQAmEvictionLeavesNoGhost(t *testing.T) {
 	q := NewTwoQK(2, 16, 1, 4)
 	q.Access(0)
 	q.Access(1)
-	q.Access(2)            // evicts 0 (A1in over Kin) -> ghost
-	q.Access(0)            // ghost -> Am, evicts 1 -> ghost; resident {0(Am), 2(A1in)}
-	q.Access(3)            // A1in at Kin=1: evicts 2 -> ghost
-	q.Access(2)            // ghost -> Am, evicts 3 -> ghost; resident {0, 2} both Am
-	q.Access(4)            // A1in empty -> evicts Am tail 0, NO ghost
+	q.Access(2) // evicts 0 (A1in over Kin) -> ghost
+	q.Access(0) // ghost -> Am, evicts 1 -> ghost; resident {0(Am), 2(A1in)}
+	q.Access(3) // A1in at Kin=1: evicts 2 -> ghost
+	q.Access(2) // ghost -> Am, evicts 3 -> ghost; resident {0, 2} both Am
+	q.Access(4) // A1in empty -> evicts Am tail 0, NO ghost
 	if q.where[0] != qNone {
 		t.Fatalf("Am eviction left state %d for page 0, want none", q.where[0])
 	}

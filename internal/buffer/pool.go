@@ -31,13 +31,18 @@ type PageSink interface {
 //
 // The read path treats pages as immutable, matching the paper's
 // query-only experiments. The update path adds dirty-page tracking on
-// top: Put and MarkDirty flag resident pages as ahead of the source,
-// FlushDirty writes them back to the attached PageSink in page order,
+// top: Put installs a page as resident and ahead of the source,
+// FlushDirty writes such pages back to the attached PageSink in page order,
 // and a fault that must evict a dirty victim writes it back first (the
 // write-back failing fails the fault — a dirty page is never silently
 // dropped). Crash atomicity is not the pool's job: callers WAL-log a
 // batch before putting its pages, so a write-back at any moment is
 // redo-covered.
+//
+// Pool has no lock: it serves one goroutine at a time, and is the
+// reference the oracle tests compare against. Concurrent callers use
+// ShardedPool, which stripes this core under per-shard mutexes (one
+// shard, NewShardedPool(…, 1), is one buffer behind one lock).
 type Pool struct {
 	src    PageSource
 	sink   PageSink
@@ -45,14 +50,19 @@ type Pool struct {
 	frames [][]byte
 	free   [][]byte // recycled frames from evictions
 
-	dirty     []bool // page -> contents ahead of the source
-	dirtyList []int  // pages flagged dirty, unordered, may hold cleaned entries
+	dirty []bool // page -> contents ahead of the source
+	// dirtyList holds every dirty page at least once, unordered. Entries
+	// of pages cleaned since stay until dirtySnapshot compacts them away
+	// or the last dirty page is cleaned.
+	dirtyList []int
 	nDirty    int
 
-	// dirtyVer is bumped on every Put/MarkDirty of a page. A locked
-	// wrapper that copies a dirty frame out, writes it back with no lock
-	// held, and then commits the outcome (wroteBackVer) uses it to detect
-	// a concurrent re-dirty: a stale write-back must not clear the flag.
+	// dirtyVer is bumped on every Put of a page. ShardedPool, which reads
+	// the source and writes the sink with no lock held, captures it
+	// before the I/O and hands it back with the outcome (install,
+	// wroteBack): a moved version means a Put landed meanwhile, so a
+	// stale read must not become the frame and a stale write-back must
+	// not clear the flag.
 	dirtyVer []uint32
 
 	// readFailures counts source reads that returned an error. Failed
@@ -150,7 +160,7 @@ func (p *Pool) GetTracked(page int) ([]byte, AccessInfo, error) {
 		p.policy.Access(page)
 		return p.frames[page], AccessInfo{Hit: true}, nil
 	}
-	wrote, err := p.writeBackVictimTracked()
+	wrote, err := p.writeBackVictim()
 	info := AccessInfo{}
 	if wrote {
 		info.WriteBacks = 1
@@ -184,17 +194,18 @@ func (p *Pool) takeFrame() []byte {
 	return make([]byte, p.src.PageSize())
 }
 
-// The methods below split Get's fault path into phases so a locked
-// wrapper (SyncPool) can interleave its own synchronization: probe the
-// cache (TryGet), read the source with no pool state touched (readPage),
-// then commit the fault (install) or back it out (failedFault) — without
-// ever holding a state lock across the source read.
+// The methods below are Get's and Pin's fault paths split into phases
+// for ShardedPool, which runs each phase under its shard mutex and the
+// source read between them with no lock held: probe the cache (tryGet),
+// capture dirtyVer, read src, then commit the fault (install) or back it
+// out (failedFault); preparePin, installPinned and failedPin are the
+// same three steps for Pin.
 
-// TryGet returns the frame if page is resident, counting a hit; on a miss
+// tryGet returns the frame if page is resident, counting a hit; on a miss
 // it performs no accounting, leaving the fault to the caller. Pages being
 // concurrently faulted (resident but frameless) report as missing so
 // callers route through the fault path.
-func (p *Pool) TryGet(page int) ([]byte, bool, error) {
+func (p *Pool) tryGet(page int) ([]byte, bool, error) {
 	if page < 0 || page >= len(p.frames) {
 		return nil, false, fmt.Errorf("buffer: page %d outside [0,%d)", page, len(p.frames))
 	}
@@ -205,37 +216,33 @@ func (p *Pool) TryGet(page int) ([]byte, bool, error) {
 	return p.frames[page], true, nil
 }
 
-// readPage fills dst from the source. It touches no pool state, so a
-// wrapper may call it without holding the lock guarding the pool.
-func (p *Pool) readPage(page int, dst []byte) error {
-	return p.src.ReadPage(page, dst)
-}
-
-// faultVersion returns page's dirty version. A wrapper about to fault
-// page in with no lock held captures it (under the state lock, page not
-// resident) and hands it back to install, which uses it to tell a
-// harmless duplicate fault from a stale read racing a concurrent Put.
-func (p *Pool) faultVersion(page int) uint32 { return p.dirtyVer[page] }
-
 // install commits a successful fault: counts the miss (evicting if
 // needed) and copies data into a frame. ver is the page's dirty version
-// as captured by faultVersion when the fault began. If the fault lost a
-// race — the page became resident while the source read was in flight —
-// the frame is refreshed in place only when no Put or MarkDirty landed
-// meanwhile (version unchanged: the resident bytes came from an
-// equivalent source read, so the refresh is a no-op in contents). A
-// frame that is dirty, or clean because the newer contents were already
-// flushed, is ahead of the stale source bytes and keeps them.
-func (p *Pool) install(page int, data []byte, ver uint32) {
+// as captured when the fault began; a moved version means a Put landed
+// while the source read was in flight, so data may be behind the page.
+// If the page became resident meanwhile, the fault counts a hit and the
+// frame is refreshed in place only when the version is unchanged (the
+// resident bytes came from an equivalent source read) — a frame that is
+// dirty, or clean because the newer contents were already flushed, keeps
+// its contents. If the page is not resident and the version moved, the
+// Put was flushed and evicted again: data is behind the source, nothing
+// is installed, the wasted read counts as a miss, and install reports
+// false so the caller reads the page again.
+func (p *Pool) install(page int, data []byte, ver uint32) bool {
+	if !p.policy.Contains(page) && p.dirtyVer[page] != ver {
+		p.policy.NoteMiss(page)
+		return false
+	}
 	if p.policy.Access(page) {
 		if !p.dirty[page] && p.dirtyVer[page] == ver {
 			copy(p.frames[page], data) // lost a duplicate-fault race: refresh in place
 		}
-		return
+		return true
 	}
 	frame := p.takeFrame()
 	copy(frame, data)
 	p.frames[page] = frame
+	return true
 }
 
 // failedFault accounts for a fault whose source read failed: the miss
@@ -270,8 +277,9 @@ func (p *Pool) preparePin(page int) (needRead bool, ver uint32, err error) {
 // the dirty version preparePin reported. A concurrent Put landing while
 // the pin's source read was in flight already gave the page a frame
 // whose contents are ahead of the source — that frame is kept (never
-// replaced or dropped); only a frame still at the pinned version is
-// refreshed, and a missing frame is filled.
+// replaced or dropped; being pinned it cannot have been evicted); only a
+// frame still at the pinned version is refreshed, and a missing frame is
+// filled.
 func (p *Pool) installPinned(page int, data []byte, ver uint32) {
 	if p.frames[page] != nil {
 		if !p.dirty[page] && p.dirtyVer[page] == ver {
@@ -300,7 +308,7 @@ func (p *Pool) Pin(page int) error {
 	}
 	resident := p.policy.Contains(page)
 	if !resident {
-		if err := p.writeBackVictim(); err != nil {
+		if _, err := p.writeBackVictim(); err != nil {
 			return err
 		}
 	}
@@ -347,7 +355,7 @@ func (p *Pool) Put(page int, data []byte) error {
 		return fmt.Errorf("buffer: put of %d bytes != page size %d", len(data), p.src.PageSize())
 	}
 	if !p.policy.Contains(page) {
-		if err := p.writeBackVictim(); err != nil {
+		if _, err := p.writeBackVictim(); err != nil {
 			return err
 		}
 	}
@@ -360,19 +368,6 @@ func (p *Pool) Put(page int, data []byte) error {
 	return nil
 }
 
-// MarkDirty flags a resident page whose frame the caller mutated in
-// place. The pool will write it back on FlushDirty or before evicting it.
-func (p *Pool) MarkDirty(page int) error {
-	if page < 0 || page >= len(p.frames) {
-		return fmt.Errorf("buffer: page %d outside [0,%d)", page, len(p.frames))
-	}
-	if !p.policy.Contains(page) || p.frames[page] == nil {
-		return fmt.Errorf("buffer: MarkDirty of non-resident page %d", page)
-	}
-	p.setDirty(page)
-	return nil
-}
-
 // FlushDirty writes every dirty page back to the sink in ascending page
 // order (deterministic for a given dirty set) and clears the dirty
 // flags. On a write failure it stops: the failed page and everything
@@ -381,7 +376,6 @@ func (p *Pool) MarkDirty(page int) error {
 // always redo-covered.
 func (p *Pool) FlushDirty() error {
 	if p.nDirty == 0 {
-		p.dirtyList = p.dirtyList[:0]
 		return nil
 	}
 	slices.Sort(p.dirtyList)
@@ -396,8 +390,7 @@ func (p *Pool) FlushDirty() error {
 			return err
 		}
 	}
-	p.dirtyList = p.dirtyList[:0]
-	return nil
+	return nil // cleaning the last dirty page emptied dirtyList
 }
 
 func (p *Pool) setDirty(page int) {
@@ -417,124 +410,33 @@ func (p *Pool) clearDirty(page int) {
 	}
 	p.dirty[page] = false
 	p.nDirty--
+	if p.nDirty == 0 {
+		p.dirtyList = p.dirtyList[:0] // every entry left is a cleaned page
+	}
 }
 
 // flushPage writes one dirty page to the sink and clears its flag.
 func (p *Pool) flushPage(page int) error {
-	return p.wroteBack(page, p.sinkWrite(page, p.frames[page]))
+	return p.wroteBack(page, p.dirtyVer[page], sinkWrite(p.sink, page, p.frames[page]))
 }
 
-// sinkWrite performs the physical write-back. It touches no pool state,
-// so a locked wrapper may call it without holding the state lock.
-func (p *Pool) sinkWrite(page int, data []byte) error {
-	return sinkWriteTo(p.sink, page, data)
-}
-
-// sinkSnapshot returns the attached sink (possibly nil). A wrapper that
-// writes with no lock held snapshots the sink under its lock first, so a
-// concurrent SetSink cannot race the field read.
-func (p *Pool) sinkSnapshot() PageSink { return p.sink }
-
-// sinkWriteTo writes data to sink, sharing the no-sink error with every
-// write-back path.
-func sinkWriteTo(sink PageSink, page int, data []byte) error {
+// sinkWrite performs the physical write-back, sharing the no-sink error
+// with every write-back path. It touches no pool state: ShardedPool calls
+// it with no shard mutex held, on a sink it read under the mutex.
+func sinkWrite(sink PageSink, page int, data []byte) error {
 	if sink == nil {
 		return fmt.Errorf("buffer: no write-back sink attached")
 	}
 	return sink.WritePage(page, data)
 }
 
-// wroteBack commits the outcome of a sink write: success clears the
-// dirty flag and counts a write-back, failure counts a failed write and
-// leaves the page dirty.
-func (p *Pool) wroteBack(page int, err error) error {
-	if err != nil {
-		p.noteFailedWrite()
-		return fmt.Errorf("buffer: writing back page %d: %w", page, err)
-	}
-	p.clearDirty(page)
-	p.metrics.onWriteBack()
-	return nil
-}
-
-// writeBackVictim cleans the page the next capacity eviction would drop,
-// so the eviction (inside LRU.Access/Install/Pin) never loses a dirty
-// page. Single-threaded pools call it immediately before any operation
-// that may evict.
-func (p *Pool) writeBackVictim() error {
-	_, err := p.writeBackVictimTracked()
-	return err
-}
-
-// writeBackVictimTracked is writeBackVictim plus whether a dirty victim
-// was actually written back (false when the pool isn't full or the
-// victim is clean).
-func (p *Pool) writeBackVictimTracked() (wrote bool, err error) {
-	if !p.policy.Full() {
-		return false, nil
-	}
-	v, ok := p.policy.Victim()
-	if !ok || !p.dirty[v] {
-		return false, nil
-	}
-	if err := p.flushPage(v); err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
-// hasDirtyVictim reports whether the next capacity eviction would drop
-// a dirty page — the cheap probe half of dirtyVictim, for a wrapper
-// deciding whether it must enter its write-back path at all.
-func (p *Pool) hasDirtyVictim() bool {
-	if !p.policy.Full() {
-		return false
-	}
-	v, ok := p.policy.Victim()
-	return ok && p.dirty[v]
-}
-
-// dirtyVictim is writeBackVictim's probe half for a locked wrapper:
-// when the next eviction victim is dirty it copies the victim's frame
-// into dst and returns its page number; otherwise it returns -1 and the
-// caller may evict freely (until it releases its write serialization).
-func (p *Pool) dirtyVictim(dst []byte) int {
-	if !p.policy.Full() {
-		return -1
-	}
-	v, ok := p.policy.Victim()
-	if !ok || !p.dirty[v] {
-		return -1
-	}
-	copy(dst, p.frames[v])
-	return v
-}
-
-// dirtyVictimVer is dirtyVictim plus the victim's dirty version, for a
-// wrapper that releases its lock between the copy and the commit.
-func (p *Pool) dirtyVictimVer(dst []byte) (page int, ver uint32) {
-	v := p.dirtyVictim(dst)
-	if v < 0 {
-		return -1, 0
-	}
-	return v, p.dirtyVer[v]
-}
-
-// copyDirtyVer is copyDirty plus the page's dirty version.
-func (p *Pool) copyDirtyVer(page int, dst []byte) (ver uint32, ok bool) {
-	if !p.copyDirty(page, dst) {
-		return 0, false
-	}
-	return p.dirtyVer[page], true
-}
-
-// wroteBackVer commits the outcome of an unlocked sink write that was
-// fed from a versioned copy. If the page was re-dirtied since the copy
-// (version moved), a successful write still counts as a write-back but
-// must not clear the flag — the fresher contents remain to be written.
-// The stale on-disk state is safe: callers WAL-log before dirtying, so
-// it is redo-covered.
-func (p *Pool) wroteBackVer(page int, ver uint32, err error) error {
+// wroteBack commits the outcome of a sink write of page as it was at
+// dirty version ver: failure counts a failed write and leaves the page
+// dirty; success counts a write-back and clears the flag — unless the
+// page was re-dirtied since the bytes were taken (version moved), when
+// the fresher contents remain to be written. The stale on-disk state is
+// safe: callers WAL-log before dirtying, so it is redo-covered.
+func (p *Pool) wroteBack(page int, ver uint32, err error) error {
 	if err != nil {
 		p.noteFailedWrite()
 		return fmt.Errorf("buffer: writing back page %d: %w", page, err)
@@ -546,27 +448,62 @@ func (p *Pool) wroteBackVer(page int, ver uint32, err error) error {
 	return nil
 }
 
-// dirtySnapshot returns the dirty pages in ascending order, for a locked
-// wrapper that flushes them one at a time.
+// dirtyVictim returns the page the next capacity eviction would drop if
+// that page is dirty, else -1 (the pool isn't full or the victim is
+// clean, so an install may evict freely).
+func (p *Pool) dirtyVictim() int {
+	if !p.policy.Full() {
+		return -1
+	}
+	v, ok := p.policy.Victim()
+	if !ok || !p.dirty[v] {
+		return -1
+	}
+	return v
+}
+
+// writeBackVictim cleans the page the next capacity eviction would drop,
+// so the eviction (inside LRU.Access/Install/Pin) never loses a dirty
+// page, and reports whether a dirty victim was actually written back.
+// Pool calls it immediately before any operation that may evict;
+// ShardedPool does the same job with no lock across the write (see
+// installClean).
+func (p *Pool) writeBackVictim() (wrote bool, err error) {
+	v := p.dirtyVictim()
+	if v < 0 {
+		return false, nil
+	}
+	if err := p.flushPage(v); err != nil {
+		return false, err
+	}
+	return true, nil
+}
+
+// dirtySnapshot returns the dirty pages in ascending order, for
+// ShardedPool to flush one at a time. It compacts dirtyList to exactly
+// that set on the way: ShardedPool never reaches Pool.FlushDirty, so
+// this is where cleaned and duplicate entries are dropped while some
+// page stays dirty.
 func (p *Pool) dirtySnapshot() []int {
-	out := make([]int, 0, p.nDirty)
+	live := p.dirtyList[:0]
 	for _, page := range p.dirtyList {
 		if p.dirty[page] {
-			out = append(out, page)
+			live = append(live, page)
 		}
 	}
-	slices.Sort(out)
-	return slices.Compact(out)
+	slices.Sort(live)
+	p.dirtyList = slices.Compact(live)
+	return slices.Clone(p.dirtyList)
 }
 
 // copyDirty copies page's frame into dst if it is still dirty, reporting
-// whether it was.
-func (p *Pool) copyDirty(page int, dst []byte) bool {
+// whether it was and the dirty version of the bytes copied.
+func (p *Pool) copyDirty(page int, dst []byte) (ver uint32, ok bool) {
 	if page >= len(p.frames) || !p.dirty[page] || p.frames[page] == nil {
-		return false
+		return 0, false
 	}
 	copy(dst, p.frames[page])
-	return true
+	return p.dirtyVer[page], true
 }
 
 // Unpin returns a pinned page to replacement management.

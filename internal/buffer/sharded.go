@@ -9,8 +9,9 @@ import (
 
 // PagePool is the buffer-pool contract the storage layer programs
 // against: serve page contents with hit/miss accounting, pin pages,
-// track dirty pages, and write them back. Pool (single-threaded) and
-// ShardedPool (concurrent) both satisfy it, so a paged tree can swap
+// track dirty pages, and write them back. Pool (single-goroutine, no
+// lock) and ShardedPool (that core striped under locks, the only pool
+// safe for concurrent use) both satisfy it, so a paged tree can swap
 // pools without caring which.
 //
 // Get's ownership contract is the weaker of the two implementations':
@@ -25,7 +26,6 @@ type PagePool interface {
 	Pin(page int) error
 	Unpin(page int)
 	Put(page int, data []byte) error
-	MarkDirty(page int) error
 	FlushDirty() error
 	Grow(numPages int)
 	SetSink(sink PageSink)
@@ -63,19 +63,19 @@ var (
 //     runs never take this path, so shards=1 accounting is
 //     bit-identical to Pool's.
 //   - A dirty victim is copied out under the shard mutex, written with
-//     no lock held, and committed with its dirty version (wroteBackVer):
+//     no lock held, and committed with its dirty version (wroteBack):
 //     if the page was re-dirtied during the write, the flag stays set
 //     and the fresher contents get written later. The transiently stale
 //     sink state is safe for the same reason Pool's write-backs are:
 //     callers WAL-log batches before dirtying pages, so any write-back
 //     order is redo-covered.
 //   - Write-backs of one shard serialize on a dedicated per-shard
-//     write-back mutex held from copy through sink write to commit (the
-//     shard-local analogue of SyncPool's ioMu). Without it, an eviction
-//     write-back and a concurrent FlushDirty of the same page could
-//     reach the sink in opposite order and persist the older contents
-//     last — a lost update no crash recovery would repair. Hits and
-//     faults that need no write-back never touch this mutex.
+//     write-back mutex (wbMu) held from copy through sink write to
+//     commit. Without it, an eviction write-back and a concurrent
+//     FlushDirty of the same page could reach the sink in opposite order
+//     and persist the older contents last — a lost update no crash
+//     recovery would repair. Hits and faults that need no write-back
+//     never touch this mutex.
 //   - The PR 7 no-steal contract holds per shard: installClean runs the
 //     victim peek and the install under one continuous mutex hold, so a
 //     dirty page can never be the eviction victim.
@@ -107,8 +107,8 @@ type poolShard struct {
 
 // shardIO routes a shard pool's local-space I/O to the global source and
 // sink. src is immutable after construction; sink is swapped via
-// Pool.SetSink under the shard mutex and snapshotted before unlocked
-// writes.
+// Pool.SetSink under the shard mutex and read under it before each
+// unlocked write.
 type shardIO struct {
 	src      PageSource
 	shard, n int
@@ -156,10 +156,7 @@ func NewShardedPoolWith(src PageSource, capacity, numPages, shards int, factory 
 		pageSize: src.PageSize(),
 	}
 	s.numPages.Store(int64(numPages))
-	s.bufs.New = func() any {
-		//lint:allow hotalloc staging buffers are pooled; New runs once per steady-state buffer
-		return make([]byte, s.pageSize)
-	}
+	s.bufs.New = func() any { return make([]byte, s.pageSize) }
 	for i := 0; i < shards; i++ {
 		s.shards[i] = &poolShard{
 			pool: NewPoolWith(shardIO{src: src, shard: i, n: shards},
@@ -209,14 +206,14 @@ func (s *ShardedPool) GetTracked(page int) ([]byte, AccessInfo, error) {
 	}
 	sh, local := s.locate(page)
 	sh.mu.Lock()
-	frame, ok, err := sh.pool.TryGet(local)
+	frame, ok, err := sh.pool.tryGet(local)
 	var out []byte
 	var ver uint32
 	if ok {
 		out = make([]byte, len(frame)) //lint:allow hotalloc the returned page copy is Get's ownership contract
 		copy(out, frame)
 	} else if err == nil {
-		ver = sh.pool.faultVersion(local)
+		ver = sh.pool.dirtyVer[local] // install's guard against a Put racing the read
 	}
 	sh.mu.Unlock()
 	if ok || err != nil {
@@ -227,11 +224,10 @@ func (s *ShardedPool) GetTracked(page int) ([]byte, AccessInfo, error) {
 
 // fault reads page from the source with no lock held and installs it,
 // returning a copy the caller owns. ver is the page's dirty version at
-// miss time; install refuses to refresh a frame a concurrent Put moved
-// past it.
+// miss time; install refuses bytes a concurrent Put moved the page past.
 func (s *ShardedPool) fault(sh *poolShard, page, local int, ver uint32) ([]byte, AccessInfo, error) {
 	buf := s.getBuf()
-	err := sh.pool.readPage(local, buf)
+	err := sh.pool.src.ReadPage(local, buf)
 	if err != nil {
 		s.putBuf(buf)
 		sh.mu.Lock()
@@ -241,69 +237,76 @@ func (s *ShardedPool) fault(sh *poolShard, page, local int, ver uint32) ([]byte,
 	}
 	out := make([]byte, len(buf)) //lint:allow hotalloc the returned page copy is Get's ownership contract
 	copy(out, buf)
+	current := false
 	//lint:allow hotalloc miss-path closure: a fault already pays a source page read, and the hit path allocates nothing
-	wrote, err := s.installCleanTracked(sh, func() { sh.pool.install(local, buf, ver) })
+	wrote, err := s.installClean(sh, func() { current = sh.pool.install(local, buf, ver) })
 	s.putBuf(buf)
 	if err != nil {
 		return nil, AccessInfo{WriteBacks: wrote}, s.globalize(err, page)
+	}
+	if !current {
+		// The page was Put, flushed and evicted again during the read, so
+		// buf is behind the source: start the access over.
+		out, info, err := s.GetTracked(page)
+		info.WriteBacks += wrote
+		return out, info, err
 	}
 	return out, AccessInfo{WriteBacks: wrote}, nil
 }
 
 // installClean runs install (under the shard mutex) in a state where no
 // dirty page can be the eviction victim, writing dirty victims back
-// first — the per-shard no-steal protocol. The victim peek and the
-// install happen under one continuous mutex hold, so the dirty set
-// cannot change in between; each write-back runs under wbMu only (never
-// the state mutex) and commits against the victim's dirty version. A
+// first — the per-shard no-steal protocol — and reports how many it
+// wrote back. The victim peek and the install happen under one
+// continuous mutex hold, so the dirty set cannot change in between. A
 // write-back failure fails the caller's operation; the victim stays
 // resident and dirty. Under a steady stream of concurrent Puts to one
 // shard the loop may retry, but every iteration writes one page back,
 // so the system as a whole makes progress.
-func (s *ShardedPool) installClean(sh *poolShard, install func()) error {
-	_, err := s.installCleanTracked(sh, install)
-	return err
-}
-
-// installCleanTracked is installClean plus how many dirty victims were
-// successfully written back before the install committed.
-func (s *ShardedPool) installCleanTracked(sh *poolShard, install func()) (wrote int, err error) {
+func (s *ShardedPool) installClean(sh *poolShard, install func()) (wrote int, err error) {
 	buf := s.getBuf()
 	defer s.putBuf(buf)
 	for {
 		sh.mu.Lock()
-		if !sh.pool.hasDirtyVictim() {
+		v := sh.pool.dirtyVictim()
+		if v < 0 {
 			install()
 			sh.mu.Unlock()
 			return wrote, nil
 		}
 		sh.mu.Unlock()
-		// A dirty victim must be written back first. wbMu serializes the
-		// copy, the sink write, and the commit against every other
-		// write-back of this shard (FlushDirty, other faults), so
-		// same-page sink writes always land in dirty-version order; the
-		// victim is re-probed under it because a concurrent write-back
-		// may have cleaned it meanwhile.
-		sh.wbMu.Lock()
-		sh.mu.Lock()
-		v, ver := sh.pool.dirtyVictimVer(buf)
-		if v < 0 {
-			sh.mu.Unlock()
-			sh.wbMu.Unlock()
-			continue
+		ok, err := s.writeBack(sh, v, buf)
+		if err != nil {
+			return wrote, err
 		}
-		snk := sh.pool.sinkSnapshot()
-		sh.mu.Unlock()
-		werr := sinkWriteTo(snk, v, buf) //lint:allow lockcheck ordering same-page sink writes is wbMu's purpose; the state mutex is not held
-		sh.mu.Lock()
-		werr = sh.pool.wroteBackVer(v, ver, werr)
-		sh.mu.Unlock()
-		sh.wbMu.Unlock()
-		if werr != nil {
-			return wrote, werr
+		if ok {
+			wrote++
 		}
-		wrote++
 	}
+}
+
+// writeBack writes local page of sh to the sink if it is still dirty
+// (a concurrent write-back may have cleaned it since the caller looked)
+// and reports whether it did. wbMu is held from the copy, through the
+// sink write, to the commit, so same-page sink writes of this shard
+// (FlushDirty, faults evicting) always land in dirty-version order; the
+// state mutex is held only around the copy and the commit, never across
+// the write, and the commit goes against the copy's dirty version.
+func (s *ShardedPool) writeBack(sh *poolShard, local int, buf []byte) (wrote bool, err error) {
+	sh.wbMu.Lock()
+	defer sh.wbMu.Unlock()
+	sh.mu.Lock()
+	ver, ok := sh.pool.copyDirty(local, buf)
+	snk := sh.pool.sink
+	sh.mu.Unlock()
+	if !ok {
+		return false, nil
+	}
+	err = sinkWrite(snk, local, buf) //lint:allow lockcheck ordering same-page sink writes is wbMu's purpose; the state mutex is not held
+	sh.mu.Lock()
+	err = sh.pool.wroteBack(local, ver, err)
+	sh.mu.Unlock()
+	return err == nil, err
 }
 
 // Pin makes page permanently resident (reading it if absent). Until the
@@ -319,14 +322,14 @@ func (s *ShardedPool) Pin(page int) error {
 	var need bool
 	var ver uint32
 	var perr error
-	if err := s.installClean(sh, func() { need, ver, perr = sh.pool.preparePin(local) }); err != nil {
+	if _, err := s.installClean(sh, func() { need, ver, perr = sh.pool.preparePin(local) }); err != nil {
 		return s.globalize(err, page)
 	}
 	if perr != nil || !need {
 		return s.globalize(perr, page)
 	}
 	buf := s.getBuf()
-	err := sh.pool.readPage(local, buf)
+	err := sh.pool.src.ReadPage(local, buf)
 	if err != nil {
 		s.putBuf(buf)
 		sh.mu.Lock()
@@ -367,31 +370,15 @@ func (s *ShardedPool) Put(page int, data []byte) error {
 	var perr error
 	// Under installClean's no-dirty-victim guarantee Pool.Put's own
 	// victim write-back finds nothing to do, so no I/O runs under mu.
-	if err := s.installClean(sh, func() { perr = sh.pool.Put(local, data) }); err != nil {
+	if _, err := s.installClean(sh, func() { perr = sh.pool.Put(local, data) }); err != nil {
 		return s.globalize(err, page)
 	}
 	return s.globalize(perr, page)
 }
 
-// MarkDirty flags a resident page whose contents the caller replaced via
-// Put as needing write-back. (ShardedPool's Get hands out copies, so
-// there is no aliased frame to mutate in place; MarkDirty exists for
-// PagePool parity and for callers holding pinned pages.)
-func (s *ShardedPool) MarkDirty(page int) error {
-	if page < 0 || int64(page) >= s.numPages.Load() {
-		return s.boundsErr(page)
-	}
-	sh, local := s.locate(page)
-	sh.mu.Lock()
-	err := sh.pool.MarkDirty(local)
-	sh.mu.Unlock()
-	return s.globalize(err, page)
-}
-
 // FlushDirty writes every dirty page back to the sink in ascending
 // global page order, stopping at the first failure (the failed page and
-// everything after stay dirty). Each page is copied out under its shard
-// mutex and written under the shard's write-back mutex only, so hits
+// everything after stay dirty). Each page goes through writeBack, so hits
 // proceed during the flush while same-page write-backs (an eviction
 // racing this flush) stay ordered; a page re-dirtied during its write
 // stays dirty. Concurrent mutators may dirty pages the snapshot missed —
@@ -411,21 +398,7 @@ func (s *ShardedPool) FlushDirty() error {
 	defer s.putBuf(buf)
 	for _, page := range pages {
 		sh, local := s.locate(page)
-		sh.wbMu.Lock()
-		sh.mu.Lock()
-		ver, ok := sh.pool.copyDirtyVer(local, buf)
-		snk := sh.pool.sinkSnapshot()
-		sh.mu.Unlock()
-		if !ok {
-			sh.wbMu.Unlock()
-			continue // cleaned by an eviction write-back meanwhile
-		}
-		err := sinkWriteTo(snk, local, buf) //lint:allow lockcheck ordering same-page sink writes is wbMu's purpose; the state mutex is not held
-		sh.mu.Lock()
-		err = sh.pool.wroteBackVer(local, ver, err)
-		sh.mu.Unlock()
-		sh.wbMu.Unlock()
-		if err != nil {
+		if _, err := s.writeBack(sh, local, buf); err != nil {
 			return s.globalize(err, page)
 		}
 	}

@@ -31,7 +31,7 @@ type Config struct {
 	// (ext-clock, ext-policy) enumerate policies themselves and ignore it.
 	Policy string
 	// Shards selects the paged-tree pool shard count for the same
-	// experiments; <= 1 means the single-lock pool.
+	// experiments; <= 1 means the single-goroutine Pool.
 	Shards int
 	// Metrics, when non-nil, receives engine observability: per-experiment
 	// wall time and build-cache hit/miss counts. Reports stay byte-

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"testing"
 
 	"rtreebuf/internal/geom"
@@ -77,5 +78,77 @@ func TestFlightRecorderIdenticalResults(t *testing.T) {
 	}
 	if !sameIDs(got, tr.SearchWindow(q)) {
 		t.Fatal("detached search returned different results")
+	}
+}
+
+// TestReadNodeAttribution drives readNode — the one place a node is read
+// — through both pools and every outcome, and checks that the AccessInfo
+// it hands the flight recorder is exactly what the pool's GetTracked
+// reports for the same access on an identically prepared twin, including
+// when the read or the decode fails.
+func TestReadNodeAttribution(t *testing.T) {
+	const badPage, corruptPage = 2, 3
+	for _, shards := range []int{1, 2} { // Pool, ShardedPool
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			mem, err := NewMemoryManager(DefaultPageSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := SaveTree(mem, buildTestTree(t, 200, 16)); err != nil {
+				t.Fatal(err)
+			}
+			fm := NewFaultManager(mem, 7).BadPage(badPage)
+			if err := fm.CorruptStoredPage(corruptPage); err != nil {
+				t.Fatal(err)
+			}
+			open := func() *PagedTree {
+				pt, err := OpenPagedTreeWith(fm, 8, "", shards)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return pt
+			}
+			pt, twin := open(), open()
+			for _, tc := range []struct {
+				name    string
+				page    int
+				hit     bool
+				wantErr bool
+			}{
+				{"miss", 0, false, false},
+				{"hit", 0, true, false},
+				{"failed read", badPage, false, true},
+				{"failed read leaves nothing resident", badPage, false, true},
+				{"corrupt page faulted", corruptPage, false, true},
+				{"corrupt page resident", corruptPage, true, true},
+			} {
+				_, want, _ := twin.pool.GetTracked(tc.page)
+				nd, got, err := pt.readNode(tc.page)
+				if got != want || got.Hit != tc.hit {
+					t.Errorf("%s: readNode info %+v, GetTracked reports %+v, want hit=%v", tc.name, got, want, tc.hit)
+				}
+				if (err != nil) != tc.wantErr {
+					t.Errorf("%s: err = %v, want error %v", tc.name, err, tc.wantErr)
+				}
+				if err == nil && nd.Page != tc.page {
+					t.Errorf("%s: decoded page %d, want %d", tc.name, nd.Page, tc.page)
+				}
+			}
+
+			// End to end: a query that dies on the unreadable leaf still hands
+			// the recorder every access it made, the failing one included.
+			fr := obs.NewFlightRecorder(4, 4)
+			pt.SetFlightRecorder(fr)
+			pt.Pool().ResetStats()
+			if _, err := pt.SearchWindow(geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}); err == nil {
+				t.Fatal("full-window search over a bad page succeeded")
+			}
+			hits, misses, _ := pt.Pool().Stats()
+			rec := fr.Snapshot().Recent[0]
+			if uint64(rec.Accesses) != hits+misses || uint64(rec.Misses) != misses {
+				t.Errorf("recorder saw accesses=%d misses=%d, pool counted %d and %d",
+					rec.Accesses, rec.Misses, hits+misses, misses)
+			}
+		})
 	}
 }

@@ -377,19 +377,20 @@ func (s dmSource) PageSize() int                       { return s.dm.PageSize() 
 func (s dmSource) ReadPage(page int, dst []byte) error { return s.dm.ReadPage(page, dst) }
 
 // OpenPagedTree opens a persisted tree for buffered querying with the
-// given buffer capacity in pages, using the single-lock LRU pool the
-// paper models. OpenPagedTreeWith selects other policies or a sharded
-// pool.
+// given buffer capacity in pages, using the single-goroutine LRU pool
+// the paper models (no lock: one query at a time). OpenPagedTreeWith
+// selects other policies or the sharded pool concurrent readers need.
 func OpenPagedTree(dm DiskManager, bufferPages int) (*PagedTree, error) {
 	return OpenPagedTreeWith(dm, bufferPages, "", 1)
 }
 
 // OpenPagedTreeWith opens a persisted tree for buffered querying with a
 // named replacement policy (see buffer.PolicyNames; "" means LRU) and a
-// shard count. shards <= 1 selects the single-lock Pool; more shards
-// select the lock-striped ShardedPool, whose hit path scales across
-// concurrent readers at a hit-rate cost ext-policy shows to be within
-// a few percent.
+// shard count. shards <= 1 selects Pool, which has no lock and serves
+// one goroutine at a time; shards > 1 selects the lock-striped
+// ShardedPool, the pool concurrent readers need, whose hit path scales
+// across them at a hit-rate cost ext-policy shows to be within a few
+// percent.
 func OpenPagedTreeWith(dm DiskManager, bufferPages int, policy string, shards int) (*PagedTree, error) {
 	factory, err := buffer.FactoryFor(policy)
 	if err != nil {
@@ -424,6 +425,19 @@ func (pt *PagedTree) Meta() TreeMeta { return pt.meta }
 
 // Pool exposes the underlying buffer pool (for statistics and pinning).
 func (pt *PagedTree) Pool() buffer.PagePool { return pt.pool }
+
+// readNode is the one place a node is read: page through the buffer
+// pool, then decoded (which verifies the page checksum). The pool's
+// per-access attribution is returned even when the read or the decode
+// fails, for the flight recorder.
+func (pt *PagedTree) readNode(page int) (rtree.NodeData, buffer.AccessInfo, error) {
+	frame, info, err := pt.pool.GetTracked(page)
+	if err != nil {
+		return rtree.NodeData{}, info, err
+	}
+	nd, err := DecodeNode(frame, page)
+	return nd, info, err
+}
 
 // SetFlightRecorder attaches (or with nil detaches) the query-path
 // flight recorder. Recording only observes the pool's per-access
@@ -531,12 +545,7 @@ func (pt *PagedTree) SearchPointDegraded(p geom.Point) ([]rtree.Item, *Corruptio
 }
 
 func (pt *PagedTree) searchDegraded(page int, q geom.Rect, out *[]rtree.Item, rep *CorruptionReport) {
-	frame, err := pt.pool.Get(page)
-	if err != nil {
-		rep.Faults = append(rep.Faults, PageFault{Page: page, Err: err})
-		return
-	}
-	nd, err := DecodeNode(frame, page)
+	nd, _, err := pt.readNode(page)
 	if err != nil {
 		rep.Faults = append(rep.Faults, PageFault{Page: page, Err: err})
 		return
@@ -614,13 +623,8 @@ func (pt *PagedTree) Nearest(p geom.Point, k int) ([]rtree.Neighbor, error) {
 			out = append(out, rtree.Neighbor{Item: e.item, Dist: math.Sqrt(e.distSq)})
 			continue
 		}
-		frame, info, err := pt.pool.GetTracked(e.page)
+		nd, info, err := pt.readNode(e.page)
 		aq.Access(e.depth, info.Hit, info.WriteBacks)
-		if err != nil {
-			aq.End()
-			return nil, err
-		}
-		nd, err := DecodeNode(frame, e.page)
 		if err != nil {
 			aq.End()
 			return nil, err
@@ -658,11 +662,7 @@ func (pt *PagedTree) ScanLeaves(visit func(rtree.Item) error) error {
 	}
 	lo, hi := pt.meta.LevelPageRange(len(pt.meta.Levels) - 1)
 	for page := lo; page < hi; page++ {
-		frame, err := pt.pool.Get(page)
-		if err != nil {
-			return err
-		}
-		nd, err := DecodeNode(frame, page)
+		nd, _, err := pt.readNode(page)
 		if err != nil {
 			return err
 		}
@@ -683,11 +683,7 @@ func (pt *PagedTree) ScanLeaves(visit func(rtree.Item) error) error {
 // page reads a full-window search would (through the pool, each miss one
 // counted access).
 func (pt *PagedTree) scanLeavesWalk(page int, visit func(rtree.Item) error) error {
-	frame, err := pt.pool.Get(page)
-	if err != nil {
-		return err
-	}
-	nd, err := DecodeNode(frame, page)
+	nd, _, err := pt.readNode(page)
 	if err != nil {
 		return err
 	}
@@ -708,12 +704,8 @@ func (pt *PagedTree) scanLeavesWalk(page int, visit func(rtree.Item) error) erro
 }
 
 func (pt *PagedTree) search(page, depth int, q geom.Rect, out *[]rtree.Item, aq *obs.ActiveQuery) error {
-	frame, info, err := pt.pool.GetTracked(page)
+	nd, info, err := pt.readNode(page)
 	aq.Access(depth, info.Hit, info.WriteBacks)
-	if err != nil {
-		return err
-	}
-	nd, err := DecodeNode(frame, page)
 	if err != nil {
 		return err
 	}

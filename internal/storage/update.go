@@ -184,11 +184,7 @@ func (u *updater) node(page int) (*updateNode, error) {
 	if n, ok := u.nodes[page]; ok {
 		return n, nil
 	}
-	frame, err := u.pt.pool.Get(page)
-	if err != nil {
-		return nil, err
-	}
-	nd, err := DecodeNode(frame, page)
+	nd, _, err := u.pt.readNode(page)
 	if err != nil {
 		return nil, err
 	}

@@ -177,10 +177,11 @@ type (
 	// PageSource supplies page contents on a buffer miss.
 	PageSource = buffer.PageSource
 	// Pool serves page contents through a replacement policy over a
-	// page source under one lock.
+	// page source. It has no lock: one goroutine at a time.
 	Pool = buffer.Pool
-	// ShardedPool is the lock-striped concurrent pool: pages hash to
-	// shards, each with its own policy instance and mutex.
+	// ShardedPool is the lock-striped pool, the one concurrent readers
+	// need (with any shard count, 1 included): pages hash to shards,
+	// each with its own policy instance and mutex.
 	ShardedPool = buffer.ShardedPool
 	// PagePool is the interface both pool flavors satisfy.
 	PagePool = buffer.PagePool
@@ -205,8 +206,9 @@ func PolicyNames() []string { return buffer.PolicyNames() }
 // empty means LRU) to its factory.
 func FactoryFor(name string) (PolicyFactory, error) { return buffer.FactoryFor(name) }
 
-// NewBufferPool returns the single-lock pool with the given policy
-// factory (nil = LRU).
+// NewBufferPool returns the single-goroutine pool (no lock) with the
+// given policy factory (nil = LRU); concurrent callers use
+// NewShardedPool, whose shards may be 1.
 func NewBufferPool(src PageSource, capacity, numPages int, factory PolicyFactory) *Pool {
 	return buffer.NewPoolWith(src, capacity, numPages, factory)
 }
