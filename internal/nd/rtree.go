@@ -2,7 +2,6 @@ package nd
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -12,30 +11,21 @@ type Item struct {
 	ID   int64
 }
 
-// Params configures a d-dimensional R-tree.
+// Params configures a d-dimensional R-tree. There is no minimum fill:
+// a packed tree fills every node but the last of each level.
 type Params struct {
 	Dims       int // dimensionality, >= 2
 	MaxEntries int // node capacity, >= 2
-	MinEntries int // minimum fill; 0 selects 40% of MaxEntries
 }
 
-func (p Params) normalized() (Params, error) {
+func (p Params) validate() error {
 	if p.Dims < 2 {
-		return p, fmt.Errorf("nd: Dims %d < 2", p.Dims)
+		return fmt.Errorf("nd: Dims %d < 2", p.Dims)
 	}
 	if p.MaxEntries < 2 {
-		return p, fmt.Errorf("nd: MaxEntries %d < 2", p.MaxEntries)
+		return fmt.Errorf("nd: MaxEntries %d < 2", p.MaxEntries)
 	}
-	if p.MinEntries == 0 {
-		p.MinEntries = p.MaxEntries * 2 / 5
-		if p.MinEntries < 1 {
-			p.MinEntries = 1
-		}
-	}
-	if p.MinEntries < 1 || p.MinEntries > p.MaxEntries/2 {
-		return p, fmt.Errorf("nd: MinEntries %d outside [1, MaxEntries/2]", p.MinEntries)
-	}
-	return p, nil
+	return nil
 }
 
 type entry struct {
@@ -45,7 +35,6 @@ type entry struct {
 }
 
 type node struct {
-	parent  *node
 	entries []entry
 	height  int
 }
@@ -63,24 +52,18 @@ func (n *node) mbr() Rect {
 	return out
 }
 
-// Tree is a d-dimensional R-tree with Guttman quadratic-split insertion
-// and packed bulk loading.
+// Tree is a packed, read-only d-dimensional R-tree: Pack builds it and
+// nothing changes it afterwards. Dynamic insertion and deletion exist
+// once, in two dimensions (packages rtree and storage); the d-dimensional
+// slice is what the paper's "straightforward" generalization needs —
+// loading, searching and the per-level MBRs the cost model reads.
 type Tree struct {
 	root   *node
 	params Params
 	size   int
 }
 
-// New returns an empty tree.
-func New(p Params) (*Tree, error) {
-	np, err := p.normalized()
-	if err != nil {
-		return nil, err
-	}
-	return &Tree{root: &node{}, params: np}, nil
-}
-
-// Params returns the normalized parameters.
+// Params returns the tree's parameters.
 func (t *Tree) Params() Params { return t.params }
 
 // Len returns the number of stored items.
@@ -108,271 +91,6 @@ func (t *Tree) walk(visit func(*node)) {
 		}
 	}
 	rec(t.root)
-}
-
-// Insert adds one item (Guttman quadratic split).
-func (t *Tree) Insert(item Item) {
-	checkDims(t.params.Dims, item.Rect)
-	e := entry{rect: item.Rect, id: item.ID}
-	n := t.chooseLeaf(e.rect)
-	n.entries = append(n.entries, e)
-	if len(n.entries) > t.params.MaxEntries {
-		t.splitAndAdjust(n)
-	} else {
-		t.adjustUpward(n)
-	}
-	t.size++
-}
-
-// InsertAll inserts items in order.
-func (t *Tree) InsertAll(items []Item) {
-	for _, it := range items {
-		t.Insert(it)
-	}
-}
-
-func (t *Tree) chooseLeaf(r Rect) *node {
-	n := t.root
-	for !n.isLeaf() {
-		best := -1
-		var bestEnl, bestVol float64
-		for i := range n.entries {
-			enl := n.entries[i].rect.Enlargement(r)
-			vol := n.entries[i].rect.Volume()
-			if best == -1 || enl < bestEnl || (enl == bestEnl && vol < bestVol) {
-				best, bestEnl, bestVol = i, enl, vol
-			}
-		}
-		n.entries[best].rect = n.entries[best].rect.Union(r)
-		n = n.entries[best].child
-	}
-	return n
-}
-
-func (t *Tree) splitAndAdjust(n *node) {
-	left, right := t.splitQuadratic(n)
-	p := n.parent
-	if p == nil {
-		newRoot := &node{height: n.height + 1}
-		newRoot.entries = []entry{
-			{rect: left.mbr(), child: left},
-			{rect: right.mbr(), child: right},
-		}
-		left.parent, right.parent = newRoot, newRoot
-		t.root = newRoot
-		return
-	}
-	for i := range p.entries {
-		if p.entries[i].child == n {
-			p.entries[i] = entry{rect: left.mbr(), child: left}
-			left.parent = p
-			break
-		}
-	}
-	p.entries = append(p.entries, entry{rect: right.mbr(), child: right})
-	right.parent = p
-	if len(p.entries) > t.params.MaxEntries {
-		t.splitAndAdjust(p)
-	} else {
-		t.adjustUpward(p)
-	}
-}
-
-func (t *Tree) adjustUpward(n *node) {
-	for n.parent != nil {
-		p := n.parent
-		for i := range p.entries {
-			if p.entries[i].child == n {
-				p.entries[i].rect = n.mbr()
-				break
-			}
-		}
-		n = p
-	}
-}
-
-// splitQuadratic is Guttman's quadratic split generalized to volumes.
-func (t *Tree) splitQuadratic(n *node) (left, right *node) {
-	entries := n.entries
-	s1, s2 := 0, 1
-	worst := math.Inf(-1)
-	for i := 0; i < len(entries); i++ {
-		for j := i + 1; j < len(entries); j++ {
-			d := entries[i].rect.Union(entries[j].rect).Volume() -
-				entries[i].rect.Volume() - entries[j].rect.Volume()
-			if d > worst {
-				worst, s1, s2 = d, i, j
-			}
-		}
-	}
-	left = &node{height: n.height, entries: []entry{entries[s1]}}
-	right = &node{height: n.height, entries: []entry{entries[s2]}}
-	lm, rm := entries[s1].rect, entries[s2].rect
-
-	var rest []entry
-	for i, e := range entries {
-		if i != s1 && i != s2 {
-			rest = append(rest, e)
-		}
-	}
-	min := t.params.MinEntries
-	for len(rest) > 0 {
-		if len(left.entries)+len(rest) == min {
-			left.entries = append(left.entries, rest...)
-			break
-		}
-		if len(right.entries)+len(rest) == min {
-			right.entries = append(right.entries, rest...)
-			break
-		}
-		bestIdx, bestDiff := 0, -1.0
-		for i, e := range rest {
-			d1 := lm.Union(e.rect).Volume() - lm.Volume()
-			d2 := rm.Union(e.rect).Volume() - rm.Volume()
-			if diff := math.Abs(d1 - d2); diff > bestDiff {
-				bestIdx, bestDiff = i, diff
-			}
-		}
-		e := rest[bestIdx]
-		rest[bestIdx] = rest[len(rest)-1]
-		rest = rest[:len(rest)-1]
-		d1 := lm.Union(e.rect).Volume() - lm.Volume()
-		d2 := rm.Union(e.rect).Volume() - rm.Volume()
-		toLeft := d1 < d2 || (d1 == d2 && len(left.entries) <= len(right.entries))
-		if toLeft {
-			left.entries = append(left.entries, e)
-			lm = lm.Union(e.rect)
-		} else {
-			right.entries = append(right.entries, e)
-			rm = rm.Union(e.rect)
-		}
-	}
-	for _, e := range left.entries {
-		if e.child != nil {
-			e.child.parent = left
-		}
-	}
-	for _, e := range right.entries {
-		if e.child != nil {
-			e.child.parent = right
-		}
-	}
-	return left, right
-}
-
-// Delete removes one stored item matching both box and ID, condensing
-// under-full nodes as in the 2-D implementation, and reports whether the
-// item was found.
-func (t *Tree) Delete(item Item) bool {
-	checkDims(t.params.Dims, item.Rect)
-	leaf, idx := t.findLeaf(t.root, item)
-	if leaf == nil {
-		return false
-	}
-	leaf.entries = append(leaf.entries[:idx], leaf.entries[idx+1:]...)
-	t.size--
-	t.condense(leaf)
-	for !t.root.isLeaf() && len(t.root.entries) == 1 {
-		t.root = t.root.entries[0].child
-		t.root.parent = nil
-	}
-	return true
-}
-
-func (t *Tree) findLeaf(n *node, item Item) (*node, int) {
-	if n.isLeaf() {
-		for i, e := range n.entries {
-			if e.id == item.ID && sameRect(e.rect, item.Rect) {
-				return n, i
-			}
-		}
-		return nil, -1
-	}
-	for _, e := range n.entries {
-		if containsRect(e.rect, item.Rect) {
-			if leaf, i := t.findLeaf(e.child, item); leaf != nil {
-				return leaf, i
-			}
-		}
-	}
-	return nil, -1
-}
-
-func sameRect(a, b Rect) bool {
-	for i := range a.Min {
-		if a.Min[i] != b.Min[i] || a.Max[i] != b.Max[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func containsRect(outer, inner Rect) bool {
-	for i := range outer.Min {
-		if inner.Min[i] < outer.Min[i] || inner.Max[i] > outer.Max[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func (t *Tree) condense(n *node) {
-	type orphan struct {
-		e      entry
-		height int
-	}
-	var orphans []orphan
-	for n.parent != nil {
-		p := n.parent
-		idx := -1
-		for i := range p.entries {
-			if p.entries[i].child == n {
-				idx = i
-				break
-			}
-		}
-		if len(n.entries) < t.params.MinEntries {
-			for _, e := range n.entries {
-				orphans = append(orphans, orphan{e, n.height})
-			}
-			p.entries = append(p.entries[:idx], p.entries[idx+1:]...)
-		} else {
-			p.entries[idx].rect = n.mbr()
-		}
-		n = p
-	}
-	for i := len(orphans) - 1; i >= 0; i-- {
-		o := orphans[i]
-		t.reinsertEntry(o.e, o.height)
-	}
-}
-
-// reinsertEntry places an orphaned entry (leaf item or subtree) at the
-// given height during condensation.
-func (t *Tree) reinsertEntry(e entry, height int) {
-	n := t.root
-	for n.height > height {
-		best := -1
-		var bestEnl, bestVol float64
-		for i := range n.entries {
-			enl := n.entries[i].rect.Enlargement(e.rect)
-			vol := n.entries[i].rect.Volume()
-			if best == -1 || enl < bestEnl || (enl == bestEnl && vol < bestVol) {
-				best, bestEnl, bestVol = i, enl, vol
-			}
-		}
-		n.entries[best].rect = n.entries[best].rect.Union(e.rect)
-		n = n.entries[best].child
-	}
-	n.entries = append(n.entries, e)
-	if e.child != nil {
-		e.child.parent = n
-	}
-	if len(n.entries) > t.params.MaxEntries {
-		t.splitAndAdjust(n)
-	} else {
-		t.adjustUpward(n)
-	}
 }
 
 // SearchWindow reports every item intersecting q.
@@ -415,8 +133,8 @@ func (t *Tree) Levels() [][]Rect {
 	return levels
 }
 
-// CheckInvariants verifies structural integrity (child MBRs exact, parent
-// pointers, heights, capacity), as in the 2-D package.
+// CheckInvariants verifies structural integrity (child MBRs exact,
+// heights, capacity), as in the 2-D package.
 func (t *Tree) CheckInvariants() error {
 	var check func(n *node, isRoot bool) error
 	check = func(n *node, isRoot bool) error {
@@ -437,7 +155,7 @@ func (t *Tree) CheckInvariants() error {
 				continue
 			}
 			c := e.child
-			if c == nil || c.parent != n || c.height != n.height-1 {
+			if c == nil || c.height != n.height-1 {
 				return fmt.Errorf("nd: broken child link at entry %d", i)
 			}
 			got := c.mbr()
@@ -506,29 +224,28 @@ func NearestXOrdering() Ordering {
 // Pack bulk-loads a tree bottom-up with the given ordering (the paper's
 // General Algorithm in d dimensions).
 func Pack(p Params, items []Item, ord Ordering) (*Tree, error) {
-	np, err := p.normalized()
-	if err != nil {
+	if err := p.validate(); err != nil {
 		return nil, err
 	}
 	if ord == nil {
 		return nil, fmt.Errorf("nd: Pack requires an ordering")
 	}
-	t := &Tree{root: &node{}, params: np}
+	t := &Tree{root: &node{}, params: p}
 	if len(items) == 0 {
 		return t, nil
 	}
 	rects := make([]Rect, len(items))
 	for i, it := range items {
-		checkDims(np.Dims, it.Rect)
+		checkDims(p.Dims, it.Rect)
 		rects[i] = it.Rect
 	}
-	perm := ord(rects, np.MaxEntries)
+	perm := ord(rects, p.MaxEntries)
 	if len(perm) != len(items) {
 		return nil, fmt.Errorf("nd: ordering returned %d of %d indices", len(perm), len(items))
 	}
 	var level []*node
-	for start := 0; start < len(perm); start += np.MaxEntries {
-		end := start + np.MaxEntries
+	for start := 0; start < len(perm); start += p.MaxEntries {
+		end := start + p.MaxEntries
 		if end > len(perm) {
 			end = len(perm)
 		}
@@ -545,21 +262,19 @@ func Pack(p Params, items []Item, ord Ordering) (*Tree, error) {
 		for i, n := range level {
 			mbrs[i] = n.mbr()
 		}
-		perm := ord(mbrs, np.MaxEntries)
+		perm := ord(mbrs, p.MaxEntries)
 		if len(perm) != len(level) {
 			return nil, fmt.Errorf("nd: ordering returned %d of %d indices", len(perm), len(level))
 		}
 		var next []*node
-		for start := 0; start < len(perm); start += np.MaxEntries {
-			end := start + np.MaxEntries
+		for start := 0; start < len(perm); start += p.MaxEntries {
+			end := start + p.MaxEntries
 			if end > len(perm) {
 				end = len(perm)
 			}
 			n := &node{height: height}
 			for _, idx := range perm[start:end] {
-				child := level[idx]
-				child.parent = n
-				n.entries = append(n.entries, entry{rect: mbrs[idx], child: child})
+				n.entries = append(n.entries, entry{rect: mbrs[idx], child: level[idx]})
 			}
 			next = append(next, n)
 		}

@@ -57,31 +57,32 @@ func TestNDParamsValidation(t *testing.T) {
 	bad := []Params{
 		{Dims: 1, MaxEntries: 10},
 		{Dims: 3, MaxEntries: 1},
-		{Dims: 3, MaxEntries: 10, MinEntries: 6},
 	}
 	for _, p := range bad {
-		if _, err := New(p); err == nil {
+		if _, err := Pack(p, nil, HilbertOrdering(3)); err == nil {
 			t.Errorf("params %+v accepted", p)
 		}
 	}
-	tr, err := New(Params{Dims: 3, MaxEntries: 10})
+	tr, err := Pack(Params{Dims: 3, MaxEntries: 10}, nil, HilbertOrdering(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Params().MinEntries != 4 {
-		t.Errorf("default min = %d", tr.Params().MinEntries)
+	if got := tr.Params(); got.Dims != 3 || got.MaxEntries != 10 {
+		t.Errorf("Params() = %+v", got)
 	}
 }
 
+// The name predates the cut to a packed read-only tree (the test floor
+// tracks it): the items now arrive through Pack, the search check is
+// the same.
 func TestNDInsertSearch(t *testing.T) {
 	rng := rand.New(rand.NewPCG(21, 22))
 	for _, dims := range []int{2, 3, 4, 5} {
-		tr, err := New(Params{Dims: dims, MaxEntries: 8})
+		items := randItems(rng, dims, 600)
+		tr, err := Pack(Params{Dims: dims, MaxEntries: 8}, items, HilbertOrdering(dims))
 		if err != nil {
 			t.Fatal(err)
 		}
-		items := randItems(rng, dims, 600)
-		tr.InsertAll(items)
 		if tr.Len() != 600 {
 			t.Fatalf("dims %d: Len = %d", dims, tr.Len())
 		}
@@ -196,66 +197,6 @@ func TestNDLevels(t *testing.T) {
 	}
 	if total != tr.NodeCount() {
 		t.Errorf("levels sum %d != NodeCount %d", total, tr.NodeCount())
-	}
-}
-
-func TestNDDelete(t *testing.T) {
-	rng := rand.New(rand.NewPCG(31, 32))
-	for _, dims := range []int{2, 4} {
-		tr, err := New(Params{Dims: dims, MaxEntries: 6})
-		if err != nil {
-			t.Fatal(err)
-		}
-		items := randItems(rng, dims, 400)
-		tr.InsertAll(items)
-		// Delete a shuffled 300 of them.
-		perm := rng.Perm(len(items))
-		for i := 0; i < 300; i++ {
-			if !tr.Delete(items[perm[i]]) {
-				t.Fatalf("dims %d: delete %d failed", dims, i)
-			}
-			if i%77 == 0 {
-				if err := tr.CheckInvariants(); err != nil {
-					t.Fatalf("dims %d after %d deletes: %v", dims, i+1, err)
-				}
-			}
-		}
-		if tr.Len() != 100 {
-			t.Fatalf("dims %d: Len = %d", dims, tr.Len())
-		}
-		if err := tr.CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
-		// Survivors still findable; deleted items gone.
-		var want []Item
-		for i := 300; i < len(items); i++ {
-			want = append(want, items[perm[i]])
-		}
-		got := tr.SearchWindow(UnitCube(dims))
-		if !equalID(idsOfItems(got), idsOfItems(want)) {
-			t.Fatalf("dims %d: survivor mismatch", dims)
-		}
-		if tr.Delete(items[perm[0]]) {
-			t.Fatal("double delete succeeded")
-		}
-	}
-}
-
-func TestNDDeleteAllShrinksRoot(t *testing.T) {
-	rng := rand.New(rand.NewPCG(41, 42))
-	tr, err := New(Params{Dims: 3, MaxEntries: 4, MinEntries: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	items := randItems(rng, 3, 200)
-	tr.InsertAll(items)
-	for _, it := range items {
-		if !tr.Delete(it) {
-			t.Fatal("delete failed")
-		}
-	}
-	if tr.Len() != 0 || tr.Height() != 1 {
-		t.Fatalf("after deleting all: len=%d height=%d", tr.Len(), tr.Height())
 	}
 }
 

@@ -185,6 +185,7 @@ func BenchmarkNearest(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := geom.Point{X: float64(i%997) / 997, Y: float64(i%991) / 991}

@@ -20,7 +20,8 @@ import (
 //     farthest from the node's center instead of splitting.
 //   - Split: choose the split axis by minimum margin sum over all
 //     distributions, then the distribution with minimum overlap between
-//     the two groups (ties by minimum total area).
+//     the two groups (ties by minimum total area). It works on rectangles
+//     alone, so it lives with the other splits (rstarSplitIndices).
 
 // reinsertFraction is the share of an overflowing node's entries removed
 // by forced reinsertion — the 30% the R* authors found best.
@@ -110,109 +111,4 @@ func (t *Tree) forcedReinsert(n *node, ctx *insertCtx) {
 	for i := len(removed) - 1; i >= 0; i-- {
 		t.insertEntryCtx(removed[i].e, n.height, ctx)
 	}
-}
-
-// rstarSeparator describes one candidate distribution: the sorted entry
-// sequence split after index k.
-type rstarDistribution struct {
-	entries []entry
-	k       int // first group = entries[:k]
-}
-
-// splitRStar distributes the entries of the overflowing node n per the
-// R* topological split.
-func (t *Tree) splitRStar(n *node) (left, right *node) {
-	m := t.params.MinEntries
-	total := len(n.entries)
-
-	// Build the four candidate sorts: by lower and upper value per axis.
-	sorts := map[string][]entry{
-		"xlow": sortedEntries(n.entries, func(a, b geom.Rect) bool {
-			if a.MinX != b.MinX {
-				return a.MinX < b.MinX
-			}
-			return a.MaxX < b.MaxX
-		}),
-		"xhigh": sortedEntries(n.entries, func(a, b geom.Rect) bool {
-			if a.MaxX != b.MaxX {
-				return a.MaxX < b.MaxX
-			}
-			return a.MinX < b.MinX
-		}),
-		"ylow": sortedEntries(n.entries, func(a, b geom.Rect) bool {
-			if a.MinY != b.MinY {
-				return a.MinY < b.MinY
-			}
-			return a.MaxY < b.MaxY
-		}),
-		"yhigh": sortedEntries(n.entries, func(a, b geom.Rect) bool {
-			if a.MaxY != b.MaxY {
-				return a.MaxY < b.MaxY
-			}
-			return a.MinY < b.MinY
-		}),
-	}
-
-	// ChooseSplitAxis: margin sum over all distributions of both sorts.
-	marginSum := func(es []entry) float64 {
-		prefix, suffix := prefixMBRs(es), suffixMBRs(es)
-		var s float64
-		for k := m; k <= total-m; k++ {
-			s += prefix[k-1].Margin() + suffix[k].Margin()
-		}
-		return s
-	}
-	sx := marginSum(sorts["xlow"]) + marginSum(sorts["xhigh"])
-	sy := marginSum(sorts["ylow"]) + marginSum(sorts["yhigh"])
-	var axisSorts [][]entry
-	if sx <= sy {
-		axisSorts = [][]entry{sorts["xlow"], sorts["xhigh"]}
-	} else {
-		axisSorts = [][]entry{sorts["ylow"], sorts["yhigh"]}
-	}
-
-	// ChooseSplitIndex: minimum overlap, ties by minimum total area.
-	var best rstarDistribution
-	bestOverlap, bestArea := math.Inf(1), math.Inf(1)
-	for _, es := range axisSorts {
-		prefix, suffix := prefixMBRs(es), suffixMBRs(es)
-		for k := m; k <= total-m; k++ {
-			ov := intersectArea(prefix[k-1], suffix[k])
-			area := prefix[k-1].Area() + suffix[k].Area()
-			if ov < bestOverlap || (ov == bestOverlap && area < bestArea) {
-				bestOverlap, bestArea = ov, area
-				best = rstarDistribution{es, k}
-			}
-		}
-	}
-
-	left = &node{height: n.height, entries: append([]entry(nil), best.entries[:best.k]...)}
-	right = &node{height: n.height, entries: append([]entry(nil), best.entries[best.k:]...)}
-	return left, right
-}
-
-func sortedEntries(entries []entry, less func(a, b geom.Rect) bool) []entry {
-	out := append([]entry(nil), entries...)
-	sort.SliceStable(out, func(i, j int) bool { return less(out[i].rect, out[j].rect) })
-	return out
-}
-
-// prefixMBRs[i] is the MBR of es[:i+1].
-func prefixMBRs(es []entry) []geom.Rect {
-	out := make([]geom.Rect, len(es))
-	out[0] = es[0].rect
-	for i := 1; i < len(es); i++ {
-		out[i] = out[i-1].Union(es[i].rect)
-	}
-	return out
-}
-
-// suffixMBRs[i] is the MBR of es[i:].
-func suffixMBRs(es []entry) []geom.Rect {
-	out := make([]geom.Rect, len(es))
-	out[len(es)-1] = es[len(es)-1].rect
-	for i := len(es) - 2; i >= 0; i-- {
-		out[i] = out[i+1].Union(es[i].rect)
-	}
-	return out
 }

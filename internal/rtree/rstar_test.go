@@ -120,7 +120,7 @@ func TestSplitRStarRespectsMinFill(t *testing.T) {
 	for _, it := range testItems(rng, 9) {
 		n.entries = append(n.entries, entry{rect: it.Rect, id: it.ID})
 	}
-	left, right := tr.splitRStar(n)
+	left, right := tr.split(n)
 	if len(left.entries) < 4 || len(right.entries) < 4 {
 		t.Errorf("split sizes %d/%d violate min fill 4", len(left.entries), len(right.entries))
 	}

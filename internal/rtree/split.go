@@ -1,169 +1,30 @@
 package rtree
 
-import (
-	"math"
-
-	"rtreebuf/internal/geom"
-)
+import "rtreebuf/internal/geom"
 
 // split distributes the entries of the overflowing node n into two fresh
-// nodes according to the configured heuristic. Child parent pointers are
-// rewired; the caller links the new nodes into the tree.
+// nodes according to the configured heuristic: SplitIndices decides the
+// grouping from the rectangles alone, split gathers the entries. Child
+// parent pointers are rewired; the caller links the new nodes into the
+// tree.
 func (t *Tree) split(n *node) (left, right *node) {
-	switch t.params.Split {
-	case SplitLinear:
-		s1, s2 := linearSeeds(n.entries)
-		left, right = t.splitSeeded(n, s1, s2)
-	case SplitRStar:
-		left, right = t.splitRStar(n)
-	default:
-		s1, s2 := quadraticSeeds(n.entries)
-		left, right = t.splitSeeded(n, s1, s2)
+	rects := make([]geom.Rect, len(n.entries))
+	for i := range n.entries {
+		rects[i] = n.entries[i].rect
 	}
-	for _, e := range left.entries {
-		if e.child != nil {
-			e.child.parent = left
-		}
-	}
-	for _, e := range right.entries {
-		if e.child != nil {
-			e.child.parent = right
-		}
-	}
-	return left, right
+	li, ri := SplitIndices(t.params.Split, t.params.MinEntries, rects)
+	return n.gather(li), n.gather(ri)
 }
 
-// quadraticSeeds implements Guttman's PickSeeds: choose the pair of
-// entries that would waste the most area if placed together, i.e. the
-// pair maximizing area(union) - area(a) - area(b).
-func quadraticSeeds(entries []entry) (int, int) {
-	s1, s2 := 0, 1
-	worst := math.Inf(-1)
-	for i := 0; i < len(entries); i++ {
-		for j := i + 1; j < len(entries); j++ {
-			d := entries[i].rect.Union(entries[j].rect).Area() -
-				entries[i].rect.Area() - entries[j].rect.Area()
-			if d > worst {
-				worst, s1, s2 = d, i, j
-			}
+// gather returns a fresh node at n's height holding n's entries at the
+// given indices, in that order, with their children pointing back at it.
+func (n *node) gather(idx []int) *node {
+	out := &node{height: n.height, entries: make([]entry, len(idx))}
+	for i, j := range idx {
+		out.entries[i] = n.entries[j]
+		if c := out.entries[i].child; c != nil {
+			c.parent = out
 		}
 	}
-	return s1, s2
-}
-
-// linearSeeds implements Guttman's linear PickSeeds: on each axis find the
-// pair with the greatest normalized separation (highest low side vs lowest
-// high side) and take the more separated axis.
-func linearSeeds(entries []entry) (int, int) {
-	type axisPick struct {
-		lo, hi int     // entry with highest low side / lowest high side
-		sep    float64 // normalized separation
-	}
-	pick := func(lowSide, highSide func(geom.Rect) float64) axisPick {
-		lowestLow, highestHigh := math.Inf(1), math.Inf(-1)
-		highestLowIdx, lowestHighIdx := 0, 0
-		highestLow, lowestHigh := math.Inf(-1), math.Inf(1)
-		for i, e := range entries {
-			lo, hi := lowSide(e.rect), highSide(e.rect)
-			lowestLow = math.Min(lowestLow, lo)
-			highestHigh = math.Max(highestHigh, hi)
-			if lo > highestLow {
-				highestLow, highestLowIdx = lo, i
-			}
-			if hi < lowestHigh {
-				lowestHigh, lowestHighIdx = hi, i
-			}
-		}
-		width := highestHigh - lowestLow
-		if width <= 0 {
-			width = 1
-		}
-		return axisPick{highestLowIdx, lowestHighIdx, (highestLow - lowestHigh) / width}
-	}
-	px := pick(func(r geom.Rect) float64 { return r.MinX }, func(r geom.Rect) float64 { return r.MaxX })
-	py := pick(func(r geom.Rect) float64 { return r.MinY }, func(r geom.Rect) float64 { return r.MaxY })
-	best := px
-	if py.sep > px.sep {
-		best = py
-	}
-	if best.lo == best.hi {
-		// All rectangles identical on the chosen axis; fall back to the
-		// first two entries to guarantee distinct seeds.
-		if best.lo == 0 {
-			return 0, 1
-		}
-		return 0, best.lo
-	}
-	return best.lo, best.hi
-}
-
-// splitSeeded distributes entries into two groups from the given seeds
-// using Guttman's PickNext/Distribute with the tree's minimum fill.
-func (t *Tree) splitSeeded(n *node, seed1, seed2 int) (left, right *node) {
-	left = &node{height: n.height, entries: []entry{n.entries[seed1]}}
-	right = &node{height: n.height, entries: []entry{n.entries[seed2]}}
-	leftMBR := n.entries[seed1].rect
-	rightMBR := n.entries[seed2].rect
-
-	remaining := make([]entry, 0, len(n.entries)-2)
-	for i, e := range n.entries {
-		if i != seed1 && i != seed2 {
-			remaining = append(remaining, e)
-		}
-	}
-
-	min := t.params.MinEntries
-	for len(remaining) > 0 {
-		// If one group must absorb everything left to reach minimum fill,
-		// assign the remainder wholesale.
-		if len(left.entries)+len(remaining) == min {
-			for _, e := range remaining {
-				left.entries = append(left.entries, e)
-			}
-			break
-		}
-		if len(right.entries)+len(remaining) == min {
-			for _, e := range remaining {
-				right.entries = append(right.entries, e)
-			}
-			break
-		}
-
-		// PickNext: entry with the greatest preference for one group,
-		// measured by the difference in enlargement cost.
-		bestIdx, bestDiff := 0, -1.0
-		for i, e := range remaining {
-			d1 := leftMBR.Union(e.rect).Area() - leftMBR.Area()
-			d2 := rightMBR.Union(e.rect).Area() - rightMBR.Area()
-			diff := math.Abs(d1 - d2)
-			if diff > bestDiff {
-				bestIdx, bestDiff = i, diff
-			}
-		}
-		e := remaining[bestIdx]
-		remaining[bestIdx] = remaining[len(remaining)-1]
-		remaining = remaining[:len(remaining)-1]
-
-		// Distribute: least enlargement, ties by smaller area, then fewer
-		// entries (Guttman's resolution order).
-		d1 := leftMBR.Union(e.rect).Area() - leftMBR.Area()
-		d2 := rightMBR.Union(e.rect).Area() - rightMBR.Area()
-		toLeft := d1 < d2
-		if d1 == d2 {
-			a1, a2 := leftMBR.Area(), rightMBR.Area()
-			if a1 != a2 {
-				toLeft = a1 < a2
-			} else {
-				toLeft = len(left.entries) <= len(right.entries)
-			}
-		}
-		if toLeft {
-			left.entries = append(left.entries, e)
-			leftMBR = leftMBR.Union(e.rect)
-		} else {
-			right.entries = append(right.entries, e)
-			rightMBR = rightMBR.Union(e.rect)
-		}
-	}
-	return left, right
+	return out
 }

@@ -85,7 +85,8 @@ func TestFlightRecorderIdenticalResults(t *testing.T) {
 // — through both pools and every outcome, and checks that the AccessInfo
 // it hands the flight recorder is exactly what the pool's GetTracked
 // reports for the same access on an identically prepared twin, including
-// when the read or the decode fails.
+// when the read or the decode fails; then it checks a failing query's and
+// a degraded query's flight record against the pool counters.
 func TestReadNodeAttribution(t *testing.T) {
 	const badPage, corruptPage = 2, 3
 	for _, shards := range []int{1, 2} { // Pool, ShardedPool
@@ -148,6 +149,23 @@ func TestReadNodeAttribution(t *testing.T) {
 			if uint64(rec.Accesses) != hits+misses || uint64(rec.Misses) != misses {
 				t.Errorf("recorder saw accesses=%d misses=%d, pool counted %d and %d",
 					rec.Accesses, rec.Misses, hits+misses, misses)
+			}
+
+			// The degraded search is the same search: it skips the two
+			// damaged leaves the strict one died on, and its record too
+			// accounts for every access, the failed ones included.
+			pt.Pool().ResetStats()
+			got, rep := pt.SearchWindowDegraded(geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1})
+			if len(rep.Faults) != 2 || len(got) == 0 || len(got) >= 200 {
+				t.Fatalf("degraded search: %d faults, %d of 200 items", len(rep.Faults), len(got))
+			}
+			hits, misses, _ = pt.Pool().Stats()
+			recent := fr.Snapshot().Recent
+			rec = recent[len(recent)-1]
+			if rec.Name != "window" || rec.Results != len(got) ||
+				uint64(rec.Accesses) != hits+misses || uint64(rec.Misses) != misses {
+				t.Errorf("degraded record %+v, pool counted %d accesses and %d misses, query returned %d items",
+					rec, hits+misses, misses, len(got))
 			}
 		})
 	}

@@ -503,7 +503,7 @@ func (pt *PagedTree) pinWalk(page, depth, n int) error {
 func (pt *PagedTree) SearchWindow(q geom.Rect) ([]rtree.Item, error) {
 	var out []rtree.Item
 	aq := pt.fr.Begin("window")
-	err := pt.search(0, 0, q, &out, aq)
+	err := pt.search(0, 0, q, &out, aq, nil)
 	aq.SetResults(len(out))
 	aq.End()
 	return out, err
@@ -535,7 +535,10 @@ func (r *CorruptionReport) Degraded() bool { return len(r.Faults) > 0 }
 func (pt *PagedTree) SearchWindowDegraded(q geom.Rect) ([]rtree.Item, *CorruptionReport) {
 	var out []rtree.Item
 	rep := &CorruptionReport{}
-	pt.searchDegraded(0, q, &out, rep)
+	aq := pt.fr.Begin("window")
+	_ = pt.search(0, 0, q, &out, aq, rep) // with a report, faults are recorded there and never returned
+	aq.SetResults(len(out))
+	aq.End()
 	return out, rep
 }
 
@@ -544,111 +547,39 @@ func (pt *PagedTree) SearchPointDegraded(p geom.Point) ([]rtree.Item, *Corruptio
 	return pt.SearchWindowDegraded(geom.PointRect(p))
 }
 
-func (pt *PagedTree) searchDegraded(page int, q geom.Rect, out *[]rtree.Item, rep *CorruptionReport) {
-	nd, _, err := pt.readNode(page)
-	if err != nil {
-		rep.Faults = append(rep.Faults, PageFault{Page: page, Err: err})
-		return
-	}
-	for i, r := range nd.Rects {
-		if !r.Intersects(q) {
-			continue
-		}
-		if nd.Leaf {
-			*out = append(*out, rtree.Item{Rect: r, ID: nd.IDs[i]})
-		} else {
-			pt.searchDegraded(nd.Children[i], q, out, rep)
-		}
-	}
-}
-
 // Nearest returns the k stored items closest to p (Euclidean distance to
 // the rectangle), reading node pages through the buffer pool in best-first
-// order — the Hjaltason–Samet algorithm over paged storage. Each pool
-// miss is one counted disk access, so kNN workloads can be priced the
-// same way window queries are.
+// order — the Hjaltason–Samet algorithm over paged storage, on the same
+// queue and loop as the in-memory tree (rtree.Frontier). Each pool miss
+// is one counted disk access, so kNN workloads can be priced the same
+// way window queries are.
 func (pt *PagedTree) Nearest(p geom.Point, k int) ([]rtree.Neighbor, error) {
 	if k <= 0 {
 		return nil, nil
 	}
-	type queued struct {
-		distSq float64
-		page   int // valid when item is false
-		depth  int // tree level of page, for access attribution
-		isItem bool
-		item   rtree.Item
-	}
-	// A slice-backed binary heap keyed on distSq.
-	var h []queued
-	push := func(e queued) {
-		h = append(h, e)
-		for i := len(h) - 1; i > 0; {
-			parent := (i - 1) / 2
-			if h[parent].distSq <= h[i].distSq {
-				break
-			}
-			h[parent], h[i] = h[i], h[parent]
-			i = parent
-		}
-	}
-	pop := func() queued {
-		top := h[0]
-		last := len(h) - 1
-		h[0] = h[last]
-		h = h[:last]
-		for i := 0; ; {
-			l, r := 2*i+1, 2*i+2
-			smallest := i
-			if l < len(h) && h[l].distSq < h[smallest].distSq {
-				smallest = l
-			}
-			if r < len(h) && h[r].distSq < h[smallest].distSq {
-				smallest = r
-			}
-			if smallest == i {
-				break
-			}
-			h[i], h[smallest] = h[smallest], h[i]
-			i = smallest
-		}
-		return top
-	}
-
+	// A node is referenced by its page and, for access attribution, its
+	// tree level.
+	type pageRef struct{ page, depth int }
 	aq := pt.fr.Begin("nearest")
-	push(queued{page: 0})
-	var out []rtree.Neighbor
-	for len(h) > 0 && len(out) < k {
-		e := pop()
-		if e.isItem {
-			out = append(out, rtree.Neighbor{Item: e.item, Dist: math.Sqrt(e.distSq)})
-			continue
-		}
-		nd, info, err := pt.readNode(e.page)
-		aq.Access(e.depth, info.Hit, info.WriteBacks)
+	var f rtree.Frontier[pageRef]
+	out, err := f.BestFirst(p, pageRef{}, k, math.Inf(1), func(n pageRef) error {
+		nd, info, err := pt.readNode(n.page)
+		aq.Access(n.depth, info.Hit, info.WriteBacks)
 		if err != nil {
-			aq.End()
-			return nil, err
+			return err
 		}
 		for i, r := range nd.Rects {
-			d := minDistSq(p, r)
 			if nd.Leaf {
-				push(queued{distSq: d, isItem: true, item: rtree.Item{Rect: r, ID: nd.IDs[i]}})
+				f.PushItem(r, nd.IDs[i])
 			} else {
-				push(queued{distSq: d, page: nd.Children[i], depth: e.depth + 1})
+				f.PushNode(r, pageRef{nd.Children[i], n.depth + 1})
 			}
 		}
-	}
+		return nil
+	})
 	aq.SetResults(len(out))
 	aq.End()
-	return out, nil
-}
-
-// minDistSq returns the squared minimum Euclidean distance from p to r
-// (zero when p is inside r).
-func minDistSq(p geom.Point, r geom.Rect) float64 {
-	dx := math.Max(math.Max(r.MinX-p.X, 0), p.X-r.MaxX)
-	dy := math.Max(math.Max(r.MinY-p.Y, 0), p.Y-r.MaxY)
-	return dx*dx + dy*dy
+	return out, err
 }
 
 // ScanLeaves visits every stored item by reading the leaf pages
@@ -703,11 +634,19 @@ func (pt *PagedTree) scanLeavesWalk(page int, visit func(rtree.Item) error) erro
 	return nil
 }
 
-func (pt *PagedTree) search(page, depth int, q geom.Rect, out *[]rtree.Item, aq *obs.ActiveQuery) error {
+// search is the one window search. Every node read is attributed to the
+// flight recorder, failed ones included. What a failed read does depends
+// on rep: nil fails the whole query fast; a report records the fault,
+// skips that subtree and lets the search go on (graceful degradation).
+func (pt *PagedTree) search(page, depth int, q geom.Rect, out *[]rtree.Item, aq *obs.ActiveQuery, rep *CorruptionReport) error {
 	nd, info, err := pt.readNode(page)
 	aq.Access(depth, info.Hit, info.WriteBacks)
 	if err != nil {
-		return err
+		if rep == nil {
+			return err
+		}
+		rep.Faults = append(rep.Faults, PageFault{Page: page, Err: err})
+		return nil
 	}
 	for i, r := range nd.Rects {
 		if !r.Intersects(q) {
@@ -715,7 +654,7 @@ func (pt *PagedTree) search(page, depth int, q geom.Rect, out *[]rtree.Item, aq 
 		}
 		if nd.Leaf {
 			*out = append(*out, rtree.Item{Rect: r, ID: nd.IDs[i]})
-		} else if err := pt.search(nd.Children[i], depth+1, q, out, aq); err != nil {
+		} else if err := pt.search(nd.Children[i], depth+1, q, out, aq, rep); err != nil {
 			return err
 		}
 	}

@@ -224,14 +224,6 @@ func (u *updater) freePage(n *updateNode) {
 	u.meta.Free = append(u.meta.Free, n.Page)
 }
 
-func mbr(rects []geom.Rect) geom.Rect {
-	out := rects[0]
-	for _, r := range rects[1:] {
-		out = out.Union(r)
-	}
-	return out
-}
-
 // insertEntry descends from the root to targetDepth choosing the child
 // needing least enlargement (ties: smaller area), appends the entry
 // (an item when isItem, else a subtree pointer), and resolves overflows
@@ -337,11 +329,11 @@ func (u *updater) splitChild(n, parent *updateNode, depth int) {
 
 	for i, c := range parent.Children {
 		if c == n.Page {
-			parent.Rects[i] = mbr(n.Rects)
+			parent.Rects[i] = geom.MBR(n.Rects)
 			break
 		}
 	}
-	parent.Rects = append(parent.Rects, mbr(sib.Rects))
+	parent.Rects = append(parent.Rects, geom.MBR(sib.Rects))
 	parent.Children = append(parent.Children, sib.Page)
 	parent.dirty = true
 }
@@ -362,7 +354,7 @@ func (u *updater) splitRoot(root *updateNode) error {
 	rn.Rects, rn.Children, rn.IDs = rr, rc, ri
 
 	newRoot := u.newNode(0, 0, false)
-	newRoot.Rects = []geom.Rect{mbr(ln.Rects), mbr(rn.Rects)}
+	newRoot.Rects = []geom.Rect{geom.MBR(ln.Rects), geom.MBR(rn.Rects)}
 	newRoot.Children = []int{ln.Page, rn.Page}
 
 	levels := make([]int, 0, len(u.meta.Levels)+1)
@@ -482,7 +474,7 @@ func (u *updater) condense(path []int) error {
 			u.freePage(n)
 			u.meta.Levels[d]--
 		} else if len(n.Rects) > 0 {
-			if m := mbr(n.Rects); !m.Equal(parent.Rects[pi]) {
+			if m := geom.MBR(n.Rects); !m.Equal(parent.Rects[pi]) {
 				parent.Rects[pi] = m
 				parent.dirty = true
 			}

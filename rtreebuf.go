@@ -127,8 +127,10 @@ func NewAnalyticalPredictor(p AnalyticalParams, qx, qy float64) (*AnalyticalPred
 }
 
 // d-dimensional generalization (Sections 2.1/3 of the paper assert it is
-// straightforward; package internal/nd demonstrates it). The ND API
-// mirrors the 2-D one at reduced surface.
+// straightforward; package internal/nd demonstrates it). The N-D tree is
+// packed and read-only — LoadND builds it, SearchWindow/SearchPoint and
+// Levels read it — because that is all the cost model needs; dynamic
+// insertion and deletion exist in two dimensions only.
 type (
 	// NDPoint is a d-dimensional location.
 	NDPoint = nd.Point
@@ -138,14 +140,11 @@ type (
 	NDItem = nd.Item
 	// NDParams configures a d-dimensional R-tree.
 	NDParams = nd.Params
-	// NDTree is a d-dimensional R-tree.
+	// NDTree is a packed, read-only d-dimensional R-tree.
 	NDTree = nd.Tree
 	// NDPredictor evaluates the cost model in d dimensions.
 	NDPredictor = nd.Predictor
 )
-
-// NewNDTree returns an empty d-dimensional R-tree.
-func NewNDTree(p NDParams) (*NDTree, error) { return nd.New(p) }
 
 // LoadND bulk-loads a d-dimensional tree with Hilbert-sort packing.
 func LoadND(p NDParams, items []NDItem) (*NDTree, error) {
