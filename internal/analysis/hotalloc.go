@@ -39,6 +39,13 @@ func HotRoots() []RootSpec {
 		{Path: mod + "/internal/rtree", Recv: "Tree", Name: "Search*"},
 		{Path: mod + "/internal/buffer", Recv: "Pool", Name: "Get"},
 		{Path: mod + "/internal/buffer", Recv: "ShardedPool", Name: "Get"},
+		// The buffered query: a node visit on a resident page borrows the
+		// frame (View) and reads it in place, so a steady-state query
+		// allocates its result slice and nothing else.
+		{Path: mod + "/internal/buffer", Recv: "Pool", Name: "View"},
+		{Path: mod + "/internal/buffer", Recv: "ShardedPool", Name: "View"},
+		{Path: mod + "/internal/storage", Recv: "PagedTree", Name: "Search*"},
+		{Path: mod + "/internal/storage", Recv: "PagedTree", Name: "Nearest"},
 		{Path: mod + "/internal/core", Recv: "*", Name: "AccessProb"},
 		{Path: mod + "/internal/core", Name: "AccessProbs"},
 		{Path: mod + "/internal/core", Recv: "Predictor", Name: "DiskAccessesSweep"},

@@ -2,18 +2,21 @@ package buffer
 
 import "testing"
 
-// TestGetTrackedAttribution checks the per-access attribution both pool
+// TestViewAttribution checks the per-access attribution both pool
 // implementations report: hits flag Hit, misses don't, and a miss that
-// must evict a dirty victim counts its write-back.
-func TestGetTrackedAttribution(t *testing.T) {
+// must evict a dirty victim counts its write-back. The callback runs
+// exactly once per successful access, on the page asked for, and not at
+// all on a failed one.
+func TestViewAttribution(t *testing.T) {
 	const pageSize = 32
 	const numPages = 8
+	const failPage = 6 // the source refuses to read it
 	mk := map[string]func() PagePool{
 		"pool": func() PagePool {
-			return NewPool(&fakeSource{pageSize: pageSize, numPages: numPages}, 2, numPages)
+			return NewPool(&fakeSource{pageSize: pageSize, numPages: numPages, failOn: map[int]bool{failPage: true}}, 2, numPages)
 		},
 		"sharded": func() PagePool {
-			return NewShardedPool(&concSource{pageSize: pageSize, numPages: numPages}, 2, numPages, 1)
+			return NewShardedPool(&concSource{pageSize: pageSize, numPages: numPages, failOn: map[int]bool{failPage: true}}, 2, numPages, 1)
 		},
 	}
 	for name, mkPool := range mk {
@@ -21,38 +24,63 @@ func TestGetTrackedAttribution(t *testing.T) {
 			p := mkPool()
 			sink := newFakeSink(pageSize)
 			p.SetSink(sink)
+			// view is View with the callback checked: calls counts its runs
+			// and first is the frame's first byte (the page number, for
+			// pages the source filled).
+			var calls int
+			var first byte
+			view := func(page int) (AccessInfo, error) {
+				calls = 0
+				return p.View(page, func(frame []byte) {
+					calls++
+					first = frame[0]
+					if len(frame) != pageSize {
+						t.Errorf("page %d: frame of %d bytes, want %d", page, len(frame), pageSize)
+					}
+				})
+			}
 
-			if _, info, err := p.GetTracked(0); err != nil || info.Hit || info.WriteBacks != 0 {
-				t.Errorf("cold miss: info=%+v err=%v, want miss with no write-backs", info, err)
+			if info, err := view(0); err != nil || info.Hit || info.WriteBacks != 0 || calls != 1 || first != 0 {
+				t.Errorf("cold miss: info=%+v err=%v calls=%d, want miss with no write-backs", info, err, calls)
 			}
-			if _, info, err := p.GetTracked(0); err != nil || !info.Hit || info.WriteBacks != 0 {
-				t.Errorf("hit: info=%+v err=%v, want clean hit", info, err)
+			if info, err := view(0); err != nil || !info.Hit || info.WriteBacks != 0 || calls != 1 || first != 0 {
+				t.Errorf("hit: info=%+v err=%v calls=%d, want clean hit", info, err, calls)
 			}
+			// A failed source read is a miss the callback never sees, and
+			// it leaves nothing resident (the pool has a free frame here, so
+			// no victim is involved).
+			if info, err := view(failPage); err == nil || info.Hit || calls != 0 {
+				t.Errorf("failed read: info=%+v err=%v calls=%d, want an error, a miss and no callback", info, err, calls)
+			}
+			if p.FailedReads() != 1 || p.Resident() != 1 {
+				t.Errorf("failed read: FailedReads=%d Resident=%d, want 1 and 1", p.FailedReads(), p.Resident())
+			}
+
 			// Dirty page 0, fill the 2-page pool, then force an eviction of
 			// the dirty victim: the faulting access must report the write-back.
 			if err := p.Put(0, pattern(pageSize, 0xD0)); err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := p.GetTracked(1); err != nil {
+			if _, err := view(1); err != nil {
 				t.Fatal(err)
 			}
-			_, info, err := p.GetTracked(2)
+			info, err := view(2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if info.Hit || info.WriteBacks != 1 {
-				t.Errorf("evicting miss: info=%+v, want miss with one write-back", info)
+			if info.Hit || info.WriteBacks != 1 || calls != 1 || first != 2 {
+				t.Errorf("evicting miss: info=%+v calls=%d first=%d, want miss with one write-back", info, calls, first)
 			}
 			if len(sink.order) != 1 || sink.order[0] != 0 {
 				t.Errorf("sink received %v, want the dirty victim page 0", sink.order)
 			}
 
 			// Out-of-range access reports the error with empty attribution.
-			if _, info, err := p.GetTracked(numPages + 5); err == nil || info.Hit || info.WriteBacks != 0 {
-				t.Errorf("out of range: info=%+v err=%v", info, err)
+			if info, err := view(numPages + 5); err == nil || info.Hit || info.WriteBacks != 0 || calls != 0 {
+				t.Errorf("out of range: info=%+v err=%v calls=%d", info, err, calls)
 			}
 
-			// Get must agree with GetTracked's data path.
+			// Get must agree with View's data path.
 			data, err := p.Get(1)
 			if err != nil {
 				t.Fatal(err)

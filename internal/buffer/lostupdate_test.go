@@ -149,35 +149,61 @@ func (r *raceStore) ReadPage(page int, dst []byte) error {
 	return err
 }
 
-// The same interleaving end to end: ShardedPool's fault must notice the
-// refused install and read the page again, not hand out the staged bytes.
+// The same interleaving end to end, through View: ShardedPool's fault must
+// notice the refused install and start the access over — the callback
+// runs once, on the re-read bytes, never on the staged ones — and the
+// attribution it reports covers both attempts: still a miss, with the
+// write-backs of the wasted fault counted in.
 func TestShardedPoolRereadsStaleFault(t *testing.T) {
 	const pageSize = 32
-	store := &raceStore{concStore: newConcStore(pageSize, 8), on: 3}
-	p := NewShardedPool(store, 1, 8, 1)
-	p.SetSink(store)
-	want := stampPage(pageSize, 3, 1)
-	store.race = func() {
-		if err := p.Put(3, want); err != nil {
-			t.Error(err)
-		}
-		if err := p.FlushDirty(); err != nil {
-			t.Error(err)
-		}
-		if _, err := p.Get(5); err != nil { // capacity 1: evicts the now-clean page 3
-			t.Error(err)
-		}
-	}
-	got, err := p.Get(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("Get(3) returned version %d staged before the Put, want 1", got[4])
-	}
-	// Three source reads, three misses: page 5, the wasted read, the re-read.
-	if hits, misses, _ := p.Stats(); hits != 0 || misses != 3 {
-		t.Errorf("stats = %d hits / %d misses, want 0/3", hits, misses)
+	for _, tc := range []struct {
+		name       string
+		evict      func(p *ShardedPool) error // capacity 1: takes the frame of the now-clean page 3
+		writeBacks int
+		misses     uint64
+	}{
+		// Three source reads, three misses: page 5, the wasted read, the re-read.
+		{"evicted by a read", func(p *ShardedPool) error { _, err := p.Get(5); return err }, 0, 3},
+		// Page 5 is resident and dirty when the stale fault tries to
+		// install: that attempt writes it back before it is refused.
+		{"evicted by a Put", func(p *ShardedPool) error { return p.Put(5, stampPage(pageSize, 5, 1)) }, 1, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store := &raceStore{concStore: newConcStore(pageSize, 8), on: 3}
+			p := NewShardedPool(store, 1, 8, 1)
+			p.SetSink(store)
+			want := stampPage(pageSize, 3, 1)
+			store.race = func() {
+				if err := p.Put(3, want); err != nil {
+					t.Error(err)
+				}
+				if err := p.FlushDirty(); err != nil {
+					t.Error(err)
+				}
+				if err := tc.evict(p); err != nil {
+					t.Error(err)
+				}
+			}
+			calls := 0
+			info, err := p.View(3, func(frame []byte) {
+				calls++
+				if !bytes.Equal(frame, want) {
+					t.Errorf("View(3) lent version %d staged before the Put, want 1", frame[4])
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if calls != 1 {
+				t.Errorf("callback ran %d times, want once", calls)
+			}
+			if info.Hit || info.WriteBacks != tc.writeBacks {
+				t.Errorf("attribution %+v, want a miss with %d write-backs", info, tc.writeBacks)
+			}
+			if hits, misses, _ := p.Stats(); hits != 0 || misses != tc.misses {
+				t.Errorf("stats = %d hits / %d misses, want 0/%d", hits, misses, tc.misses)
+			}
+		})
 	}
 }
 

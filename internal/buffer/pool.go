@@ -146,13 +146,28 @@ func (p *Pool) Grow(numPages int) {
 // The returned slice aliases the buffer frame: it is valid until the page
 // is evicted and must not be modified.
 func (p *Pool) Get(page int) ([]byte, error) {
-	data, _, err := p.GetTracked(page)
-	return data, err
+	frame, _, err := p.fetch(page)
+	return frame, err
 }
 
-// GetTracked is Get plus per-access attribution: whether the page was
-// resident and how many dirty victims the miss had to write back.
-func (p *Pool) GetTracked(page int) ([]byte, AccessInfo, error) {
+// View runs fn on the frame holding page, reading the page from the
+// source on a miss, and reports the access's attribution: whether the
+// page was resident and how many dirty victims the miss had to write
+// back. The frame is lent, not given: fn must not modify or retain it
+// and must not call the pool, and the next pool operation may recycle
+// it. fn is not called when the access fails.
+func (p *Pool) View(page int, fn func(frame []byte)) (AccessInfo, error) {
+	frame, info, err := p.fetch(page)
+	if err == nil {
+		fn(frame)
+	}
+	return info, err
+}
+
+// fetch is the one read access behind Get and View: a hit touches the
+// policy, a miss writes a dirty victim back, faults the page in and
+// counts one source read.
+func (p *Pool) fetch(page int) ([]byte, AccessInfo, error) {
 	if page < 0 || page >= len(p.frames) {
 		return nil, AccessInfo{}, fmt.Errorf("buffer: page %d outside [0,%d)", page, len(p.frames))
 	}

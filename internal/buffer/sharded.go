@@ -14,15 +14,23 @@ import (
 // safe for concurrent use) both satisfy it, so a paged tree can swap
 // pools without caring which.
 //
-// Get's ownership contract is the weaker of the two implementations':
-// the returned slice must not be modified, and is only guaranteed valid
+// View is how a query reads a page: it lends the frame to a callback
+// instead of handing out bytes, so a hit costs a lookup — no allocation,
+// no copy. The loan ends when the callback returns; the callback must
+// not modify or retain the frame and must not call the pool (ShardedPool
+// runs it under a shard mutex), and callers that read several pages
+// finish with one before asking for the next. View also reports the
+// access's attribution (hit or miss, dirty write-backs) for the flight
+// recorder.
+//
+// Get is View for callers that need the bytes past the access. Its
+// ownership contract is the weaker of the two implementations': the
+// returned slice must not be modified, and is only guaranteed valid
 // until the next pool operation (Pool returns an alias that lives until
 // eviction; ShardedPool returns a copy the caller owns).
 type PagePool interface {
 	Get(page int) ([]byte, error)
-	// GetTracked is Get plus per-access attribution (hit/miss and dirty
-	// write-backs) for the flight recorder; Get discards the same info.
-	GetTracked(page int) ([]byte, AccessInfo, error)
+	View(page int, fn func(frame []byte)) (AccessInfo, error)
 	Pin(page int) error
 	Unpin(page int)
 	Put(page int, data []byte) error
@@ -50,7 +58,8 @@ var (
 // with the capacity split round-robin. Hits on pages in different
 // shards never contend — each shard is a private Pool (any PoolPolicy)
 // under its own mutex, so the hit path is one uncontended lock, one
-// policy update, and one page copy.
+// policy update, and the caller's read of the frame (View) — plus one
+// page copy for callers that keep the bytes (Get).
 //
 // No lock is ever held across source or sink I/O:
 //
@@ -194,64 +203,83 @@ func (s *ShardedPool) globalize(err error, page int) error {
 // Get returns a copy of the page contents, faulting it in on a miss.
 // The returned slice is owned by the caller.
 func (s *ShardedPool) Get(page int) ([]byte, error) {
-	data, _, err := s.GetTracked(page)
-	return data, err
-}
-
-// GetTracked is Get plus per-access attribution: whether the page was
-// resident in its shard and how many dirty victims the fault wrote back.
-func (s *ShardedPool) GetTracked(page int) ([]byte, AccessInfo, error) {
-	if page < 0 || int64(page) >= s.numPages.Load() {
-		return nil, AccessInfo{}, s.boundsErr(page)
-	}
-	sh, local := s.locate(page)
-	sh.mu.Lock()
-	frame, ok, err := sh.pool.tryGet(local)
 	var out []byte
-	var ver uint32
-	if ok {
+	//lint:allow hotalloc View does not retain fn, so the closure stays on the stack (TestGetAllocatesOnlyItsCopy)
+	_, err := s.View(page, func(frame []byte) {
 		out = make([]byte, len(frame)) //lint:allow hotalloc the returned page copy is Get's ownership contract
 		copy(out, frame)
-	} else if err == nil {
-		ver = sh.pool.dirtyVer[local] // install's guard against a Put racing the read
-	}
-	sh.mu.Unlock()
-	if ok || err != nil {
-		return out, AccessInfo{Hit: ok}, s.globalize(err, page)
-	}
-	return s.fault(sh, page, local, ver)
+	})
+	return out, err
 }
 
-// fault reads page from the source with no lock held and installs it,
-// returning a copy the caller owns. ver is the page's dirty version at
-// miss time; install refuses bytes a concurrent Put moved the page past.
-func (s *ShardedPool) fault(sh *poolShard, page, local int, ver uint32) ([]byte, AccessInfo, error) {
-	buf := s.getBuf()
-	err := sh.pool.src.ReadPage(local, buf)
+// View runs fn on the contents of page and reports the access's
+// attribution: whether the page was resident in its shard and how many
+// dirty victims the fault wrote back. On a hit fn reads the frame itself
+// under the shard mutex, so it sees one whole version of the page however
+// Puts and evictions interleave; on a miss it reads the fault's staging
+// buffer once the page is installed, with no lock held. Either way
+// nothing is allocated or copied for the caller, so fn must be brief,
+// must not modify or retain the frame, and must not call the pool (the
+// shard mutex is not reentrant). fn is not called when the access fails.
+func (s *ShardedPool) View(page int, fn func(frame []byte)) (AccessInfo, error) {
+	if page < 0 || int64(page) >= s.numPages.Load() {
+		return AccessInfo{}, s.boundsErr(page)
+	}
+	sh, local := s.locate(page)
+	hit, ver, err := sh.viewResident(local, fn)
+	if hit || err != nil {
+		return AccessInfo{Hit: hit}, s.globalize(err, page)
+	}
+	return s.fault(sh, page, local, ver, fn)
+}
+
+// viewResident runs fn on local's frame if the page is resident, counting
+// the hit; otherwise it reports the page's dirty version at miss time,
+// install's guard against a Put racing the fault's source read. The
+// deferred unlock keeps a panicking fn from wedging the shard.
+func (sh *poolShard) viewResident(local int, fn func(frame []byte)) (hit bool, ver uint32, err error) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	frame, ok, err := sh.pool.tryGet(local)
 	if err != nil {
-		s.putBuf(buf)
+		return false, 0, err
+	}
+	if !ok {
+		return false, sh.pool.dirtyVer[local], nil
+	}
+	fn(frame)
+	return true, 0, nil
+}
+
+// fault reads page from the source with no lock held, installs it, and
+// runs fn on the staging buffer — the bytes just installed, private to
+// this fault, so no lock is needed to read them. ver is the page's dirty
+// version at miss time; install refuses bytes a concurrent Put moved the
+// page past.
+func (s *ShardedPool) fault(sh *poolShard, page, local int, ver uint32, fn func(frame []byte)) (AccessInfo, error) {
+	buf := s.getBuf()
+	defer s.putBuf(buf)
+	if err := sh.pool.src.ReadPage(local, buf); err != nil {
 		sh.mu.Lock()
 		err = sh.pool.failedFault(local, err)
 		sh.mu.Unlock()
-		return nil, AccessInfo{}, s.globalize(err, page)
+		return AccessInfo{}, s.globalize(err, page)
 	}
-	out := make([]byte, len(buf)) //lint:allow hotalloc the returned page copy is Get's ownership contract
-	copy(out, buf)
 	current := false
 	//lint:allow hotalloc miss-path closure: a fault already pays a source page read, and the hit path allocates nothing
 	wrote, err := s.installClean(sh, func() { current = sh.pool.install(local, buf, ver) })
-	s.putBuf(buf)
 	if err != nil {
-		return nil, AccessInfo{WriteBacks: wrote}, s.globalize(err, page)
+		return AccessInfo{WriteBacks: wrote}, s.globalize(err, page)
 	}
 	if !current {
 		// The page was Put, flushed and evicted again during the read, so
 		// buf is behind the source: start the access over.
-		out, info, err := s.GetTracked(page)
+		info, err := s.View(page, fn)
 		info.WriteBacks += wrote
-		return out, info, err
+		return info, err
 	}
-	return out, AccessInfo{WriteBacks: wrote}, nil
+	fn(buf)
+	return AccessInfo{WriteBacks: wrote}, nil
 }
 
 // installClean runs install (under the shard mutex) in a state where no

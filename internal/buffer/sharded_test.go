@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -129,7 +130,7 @@ func TestShardedPoolReadFailure(t *testing.T) {
 // against any pool; the oracle test runs it on the single-goroutine Pool
 // and on ShardedPool with one shard and demands identical accounting.
 type oraclePool interface {
-	Get(page int) ([]byte, error)
+	View(page int, fn func(frame []byte)) (AccessInfo, error)
 	Pin(page int) error
 	Unpin(page int)
 	Put(page int, data []byte) error
@@ -141,8 +142,16 @@ type oraclePool interface {
 	FailedWrites() uint64
 }
 
-func driveOracle(t *testing.T, p oraclePool, pageSize int) {
+// driveOracle runs the workload and returns, for every read access in
+// order (failed ones included), whether View attributed it as a hit.
+// Write-backs are compared through the sinks, not per access: the two
+// pools clean the same victims but not always on the same call (Pool
+// cleans before it issues a read that then fails, ShardedPool only once
+// the read succeeded; ShardedPool.Pin cleans the victim even when the
+// page turns out to be resident already).
+func driveOracle(t *testing.T, p oraclePool, pageSize int) []bool {
 	t.Helper()
+	var hits []bool
 	rng := rand.New(rand.NewSource(99))
 	numPages := 64
 	if err := p.Pin(0); err != nil {
@@ -152,14 +161,24 @@ func driveOracle(t *testing.T, p oraclePool, pageSize int) {
 		page := rng.Intn(numPages)
 		switch op := rng.Intn(20); {
 		case op < 14:
-			data, err := p.Get(page)
+			calls := 0
+			info, err := p.View(page, func(frame []byte) {
+				calls++
+				if frame[0] != byte(page) && frame[0] != byte(page)^0xAA {
+					t.Errorf("op %d: page %d content %x", i, page, frame[0])
+				}
+			})
 			if err != nil {
 				if page != 13 { // the injected failure page
-					t.Fatalf("op %d: Get(%d): %v", i, page, err)
+					t.Fatalf("op %d: View(%d): %v", i, page, err)
 				}
-			} else if data[0] != byte(page) && data[0] != byte(page)^0xAA {
-				t.Fatalf("op %d: page %d content %x", i, page, data[0])
+				if calls != 0 {
+					t.Fatalf("op %d: callback ran on the failed read of page %d", i, page)
+				}
+			} else if calls != 1 {
+				t.Fatalf("op %d: View(%d) ran the callback %d times", i, page, calls)
 			}
+			hits = append(hits, info.Hit)
 		case op < 17:
 			if err := p.Put(page, bytes.Repeat([]byte{byte(page) ^ 0xAA}, pageSize)); err != nil {
 				t.Fatalf("op %d: Put(%d): %v", i, page, err)
@@ -184,6 +203,7 @@ func driveOracle(t *testing.T, p oraclePool, pageSize int) {
 	if err := p.FlushDirty(); err != nil {
 		t.Fatal(err)
 	}
+	return hits
 }
 
 // TestShardedPoolOracleAgainstPool: with one shard, the sharded pool must
@@ -199,12 +219,15 @@ func TestShardedPoolOracleAgainstPool(t *testing.T) {
 
 	plain := NewPool(mkSrc(), 10, 64)
 	plain.SetSink(plainSink)
-	driveOracle(t, plain, pageSize)
+	plainHits := driveOracle(t, plain, pageSize)
 
 	sharded := NewShardedPool(mkSrc(), 10, 64, 1)
 	sharded.SetSink(shardedSink)
-	driveOracle(t, sharded, pageSize)
+	shardedHits := driveOracle(t, sharded, pageSize)
 
+	if !slices.Equal(plainHits, shardedHits) {
+		t.Errorf("View's hit/miss attribution diverged over %d and %d reads", len(plainHits), len(shardedHits))
+	}
 	ph, pm, pe := plain.Stats()
 	sh, sm, se := sharded.Stats()
 	if ph != sh || pm != sm || pe != se {
@@ -492,7 +515,7 @@ func TestShardedPoolNotSlower(t *testing.T) {
 	const pageSize = 256
 	const numPages = 512
 	const capacity = 128
-	workload := func(p oraclePool) {
+	workload := func(p *ShardedPool) {
 		rng := rand.New(rand.NewSource(17))
 		for i := 0; i < 60000; i++ {
 			if _, err := p.Get(rng.Intn(numPages)); err != nil {
@@ -500,7 +523,7 @@ func TestShardedPoolNotSlower(t *testing.T) {
 			}
 		}
 	}
-	timeOne := func(mk func() oraclePool) time.Duration {
+	timeOne := func(mk func() *ShardedPool) time.Duration {
 		best := time.Duration(1<<63 - 1)
 		for trial := 0; trial < 5; trial++ {
 			p := mk()
@@ -512,10 +535,10 @@ func TestShardedPoolNotSlower(t *testing.T) {
 		}
 		return best
 	}
-	baseline := timeOne(func() oraclePool {
+	baseline := timeOne(func() *ShardedPool {
 		return NewShardedPool(&concSource{pageSize: pageSize, numPages: numPages}, capacity, numPages, 1)
 	})
-	sharded := timeOne(func() oraclePool {
+	sharded := timeOne(func() *ShardedPool {
 		return NewShardedPool(&concSource{pageSize: pageSize, numPages: numPages}, capacity, numPages, 8)
 	})
 	t.Logf("shards1=%v shards8=%v ratio=%.2f", baseline, sharded, float64(sharded)/float64(baseline))

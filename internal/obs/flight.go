@@ -96,6 +96,7 @@ func (fr *FlightRecorder) Begin(name string) *ActiveQuery {
 	fr.nextID++
 	id := fr.nextID
 	fr.mu.Unlock()
+	//lint:allow hotalloc the record of a recorded query; the nil recorder returned above and allocates nothing
 	return &ActiveQuery{fr: fr, rec: QueryRecord{ID: id, Name: name, Start: fr.clock()}}
 }
 
@@ -112,7 +113,7 @@ func (q *ActiveQuery) Access(level int, hit bool, writeBacks int) {
 	}
 	q.rec.WriteBacks += writeBacks
 	for len(q.rec.Levels) <= level {
-		q.rec.Levels = append(q.rec.Levels, LevelStat{Level: len(q.rec.Levels)})
+		q.rec.Levels = append(q.rec.Levels, LevelStat{Level: len(q.rec.Levels)}) //lint:allow hotalloc recorded queries only: grows to the tree height once per record
 	}
 	ls := &q.rec.Levels[level]
 	ls.Accesses++
@@ -161,7 +162,7 @@ func (fr *FlightRecorder) commit(r QueryRecord) {
 	defer fr.mu.Unlock()
 	fr.total++
 	if !fr.full && len(fr.recent) < cap(fr.recent) {
-		fr.recent = append(fr.recent, r)
+		fr.recent = append(fr.recent, r) //lint:allow hotalloc recorded queries only: fills the ring's preallocated capacity
 	} else {
 		fr.full = true
 		fr.dropped++
@@ -169,9 +170,10 @@ func (fr *FlightRecorder) commit(r QueryRecord) {
 		fr.start = (fr.start + 1) % len(fr.recent)
 	}
 	// Maintain the expensive-query board: insert in cost order, trim to cap.
+	//lint:allow hotalloc recorded queries only: the comparison closure does not outlive sort.Search
 	i := sort.Search(len(fr.top), func(i int) bool { return !costLess(fr.top[i], r) })
 	if i < fr.topCap {
-		fr.top = append(fr.top, QueryRecord{})
+		fr.top = append(fr.top, QueryRecord{}) //lint:allow hotalloc recorded queries only: the board is bounded by topCap
 		copy(fr.top[i+1:], fr.top[i:])
 		fr.top[i] = r
 		if len(fr.top) > fr.topCap {

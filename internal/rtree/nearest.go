@@ -47,7 +47,8 @@ type frontierEntry[N any] struct {
 // Frontier is the priority queue of one best-first search over nodes
 // referenced by N, keyed on squared distance to the query point. It is a
 // slice-backed binary heap of concrete entries: nothing is boxed. The
-// zero value is ready for BestFirst.
+// zero value is ready for BestFirst, and so is a used one: each search
+// starts from an empty queue on the backing array the last one grew.
 type Frontier[N any] struct {
 	p       geom.Point
 	limitSq float64
@@ -55,31 +56,32 @@ type Frontier[N any] struct {
 }
 
 // BestFirst runs the Hjaltason–Samet search from root around p and
-// returns the items found in ascending distance order. It stops after k
-// items (k <= 0: no bound) and never queues anything farther than
-// sqrt(limitSq) from p (+Inf: no bound). expand is how a node is read:
-// it is called once per visited node, in visit order, and pushes the
-// node's entries with PushNode or PushItem; an error from it ends the
-// search.
-func (f *Frontier[N]) BestFirst(p geom.Point, root N, k int, limitSq float64, expand func(n N) error) ([]Neighbor, error) {
+// appends the items found to dst in ascending distance order, returning
+// the extended slice. It stops after k items (k <= 0: no bound) and
+// never queues anything farther than sqrt(limitSq) from p (+Inf: no
+// bound). expand is how a node is read: it is called once per visited
+// node, in visit order, and pushes the node's entries with PushNode or
+// PushItem; an error from it ends the search.
+func (f *Frontier[N]) BestFirst(dst []Neighbor, p geom.Point, root N, k int, limitSq float64, expand func(n N) error) ([]Neighbor, error) {
 	f.p, f.limitSq = p, limitSq
-	f.h = append(f.h, frontierEntry[N]{node: root})
-	var out []Neighbor
-	for len(f.h) > 0 && (k <= 0 || len(out) < k) {
+	f.h = append(f.h[:0], frontierEntry[N]{node: root}) //lint:allow hotalloc the queue grows once; a reused Frontier keeps its backing array
+	found := 0
+	for len(f.h) > 0 && (k <= 0 || found < k) {
 		e := f.pop()
 		if e.isItem {
-			out = append(out, Neighbor{Item: e.item, Dist: math.Sqrt(e.distSq)})
+			dst = append(dst, Neighbor{Item: e.item, Dist: math.Sqrt(e.distSq)}) //lint:allow hotalloc the result, appended to the caller's buffer
+			found++
 		} else if err := expand(e.node); err != nil {
 			return nil, err
 		}
 	}
-	return out, nil
+	return dst, nil
 }
 
 // PushNode queues the child node n, whose covering rectangle is r.
 func (f *Frontier[N]) PushNode(r geom.Rect, n N) {
 	if d := minDistSq(f.p, r); d <= f.limitSq {
-		f.h = append(f.h, frontierEntry[N]{distSq: d, node: n})
+		f.h = append(f.h, frontierEntry[N]{distSq: d, node: n}) //lint:allow hotalloc the queue grows once; a reused Frontier keeps its backing array
 		f.siftUp()
 	}
 }
@@ -87,7 +89,7 @@ func (f *Frontier[N]) PushNode(r geom.Rect, n N) {
 // PushItem queues the data item (r, id).
 func (f *Frontier[N]) PushItem(r geom.Rect, id int64) {
 	if d := minDistSq(f.p, r); d <= f.limitSq {
-		f.h = append(f.h, frontierEntry[N]{distSq: d, isItem: true, item: Item{Rect: r, ID: id}})
+		f.h = append(f.h, frontierEntry[N]{distSq: d, isItem: true, item: Item{Rect: r, ID: id}}) //lint:allow hotalloc the queue grows once; a reused Frontier keeps its backing array
 		f.siftUp()
 	}
 }
@@ -137,7 +139,7 @@ func (t *Tree) bestFirst(p geom.Point, k int, limitSq float64, visit func(*node)
 		return nil
 	}
 	var f Frontier[*node]
-	out, _ := f.BestFirst(p, t.root, k, limitSq, func(n *node) error { // expand below never fails
+	out, _ := f.BestFirst(nil, p, t.root, k, limitSq, func(n *node) error { // expand below never fails
 		if visit != nil {
 			visit(n)
 		}

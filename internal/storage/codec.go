@@ -69,11 +69,9 @@ func EncodeNode(nd rtree.NodeData, pageSize int) ([]byte, error) {
 // pageChecksum computes the CRC-32C of the page with the checksum field
 // treated as zero.
 func pageChecksum(buf []byte) uint32 {
-	crc := crc32.New(castagnoli)
-	crc.Write(buf[:checksumOffset])
-	crc.Write(zeroChecksum[:])
-	crc.Write(buf[checksumOffset+4:])
-	return crc.Sum32()
+	crc := crc32.Update(0, castagnoli, buf[:checksumOffset])
+	crc = crc32.Update(crc, castagnoli, zeroChecksum[:])
+	return crc32.Update(crc, castagnoli, buf[checksumOffset+4:])
 }
 
 var (
@@ -96,48 +94,83 @@ func VerifyPage(buf []byte) error {
 	return nil
 }
 
+// validatePage is every check a node page must pass before anything reads
+// its entries: the checksum, the entry count within the page, every
+// rectangle valid. DecodeNode runs it per call; the paged tree runs it
+// once, as the page enters the buffer pool (dmSource.ReadPage), which is
+// what lets its queries read entries in place with the accessors below.
+func validatePage(buf []byte, page int) error {
+	if err := VerifyPage(buf); err != nil {
+		return fmt.Errorf("storage: page %d: %w", page, err)
+	}
+	count := pageCount(buf)
+	if nodeHeaderSize+count*entrySize > len(buf) {
+		return fmt.Errorf("storage: page %d claims %d entries beyond page end", page, count)
+	}
+	for i := 0; i < count; i++ {
+		if r := entryRect(buf, i); !r.Valid() {
+			return fmt.Errorf("storage: page %d entry %d has invalid rect %v", page, i, r)
+		}
+	}
+	return nil
+}
+
+// In-place accessors over a validated page: the layout above, read
+// without materializing a NodeData.
+
+func pageIsLeaf(buf []byte) bool { return buf[0]&flagLeaf != 0 }
+
+func pageCount(buf []byte) int { return int(binary.LittleEndian.Uint16(buf[2:4])) }
+
+// entryRect returns the rectangle of entry i.
+func entryRect(buf []byte, i int) geom.Rect {
+	e := buf[nodeHeaderSize+i*entrySize:][:entrySize]
+	return geom.Rect{
+		MinX: getFloat(e),
+		MinY: getFloat(e[8:]),
+		MaxX: getFloat(e[16:]),
+		MaxY: getFloat(e[24:]),
+	}
+}
+
+// entryPayload returns the payload of entry i: the child page of an
+// internal node's entry, the data ID of a leaf's.
+func entryPayload(buf []byte, i int) uint64 {
+	return binary.LittleEndian.Uint64(buf[nodeHeaderSize+i*entrySize+32:])
+}
+
 // DecodeNode parses a node page. page is recorded into the result; the
 // buffer is not retained.
 func DecodeNode(buf []byte, page int) (rtree.NodeData, error) {
-	if err := VerifyPage(buf); err != nil {
-		return rtree.NodeData{}, fmt.Errorf("storage: page %d: %w", page, err)
+	if err := validatePage(buf, page); err != nil {
+		return rtree.NodeData{}, err
 	}
+	return decodeValidated(buf, page), nil
+}
+
+// decodeValidated materializes a page that already passed validatePage.
+func decodeValidated(buf []byte, page int) rtree.NodeData {
 	nd := rtree.NodeData{
 		Page:  page,
-		Leaf:  buf[0]&flagLeaf != 0,
+		Leaf:  pageIsLeaf(buf),
 		Level: int(binary.LittleEndian.Uint32(buf[4:8])),
 	}
-	count := int(binary.LittleEndian.Uint16(buf[2:4]))
-	if nodeHeaderSize+count*entrySize > len(buf) {
-		return rtree.NodeData{}, fmt.Errorf("storage: page %d claims %d entries beyond page end", page, count)
-	}
+	count := pageCount(buf)
 	nd.Rects = make([]geom.Rect, count)
 	if nd.Leaf {
 		nd.IDs = make([]int64, count)
 	} else {
 		nd.Children = make([]int, count)
 	}
-	off := nodeHeaderSize
 	for i := 0; i < count; i++ {
-		nd.Rects[i] = geom.Rect{
-			MinX: getFloat(buf[off:]),
-			MinY: getFloat(buf[off+8:]),
-			MaxX: getFloat(buf[off+16:]),
-			MaxY: getFloat(buf[off+24:]),
-		}
-		if !nd.Rects[i].Valid() {
-			return rtree.NodeData{}, fmt.Errorf("storage: page %d entry %d has invalid rect %v",
-				page, i, nd.Rects[i])
-		}
-		payload := binary.LittleEndian.Uint64(buf[off+32:])
-		if nd.Leaf {
+		nd.Rects[i] = entryRect(buf, i)
+		if payload := entryPayload(buf, i); nd.Leaf {
 			nd.IDs[i] = int64(payload)
 		} else {
 			nd.Children[i] = int(payload)
 		}
-		off += entrySize
 	}
-	return nd, nil
+	return nd
 }
 
 func putFloat(b []byte, v float64) {

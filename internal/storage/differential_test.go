@@ -39,6 +39,7 @@ type diffRig struct {
 	dm, walDev *MemoryManager
 	fdm, fwal  *FaultManager
 	pt         *PagedTree
+	buffer     int // pool capacity in pages
 	nextID     int64
 	ops        int
 
@@ -46,6 +47,14 @@ type diffRig struct {
 }
 
 func newDiffRig(t testing.TB, alg rtree.SplitAlgorithm) *diffRig {
+	t.Helper()
+	return newDiffRigBuffer(t, alg, crashBufferPages)
+}
+
+// newDiffRigBuffer is newDiffRig with the paged tree's buffer capacity
+// chosen: below the tree height, every descent evicts the page it came
+// from.
+func newDiffRigBuffer(t testing.TB, alg rtree.SplitAlgorithm, bufferPages int) *diffRig {
 	t.Helper()
 	p := updateTestParams()
 	p.Split = alg
@@ -64,7 +73,7 @@ func newDiffRig(t testing.TB, alg rtree.SplitAlgorithm) *diffRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &diffRig{t: t, alg: alg, heap: heap, dm: dm, walDev: walDev}
+	r := &diffRig{t: t, alg: alg, heap: heap, dm: dm, walDev: walDev, buffer: bufferPages}
 	if rep := r.open(); rep.NeededRecovery() {
 		t.Fatalf("fresh tree needed recovery: %s", rep.String())
 	}
@@ -81,7 +90,7 @@ func (r *diffRig) fatalf(format string, args ...any) {
 func (r *diffRig) open() RecoveryReport {
 	r.t.Helper()
 	r.fdm, r.fwal = NewFaultManager(r.dm, 1), NewFaultManager(r.walDev, 1)
-	pt, rep, err := OpenPagedTreeWAL(r.fdm, r.fwal, crashBufferPages)
+	pt, rep, err := OpenPagedTreeWAL(r.fdm, r.fwal, r.buffer)
 	if err != nil {
 		r.fatalf("open: %v (report: %s)", err, rep.String())
 	}
@@ -227,6 +236,19 @@ func (r *diffRig) checkCommitted() {
 	}
 }
 
+// bruteDistances is the oracle's kNN answer: the distance from p to
+// every item's rectangle, ascending.
+func bruteDistances(items []rtree.Item, p geom.Point) []float64 {
+	dists := make([]float64, len(items))
+	for i, it := range items {
+		dx := math.Max(math.Max(it.Rect.MinX-p.X, 0), p.X-it.Rect.MaxX)
+		dy := math.Max(math.Max(it.Rect.MinY-p.Y, 0), p.Y-it.Rect.MaxY)
+		dists[i] = math.Sqrt(dx*dx + dy*dy)
+	}
+	sort.Float64s(dists)
+	return dists
+}
+
 func itemIDs(items []rtree.Item) []int64 {
 	ids := make([]int64, len(items))
 	for i, it := range items {
@@ -281,13 +303,7 @@ func (r *diffRig) nearest(p geom.Point, k int) {
 		r.fatalf("paged kNN %v k=%d: %v", p, k, err)
 	}
 	mem := r.heap.Nearest(p, k)
-	brute := make([]float64, len(r.live))
-	for i, it := range r.live {
-		dx := math.Max(math.Max(it.Rect.MinX-p.X, 0), p.X-it.Rect.MaxX)
-		dy := math.Max(math.Max(it.Rect.MinY-p.Y, 0), p.Y-it.Rect.MaxY)
-		brute[i] = math.Sqrt(dx*dx + dy*dy)
-	}
-	sort.Float64s(brute)
+	brute := bruteDistances(r.live, p)
 	if len(brute) > k {
 		brute = brute[:k]
 	}
@@ -339,10 +355,23 @@ func (r *diffRig) packed(windows []geom.Rect) {
 // phase deep enough for internal splits, a mixed phase, and a shrink
 // phase that condenses the tree back through root shrinks.
 func TestTreeOpsDifferential(t *testing.T) {
+	type run struct {
+		name   string
+		alg    rtree.SplitAlgorithm
+		buffer int
+	}
+	var runs []run
 	for _, alg := range diffAlgorithms {
-		t.Run(alg.String(), func(t *testing.T) {
+		runs = append(runs, run{alg.String(), alg, crashBufferPages})
+	}
+	// Once more under a buffer smaller than the tree grows tall: every
+	// child read evicts its parent, in queries and in updates alike.
+	runs = append(runs, run{"2-page-buffer", rtree.SplitQuadratic, 2})
+	for _, cfg := range runs {
+		t.Run(cfg.name, func(t *testing.T) {
+			alg := cfg.alg
 			rng := rand.New(rand.NewSource(1600 + int64(alg)))
-			r := newDiffRig(t, alg)
+			r := newDiffRigBuffer(t, alg, cfg.buffer)
 			// A third of the rectangles sit on an integer grid as points,
 			// so equal rectangles, zero areas and kNN distance ties occur.
 			rect := func() geom.Rect {

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"rtreebuf/internal/geom"
@@ -81,12 +82,13 @@ func TestFlightRecorderIdenticalResults(t *testing.T) {
 	}
 }
 
-// TestReadNodeAttribution drives readNode — the one place a node is read
-// — through both pools and every outcome, and checks that the AccessInfo
-// it hands the flight recorder is exactly what the pool's GetTracked
-// reports for the same access on an identically prepared twin, including
-// when the read or the decode fails; then it checks a failing query's and
-// a degraded query's flight record against the pool counters.
+// TestReadNodeAttribution drives readNode through both pools and every
+// outcome, and checks that the AccessInfo it reports is exactly what the
+// pool's View reports for the same access on an identically prepared
+// twin, including when the read or the validation at fault fails — a
+// corrupt page is a failed read every time it is asked for, never a
+// resident; then it checks a failing query's and a degraded query's
+// flight record against the pool counters.
 func TestReadNodeAttribution(t *testing.T) {
 	const badPage, corruptPage = 2, 3
 	for _, shards := range []int{1, 2} { // Pool, ShardedPool
@@ -111,28 +113,37 @@ func TestReadNodeAttribution(t *testing.T) {
 			}
 			pt, twin := open(), open()
 			for _, tc := range []struct {
-				name    string
-				page    int
-				hit     bool
-				wantErr bool
+				name        string
+				page        int
+				hit         bool
+				wantErr     bool
+				failedReads uint64 // cumulative, after this access
+				resident    int    // after this access
 			}{
-				{"miss", 0, false, false},
-				{"hit", 0, true, false},
-				{"failed read", badPage, false, true},
-				{"failed read leaves nothing resident", badPage, false, true},
-				{"corrupt page faulted", corruptPage, false, true},
-				{"corrupt page resident", corruptPage, true, true},
+				{"miss", 0, false, false, 0, 1},
+				{"hit", 0, true, false, 0, 1},
+				{"failed read", badPage, false, true, 1, 1},
+				{"failed read leaves nothing resident", badPage, false, true, 2, 1},
+				{"corrupt page refused at fault", corruptPage, false, true, 3, 1},
+				{"corrupt page never resident", corruptPage, false, true, 4, 1},
 			} {
-				_, want, _ := twin.pool.GetTracked(tc.page)
+				want, _ := twin.pool.View(tc.page, func([]byte) {})
 				nd, got, err := pt.readNode(tc.page)
 				if got != want || got.Hit != tc.hit {
-					t.Errorf("%s: readNode info %+v, GetTracked reports %+v, want hit=%v", tc.name, got, want, tc.hit)
+					t.Errorf("%s: readNode info %+v, View reports %+v, want hit=%v", tc.name, got, want, tc.hit)
 				}
 				if (err != nil) != tc.wantErr {
 					t.Errorf("%s: err = %v, want error %v", tc.name, err, tc.wantErr)
 				}
 				if err == nil && nd.Page != tc.page {
 					t.Errorf("%s: decoded page %d, want %d", tc.name, nd.Page, tc.page)
+				}
+				if fr, res := pt.Pool().FailedReads(), pt.Pool().Resident(); fr != tc.failedReads || res != tc.resident {
+					t.Errorf("%s: FailedReads=%d Resident=%d, want %d and %d", tc.name, fr, res, tc.failedReads, tc.resident)
+				}
+				if tc.page == corruptPage && (err == nil || !strings.Contains(err.Error(), fmt.Sprintf("page %d", corruptPage)) ||
+					!strings.Contains(err.Error(), "checksum mismatch")) {
+					t.Errorf("%s: err = %v, want it to name page %d and a checksum mismatch", tc.name, err, corruptPage)
 				}
 			}
 

@@ -6,6 +6,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
+	"sync"
 
 	"rtreebuf/internal/buffer"
 	"rtreebuf/internal/geom"
@@ -363,6 +365,10 @@ type PagedTree struct {
 	// unconditionally with zero overhead).
 	fr *obs.FlightRecorder
 
+	// queries recycles per-query scratch (*query) between queries, so a
+	// steady-state query allocates its result slice and nothing else.
+	queries sync.Pool
+
 	// Update-path state, nil/zero on read-only trees (OpenPagedTree).
 	wal       *WAL             // write-ahead log; non-nil enables Insert/Delete
 	ckpt      CheckpointPolicy // when to truncate the log
@@ -370,11 +376,22 @@ type PagedTree struct {
 	ckptErr   error            // sticky warning: last due checkpoint failed; the op still committed
 }
 
-// dmSource adapts DiskManager to buffer.PageSource.
+// dmSource adapts DiskManager to buffer.PageSource and is where pages
+// are checked: every page entering the pool — a Get or View fault, a Pin
+// — passes validatePage first, and one that fails is a failed read that
+// never becomes resident. So a resident frame either passed validation
+// when it was read or was produced by EncodeNode in this process and Put,
+// and the query paths read frames in place without checking them again.
 type dmSource struct{ dm DiskManager }
 
-func (s dmSource) PageSize() int                       { return s.dm.PageSize() }
-func (s dmSource) ReadPage(page int, dst []byte) error { return s.dm.ReadPage(page, dst) }
+func (s dmSource) PageSize() int { return s.dm.PageSize() }
+
+func (s dmSource) ReadPage(page int, dst []byte) error {
+	if err := s.dm.ReadPage(page, dst); err != nil {
+		return err
+	}
+	return validatePage(dst[:s.dm.PageSize()], page)
+}
 
 // OpenPagedTree opens a persisted tree for buffered querying with the
 // given buffer capacity in pages, using the single-goroutine LRU pool
@@ -426,16 +443,13 @@ func (pt *PagedTree) Meta() TreeMeta { return pt.meta }
 // Pool exposes the underlying buffer pool (for statistics and pinning).
 func (pt *PagedTree) Pool() buffer.PagePool { return pt.pool }
 
-// readNode is the one place a node is read: page through the buffer
-// pool, then decoded (which verifies the page checksum). The pool's
-// per-access attribution is returned even when the read or the decode
-// fails, for the flight recorder.
+// readNode materializes the node on page for the update path, which
+// needs a NodeData to mutate; queries read frames in place (see query).
+// The frame was validated when it entered the pool, so this only decodes.
+// The pool's per-access attribution is returned even when the read fails.
 func (pt *PagedTree) readNode(page int) (rtree.NodeData, buffer.AccessInfo, error) {
-	frame, info, err := pt.pool.GetTracked(page)
-	if err != nil {
-		return rtree.NodeData{}, info, err
-	}
-	nd, err := DecodeNode(frame, page)
+	var nd rtree.NodeData
+	info, err := pt.pool.View(page, func(frame []byte) { nd = decodeValidated(frame, page) })
 	return nd, info, err
 }
 
@@ -497,21 +511,88 @@ func (pt *PagedTree) pinWalk(page, depth, n int) error {
 	return nil
 }
 
-// SearchWindow reports every stored item intersecting q, reading node
+// pageRef references a node by its page and, for access attribution, its
+// tree level.
+type pageRef struct{ page, depth int }
+
+// query is the state of one query in flight, recycled through
+// PagedTree.queries. It reads every node in place, in the frame the pool
+// lends to View, and strictly in two phases: inside the callback it
+// scans the whole frame into its own slices — matching leaf entries into
+// items, matching children into kids, frontier entries into the heap —
+// and only after View has returned does it ask for the next page. A
+// frame is never read after another pool operation: Pool recycles an
+// evicted frame for the next fault, so reading the parent's frame after
+// a child visit returns another page's entries on a small buffer, and
+// asking ShardedPool for a page from inside the callback deadlocks the
+// shard.
+type query struct {
+	pt  *PagedTree
+	aq  *obs.ActiveQuery
+	rep *CorruptionReport // non-nil: record failed reads here and go on
+
+	// Window search and leaf scan.
+	window geom.Rect
+	depth  int          // level of the node scanFrame is about to read
+	leaf   bool         // whether the node scanFrame read last is a leaf
+	items  []rtree.Item // leaf entries matched so far
+	kids   [][]int      // kids[d]: matching children of the level-d node on the current path
+
+	// Nearest.
+	frontier rtree.Frontier[pageRef]
+	node     pageRef          // the node pushFrame is about to read
+	found    []rtree.Neighbor // BestFirst's output buffer
+
+	// scanFrame, pushFrame and expandNode as func values, bound once per
+	// query value: a func passed through the PagePool interface escapes,
+	// so binding them per visit would cost an allocation per visit.
+	scan   func(frame []byte)
+	push   func(frame []byte)
+	expand func(n pageRef) error
+}
+
+// getQuery takes a query from the recycling pool; putQuery returns it.
+func (pt *PagedTree) getQuery() *query {
+	q, _ := pt.queries.Get().(*query)
+	if q == nil {
+		q = &query{pt: pt} //lint:allow hotalloc scratch: allocated when the recycling pool is empty, not per query
+		q.scan, q.push, q.expand = q.scanFrame, q.pushFrame, q.expandNode
+	}
+	return q
+}
+
+func (pt *PagedTree) putQuery(q *query) {
+	q.aq, q.rep = nil, nil
+	pt.queries.Put(q)
+}
+
+// record opens the query's flight record; finish closes it.
+func (q *query) record(name string) { q.aq = q.pt.fr.Begin(name) }
+
+func (q *query) finish(results int) {
+	q.aq.SetResults(results)
+	q.aq.End()
+}
+
+// owned returns the caller's copy of a query's scratch results — the one
+// allocation a steady-state query makes. No results is nil.
+func owned[T any](scratch []T) []T {
+	if len(scratch) == 0 {
+		return nil
+	}
+	return slices.Clone(scratch) //lint:allow hotalloc materializing the result slice is the query's contract
+}
+
+// SearchWindow reports every stored item intersecting w, reading node
 // pages through the buffer pool in DFS order (the order a real R-tree
 // search issues page requests).
-func (pt *PagedTree) SearchWindow(q geom.Rect) ([]rtree.Item, error) {
-	var out []rtree.Item
-	aq := pt.fr.Begin("window")
-	err := pt.search(0, 0, q, &out, aq, nil)
-	aq.SetResults(len(out))
-	aq.End()
-	return out, err
+func (pt *PagedTree) SearchWindow(w geom.Rect) ([]rtree.Item, error) {
+	return pt.searchWindow(w, nil)
 }
 
 // SearchPoint is SearchWindow for a degenerate point query.
 func (pt *PagedTree) SearchPoint(p geom.Point) ([]rtree.Item, error) {
-	return pt.SearchWindow(geom.PointRect(p))
+	return pt.searchWindow(geom.PointRect(p), nil)
 }
 
 // CorruptionReport lists the pages a degraded search had to skip, with
@@ -532,19 +613,80 @@ func (r *CorruptionReport) Degraded() bool { return len(r.Faults) > 0 }
 // answer when the report is clean and a best-effort lower bound when it
 // is not — the opt-in behaviour for serving reads off a partially
 // damaged file while a repair (Scrub + re-save) is scheduled.
-func (pt *PagedTree) SearchWindowDegraded(q geom.Rect) ([]rtree.Item, *CorruptionReport) {
-	var out []rtree.Item
+func (pt *PagedTree) SearchWindowDegraded(w geom.Rect) ([]rtree.Item, *CorruptionReport) {
+	//lint:allow hotalloc the report is the degraded search's second result
 	rep := &CorruptionReport{}
-	aq := pt.fr.Begin("window")
-	_ = pt.search(0, 0, q, &out, aq, rep) // with a report, faults are recorded there and never returned
-	aq.SetResults(len(out))
-	aq.End()
+	out, _ := pt.searchWindow(w, rep) // with a report, faults are recorded there and never returned
 	return out, rep
 }
 
 // SearchPointDegraded is SearchWindowDegraded for a point query.
 func (pt *PagedTree) SearchPointDegraded(p geom.Point) ([]rtree.Item, *CorruptionReport) {
 	return pt.SearchWindowDegraded(geom.PointRect(p))
+}
+
+// searchWindow is the one window search. What a failed read does depends
+// on rep: nil fails the whole query fast; a report records the fault,
+// skips that subtree and lets the search go on (graceful degradation).
+func (pt *PagedTree) searchWindow(w geom.Rect, rep *CorruptionReport) ([]rtree.Item, error) {
+	q := pt.getQuery()
+	defer pt.putQuery(q)
+	q.record("window")
+	q.rep, q.window, q.items = rep, w, q.items[:0]
+	err := q.search(0, 0)
+	out := owned(q.items)
+	q.finish(len(out))
+	return out, err
+}
+
+// visit reads the node on page (at the given tree level) through
+// scanFrame. Every read is attributed to the flight recorder, failed ones
+// included.
+func (q *query) visit(page, depth int) error {
+	for depth >= len(q.kids) {
+		q.kids = append(q.kids, nil) //lint:allow hotalloc scratch: grows to the tree height once per recycled query value
+	}
+	q.depth, q.kids[depth] = depth, q.kids[depth][:0]
+	info, err := q.pt.pool.View(page, q.scan)
+	q.aq.Access(depth, info.Hit, info.WriteBacks)
+	return err
+}
+
+// scanFrame is visit's View callback: the entries intersecting q.window
+// go to q.items (a leaf's) or q.kids[q.depth] (an internal node's).
+func (q *query) scanFrame(frame []byte) {
+	q.leaf = pageIsLeaf(frame)
+	for i, n := 0, pageCount(frame); i < n; i++ {
+		r := entryRect(frame, i)
+		if !r.Intersects(q.window) {
+			continue
+		}
+		if q.leaf {
+			//lint:allow hotalloc scratch: grows to the largest result once per recycled query value
+			q.items = append(q.items, rtree.Item{Rect: r, ID: int64(entryPayload(frame, i))})
+		} else {
+			//lint:allow hotalloc scratch: grows to the fan-out once per recycled query value
+			q.kids[q.depth] = append(q.kids[q.depth], int(entryPayload(frame, i)))
+		}
+	}
+}
+
+// search visits the subtree under page in DFS order: the node first,
+// then, the frame given back, each matching child in entry order.
+func (q *query) search(page, depth int) error {
+	if err := q.visit(page, depth); err != nil {
+		if q.rep == nil {
+			return err
+		}
+		q.rep.Faults = append(q.rep.Faults, PageFault{Page: page, Err: err})
+		return nil
+	}
+	for _, child := range q.kids[depth] {
+		if err := q.search(child, depth+1); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Nearest returns the k stored items closest to p (Euclidean distance to
@@ -557,51 +699,68 @@ func (pt *PagedTree) Nearest(p geom.Point, k int) ([]rtree.Neighbor, error) {
 	if k <= 0 {
 		return nil, nil
 	}
-	// A node is referenced by its page and, for access attribution, its
-	// tree level.
-	type pageRef struct{ page, depth int }
-	aq := pt.fr.Begin("nearest")
-	var f rtree.Frontier[pageRef]
-	out, err := f.BestFirst(p, pageRef{}, k, math.Inf(1), func(n pageRef) error {
-		nd, info, err := pt.readNode(n.page)
-		aq.Access(n.depth, info.Hit, info.WriteBacks)
-		if err != nil {
-			return err
-		}
-		for i, r := range nd.Rects {
-			if nd.Leaf {
-				f.PushItem(r, nd.IDs[i])
-			} else {
-				f.PushNode(r, pageRef{nd.Children[i], n.depth + 1})
-			}
-		}
-		return nil
-	})
-	aq.SetResults(len(out))
-	aq.End()
+	q := pt.getQuery()
+	defer pt.putQuery(q)
+	q.record("nearest")
+	found, err := q.frontier.BestFirst(q.found[:0], p, pageRef{}, k, math.Inf(1), q.expand)
+	if err == nil {
+		q.found = found
+	}
+	out := owned(found)
+	q.finish(len(out))
 	return out, err
 }
+
+// expandNode is how BestFirst reads node n: its entries go onto the
+// frontier inside the View callback, and BestFirst pops only after
+// expandNode has returned.
+func (q *query) expandNode(n pageRef) error {
+	q.node = n
+	info, err := q.pt.pool.View(n.page, q.push)
+	q.aq.Access(n.depth, info.Hit, info.WriteBacks)
+	return err
+}
+
+// pushFrame is expandNode's View callback.
+func (q *query) pushFrame(frame []byte) {
+	leaf := pageIsLeaf(frame)
+	for i, n := 0, pageCount(frame); i < n; i++ {
+		if r := entryRect(frame, i); leaf {
+			q.frontier.PushItem(r, int64(entryPayload(frame, i)))
+		} else {
+			q.frontier.PushNode(r, pageRef{int(entryPayload(frame, i)), q.node.depth + 1})
+		}
+	}
+}
+
+// everything is the window every valid rectangle intersects.
+var everything = geom.Rect{MinX: math.Inf(-1), MinY: math.Inf(-1), MaxX: math.Inf(1), MaxY: math.Inf(1)}
 
 // ScanLeaves visits every stored item by reading the leaf pages
 // sequentially through the buffer pool — the sequential-scan access path
 // a query optimizer weighs against the index (examples/optimizer). The
 // leaf level is the last contiguous page range, so this is one linear
-// pass of meta.Levels[last] page reads.
+// pass of meta.Levels[last] page reads. visit runs between page reads,
+// never while a frame is on loan, so it may itself query the tree.
 func (pt *PagedTree) ScanLeaves(visit func(rtree.Item) error) error {
+	q := pt.getQuery() // scans are not flight-recorded
+	defer pt.putQuery(q)
+	q.window = everything
+	leafLevel := len(pt.meta.Levels) - 1
 	if !pt.meta.LevelOrder {
-		return pt.scanLeavesWalk(0, visit)
+		return q.scanWalk(0, 0, visit)
 	}
-	lo, hi := pt.meta.LevelPageRange(len(pt.meta.Levels) - 1)
+	lo, hi := pt.meta.LevelPageRange(leafLevel)
 	for page := lo; page < hi; page++ {
-		nd, _, err := pt.readNode(page)
-		if err != nil {
+		q.items = q.items[:0]
+		if err := q.visit(page, leafLevel); err != nil {
 			return err
 		}
-		if !nd.Leaf {
+		if !q.leaf {
 			return fmt.Errorf("storage: page %d in leaf range is not a leaf", page)
 		}
-		for i, r := range nd.Rects {
-			if err := visit(rtree.Item{Rect: r, ID: nd.IDs[i]}); err != nil {
+		for _, it := range q.items {
+			if err := visit(it); err != nil {
 				return err
 			}
 		}
@@ -609,52 +768,22 @@ func (pt *PagedTree) ScanLeaves(visit func(rtree.Item) error) error {
 	return nil
 }
 
-// scanLeavesWalk visits every item of a non-level-order tree by DFS: the
-// leaf pages are scattered through the file, so the scan pays the same
-// page reads a full-window search would (through the pool, each miss one
+// scanWalk visits every item of a non-level-order tree by DFS: the leaf
+// pages are scattered through the file, so the scan pays the same page
+// reads a full-window search would (through the pool, each miss one
 // counted access).
-func (pt *PagedTree) scanLeavesWalk(page int, visit func(rtree.Item) error) error {
-	nd, _, err := pt.readNode(page)
-	if err != nil {
+func (q *query) scanWalk(page, depth int, visit func(rtree.Item) error) error {
+	q.items = q.items[:0]
+	if err := q.visit(page, depth); err != nil {
 		return err
 	}
-	if nd.Leaf {
-		for i, r := range nd.Rects {
-			if err := visit(rtree.Item{Rect: r, ID: nd.IDs[i]}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for _, child := range nd.Children {
-		if err := pt.scanLeavesWalk(child, visit); err != nil {
+	for _, it := range q.items { // a leaf's entries; none for an internal node
+		if err := visit(it); err != nil {
 			return err
 		}
 	}
-	return nil
-}
-
-// search is the one window search. Every node read is attributed to the
-// flight recorder, failed ones included. What a failed read does depends
-// on rep: nil fails the whole query fast; a report records the fault,
-// skips that subtree and lets the search go on (graceful degradation).
-func (pt *PagedTree) search(page, depth int, q geom.Rect, out *[]rtree.Item, aq *obs.ActiveQuery, rep *CorruptionReport) error {
-	nd, info, err := pt.readNode(page)
-	aq.Access(depth, info.Hit, info.WriteBacks)
-	if err != nil {
-		if rep == nil {
-			return err
-		}
-		rep.Faults = append(rep.Faults, PageFault{Page: page, Err: err})
-		return nil
-	}
-	for i, r := range nd.Rects {
-		if !r.Intersects(q) {
-			continue
-		}
-		if nd.Leaf {
-			*out = append(*out, rtree.Item{Rect: r, ID: nd.IDs[i]})
-		} else if err := pt.search(nd.Children[i], depth+1, q, out, aq, rep); err != nil {
+	for _, child := range q.kids[depth] { // an internal node's children; none for a leaf
+		if err := q.scanWalk(child, depth+1, visit); err != nil {
 			return err
 		}
 	}
