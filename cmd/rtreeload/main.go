@@ -67,10 +67,9 @@ func main() {
 	}
 
 	if *out != "" {
-		dm, err := storage.CreateFile(*out, storage.DefaultPageSize)
-		fatalIf(err)
-		fatalIf(storage.SaveTree(dm, tree))
-		fatalIf(dm.Close())
+		// Atomic: an index already at *out stays whole until the new one
+		// is durable, then is replaced in one rename.
+		fatalIf(storage.SaveTreeAtomic(*out, storage.DefaultPageSize, tree))
 		fmt.Printf("\npersisted %d pages to %s\n", tree.NodeCount(), *out)
 	}
 }

@@ -81,7 +81,8 @@ func TestDetermRootsExist(t *testing.T) {
 // TestDetermFactRealRepo pins the nondet fact boundary in the real tree:
 // the simulator and the obs exporters are fact-free (seeded PCG streams
 // and the deterministic registry order keep them so), while the timing
-// sidecar and the tracer — by design outside the root set — do carry it.
+// sidecar and the flight recorder's constructor — by design outside the
+// root set — do carry it.
 func TestDetermFactRealRepo(t *testing.T) {
 	g := loadRepoModule(t).Graph
 	for _, name := range []string{"sim.Run", "sim.RunParallel", "sim.Transient", "obs.WriteText", "obs.WriteJSON"} {
@@ -92,7 +93,7 @@ func TestDetermFactRealRepo(t *testing.T) {
 	}
 	// Positive controls: the fact machinery must actually fire where
 	// wall-clock reads are intended.
-	for _, name := range []string{"experiments.RunAllTimed", "obs.NewTracer"} {
+	for _, name := range []string{"experiments.RunAllTimed", "obs.NewFlightRecorder"} {
 		if n := one(t, g, name); n.Facts&FactNondet == 0 {
 			t.Errorf("%s facts = %s, want nondet (time.Now is by design there)", n, n.Facts)
 		}

@@ -428,7 +428,7 @@ func TestRepoFlushDirtySatisfiesRules(t *testing.T) {
 	m := loadRepoModule(t)
 	e := m.Effects()
 	r := ruleNamed(t, "writeback-pages-only")
-	for _, name := range []string{"buffer.(*Pool).FlushDirty", "buffer.(*ShardedPool).FlushDirty"} {
+	for _, name := range []string{"buffer.(*Pool).FlushDirty"} {
 		n := repoEffNode(t, m, name)
 		var movesPages bool
 		for _, tr := range e.BodyTraces(n) {

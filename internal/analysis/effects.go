@@ -129,11 +129,7 @@ var effectTable = []effectIntrinsic{
 	{"WAL", "Checkpoint", []Effect{EffCheckpoint},
 		"WAL checkpoint (truncates the redo log)"},
 	{"Pool", "Put", []Effect{EffWriteBack}, "pool install (may write back a dirty victim)"},
-	{"ShardedPool", "Put", []Effect{EffWriteBack}, "pool install (may write back a dirty victim)"},
-	{"PagePool", "Put", []Effect{EffWriteBack}, "pool install through the interface (may write back a dirty victim)"},
 	{"Pool", "FlushDirty", []Effect{EffWriteBack}, "pool write-back of all dirty pages"},
-	{"ShardedPool", "FlushDirty", []Effect{EffWriteBack}, "pool write-back of all dirty pages"},
-	{"PagePool", "FlushDirty", []Effect{EffWriteBack}, "pool write-back through the interface"},
 	{"Pool", "flushPage", []Effect{EffWriteBack}, "pool write-back of one page"},
 	{"Pool", "writeBackVictim", []Effect{EffWriteBack}, "pool write-back of the eviction victim"},
 	{"", "syncManager", []Effect{EffSync},

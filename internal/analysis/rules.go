@@ -223,7 +223,7 @@ func Rules() []*Rule {
 			A:        effects(EffMetaWrite, EffLogAppend, EffCommit, EffCheckpoint),
 			Scope: []ScopeSpec{
 				{"*", "FlushDirty"}, {"*", "flushPage"}, {"*", "writeBackVictim"},
-				{"*", "writeBack"}, {"Pool", "Put"}, {"ShardedPool", "Put"},
+				{"Pool", "Put"},
 			},
 			Doc: "pool write-back paths move data pages only; they must never publish a catalog, " +
 				"append to the log, or checkpoint — eviction happens at arbitrary points where " +

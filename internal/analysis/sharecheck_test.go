@@ -223,7 +223,7 @@ func GuardedMethods() {
 // TestShareCheckRealRepoClean asserts the repository's own fan-outs —
 // sim.RunPreparedParallel's per-replica slots, the experiments engine's
 // worker pool, the stdlib importer's level workers, and the buffer
-// package (ShardedPool's two mutexes per shard included) — produce no
+// package (ShardedPool's per-shard mutexes included) — produce no
 // findings.
 func TestShareCheckRealRepoClean(t *testing.T) {
 	m := loadRepoModule(t)

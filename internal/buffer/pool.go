@@ -39,10 +39,11 @@ type PageSink interface {
 // batch before putting its pages, so a write-back at any moment is
 // redo-covered.
 //
-// Pool has no lock: it serves one goroutine at a time, and is the
-// reference the oracle tests compare against. Concurrent callers use
-// ShardedPool, which stripes this core under per-shard mutexes (one
-// shard, NewShardedPool(…, 1), is one buffer behind one lock).
+// Pool has no lock: it serves one goroutine at a time, is the only pool
+// that takes writes, and is the reference the oracle tests compare
+// against. Concurrent readers use ShardedPool, which stripes this core's
+// read side under per-shard mutexes (one shard, NewShardedPool(…, 1), is
+// one buffer behind one lock).
 type Pool struct {
 	src    PageSource
 	sink   PageSink
@@ -52,18 +53,10 @@ type Pool struct {
 
 	dirty []bool // page -> contents ahead of the source
 	// dirtyList holds every dirty page at least once, unordered. Entries
-	// of pages cleaned since stay until dirtySnapshot compacts them away
-	// or the last dirty page is cleaned.
+	// of pages cleaned since (a victim written back, a partial flush) stay
+	// until the last dirty page is cleaned.
 	dirtyList []int
 	nDirty    int
-
-	// dirtyVer is bumped on every Put of a page. ShardedPool, which reads
-	// the source and writes the sink with no lock held, captures it
-	// before the I/O and hands it back with the outcome (install,
-	// wroteBack): a moved version means a Put landed meanwhile, so a
-	// stale read must not become the frame and a stale write-back must
-	// not clear the flag.
-	dirtyVer []uint32
 
 	// readFailures counts source reads that returned an error. Failed
 	// reads still count as misses (a physical read was issued) but leave
@@ -106,11 +99,10 @@ func NewPool(src PageSource, capacity, numPages int) *Pool {
 // policy the factory constructs (see FactoryFor for the built-in names).
 func NewPoolWith(src PageSource, capacity, numPages int, factory PolicyFactory) *Pool {
 	p := &Pool{
-		src:      src,
-		policy:   factory(capacity, numPages),
-		frames:   make([][]byte, numPages),
-		dirty:    make([]bool, numPages),
-		dirtyVer: make([]uint32, numPages),
+		src:    src,
+		policy: factory(capacity, numPages),
+		frames: make([][]byte, numPages),
+		dirty:  make([]bool, numPages),
 	}
 	p.policy.SetOnEvict(func(page int) {
 		if p.dirty[page] {
@@ -138,7 +130,6 @@ func (p *Pool) Grow(numPages int) {
 	extra := numPages - len(p.frames)
 	p.frames = append(p.frames, make([][]byte, extra)...)
 	p.dirty = append(p.dirty, make([]bool, extra)...)
-	p.dirtyVer = append(p.dirtyVer, make([]uint32, extra)...)
 	p.policy.Grow(numPages)
 }
 
@@ -212,13 +203,18 @@ func (p *Pool) takeFrame() []byte {
 // The methods below are Get's and Pin's fault paths split into phases
 // for ShardedPool, which runs each phase under its shard mutex and the
 // source read between them with no lock held: probe the cache (tryGet),
-// capture dirtyVer, read src, then commit the fault (install) or back it
-// out (failedFault); preparePin, installPinned and failedPin are the
-// same three steps for Pin.
+// read src, then commit the fault (install) or back it out
+// (failedFault); preparePin, installPinned and failedPin are the same
+// three steps for Pin. A pool driven this way is never Put to, so no
+// page is dirty and an install may evict freely — but install and
+// preparePin still peek the eviction victim where fetch and Pin do
+// (writeBackVictim): a peek is part of the access sequence on Clock-Pro,
+// which does its hand work there, and one shard must stay
+// access-for-access identical to Pool.
 
 // tryGet returns the frame if page is resident, counting a hit; on a miss
 // it performs no accounting, leaving the fault to the caller. Pages being
-// concurrently faulted (resident but frameless) report as missing so
+// concurrently pinned (resident but frameless) report as missing so
 // callers route through the fault path.
 func (p *Pool) tryGet(page int) ([]byte, bool, error) {
 	if page < 0 || page >= len(p.frames) {
@@ -232,39 +228,23 @@ func (p *Pool) tryGet(page int) ([]byte, bool, error) {
 }
 
 // install commits a successful fault: counts the miss (evicting if
-// needed) and copies data into a frame. ver is the page's dirty version
-// as captured when the fault began; a moved version means a Put landed
-// while the source read was in flight, so data may be behind the page.
-// If the page became resident meanwhile, the fault counts a hit and the
-// frame is refreshed in place only when the version is unchanged (the
-// resident bytes came from an equivalent source read) — a frame that is
-// dirty, or clean because the newer contents were already flushed, keeps
-// its contents. If the page is not resident and the version moved, the
-// Put was flushed and evicted again: data is behind the source, nothing
-// is installed, the wasted read counts as a miss, and install reports
-// false so the caller reads the page again.
-func (p *Pool) install(page int, data []byte, ver uint32) bool {
-	if !p.policy.Contains(page) && p.dirtyVer[page] != ver {
-		p.policy.NoteMiss(page)
-		return false
-	}
+// needed) and copies data into a frame. If the page became resident
+// while the source read was in flight, this fault lost a duplicate-fault
+// race: it counts a hit and the winner's frame, which holds the same
+// source bytes, stays as it is.
+func (p *Pool) install(page int, data []byte) {
+	p.dirtyVictim() // fetch's peek; the victim is never dirty here
 	if p.policy.Access(page) {
-		if !p.dirty[page] && p.dirtyVer[page] == ver {
-			copy(p.frames[page], data) // lost a duplicate-fault race: refresh in place
-		}
-		return true
+		return
 	}
 	frame := p.takeFrame()
 	copy(frame, data)
 	p.frames[page] = frame
-	return true
 }
 
 // failedFault accounts for a fault whose source read failed: the miss
 // still counts (a physical read was issued) but nothing becomes
-// resident. It deliberately avoids Policy.Access — a fault here could
-// evict a victim no one wrote back (the caller only cleans victims on
-// the success path). The returned error matches Get's wrapping.
+// resident. The returned error matches Get's wrapping.
 func (p *Pool) failedFault(page int, err error) error {
 	p.policy.NoteMiss(page)
 	p.noteReadFailure()
@@ -272,39 +252,30 @@ func (p *Pool) failedFault(page int, err error) error {
 }
 
 // preparePin pins the page slot and reports whether the caller must read
-// its contents (it was not resident), plus the page's dirty version for
-// installPinned's race guard. See Pin for single-step use.
-func (p *Pool) preparePin(page int) (needRead bool, ver uint32, err error) {
+// its contents (it was not resident). See Pin for single-step use.
+func (p *Pool) preparePin(page int) (needRead bool, err error) {
 	if page < 0 || page >= len(p.frames) {
-		return false, 0, fmt.Errorf("buffer: page %d outside [0,%d)", page, len(p.frames))
+		return false, fmt.Errorf("buffer: page %d outside [0,%d)", page, len(p.frames))
 	}
 	if p.policy.Pinned(page) {
-		return false, 0, nil
+		return false, nil
 	}
 	resident := p.policy.Contains(page)
-	if err := p.policy.Pin(page); err != nil {
-		return false, 0, err
+	if !resident {
+		p.dirtyVictim() // Pin's peek; the victim is never dirty here
 	}
-	return !resident, p.dirtyVer[page], nil
+	if err := p.policy.Pin(page); err != nil {
+		return false, err
+	}
+	return !resident, nil
 }
 
-// installPinned stores the contents of a freshly pinned page. ver is
-// the dirty version preparePin reported. A concurrent Put landing while
-// the pin's source read was in flight already gave the page a frame
-// whose contents are ahead of the source — that frame is kept (never
-// replaced or dropped; being pinned it cannot have been evicted); only a
-// frame still at the pinned version is refreshed, and a missing frame is
-// filled.
-func (p *Pool) installPinned(page int, data []byte, ver uint32) {
-	if p.frames[page] != nil {
-		if !p.dirty[page] && p.dirtyVer[page] == ver {
-			copy(p.frames[page], data)
-		}
-		return
+// installPinned stores the contents of a freshly pinned page.
+func (p *Pool) installPinned(page int, data []byte) {
+	if p.frames[page] == nil {
+		p.frames[page] = p.takeFrame()
 	}
-	frame := p.takeFrame()
-	copy(frame, data)
-	p.frames[page] = frame
+	copy(p.frames[page], data)
 }
 
 // failedPin backs out preparePin after a failed source read, matching
@@ -409,7 +380,6 @@ func (p *Pool) FlushDirty() error {
 }
 
 func (p *Pool) setDirty(page int) {
-	p.dirtyVer[page]++
 	if p.dirty[page] {
 		return
 	}
@@ -430,36 +400,22 @@ func (p *Pool) clearDirty(page int) {
 	}
 }
 
-// flushPage writes one dirty page to the sink and clears its flag.
+// flushPage writes one dirty page to the sink and clears its flag. A
+// failed write (or no sink to write to) counts a failed write and leaves
+// the page dirty and resident.
 func (p *Pool) flushPage(page int) error {
-	return p.wroteBack(page, p.dirtyVer[page], sinkWrite(p.sink, page, p.frames[page]))
-}
-
-// sinkWrite performs the physical write-back, sharing the no-sink error
-// with every write-back path. It touches no pool state: ShardedPool calls
-// it with no shard mutex held, on a sink it read under the mutex.
-func sinkWrite(sink PageSink, page int, data []byte) error {
-	if sink == nil {
-		return fmt.Errorf("buffer: no write-back sink attached")
+	var err error
+	if p.sink == nil {
+		err = fmt.Errorf("buffer: no write-back sink attached")
+	} else {
+		err = p.sink.WritePage(page, p.frames[page])
 	}
-	return sink.WritePage(page, data)
-}
-
-// wroteBack commits the outcome of a sink write of page as it was at
-// dirty version ver: failure counts a failed write and leaves the page
-// dirty; success counts a write-back and clears the flag — unless the
-// page was re-dirtied since the bytes were taken (version moved), when
-// the fresher contents remain to be written. The stale on-disk state is
-// safe: callers WAL-log before dirtying, so it is redo-covered.
-func (p *Pool) wroteBack(page int, ver uint32, err error) error {
 	if err != nil {
 		p.noteFailedWrite()
 		return fmt.Errorf("buffer: writing back page %d: %w", page, err)
 	}
 	p.metrics.onWriteBack()
-	if p.dirtyVer[page] == ver {
-		p.clearDirty(page)
-	}
+	p.clearDirty(page)
 	return nil
 }
 
@@ -480,9 +436,7 @@ func (p *Pool) dirtyVictim() int {
 // writeBackVictim cleans the page the next capacity eviction would drop,
 // so the eviction (inside LRU.Access/Install/Pin) never loses a dirty
 // page, and reports whether a dirty victim was actually written back.
-// Pool calls it immediately before any operation that may evict;
-// ShardedPool does the same job with no lock across the write (see
-// installClean).
+// Pool calls it immediately before any operation that may evict.
 func (p *Pool) writeBackVictim() (wrote bool, err error) {
 	v := p.dirtyVictim()
 	if v < 0 {
@@ -492,33 +446,6 @@ func (p *Pool) writeBackVictim() (wrote bool, err error) {
 		return false, err
 	}
 	return true, nil
-}
-
-// dirtySnapshot returns the dirty pages in ascending order, for
-// ShardedPool to flush one at a time. It compacts dirtyList to exactly
-// that set on the way: ShardedPool never reaches Pool.FlushDirty, so
-// this is where cleaned and duplicate entries are dropped while some
-// page stays dirty.
-func (p *Pool) dirtySnapshot() []int {
-	live := p.dirtyList[:0]
-	for _, page := range p.dirtyList {
-		if p.dirty[page] {
-			live = append(live, page)
-		}
-	}
-	slices.Sort(live)
-	p.dirtyList = slices.Compact(live)
-	return slices.Clone(p.dirtyList)
-}
-
-// copyDirty copies page's frame into dst if it is still dirty, reporting
-// whether it was and the dirty version of the bytes copied.
-func (p *Pool) copyDirty(page int, dst []byte) (ver uint32, ok bool) {
-	if page >= len(p.frames) || !p.dirty[page] || p.frames[page] == nil {
-		return 0, false
-	}
-	copy(dst, p.frames[page])
-	return p.dirtyVer[page], true
 }
 
 // Unpin returns a pinned page to replacement management.

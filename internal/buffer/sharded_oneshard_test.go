@@ -1,7 +1,6 @@
 package buffer
 
 import (
-	"bytes"
 	"errors"
 	"sync"
 	"testing"
@@ -212,80 +211,5 @@ func TestSyncPoolStressMixedOps(t *testing.T) {
 	}
 	if frame[0] != byte(numPages-1) {
 		t.Error("pool corrupt after stress")
-	}
-}
-
-func TestSyncPoolPutFlushConcurrentReaders(t *testing.T) {
-	src := &concSource{pageSize: 16, numPages: 32}
-	sink := newConcSink()
-	s := NewShardedPool(src, 8, 32, 1)
-	s.SetSink(sink)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				page := (g*7 + i) % 16
-				if _, err := s.Get(page); err != nil {
-					t.Errorf("Get(%d): %v", page, err)
-					return
-				}
-			}
-		}(g)
-	}
-	// One writer puts and flushes batches while readers hammer the pool.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 50; i++ {
-			page := 16 + i%16
-			if err := s.Put(page, pattern(16, byte(i))); err != nil {
-				t.Errorf("Put(%d): %v", page, err)
-				return
-			}
-			if i%5 == 4 {
-				if err := s.FlushDirty(); err != nil {
-					t.Errorf("FlushDirty: %v", err)
-					return
-				}
-			}
-		}
-	}()
-	wg.Wait()
-	if err := s.FlushDirty(); err != nil {
-		t.Fatalf("final FlushDirty: %v", err)
-	}
-	if s.DirtyPages() != 0 {
-		t.Fatalf("DirtyPages = %d after final flush", s.DirtyPages())
-	}
-	// Every put page reached the sink with its last-written pattern.
-	for i := 34; i < 50; i++ {
-		page := 16 + i%16
-		if !bytes.Equal(sink.pages[page], pattern(16, byte(i))) {
-			t.Fatalf("sink page %d missing final contents", page)
-		}
-	}
-}
-
-func TestSyncPoolDirtyVictimWriteBack(t *testing.T) {
-	src := &concSource{pageSize: 16, numPages: 8}
-	sink := newFakeSink(16)
-	s := NewShardedPool(src, 2, 8, 1)
-	s.SetSink(sink)
-	if err := s.Put(0, pattern(16, 0xD0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put(1, pattern(16, 0xD1)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Get(2); err != nil {
-		t.Fatalf("Get(2): %v", err)
-	}
-	if !bytes.Equal(sink.pages[0], pattern(16, 0xD0)) {
-		t.Fatal("dirty victim not written back on fault")
-	}
-	if s.DirtyPages() != 1 {
-		t.Fatalf("DirtyPages = %d, want 1", s.DirtyPages())
 	}
 }

@@ -10,8 +10,7 @@ import (
 	"time"
 )
 
-// FlightRecorder is the query-path counterpart of Tracer: instead of a
-// flat span timeline it retains one structured record per query — ID,
+// FlightRecorder retains one structured record per query — ID,
 // duration, result count, and per-level node-access/fault/write-back
 // attribution — in a fixed ring of the most recent queries plus a
 // small board of the most expensive ones seen so far. It answers "what

@@ -8,6 +8,16 @@ import (
 	"time"
 )
 
+// fakeClock returns a clock that advances a fixed step per call.
+func fakeClock(start time.Time, step time.Duration) func() time.Time {
+	now := start
+	return func() time.Time {
+		t := now
+		now = now.Add(step)
+		return t
+	}
+}
+
 func TestFlightRecorderNilIsInert(t *testing.T) {
 	var fr *FlightRecorder
 	q := fr.Begin("window")

@@ -1,6 +1,6 @@
 // Package obs is the repository's observability layer: a labeled metrics
-// registry (counters, gauges, log-bucketed histograms) plus a lightweight
-// span/event tracer, built on the standard library only.
+// registry (counters, gauges, log-bucketed histograms) plus a per-query
+// flight recorder, built on the standard library only.
 //
 // The package contract, which every instrumented layer relies on:
 //

@@ -108,16 +108,12 @@ func TestObsDisabledZeroAlloc(t *testing.T) {
 	var c *Counter
 	var g *Gauge
 	var h *Histogram
-	var tr *Tracer
 	if allocs := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		c.Add(3)
 		g.Set(1)
 		g.Add(1)
 		h.Observe(2)
-		sp := tr.Start("q")
-		sp.End()
-		tr.Event("e")
 		_ = r.Snapshot()
 	}); allocs != 0 {
 		t.Errorf("disabled obs path allocates %.1f allocs/op, want 0", allocs)
@@ -129,13 +125,10 @@ func TestObsDisabledZeroAlloc(t *testing.T) {
 func BenchmarkObsDisabled(b *testing.B) {
 	var c *Counter
 	var h *Histogram
-	var tr *Tracer
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c.Inc()
 		h.Observe(1)
-		sp := tr.Start("q")
-		sp.End()
 	}
 }
 

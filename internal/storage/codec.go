@@ -15,7 +15,9 @@ import (
 //	0:1   flags (bit 0: leaf)
 //	1:2   reserved
 //	2:4   entry count
-//	4:8   level (paper convention, 0 = root)
+//	4:8   reserved: written zero, ignored on decode (files written before
+//	      PR 19 hold the node's level here; a node's level is its depth,
+//	      which readers derive from the catalog or the walk)
 //	8:12  CRC-32C of the rest of the page (header with zeroed checksum
 //	      field + all entry bytes) — torn or corrupted pages fail decode
 //	      instead of silently yielding a wrong query result
@@ -48,7 +50,6 @@ func EncodeNode(nd rtree.NodeData, pageSize int) ([]byte, error) {
 		buf[0] = flagLeaf
 	}
 	binary.LittleEndian.PutUint16(buf[2:4], uint16(len(nd.Rects)))
-	binary.LittleEndian.PutUint32(buf[4:8], uint32(nd.Level))
 	off := nodeHeaderSize
 	for i, r := range nd.Rects {
 		putFloat(buf[off:], r.MinX)
@@ -140,7 +141,8 @@ func entryPayload(buf []byte, i int) uint64 {
 }
 
 // DecodeNode parses a node page. page is recorded into the result; the
-// buffer is not retained.
+// buffer is not retained. Level is left zero: a page does not know its
+// node's depth (see readLiveNodes).
 func DecodeNode(buf []byte, page int) (rtree.NodeData, error) {
 	if err := validatePage(buf, page); err != nil {
 		return rtree.NodeData{}, err
@@ -150,11 +152,7 @@ func DecodeNode(buf []byte, page int) (rtree.NodeData, error) {
 
 // decodeValidated materializes a page that already passed validatePage.
 func decodeValidated(buf []byte, page int) rtree.NodeData {
-	nd := rtree.NodeData{
-		Page:  page,
-		Leaf:  pageIsLeaf(buf),
-		Level: int(binary.LittleEndian.Uint32(buf[4:8])),
-	}
+	nd := rtree.NodeData{Page: page, Leaf: pageIsLeaf(buf)}
 	count := pageCount(buf)
 	nd.Rects = make([]geom.Rect, count)
 	if nd.Leaf {

@@ -527,8 +527,8 @@ func TestSplitParityHeapVsPaged(t *testing.T) {
 				meta:  TreeMeta{MaxEntries: p.MaxEntries, MinEntries: p.MinEntries, Split: alg, Levels: []int{1, 1}, TotalPages: 2},
 				nodes: make(map[int]*updateNode),
 			}
-			parent := u.newNode(0, 0, false)
-			n := u.newNode(1, 1, true)
+			parent := u.newNode(0, false)
+			n := u.newNode(1, true)
 			for _, it := range items {
 				n.Rects = append(n.Rects, it.Rect)
 				n.IDs = append(n.IDs, it.ID)

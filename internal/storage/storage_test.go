@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -58,8 +59,9 @@ func TestCodecRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Page != nd.Page || got.Leaf != nd.Leaf || got.Level != nd.Level {
-			t.Fatalf("header mismatch: %+v vs %+v", got, nd)
+		// A page does not carry its node's level: bytes 4:8 are reserved.
+		if got.Page != nd.Page || got.Leaf != nd.Leaf || got.Level != 0 || binary.LittleEndian.Uint32(buf[4:8]) != 0 {
+			t.Fatalf("header mismatch: %+v vs %+v (bytes 4:8 = %x)", got, nd, buf[4:8])
 		}
 		if len(got.Rects) != len(nd.Rects) {
 			t.Fatalf("entry count mismatch")
@@ -75,6 +77,42 @@ func TestCodecRoundTrip(t *testing.T) {
 				t.Fatalf("child %d mismatch", i)
 			}
 		}
+	}
+}
+
+// TestStoredLevelBytesIgnored: files written before bytes 4:8 became
+// reserved hold each node's level there (checksummed with the rest of the
+// page). Such a file must still scrub clean and load to the same tree,
+// whatever those bytes say.
+func TestStoredLevelBytesIgnored(t *testing.T) {
+	tr := buildTestTree(t, 500, 20)
+	dm, err := NewMemoryManager(DefaultPageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveTree(dm, tr); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, DefaultPageSize)
+	for _, nd := range tr.ExportNodes() {
+		if err := dm.ReadPage(nd.Page, buf); err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint32(buf[4:8], uint32(nd.Level)+7) // not even the right level
+		restamp(buf)
+		if err := dm.WritePage(nd.Page, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rep := Scrub(dm); !rep.Clean() {
+		t.Fatalf("scrub not clean: %s", rep.String())
+	}
+	loaded, err := LoadTree(dm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(loaded.Levels(), tr.Levels()) || !reflect.DeepEqual(loaded.Items(), tr.Items()) {
+		t.Fatalf("loaded %v nodes per level, saved %v", loaded.NodesPerLevel(), tr.NodesPerLevel())
 	}
 }
 

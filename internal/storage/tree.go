@@ -303,48 +303,53 @@ func LoadTree(dm DiskManager) (*rtree.Tree, error) {
 // readLiveNodes reads every live node page. Level-order trees are read
 // with one linear scan; updated trees are walked from the root, since
 // their files interleave live and free pages and free pages hold stale
-// bytes that must not be decoded.
+// bytes that must not be decoded. A page does not store its node's level:
+// it is the level range the page falls in, or the depth the walk found it
+// at.
 func readLiveNodes(dm DiskManager, meta TreeMeta) ([]rtree.NodeData, error) {
 	buf := make([]byte, dm.PageSize())
+	read := func(page, level int) (rtree.NodeData, error) {
+		if err := dm.ReadPage(page, buf); err != nil {
+			return rtree.NodeData{}, err
+		}
+		nd, err := DecodeNode(buf, page)
+		nd.Level = level
+		return nd, err
+	}
+	nodes := make([]rtree.NodeData, 0, meta.NumPages())
 	if meta.LevelOrder {
-		n := meta.NumPages()
-		nodes := make([]rtree.NodeData, n)
-		for page := 0; page < n; page++ {
-			if err := dm.ReadPage(page, buf); err != nil {
-				return nil, err
-			}
-			var err error
-			nodes[page], err = DecodeNode(buf, page)
-			if err != nil {
-				return nil, err
+		for level := range meta.Levels {
+			lo, hi := meta.LevelPageRange(level)
+			for page := lo; page < hi; page++ {
+				nd, err := read(page, level)
+				if err != nil {
+					return nil, err
+				}
+				nodes = append(nodes, nd)
 			}
 		}
 		return nodes, nil
 	}
 
 	span := meta.PageSpan()
-	nodes := make([]rtree.NodeData, 0, meta.NumPages())
 	seen := make(map[int]bool, meta.NumPages())
-	stack := []int{0}
+	stack := []pageRef{{page: 0, depth: 0}}
 	for len(stack) > 0 {
-		page := stack[len(stack)-1]
+		ref := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if page < 0 || page >= span {
-			return nil, fmt.Errorf("storage: child page %d outside file span %d", page, span)
+		if ref.page < 0 || ref.page >= span {
+			return nil, fmt.Errorf("storage: child page %d outside file span %d", ref.page, span)
 		}
-		if seen[page] {
-			return nil, fmt.Errorf("storage: page %d reachable twice (cycle or shared child)", page)
+		if seen[ref.page] {
+			return nil, fmt.Errorf("storage: page %d reachable twice (cycle or shared child)", ref.page)
 		}
-		seen[page] = true
-		if err := dm.ReadPage(page, buf); err != nil {
-			return nil, err
-		}
-		nd, err := DecodeNode(buf, page)
+		seen[ref.page] = true
+		nd, err := read(ref.page, ref.depth)
 		if err != nil {
 			return nil, err
 		}
-		if !nd.Leaf {
-			stack = append(stack, nd.Children...)
+		for _, child := range nd.Children {
+			stack = append(stack, pageRef{page: child, depth: ref.depth + 1})
 		}
 		nodes = append(nodes, nd)
 	}
@@ -371,6 +376,7 @@ type PagedTree struct {
 
 	// Update-path state, nil/zero on read-only trees (OpenPagedTree).
 	wal       *WAL             // write-ahead log; non-nil enables Insert/Delete
+	wpool     *buffer.Pool     // pool, as the type that takes writes; set with wal
 	ckpt      CheckpointPolicy // when to truncate the log
 	updateErr error            // sticky: a half-applied commit poisons the handle
 	ckptErr   error            // sticky warning: last due checkpoint failed; the op still committed
@@ -413,16 +419,9 @@ func OpenPagedTreeWith(dm DiskManager, bufferPages int, policy string, shards in
 	if err != nil {
 		return nil, err
 	}
-	metaBuf, err := dm.ReadMeta()
+	meta, err := openMeta(dm)
 	if err != nil {
 		return nil, err
-	}
-	meta, err := decodeMeta(metaBuf)
-	if err != nil {
-		return nil, err
-	}
-	if meta.NumPages() == 0 {
-		return nil, fmt.Errorf("storage: persisted tree has no pages")
 	}
 	var pool buffer.PagePool
 	if shards > 1 {
@@ -435,6 +434,22 @@ func OpenPagedTreeWith(dm DiskManager, bufferPages int, policy string, shards in
 		pool: pool,
 		meta: meta,
 	}, nil
+}
+
+// openMeta reads the catalog of a tree about to be opened for querying.
+func openMeta(dm DiskManager) (TreeMeta, error) {
+	metaBuf, err := dm.ReadMeta()
+	if err != nil {
+		return TreeMeta{}, err
+	}
+	meta, err := decodeMeta(metaBuf)
+	if err != nil {
+		return TreeMeta{}, err
+	}
+	if meta.NumPages() == 0 {
+		return TreeMeta{}, fmt.Errorf("storage: persisted tree has no pages")
+	}
+	return meta, nil
 }
 
 // Meta returns the tree catalog.

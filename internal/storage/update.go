@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"rtreebuf/internal/buffer"
 	"rtreebuf/internal/geom"
 	"rtreebuf/internal/rtree"
 )
@@ -45,7 +46,8 @@ var ErrReadOnlyTree = fmt.Errorf("storage: tree opened read-only (no WAL; use Op
 // conventional sibling file). Recovery runs first: any batches committed
 // to the log but not fully in the page file are replayed before the tree
 // is opened, so a crash between commit and write-back is invisible to
-// the caller. The report says what recovery found.
+// the caller. The report says what recovery found. The tree is backed by
+// the single-goroutine LRU Pool, the only pool that takes writes.
 func OpenPagedTreeWAL(dm, walDev DiskManager, bufferPages int) (*PagedTree, RecoveryReport, error) {
 	var (
 		w   *WAL
@@ -63,13 +65,13 @@ func OpenPagedTreeWAL(dm, walDev DiskManager, bufferPages int) (*PagedTree, Reco
 	if err != nil {
 		return nil, rep, err
 	}
-	pt, err := OpenPagedTree(dm, bufferPages)
+	meta, err := openMeta(dm)
 	if err != nil {
 		return nil, rep, err
 	}
-	pt.wal = w
-	pt.pool.SetSink(dm)
-	return pt, rep, nil
+	pool := buffer.NewPool(dmSource{dm}, bufferPages, meta.PageSpan())
+	pool.SetSink(dm)
+	return &PagedTree{dm: dm, pool: pool, meta: meta, wal: w, wpool: pool}, rep, nil
 }
 
 // WAL returns the tree's log handle, or nil for read-only trees.
@@ -195,9 +197,9 @@ func (u *updater) node(page int) (*updateNode, error) {
 
 // newNode stages a fresh node on page, replacing any earlier staging
 // (reusing a page freed in this same batch is legal).
-func (u *updater) newNode(page, level int, leaf bool) *updateNode {
+func (u *updater) newNode(page int, leaf bool) *updateNode {
 	n := &updateNode{
-		NodeData: rtree.NodeData{Page: page, Level: level, Leaf: leaf},
+		NodeData: rtree.NodeData{Page: page, Leaf: leaf},
 		dirty:    true,
 	}
 	u.nodes[page] = n
@@ -266,9 +268,6 @@ func (u *updater) insertEntry(rect geom.Rect, childPage int, id int64, isItem bo
 		target.IDs = append(target.IDs, id)
 	} else {
 		target.Children = append(target.Children, childPage)
-		if err := u.restampSubtree(childPage, targetDepth+1); err != nil {
-			return err
-		}
 	}
 	target.dirty = true
 
@@ -281,7 +280,8 @@ func (u *updater) insertEntry(rect geom.Rect, childPage int, id int64, isItem bo
 			break
 		}
 		if d == 0 {
-			return u.splitRoot(n)
+			u.splitRoot(n)
+			return nil
 		}
 		parent, err := u.node(path[d-1])
 		if err != nil {
@@ -320,7 +320,7 @@ func (u *updater) splitChild(n, parent *updateNode, depth int) {
 	lr, lc, li := takeIndices(n, left)
 	rr, rc, ri := takeIndices(n, right)
 
-	sib := u.newNode(u.allocPage(), n.Level, n.Leaf)
+	sib := u.newNode(u.allocPage(), n.Leaf)
 	sib.Rects, sib.Children, sib.IDs = rr, rc, ri
 
 	n.Rects, n.Children, n.IDs = lr, lc, li
@@ -340,20 +340,19 @@ func (u *updater) splitChild(n, parent *updateNode, depth int) {
 
 // splitRoot splits the root: both halves move to fresh pages and page 0
 // becomes a new two-entry internal root, growing the tree by one level.
-// Every node's depth shifts by one, so the whole tree is restamped —
-// the O(n) price of the paper's 0-is-root level convention; root splits
-// are rare (one per ~MaxEntries^level inserts).
-func (u *updater) splitRoot(root *updateNode) error {
+// Every other node's depth shifts by one and none is rewritten: pages do
+// not store their level.
+func (u *updater) splitRoot(root *updateNode) {
 	left, right := rtree.SplitIndices(u.meta.Split, u.meta.MinEntries, root.Rects)
 	lr, lc, li := takeIndices(root, left)
 	rr, rc, ri := takeIndices(root, right)
 
-	ln := u.newNode(u.allocPage(), 1, root.Leaf)
+	ln := u.newNode(u.allocPage(), root.Leaf)
 	ln.Rects, ln.Children, ln.IDs = lr, lc, li
-	rn := u.newNode(u.allocPage(), 1, root.Leaf)
+	rn := u.newNode(u.allocPage(), root.Leaf)
 	rn.Rects, rn.Children, rn.IDs = rr, rc, ri
 
-	newRoot := u.newNode(0, 0, false)
+	newRoot := u.newNode(0, false)
 	newRoot.Rects = []geom.Rect{geom.MBR(ln.Rects), geom.MBR(rn.Rects)}
 	newRoot.Children = []int{ln.Page, rn.Page}
 
@@ -361,38 +360,6 @@ func (u *updater) splitRoot(root *updateNode) error {
 	levels = append(levels, 1, 2)
 	levels = append(levels, u.meta.Levels[1:]...)
 	u.meta.Levels = levels
-	return u.restampAll()
-}
-
-// restampAll rewrites every reachable node's stored level to its depth.
-// Needed whenever the tree's height changes (root split or shrink),
-// because stored levels count from the root down.
-func (u *updater) restampAll() error {
-	return u.restampSubtree(0, 0)
-}
-
-// restampSubtree sets stored levels to depths throughout the subtree at
-// page, dirtying only pages whose level actually changes. Used after
-// height changes and when condense reattaches an orphaned subtree at a
-// depth other than the one it was cut from.
-func (u *updater) restampSubtree(page, depth int) error {
-	n, err := u.node(page)
-	if err != nil {
-		return err
-	}
-	if n.Level != depth {
-		n.Level = depth
-		n.dirty = true
-	}
-	if n.Leaf {
-		return nil
-	}
-	for _, child := range n.Children {
-		if err := u.restampSubtree(child, depth+1); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // findLeaf locates the leaf holding an entry equal to item, appending
@@ -496,8 +463,8 @@ func (u *updater) condense(path []int) error {
 }
 
 // shrinkRoot collapses the root while it is an internal node with one
-// child: the child's contents move onto page 0, the tree loses a level,
-// and stored levels are restamped.
+// child: the child's contents move onto page 0 and the tree loses a
+// level.
 func (u *updater) shrinkRoot() error {
 	for {
 		root, err := u.node(0)
@@ -511,16 +478,13 @@ func (u *updater) shrinkRoot() error {
 		if err != nil {
 			return err
 		}
-		next := u.newNode(0, 0, child.Leaf)
+		next := u.newNode(0, child.Leaf)
 		next.Rects = append([]geom.Rect(nil), child.Rects...)
 		next.Children = append([]int(nil), child.Children...)
 		next.IDs = append([]int64(nil), child.IDs...)
 		u.freePage(child)
 		u.meta.Levels = u.meta.Levels[1:]
 		u.meta.Levels[0] = 1
-		if err := u.restampAll(); err != nil {
-			return err
-		}
 	}
 }
 
@@ -573,14 +537,14 @@ func (pt *PagedTree) commitUpdate(u *updater) error {
 	}
 
 	// The batch is durable; from here every failure poisons the handle.
-	pt.pool.Grow(u.meta.PageSpan())
+	pt.wpool.Grow(u.meta.PageSpan())
 	for _, img := range images {
-		if err := pt.pool.Put(img.Page, img.Data); err != nil {
+		if err := pt.wpool.Put(img.Page, img.Data); err != nil {
 			pt.updateErr = err
 			return fmt.Errorf("storage: applying committed batch %d: %w", batch, err)
 		}
 	}
-	if err := pt.pool.FlushDirty(); err != nil {
+	if err := pt.wpool.FlushDirty(); err != nil {
 		pt.updateErr = err
 		return fmt.Errorf("storage: applying committed batch %d: %w", batch, err)
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -103,8 +104,8 @@ func assertQueryEquivalence(t *testing.T, pt *PagedTree, oracle *rtree.Tree, tag
 
 // assertDurableAndValid checks the committed on-disk state: it reloads
 // the tree from the page file alone (no WAL, no pool) and validates
-// every structural invariant strictly.
-func assertDurableAndValid(t *testing.T, dm DiskManager, wantItems int, tag string) {
+// every structural invariant strictly. It returns the reloaded tree.
+func assertDurableAndValid(t *testing.T, dm DiskManager, wantItems int, tag string) *rtree.Tree {
 	t.Helper()
 	loaded, err := LoadTree(dm)
 	if err != nil {
@@ -119,6 +120,7 @@ func assertDurableAndValid(t *testing.T, dm DiskManager, wantItems int, tag stri
 	if rep := Scrub(dm); !rep.Clean() {
 		t.Fatalf("%s: scrub not clean: %s", tag, rep.String())
 	}
+	return loaded
 }
 
 func TestPagedTreeInsertMatchesOracle(t *testing.T) {
@@ -505,5 +507,93 @@ func TestFreeListCapLeaksInsteadOfOverflowing(t *testing.T) {
 	}
 	if _, err := decodeMeta(blob); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHeightChangeWritesOnlyItsPath: a root split or shrink moves every
+// node one level down or up, and the commit must still log only the pages
+// on the paths the operation touched — a page does not store its level,
+// so no other page has anything to rewrite. (While pages did, every such
+// commit dragged the whole tree through the pool into one WAL batch.)
+func TestHeightChangeWritesOnlyItsPath(t *testing.T) {
+	heap := rtree.MustNew(rtree.Params{MaxEntries: 4, MinEntries: 2, Split: rtree.SplitQuadratic})
+	dm, err := NewMemoryManager(updateTestPageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveTree(dm, heap); err != nil {
+		t.Fatal(err)
+	}
+	walDev, err := NewMemoryManager(updateTestPageSize + WALFrameOverhead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pt *PagedTree
+	open := func() {
+		t.Helper()
+		if pt, _, err = OpenPagedTreeWAL(dm, walDev, 16); err != nil {
+			t.Fatal(err)
+		}
+		// Never truncate the log: its growth over a commit is the batch's
+		// page images plus one commit record.
+		pt.SetCheckpointPolicy(CheckpointPolicy{EveryBatches: 1 << 30})
+	}
+	open()
+
+	// commit runs one update on both trees and, if it changed the height,
+	// holds the batch it logged to the bound. It returns the height change.
+	commit := func(tag string, update func() error) int {
+		t.Helper()
+		before, blocks := len(pt.Meta().Levels), pt.WAL().LogBlocks()
+		if err := update(); err != nil {
+			t.Fatalf("%s: %v", tag, err)
+		}
+		height, live := len(pt.Meta().Levels), pt.Meta().NumPages()
+		images := pt.WAL().LogBlocks() - blocks - 1
+		if height == before {
+			return 0
+		}
+		if images > 8*(max(height, before)+1) {
+			t.Errorf("%s: height %d -> %d logged %d page images, more than the paths it touched can hold", tag, before, height, images)
+		}
+		if live >= 100 && images*5 > live {
+			t.Errorf("%s: height %d -> %d logged %d page images of a %d-page tree", tag, before, height, images, live)
+		}
+		assertSameTree(t, dm, heap, tag)
+		return height - before
+	}
+
+	items := randomItems(rand.New(rand.NewSource(19)), 600, 1)
+	grew, shrank := 0, 0
+	for i, it := range items {
+		if commit(fmt.Sprintf("insert %d", i), func() error { heap.Insert(it); return pt.Insert(it) }) > 0 {
+			grew++
+		}
+	}
+	open() // a reopened handle derives the same levels from the file
+	for i, it := range items {
+		d := commit(fmt.Sprintf("delete %d", i), func() error {
+			found, err := pt.Delete(it)
+			if err == nil && (!found || !heap.Delete(it)) {
+				err = errors.New("item not found")
+			}
+			return err
+		})
+		if d < 0 {
+			shrank++
+		}
+	}
+	if grew < 4 || shrank < 4 {
+		t.Errorf("height grew %d times and shrank %d times, want at least 4 of each", grew, shrank)
+	}
+}
+
+// assertSameTree reloads the committed tree from the page file alone and
+// requires it strictly valid, scrub-clean and the very tree heap is.
+func assertSameTree(t *testing.T, dm DiskManager, heap *rtree.Tree, tag string) {
+	t.Helper()
+	loaded := assertDurableAndValid(t, dm, heap.Len(), tag)
+	if !reflect.DeepEqual(loaded.Levels(), heap.Levels()) || !reflect.DeepEqual(loaded.Items(), heap.Items()) {
+		t.Fatalf("%s: paged and in-memory trees differ: %v vs %v nodes per level", tag, loaded.NodesPerLevel(), heap.NodesPerLevel())
 	}
 }

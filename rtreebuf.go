@@ -176,13 +176,15 @@ type (
 	// PageSource supplies page contents on a buffer miss.
 	PageSource = buffer.PageSource
 	// Pool serves page contents through a replacement policy over a
-	// page source. It has no lock: one goroutine at a time.
+	// page source. It has no lock: one goroutine at a time. It is the
+	// pool that takes writes (Put, FlushDirty).
 	Pool = buffer.Pool
-	// ShardedPool is the lock-striped pool, the one concurrent readers
-	// need (with any shard count, 1 included): pages hash to shards,
-	// each with its own policy instance and mutex.
+	// ShardedPool is the lock-striped pool for concurrent readers of an
+	// immutable source (with any shard count, 1 included): pages hash
+	// to shards, each with its own policy instance and mutex. It has
+	// no write side.
 	ShardedPool = buffer.ShardedPool
-	// PagePool is the interface both pool flavors satisfy.
+	// PagePool is the read-side interface both pool flavors satisfy.
 	PagePool = buffer.PagePool
 )
 
@@ -206,15 +208,15 @@ func PolicyNames() []string { return buffer.PolicyNames() }
 func FactoryFor(name string) (PolicyFactory, error) { return buffer.FactoryFor(name) }
 
 // NewBufferPool returns the single-goroutine pool (no lock) with the
-// given policy factory (nil = LRU); concurrent callers use
+// given policy factory (nil = LRU); concurrent readers use
 // NewShardedPool, whose shards may be 1.
 func NewBufferPool(src PageSource, capacity, numPages int, factory PolicyFactory) *Pool {
 	return buffer.NewPoolWith(src, capacity, numPages, factory)
 }
 
-// NewShardedPool returns the lock-striped concurrent pool: capacity
-// split across shards, each running its own instance of the policy
-// (nil = LRU).
+// NewShardedPool returns the lock-striped pool for concurrent readers:
+// capacity split across shards, each running its own instance of the
+// policy (nil = LRU).
 func NewShardedPool(src PageSource, capacity, numPages, shards int, factory PolicyFactory) *ShardedPool {
 	return buffer.NewShardedPoolWith(src, capacity, numPages, shards, factory)
 }
