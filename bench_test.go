@@ -213,9 +213,10 @@ func BenchmarkModelEvaluation(b *testing.B) {
 // BenchmarkDiskAccessesSweep compares the batched buffer-size sweep
 // against evaluating the model independently per size over a dense
 // figure-style grid (the shape every fig6/fig9/fig11 panel evaluates).
-// The sweep shares the probability-log pass and warm-starts each N*
-// search, so "sweep" should beat "per-size" by several times while
-// producing bit-identical values (asserted in internal/core tests).
+// Both share the Predictor's probability-log pass; the sweep also
+// warm-starts each N* search from the previous size's, so "sweep" should
+// stay ahead of "per-size" while producing bit-identical values (asserted
+// in internal/core tests).
 func BenchmarkDiskAccessesSweep(b *testing.B) {
 	items := ablationItems(50000)
 	tree, err := rtreebuf.Load(rtreebuf.HilbertSort, rtreebuf.Params{MaxEntries: 100}, items)

@@ -158,7 +158,7 @@ func main() {
 	}
 
 	if *metrics || *debugAddr != "" {
-		printWarmupComparison(tree.Levels(), pred, *bufferPages, *pin, *qx, *qy, *seed, observedFill)
+		fmt.Print(warmupComparison(tree.Levels(), pred, *bufferPages, *pin, *qx, *qy, *seed, observedFill))
 		printLevelHitRates(reg, len(meta.Levels))
 		fmt.Println("\nmetrics:")
 		fatalIf(obs.WriteText(os.Stdout, reg))
@@ -172,12 +172,15 @@ func main() {
 	}
 }
 
-// printWarmupComparison prints the analytic warm-up curve (D(N) and
+// warmupComparison renders the analytic warm-up curve (D(N) and
 // expected misses) next to a measured cold-start trace of the identical
 // geometry, plus the three fill points: analytic N*, the trace's N̂*,
-// and the N̂* observed by the real pool during this run's workload.
-func printWarmupComparison(levels [][]geom.Rect, pred *core.Predictor, bufferPages, pin int, qx, qy float64, seed uint64, observedFill int) {
-	nstar := pred.WarmupQueries(bufferPages)
+// and the N̂* observed by the real pool during this run's workload. Model
+// and trace describe the same buffer: with the top pin levels pinned,
+// both are the levels below them filling the pages the pins leave.
+func warmupComparison(levels [][]geom.Rect, pred *core.Predictor, bufferPages, pin int, qx, qy float64, seed uint64, observedFill int) string {
+	nstar, err := pred.WarmupQueriesPinned(bufferPages, pin)
+	fatalIf(err)
 
 	// Sample the curve around the fill point (quartiles to 4x), falling
 	// back to a decade ladder when the buffer never fills under the model.
@@ -197,7 +200,6 @@ func printWarmupComparison(levels [][]geom.Rect, pred *core.Predictor, bufferPag
 	if qx == 0 && qy == 0 {
 		w = sim.UniformPoints{}
 	} else {
-		var err error
 		w, err = sim.NewUniformRegions(qx, qy)
 		fatalIf(err)
 	}
@@ -208,20 +210,24 @@ func printWarmupComparison(levels [][]geom.Rect, pred *core.Predictor, bufferPag
 	}, counts)
 	fatalIf(err)
 
-	countsF := make([]float64, len(counts))
-	for i, c := range counts {
-		countsF[i] = float64(c)
-	}
-	model := pred.WarmupCurve(bufferPages, countsF)
-
-	fmt.Printf("\nwarm-up (model vs measured, buffer %d pages):\n", bufferPages)
-	fmt.Printf("  %10s  %12s  %12s  %14s  %14s\n", "N", "D(N) model", "D^(N) meas", "misses model", "misses meas")
+	// The trace samples each distinct count once; the model follows it.
+	sampled := make([]float64, len(trace.Points))
 	for i, pt := range trace.Points {
-		fmt.Printf("  %10d  %12.1f  %12d  %14.1f  %14d\n",
-			pt.Queries, model[i].DistinctNodes, pt.DistinctPages, model[i].ExpectedMisses, pt.Misses)
+		sampled[i] = float64(pt.Queries)
 	}
-	fmt.Printf("buffer fill: analytic N* = %s, observed N^* = %s (trace), %s (pool workload)\n",
-		fmtQueries(nstar), fmtFill(trace.FillQueries), fmtFill(observedFill))
+	model, err := pred.WarmupCurvePinned(bufferPages, pin, sampled)
+	fatalIf(err)
+
+	var out strings.Builder
+	out.WriteString(fmt.Sprintf("\nwarm-up (model vs measured, buffer %d pages):\n", bufferPages))
+	out.WriteString(fmt.Sprintf("  %10s  %12s  %12s  %14s  %14s\n", "N", "D(N) model", "D^(N) meas", "misses model", "misses meas"))
+	for i, pt := range trace.Points {
+		out.WriteString(fmt.Sprintf("  %10d  %12.1f  %12d  %14.1f  %14d\n",
+			pt.Queries, model[i].DistinctNodes, pt.DistinctPages, model[i].ExpectedMisses, pt.Misses))
+	}
+	out.WriteString(fmt.Sprintf("buffer fill: analytic N* = %s, observed N^* = %s (trace), %s (pool workload)\n",
+		fmtQueries(nstar), fmtFill(trace.FillQueries), fmtFill(observedFill)))
+	return out.String()
 }
 
 func fmtQueries(n float64) string {

@@ -52,8 +52,10 @@ func checkDeterm(m *Module, roots []RootSpec) []Finding {
 func DetermRoots() []RootSpec {
 	const mod = "rtreebuf"
 	return []RootSpec{
+		// Run* covers Run, RunPrepared, RunParallel, RunPreparedParallel
+		// and RunTraced; TraceWarmup is the cold-start sampler.
 		{Path: mod + "/internal/sim", Name: "Run*"},
-		{Path: mod + "/internal/sim", Name: "Transient"},
+		{Path: mod + "/internal/sim", Name: "TraceWarmup"},
 		// experiments.Run produces the Report bytes; RunAllTimed is
 		// deliberately NOT a root — its time.Now feeds only the Timing
 		// sidecar, never the Report.

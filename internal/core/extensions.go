@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -13,8 +12,6 @@ import (
 //   - the warm-up transient (Bhide–Dan–Dias study exactly this): expected
 //     distinct nodes D(N) and expected cumulative misses over the first N
 //     queries;
-//   - a per-level breakdown of EPT/EDT — which levels pay the disk
-//     accesses, the quantity behind the paper's pinning discussion;
 //   - a static "hot set" cache baseline: cache the B most frequently
 //     accessed nodes forever. LRU can never beat it under the model's
 //     independence assumption, so the gap bounds what any replacement
@@ -34,46 +31,37 @@ type WarmupPoint struct {
 // continues at the steady-state rate EDT per query (the Bhide-style
 // two-phase approximation the paper's model rests on).
 func (p *Predictor) WarmupCurve(bufferSize int, queryCounts []float64) []WarmupPoint {
-	nstar := WarmupQueries(p.flat, bufferSize)
-	edt := p.DiskAccesses(bufferSize)
+	return p.warmupCurve(0, p.WarmupQueries(bufferSize), queryCounts)
+}
+
+// WarmupCurvePinned is WarmupCurve for a buffer whose top pinLevels
+// levels are pinned before the first query: the P pin faults are paid up
+// front, after which only first touches of the unpinned levels miss,
+// until those levels fill the remaining B - P pages. DistinctNodes still
+// counts every node a query touches, pinned or not.
+func (p *Predictor) WarmupCurvePinned(bufferSize, pinLevels int, queryCounts []float64) ([]WarmupPoint, error) {
+	from, nstar, err := p.pinnedFill(bufferSize, pinLevels)
+	if err != nil {
+		return nil, err
+	}
+	return p.warmupCurve(from, nstar, queryCounts), nil
+}
+
+// warmupCurve samples the transient of the nodes from..M filling their
+// share of the buffer at nstar, the `from` pages above them pinned.
+func (p *Predictor) warmupCurve(from int, nstar float64, queryCounts []float64) []WarmupPoint {
+	edt := p.edt(from, 1, nstar, nil)
 	out := make([]WarmupPoint, 0, len(queryCounts))
 	for _, n := range queryCounts {
-		pt := WarmupPoint{Queries: n, DistinctNodes: DistinctNodes(p.flat, n)}
-		if n <= nstar || math.IsInf(nstar, 1) {
-			pt.ExpectedMisses = pt.DistinctNodes
-		} else {
-			pt.ExpectedMisses = DistinctNodes(p.flat, nstar) + (n-nstar)*edt
+		pt := WarmupPoint{
+			Queries:        n,
+			DistinctNodes:  DistinctNodes(p.flat, n),
+			ExpectedMisses: float64(from) + DistinctNodes(p.flat[from:], math.Min(n, nstar)),
+		}
+		if n > nstar {
+			pt.ExpectedMisses += (n - nstar) * edt
 		}
 		out = append(out, pt)
-	}
-	return out
-}
-
-// LevelBreakdown reports per-level expected accesses and disk accesses.
-type LevelBreakdown struct {
-	Level        int     // paper convention, 0 = root
-	Nodes        int     // M_i
-	NodeAccesses float64 // expected node accesses per query at this level
-	DiskAccesses float64 // expected disk accesses per query at this level
-}
-
-// Breakdown splits EPT and EDT by tree level for the given buffer size.
-// The level shares use the same N* as the aggregate model (the buffer is
-// shared), so the DiskAccesses column sums to DiskAccesses(bufferSize).
-// The paper's pinning analysis is visible directly here: upper levels'
-// disk shares collapse once the buffer (or a pin) covers them.
-func (p *Predictor) Breakdown(bufferSize int) []LevelBreakdown {
-	nstar := WarmupQueries(p.flat, bufferSize)
-	out := make([]LevelBreakdown, len(p.probs))
-	for lvl, probs := range p.probs {
-		b := LevelBreakdown{Level: lvl, Nodes: len(probs)}
-		for _, a := range probs {
-			b.NodeAccesses += a
-			if !math.IsInf(nstar, 1) {
-				b.DiskAccesses += a * pow1m(a, nstar)
-			}
-		}
-		out[lvl] = b
 	}
 	return out
 }
@@ -82,7 +70,10 @@ func (p *Predictor) Breakdown(bufferSize int) []LevelBreakdown {
 // cache the bufferSize nodes with the highest access probability; every
 // access to any other node is a disk access. This is the optimal *static*
 // placement, a useful reference when deciding whether LRU is leaving
-// performance on the table.
+// performance on the table — and, by the A0 rule of Aho–Denning–Ullman,
+// a bound on every policy: under the model's independent-reference
+// assumption no demand-paging replacement policy (LRU, 2Q, Clock-Pro, or
+// anything else) can average fewer disk accesses per query.
 //
 // Caveat: DiskAccesses (the paper's LRU model) is an approximation whose
 // effective footprint is "all nodes touched in the last N* queries",
@@ -114,17 +105,4 @@ func (p *Predictor) DiskAccessesStatic(bufferSize int) float64 {
 func (p *Predictor) LRUInefficiency(bufferSize int) float64 {
 	d := p.DiskAccesses(bufferSize) - p.DiskAccessesStatic(bufferSize)
 	return math.Max(0, d)
-}
-
-// EDTCurve evaluates DiskAccesses over a buffer-size sweep, reusing the
-// probability pass — the shape of every figure in Section 5.
-func (p *Predictor) EDTCurve(bufferSizes []int) ([]float64, error) {
-	out := make([]float64, len(bufferSizes))
-	for i, b := range bufferSizes {
-		if b < 1 {
-			return nil, fmt.Errorf("core: buffer size %d < 1 in sweep", b)
-		}
-		out[i] = p.DiskAccesses(b)
-	}
-	return out, nil
 }

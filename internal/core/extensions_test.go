@@ -49,42 +49,6 @@ func TestWarmupCurveHugeBuffer(t *testing.T) {
 	}
 }
 
-func TestBreakdown(t *testing.T) {
-	p := pointPredictor(t)
-	for _, b := range []int{5, 40, 273} {
-		bd := p.Breakdown(b)
-		if len(bd) != p.LevelCount() {
-			t.Fatalf("breakdown levels %d", len(bd))
-		}
-		var nodeSum, diskSum float64
-		for lvl, row := range bd {
-			if row.Level != lvl {
-				t.Errorf("row %d level %d", lvl, row.Level)
-			}
-			if row.Nodes != p.NodesPerLevel()[lvl] {
-				t.Errorf("level %d nodes %d", lvl, row.Nodes)
-			}
-			if row.DiskAccesses > row.NodeAccesses+1e-12 {
-				t.Errorf("level %d: disk %g > accesses %g", lvl, row.DiskAccesses, row.NodeAccesses)
-			}
-			nodeSum += row.NodeAccesses
-			diskSum += row.DiskAccesses
-		}
-		if math.Abs(nodeSum-p.NodesVisited()) > 1e-9 {
-			t.Errorf("B=%d: node sum %g != EPT %g", b, nodeSum, p.NodesVisited())
-		}
-		if math.Abs(diskSum-p.DiskAccesses(b)) > 1e-9 {
-			t.Errorf("B=%d: disk sum %g != EDT %g", b, diskSum, p.DiskAccesses(b))
-		}
-	}
-	// With a big buffer, the root level's disk share must be ~zero while
-	// the leaf level still pays (if anything does).
-	bd := p.Breakdown(100)
-	if bd[0].DiskAccesses > bd[2].DiskAccesses {
-		t.Errorf("root pays more than leaves: %g vs %g", bd[0].DiskAccesses, bd[2].DiskAccesses)
-	}
-}
-
 func TestDiskAccessesStatic(t *testing.T) {
 	p := pointPredictor(t)
 	// Static EDT is within [0, EPT], non-increasing in B, and close to
@@ -117,22 +81,5 @@ func TestDiskAccessesStatic(t *testing.T) {
 	// Static with B pages removes exactly the top-B probabilities.
 	if got, want := p.DiskAccessesStatic(1), p.NodesVisited()-1.0; math.Abs(got-want) > 1e-9 {
 		t.Errorf("static(1) = %g, want %g (root prob 1 removed)", got, want)
-	}
-}
-
-func TestEDTCurve(t *testing.T) {
-	p := pointPredictor(t)
-	sweep := []int{1, 10, 100, 273}
-	curve, err := p.EDTCurve(sweep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, b := range sweep {
-		if curve[i] != p.DiskAccesses(b) {
-			t.Errorf("curve[%d] mismatch", i)
-		}
-	}
-	if _, err := p.EDTCurve([]int{0}); err == nil {
-		t.Error("zero buffer accepted in sweep")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -14,55 +15,81 @@ func sumf(xs []float64) float64 {
 	return s
 }
 
+// splits gathers every model's (total, per-level split) pair next to the
+// total-only view of the same model.
+type splitCase struct {
+	name        string
+	alone, with float64
+	split       []float64
+}
+
+func splits(t *testing.T, p *Predictor, b int) []splitCase {
+	t.Helper()
+	var cases []splitCase
+	add := func(name string, alone, with float64, split []float64) {
+		cases = append(cases, splitCase{fmt.Sprintf("B=%d %s", b, name), alone, with, split})
+	}
+	ept, eptSplit := p.NodesVisitedPerLevel()
+	add("EPT", p.NodesVisited(), ept, eptSplit)
+	lru, lruSplit := p.DiskAccessesPerLevel(b)
+	add("LRU", p.DiskAccesses(b), lru, lruSplit)
+	twoQ, twoQSplit := p.DiskAccesses2QPerLevel(b)
+	add("2Q", p.DiskAccesses2Q(b), twoQ, twoQSplit)
+	for _, shards := range []int{1, 2, 4, 7} {
+		sh, shSplit := p.DiskAccessesShardedPerLevel(b, shards)
+		add(fmt.Sprintf("sharded(%d)", shards), p.DiskAccessesSharded(b, shards), sh, shSplit)
+	}
+	for pin := 0; pin <= p.MaxPinnableLevels(b); pin++ {
+		alone, err := p.DiskAccessesPinned(b, pin)
+		if err != nil {
+			t.Fatalf("B=%d pin=%d: %v", b, pin, err)
+		}
+		with, split, err := p.DiskAccessesPinnedPerLevel(b, pin)
+		if err != nil {
+			t.Fatalf("B=%d pin=%d: %v", b, pin, err)
+		}
+		add(fmt.Sprintf("pinned(%d)", pin), alone, with, split)
+	}
+	return cases
+}
+
 // TestPerLevelSplitsSumToTotals is the defining property of every
-// per-level decomposition: summing the split reproduces the matching
-// total prediction exactly (same characteristic quantities, different
-// accumulation order — so agreement to float tolerance, not modeling
-// tolerance).
+// per-level decomposition. Each model is one pass that accumulates the
+// total in flat node order and the split in the same loop, so the total
+// is the same float64 whether or not a split was asked for; folding the
+// split back up adds the same terms in a different order, so that sum
+// agrees with the total to float tolerance, not modeling tolerance.
 func TestPerLevelSplitsSumToTotals(t *testing.T) {
 	p := pointPredictor(t)
 	for _, b := range []int{0, 1, 5, 17, 40, 100, 280} {
-		if got, want := sumf(p.NodesVisitedPerLevel()), p.NodesVisited(); !almost(got, want) {
-			t.Errorf("EPT split sums to %g, want %g", got, want)
-		}
-		if got, want := sumf(p.DiskAccessesPerLevel(b)), p.DiskAccesses(b); !almost(got, want) {
-			t.Errorf("B=%d: LRU split sums to %g, want %g", b, got, want)
-		}
-		if got, want := sumf(p.DiskAccesses2QPerLevel(b)), p.DiskAccesses2Q(b); !almost(got, want) {
-			t.Errorf("B=%d: 2Q split sums to %g, want %g", b, got, want)
-		}
-		for _, shards := range []int{1, 2, 4, 7} {
-			got := sumf(p.DiskAccessesShardedPerLevel(b, shards))
-			want := p.DiskAccessesSharded(b, shards)
-			if !almost(got, want) {
-				t.Errorf("B=%d shards=%d: sharded split sums to %g, want %g", b, shards, got, want)
+		for _, c := range splits(t, p, b) {
+			if c.with != c.alone {
+				t.Errorf("%s: total %.17g with the split, %.17g without", c.name, c.with, c.alone)
+			}
+			if got := sumf(c.split); !almost(got, c.with) {
+				t.Errorf("%s: split sums to %g, want %g", c.name, got, c.with)
 			}
 		}
 	}
-	for _, b := range []int{17, 40, 280} {
-		for pin := 0; pin <= p.MaxPinnableLevels(b); pin++ {
-			split, err := p.DiskAccessesPinnedPerLevel(b, pin)
-			if err != nil {
-				t.Fatalf("B=%d pin=%d: %v", b, pin, err)
-			}
-			want, err := p.DiskAccessesPinned(b, pin)
-			if err != nil {
-				t.Fatalf("B=%d pin=%d: %v", b, pin, err)
-			}
-			if got := sumf(split); !almost(got, want) {
-				t.Errorf("B=%d pin=%d: pinned split sums to %g, want %g", b, pin, got, want)
-			}
+	// The unpinned LRU total is the reference's, bit for bit.
+	for _, b := range []int{0, 1, 5, 17, 40, 100, 280} {
+		if got, want := p.DiskAccesses(b), DiskAccesses(p.flat, b); got != want {
+			t.Errorf("B=%d: Predictor EDT %.17g, reference %.17g", b, got, want)
 		}
 	}
 }
 
+// level returns only the split of a (total, split) pair.
+func level(_ float64, split []float64) []float64 { return split }
+
 func TestPerLevelShapes(t *testing.T) {
 	p := pointPredictor(t)
+	visited := level(p.NodesVisitedPerLevel())
 	for _, split := range [][]float64{
-		p.NodesVisitedPerLevel(),
-		p.DiskAccessesPerLevel(40),
-		p.DiskAccesses2QPerLevel(40),
-		p.DiskAccessesShardedPerLevel(40, 4),
+		visited,
+		level(p.DiskAccessesPerLevel(40)),
+		level(p.DiskAccesses2QPerLevel(40)),
+		level(p.DiskAccessesShardedPerLevel(40, 4)),
 	} {
 		if len(split) != p.LevelCount() {
 			t.Fatalf("split has %d entries, want %d levels", len(split), p.LevelCount())
@@ -70,6 +97,10 @@ func TestPerLevelShapes(t *testing.T) {
 		for lvl, v := range split {
 			if v < 0 || math.IsNaN(v) {
 				t.Errorf("level %d: negative or NaN contribution %g", lvl, v)
+			}
+			// A level cannot miss more often than it is visited.
+			if v > visited[lvl]+1e-12 {
+				t.Errorf("level %d: %g disk accesses > %g node accesses", lvl, v, visited[lvl])
 			}
 		}
 	}
@@ -79,7 +110,7 @@ func TestPerLevelShapes(t *testing.T) {
 // their split entries are exactly zero while deeper levels still do.
 func TestPerLevelPinnedZeroesPinnedLevels(t *testing.T) {
 	p := pointPredictor(t)
-	split, err := p.DiskAccessesPinnedPerLevel(40, 2)
+	_, split, err := p.DiskAccessesPinnedPerLevel(40, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,10 +120,10 @@ func TestPerLevelPinnedZeroesPinnedLevels(t *testing.T) {
 	if split[2] <= 0 {
 		t.Errorf("unpinned leaf level contributes %g, want > 0", split[2])
 	}
-	if _, err := p.DiskAccessesPinnedPerLevel(2, 2); err == nil {
+	if _, _, err := p.DiskAccessesPinnedPerLevel(2, 2); err == nil {
 		t.Error("infeasible pinning accepted")
 	}
-	if _, err := p.DiskAccessesPinnedPerLevel(40, -1); err == nil {
+	if _, _, err := p.DiskAccessesPinnedPerLevel(40, -1); err == nil {
 		t.Error("negative pinLevels accepted")
 	}
 }
@@ -103,9 +134,9 @@ func TestPerLevelBigBufferAllZero(t *testing.T) {
 	p := pointPredictor(t)
 	big := p.NodeCount() + 10
 	for name, split := range map[string][]float64{
-		"lru":     p.DiskAccessesPerLevel(big),
-		"2q":      p.DiskAccesses2QPerLevel(big),
-		"sharded": p.DiskAccessesShardedPerLevel(big, 4),
+		"lru":     level(p.DiskAccessesPerLevel(big)),
+		"2q":      level(p.DiskAccesses2QPerLevel(big)),
+		"sharded": level(p.DiskAccessesShardedPerLevel(big, 4)),
 	} {
 		for lvl, v := range split {
 			if v != 0 {
@@ -121,7 +152,7 @@ func TestPerLevelBigBufferAllZero(t *testing.T) {
 // attributes residuals per level.
 func TestPerLevelRootAbsorbedFirst(t *testing.T) {
 	p := pointPredictor(t)
-	split := p.DiskAccessesPerLevel(40)
+	_, split := p.DiskAccessesPerLevel(40)
 	if split[0] > 1e-9 {
 		t.Errorf("root level EDT = %g, want ~0 (root always resident)", split[0])
 	}

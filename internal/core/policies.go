@@ -166,67 +166,49 @@ func relClose(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-6*(1+math.Max(math.Abs(a), math.Abs(b)))
 }
 
-// DiskAccesses2Q evaluates the 2Q renewal model: the expected disk
-// accesses per query at steady state for a 2Q buffer of bufferSize pages
-// with an A1in of kin pages and an A1out of kout ghosts (pass 0 for the
-// buffer package's default tuning). The conventions match DiskAccesses:
-// a non-positive buffer degenerates to the bufferless EPT and a buffer
-// holding every reachable page yields zero.
-func DiskAccesses2Q(probs []float64, bufferSize, kin, kout int) float64 {
+// twoQ evaluates the 2Q renewal model: the expected disk accesses per
+// query at steady state for a 2Q buffer of bufferSize pages under the
+// buffer package's default A1in/A1out tuning. The three characteristic
+// windows are solved once over the whole tree (they are global queue
+// properties); each page's per-query miss rate is then one term of the
+// sum. The conventions match DiskAccesses: a non-positive buffer
+// degenerates to the bufferless EPT and a buffer holding every reachable
+// page yields zero.
+func (p *Predictor) twoQ(bufferSize int, split []float64) float64 {
 	if bufferSize < 1 {
-		var e float64
-		for _, a := range probs {
-			e += a
-		}
-		return e
+		return p.sum(0, 1, split, p.prob)
 	}
-	if reachable(probs) <= bufferSize {
+	if p.sw.reachable(0) <= bufferSize {
 		return 0
 	}
-	if kin <= 0 {
-		kin = TwoQDefaultKin(bufferSize)
-	}
-	if kout <= 0 {
-		kout = TwoQDefaultKout(bufferSize)
-	}
-	if kin > bufferSize {
-		kin = bufferSize
-	}
-	w := solveTwoQWindows(probs, float64(kin), float64(kout), float64(bufferSize-kin))
-	var e float64
-	for _, a := range probs {
-		if a <= 0 {
-			continue
+	kin := min(TwoQDefaultKin(bufferSize), bufferSize)
+	kout := TwoQDefaultKout(bufferSize)
+	w := solveTwoQWindows(p.flat, float64(kin), float64(kout), float64(bufferSize-kin))
+	return p.sum(0, 1, split, func(i int) float64 {
+		if p.flat[i] <= 0 {
+			return 0
 		}
-		_, _, _, miss := twoQPage(a, w)
-		e += miss
-	}
-	return e
+		_, _, _, miss := twoQPage(p.flat[i], w)
+		return miss
+	})
 }
 
-// DiskAccesses2Q evaluates the 2Q model with the buffer package's
-// default A1in/A1out tuning.
+// DiskAccesses2Q returns the 2Q model's disk accesses per query.
 func (p *Predictor) DiskAccesses2Q(bufferSize int) float64 {
-	return DiskAccesses2Q(p.flat, bufferSize, 0, 0)
+	return p.twoQ(bufferSize, nil)
+}
+
+// DiskAccesses2QPerLevel returns DiskAccesses2Q and its split by tree
+// level.
+func (p *Predictor) DiskAccesses2QPerLevel(bufferSize int) (float64, []float64) {
+	split := make([]float64, p.LevelCount())
+	return p.twoQ(bufferSize, split), split
 }
 
 // --- optimal bound and Clock-Pro ------------------------------------
 
-// DiskAccessesOPT returns the Aho–Denning–Ullman A0 bound: under the
-// model's independent-reference assumption, no demand-paging replacement
-// policy — LRU, 2Q, Clock-Pro, or anything else — can average fewer disk
-// accesses per query than permanently caching the bufferSize hottest
-// pages. Numerically it is DiskAccessesStatic; this name states the
-// optimality claim the policy experiments lean on. The small-buffer
-// caveat on DiskAccessesStatic applies: the paper's LRU approximation
-// can dip below this bound at buffers smaller than a few queries' worth
-// of nodes, where its effective footprint exceeds B.
-func (p *Predictor) DiskAccessesOPT(bufferSize int) float64 {
-	return p.DiskAccessesStatic(bufferSize)
-}
-
 // ClockProBounds brackets Clock-Pro's steady-state disk accesses per
-// query. The lower edge is the A0 optimum (DiskAccessesOPT): Clock-Pro's
+// query. The lower edge is the A0 optimum (DiskAccessesStatic): Clock-Pro's
 // hot set chases exactly the frequently-reused pages A0 caches, and
 // under the independence assumption it cannot beat A0. The upper edge is
 // the LRU model: with the cold target at its maximum Clock-Pro degrades
@@ -236,8 +218,23 @@ func (p *Predictor) DiskAccessesOPT(bufferSize int) float64 {
 // ordered with min/max because of the documented small-buffer optimism
 // of the LRU approximation.
 func (p *Predictor) ClockProBounds(bufferSize int) (lo, hi float64) {
-	opt := p.DiskAccessesOPT(bufferSize)
-	lru := p.DiskAccesses(bufferSize)
+	return p.clockPro(bufferSize, nil)
+}
+
+// ClockProBoundsPerLevel returns ClockProBounds and the per-level split
+// of its LRU edge — the bracket has no split of its own, and the LRU
+// edge is the one a Clock-Pro buffer is monitored against.
+func (p *Predictor) ClockProBoundsPerLevel(bufferSize int) (lo, hi float64, lruSplit []float64) {
+	lruSplit = make([]float64, p.LevelCount())
+	lo, hi = p.clockPro(bufferSize, lruSplit)
+	return lo, hi, lruSplit
+}
+
+// clockPro orders the A0 optimum and the LRU model into the bracket; a
+// non-nil lruSplit receives the LRU edge's per-level split.
+func (p *Predictor) clockPro(bufferSize int, lruSplit []float64) (lo, hi float64) {
+	opt := p.DiskAccessesStatic(bufferSize)
+	lru := p.edt(0, 1, p.WarmupQueries(bufferSize), lruSplit)
 	return math.Min(opt, lru), math.Max(opt, lru)
 }
 
@@ -254,34 +251,36 @@ func shardedCapacity(capacity, n, s int) int {
 	return c
 }
 
-// DiskAccessesSharded models the sharded buffer pool: page p lives in
-// shard p mod shards, each shard runs its own LRU over its round-robin
-// slice of the capacity, and shards do not share frames. The model is
-// the sum of per-shard EDTs over the induced partition of the access
-// probabilities. shards <= 1 is exactly DiskAccesses. Because page IDs
-// are assigned in level order, the modulo partition spreads each level
-// — and with it the hot set — nearly evenly across shards, so the
-// prediction stays within a few percent of the unsharded model: the
-// analytic statement of the shards=1 vs shards=N equivalence figure.
-// (Both directions of deviation occur: a partitioned LRU cannot balance
-// hot pages across shard boundaries, while the Bhide–Dan–Dias fill-
-// point approximation applied per shard is itself slightly optimistic.)
-func DiskAccessesSharded(probs []float64, bufferSize, shards int) float64 {
+// sharded models the sharded buffer pool: page p lives in shard
+// p mod shards, each shard runs its own LRU over its round-robin slice
+// of the capacity, and shards do not share frames. The model is the sum
+// of per-shard EDTs over the induced partition of the access
+// probabilities, each shard at its own fill point; a strided subset has
+// no suffix in the sweeper's tables, so that fill point comes from the
+// reference search over the gathered slice. shards <= 1 is exactly
+// DiskAccesses. Because page IDs are assigned in level order, the modulo
+// partition spreads each level — and with it the hot set — nearly evenly
+// across shards, so the prediction stays within a few percent of the
+// unsharded model: the analytic statement of the shards=1 vs shards=N
+// equivalence figure. (Both directions of deviation occur: a partitioned
+// LRU cannot balance hot pages across shard boundaries, while the
+// Bhide–Dan–Dias fill-point approximation applied per shard is itself
+// slightly optimistic.)
+func (p *Predictor) sharded(bufferSize, shards int, split []float64) float64 {
 	if shards > bufferSize {
 		shards = bufferSize // mirrors buffer.NewShardedPool's clamp
 	}
 	if shards <= 1 {
-		return DiskAccesses(probs, bufferSize)
+		return p.edt(0, 1, p.WarmupQueries(bufferSize), split)
 	}
 	var e float64
-	//lint:allow hotalloc per-shard scratch; model evaluation is setup-time, not per-query
-	shard := make([]float64, 0, (len(probs)+shards-1)/shards)
+	shard := make([]float64, 0, (len(p.flat)+shards-1)/shards)
 	for s := 0; s < shards; s++ {
 		shard = shard[:0]
-		for p := s; p < len(probs); p += shards {
-			shard = append(shard, probs[p])
+		for i := s; i < len(p.flat); i += shards {
+			shard = append(shard, p.flat[i])
 		}
-		e += DiskAccesses(shard, shardedCapacity(bufferSize, shards, s))
+		e += p.edt(s, shards, WarmupQueries(shard, shardedCapacity(bufferSize, shards, s)), split)
 	}
 	return e
 }
@@ -289,5 +288,13 @@ func DiskAccessesSharded(probs []float64, bufferSize, shards int) float64 {
 // DiskAccessesSharded models a sharded LRU pool over this tree (page
 // IDs in level order, matching rtree.AssignPageIDs and the simulator).
 func (p *Predictor) DiskAccessesSharded(bufferSize, shards int) float64 {
-	return DiskAccessesSharded(p.flat, bufferSize, shards)
+	return p.sharded(bufferSize, shards, nil)
+}
+
+// DiskAccessesShardedPerLevel returns DiskAccessesSharded and its split
+// by tree level: every page's contribution lands in the level the page
+// belongs to (the modulo slices interleave levels).
+func (p *Predictor) DiskAccessesShardedPerLevel(bufferSize, shards int) (float64, []float64) {
+	split := make([]float64, p.LevelCount())
+	return p.sharded(bufferSize, shards, split), split
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
@@ -63,17 +64,17 @@ func TestDiskAccesses2QConventions(t *testing.T) {
 	for _, a := range probs {
 		ept += a
 	}
-	if got := DiskAccesses2Q(probs, 0, 0, 0); !almost(got, ept) {
+	if got := flatPredictor(probs).DiskAccesses2Q(0); !almost(got, ept) {
 		t.Errorf("zero buffer: %g, want bufferless EPT %g", got, ept)
 	}
-	if got := DiskAccesses2Q(probs, len(probs), 0, 0); got != 0 {
+	if got := flatPredictor(probs).DiskAccesses2Q(len(probs)); got != 0 {
 		t.Errorf("buffer holding everything: %g, want 0", got)
 	}
 	// Monotone non-increasing in buffer size, and always within the
 	// trivial bounds [0, EPT].
 	prev := math.Inf(1)
 	for _, b := range []int{2, 5, 10, 25, 60, 120, 240} {
-		e := DiskAccesses2Q(probs, b, 0, 0)
+		e := flatPredictor(probs).DiskAccesses2Q(b)
 		if e < 0 || e > ept+1e-9 {
 			t.Fatalf("buffer %d: EDT %g outside [0, %g]", b, e, ept)
 		}
@@ -93,12 +94,12 @@ func TestTwoQModelRespectsOPTBound(t *testing.T) {
 	for _, a := range probs {
 		ept += a
 	}
-	p := &Predictor{flat: probs}
+	p := flatPredictor(probs)
 	for _, b := range []int{30, 60, 120, 200} {
 		if float64(b) < 2*ept {
 			continue
 		}
-		opt := p.DiskAccessesOPT(b)
+		opt := p.DiskAccessesStatic(b)
 		twoq := p.DiskAccesses2Q(b)
 		if twoq < opt-1e-3*(1+opt) {
 			t.Errorf("buffer %d: 2Q model %g below the A0 optimum %g", b, twoq, opt)
@@ -107,7 +108,7 @@ func TestTwoQModelRespectsOPTBound(t *testing.T) {
 }
 
 func TestClockProBoundsOrdered(t *testing.T) {
-	p := &Predictor{flat: skewedProbs(250)}
+	p := flatPredictor(skewedProbs(250))
 	for _, b := range []int{1, 5, 20, 80, 200} {
 		lo, hi := p.ClockProBounds(b)
 		if lo > hi {
@@ -116,16 +117,21 @@ func TestClockProBoundsOrdered(t *testing.T) {
 		if lo < 0 {
 			t.Errorf("buffer %d: negative lower bound %g", b, lo)
 		}
-		opt, lru := p.DiskAccessesOPT(b), p.DiskAccesses(b)
+		opt, lru := p.DiskAccessesStatic(b), p.DiskAccesses(b)
 		if lo != math.Min(opt, lru) || hi != math.Max(opt, lru) {
 			t.Errorf("buffer %d: bracket (%g,%g) not min/max of OPT %g and LRU %g", b, lo, hi, opt, lru)
+		}
+		// The per-level view is the same bracket plus the LRU edge's split.
+		lo2, hi2, split := p.ClockProBoundsPerLevel(b)
+		if _, lruSplit := p.DiskAccessesPerLevel(b); lo2 != lo || hi2 != hi || !slices.Equal(split, lruSplit) {
+			t.Errorf("buffer %d: per-level bracket (%g,%g) %v, want (%g,%g) %v", b, lo2, hi2, split, lo, hi, lruSplit)
 		}
 	}
 }
 
 func TestDiskAccessesShardedIdentityAndCost(t *testing.T) {
 	probs := skewedProbs(320)
-	p := &Predictor{flat: probs}
+	p := flatPredictor(probs)
 	for _, b := range []int{8, 40, 160} {
 		base := p.DiskAccesses(b)
 		if got := p.DiskAccessesSharded(b, 1); got != base {
@@ -168,7 +174,7 @@ func TestTwoQModelAgainstIRMSimulation(t *testing.T) {
 	}
 	probs := skewedProbs(200)
 	for _, b := range []int{20, 60} {
-		model := DiskAccesses2Q(probs, b, 0, 0)
+		model := flatPredictor(probs).DiskAccesses2Q(b)
 		sim := simulateTwoQIRM(probs, b, 40000, 9)
 		// Renewal-approximation accuracy: the same few-percent regime the
 		// paper's LRU figures exhibit, with slack for simulation noise.

@@ -7,25 +7,44 @@ import (
 	"rtreebuf/internal/geom"
 )
 
-// Predictor bundles a tree geometry with evaluated access probabilities so
-// that predictions for many buffer sizes and pinning configurations reuse
-// the expensive probability pass. It is the type most callers want.
+// Predictor bundles a tree's evaluated access probabilities with the
+// cached search state for N*, so that predictions for many buffer sizes,
+// policies and pinning configurations reuse the expensive passes. It is
+// the type most callers want. A Predictor is immutable after construction
+// and safe to share across goroutines.
+//
+// Every policy model here is written once, as a call to sum: the total
+// accumulates in flat node order (the order the reference DiskAccesses
+// uses, so totals equal it bit for bit) and the per-level split, when a
+// caller asks for it, accumulates in the same loop.
 type Predictor struct {
-	levels [][]geom.Rect
-	probs  [][]float64
-	flat   []float64
+	// flat holds the access probabilities level-major, root first — the
+	// page-ID order of rtree.AssignPageIDs and the simulator.
+	flat []float64
+	// start[i] is the flat index of level i's first node;
+	// start[LevelCount()] = NodeCount(). Pinning the top k levels removes
+	// flat[:start[k]] from the model and start[k] pages from the buffer.
+	start []int
+	sw    *sweeper
 }
 
 // NewPredictor evaluates qm over the tree geometry (levels of node MBRs,
 // root first — e.g. from rtree.Tree.Levels).
 func NewPredictor(levels [][]geom.Rect, qm QueryModel) *Predictor {
-	p := &Predictor{
-		levels: levels,
-		probs:  AccessProbs(levels, qm),
-	}
-	for _, lvl := range p.probs {
+	return NewPredictorFromProbs(AccessProbs(levels, qm))
+}
+
+// NewPredictorFromProbs builds a Predictor from already evaluated access
+// probabilities, one slice per level, root first. The buffer model never
+// looks at geometry, so this is how trees with their own query models
+// (the d-dimensional ones of internal/nd) share it.
+func NewPredictorFromProbs(probs [][]float64) *Predictor {
+	p := &Predictor{start: make([]int, 1, len(probs)+1)}
+	for _, lvl := range probs {
 		p.flat = append(p.flat, lvl...)
+		p.start = append(p.start, len(p.flat))
 	}
+	p.sw = newSweeper(p.flat)
 	return p
 }
 
@@ -33,65 +52,130 @@ func NewPredictor(levels [][]geom.Rect, qm QueryModel) *Predictor {
 func (p *Predictor) NodeCount() int { return len(p.flat) }
 
 // LevelCount returns the number of tree levels H+1.
-func (p *Predictor) LevelCount() int { return len(p.levels) }
+func (p *Predictor) LevelCount() int { return len(p.start) - 1 }
 
 // NodesPerLevel returns the per-level node counts M_i, root first.
 func (p *Predictor) NodesPerLevel() []int {
-	out := make([]int, len(p.levels))
-	for i, lvl := range p.levels {
-		out[i] = len(lvl)
+	out := make([]int, p.LevelCount())
+	for i := range out {
+		out[i] = p.start[i+1] - p.start[i]
 	}
 	return out
 }
 
-// Probs returns the per-level access probabilities (shared slice; callers
-// must not mutate).
-func (p *Predictor) Probs() [][]float64 { return p.probs }
+// sum adds term(i) for i = from, from+stride, ... in that order and
+// returns the total. When split is non-nil (one entry per level) every
+// term is also added to its level's entry.
+func (p *Predictor) sum(from, stride int, split []float64, term func(i int) float64) float64 {
+	var total float64
+	lvl := 0
+	for i := from; i < len(p.flat); i += stride {
+		t := term(i)
+		total += t
+		if split != nil {
+			for i >= p.start[lvl+1] {
+				lvl++
+			}
+			split[lvl] += t
+		}
+	}
+	return total
+}
+
+// prob is the EPT term: node i's access probability.
+func (p *Predictor) prob(i int) float64 { return p.flat[i] }
+
+// edt evaluates Equation 6 at fill point nstar over the nodes from,
+// from+stride, ...: zero when the buffer never fills, the bufferless EPT
+// of those nodes when there is no buffer to fill.
+func (p *Predictor) edt(from, stride int, nstar float64, split []float64) float64 {
+	switch {
+	case math.IsInf(nstar, 1):
+		return 0
+	case nstar == 0: //lint:allow floatcmp N* counts queries; exactly zero means a buffer of no pages
+		return p.sum(from, stride, split, p.prob)
+	}
+	//lint:allow hotalloc the literal stays on the stack: the compiler inlines sum here, and the literal into it
+	return p.sum(from, stride, split, func(i int) float64 { return p.sw.term(i, nstar) })
+}
 
 // NodesVisited returns EPT, the expected number of node accesses per query
 // — the bufferless metric the paper argues against using alone.
-func (p *Predictor) NodesVisited() float64 {
-	var s float64
-	for _, a := range p.flat {
-		s += a
-	}
-	return s
+func (p *Predictor) NodesVisited() float64 { return p.sum(0, 1, nil, p.prob) }
+
+// NodesVisitedPerLevel returns EPT and its split by tree level, root
+// first.
+func (p *Predictor) NodesVisitedPerLevel() (float64, []float64) {
+	split := make([]float64, p.LevelCount())
+	return p.sum(0, 1, split, p.prob), split
 }
 
 // WarmupQueries returns N* for the given buffer size (+Inf when the buffer
 // holds every reachable node).
 func (p *Predictor) WarmupQueries(bufferSize int) float64 {
-	return WarmupQueries(p.flat, bufferSize)
+	return p.sw.warmupFrom(0, bufferSize, 0)
 }
 
 // DiskAccesses returns EDT, the expected disk accesses per query at steady
 // state with an LRU buffer of the given page capacity.
 func (p *Predictor) DiskAccesses(bufferSize int) float64 {
-	return DiskAccesses(p.flat, bufferSize)
+	return p.edt(0, 1, p.WarmupQueries(bufferSize), nil)
+}
+
+// DiskAccessesPerLevel returns EDT and its split by tree level: all
+// levels share the buffer's single fill point N*, so level i contributes
+// sum_j A_ij (1-A_ij)^N*.
+func (p *Predictor) DiskAccessesPerLevel(bufferSize int) (float64, []float64) {
+	split := make([]float64, p.LevelCount())
+	return p.edt(0, 1, p.WarmupQueries(bufferSize), split), split
 }
 
 // PinnedPages returns the number of pages occupied by pinning the top
 // pinLevels levels (levels 0..pinLevels-1).
 func (p *Predictor) PinnedPages(pinLevels int) int {
-	n := 0
-	for i := 0; i < pinLevels && i < len(p.levels); i++ {
-		n += len(p.levels[i])
-	}
-	return n
+	return p.start[max(0, min(pinLevels, p.LevelCount()))]
 }
 
 // MaxPinnableLevels returns the largest number of top levels whose total
 // page count fits in a buffer of the given size.
 func (p *Predictor) MaxPinnableLevels(bufferSize int) int {
-	total, lvl := 0, 0
-	for lvl < len(p.levels) {
-		total += len(p.levels[lvl])
-		if total > bufferSize {
-			return lvl
-		}
+	lvl := 0
+	for lvl < p.LevelCount() && p.start[lvl+1] <= bufferSize {
 		lvl++
 	}
 	return lvl
+}
+
+// firstUnpinned returns the flat index of the first node below the top
+// pinLevels levels — which is also P, the pages those levels occupy.
+func (p *Predictor) firstUnpinned(pinLevels int) (int, error) {
+	if pinLevels < 0 || pinLevels > p.LevelCount() {
+		return 0, fmt.Errorf("core: pinLevels %d outside [0,%d]", pinLevels, p.LevelCount())
+	}
+	return p.start[pinLevels], nil
+}
+
+// pinnedFill resolves a pinning configuration (see DiskAccessesPinned):
+// the flat index of the first unpinned node and the fill point N* the
+// levels from there on share over the B - P pages the pins leave.
+func (p *Predictor) pinnedFill(bufferSize, pinLevels int) (from int, nstar float64, err error) {
+	from, err = p.firstUnpinned(pinLevels)
+	if err != nil {
+		return 0, 0, err
+	}
+	if from > bufferSize {
+		return 0, 0, fmt.Errorf("core: pinning %d levels needs %d pages > buffer %d",
+			pinLevels, from, bufferSize)
+	}
+	return from, p.sw.warmupFrom(from, bufferSize-from, 0), nil
+}
+
+// WarmupQueriesPinned returns the fill point of a buffer whose top
+// pinLevels levels are pinned: the N* DiskAccessesPinned evaluates
+// Equation 6 at.
+func (p *Predictor) WarmupQueriesPinned(bufferSize, pinLevels int) (float64, error) {
+	_, nstar, err := p.pinnedFill(bufferSize, pinLevels)
+	return nstar, err
 }
 
 // DiskAccessesPinned returns EDT when the top pinLevels levels are pinned
@@ -102,19 +186,81 @@ func (p *Predictor) MaxPinnableLevels(bufferSize int) int {
 // reduces to DiskAccesses. An error is returned when the pinned levels do
 // not fit in the buffer.
 func (p *Predictor) DiskAccessesPinned(bufferSize, pinLevels int) (float64, error) {
-	if pinLevels < 0 || pinLevels > len(p.levels) {
-		return 0, fmt.Errorf("core: pinLevels %d outside [0,%d]", pinLevels, len(p.levels))
+	from, nstar, err := p.pinnedFill(bufferSize, pinLevels)
+	if err != nil {
+		return 0, err
 	}
-	pinned := p.PinnedPages(pinLevels)
-	if pinned > bufferSize {
-		return 0, fmt.Errorf("core: pinning %d levels needs %d pages > buffer %d",
-			pinLevels, pinned, bufferSize)
+	return p.edt(from, 1, nstar, nil), nil
+}
+
+// DiskAccessesPinnedPerLevel returns DiskAccessesPinned and its split by
+// level: the pinned top levels contribute exactly zero.
+func (p *Predictor) DiskAccessesPinnedPerLevel(bufferSize, pinLevels int) (float64, []float64, error) {
+	from, nstar, err := p.pinnedFill(bufferSize, pinLevels)
+	if err != nil {
+		return 0, nil, err
 	}
-	var rest []float64
-	for i := pinLevels; i < len(p.probs); i++ {
-		rest = append(rest, p.probs[i]...)
+	split := make([]float64, p.LevelCount())
+	return p.edt(from, 1, nstar, split), split, nil
+}
+
+// sweep evaluates the LRU model over the nodes from..M at every buffer
+// size in bufferSizes, of which the first `from` pages are taken by the
+// pinned levels above; results come back in input order. Sizes are
+// processed ascending, where each search warm-starts from the previous
+// N*; input order is arbitrary and duplicates are fine.
+func (p *Predictor) sweep(from int, bufferSizes []int) []float64 {
+	//lint:allow hotalloc result materialization, one slice per sweep
+	out := make([]float64, len(bufferSizes))
+	//lint:allow hotalloc one-time per-sweep index of the requested sizes
+	order := make([]int, len(bufferSizes))
+	for i := range order {
+		order[i] = i
 	}
-	return DiskAccesses(rest, bufferSize-pinned), nil
+	// Insertion sort by buffer size: sweep lists are a dozen entries, and
+	// avoiding sort.Slice keeps this path allocation-free.
+	for i := 1; i < len(order); i++ {
+		for j := i; j > 0 && bufferSizes[order[j]] < bufferSizes[order[j-1]]; j-- {
+			order[j], order[j-1] = order[j-1], order[j]
+		}
+	}
+	nstar := 0.0
+	for k, idx := range order {
+		if k > 0 && bufferSizes[idx] == bufferSizes[order[k-1]] {
+			out[idx] = out[order[k-1]]
+			continue
+		}
+		nstar = p.sw.warmupFrom(from, bufferSizes[idx]-from, nstar)
+		out[idx] = p.edt(from, 1, nstar, nil)
+	}
+	return out
+}
+
+// DiskAccessesSweep returns EDT at every buffer size in bufferSizes (in
+// input order), identical to calling DiskAccesses per size but with each
+// search warm-started from the next smaller size's N*. This is the path
+// the figure experiments use.
+func (p *Predictor) DiskAccessesSweep(bufferSizes []int) []float64 {
+	return p.sweep(0, bufferSizes)
+}
+
+// DiskAccessesPinnedSweep returns EDT with the top pinLevels levels
+// pinned, at every buffer size in bufferSizes (in input order). Sizes too
+// small to hold the pinned levels yield NaN — the sweep analogue of the
+// per-size DiskAccessesPinned error; feasible sizes match it exactly. An
+// error is returned only when pinLevels itself is out of range.
+func (p *Predictor) DiskAccessesPinnedSweep(bufferSizes []int, pinLevels int) ([]float64, error) {
+	from, err := p.firstUnpinned(pinLevels)
+	if err != nil {
+		return nil, err
+	}
+	out := p.sweep(from, bufferSizes)
+	for i, b := range bufferSizes {
+		if from > b {
+			out[i] = math.NaN()
+		}
+	}
+	return out, nil
 }
 
 // PinningImprovement returns the relative reduction in disk accesses from

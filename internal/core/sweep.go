@@ -1,25 +1,28 @@
 package core
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
-// This file implements the buffer-size-sweep fast path. Every figure of
-// the paper evaluates EDT at a dozen buffer sizes over the same tree, and
-// the naive loop re-derives log1p(-A_ij) for every node at every binary-
-// search probe of every buffer size. A sweeper hoists the per-node work
-// out of the sweep:
+// This file is how a Predictor finds N*. Every figure of the paper
+// evaluates EDT at a dozen buffer sizes over the same tree, and the
+// reference WarmupQueries re-derives log1p(-A_ij) for every node at every
+// binary-search probe of every buffer size. A sweeper, built once per
+// Predictor, hoists the per-node work out of every search:
 //
 //   - log1p(-A_ij) is computed once per node and cached;
 //   - N* is monotone non-decreasing in B (D(N) >= B gets harder to meet
-//     as B grows), so each buffer size's binary search warm-starts from
-//     the previous, smaller size's N*;
+//     as B grows), so each buffer size's binary search can warm-start
+//     from a smaller size's N*;
 //   - the D(N) >= B predicate inside the search exits early, using suffix
 //     bounds over the node array, as soon as the comparison is decided.
 //
-// Exactness is part of the contract: DiskAccessesSweep returns the same
-// floats as per-size DiskAccesses calls (the test asserts 1e-12, the
+// The suffix bounds are what let one sweeper serve every pinning
+// configuration: pinning the top levels removes a prefix of the level-
+// major node array from the model, so every search and every Equation 6
+// sum takes the index of its first node.
+//
+// Exactness is part of the contract: a sweeper returns the same N* and
+// the same Equation 6 terms as the reference WarmupQueries and
+// DiskAccesses (the tests assert it over every probability regime; the
 // implementation is bit-identical). That rules out the tempting trick of
 // summing nodes in probability-sorted order with a truncated tail —
 // reordering a float sum changes its rounding. Instead the predicate
@@ -32,11 +35,15 @@ import (
 // margin far above accumulated rounding error. Inconclusive probes simply
 // run to completion and reproduce the reference sum bit for bit.
 
-// sweeper caches the per-node quantities shared by every buffer size of a
-// sweep over one probability vector.
+// sweeper caches the per-node quantities shared by every buffer size and
+// pinning configuration over one probability vector. It is read-only
+// after newSweeper.
 type sweeper struct {
 	probs []float64
-	// logs[i] = log1p(-probs[i]) for probs[i] in (0,1); unused otherwise.
+	// logs[i] = log1p(-probs[i]) for probs[i] in (0,1). Outside it the
+	// entry encodes pow1m's conventions for a positive query count: 0 for
+	// probs[i] <= 0 (the power is 1) and -Inf for probs[i] >= 1 (the
+	// power is 0), so exp(n*logs[i]) is (1-A)^n for every node.
 	logs []float64
 	// Suffix data over the original node order, indexed 0..m (entry m is
 	// the empty tail): how many tail nodes have probability >= 1, how many
@@ -45,9 +52,6 @@ type sweeper struct {
 	onesTail   []int
 	activeTail []int
 	minLogTail []float64
-	// reachable is the number of nodes with positive probability, the
-	// asymptote of D(N).
-	reachable int
 }
 
 // sweepBoundsBlock is how many nodes the predicate accumulates between
@@ -63,14 +67,12 @@ const predicateGuard = 1e-6
 
 func newSweeper(probs []float64) *sweeper {
 	m := len(probs)
-	// The sweeper's arrays are one-time per-sweep precomputation,
-	// amortized over every buffer size of the sweep.
-	s := &sweeper{ //lint:allow hotalloc one-time per-sweep precomputation
+	s := &sweeper{
 		probs:      probs,
-		logs:       make([]float64, m),   //lint:allow hotalloc one-time per-sweep precomputation
-		onesTail:   make([]int, m+1),     //lint:allow hotalloc one-time per-sweep precomputation
-		activeTail: make([]int, m+1),     //lint:allow hotalloc one-time per-sweep precomputation
-		minLogTail: make([]float64, m+1), //lint:allow hotalloc one-time per-sweep precomputation
+		logs:       make([]float64, m),
+		onesTail:   make([]int, m+1),
+		activeTail: make([]int, m+1),
+		minLogTail: make([]float64, m+1),
 	}
 	for i := m - 1; i >= 0; i-- {
 		a := probs[i]
@@ -81,8 +83,8 @@ func newSweeper(probs []float64) *sweeper {
 		case a <= 0:
 			// unreachable node; contributes nothing
 		case a >= 1:
+			s.logs[i] = math.Inf(-1)
 			s.onesTail[i]++
-			s.reachable++
 		default:
 			l := math.Log1p(-a)
 			s.logs[i] = l
@@ -90,20 +92,25 @@ func newSweeper(probs []float64) *sweeper {
 				s.minLogTail[i] = l
 			}
 			s.activeTail[i]++
-			s.reachable++
 		}
 	}
 	return s
 }
 
-// distinctAtLeast reports whether D(n) >= b, agreeing exactly with
-// comparing a full DistinctNodes evaluation against b (same terms, same
-// order, same rounding) while exiting early once the comparison is
-// decided.
-func (s *sweeper) distinctAtLeast(n, b float64) bool {
+// reachable returns how many of the nodes from..m have positive
+// probability — the asymptote of D(N) over them.
+func (s *sweeper) reachable(from int) int {
+	return s.onesTail[from] + s.activeTail[from]
+}
+
+// distinctAtLeast reports whether D(n) >= b over the nodes from..m,
+// agreeing exactly with comparing a full DistinctNodes evaluation of
+// probs[from:] against b (same terms, same order, same rounding) while
+// exiting early once the comparison is decided.
+func (s *sweeper) distinctAtLeast(from int, n, b float64) bool {
 	var d float64
 	m := len(s.probs)
-	for i := 0; i < m; {
+	for i := from; i < m; {
 		end := i + sweepBoundsBlock
 		if end > m {
 			end = m
@@ -137,15 +144,16 @@ func (s *sweeper) distinctAtLeast(n, b float64) bool {
 	return d >= b
 }
 
-// warmupFrom returns N* for the given buffer size, warm-starting the
-// search from prev, a lower bound on N* (pass 0, or the N* of any buffer
-// size <= bufferSize: D(N) < B' <= B for all N below that N*).
-func (s *sweeper) warmupFrom(bufferSize int, prev float64) float64 {
+// warmupFrom returns N* for bufferSize pages shared by the nodes
+// from..m, warm-starting the search from prev, a lower bound on N* (pass
+// 0, or the N* of any buffer size <= bufferSize over the same nodes:
+// D(N) < B' <= B for all N below that N*).
+func (s *sweeper) warmupFrom(from, bufferSize int, prev float64) float64 {
 	if bufferSize <= 0 {
 		return 0
 	}
 	b := float64(bufferSize)
-	if float64(s.reachable) <= b {
+	if float64(s.reachable(from)) <= b {
 		return math.Inf(1)
 	}
 	var lo int64
@@ -160,7 +168,7 @@ func (s *sweeper) warmupFrom(bufferSize int, prev float64) float64 {
 	if hi < 1 {
 		hi = 1
 	}
-	for !s.distinctAtLeast(float64(hi), b) {
+	for !s.distinctAtLeast(from, float64(hi), b) {
 		if hi >= searchCap {
 			return math.Inf(1)
 		}
@@ -172,7 +180,7 @@ func (s *sweeper) warmupFrom(bufferSize int, prev float64) float64 {
 	}
 	for lo < hi {
 		mid := lo + (hi-lo)/2
-		if s.distinctAtLeast(float64(mid), b) {
+		if s.distinctAtLeast(from, float64(mid), b) {
 			hi = mid
 		} else {
 			lo = mid + 1
@@ -181,113 +189,9 @@ func (s *sweeper) warmupFrom(bufferSize int, prev float64) float64 {
 	return float64(lo)
 }
 
-// edt evaluates Equation 6 at a known N*, reproducing DiskAccesses'
-// arithmetic exactly with the cached logs.
-func (s *sweeper) edt(nstar float64) float64 {
-	if math.IsInf(nstar, 1) {
-		return 0
-	}
-	var e float64
-	for i, a := range s.probs {
-		switch {
-		case a <= 0:
-			e += a // a * (1-a)^n with pow1m's a<=0 convention of 1
-		case a >= 1:
-			if nstar == 0 { //lint:allow floatcmp pow1m's exact 0^0 = 1 convention
-				e += a
-			}
-			// else the term is exactly 0
-		default:
-			e += a * math.Exp(nstar*s.logs[i])
-		}
-	}
-	return e
-}
-
-// DiskAccessesSweep evaluates DiskAccesses(probs, b) for every buffer
-// size in bufferSizes, returned in input order. Results are identical to
-// per-size DiskAccesses calls; the sweep is much cheaper because the
-// log1p pass runs once, each binary search warm-starts from the next
-// smaller size's N*, and the search predicate exits early (see the file
-// comment). Input order is arbitrary and duplicates are fine — the sweep
-// internally processes sizes ascending, where the warm start applies.
-func DiskAccessesSweep(probs []float64, bufferSizes []int) []float64 {
-	//lint:allow hotalloc result materialization, one slice per sweep
-	out := make([]float64, len(bufferSizes))
-	if len(bufferSizes) == 0 {
-		return out
-	}
-	s := newSweeper(probs)
-	//lint:allow hotalloc one-time per-sweep index of the requested sizes
-	order := make([]int, len(bufferSizes))
-	for i := range order {
-		order[i] = i
-	}
-	// Insertion sort by buffer size: sweep lists are a dozen entries, and
-	// avoiding sort.Slice keeps this path closure- and allocation-free.
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && bufferSizes[order[j]] < bufferSizes[order[j-1]]; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
-	prevN := 0.0
-	prevB := 0
-	prevEDT := 0.0
-	for k, idx := range order {
-		b := bufferSizes[idx]
-		if k > 0 && b == prevB {
-			out[idx] = prevEDT
-			continue
-		}
-		nstar := s.warmupFrom(b, prevN)
-		e := s.edt(nstar)
-		out[idx] = e
-		prevN, prevB, prevEDT = nstar, b, e
-	}
-	return out
-}
-
-// DiskAccessesSweep returns EDT at every buffer size in bufferSizes (in
-// input order), equal to calling DiskAccesses per size but sharing the
-// probability-pass work across the whole sweep. This is the fast path the
-// figure experiments use: a Fig. 6-style sweep costs one log pass plus a
-// handful of warm-started search probes instead of a full search per size.
-func (p *Predictor) DiskAccessesSweep(bufferSizes []int) []float64 {
-	return DiskAccessesSweep(p.flat, bufferSizes)
-}
-
-// DiskAccessesPinnedSweep returns EDT with the top pinLevels levels
-// pinned, at every buffer size in bufferSizes (in input order). Sizes too
-// small to hold the pinned levels yield NaN — the sweep analogue of the
-// per-size DiskAccessesPinned error; feasible sizes match it exactly. An
-// error is returned only when pinLevels itself is out of range.
-func (p *Predictor) DiskAccessesPinnedSweep(bufferSizes []int, pinLevels int) ([]float64, error) {
-	if pinLevels < 0 || pinLevels > len(p.levels) {
-		return nil, fmt.Errorf("core: pinLevels %d outside [0,%d]", pinLevels, len(p.levels))
-	}
-	pinned := p.PinnedPages(pinLevels)
-	var rest []float64
-	for i := pinLevels; i < len(p.probs); i++ {
-		//lint:allow hotalloc one-time flattening of the unpinned levels per sweep
-		rest = append(rest, p.probs[i]...)
-	}
-	//lint:allow hotalloc result materialization, one slice per sweep
-	out := make([]float64, len(bufferSizes))
-	//lint:allow hotalloc per-sweep scratch for the feasible sizes
-	adj := make([]int, 0, len(bufferSizes))
-	//lint:allow hotalloc per-sweep scratch for the feasible sizes
-	pos := make([]int, 0, len(bufferSizes))
-	for i, b := range bufferSizes {
-		if pinned > b {
-			out[i] = math.NaN()
-			continue
-		}
-		adj = append(adj, b-pinned)
-		pos = append(pos, i)
-	}
-	vals := DiskAccessesSweep(rest, adj)
-	for j, i := range pos {
-		out[i] = vals[j]
-	}
-	return out, nil
+// term returns node i's term of Equation 6 at a fill point nstar > 0,
+// A(1-A)^nstar, reproducing the reference a * pow1m(a, nstar) exactly
+// with the cached log.
+func (s *sweeper) term(i int, nstar float64) float64 {
+	return s.probs[i] * math.Exp(nstar*s.logs[i])
 }

@@ -47,19 +47,24 @@ func sweepProbSets() map[string][]float64 {
 	}
 }
 
-// The sweep's contract: identical results to per-size DiskAccesses, for
-// unsorted inputs with duplicates, across every probability regime.
+// flatPredictor is a Predictor over a bare probability vector: one level.
+func flatPredictor(probs []float64) *Predictor {
+	return NewPredictorFromProbs([][]float64{probs})
+}
+
+// The sweep's contract: identical results to the reference per-size
+// DiskAccesses, for unsorted inputs with duplicates, across every
+// probability regime.
 func TestDiskAccessesSweepMatchesPerSize(t *testing.T) {
 	buffers := []int{100, 2, 500, 10, 10, 0, 1, 250, 5000, 3, 100000}
 	for name, probs := range sweepProbSets() {
 		t.Run(name, func(t *testing.T) {
-			got := DiskAccessesSweep(probs, buffers)
+			got := flatPredictor(probs).DiskAccessesSweep(buffers)
 			if len(got) != len(buffers) {
 				t.Fatalf("got %d results for %d sizes", len(got), len(buffers))
 			}
 			for i, b := range buffers {
-				want := DiskAccesses(probs, b)
-				if math.Abs(got[i]-want) > 1e-12 {
+				if want := DiskAccesses(probs, b); got[i] != want {
 					t.Errorf("buffer %d: sweep %.17g, per-size %.17g", b, got[i], want)
 				}
 			}
@@ -69,50 +74,81 @@ func TestDiskAccessesSweepMatchesPerSize(t *testing.T) {
 
 // Order of the requested sizes must not matter.
 func TestDiskAccessesSweepOrderIndependent(t *testing.T) {
-	probs := sweepProbSets()["skewed"]
+	p := flatPredictor(sweepProbSets()["skewed"])
 	asc := []int{2, 10, 50, 200, 1000}
 	desc := []int{1000, 200, 50, 10, 2}
-	a := DiskAccessesSweep(probs, asc)
-	d := DiskAccessesSweep(probs, desc)
+	a := p.DiskAccessesSweep(asc)
+	d := p.DiskAccessesSweep(desc)
 	for i := range asc {
 		if a[i] != d[len(desc)-1-i] {
 			t.Errorf("buffer %d: ascending %.17g != descending %.17g", asc[i], a[i], d[len(desc)-1-i])
 		}
 	}
-	if got := DiskAccessesSweep(probs, nil); len(got) != 0 {
+	if got := p.DiskAccessesSweep(nil); len(got) != 0 {
 		t.Errorf("nil sizes: got %v", got)
 	}
 }
 
-// The warm-started search must return exactly the reference N* even when
-// consecutive buffer sizes share it or jump past the doubling range.
+// same reports whether two model outputs are the same float64, counting
+// +Inf (the buffer never fills) as equal to itself.
+func same(a, b float64) bool {
+	return a == b || (math.IsInf(a, 1) && math.IsInf(b, 1))
+}
+
+// The package-level WarmupQueries and DiskAccesses are the oracle: the
+// warm-started search must return exactly the reference N* even when
+// consecutive buffer sizes share it or jump past the doubling range, and
+// every Predictor view of the LRU model — plain, and pinned at every
+// level boundary, where the search starts inside the sweeper's node array
+// — must return the reference's floats.
 func TestSweeperWarmupMatchesReference(t *testing.T) {
+	buffers := []int{1, 2, 3, 10, 11, 64, 65, 1000, 100000}
 	for name, probs := range sweepProbSets() {
 		s := newSweeper(probs)
 		prev := 0.0
 		prevB := 0
-		for _, b := range []int{1, 2, 3, 10, 11, 64, 65, 1000, 100000} {
+		for _, b := range buffers {
 			want := WarmupQueries(probs, b)
-			got := s.warmupFrom(b, prev)
-			if got != want && !(math.IsInf(got, 1) && math.IsInf(want, 1)) {
+			got := s.warmupFrom(0, b, prev)
+			if !same(got, want) {
 				t.Errorf("%s buffer %d (prev N* %g for buffer %d): warm-start N* %g, reference %g",
 					name, b, prev, prevB, got, want)
 			}
 			prev, prevB = got, b
 		}
-	}
-}
 
-func levelsFromProbs(perLevel [][]float64) ([][]geom.Rect, *Predictor) {
-	levels := make([][]geom.Rect, len(perLevel))
-	for i, ps := range perLevel {
-		levels[i] = make([]geom.Rect, len(ps))
+		// Three levels: a root, a tenth of the rest, the remainder.
+		cut := min(1, len(probs))
+		mid := cut + (len(probs)-cut)/10
+		p := NewPredictorFromProbs([][]float64{probs[:cut], probs[cut:mid], probs[mid:]})
+		for _, b := range buffers {
+			if got, want := p.WarmupQueries(b), WarmupQueries(probs, b); !same(got, want) {
+				t.Errorf("%s buffer %d: Predictor N* %g, reference %g", name, b, got, want)
+			}
+			if got, want := p.DiskAccesses(b), DiskAccesses(probs, b); got != want {
+				t.Errorf("%s buffer %d: Predictor EDT %.17g, reference %.17g", name, b, got, want)
+			}
+			for pin, from := range []int{0, cut, mid, len(probs)} {
+				got, err := p.DiskAccessesPinned(b, pin)
+				nstar, nerr := p.WarmupQueriesPinned(b, pin)
+				if from > b {
+					if err == nil || nerr == nil {
+						t.Errorf("%s buffer %d pin %d: %d pinned pages accepted", name, b, pin, from)
+					}
+					continue
+				}
+				if err != nil || nerr != nil {
+					t.Fatalf("%s buffer %d pin %d: %v, %v", name, b, pin, err, nerr)
+				}
+				if want := DiskAccesses(probs[from:], b-from); got != want {
+					t.Errorf("%s buffer %d pin %d: pinned EDT %.17g, reference %.17g", name, b, pin, got, want)
+				}
+				if want := WarmupQueries(probs[from:], b-from); !same(nstar, want) {
+					t.Errorf("%s buffer %d pin %d: pinned N* %g, reference %g", name, b, pin, nstar, want)
+				}
+			}
+		}
 	}
-	p := &Predictor{levels: levels, probs: perLevel}
-	for _, lvl := range perLevel {
-		p.flat = append(p.flat, lvl...)
-	}
-	return levels, p
 }
 
 func TestDiskAccessesPinnedSweepMatchesPerSize(t *testing.T) {
@@ -123,7 +159,7 @@ func TestDiskAccessesPinnedSweepMatchesPerSize(t *testing.T) {
 			lvl[i] = rng.Float64() * 0.2
 		}
 	}
-	_, p := levelsFromProbs(perLevel)
+	p := NewPredictorFromProbs(perLevel)
 
 	buffers := []int{1, 5, 20, 31, 32, 100, 2000}
 	for pin := 0; pin <= 3; pin++ {
@@ -139,7 +175,7 @@ func TestDiskAccessesPinnedSweepMatchesPerSize(t *testing.T) {
 				}
 				continue
 			}
-			if math.Abs(vals[i]-want) > 1e-12 {
+			if vals[i] != want {
 				t.Errorf("pin %d buffer %d: sweep %.17g, per-size %.17g", pin, b, vals[i], want)
 			}
 		}
@@ -173,7 +209,7 @@ func TestPredictorSweepOnGeometry(t *testing.T) {
 	buffers := []int{1, 4, 16, 64, 256, 1024, 4096}
 	got := p.DiskAccessesSweep(buffers)
 	for i, b := range buffers {
-		if want := p.DiskAccesses(b); math.Abs(got[i]-want) > 1e-12 {
+		if want := p.DiskAccesses(b); got[i] != want {
 			t.Errorf("buffer %d: sweep %.17g, per-size %.17g", b, got[i], want)
 		}
 	}
@@ -190,12 +226,13 @@ func benchSweepProbs() []float64 {
 
 var benchBuffers = []int{2, 5, 10, 25, 50, 75, 100, 150, 200, 300, 400, 500}
 
-// BenchmarkDiskAccessesSweep measures the sweep fast path against...
+// BenchmarkDiskAccessesSweep measures a Predictor built and swept (the
+// log pass is part of the cost) against...
 func BenchmarkDiskAccessesSweep(b *testing.B) {
 	probs := benchSweepProbs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = DiskAccessesSweep(probs, benchBuffers)
+		_ = flatPredictor(probs).DiskAccessesSweep(benchBuffers)
 	}
 }
 

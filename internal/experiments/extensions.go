@@ -96,9 +96,15 @@ func runExtWarmup(cfg Config) (*Report, error) {
 		counts[i] = float64(c)
 	}
 	model := pred.WarmupCurve(buffer, counts)
-	measured, err := sim.Transient(t.Levels(), sim.UniformPoints{}, buffer, cfg.seed(), checkpoints)
+	trace, err := sim.TraceWarmup(t.Levels(), sim.UniformPoints{}, sim.Config{BufferSize: buffer, Seed: cfg.seed()}, checkpoints)
 	if err != nil {
 		return nil, err
+	}
+	// A cold buffer has missed nothing before its first query; the trace
+	// samples the positive checkpoints.
+	measured := make([]uint64, 1, len(checkpoints))
+	for _, pt := range trace.Points {
+		measured = append(measured, pt.Misses)
 	}
 
 	tbl := Table{

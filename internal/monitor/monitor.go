@@ -68,55 +68,39 @@ type Prediction struct {
 // sharded pool gets the per-shard partition model.
 func PredictionFor(pred *core.Predictor, policy string, bufferSize, pinLevels, shards int) (Prediction, error) {
 	p := Prediction{
-		Policy:        policy,
-		BufferSize:    bufferSize,
-		PinLevels:     pinLevels,
-		Shards:        shards,
-		NodesPerQuery: pred.NodesVisited(),
-		LevelNodes:    pred.NodesVisitedPerLevel(),
+		Policy:     policy,
+		BufferSize: bufferSize,
+		PinLevels:  pinLevels,
+		Shards:     shards,
 	}
+	p.NodesPerQuery, p.LevelNodes = pred.NodesVisitedPerLevel()
 	if policy == "" {
 		p.Policy = "lru"
 	}
-	if pinLevels > 0 {
-		edt, err := pred.DiskAccessesPinned(bufferSize, pinLevels)
-		if err != nil {
-			return Prediction{}, err
-		}
-		split, err := pred.DiskAccessesPinnedPerLevel(bufferSize, pinLevels)
-		if err != nil {
-			return Prediction{}, err
-		}
+	switch {
+	case pinLevels > 0:
+		var err error
 		p.Model = "lru model (pinned)"
-		p.DiskPerQuery = edt
-		p.LevelDisk = split
-		return p, nil
-	}
-	switch policy {
-	case "2q":
+		p.DiskPerQuery, p.LevelDisk, err = pred.DiskAccessesPinnedPerLevel(bufferSize, pinLevels)
+		if err != nil {
+			return Prediction{}, err
+		}
+	case policy == "2q":
 		p.Model = "2q renewal model"
-		p.DiskPerQuery = pred.DiskAccesses2Q(bufferSize)
-		p.LevelDisk = pred.DiskAccesses2QPerLevel(bufferSize)
-		return p, nil
-	case "clockpro":
-		lo, hi := pred.ClockProBounds(bufferSize)
+		p.DiskPerQuery, p.LevelDisk = pred.DiskAccesses2QPerLevel(bufferSize)
+	case policy == "clockpro":
 		p.Model = "clockpro bracket upper edge"
-		p.DiskPerQuery = hi
-		p.BracketLo, p.BracketHi = lo, hi
 		// The bracket has no per-level split of its own; the LRU split is
 		// the monitored per-level reference (the bracket's upper edge).
-		p.LevelDisk = pred.DiskAccessesPerLevel(bufferSize)
-		return p, nil
-	}
-	if shards > 1 {
+		p.BracketLo, p.BracketHi, p.LevelDisk = pred.ClockProBoundsPerLevel(bufferSize)
+		p.DiskPerQuery = p.BracketHi
+	case shards > 1:
 		p.Model = fmt.Sprintf("sharded(%d) lru model", shards)
-		p.DiskPerQuery = pred.DiskAccessesSharded(bufferSize, shards)
-		p.LevelDisk = pred.DiskAccessesShardedPerLevel(bufferSize, shards)
-		return p, nil
+		p.DiskPerQuery, p.LevelDisk = pred.DiskAccessesShardedPerLevel(bufferSize, shards)
+	default:
+		p.Model = "lru model"
+		p.DiskPerQuery, p.LevelDisk = pred.DiskAccessesPerLevel(bufferSize)
 	}
-	p.Model = "lru model"
-	p.DiskPerQuery = pred.DiskAccesses(bufferSize)
-	p.LevelDisk = pred.DiskAccessesPerLevel(bufferSize)
 	return p, nil
 }
 

@@ -89,42 +89,19 @@ type QueryModel interface {
 	AccessProb(mbr Rect) float64
 }
 
-// Predictor bundles tree geometry with evaluated probabilities; the
-// buffer mathematics delegate to internal/core, which is
-// dimension-agnostic by construction.
-type Predictor struct {
-	flat []float64
-	ept  float64
-}
-
-// NewPredictor evaluates qm over the levels of a d-dimensional tree.
-func NewPredictor(levels [][]Rect, qm QueryModel) *Predictor {
-	p := &Predictor{}
-	for _, lvl := range levels {
-		for _, r := range lvl {
-			a := qm.AccessProb(r)
-			p.flat = append(p.flat, a)
-			p.ept += a
+// NewPredictor evaluates qm over the levels of a d-dimensional tree. The
+// buffer mathematics never look at geometry, so the result is the 2-D
+// package's Predictor: every buffer-size, pinning and policy model of
+// internal/core applies unchanged.
+func NewPredictor(levels [][]Rect, qm QueryModel) *core.Predictor {
+	probs := make([][]float64, len(levels))
+	for i, lvl := range levels {
+		probs[i] = make([]float64, len(lvl))
+		for j, r := range lvl {
+			probs[i][j] = qm.AccessProb(r)
 		}
 	}
-	return p
-}
-
-// NodesVisited returns EPT.
-func (p *Predictor) NodesVisited() float64 { return p.ept }
-
-// NodeCount returns M.
-func (p *Predictor) NodeCount() int { return len(p.flat) }
-
-// WarmupQueries returns N* (delegating to the 2-D core buffer model,
-// which never looks at geometry).
-func (p *Predictor) WarmupQueries(bufferSize int) float64 {
-	return core.WarmupQueries(p.flat, bufferSize)
-}
-
-// DiskAccesses returns EDT.
-func (p *Predictor) DiskAccesses(bufferSize int) float64 {
-	return core.DiskAccesses(p.flat, bufferSize)
+	return core.NewPredictorFromProbs(probs)
 }
 
 // SimulatePointQueries runs a small LRU validation simulation with

@@ -75,13 +75,13 @@ func (idx *pointIndex) cellOf(p geom.Point) (ix, iy int) {
 	return ix, iy
 }
 
-// candidates appends to dst the pages whose hit rectangle may contain p,
-// in ascending page order, and returns dst. Points outside the indexed
-// bounds have no candidates.
-func (idx *pointIndex) candidates(p geom.Point, dst []int32) []int32 {
+// candidates returns the pages whose hit rectangle may contain p, in
+// ascending page order: the index's own cell list, which callers must not
+// modify. Points outside the indexed bounds have no candidates.
+func (idx *pointIndex) candidates(p geom.Point) []int32 {
 	if !idx.bounds.ContainsPoint(p) {
-		return dst
+		return nil
 	}
 	ix, iy := idx.cellOf(p)
-	return append(dst, idx.cells[iy*idx.res+ix]...) //lint:allow hotalloc dst grows once per run, then is reused
+	return idx.cells[iy*idx.res+ix]
 }

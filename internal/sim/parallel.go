@@ -32,10 +32,6 @@ import (
 // replica measures at least one batch. FillQueries is replica 0's
 // observation; HitRatio pools the accesses of all replicas.
 func RunParallel(levels [][]geom.Rect, w Workload, cfg Config) (Result, error) {
-	cfg = cfg.withDefaults()
-	if cfg.BufferSize < 1 {
-		return Result{}, fmt.Errorf("sim: buffer size %d < 1", cfg.BufferSize)
-	}
 	g, err := prepare(levels, w, !cfg.BruteForce)
 	if err != nil {
 		return Result{}, err
@@ -46,9 +42,9 @@ func RunParallel(levels [][]geom.Rect, w Workload, cfg Config) (Result, error) {
 // RunPreparedParallel is RunParallel over an already-prepared geometry,
 // which is shared read-only by all replicas.
 func RunPreparedParallel(g *Geometry, w Workload, cfg Config) (Result, error) {
-	cfg = cfg.withDefaults()
-	if cfg.BufferSize < 1 {
-		return Result{}, fmt.Errorf("sim: buffer size %d < 1", cfg.BufferSize)
+	cfg, err := cfg.checked()
+	if err != nil {
+		return Result{}, err
 	}
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -91,7 +87,7 @@ func RunPreparedParallel(g *Geometry, w Workload, cfg Config) (Result, error) {
 			if regs != nil {
 				rcfg.Metrics = regs[r]
 			}
-			results[r], errs[r] = runReplica(g, w, rcfg, r, batches)
+			results[r], errs[r] = runReplica(g.source(w, cfg, r), g.levelOf, rcfg, r, batches)
 		}(r, batches)
 	}
 	wg.Wait()

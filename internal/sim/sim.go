@@ -222,17 +222,6 @@ type Geometry struct {
 	idx      *pointIndex
 }
 
-// numLevels returns how many tree levels the geometry spans.
-func (g *Geometry) numLevels() int {
-	n := 0
-	for _, lvl := range g.levelOf {
-		if lvl+1 > n {
-			n = lvl + 1
-		}
-	}
-	return n
-}
-
 // Prepare flattens the tree geometry (levels of node MBRs, root first)
 // under the workload and builds the candidate index.
 func Prepare(levels [][]geom.Rect, w Workload) (*Geometry, error) {
@@ -265,6 +254,45 @@ func prepare(levels [][]geom.Rect, w Workload, buildIndex bool) (*Geometry, erro
 	return g, nil
 }
 
+// touched appends to dst the pages whose hit rectangle contains the test
+// point p — the nodes the query accesses — in ascending page order, and
+// returns dst. The grid index narrows the scan to one cell's candidates;
+// without it (no index built, or bruteForce) every node is tested. Both
+// paths yield the same pages in the same order.
+func (g *Geometry) touched(p geom.Point, bruteForce bool, dst []int32) []int32 {
+	if g.idx == nil || bruteForce {
+		for page := range g.hitRects {
+			if g.hitRects[page].ContainsPoint(p) {
+				dst = append(dst, int32(page)) //lint:allow hotalloc scratch grows once, then is reused
+			}
+		}
+		return dst
+	}
+	for _, page := range g.idx.candidates(p) {
+		if g.hitRects[page].ContainsPoint(p) {
+			dst = append(dst, page) //lint:allow hotalloc scratch grows once, then is reused
+		}
+	}
+	return dst
+}
+
+// source issues one query and appends the pages it touches to dst, in the
+// order the buffer sees them. The flattened MBR list (Geometry.source)
+// and a traced tree search (RunTraced) are the two sources; everything
+// downstream of a source — buffer, warm-up, batches, metrics, monitor —
+// is shared.
+type source func(dst []int32) []int32
+
+// source returns the paper's access source for one replica: draw a test
+// point from w on the replica's stream and touch every node whose hit
+// rectangle contains it.
+func (g *Geometry) source(w Workload, cfg Config, replica int) source {
+	rng, bruteForce := replicaStream(cfg.Seed, replica), cfg.BruteForce
+	return func(dst []int32) []int32 { //lint:allow hotalloc one source closure per replica
+		return g.touched(w.Next(rng), bruteForce, dst)
+	}
+}
+
 // replicaStream returns the deterministic PCG stream of one replica.
 // Replica 0 is exactly the stream Run uses, so a one-replica parallel
 // run reproduces the serial reference bit for bit; higher replicas get
@@ -273,10 +301,31 @@ func replicaStream(seed uint64, replica int) *rand.Rand {
 	return rand.New(rand.NewPCG(seed, (seed^0x9e3779b97f4a7c15)+uint64(replica))) //lint:allow hotalloc one RNG per replica
 }
 
-// newPolicy builds the replica-private replacement policy with the top
+// checked applies the defaults and validates what every entry point
+// requires of a Config.
+func (c Config) checked() (Config, error) {
+	c = c.withDefaults()
+	if c.BufferSize < 1 {
+		return c, fmt.Errorf("sim: buffer size %d < 1", c.BufferSize)
+	}
+	return c, nil
+}
+
+// replica is one cold buffer fed by one access source: the state every
+// kind of run — steady-state, traced, cold-start — advances one query at
+// a time.
+type replica struct {
+	next  source
+	lru   buffer.Policy
+	pages []int32 // the last query's touched pages; scratch reused across queries
+	fill  int     // first cold-start query after which the buffer was full (0 = not yet)
+}
+
+// newReplica builds the replica-private replacement policy over pages
+// numbered like levelOf (page -> tree level, level-major) with the top
 // PinLevels levels pinned.
-func (c Config) newPolicy(g *Geometry) (buffer.Policy, error) {
-	m := len(g.hitRects)
+func (c Config) newReplica(next source, levelOf []int) (*replica, error) {
+	m := len(levelOf)
 	var lru buffer.Policy
 	if c.Policy != nil {
 		lru = c.Policy(c.BufferSize, m)
@@ -287,18 +336,35 @@ func (c Config) newPolicy(g *Geometry) (buffer.Policy, error) {
 		// Attach the obs mirror before pinning so pin faults are
 		// mirrored too.
 		lru.SetMetrics(buffer.NewMetrics(c.Metrics, buffer.PolicyName(lru)).
-			WithLevels(g.levelOf, g.numLevels()))
+			WithLevels(levelOf, levelOf[m-1]+1))
 	}
-	if c.PinLevels > 0 {
-		for page := 0; page < m; page++ {
-			if g.levelOf[page] < c.PinLevels {
-				if err := lru.Pin(page); err != nil {
-					return nil, fmt.Errorf("sim: pinning %d levels: %w", c.PinLevels, err)
-				}
-			}
+	for page := 0; page < m && levelOf[page] < c.PinLevels; page++ {
+		if err := lru.Pin(page); err != nil {
+			return nil, fmt.Errorf("sim: pinning %d levels: %w", c.PinLevels, err)
 		}
 	}
-	return lru, nil
+	return &replica{next: next, lru: lru}, nil //lint:allow hotalloc one replica per run
+}
+
+// query issues one query through the buffer and returns its node
+// accesses and buffer misses; r.pages holds the touched pages afterwards.
+func (r *replica) query() (accesses, misses int) {
+	r.pages = r.next(r.pages[:0])
+	for _, page := range r.pages {
+		if !r.lru.Access(int(page)) {
+			misses++
+		}
+	}
+	return len(r.pages), misses
+}
+
+// coldQuery is query number q of a cold start: it also records the fill
+// point, the empirical N*.
+func (r *replica) coldQuery(q int) {
+	r.query()
+	if r.fill == 0 && r.lru.Full() {
+		r.fill = q
+	}
 }
 
 // replicaResult is one replica's contribution to a run: its batch means,
@@ -313,41 +379,11 @@ type replicaResult struct {
 }
 
 // runReplica executes warm-up plus the given number of batches against a
-// replica-private buffer, drawing queries from the replica's own stream.
-func runReplica(g *Geometry, w Workload, cfg Config, replica, batches int) (replicaResult, error) {
-	lru, err := cfg.newPolicy(g)
+// replica-private buffer, drawing queries from the replica's own source.
+func runReplica(next source, levelOf []int, cfg Config, id, batches int) (replicaResult, error) {
+	r, err := cfg.newReplica(next, levelOf)
 	if err != nil {
 		return replicaResult{}, err
-	}
-	rng := replicaStream(cfg.Seed, replica)
-	useIdx := g.idx != nil && !cfg.BruteForce
-	m := len(g.hitRects)
-
-	// Candidate scratch reused across queries.
-	var scratch []int32
-	runQuery := func() (accesses, misses int) { //lint:allow hotalloc one query closure per replica
-		p := w.Next(rng)
-		if useIdx {
-			scratch = g.idx.candidates(p, scratch[:0]) //lint:allow hotalloc scratch grows once, then is reused
-			for _, page := range scratch {
-				if g.hitRects[page].ContainsPoint(p) {
-					accesses++
-					if !lru.Access(int(page)) {
-						misses++
-					}
-				}
-			}
-			return accesses, misses
-		}
-		for page := 0; page < m; page++ {
-			if g.hitRects[page].ContainsPoint(p) {
-				accesses++
-				if !lru.Access(page) {
-					misses++
-				}
-			}
-		}
-		return accesses, misses
 	}
 
 	// Obs handles; nil (free no-ops) when no registry is attached.
@@ -361,7 +397,7 @@ func runReplica(g *Geometry, w Workload, cfg Config, replica, batches int) (repl
 	// stream equals the serial reference feeds it, so a monitored run is
 	// deterministic and compares one buffer against the model.
 	mon := cfg.Monitor
-	if replica != 0 {
+	if id != 0 {
 		mon = nil
 	}
 
@@ -370,13 +406,11 @@ func runReplica(g *Geometry, w Workload, cfg Config, replica, batches int) (repl
 		nodeBatch: make([]float64, batches), //lint:allow hotalloc per-replica batch accumulators
 	}
 	for q := 1; q <= cfg.Warmup; q++ {
-		runQuery()
+		r.coldQuery(q)
 		warmupQueries.Inc()
-		if rr.fill == 0 && lru.Full() {
-			rr.fill = q
-		}
 	}
-	lru.ResetStats()
+	rr.fill = r.fill
+	r.lru.ResetStats()
 	// Rebase after warm-up: the obs counters are cumulative (ResetStats
 	// zeroes only the policy's own stats), so the monitor captures the
 	// post-warm-up counter values as its window baseline.
@@ -385,7 +419,7 @@ func runReplica(g *Geometry, w Workload, cfg Config, replica, batches int) (repl
 	for b := 0; b < batches; b++ {
 		var disk, nodes int
 		for i := 0; i < cfg.BatchSize; i++ {
-			a, m := runQuery()
+			a, m := r.query()
 			nodes += a
 			disk += m
 			queriesTotal.Inc()
@@ -397,8 +431,8 @@ func runReplica(g *Geometry, w Workload, cfg Config, replica, batches int) (repl
 		rr.disk += disk
 		rr.nodes += nodes
 	}
-	rr.hitRatio = lru.HitRatio()
-	if replica == 0 {
+	rr.hitRatio = r.lru.HitRatio()
+	if id == 0 {
 		// The observed buffer-fill point N̂* — the empirical counterpart
 		// of the analytic N* — is replica 0's observation, matching
 		// Result.FillQueries.
@@ -407,15 +441,31 @@ func runReplica(g *Geometry, w Workload, cfg Config, replica, batches int) (repl
 	return rr, nil
 }
 
+// runSerial is the one-replica run behind RunPrepared and RunTraced:
+// replica 0 measures every batch.
+func runSerial(next source, levelOf []int, cfg Config) (Result, error) {
+	if cfg.Monitor != nil && cfg.Metrics == nil {
+		return Result{}, fmt.Errorf("sim: Monitor requires Metrics (the monitor reads the buffer counters)")
+	}
+	rr, err := runReplica(next, levelOf, cfg, 0, cfg.Batches)
+	if err != nil {
+		return Result{}, err
+	}
+	cfg.Metrics.Gauge("sim_hit_ratio").Set(rr.hitRatio)
+	return Result{
+		DiskPerQuery:  stats.BatchMeans(rr.diskBatch, cfg.Confidence),
+		NodesPerQuery: stats.BatchMeans(rr.nodeBatch, cfg.Confidence),
+		HitRatio:      rr.hitRatio,
+		FillQueries:   rr.fill,
+		Queries:       cfg.Batches * cfg.BatchSize,
+	}, nil
+}
+
 // Run simulates the workload against the tree geometry (levels of node
 // MBRs, root first) and returns steady-state measurements. Run is the
 // serial reference implementation; RunParallel reproduces it with the
 // batch budget spread over replicas.
 func Run(levels [][]geom.Rect, w Workload, cfg Config) (Result, error) {
-	cfg = cfg.withDefaults()
-	if cfg.BufferSize < 1 {
-		return Result{}, fmt.Errorf("sim: buffer size %d < 1", cfg.BufferSize)
-	}
 	g, err := prepare(levels, w, !cfg.BruteForce)
 	if err != nil {
 		return Result{}, err
@@ -428,23 +478,9 @@ func Run(levels [][]geom.Rect, w Workload, cfg Config) (Result, error) {
 // RunPrepared per buffer size of a sweep). The workload must be the one
 // the geometry was prepared with.
 func RunPrepared(g *Geometry, w Workload, cfg Config) (Result, error) {
-	cfg = cfg.withDefaults()
-	if cfg.BufferSize < 1 {
-		return Result{}, fmt.Errorf("sim: buffer size %d < 1", cfg.BufferSize)
-	}
-	if cfg.Monitor != nil && cfg.Metrics == nil {
-		return Result{}, fmt.Errorf("sim: Monitor requires Metrics (the monitor reads the buffer counters)")
-	}
-	rr, err := runReplica(g, w, cfg, 0, cfg.Batches)
+	cfg, err := cfg.checked()
 	if err != nil {
 		return Result{}, err
 	}
-	cfg.Metrics.Gauge("sim_hit_ratio").Set(rr.hitRatio)
-	return Result{
-		DiskPerQuery:  stats.BatchMeans(rr.diskBatch, cfg.Confidence),
-		NodesPerQuery: stats.BatchMeans(rr.nodeBatch, cfg.Confidence),
-		HitRatio:      rr.hitRatio,
-		FillQueries:   rr.fill,
-		Queries:       cfg.Batches * cfg.BatchSize,
-	}, nil
+	return runSerial(g.source(w, cfg, 0), g.levelOf, cfg)
 }

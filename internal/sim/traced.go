@@ -2,17 +2,16 @@ package sim
 
 import (
 	"fmt"
-	"math/rand/v2"
 
-	"rtreebuf/internal/buffer"
 	"rtreebuf/internal/geom"
 	"rtreebuf/internal/rtree"
-	"rtreebuf/internal/stats"
 )
 
 // RunTraced simulates the workload by executing real traced R-tree
-// searches (rtree.TraceWindow) against the LRU, instead of testing the
-// flattened MBR list. The set of nodes touched per query is identical to
+// searches (rtree.TraceWindow) against the buffer, instead of testing the
+// flattened MBR list: the tree is one more access source under the
+// driver Run uses, so Policy, PinLevels, Metrics and Monitor mean here
+// what they mean there. The set of nodes touched per query is identical to
 // the MBR-list simulation by construction (a node is visited iff its MBR
 // intersects the query); what can differ is the *order* pages hit the
 // LRU within one query — DFS for a real search, level order for the
@@ -24,65 +23,23 @@ import (
 // reconstructed from the workload's test point, which the paper's three
 // models all permit.
 func RunTraced(t *rtree.Tree, w Workload, order rtree.TraceOrder, cfg Config) (Result, error) {
-	cfg = cfg.withDefaults()
-	if cfg.BufferSize < 1 {
-		return Result{}, fmt.Errorf("sim: buffer size %d < 1", cfg.BufferSize)
+	cfg, err := cfg.checked()
+	if err != nil {
+		return Result{}, err
 	}
 	queryRect, err := queryFromTestPoint(w)
 	if err != nil {
 		return Result{}, err
 	}
-	pages := t.AssignPageIDs()
-	lru := buffer.NewLRU(cfg.BufferSize, pages)
-	if cfg.PinLevels > 0 {
-		pageLevels := t.PageLevels()
-		for page, lvl := range pageLevels {
-			if lvl < cfg.PinLevels {
-				if err := lru.Pin(page); err != nil {
-					return Result{}, fmt.Errorf("sim: pinning %d levels: %w", cfg.PinLevels, err)
-				}
-			}
-		}
-	}
-
-	rng := rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0x9e3779b97f4a7c15))
-	res := Result{}
-	runQuery := func() (accesses, misses int) {
-		q := queryRect(w.Next(rng))
-		t.TraceWindow(q, order, false, func(v rtree.NodeVisit) {
-			accesses++
-			if !lru.Access(v.Page) {
-				misses++
-			}
+	t.AssignPageIDs()
+	rng := replicaStream(cfg.Seed, 0)
+	next := func(dst []int32) []int32 {
+		t.TraceWindow(queryRect(w.Next(rng)), order, false, func(v rtree.NodeVisit) {
+			dst = append(dst, int32(v.Page))
 		})
-		return accesses, misses
+		return dst
 	}
-
-	for q := 1; q <= cfg.Warmup; q++ {
-		runQuery()
-		if res.FillQueries == 0 && lru.Full() {
-			res.FillQueries = q
-		}
-	}
-	lru.ResetStats()
-
-	diskBatch := make([]float64, cfg.Batches)
-	nodeBatch := make([]float64, cfg.Batches)
-	for b := 0; b < cfg.Batches; b++ {
-		var disk, nodes int
-		for i := 0; i < cfg.BatchSize; i++ {
-			a, m := runQuery()
-			nodes += a
-			disk += m
-		}
-		diskBatch[b] = float64(disk) / float64(cfg.BatchSize)
-		nodeBatch[b] = float64(nodes) / float64(cfg.BatchSize)
-	}
-	res.DiskPerQuery = stats.BatchMeans(diskBatch, cfg.Confidence)
-	res.NodesPerQuery = stats.BatchMeans(nodeBatch, cfg.Confidence)
-	res.HitRatio = lru.HitRatio()
-	res.Queries = cfg.Batches * cfg.BatchSize
-	return res, nil
+	return runSerial(next, t.PageLevels(), cfg)
 }
 
 // queryFromTestPoint inverts a workload's test-point convention back into

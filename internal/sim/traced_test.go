@@ -2,10 +2,13 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
+	"rtreebuf/internal/buffer"
 	"rtreebuf/internal/datagen"
 	"rtreebuf/internal/geom"
+	"rtreebuf/internal/obs"
 	"rtreebuf/internal/pack"
 	"rtreebuf/internal/rtree"
 )
@@ -127,5 +130,60 @@ func TestTracedPinning(t *testing.T) {
 	}
 	if res.DiskPerQuery.Mean > base.DiskPerQuery.Mean+0.01 {
 		t.Errorf("pinning hurt: %g vs %g", res.DiskPerQuery.Mean, base.DiskPerQuery.Mean)
+	}
+}
+
+// RunTraced runs under the same driver as Run, so it honours the whole
+// Config: a non-LRU Policy changes the result and lands where the
+// MBR-list simulator lands under that policy, and a registry collects the
+// same series without changing any number.
+func TestTracedHonoursPolicyAndMetrics(t *testing.T) {
+	tr := tracedFixture(t)
+	w, err := NewUniformRegions(0.05, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lruCfg := Config{BufferSize: 60, Batches: 8, BatchSize: 10000, Seed: 33}
+	clockCfg := lruCfg
+	clockCfg.Policy = func(capacity, numPages int) buffer.Policy { return buffer.NewClock(capacity, numPages) }
+
+	lru, err := RunTraced(tr, w, rtree.TraceDFS, lruCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock, err := RunTraced(tr, w, rtree.TraceDFS, clockCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if clock.DiskPerQuery.Mean == lru.DiskPerQuery.Mean {
+		t.Errorf("CLOCK and LRU traced runs both report %g disk accesses: Policy ignored", lru.DiskPerQuery.Mean)
+	}
+	g, err := Prepare(tr.Levels(), w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mbr, err := RunPrepared(g, w, clockCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := math.Max(mbr.DiskPerQuery.Mean, 0.05)
+	if math.Abs(clock.DiskPerQuery.Mean-mbr.DiskPerQuery.Mean)/base > 0.03 {
+		t.Errorf("CLOCK: traced %g vs MBR-list %g disk accesses",
+			clock.DiskPerQuery.Mean, mbr.DiskPerQuery.Mean)
+	}
+
+	reg := obs.NewRegistry()
+	withMetrics := clockCfg
+	withMetrics.Metrics = reg
+	observed, err := RunTraced(tr, w, rtree.TraceDFS, withMetrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(observed, clock) {
+		t.Errorf("metrics changed the result:\n with    %+v\n without %+v", observed, clock)
+	}
+	want := float64(clockCfg.Batches * clockCfg.BatchSize)
+	if got, ok := snapValue(t, reg, "sim_queries_total"); !ok || got != want {
+		t.Errorf("sim_queries_total = %v (ok=%v), want %v", got, ok, want)
 	}
 }

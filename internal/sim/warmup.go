@@ -2,7 +2,7 @@ package sim
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"rtreebuf/internal/geom"
 )
@@ -34,9 +34,9 @@ type WarmupTrace struct {
 // hit rate at each count in queryCounts. Counts are sorted and deduped;
 // non-positive counts are dropped.
 func TraceWarmup(levels [][]geom.Rect, w Workload, cfg Config, queryCounts []int) (WarmupTrace, error) {
-	cfg = cfg.withDefaults()
-	if cfg.BufferSize < 1 {
-		return WarmupTrace{}, fmt.Errorf("sim: buffer size %d < 1", cfg.BufferSize)
+	cfg, err := cfg.checked()
+	if err != nil {
+		return WarmupTrace{}, err
 	}
 	counts := make([]int, 0, len(queryCounts))
 	for _, n := range queryCounts {
@@ -44,8 +44,8 @@ func TraceWarmup(levels [][]geom.Rect, w Workload, cfg Config, queryCounts []int
 			counts = append(counts, n)
 		}
 	}
-	sort.Ints(counts)
-	counts = dedupInts(counts)
+	slices.Sort(counts)
+	counts = slices.Compact(counts)
 	if len(counts) == 0 {
 		return WarmupTrace{}, fmt.Errorf("sim: no positive query counts to trace")
 	}
@@ -54,48 +54,25 @@ func TraceWarmup(levels [][]geom.Rect, w Workload, cfg Config, queryCounts []int
 	if err != nil {
 		return WarmupTrace{}, err
 	}
-	lru, err := cfg.newPolicy(g)
+	r, err := cfg.newReplica(g.source(w, cfg, 0), g.levelOf)
 	if err != nil {
 		return WarmupTrace{}, err
 	}
-	rng := replicaStream(cfg.Seed, 0)
-	useIdx := g.idx != nil && !cfg.BruteForce
-	m := len(g.hitRects)
 
-	seen := make([]bool, m)
+	seen := make([]bool, len(g.hitRects))
 	distinct := 0
-	touch := func(page int) {
-		if !seen[page] {
-			seen[page] = true
-			distinct++
-		}
-		lru.Access(page)
-	}
-
 	tr := WarmupTrace{BufferSize: cfg.BufferSize}
-	var scratch []int32
 	next := 0
 	for q := 1; q <= counts[len(counts)-1]; q++ {
-		p := w.Next(rng)
-		if useIdx {
-			scratch = g.idx.candidates(p, scratch[:0])
-			for _, page := range scratch {
-				if g.hitRects[page].ContainsPoint(p) {
-					touch(int(page))
-				}
+		r.coldQuery(q)
+		for _, page := range r.pages {
+			if !seen[page] {
+				seen[page] = true
+				distinct++
 			}
-		} else {
-			for page := 0; page < m; page++ {
-				if g.hitRects[page].ContainsPoint(p) {
-					touch(page)
-				}
-			}
-		}
-		if tr.FillQueries == 0 && lru.Full() {
-			tr.FillQueries = q
 		}
 		if q == counts[next] {
-			hits, misses, _ := lru.Stats()
+			hits, misses, _ := r.lru.Stats()
 			pt := WarmupPoint{Queries: q, DistinctPages: distinct, Misses: misses}
 			if total := hits + misses; total > 0 {
 				pt.HitRate = float64(hits) / float64(total)
@@ -104,20 +81,9 @@ func TraceWarmup(levels [][]geom.Rect, w Workload, cfg Config, queryCounts []int
 			next++
 		}
 	}
+	tr.FillQueries = r.fill
 
-	if cfg.Metrics != nil {
-		cfg.Metrics.Gauge("sim_observed_fill_query").Set(float64(tr.FillQueries))
-		cfg.Metrics.Gauge("sim_observed_distinct_pages").Set(float64(distinct))
-	}
+	cfg.Metrics.Gauge("sim_observed_fill_query").Set(float64(tr.FillQueries))
+	cfg.Metrics.Gauge("sim_observed_distinct_pages").Set(float64(distinct))
 	return tr, nil
-}
-
-func dedupInts(sorted []int) []int {
-	out := sorted[:0]
-	for i, v := range sorted {
-		if i == 0 || v != sorted[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
 }

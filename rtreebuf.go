@@ -142,8 +142,10 @@ type (
 	NDParams = nd.Params
 	// NDTree is a packed, read-only d-dimensional R-tree.
 	NDTree = nd.Tree
-	// NDPredictor evaluates the cost model in d dimensions.
-	NDPredictor = nd.Predictor
+	// NDPredictor evaluates the cost model in d dimensions. It is
+	// core.Predictor — the same type as Predictor: only the access
+	// probabilities depend on dimension, the buffer model does not.
+	NDPredictor = core.Predictor
 )
 
 // LoadND bulk-loads a d-dimensional tree with Hilbert-sort packing.
