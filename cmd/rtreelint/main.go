@@ -1,13 +1,13 @@
 // Command rtreelint runs the repository's project-specific static
-// analyzers (internal/analysis) over the module and exits nonzero on any
-// non-baselined finding. It is stdlib-only and needs no tools beyond the
-// Go toolchain:
+// analyzers (internal/analysis) over the module and exits 1 on any
+// finding, 2 when it cannot run (bad flag, unknown analyzer, no module).
+// It is stdlib-only and needs no tools beyond the Go toolchain:
 //
 //	go run ./cmd/rtreelint ./...
 //
 // Findings print as "file:line:col: analyzer: message". Intentional
 // exceptions are annotated in the source with //lint:allow <analyzer>;
-// known findings awaiting fixes live in the baseline file.
+// there is no other way to park a finding, so the linter always enforces.
 //
 // Flags:
 //
@@ -23,10 +23,6 @@
 //	-explain rule    print a durability rule's definition, the DESIGN.md §7e
 //	                 protocol step it encodes, and its witness format, then
 //	                 exit (unknown rule names exit 2, matching -only)
-//	-baseline file   accepted-findings file (default: <root>/.rtreelint-baseline
-//	                 when present); baselined findings are reported but not fatal
-//	-no-baseline     enforcing mode: ignore any baseline file (for nightly CI)
-//	-write-baseline  rewrite the baseline file to accept all current findings
 //
 // Unknown analyzer names in -only/-skip are an error (exit 2): a typo must
 // not silently disable a check.
@@ -34,13 +30,15 @@
 // The package patterns on the command line are accepted for familiarity
 // ("./...") but the whole module is always loaded; per-package analyzers
 // restrict themselves to their declared targets, and the module-wide
-// analyzers (lockcheck, hotalloc, iopurity) see everything.
+// analyzers (marked in -list) see everything.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -48,122 +46,112 @@ import (
 	"rtreebuf/internal/analysis"
 )
 
-// defaultBaseline is the conventional baseline location at the module root.
-const defaultBaseline = ".rtreelint-baseline"
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func main() {
-	root := flag.String("root", "", "module root to analyze (default: nearest go.mod upward from the working directory)")
-	list := flag.Bool("list", false, "list analyzers and exit")
-	only := flag.String("only", "", "run only these `analyzers` (comma-separated)")
-	skip := flag.String("skip", "", "run all but these `analyzers` (comma-separated)")
-	jsonOut := flag.Bool("json", false, "emit findings as JSON on stdout")
-	sarifPath := flag.String("sarif", "", "also write findings as SARIF 2.1.0 to `file`")
-	factsOf := flag.String("facts", "", "dump call-graph facts and effect traces for functions matching `name` and exit")
-	explainOf := flag.String("explain", "", "explain the durability `rule` (definition, protocol step, witness format) and exit")
-	baselinePath := flag.String("baseline", "", "baseline `file` of accepted findings (default: <root>/"+defaultBaseline+" if present)")
-	noBaseline := flag.Bool("no-baseline", false, "enforcing mode: ignore any baseline file")
-	writeBaseline := flag.Bool("write-baseline", false, "rewrite the baseline file accepting all current findings")
-	flag.Parse()
+// run is the whole command: it parses args, writes findings to stdout and
+// diagnostics to stderr, and returns the exit code (0 clean, 1 findings,
+// 2 could not run).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("rtreelint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	root := fs.String("root", "", "module root to analyze (default: nearest go.mod upward from the working directory)")
+	list := fs.Bool("list", false, "list analyzers and exit")
+	only := fs.String("only", "", "run only these `analyzers` (comma-separated)")
+	skip := fs.String("skip", "", "run all but these `analyzers` (comma-separated)")
+	jsonOut := fs.Bool("json", false, "emit findings as JSON on stdout")
+	sarifPath := fs.String("sarif", "", "also write findings as SARIF 2.1.0 to `file`")
+	factsOf := fs.String("facts", "", "dump call-graph facts and effect traces for functions matching `name` and exit")
+	explainOf := fs.String("explain", "", "explain the durability `rule` (definition, protocol step, witness format) and exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		printf(stderr, "rtreelint: %v\n", err)
+		return 2
+	}
 
 	if *explainOf != "" {
-		explainRule(*explainOf)
-		return
+		text, err := explainRule(*explainOf)
+		if err != nil {
+			return fail(err)
+		}
+		printf(stdout, "%s", text)
+		return 0
 	}
 
 	analyzers, err := selectAnalyzers(analysis.Analyzers(), *only, *skip)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	if *list {
 		for _, a := range analyzers {
-			fmt.Printf("%-10s %s\n", a.Name, a.Doc)
+			printf(stdout, "%-10s %s\n", a.Name, a.Doc)
 			if a.CheckModule != nil {
-				fmt.Printf("           module-wide (call-graph facts)\n")
+				printf(stdout, "           module-wide (call-graph facts)\n")
 			}
 			for _, t := range a.Targets {
-				fmt.Printf("           target %s\n", t)
+				printf(stdout, "           target %s\n", t)
 			}
 		}
-		return
+		return 0
 	}
 
 	dir := *root
 	if dir == "" {
 		wd, err := os.Getwd()
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		dir, err = analysis.FindModuleRoot(wd)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	}
 
 	pkgs, err := analysis.LoadModule(dir)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
 	if *factsOf != "" {
-		dumpFacts(pkgs, *factsOf)
-		return
+		text, err := dumpFacts(pkgs, *factsOf)
+		if err != nil {
+			return fail(err)
+		}
+		printf(stdout, "%s", text)
+		return 0
 	}
 
 	findings := analysis.Run(pkgs, analyzers)
-
-	bpath := *baselinePath
-	if bpath == "" && !*noBaseline {
-		if p := filepath.Join(dir, defaultBaseline); fileExists(p) {
-			bpath = p
-		}
-	}
-	if *noBaseline {
-		bpath = ""
-	}
-	if *writeBaseline {
-		if bpath == "" {
-			bpath = filepath.Join(dir, defaultBaseline)
-		}
-		if err := analysis.WriteBaseline(bpath, dir, findings); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "rtreelint: wrote %d finding(s) to %s\n", len(findings), bpath)
-		return
-	}
-	baseline, err := analysis.LoadBaseline(bpath)
-	if err != nil {
-		fatal(err)
-	}
-
-	var fresh []analysis.Finding
-	baselined := 0
-	for _, f := range findings {
-		if baseline.Match(dir, f) {
-			baselined++
-		} else {
-			fresh = append(fresh, f)
-		}
-	}
-
 	if *sarifPath != "" {
-		if err := writeSARIFFile(*sarifPath, dir, analyzers, fresh); err != nil {
-			fatal(err)
+		if err := writeSARIFFile(*sarifPath, dir, analyzers, findings); err != nil {
+			return fail(err)
 		}
 	}
 	if *jsonOut {
-		printJSON(fresh)
+		if err := printJSON(stdout, findings); err != nil {
+			return fail(err)
+		}
 	} else {
-		for _, f := range fresh {
-			fmt.Println(relativize(f))
+		for _, f := range findings {
+			printf(stdout, "%s\n", relativize(f))
 		}
 	}
-	if baselined > 0 {
-		fmt.Fprintf(os.Stderr, "rtreelint: %d baselined finding(s) suppressed (see %s)\n", baselined, bpath)
+	if len(findings) > 0 {
+		printf(stderr, "rtreelint: %d finding(s)\n", len(findings))
+		return 1
 	}
-	if len(fresh) > 0 {
-		fmt.Fprintf(os.Stderr, "rtreelint: %d finding(s)\n", len(fresh))
-		os.Exit(1)
-	}
+	return 0
+}
+
+// printf writes best-effort: a stream that cannot be written to leaves no
+// better place to report the failure, and the exit status carries the
+// verdict regardless.
+func printf(w io.Writer, format string, args ...any) {
+	_, _ = fmt.Fprintf(w, format, args...)
 }
 
 // selectAnalyzers applies the -only/-skip filters. An unknown name is an
@@ -243,7 +231,7 @@ type jsonFinding struct {
 	Message  string `json:"message"`
 }
 
-func printJSON(findings []analysis.Finding) {
+func printJSON(w io.Writer, findings []analysis.Finding) error {
 	out := make([]jsonFinding, 0, len(findings))
 	for _, f := range findings {
 		out = append(out, jsonFinding{
@@ -254,48 +242,48 @@ func printJSON(findings []analysis.Finding) {
 			Message:  f.Message,
 		})
 	}
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		fatal(err)
-	}
+	return enc.Encode(out)
 }
 
 // explainRule prints one durability rule's full definition: its temporal
 // shape, the effect sets it quantifies over, the functions it scopes to,
 // the DESIGN.md §7e protocol step it encodes, and what a violation's
-// witness chain points at. Unknown names exit 2, matching -only's
-// contract that a typo must not read as "no such problem".
-func explainRule(name string) {
+// witness chain points at. Unknown names are an error (exit 2), matching
+// -only's contract that a typo must not read as "no such problem".
+func explainRule(name string) (string, error) {
 	r := analysis.RuleByName(name)
 	if r == nil {
 		var known []string
 		for _, r := range analysis.Rules() {
 			known = append(known, r.Name)
 		}
-		fatal(fmt.Errorf("unknown rule %q (rules: %s)", name, strings.Join(known, ", ")))
+		return "", fmt.Errorf("unknown rule %q (rules: %s)", name, strings.Join(known, ", "))
 	}
-	fmt.Printf("rule %s (analyzer %s)\n", r.Name, r.Analyzer)
-	fmt.Printf("  kind:    %s\n", r.Kind)
-	fmt.Printf("  A:       %s\n", r.A)
+	var w strings.Builder
+	fmt.Fprintf(&w, "rule %s (analyzer %s)\n", r.Name, r.Analyzer)
+	fmt.Fprintf(&w, "  kind:    %s\n", r.Kind)
+	fmt.Fprintf(&w, "  A:       %s\n", r.A)
 	if r.B != 0 {
-		fmt.Printf("  B:       %s\n", r.B)
+		fmt.Fprintf(&w, "  B:       %s\n", r.B)
 	}
 	if r.C != 0 {
-		fmt.Printf("  C:       %s\n", r.C)
+		fmt.Fprintf(&w, "  C:       %s\n", r.C)
 	}
 	if len(r.Scope) == 0 {
-		fmt.Printf("  scope:   every module function\n")
+		fmt.Fprintf(&w, "  scope:   every module function\n")
 	} else {
 		var specs []string
 		for _, s := range r.Scope {
 			specs = append(specs, s.String())
 		}
-		fmt.Printf("  scope:   %s\n", strings.Join(specs, ", "))
+		fmt.Fprintf(&w, "  scope:   %s\n", strings.Join(specs, ", "))
 	}
-	fmt.Printf("  invariant: %s\n", r.Doc)
-	fmt.Printf("  protocol:  %s\n", r.Step)
-	fmt.Printf("  witness:   %s\n", r.Witness)
+	fmt.Fprintf(&w, "  invariant: %s\n", r.Doc)
+	fmt.Fprintf(&w, "  protocol:  %s\n", r.Step)
+	fmt.Fprintf(&w, "  witness:   %s\n", r.Witness)
+	return w.String(), nil
 }
 
 // dumpFacts prints the fact store's view of every function matching name:
@@ -303,44 +291,46 @@ func explainRule(name string) {
 // allocation sites, and its effect summary and body traces. This is the
 // debugging lens for "why does lockcheck think this callee blocks?" and
 // "what order does durcheck believe this function writes in?".
-func dumpFacts(pkgs []*analysis.Package, name string) {
+func dumpFacts(pkgs []*analysis.Package, name string) (string, error) {
 	m := analysis.NewModule(pkgs)
 	graph := m.Graph
 	effects := m.Effects()
 	nodes := graph.ResolveName(name)
 	if len(nodes) == 0 {
-		fatal(fmt.Errorf("no function matches %q", name))
+		return "", fmt.Errorf("no function matches %q", name)
 	}
+	var w strings.Builder
 	for _, n := range nodes {
 		pos := n.Pkg.Fset.Position(n.Decl.Pos())
-		fmt.Printf("%s\t%s:%d\n", n, relPath(pos.Filename), pos.Line)
-		fmt.Printf("  facts: %s\n", n.Facts)
+		fmt.Fprintf(&w, "%s\t%s:%d\n", n, relPath(pos.Filename), pos.Line)
+		fmt.Fprintf(&w, "  facts: %s\n", n.Facts)
 		for _, fact := range n.Facts.Facts() {
 			for i, hop := range graph.FactChain(n, fact) {
 				if i == 0 {
-					fmt.Printf("  %-12s %s\n", fact.String()+":", hop)
+					fmt.Fprintf(&w, "  %-12s %s\n", fact.String()+":", hop)
 				} else {
-					fmt.Printf("  %-12s   -> %s\n", "", hop)
+					fmt.Fprintf(&w, "  %-12s   -> %s\n", "", hop)
 				}
 			}
 		}
 		for _, a := range n.Allocs {
 			apos := n.Pkg.Fset.Position(a.Pos)
-			fmt.Printf("  alloc: %s at %s:%d\n", a.What, relPath(apos.Filename), apos.Line)
+			fmt.Fprintf(&w, "  alloc: %s at %s:%d\n", a.What, relPath(apos.Filename), apos.Line)
 		}
-		fmt.Printf("  effects: %s\n", effects.EffectSet(n))
+		fmt.Fprintf(&w, "  effects: %s\n", effects.EffectSet(n))
 		body := effects.BodyTraces(n)
 		if sum := effects.Summary(n); !sameTraces(sum, body) {
 			// Effect-table function: what callers compose (the contract)
 			// differs from what the body does (what the rules check).
 			for _, tr := range sum {
-				fmt.Printf("  contract: %s\n", tr)
+				fmt.Fprintf(&w, "  contract: %s\n", tr)
 			}
 		}
 		for _, tr := range body {
-			fmt.Printf("  trace: %s\n", tr)
+			fmt.Fprintf(&w, "  trace: %s\n", tr)
 		}
 	}
+	return w.String(), nil
 }
 
 // sameTraces reports whether two trace slices render identically, used to
@@ -371,14 +361,4 @@ func relPath(name string) string {
 		}
 	}
 	return name
-}
-
-func fileExists(path string) bool {
-	_, err := os.Stat(path)
-	return err == nil
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "rtreelint: %v\n", err)
-	os.Exit(2)
 }

@@ -219,14 +219,14 @@ func warmupComparison(levels [][]geom.Rect, pred *core.Predictor, bufferPages, p
 	fatalIf(err)
 
 	var out strings.Builder
-	out.WriteString(fmt.Sprintf("\nwarm-up (model vs measured, buffer %d pages):\n", bufferPages))
-	out.WriteString(fmt.Sprintf("  %10s  %12s  %12s  %14s  %14s\n", "N", "D(N) model", "D^(N) meas", "misses model", "misses meas"))
+	fmt.Fprintf(&out, "\nwarm-up (model vs measured, buffer %d pages):\n", bufferPages)
+	fmt.Fprintf(&out, "  %10s  %12s  %12s  %14s  %14s\n", "N", "D(N) model", "D^(N) meas", "misses model", "misses meas")
 	for i, pt := range trace.Points {
-		out.WriteString(fmt.Sprintf("  %10d  %12.1f  %12d  %14.1f  %14d\n",
-			pt.Queries, model[i].DistinctNodes, pt.DistinctPages, model[i].ExpectedMisses, pt.Misses))
+		fmt.Fprintf(&out, "  %10d  %12.1f  %12d  %14.1f  %14d\n",
+			pt.Queries, model[i].DistinctNodes, pt.DistinctPages, model[i].ExpectedMisses, pt.Misses)
 	}
-	out.WriteString(fmt.Sprintf("buffer fill: analytic N* = %s, observed N^* = %s (trace), %s (pool workload)\n",
-		fmtQueries(nstar), fmtFill(trace.FillQueries), fmtFill(observedFill)))
+	fmt.Fprintf(&out, "buffer fill: analytic N* = %s, observed N^* = %s (trace), %s (pool workload)\n",
+		fmtQueries(nstar), fmtFill(trace.FillQueries), fmtFill(observedFill))
 	return out.String()
 }
 

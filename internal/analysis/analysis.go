@@ -2,17 +2,18 @@
 // analysis layer of the repository. It loads the module with go/parser and
 // go/types (standard library only — no external analysis framework) and
 // runs analyzers that encode correctness rules this codebase depends on
-// but that go vet cannot know about:
+// but that go vet cannot know about. Three look at one package at a time
+// (floatcmp, errcheck and probrange, at the packages Analyzers lists);
+// the rest read the whole module through the call graph and its facts
+// (lockcheck, hotalloc, iopurity, sharecheck, determcheck, atomiccheck)
+// or through ordered effect traces (durcheck, errflow). `rtreelint -list`
+// prints each with its one-line contract.
 //
-//   - floatcmp: exact ==/!= on floating-point operands in the geometry,
-//     cost-model, and Hilbert packages, where a silent rounding mismatch
-//     corrupts every downstream experiment figure;
-//   - errcheck: silently discarded error returns in the storage, data
-//     generation, and command packages;
-//   - mutexcopy: by-value copies of types holding sync primitives
-//     (the buffer pool is the only concurrent subsystem);
-//   - probrange: probability-valued functions returning unclamped
-//     arithmetic that can leave [0,1].
+// Which analyzers exist is decided by evidence, not by what was once
+// worth writing: the kill matrix (killmatrix_test.go, DESIGN.md §7a)
+// seeds faults into the real module, and an analyzer stays registered
+// only while some fault is caught by it and by nothing else a plain
+// `go vet ./... && go test ./...` runs.
 //
 // Findings are suppressed by an explicit annotation on the offending line
 // (or the line directly above):
@@ -101,6 +102,7 @@ func Analyzers() []*Analyzer {
 				mod + "/internal/geom",
 				mod + "/internal/core",
 				mod + "/internal/hilbert",
+				mod + "/internal/nd",
 			},
 			Check: checkFloatCmp,
 		},
@@ -109,24 +111,19 @@ func Analyzers() []*Analyzer {
 			Doc:  "silently discarded error results (assign to _ or handle)",
 			Targets: []string{
 				mod + "/internal/storage",
+				mod + "/internal/buffer",
+				mod + "/internal/obs",
 				mod + "/internal/datagen",
 				mod + "/cmd/...",
 			},
 			Check: checkErrCheck,
 		},
 		{
-			Name: "mutexcopy",
-			Doc:  "by-value copy of a type containing sync primitives",
-			Targets: []string{
-				mod + "/internal/buffer",
-			},
-			Check: checkMutexCopy,
-		},
-		{
 			Name: "probrange",
 			Doc:  "probability-valued function returns unclamped arithmetic",
 			Targets: []string{
 				mod + "/internal/core",
+				mod + "/internal/nd",
 			},
 			Check: checkProbRange,
 		},

@@ -15,8 +15,8 @@ import (
 // lock that dominates all the atomic sites (a lock held at every one of
 // them, so the plain access cannot interleave). A plain read mixed with
 // atomic writes is the classic torn-counter bug: it compiles, works on
-// amd64, and corrupts hit-rate statistics exactly when the sharded pool
-// is loaded enough for the numbers to matter.
+// amd64, and corrupts the I/O and hit-rate counters exactly when enough
+// readers run for the numbers to matter.
 //
 // The obs package's typed-atomic counters are the model citizens: the
 // fields are atomic.Uint64/Int64, so the type system already forbids

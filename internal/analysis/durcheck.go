@@ -2,10 +2,12 @@ package analysis
 
 // durcheck verifies the WAL commit protocol statically: it evaluates
 // every effect-ordering rule (rules.go) against the interprocedural
-// effect traces (effects.go) of each in-scope function. Both review bugs
-// PR 7's crash matrix caught dynamically are durcheck rules now —
-// sync-before-publish is the WriteMeta header-before-sync bug, and the
-// commit-before-* family pins the commitUpdate step order.
+// effect traces (effects.go) of each in-scope function: the
+// commit-before-* family and checkpoint-after-sync pin commitUpdate's
+// step order, sync-before-publish catches a publish that goes around
+// WriteMeta's sync, writeback-pages-only keeps the pool below the
+// protocol. Each rule is registered because the kill matrix records a
+// fault only it catches (DESIGN.md §7a).
 
 // checkDur runs the durcheck-owned rules module-wide.
 func checkDur(m *Module) []Finding {
@@ -39,11 +41,11 @@ func durTriggered(r *Rule, e *Effects, n *FuncNode) bool {
 	}
 	s := e.EffectSet(n)
 	switch r.Kind {
-	case RulePrecedes, RuleSomeTrace:
+	case RulePrecedes:
 		return s&r.B != 0
 	case RuleSeparated:
 		return s&r.C != 0
-	case RuleEventually, RuleNever:
+	case RuleNever:
 		return s&r.A != 0
 	}
 	return true

@@ -163,47 +163,6 @@ func (t *Tree) commitUpdate(pages []int, meta []byte) error {
 	}
 }
 
-// TestDurcheckWriteMetaNoSync seeds the PR 7 WriteMeta bug: an
-// implementation none of whose paths sync before the header publish.
-func TestDurcheckWriteMetaNoSync(t *testing.T) {
-	runModuleFixture(t, analyzerNamed(t, "durcheck"), []fixtureFile{
-		{path: "fixture/metafix", src: `package metafix
-
-type OSFile struct{}
-
-func (f *OSFile) Sync() error { return nil }
-
-type FileMgr struct {
-	f     *OSFile
-	dirty bool
-}
-
-func (m *FileMgr) writeHeader() error { return nil }
-
-func (m *FileMgr) WriteMeta(b []byte) error {
-	return m.writeHeader() // WANT
-}
-
-type GoodMgr struct {
-	f     *OSFile
-	dirty bool
-}
-
-func (m *GoodMgr) writeHeader() error { return nil }
-
-func (m *GoodMgr) WriteMeta(b []byte) error {
-	if m.dirty {
-		if err := m.f.Sync(); err != nil {
-			return err
-		}
-		m.dirty = false
-	}
-	return m.writeHeader()
-}
-`},
-	})
-}
-
 // TestDurcheckCheckpointBeforeSync seeds the checkpoint misorder: the
 // WAL is truncated while the catalog publish is not yet covered by a
 // sync.
@@ -225,25 +184,6 @@ func (t *Tree) commitUpdate(pages []int, meta []byte) error {
 			t.ckptErr = err
 		} else if err := syncManager(t.dm); err != nil {
 			t.ckptErr = err
-		}
-	}
-	return nil
-}
-`},
-	})
-}
-
-// TestDurcheckRecoverNoCatalog seeds a recovery that replays pages but
-// never reinstalls the batch's catalog snapshot.
-func TestDurcheckRecoverNoCatalog(t *testing.T) {
-	runModuleFixture(t, analyzerNamed(t, "durcheck"), []fixtureFile{
-		{path: "fixture/protofix", src: protoPrelude + `
-func Recover(d *Dev, w *WAL) error {
-	for _, b := range w.batches {
-		for _, pg := range b.pages {
-			if err := d.WritePage(pg, nil); err != nil { // WANT
-				return err
-			}
 		}
 	}
 	return nil
@@ -362,62 +302,6 @@ func TestRepoCommitUpdateSatisfiesRules(t *testing.T) {
 		if vs := evalRule(ruleNamed(t, name), e, n); len(vs) != 0 {
 			t.Errorf("rule %s violated by commitUpdate: %v", name, vs[0].Finding())
 		}
-	}
-}
-
-// TestRepoWriteMetaSatisfiesContract is the real-repo assertion for
-// FileManager.WriteMeta: its body genuinely publishes a header and some
-// path syncs first.
-func TestRepoWriteMetaSatisfiesContract(t *testing.T) {
-	m := loadRepoModule(t)
-	e := m.Effects()
-	n := repoEffNode(t, m, "storage.(*FileManager).WriteMeta")
-
-	var publishes, syncsFirst bool
-	for _, tr := range e.BodyTraces(n) {
-		seenSync := false
-		for _, ev := range tr.Events {
-			switch ev.Eff {
-			case EffSync:
-				seenSync = true
-			case EffMetaWrite:
-				publishes = true
-				if seenSync {
-					syncsFirst = true
-				}
-			}
-		}
-	}
-	if !publishes {
-		t.Fatal("FileManager.WriteMeta body publishes no header — writemeta-syncs is vacuous")
-	}
-	if !syncsFirst {
-		t.Error("no FileManager.WriteMeta trace syncs before the header publish")
-	}
-	if vs := evalRule(ruleNamed(t, "writemeta-syncs"), e, n); len(vs) != 0 {
-		t.Errorf("writemeta-syncs violated: %v", vs[0].Finding())
-	}
-}
-
-// TestRepoRecoverSatisfiesRules is the real-repo assertion for Recover:
-// replay traces really write pages, and every successful replay
-// republishes the catalog afterwards.
-func TestRepoRecoverSatisfiesRules(t *testing.T) {
-	m := loadRepoModule(t)
-	e := m.Effects()
-	n := repoEffNode(t, m, "storage.Recover")
-
-	var replays bool
-	for _, tr := range e.BodyTraces(n) {
-		if !tr.Approx && !tr.Err && tr.Set().Has(EffPageWrite) {
-			replays = true
-		}
-	}
-	if !replays {
-		t.Fatal("no successful Recover trace replays a page — replay-pages-then-catalog is vacuous")
-	}
-	if vs := evalRule(ruleNamed(t, "replay-pages-then-catalog"), e, n); len(vs) != 0 {
-		t.Errorf("replay-pages-then-catalog violated: %v", vs[0].Finding())
 	}
 }
 

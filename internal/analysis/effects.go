@@ -21,18 +21,17 @@ import (
 // from those bodies: the table entry is the method's CONTRACT, the
 // boundary callers reason at. WriteMeta, for instance, is fixed as
 // [Sync, MetaWrite] — "the catalog publish syncs data first" — so every
-// caller satisfies sync-before-publish by construction, while the
-// implementations' bodies are checked against the contract separately
-// (the writemeta-syncs rule).
+// caller satisfies sync-before-publish by construction; that the
+// implementations honour the contract is a tier-1 test's job
+// (storage.TestWriteMetaSyncsInPlaceOverwrites), not a rule's.
 //
 // Traces are possibilistic: branches fork (union, unlike lockcheck's
 // must-hold intersection), loops contribute zero, one, and two body
 // iterations (two captures cross-iteration adjacency), deferred calls
 // append at returns, and function literals are inlined where they appear
 // (consistent with walkBody: the closure body is assumed to execute
-// within the enclosing function's dynamic extent). Each trace records
-// whether it reaches an error return, so rules can quantify over clean
-// completions only. Known gaps, shared with the fact store: calls
+// within the enclosing function's dynamic extent). Known gaps, shared
+// with the fact store: calls
 // through plain function values contribute nothing, and a stored
 // closure's effects are credited at its definition point.
 
@@ -190,33 +189,21 @@ func (ev *EffEvent) Innermost() *EffEvent {
 // body, from entry to one return.
 type EffTrace struct {
 	Events []*EffEvent
-	// Err marks traces classified as reaching an error return; ordering
-	// rules that promise completion (Eventually) skip them.
-	Err bool
 	// Approx marks traces that lost precision: a recursive callee
 	// contributed its effect set as an unordered clump, or the trace or
-	// fork budget was exceeded. Universal rules skip approximate traces
-	// (no false positives from invented orders); existential ones keep
-	// them.
+	// fork budget was exceeded. The rules skip approximate traces (no
+	// false positives from invented orders).
 	Approx bool
-
-	// lastCall classifies the most recently composed callee trace
-	// (0 unknown, 1 clean, 2 error); return classification inherits it
-	// for tail calls.
-	lastCall int8
 }
 
-// String renders the trace as its effect sequence plus classification.
+// String renders the trace as its effect sequence.
 func (t EffTrace) String() string {
-	parts := make([]string, 0, len(t.Events)+2)
+	parts := make([]string, 0, len(t.Events)+1)
 	for _, ev := range t.Events {
 		parts = append(parts, ev.Eff.String())
 	}
 	if len(parts) == 0 {
 		parts = append(parts, "(no effects)")
-	}
-	if t.Err {
-		parts = append(parts, "(error return)")
 	}
 	if t.Approx {
 		parts = append(parts, "(approx)")
@@ -389,12 +376,10 @@ func EventChain(ev *EffEvent) []string {
 	return out
 }
 
-// traceVariant is one way a call site (or inlined closure) can behave:
-// an event sequence plus the callee trace's return classification.
+// traceVariant is one way a call site (or inlined closure) can behave.
 type traceVariant struct {
-	events  []*EffEvent
-	errFlag int8
-	approx  bool
+	events []*EffEvent
+	approx bool
 }
 
 // siteVariants expands one call site into its trace variants: the table
@@ -438,11 +423,6 @@ func (t *FuncNode) wrapTraces(e *Effects, caller *FuncNode, c *Call) []traceVari
 	out := make([]traceVariant, 0, len(sums))
 	for _, tr := range sums {
 		v := traceVariant{approx: tr.Approx}
-		if tr.Err {
-			v.errFlag = 2
-		} else {
-			v.errFlag = 1
-		}
 		if len(tr.Events) > 0 {
 			v.events = make([]*EffEvent, len(tr.Events))
 			for i, ev := range tr.Events {
@@ -457,9 +437,8 @@ func (t *FuncNode) wrapTraces(e *Effects, caller *FuncNode, c *Call) []traceVari
 	return out
 }
 
-// dedupTraces collapses traces with identical effect signatures and
-// classification, keeping the first witness of each, and enforces the
-// fork budget.
+// dedupTraces collapses traces with identical effect signatures, keeping
+// the first witness of each, and enforces the fork budget.
 func dedupTraces(ts []EffTrace) []EffTrace {
 	seen := make(map[string]bool, len(ts))
 	out := ts[:0:0]
@@ -468,13 +447,9 @@ func dedupTraces(ts []EffTrace) []EffTrace {
 		for _, ev := range t.Events {
 			sb.WriteByte(byte(ev.Eff))
 		}
-		if t.Err {
-			sb.WriteByte('E')
-		}
 		if t.Approx {
 			sb.WriteByte('A')
 		}
-		sb.WriteByte(byte(t.lastCall))
 		sig := sb.String()
 		if seen[sig] {
 			continue
@@ -503,18 +478,12 @@ type effScanner struct {
 // apply composes the variants of one call site onto every live trace.
 func (s *effScanner) apply(st []EffTrace, variants []traceVariant) []EffTrace {
 	if len(variants) == 1 && len(variants[0].events) == 0 && !variants[0].approx {
-		// The common effect-free call: nothing to fork, but the return
-		// classification still threads through for tail calls.
-		for i := range st {
-			st[i].lastCall = variants[0].errFlag
-		}
-		return st
+		return st // the common effect-free call: nothing to fork
 	}
 	out := make([]EffTrace, 0, len(st)*len(variants))
 	for _, t := range st {
 		for _, v := range variants {
 			nt := t
-			nt.lastCall = v.errFlag
 			nt.Approx = nt.Approx || v.approx
 			if len(v.events) > 0 {
 				// Adjacent identical effects collapse (first witness
@@ -768,106 +737,16 @@ func (s *effScanner) clauses(list []ast.Stmt, st []EffTrace) ([]EffTrace, bool) 
 	return dedupTraces(out), false
 }
 
-// return classification.
-const (
-	retClean int8 = iota
-	retErr
-	retTail
-	retBoth
-)
-
 // ret records the current traces as returns of the function: result
-// expressions evaluate, deferred calls run last-in-first-out, and each
-// trace is classified as a clean or error return.
+// expressions evaluate, then deferred calls run last-in-first-out.
 func (s *effScanner) ret(x *ast.ReturnStmt, st []EffTrace) {
-	class := retClean
 	if x != nil {
 		for _, r := range x.Results {
 			st = s.expr(r, st)
 		}
-		class = s.classify(x)
-	}
-	var outs []EffTrace
-	for _, t := range st {
-		switch class {
-		case retClean:
-			t.Err = false
-			outs = append(outs, t)
-		case retErr:
-			t.Err = true
-			outs = append(outs, t)
-		case retTail:
-			switch t.lastCall {
-			case 1:
-				t.Err = false
-				outs = append(outs, t)
-			case 2:
-				t.Err = true
-				outs = append(outs, t)
-			default:
-				c := t
-				c.Err = false
-				outs = append(outs, c)
-				t.Err = true
-				outs = append(outs, t)
-			}
-		case retBoth:
-			c := t
-			c.Err = false
-			outs = append(outs, c)
-			t.Err = true
-			outs = append(outs, t)
-		}
 	}
 	for i := len(s.defers) - 1; i >= 0; i-- {
-		outs = s.apply(outs, s.defers[i])
+		st = s.apply(st, s.defers[i])
 	}
-	s.returned = append(s.returned, outs...)
-}
-
-// classify decides how a return statement's traces split between clean
-// and error returns, looking at the final (error-typed) result.
-func (s *effScanner) classify(x *ast.ReturnStmt) int8 {
-	sig, ok := s.n.Fn.Type().(*types.Signature)
-	if !ok || sig.Results().Len() == 0 {
-		return retClean
-	}
-	last := sig.Results().At(sig.Results().Len() - 1)
-	if !types.Identical(last.Type(), errType) {
-		return retClean
-	}
-	if len(x.Results) == 0 {
-		return retBoth // naked return of a named error result
-	}
-	switch r := ast.Unparen(x.Results[len(x.Results)-1]).(type) {
-	case *ast.Ident:
-		if r.Name == "nil" {
-			return retClean
-		}
-		return retErr
-	case *ast.CallExpr:
-		if fn, ok := calleeFunc(s.n.Pkg.Info, r); ok && fn.Pkg() != nil {
-			path, name := fn.Pkg().Path(), fn.Name()
-			if (path == "fmt" && name == "Errorf") ||
-				(path == "errors" && (name == "New" || name == "Join")) {
-				return retErr
-			}
-		}
-		return retTail // inherit the tail call's own classification
-	default:
-		return retErr
-	}
-}
-
-// calleeFunc resolves a call expression's static callee, if any.
-func calleeFunc(info *types.Info, call *ast.CallExpr) (*types.Func, bool) {
-	switch f := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, ok := info.Uses[f].(*types.Func)
-		return fn, ok
-	case *ast.SelectorExpr:
-		fn, ok := info.Uses[f.Sel].(*types.Func)
-		return fn, ok
-	}
-	return nil, false
+	s.returned = append(s.returned, st...)
 }

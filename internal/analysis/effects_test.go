@@ -47,7 +47,7 @@ func rejectTrace(t *testing.T, ts []EffTrace, reject string) {
 
 // TestEffectTraceShapes pins the scanner's path model: loops contribute
 // zero, one, and two iterations; deferred calls land at every return
-// (error returns included); error paths are classified.
+// (error returns included).
 func TestEffectTraceShapes(t *testing.T) {
 	e, n := effNode(t, `package efffix
 
@@ -67,11 +67,10 @@ func flush(d *Dev, n int) error {
 }
 `, "flush")
 	ts := e.BodyTraces(n)
-	wantTrace(t, ts, "Sync")                          // zero iterations
-	wantTrace(t, ts, "PageWrite Sync")                // one or more iterations
-	wantTrace(t, ts, "PageWrite Sync (error return)") // failed write, defer still runs
-	rejectTrace(t, ts, "Sync PageWrite")              // defers run at returns, not eagerly
-	rejectTrace(t, ts, "PageWrite PageWrite Sync")    // adjacent identical effects collapse
+	wantTrace(t, ts, "Sync")                       // zero iterations
+	wantTrace(t, ts, "PageWrite Sync")             // one or more iterations, or a failed write: the defer still runs
+	rejectTrace(t, ts, "Sync PageWrite")           // defers run at returns, not eagerly
+	rejectTrace(t, ts, "PageWrite PageWrite Sync") // adjacent identical effects collapse
 	if got := e.EffectSet(n); got != effects(EffPageWrite, EffSync) {
 		t.Errorf("EffectSet(flush) = %s, want PageWrite|Sync", got)
 	}
@@ -79,8 +78,7 @@ func flush(d *Dev, n int) error {
 
 // TestEffectContractVsBody pins the two views of a table function: the
 // summary callers compose is the contract, the body traces stay the
-// implementation (here: one that never syncs — what writemeta-syncs
-// exists to catch).
+// implementation (here: one that never syncs).
 func TestEffectContractVsBody(t *testing.T) {
 	e, n := effNode(t, `package efffix
 

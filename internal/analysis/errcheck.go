@@ -18,9 +18,10 @@ import (
 //
 // A small conventional exclusion list keeps the signal high, mirroring
 // errcheck's defaults: fmt printers writing to the terminal (a failed
-// progress line is not actionable), and the Write methods of
+// progress line is not actionable), the Write methods of
 // strings.Builder, bytes.Buffer, and hash.Hash, which are documented to
-// never return an error.
+// never return an error, and fmt.Fprint* into a writer whose static type
+// is one of those.
 func checkErrCheck(pkg *Package) []Finding {
 	var out []Finding
 	for _, file := range pkg.Files {
@@ -95,9 +96,13 @@ func excludedCall(pkg *Package, call *ast.CallExpr) bool {
 	case "Print", "Printf", "Println":
 		return true
 	case "Fprint", "Fprintf", "Fprintln":
-		// Only when writing to the process's own terminal streams.
+		// Only when writing to the process's own terminal streams, or
+		// into a writer whose static type cannot fail.
 		if len(call.Args) == 0 {
 			return false
+		}
+		if t := pkg.Info.TypeOf(call.Args[0]); t != nil && neverFailingRecv(t) {
+			return true
 		}
 		if w, ok := ast.Unparen(call.Args[0]).(*ast.SelectorExpr); ok {
 			if x, ok := ast.Unparen(w.X).(*ast.Ident); ok && x.Name == "os" {

@@ -79,3 +79,29 @@ func report(f *os.File) {
 }
 `)
 }
+
+// TestErrCheckFprintByWriterType: fmt.Fprint* cannot fail into a
+// *strings.Builder or *bytes.Buffer, which the first argument's static
+// type says; through an io.Writer the concrete writer is unknown and the
+// dropped error stays a finding.
+func TestErrCheckFprintByWriterType(t *testing.T) {
+	runFixture(t, checkErrCheck, "errcheck", `
+package fixture
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"strings"
+)
+
+func render(w io.Writer) string {
+	var sb strings.Builder
+	var buf bytes.Buffer
+	fmt.Fprintf(&sb, "n=%d", 1)
+	fmt.Fprintln(&buf, "x")
+	fmt.Fprintf(w, "n=%d", 1) // WANT
+	return sb.String() + buf.String()
+}
+`)
+}

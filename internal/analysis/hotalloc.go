@@ -31,8 +31,12 @@ func checkHotAlloc(m *Module, roots []RootSpec) []Finding {
 	return out
 }
 
-// HotRoots names the query-hot-path entry points hotalloc guards. The
-// guard test TestHotRootsExist keeps this list attached to real code.
+// HotRoots names the per-operation entry points hotalloc guards: one
+// query, one page access, one node's model term, one metric update.
+// Drivers that run those operations in a loop (a simulation run, a
+// buffer-size sweep, metric registration) allocate once per run by
+// design and are not roots. The guard test TestHotRootsExist keeps this
+// list attached to real code.
 func HotRoots() []RootSpec {
 	const mod = "rtreebuf"
 	return []RootSpec{
@@ -48,14 +52,26 @@ func HotRoots() []RootSpec {
 		{Path: mod + "/internal/storage", Recv: "PagedTree", Name: "Nearest"},
 		{Path: mod + "/internal/core", Recv: "*", Name: "AccessProb"},
 		{Path: mod + "/internal/core", Name: "AccessProbs"},
-		{Path: mod + "/internal/core", Recv: "Predictor", Name: "DiskAccessesSweep"},
-		{Path: mod + "/internal/sim", Name: "RunParallel"},
+		// The model's per-node pass: every policy's EDT is one sum over
+		// the nodes, and the sweep's N* search is distinctAtLeast per
+		// probe. sum calls its term through a function value, so term is
+		// rooted by name.
+		{Path: mod + "/internal/core", Recv: "Predictor", Name: "sum"},
+		{Path: mod + "/internal/core", Recv: "sweeper", Name: "distinctAtLeast"},
+		{Path: mod + "/internal/core", Recv: "sweeper", Name: "term"},
+		// One simulated query. The replica draws its pages through a
+		// function value (source), so the geometry probe behind it is
+		// rooted by name.
+		{Path: mod + "/internal/sim", Recv: "replica", Name: "query"},
+		{Path: mod + "/internal/sim", Recv: "replica", Name: "coldQuery"},
+		{Path: mod + "/internal/sim", Recv: "Geometry", Name: "touched"},
 		// The obs write paths ride the buffer/query hot path (as nil-receiver
 		// no-ops when metrics are off); root them explicitly so an allocation
 		// grown there is flagged even if a refactor detaches them from the
 		// Pool.Get call graph.
-		{Path: mod + "/internal/obs", Recv: "Counter", Name: "*"},
-		{Path: mod + "/internal/obs", Recv: "Gauge", Name: "*"},
+		{Path: mod + "/internal/obs", Recv: "Counter", Name: "Inc"},
+		{Path: mod + "/internal/obs", Recv: "Counter", Name: "Add"},
+		{Path: mod + "/internal/obs", Recv: "Gauge", Name: "Set"},
 		{Path: mod + "/internal/obs", Recv: "Histogram", Name: "Observe"},
 		{Path: mod + "/internal/buffer", Recv: "Metrics", Name: "on*"},
 	}

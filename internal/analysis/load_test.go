@@ -3,6 +3,7 @@ package analysis
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -108,5 +109,23 @@ func TestAnalyzerTargets(t *testing.T) {
 	}
 	if !(&Analyzer{}).AppliesTo("anything") {
 		t.Error("empty target list must apply everywhere")
+	}
+
+	// The registry's scopes follow the code, not the PR 1 layout: the N-D
+	// geometry and model are float and probability code like core, and
+	// the pool and the metrics registry return errors like storage.
+	want := map[string]string{
+		"floatcmp":  "internal/geom internal/core internal/hilbert internal/nd",
+		"errcheck":  "internal/storage internal/buffer internal/obs internal/datagen cmd/...",
+		"probrange": "internal/core internal/nd",
+	}
+	for _, a := range Analyzers() {
+		if a.Check == nil {
+			continue
+		}
+		got := strings.ReplaceAll(strings.Join(a.Targets, " "), "rtreebuf/", "")
+		if got != want[a.Name] {
+			t.Errorf("%s targets %q, want %q", a.Name, got, want[a.Name])
+		}
 	}
 }

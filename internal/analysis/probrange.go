@@ -67,7 +67,7 @@ func isProbFunc(pkg *Package, fn *ast.FuncDecl) bool {
 	if results == nil || len(results.List) != 1 || len(results.List[0].Names) > 1 {
 		return false
 	}
-	t := exprType(pkg, results.List[0].Type)
+	t := pkg.Info.TypeOf(results.List[0].Type)
 	basic, ok := t.(*types.Basic)
 	return ok && basic.Kind() == types.Float64
 }

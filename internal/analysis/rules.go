@@ -15,10 +15,9 @@ import (
 // commit-protocol step it encodes (see DESIGN.md §7a, "Effect ordering &
 // durability analyses") and is explained by `rtreelint -explain <rule>`.
 //
-// Universal kinds (Precedes, Separated, Eventually, Never) quantify over
-// every non-approximate body trace: approximate traces have invented
-// orders (recursion clumps, budget overflows) that would manufacture
-// false positives. The existential kind (SomeTrace) keeps them.
+// Every kind quantifies over every non-approximate body trace:
+// approximate traces have invented orders (recursion clumps, budget
+// overflows) that would manufacture false positives.
 
 // RuleKind selects the temporal shape a rule checks.
 type RuleKind uint8
@@ -30,14 +29,6 @@ const (
 	// RuleSeparated: on every trace, a B-effect intervenes between any
 	// A-effect and a later C-effect ("no unseparated A published by C").
 	RuleSeparated
-	// RuleEventually: on every clean (non-error) trace containing an
-	// A-effect, a B-effect follows the last A ("A implies eventually B
-	// before a successful return").
-	RuleEventually
-	// RuleSomeTrace: if any trace contains a B-effect, some trace must
-	// contain an A-effect before its first B (an existential contract
-	// check for conditional implementations).
-	RuleSomeTrace
 	// RuleNever: no trace contains any A-effect.
 	RuleNever
 	// RuleErrFlow: commit-path error discipline, implemented by errflow
@@ -51,10 +42,6 @@ func (k RuleKind) String() string {
 		return "A precedes B on all paths"
 	case RuleSeparated:
 		return "B separates every A from a later C, on all paths"
-	case RuleEventually:
-		return "A implies eventually B before a successful return"
-	case RuleSomeTrace:
-		return "some trace performs A before its first B"
 	case RuleNever:
 		return "no path performs A"
 	case RuleErrFlow:
@@ -101,8 +88,7 @@ func (s ScopeSpec) String() string {
 
 // Rule is one declarative effect-ordering rule.
 type Rule struct {
-	// Name is the stable identifier used in findings, -explain, and
-	// baseline keys.
+	// Name is the stable identifier used in findings and -explain.
 	Name string
 	// Analyzer is the analyzer that owns the rule (durcheck or errflow).
 	Analyzer string
@@ -175,32 +161,6 @@ func Rules() []*Rule {
 				"the PR 7 WriteMeta bug",
 			Step:    "§7e durability invariant: data reaches stable storage before any metadata that references it",
 			Witness: "the publishing call, plus the unsynced data write it would publish",
-		},
-		{
-			Name:     "writemeta-syncs",
-			Analyzer: "durcheck",
-			Kind:     RuleSomeTrace,
-			A:        effects(EffSync),
-			B:        effects(EffMetaWrite),
-			Scope:    []ScopeSpec{{"*", "WriteMeta"}},
-			Doc: "every WriteMeta implementation must honour the contract callers assume: some " +
-				"path syncs before the header publish (implementations may skip the sync only " +
-				"when nothing is dirty, hence the existential check)",
-			Step:    "§7e step 4 contract: WriteMeta = sync unsynced data, then publish the catalog",
-			Witness: "the header publish of an implementation none of whose paths sync first",
-		},
-		{
-			Name:     "replay-pages-then-catalog",
-			Analyzer: "durcheck",
-			Kind:     RuleEventually,
-			A:        effects(EffPageWrite),
-			B:        effects(EffMetaWrite),
-			Scope:    []ScopeSpec{{"", "Recover"}},
-			Doc: "recovery replays a batch's pages and then its catalog snapshot; replayed pages " +
-				"with no catalog publish afterwards would leave the tree root pointing at the " +
-				"pre-crash state",
-			Step:    "§7e recovery: per committed batch, redo pages, then install the batch's tree meta",
-			Witness: "the last page replay on a successful path that never republishes the catalog",
 		},
 		{
 			Name:     "checkpoint-after-sync",
@@ -288,10 +248,6 @@ func violationPhrase(r *Rule, ev *EffEvent) string {
 		return fmt.Sprintf("%s effect reachable before any %s", ev.Eff, r.A)
 	case RuleSeparated:
 		return fmt.Sprintf("%s effect with a preceding %s not separated by %s", ev.Eff, r.A, r.B)
-	case RuleEventually:
-		return fmt.Sprintf("%s effect with no %s afterwards on a successful path", ev.Eff, r.B)
-	case RuleSomeTrace:
-		return fmt.Sprintf("no path performs %s before this %s", r.A, ev.Eff)
 	case RuleNever:
 		return fmt.Sprintf("forbidden %s effect", ev.Eff)
 	}
@@ -319,10 +275,6 @@ func evalRule(r *Rule, e *Effects, n *FuncNode) []ruleViolation {
 		return evalPrecedes(r, traces)
 	case RuleSeparated:
 		return evalSeparated(r, traces)
-	case RuleEventually:
-		return evalEventually(r, traces)
-	case RuleSomeTrace:
-		return evalSomeTrace(r, traces)
 	case RuleNever:
 		return evalNever(r, traces)
 	}
@@ -372,52 +324,6 @@ func evalSeparated(r *Rule, traces []EffTrace) []ruleViolation {
 		}
 	}
 	return out
-}
-
-func evalEventually(r *Rule, traces []EffTrace) []ruleViolation {
-	var out []ruleViolation
-	for _, t := range traces {
-		if t.Approx || t.Err {
-			continue
-		}
-		var lastA *EffEvent
-		for _, ev := range t.Events {
-			switch {
-			case r.A.Has(ev.Eff):
-				lastA = ev
-			case r.B.Has(ev.Eff):
-				lastA = nil
-			}
-		}
-		if lastA != nil {
-			out = append(out, ruleViolation{r, lastA, nil})
-		}
-	}
-	return out
-}
-
-func evalSomeTrace(r *Rule, traces []EffTrace) []ruleViolation {
-	var firstB *EffEvent
-	for _, t := range traces {
-		seenA := false
-		for _, ev := range t.Events {
-			if r.A.Has(ev.Eff) {
-				seenA = true
-			} else if r.B.Has(ev.Eff) {
-				if seenA {
-					return nil // the contract trace exists
-				}
-				if firstB == nil {
-					firstB = ev
-				}
-				break
-			}
-		}
-	}
-	if firstB == nil {
-		return nil // vacuous: no trace performs B at all
-	}
-	return []ruleViolation{{r, firstB, nil}}
 }
 
 func evalNever(r *Rule, traces []EffTrace) []ruleViolation {

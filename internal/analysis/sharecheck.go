@@ -11,9 +11,11 @@ import (
 // captured by a `go`-closure body (or by a function literal handed to a
 // callee that transitively spawns goroutines — the spawnsGoroutine fact)
 // that are mutated on one side of the spawn and touched on the other
-// without synchronization. It is the static pre-screen for the sharded
-// pool and the traffic server: the race detector only checks executed
-// interleavings, sharecheck checks the source.
+// without synchronization. It is the static pre-screen for the module's
+// fan-outs — the simulator's replica workers, the experiment engine's
+// worker pool, the metrics listener: the race detector only checks
+// executed interleavings, and only under -race; sharecheck checks the
+// source on every lint run.
 //
 // For every spawn region the analyzer computes the capture set and
 // classifies each access on each side (inside the region, outside after

@@ -29,11 +29,11 @@ const sentinel = -1
 // non-negative; violations panic, as both always come from experiment
 // configuration bugs, not data.
 func NewLRU(capacity, numPages int) *LRU {
-	l := &LRU{ //lint:allow hotalloc constructor: one-time setup of a hot type
+	l := &LRU{
 		policyCore: newPolicyCore("LRU", capacity, numPages),
-		prev:       make([]int32, numPages), //lint:allow hotalloc constructor: one-time setup of a hot type
-		next:       make([]int32, numPages), //lint:allow hotalloc constructor: one-time setup of a hot type
-		resident:   make([]bool, numPages),  //lint:allow hotalloc constructor: one-time setup of a hot type
+		prev:       make([]int32, numPages),
+		next:       make([]int32, numPages),
+		resident:   make([]bool, numPages),
 		head:       sentinel,
 		tail:       sentinel,
 	}

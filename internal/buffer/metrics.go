@@ -48,7 +48,7 @@ func NewMetrics(reg *obs.Registry, policy string) *Metrics {
 		return nil
 	}
 	p := obs.L("policy", policy)
-	return &Metrics{ //lint:allow hotalloc one-time mirror setup when a registry is attached
+	return &Metrics{
 		reg:           reg,
 		policy:        p,
 		hits:          reg.Counter("buffer_hits_total", p),
@@ -71,8 +71,8 @@ func (m *Metrics) WithLevels(levelOf []int, levels int) *Metrics {
 		return m
 	}
 	m.levelOf = levelOf
-	m.levelHits = make([]*obs.Counter, levels)   //lint:allow hotalloc one-time mirror setup when a registry is attached
-	m.levelMisses = make([]*obs.Counter, levels) //lint:allow hotalloc one-time mirror setup when a registry is attached
+	m.levelHits = make([]*obs.Counter, levels)
+	m.levelMisses = make([]*obs.Counter, levels)
 	for lvl := 0; lvl < levels; lvl++ {
 		l := obs.L("level", strconv.Itoa(lvl))
 		m.levelHits[lvl] = m.reg.Counter("buffer_level_hits_total", m.policy, l)
@@ -241,7 +241,7 @@ func (m *Metrics) shardView(shard, n int) *Metrics {
 	v := *m
 	if m.levelOf != nil {
 		locals := shardPages(len(m.levelOf), n, shard)
-		v.levelOf = make([]int, locals) //lint:allow hotalloc one-time mirror setup when a registry is attached
+		v.levelOf = make([]int, locals)
 		for local := 0; local < locals; local++ {
 			v.levelOf[local] = m.levelOf[local*n+shard]
 		}

@@ -112,7 +112,7 @@ func newPolicyCore(kind string, capacity, numPages int) policyCore {
 	return policyCore{
 		capacity: capacity,
 		numPages: numPages,
-		pinned:   make([]bool, numPages), //lint:allow hotalloc constructor: one-time setup of a hot type
+		pinned:   make([]bool, numPages),
 	}
 }
 

@@ -95,7 +95,6 @@ func (p *Predictor) edt(from, stride int, nstar float64, split []float64) float6
 	case nstar == 0: //lint:allow floatcmp N* counts queries; exactly zero means a buffer of no pages
 		return p.sum(from, stride, split, p.prob)
 	}
-	//lint:allow hotalloc the literal stays on the stack: the compiler inlines sum here, and the literal into it
 	return p.sum(from, stride, split, func(i int) float64 { return p.sw.term(i, nstar) })
 }
 
@@ -210,9 +209,7 @@ func (p *Predictor) DiskAccessesPinnedPerLevel(bufferSize, pinLevels int) (float
 // processed ascending, where each search warm-starts from the previous
 // N*; input order is arbitrary and duplicates are fine.
 func (p *Predictor) sweep(from int, bufferSizes []int) []float64 {
-	//lint:allow hotalloc result materialization, one slice per sweep
 	out := make([]float64, len(bufferSizes))
-	//lint:allow hotalloc one-time per-sweep index of the requested sizes
 	order := make([]int, len(bufferSizes))
 	for i := range order {
 		order[i] = i

@@ -81,7 +81,7 @@ func (d DataDrivenQueries) AccessProb(mbr Rect) float64 {
 			count++
 		}
 	}
-	return float64(count) / float64(len(d.centers))
+	return float64(count) / float64(len(d.centers)) //lint:allow probrange count <= len(centers), and NewDataDrivenQueries rejects an empty set
 }
 
 // QueryModel yields per-node access probabilities.

@@ -214,7 +214,7 @@ type Registry struct {
 
 // NewRegistry returns an empty enabled registry.
 func NewRegistry() *Registry {
-	return &Registry{metrics: make(map[string]*metric)} //lint:allow hotalloc one registry per run, not per query
+	return &Registry{metrics: make(map[string]*metric)}
 }
 
 // keyOf builds the map identity of (name, labels). Labels are sorted so
@@ -223,8 +223,8 @@ func keyOf(name string, labels []Label) string {
 	if len(labels) == 0 {
 		return name
 	}
-	ls := append([]Label(nil), labels...)                                //lint:allow hotalloc registration-time identity build, once per series
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key }) //lint:allow hotalloc registration-time identity build, once per series
+	ls := append([]Label(nil), labels...)
+	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
 	var b strings.Builder
 	b.WriteString(name)
 	for _, l := range ls {
@@ -250,17 +250,17 @@ func (r *Registry) lookup(name string, kind Kind, labels []Label) *metric {
 		}
 		return m
 	}
-	m := &metric{name: name, labels: append([]Label(nil), labels...), kind: kind} //lint:allow hotalloc first-use registration, once per series
+	m := &metric{name: name, labels: append([]Label(nil), labels...), kind: kind}
 	switch kind {
 	case KindCounter:
-		m.c = &Counter{} //lint:allow hotalloc first-use registration, once per series
+		m.c = &Counter{}
 	case KindGauge:
-		m.g = &Gauge{} //lint:allow hotalloc first-use registration, once per series
+		m.g = &Gauge{}
 	case KindHistogram:
-		m.h = &Histogram{} //lint:allow hotalloc first-use registration, once per series
+		m.h = &Histogram{}
 	}
 	r.metrics[key] = m
-	r.order = append(r.order, key) //lint:allow hotalloc first-use registration, once per series
+	r.order = append(r.order, key)
 	return m
 }
 
@@ -300,8 +300,8 @@ func (r *Registry) Merge(src *Registry) {
 		return
 	}
 	src.mu.Lock()
-	keys := append([]string(nil), src.order...) //lint:allow hotalloc once-per-run replica merge
-	ms := make([]*metric, len(keys))            //lint:allow hotalloc once-per-run replica merge
+	keys := append([]string(nil), src.order...)
+	ms := make([]*metric, len(keys))
 	for i, k := range keys {
 		ms[i] = src.metrics[k]
 	}

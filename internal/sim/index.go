@@ -31,7 +31,7 @@ func newPointIndex(hitRects []geom.Rect) *pointIndex {
 	if res > 512 {
 		res = 512
 	}
-	idx := &pointIndex{bounds: geom.MBR(hitRects), res: res} //lint:allow hotalloc one-time index construction per geometry
+	idx := &pointIndex{bounds: geom.MBR(hitRects), res: res}
 	w, h := idx.bounds.Width(), idx.bounds.Height()
 	if w <= 0 {
 		w = 1
@@ -41,18 +41,18 @@ func newPointIndex(hitRects []geom.Rect) *pointIndex {
 	}
 	idx.invX = float64(res) / w
 	idx.invY = float64(res) / h
-	idx.cells = make([][]int32, res*res) //lint:allow hotalloc one-time index construction per geometry
+	idx.cells = make([][]int32, res*res)
 	for page, r := range hitRects {
 		x0, y0 := idx.cellOf(geom.Point{X: r.MinX, Y: r.MinY})
 		x1, y1 := idx.cellOf(geom.Point{X: r.MaxX, Y: r.MaxY})
 		for iy := y0; iy <= y1; iy++ {
 			for ix := x0; ix <= x1; ix++ {
-				idx.cells[iy*res+ix] = append(idx.cells[iy*res+ix], int32(page)) //lint:allow hotalloc one-time index construction per geometry
+				idx.cells[iy*res+ix] = append(idx.cells[iy*res+ix], int32(page))
 			}
 		}
 	}
 	for _, cell := range idx.cells {
-		sort.Slice(cell, func(a, b int) bool { return cell[a] < cell[b] }) //lint:allow hotalloc one-time index construction per geometry
+		sort.Slice(cell, func(a, b int) bool { return cell[a] < cell[b] })
 	}
 	return idx
 }

@@ -65,11 +65,11 @@ func RunPreparedParallel(g *Geometry, w Workload, cfg Config) (Result, error) {
 	// When metrics are enabled each replica also gets a private registry
 	// — merged below in replica order, so the collected series are
 	// deterministic for a fixed (Seed, Workers) despite the concurrency.
-	results := make([]replicaResult, workers) //lint:allow hotalloc per-run result slots, one per replica
-	errs := make([]error, workers)            //lint:allow hotalloc per-run result slots, one per replica
+	results := make([]replicaResult, workers)
+	errs := make([]error, workers)
 	var regs []*obs.Registry
 	if cfg.Metrics != nil {
-		regs = make([]*obs.Registry, workers) //lint:allow hotalloc per-run registry slots, one per replica
+		regs = make([]*obs.Registry, workers)
 		for r := range regs {
 			regs[r] = obs.NewRegistry()
 		}
@@ -81,7 +81,7 @@ func RunPreparedParallel(g *Geometry, w Workload, cfg Config) (Result, error) {
 			batches++
 		}
 		wg.Add(1)
-		go func(r, batches int) { //lint:allow hotalloc one goroutine closure per replica
+		go func(r, batches int) {
 			defer wg.Done()
 			rcfg := cfg
 			if regs != nil {
@@ -100,12 +100,12 @@ func RunPreparedParallel(g *Geometry, w Workload, cfg Config) (Result, error) {
 		cfg.Metrics.Merge(reg)
 	}
 
-	diskBatch := make([]float64, 0, cfg.Batches) //lint:allow hotalloc per-run merge of replica batch means
-	nodeBatch := make([]float64, 0, cfg.Batches) //lint:allow hotalloc per-run merge of replica batch means
+	diskBatch := make([]float64, 0, cfg.Batches)
+	nodeBatch := make([]float64, 0, cfg.Batches)
 	var disk, nodes int
 	for _, rr := range results {
-		diskBatch = append(diskBatch, rr.diskBatch...) //lint:allow hotalloc per-run merge of replica batch means
-		nodeBatch = append(nodeBatch, rr.nodeBatch...) //lint:allow hotalloc per-run merge of replica batch means
+		diskBatch = append(diskBatch, rr.diskBatch...)
+		nodeBatch = append(nodeBatch, rr.nodeBatch...)
 		disk += rr.disk
 		nodes += rr.nodes
 	}

@@ -238,14 +238,14 @@ func prepare(levels [][]geom.Rect, w Workload, buildIndex bool) (*Geometry, erro
 	}
 	// Flatten in level order: page IDs match rtree.AssignPageIDs. Sizes
 	// are known up front, so both slices are allocated exactly once.
-	g := &Geometry{ //lint:allow hotalloc one-time geometry setup, reused across runs
-		hitRects: make([]geom.Rect, 0, total), //lint:allow hotalloc one-time geometry setup, reused across runs
-		levelOf:  make([]int, 0, total),       //lint:allow hotalloc one-time geometry setup, reused across runs
+	g := &Geometry{
+		hitRects: make([]geom.Rect, 0, total),
+		levelOf:  make([]int, 0, total),
 	}
 	for lvl, rects := range levels {
 		for _, r := range rects {
-			g.hitRects = append(g.hitRects, w.HitRect(r)) //lint:allow hotalloc appends into capacity preallocated above
-			g.levelOf = append(g.levelOf, lvl)            //lint:allow hotalloc appends into capacity preallocated above
+			g.hitRects = append(g.hitRects, w.HitRect(r))
+			g.levelOf = append(g.levelOf, lvl)
 		}
 	}
 	if buildIndex {
@@ -288,7 +288,7 @@ type source func(dst []int32) []int32
 // rectangle contains it.
 func (g *Geometry) source(w Workload, cfg Config, replica int) source {
 	rng, bruteForce := replicaStream(cfg.Seed, replica), cfg.BruteForce
-	return func(dst []int32) []int32 { //lint:allow hotalloc one source closure per replica
+	return func(dst []int32) []int32 {
 		return g.touched(w.Next(rng), bruteForce, dst)
 	}
 }
@@ -298,7 +298,7 @@ func (g *Geometry) source(w Workload, cfg Config, replica int) source {
 // run reproduces the serial reference bit for bit; higher replicas get
 // disjoint streams derived from (Seed, replica).
 func replicaStream(seed uint64, replica int) *rand.Rand {
-	return rand.New(rand.NewPCG(seed, (seed^0x9e3779b97f4a7c15)+uint64(replica))) //lint:allow hotalloc one RNG per replica
+	return rand.New(rand.NewPCG(seed, (seed^0x9e3779b97f4a7c15)+uint64(replica)))
 }
 
 // checked applies the defaults and validates what every entry point
@@ -343,7 +343,7 @@ func (c Config) newReplica(next source, levelOf []int) (*replica, error) {
 			return nil, fmt.Errorf("sim: pinning %d levels: %w", c.PinLevels, err)
 		}
 	}
-	return &replica{next: next, lru: lru}, nil //lint:allow hotalloc one replica per run
+	return &replica{next: next, lru: lru}, nil
 }
 
 // query issues one query through the buffer and returns its node
@@ -402,8 +402,8 @@ func runReplica(next source, levelOf []int, cfg Config, id, batches int) (replic
 	}
 
 	rr := replicaResult{
-		diskBatch: make([]float64, batches), //lint:allow hotalloc per-replica batch accumulators
-		nodeBatch: make([]float64, batches), //lint:allow hotalloc per-replica batch accumulators
+		diskBatch: make([]float64, batches),
+		nodeBatch: make([]float64, batches),
 	}
 	for q := 1; q <= cfg.Warmup; q++ {
 		r.coldQuery(q)

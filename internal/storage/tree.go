@@ -595,7 +595,7 @@ func owned[T any](scratch []T) []T {
 	if len(scratch) == 0 {
 		return nil
 	}
-	return slices.Clone(scratch) //lint:allow hotalloc materializing the result slice is the query's contract
+	return slices.Clone(scratch)
 }
 
 // SearchWindow reports every stored item intersecting w, reading node
