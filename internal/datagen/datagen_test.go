@@ -233,6 +233,10 @@ func TestDatasetIOErrors(t *testing.T) {
 		"rtreebuf-dataset v1 rects 1\n0 0 one 1\n",   // parse error
 		"rtreebuf-dataset v1 rects 1\n0.5 0 0.1 1\n", // invalid rect
 		"rtreebuf-dataset v1 points 1\n0.5\n",        // field count
+		"rtreebuf-dataset v1 rects 1\nNaN 0 1 1\n",   // non-finite, either kind
+		"rtreebuf-dataset v1 rects 1\n-Inf 0 Inf 1\n",
+		"rtreebuf-dataset v1 points 1\n0.5 NaN\n",
+		"rtreebuf-dataset v1 points 1\n+Inf 0.5\n",
 	}
 	for i, s := range bad {
 		if _, err := ReadRects(strings.NewReader(s)); err == nil {

@@ -2,6 +2,7 @@ package datagen
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -23,7 +24,10 @@ func FuzzReadRects(f *testing.F) {
 	f.Add("")
 	f.Add("rtreebuf-dataset v1 rects 1\n0 0 1 1\n")
 	f.Add("rtreebuf-dataset v1 rects 1\nnan nan nan nan\n")
+	f.Add("rtreebuf-dataset v1 rects 1\n-inf -inf +inf +inf\n")
 	f.Add("rtreebuf-dataset v1 points 2\n0.5 0.5\n")
+	f.Add("rtreebuf-dataset v1 points 1\nnan 0.5\n")
+	f.Add("rtreebuf-dataset v1 points 1\n0.5 -Inf\n")
 	f.Add("rtreebuf-dataset v1 rects 999999999\n")
 
 	f.Fuzz(func(t *testing.T, input string) {
@@ -32,11 +36,13 @@ func FuzzReadRects(f *testing.F) {
 			return
 		}
 		for _, r := range rects {
-			// NaNs parse but violate Valid's ordering test... unless both
-			// coordinates are NaN, in which case comparisons are all false
-			// and Valid reports false. Either way Valid must hold here.
 			if !r.Valid() {
 				t.Fatalf("parser accepted invalid rect %v", r)
+			}
+			for _, v := range []float64{r.MinX, r.MinY, r.MaxX, r.MaxY} {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("parser accepted non-finite rect %v", r)
+				}
 			}
 		}
 		var out bytes.Buffer

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -69,36 +70,27 @@ func ReadRects(r io.Reader) ([]geom.Rect, error) {
 		if len(fields) == 0 {
 			continue
 		}
-		switch kind {
-		case "rects":
-			if len(fields) != 4 {
-				return nil, fmt.Errorf("datagen: line %d: want 4 fields, got %d", line, len(fields))
-			}
-			var v [4]float64
-			for i, f := range fields {
-				if v[i], err = strconv.ParseFloat(f, 64); err != nil {
-					return nil, fmt.Errorf("datagen: line %d: %w", line, err)
-				}
-			}
-			rect := geom.Rect{MinX: v[0], MinY: v[1], MaxX: v[2], MaxY: v[3]}
-			if !rect.Valid() {
-				return nil, fmt.Errorf("datagen: line %d: invalid rect %v", line, rect)
-			}
-			out = append(out, rect)
-		case "points":
-			if len(fields) != 2 {
-				return nil, fmt.Errorf("datagen: line %d: want 2 fields, got %d", line, len(fields))
-			}
-			x, err := strconv.ParseFloat(fields[0], 64)
-			if err != nil {
-				return nil, fmt.Errorf("datagen: line %d: %w", line, err)
-			}
-			y, err := strconv.ParseFloat(fields[1], 64)
-			if err != nil {
-				return nil, fmt.Errorf("datagen: line %d: %w", line, err)
-			}
-			out = append(out, geom.PointRect(geom.Point{X: x, Y: y}))
+		want := 4
+		if kind == "points" {
+			want = 2
 		}
+		if len(fields) != want {
+			return nil, fmt.Errorf("datagen: line %d: want %d fields, got %d", line, want, len(fields))
+		}
+		var v [4]float64
+		for i, f := range fields {
+			if v[i], err = parseCoord(f); err != nil {
+				return nil, fmt.Errorf("datagen: line %d: %w", line, err)
+			}
+		}
+		rect := geom.Rect{MinX: v[0], MinY: v[1], MaxX: v[2], MaxY: v[3]}
+		if kind == "points" {
+			rect = geom.PointRect(geom.Point{X: v[0], Y: v[1]})
+		}
+		if !rect.Valid() {
+			return nil, fmt.Errorf("datagen: line %d: invalid rect %v", line, rect)
+		}
+		out = append(out, rect)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("datagen: reading dataset: %w", err)
@@ -107,6 +99,21 @@ func ReadRects(r io.Reader) ([]geom.Rect, error) {
 		return nil, fmt.Errorf("datagen: header claims %d records, file has %d", count, len(out))
 	}
 	return out, nil
+}
+
+// parseCoord parses one coordinate. NaN and the infinities parse as floats
+// but are not coordinates: a NaN has no place in any ordering, and an
+// infinite extent makes every area and margin the loaders compare
+// infinite or NaN.
+func parseCoord(field string) (float64, error) {
+	v, err := strconv.ParseFloat(field, 64)
+	if err != nil {
+		return 0, err
+	}
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("non-finite coordinate %q", field)
+	}
+	return v, nil
 }
 
 func readHeader(r io.Reader) (kind string, count int, sc *bufio.Scanner, err error) {

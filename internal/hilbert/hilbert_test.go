@@ -1,10 +1,85 @@
 package hilbert
 
 import (
+	"math"
 	"math/rand/v2"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
+
+// encodeBitLoop is the textbook one-bit-per-step construction Encode used
+// before it became table-driven, kept as the oracle for the tables.
+func encodeBitLoop(order uint, x, y uint32) uint64 {
+	side := uint64(1) << order
+	var d uint64
+	for s := uint32(side / 2); s > 0; s /= 2 {
+		var rx, ry uint32
+		if x&s > 0 {
+			rx = 1
+		}
+		if y&s > 0 {
+			ry = 1
+		}
+		d += uint64(s) * uint64(s) * uint64((3*rx)^ry)
+		x, y = rotate(s, x, y, rx, ry)
+	}
+	return d
+}
+
+func TestEncodeMatchesBitLoopExhaustive(t *testing.T) {
+	for order := uint(1); order <= 8; order++ {
+		side := uint32(1) << order
+		for y := uint32(0); y < side; y++ {
+			for x := uint32(0); x < side; x++ {
+				if got, want := Encode(order, x, y), encodeBitLoop(order, x, y); got != want {
+					t.Fatalf("order %d: Encode(%d,%d) = %d, bit loop says %d", order, x, y, got, want)
+				}
+			}
+		}
+	}
+}
+
+func TestEncodeMatchesBitLoopRandomHighOrder(t *testing.T) {
+	rng := rand.New(rand.NewPCG(23, 1))
+	for order := uint(9); order <= MaxOrder; order++ {
+		side := uint64(1) << order
+		cells := [][2]uint32{{0, 0}, {uint32(side - 1), 0}, {0, uint32(side - 1)}, {uint32(side - 1), uint32(side - 1)}}
+		for i := 0; i < 4000; i++ {
+			cells = append(cells, [2]uint32{uint32(rng.Uint64N(side)), uint32(rng.Uint64N(side))})
+		}
+		for _, c := range cells {
+			if got, want := Encode(order, c[0], c[1]), encodeBitLoop(order, c[0], c[1]); got != want {
+				t.Fatalf("order %d: Encode(%d,%d) = %d, bit loop says %d", order, c[0], c[1], got, want)
+			}
+		}
+	}
+}
+
+// EncodePoints is EncodePoint element by element, whatever the number of
+// processors it is cut over.
+func TestEncodePointsMatchesEncodePoint(t *testing.T) {
+	rng := rand.New(rand.NewPCG(23, 2))
+	for _, n := range []int{0, 1, 2*encodeGrain - 1, 2 * encodeGrain, 2*encodeGrain + 1, 5*encodeGrain + 7} {
+		xs, ys := make([]float64, n), make([]float64, n)
+		for i := range xs {
+			xs[i], ys[i] = rng.Float64()*1.2-0.1, rng.Float64()*1.2-0.1
+		}
+		for _, procs := range []int{1, 2, 8} {
+			prev := runtime.GOMAXPROCS(procs)
+			keys := EncodePoints(DefaultOrder, xs, ys)
+			runtime.GOMAXPROCS(prev)
+			if len(keys) != n {
+				t.Fatalf("n=%d procs=%d: %d keys", n, procs, len(keys))
+			}
+			for i, k := range keys {
+				if want := EncodePoint(DefaultOrder, xs[i], ys[i]); k != want {
+					t.Fatalf("n=%d procs=%d: key %d = %d, EncodePoint says %d", n, procs, i, k, want)
+				}
+			}
+		}
+	}
+}
 
 func TestEncodeDecodeRoundTripExhaustive(t *testing.T) {
 	for order := uint(1); order <= 5; order++ {
@@ -137,6 +212,15 @@ func TestEncodePoint(t *testing.T) {
 	if got, want := EncodePoint(4, 2.5, -1), Encode(4, 15, 0); got != want {
 		t.Errorf("EncodePoint(2.5,-1) = %d, want %d", got, want)
 	}
+	// Non-finite coordinates have a cell of their own choosing: NaN the
+	// first, the infinities the ends.
+	nan, inf := math.NaN(), math.Inf(1)
+	if got, want := EncodePoint(4, nan, nan), Encode(4, 0, 0); got != want {
+		t.Errorf("EncodePoint(NaN,NaN) = %d, want %d", got, want)
+	}
+	if got, want := EncodePoint(4, inf, -inf), Encode(4, 15, 0); got != want {
+		t.Errorf("EncodePoint(+Inf,-Inf) = %d, want %d", got, want)
+	}
 	// Mid-square lands in a middle cell.
 	x, y := Decode(8, EncodePoint(8, 0.5, 0.5))
 	if x != 128 || y != 128 {
@@ -172,6 +256,23 @@ func BenchmarkEncode(b *testing.B) {
 		Encode(DefaultOrder, uint32(i)&0xffff, uint32(i>>16)&0xffff)
 	}
 }
+
+// BenchmarkEncodePoints is the bulk call of a 1M-item Hilbert ordering.
+func BenchmarkEncodePoints(b *testing.B) {
+	const n = 1_000_000
+	rng := rand.New(rand.NewPCG(23, 3))
+	xs, ys := make([]float64, n), make([]float64, n)
+	for i := range xs {
+		xs[i], ys[i] = rng.Float64(), rng.Float64()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchKeys = EncodePoints(DefaultOrder, xs, ys)
+	}
+}
+
+var benchKeys []uint64
 
 func BenchmarkEncodePoint(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -132,19 +132,21 @@ func HilbertBits(dims int) uint {
 
 // HilbertKey maps a point of the unit cube onto the curve, snapping each
 // coordinate to the grid and clamping floating-point noise at the
-// boundary.
+// boundary. The out-of-range cases are decided before the conversion, as
+// in hilbert.EncodePoint: what uint64 makes of NaN (here cell 0) or of a
+// product beyond its range is implementation-defined in Go.
 func HilbertKey(p Point, bits uint) uint64 {
 	coords := make([]uint32, len(p))
 	side := uint64(1) << bits
 	for i, v := range p {
-		if v < 0 {
-			v = 0
+		switch {
+		case !(v > 0): // negative, zero or NaN
+			coords[i] = 0
+		case v >= 1:
+			coords[i] = uint32(side - 1)
+		default:
+			coords[i] = uint32(v * float64(side))
 		}
-		c := uint64(v * float64(side))
-		if c >= side {
-			c = side - 1
-		}
-		coords[i] = uint32(c)
 	}
 	return HilbertEncode(coords, bits)
 }

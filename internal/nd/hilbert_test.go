@@ -1,6 +1,7 @@
 package nd
 
 import (
+	"math"
 	"math/rand/v2"
 	"testing"
 )
@@ -93,6 +94,13 @@ func TestHilbertKeyClamping(t *testing.T) {
 	k2 := HilbertKey(Point{0, 1, 0.5}, bits)
 	if k1 != k2 {
 		t.Errorf("clamped keys differ: %d vs %d", k1, k2)
+	}
+	// Non-finite coordinates have a cell too: NaN the first, the
+	// infinities the ends.
+	k3 := HilbertKey(Point{math.NaN(), math.Inf(1), math.Inf(-1)}, bits)
+	k4 := HilbertKey(Point{0, 1, 0}, bits)
+	if k3 != k4 {
+		t.Errorf("non-finite keys differ: %d vs %d", k3, k4)
 	}
 }
 

@@ -2,7 +2,9 @@ package nd
 
 import (
 	"fmt"
-	"sort"
+
+	"rtreebuf/internal/pack"
+	"rtreebuf/internal/rtree"
 )
 
 // Item is one stored data box with its identifier.
@@ -197,12 +199,7 @@ func HilbertOrdering(dims int) Ordering {
 		for i, r := range rects {
 			keys[i] = HilbertKey(r.Center(), bits)
 		}
-		perm := make([]int, len(rects))
-		for i := range perm {
-			perm[i] = i
-		}
-		sort.SliceStable(perm, func(a, b int) bool { return keys[perm[a]] < keys[perm[b]] })
-		return perm
+		return pack.SortKeys(keys)
 	}
 }
 
@@ -211,14 +208,11 @@ func HilbertOrdering(dims int) Ordering {
 // ext-dimensions experiment shows).
 func NearestXOrdering() Ordering {
 	return func(rects []Rect, _ int) []int {
-		perm := make([]int, len(rects))
-		for i := range perm {
-			perm[i] = i
+		xs := make([]float64, len(rects))
+		for i, r := range rects {
+			xs[i] = (r.Min[0] + r.Max[0]) / 2
 		}
-		sort.SliceStable(perm, func(a, b int) bool {
-			return rects[perm[a]].Center()[0] < rects[perm[b]].Center()[0]
-		})
-		return perm
+		return pack.SortFloats(xs)
 	}
 }
 
@@ -241,8 +235,8 @@ func Pack(p Params, items []Item, ord Ordering) (*Tree, error) {
 		rects[i] = it.Rect
 	}
 	perm := ord(rects, p.MaxEntries)
-	if len(perm) != len(items) {
-		return nil, fmt.Errorf("nd: ordering returned %d of %d indices", len(perm), len(items))
+	if err := rtree.CheckPermutation(perm, len(items)); err != nil {
+		return nil, fmt.Errorf("nd: %w", err)
 	}
 	var level []*node
 	for start := 0; start < len(perm); start += p.MaxEntries {
@@ -264,8 +258,8 @@ func Pack(p Params, items []Item, ord Ordering) (*Tree, error) {
 			mbrs[i] = n.mbr()
 		}
 		perm := ord(mbrs, p.MaxEntries)
-		if len(perm) != len(level) {
-			return nil, fmt.Errorf("nd: ordering returned %d of %d indices", len(perm), len(level))
+		if err := rtree.CheckPermutation(perm, len(level)); err != nil {
+			return nil, fmt.Errorf("nd: %w", err)
 		}
 		var next []*node
 		for start := 0; start < len(perm); start += p.MaxEntries {

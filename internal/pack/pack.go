@@ -12,10 +12,10 @@ package pack
 
 import (
 	"fmt"
-	"sort"
 
 	"rtreebuf/internal/geom"
 	"rtreebuf/internal/hilbert"
+	"rtreebuf/internal/par"
 	"rtreebuf/internal/rtree"
 )
 
@@ -80,15 +80,8 @@ func loadTAT(p rtree.Params, items []rtree.Item) (*rtree.Tree, error) {
 // Leutenegger–López we assume the rectangle's center is used.)
 func NearestXOrdering() rtree.Ordering {
 	return rtree.OrderingFunc(func(rects []geom.Rect, _ int) []int {
-		perm := identity(len(rects))
-		sort.SliceStable(perm, func(a, b int) bool {
-			ca, cb := rects[perm[a]].Center(), rects[perm[b]].Center()
-			if ca.X != cb.X {
-				return ca.X < cb.X
-			}
-			return ca.Y < cb.Y // deterministic tie-break
-		})
-		return perm
+		p, _, _ := sortByCenter(rects)
+		return indices(p)
 	})
 }
 
@@ -97,16 +90,8 @@ func NearestXOrdering() rtree.Ordering {
 // the unit square.
 func HilbertOrdering(order uint) rtree.Ordering {
 	return rtree.OrderingFunc(func(rects []geom.Rect, _ int) []int {
-		keys := make([]uint64, len(rects))
-		for i, r := range rects {
-			c := r.Center()
-			keys[i] = hilbert.EncodePoint(order, c.X, c.Y)
-		}
-		perm := identity(len(rects))
-		sort.SliceStable(perm, func(a, b int) bool {
-			return keys[perm[a]] < keys[perm[b]]
-		})
-		return perm
+		xs, ys := centers(rects)
+		return SortKeys(hilbert.EncodePoints(order, xs, ys))
 	})
 }
 
@@ -117,45 +102,50 @@ func HilbertOrdering(order uint) rtree.Ordering {
 // the STR tiling exactly.
 func STROrdering() rtree.Ordering {
 	return rtree.OrderingFunc(func(rects []geom.Rect, groupSize int) []int {
-		p := len(rects)
-		perm := identity(p)
-		sort.SliceStable(perm, func(a, b int) bool {
-			ca, cb := rects[perm[a]].Center(), rects[perm[b]].Center()
-			if ca.X != cb.X {
-				return ca.X < cb.X
-			}
-			return ca.Y < cb.Y
-		})
+		p, tmp, ky := sortByCenter(rects)
 		if groupSize < 1 {
-			return perm
+			return indices(p)
 		}
-		leaves := (p + groupSize - 1) / groupSize
+		leaves := (len(p) + groupSize - 1) / groupSize
 		slabs := ceilSqrt(leaves)
 		slabSize := slabs * groupSize
-		for start := 0; start < p; start += slabSize {
-			end := start + slabSize
-			if end > p {
-				end = p
+		// A slab is in (x, y, index) order, so a stable sort by y alone
+		// leaves it in (y, x, index) order. Slabs are disjoint ranges of p
+		// and tmp, so they sort side by side.
+		par.Chunks(slabs, 1, func(lo, hi int) {
+			for start := lo * slabSize; start < min(hi*slabSize, len(p)); start += slabSize {
+				end := min(start+slabSize, len(p))
+				rekey(p[start:end], ky)
+				sortPairs(p[start:end], tmp[start:end])
 			}
-			slab := perm[start:end]
-			sort.SliceStable(slab, func(a, b int) bool {
-				ca, cb := rects[slab[a]].Center(), rects[slab[b]].Center()
-				if ca.Y != cb.Y {
-					return ca.Y < cb.Y
-				}
-				return ca.X < cb.X
-			})
-		}
-		return perm
+		})
+		return indices(p)
 	})
 }
 
-func identity(n int) []int {
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	return perm
+// sortByCenter returns the rectangles' indices in (center x, center y,
+// index) order — the deterministic tie-break NX and STR share — with the
+// kernel's scratch and the y keys, which STR sorts its slabs by.
+func sortByCenter(rects []geom.Rect) (p, tmp []keyIdx, ky []uint64) {
+	xs, ys := centers(rects)
+	kx, ky := floatKeys(xs), floatKeys(ys)
+	p = pairs(kx)
+	tmp = make([]keyIdx, len(p))
+	sortPairs(p, tmp)
+	sortTiesBy(p, tmp, ky)
+	return p, tmp, ky
+}
+
+// centers returns the coordinates of the rectangles' centers.
+func centers(rects []geom.Rect) (xs, ys []float64) {
+	xs, ys = make([]float64, len(rects)), make([]float64, len(rects))
+	par.Chunks(len(rects), sortGrain, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			c := rects[i].Center()
+			xs[i], ys[i] = c.X, c.Y
+		}
+	})
+	return xs, ys
 }
 
 // ceilSqrt returns ceil(sqrt(n)) for n >= 0 using integer arithmetic.

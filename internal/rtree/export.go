@@ -18,31 +18,54 @@ type NodeData struct {
 	IDs      []int64 // data identifiers; leaves only
 }
 
-// ExportNodes returns every node in page order. It assigns page IDs if
-// they are stale, so it is always safe to call.
+// ExportNodes returns every node in page order. It numbers the pages
+// itself, so it is always safe to call.
 func (t *Tree) ExportNodes() []NodeData {
-	if !t.pagesValid {
-		t.AssignPageIDs()
+	x := t.PageExporter()
+	out := make([]NodeData, x.NumPages())
+	for page := range out {
+		x.Export(page, &out[page])
 	}
-	out := make([]NodeData, t.NodeCount())
-	t.walk(func(n *node) {
-		nd := NodeData{
-			Page:  n.page,
-			Level: t.root.height - n.height,
-			Leaf:  n.isLeaf(),
-			Rects: make([]geom.Rect, len(n.entries)),
-		}
-		for i, e := range n.entries {
-			nd.Rects[i] = e.rect
-			if n.isLeaf() {
-				nd.IDs = append(nd.IDs, e.id)
-			} else {
-				nd.Children = append(nd.Children, e.child.page)
-			}
-		}
-		out[n.page] = nd
-	})
 	return out
+}
+
+// PageExporter reads a tree's nodes one page at a time, for a writer that
+// wants them in page order without holding a NodeData for every node at
+// once. It is a snapshot of the page numbering: valid until the tree is
+// next updated, and safe for concurrent use until then.
+type PageExporter struct {
+	nodes []*node // by page number
+}
+
+// PageExporter numbers the pages in level order, as AssignPageIDs does,
+// and returns the exporter over them.
+func (t *Tree) PageExporter() PageExporter {
+	return PageExporter{nodes: t.levelOrder()}
+}
+
+// NumPages returns the number of pages, which are numbered from 0.
+func (x PageExporter) NumPages() int { return len(x.nodes) }
+
+// Export overwrites *nd with the node on the given page, reusing the
+// capacity of the slices nd already holds.
+func (x PageExporter) Export(page int, nd *NodeData) {
+	n := x.nodes[page]
+	*nd = NodeData{
+		Page:     page,
+		Level:    x.nodes[0].height - n.height,
+		Leaf:     n.isLeaf(),
+		Rects:    nd.Rects[:0],
+		Children: nd.Children[:0],
+		IDs:      nd.IDs[:0],
+	}
+	for _, e := range n.entries {
+		nd.Rects = append(nd.Rects, e.rect)
+		if nd.Leaf {
+			nd.IDs = append(nd.IDs, e.id)
+		} else {
+			nd.Children = append(nd.Children, e.child.page)
+		}
+	}
 }
 
 // ImportNodes reconstructs a tree from exported node data. The root must

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"rtreebuf/internal/geom"
+	"rtreebuf/internal/par"
 )
 
 // Ordering arranges the rectangles of one tree level prior to grouping
@@ -50,48 +51,23 @@ func Pack(p Params, items []Item, ord Ordering) (*Tree, error) {
 	}
 
 	// Leaf level.
-	rects := make([]geom.Rect, len(items))
-	for i, it := range items {
-		rects[i] = it.Rect
+	perm := ord.Order(itemRects(items), np.MaxEntries)
+	if err := CheckPermutation(perm, len(items)); err != nil {
+		return nil, fmt.Errorf("rtree: %w", err)
 	}
-	perm := ord.Order(rects, np.MaxEntries)
-	if err := checkPermutation(perm, len(items)); err != nil {
-		return nil, err
-	}
-	level := make([]*node, 0, (len(items)+np.MaxEntries-1)/np.MaxEntries)
-	for start := 0; start < len(perm); start += np.MaxEntries {
-		end := min(start+np.MaxEntries, len(perm))
-		n := &node{height: 0, entries: make([]entry, 0, end-start)}
-		for _, idx := range perm[start:end] {
-			n.entries = append(n.entries, entry{rect: items[idx].Rect, id: items[idx].ID})
-		}
-		level = append(level, n)
-	}
+	level, slab := newLevel(0, len(perm), np.MaxEntries)
+	fillLeaves(slab, items, perm)
 
 	// Upper levels.
-	height := 0
-	for len(level) > 1 {
-		height++
-		mbrs := make([]geom.Rect, len(level))
-		for i, n := range level {
-			mbrs[i] = n.mbr()
-		}
+	for height := 1; len(level) > 1; height++ {
+		mbrs := nodeMBRs(level, np.MaxEntries)
 		perm := ord.Order(mbrs, np.MaxEntries)
-		if err := checkPermutation(perm, len(level)); err != nil {
-			return nil, err
+		if err := CheckPermutation(perm, len(level)); err != nil {
+			return nil, fmt.Errorf("rtree: %w", err)
 		}
-		var next []*node
-		for start := 0; start < len(perm); start += np.MaxEntries {
-			end := min(start+np.MaxEntries, len(perm))
-			n := &node{height: height, entries: make([]entry, 0, end-start)}
-			for _, idx := range perm[start:end] {
-				child := level[idx]
-				child.parent = n
-				n.entries = append(n.entries, entry{rect: mbrs[idx], child: child})
-			}
-			next = append(next, n)
-		}
-		level = next
+		parents, slab := newLevel(height, len(perm), np.MaxEntries)
+		fillParents(slab, parents, level, mbrs, perm, np.MaxEntries)
+		level = parents
 	}
 
 	t.root = level[0]
@@ -99,23 +75,85 @@ func Pack(p Params, items []Item, ord Ordering) (*Tree, error) {
 	return t, nil
 }
 
-func checkPermutation(perm []int, n int) error {
+// packGrain is the fewest entries worth a goroutine of their own while a
+// level is built: a few tens of microseconds of copying.
+const packGrain = 1 << 13
+
+// newLevel allocates the nodes of one packed level over count entries,
+// at most fanout to a node, the last node possibly short. The nodes and
+// their entries come from one slab each; slab[i] is entry i%fanout of node
+// i/fanout, for the caller to fill. Every node's entries are cut to their
+// own capacity, so a later Insert that appends to one reallocates it
+// instead of running into its neighbour.
+func newLevel(height, count, fanout int) (level []*node, slab []entry) {
+	slab = make([]entry, count)
+	nodes := make([]node, (count+fanout-1)/fanout)
+	level = make([]*node, len(nodes))
+	for k := range nodes {
+		lo, hi := k*fanout, min(k*fanout+fanout, count)
+		nodes[k] = node{height: height, entries: slab[lo:hi:hi]}
+		level[k] = &nodes[k]
+	}
+	return level, slab
+}
+
+func itemRects(items []Item) []geom.Rect {
+	rects := make([]geom.Rect, len(items))
+	par.Chunks(len(items), packGrain, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			rects[i] = items[i].Rect
+		}
+	})
+	return rects
+}
+
+// fillLeaves makes slab the leaf entries: the items in perm's order.
+func fillLeaves(slab []entry, items []Item, perm []int) {
+	par.Chunks(len(perm), packGrain, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			it := items[perm[i]]
+			slab[i] = entry{rect: it.Rect, id: it.ID}
+		}
+	})
+}
+
+// nodeMBRs returns the MBR of every node of a level of fanout-entry nodes.
+func nodeMBRs(level []*node, fanout int) []geom.Rect {
+	mbrs := make([]geom.Rect, len(level))
+	par.Chunks(len(level), packGrain/fanout+1, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			mbrs[i] = level[i].mbr()
+		}
+	})
+	return mbrs
+}
+
+// fillParents makes slab the entries of parents: the children in perm's
+// order, each under its MBR, and points each child at its parent. perm is
+// a permutation, so every child is written by exactly one worker.
+func fillParents(slab []entry, parents, children []*node, mbrs []geom.Rect, perm []int, fanout int) {
+	par.Chunks(len(perm), packGrain, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			child := children[perm[i]]
+			child.parent = parents[i/fanout]
+			slab[i] = entry{rect: mbrs[perm[i]], child: child}
+		}
+	})
+}
+
+// CheckPermutation returns an error unless perm is a permutation of
+// [0, n): what a packer needs of an Ordering's result, or it silently
+// drops some rectangles and doubles others.
+func CheckPermutation(perm []int, n int) error {
 	if len(perm) != n {
-		return fmt.Errorf("rtree: ordering returned %d indices for %d rects", len(perm), n)
+		return fmt.Errorf("ordering returned %d indices for %d rects", len(perm), n)
 	}
 	seen := make([]bool, n)
 	for _, idx := range perm {
 		if idx < 0 || idx >= n || seen[idx] {
-			return fmt.Errorf("rtree: ordering is not a permutation (index %d)", idx)
+			return fmt.Errorf("ordering is not a permutation (index %d)", idx)
 		}
 		seen[idx] = true
 	}
 	return nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

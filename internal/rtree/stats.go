@@ -37,24 +37,25 @@ func (t *Tree) NodesPerLevel() []int {
 // Page numbers feed the trace/buffer machinery and the storage codec.
 // Structural updates (Insert/Delete) invalidate the assignment.
 func (t *Tree) AssignPageIDs() int {
-	next := 0
-	frontier := []*node{t.root}
-	for len(frontier) > 0 {
-		var nextLevel []*node
-		for _, n := range frontier {
-			n.page = next
-			next++
-			if n.isLeaf() {
-				continue
-			}
-			for _, e := range n.entries {
-				nextLevel = append(nextLevel, e.child)
-			}
+	return len(t.levelOrder())
+}
+
+// levelOrder numbers the nodes in level order and returns them by page
+// number: a breadth-first walk whose queue is the result.
+func (t *Tree) levelOrder() []*node {
+	order := []*node{t.root}
+	for page := 0; page < len(order); page++ {
+		n := order[page]
+		n.page = page
+		if n.isLeaf() {
+			continue
 		}
-		frontier = nextLevel
+		for _, e := range n.entries {
+			order = append(order, e.child)
+		}
 	}
 	t.pagesValid = true
-	return next
+	return order
 }
 
 // PageLevels returns, for each page number assigned by AssignPageIDs, the

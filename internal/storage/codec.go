@@ -41,11 +41,22 @@ func NodeCapacity(pageSize int) int {
 
 // EncodeNode serializes nd into a fresh page of the given size.
 func EncodeNode(nd rtree.NodeData, pageSize int) ([]byte, error) {
-	if len(nd.Rects) > NodeCapacity(pageSize) {
-		return nil, fmt.Errorf("storage: node with %d entries exceeds page capacity %d",
-			len(nd.Rects), NodeCapacity(pageSize))
-	}
 	buf := make([]byte, pageSize)
+	if err := encodeNodeInto(buf, nd); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// encodeNodeInto serializes nd over buf, one whole page: every byte of it
+// is written, so a buffer that held another page before is as good as a
+// fresh one.
+func encodeNodeInto(buf []byte, nd rtree.NodeData) error {
+	if len(nd.Rects) > NodeCapacity(len(buf)) {
+		return fmt.Errorf("storage: node with %d entries exceeds page capacity %d",
+			len(nd.Rects), NodeCapacity(len(buf)))
+	}
+	clear(buf[:nodeHeaderSize])
 	if nd.Leaf {
 		buf[0] = flagLeaf
 	}
@@ -63,8 +74,9 @@ func EncodeNode(nd rtree.NodeData, pageSize int) ([]byte, error) {
 		}
 		off += entrySize
 	}
+	clear(buf[off:])
 	binary.LittleEndian.PutUint32(buf[checksumOffset:], pageChecksum(buf))
-	return buf, nil
+	return nil
 }
 
 // pageChecksum computes the CRC-32C of the page with the checksum field

@@ -200,15 +200,8 @@ func SaveTree(dm DiskManager, t *rtree.Tree) error {
 		return fmt.Errorf("storage: node capacity %d exceeds page capacity %d (page size %d)",
 			t.Params().MaxEntries, cap, dm.PageSize())
 	}
-	nodes := t.ExportNodes()
-	for _, nd := range nodes {
-		page, err := EncodeNode(nd, dm.PageSize())
-		if err != nil {
-			return err
-		}
-		if err := dm.WritePage(nd.Page, page); err != nil {
-			return err
-		}
+	if err := savePages(dm, t.PageExporter()); err != nil {
+		return err
 	}
 	meta := TreeMeta{
 		MaxEntries: t.Params().MaxEntries,
