@@ -127,10 +127,10 @@ var effectTable = []effectIntrinsic{
 		"WAL batch append ending at the commit-point meta write"},
 	{"WAL", "Checkpoint", []Effect{EffCheckpoint},
 		"WAL checkpoint (truncates the redo log)"},
-	{"Pool", "Put", []Effect{EffWriteBack}, "pool install (may write back a dirty victim)"},
+	{"Pool", "Put", []Effect{EffWriteBack}, "pool install (may write back the dirty pages first)"},
 	{"Pool", "FlushDirty", []Effect{EffWriteBack}, "pool write-back of all dirty pages"},
 	{"Pool", "flushPage", []Effect{EffWriteBack}, "pool write-back of one page"},
-	{"Pool", "writeBackVictim", []Effect{EffWriteBack}, "pool write-back of the eviction victim"},
+	{"Pool", "makeRoom", []Effect{EffWriteBack}, "pool write-back of the dirty pages before an eviction"},
 	{"", "syncManager", []Effect{EffSync},
 		"page-file sync point (no-op only for unsyncable managers)"},
 	{"*", "WritePage", []Effect{EffPageWrite}, "data-page write"},

@@ -23,8 +23,8 @@ var catalogue = []mutant{
 		name: "lock-view-reads-under-mutex", aim: "lockcheck",
 		what: "ShardedPool.View reads the source with the shard mutex held",
 		edits: []edit{{"internal/buffer/sharded.go",
-			"\terr = sh.pool.src.ReadPage(local, buf)\n\tsh.mu.Lock()\n\tif err != nil {\n\t\terr = sh.pool.failedFault(local, err)",
-			"\tsh.mu.Lock()\n\terr = sh.pool.src.ReadPage(local, buf)\n\tif err != nil {\n\t\terr = sh.pool.failedFault(local, err)"}},
+			"\terr = sh.pool.src.ReadPage(local, frame)\n\tsh.mu.Lock()\n\tdefer sh.mu.Unlock()\n",
+			"\tsh.mu.Lock()\n\tdefer sh.mu.Unlock()\n\terr = sh.pool.src.ReadPage(local, frame)\n"}},
 		pkgs: []string{bufferPkg, storagePkg},
 	},
 	{
@@ -36,10 +36,10 @@ var catalogue = []mutant{
 	},
 	{
 		name: "lock-pin-error-path-leaks", aim: "lockcheck", rare: true,
-		what: "ShardedPool.Pin returns preparePin's error before unlocking",
+		what: "ShardedPool.Pin returns probe's error before unlocking",
 		edits: []edit{{"internal/buffer/sharded.go",
-			"\tneed, err := sh.pool.preparePin(local)\n\tsh.mu.Unlock()\n\tif err != nil || !need {\n\t\treturn s.globalize(err, page)\n\t}\n",
-			"\tneed, err := sh.pool.preparePin(local)\n\tif err != nil {\n\t\treturn s.globalize(err, page)\n\t}\n\tsh.mu.Unlock()\n\tif !need {\n\t\treturn nil\n\t}\n"}},
+			"\tframe, done, err := sh.pool.probe(local, true)\n\tsh.mu.Unlock()\n\tif done || err != nil {\n\t\treturn s.globalize(err, page)\n\t}\n",
+			"\tframe, done, err := sh.pool.probe(local, true)\n\tif err != nil {\n\t\treturn s.globalize(err, page)\n\t}\n\tsh.mu.Unlock()\n\tif done {\n\t\treturn nil\n\t}\n"}},
 		pkgs: []string{bufferPkg, storagePkg},
 	},
 
@@ -77,18 +77,18 @@ var catalogue = []mutant{
 	// ---- hotalloc
 	{
 		name: "alloc-fetch-hit-copies", aim: "hotalloc",
-		what: "Pool.fetch returns a defensive copy of the frame on a hit",
+		what: "Pool.probe returns a defensive copy of the frame on a hit",
 		edits: []edit{{"internal/buffer/pool.go",
-			"\t\tp.policy.Access(page)\n\t\treturn p.frames[page], AccessInfo{Hit: true}, nil\n",
-			"\t\tp.policy.Access(page)\n\t\tout := make([]byte, len(p.frames[page]))\n\t\tcopy(out, p.frames[page])\n\t\treturn out, AccessInfo{Hit: true}, nil\n"}},
+			"\t\tp.policy.Access(page)\n\t}\n\treturn p.frames[page], true, err\n",
+			"\t\tp.policy.Access(page)\n\t}\n\tout := make([]byte, len(p.frames[page]))\n\tcopy(out, p.frames[page])\n\treturn out, true, err\n"}},
 		pkgs: []string{bufferPkg, storagePkg},
 	},
 	{
 		name: "alloc-fetch-hit-stack-make", aim: "hotalloc", benign: true,
 		what: "same site, a 64-byte make the compiler keeps on the stack (nothing allocates)",
 		edits: []edit{{"internal/buffer/pool.go",
-			"\t\tp.policy.Access(page)\n\t\treturn p.frames[page], AccessInfo{Hit: true}, nil\n",
-			"\t\tp.policy.Access(page)\n\t\thead := make([]byte, 64)\n\t\tcopy(head, p.frames[page])\n\t\t_ = head[0]\n\t\treturn p.frames[page], AccessInfo{Hit: true}, nil\n"}},
+			"\t\tp.policy.Access(page)\n\t}\n\treturn p.frames[page], true, err\n",
+			"\t\tp.policy.Access(page)\n\t}\n\thead := make([]byte, 64)\n\tcopy(head, p.frames[page])\n\t_ = head[0]\n\treturn p.frames[page], true, err\n"}},
 		pkgs: []string{bufferPkg, storagePkg},
 	},
 
@@ -356,8 +356,8 @@ var catalogue = []mutant{
 		name: "dur-flushpage-republishes-catalog", aim: "durcheck:writeback-pages-only",
 		what: "Pool.flushPage republishes the sink's catalog after every write-back",
 		edits: []edit{{"internal/buffer/pool.go",
-			"\tp.metrics.onWriteBack()\n\tp.clearDirty(page)\n",
-			"\tif c, ok := p.sink.(interface {\n\t\tReadMeta() ([]byte, error)\n\t\tWriteMeta([]byte) error\n\t}); ok {\n\t\tif meta, err := c.ReadMeta(); err == nil {\n\t\t\t_ = c.WriteMeta(meta)\n\t\t}\n\t}\n\tp.metrics.onWriteBack()\n\tp.clearDirty(page)\n"}},
+			"\tp.metrics.onWriteBack()\n\tp.dirty[page] = false\n",
+			"\tif c, ok := p.sink.(interface {\n\t\tReadMeta() ([]byte, error)\n\t\tWriteMeta([]byte) error\n\t}); ok {\n\t\tif meta, err := c.ReadMeta(); err == nil {\n\t\t\t_ = c.WriteMeta(meta)\n\t\t}\n\t}\n\tp.metrics.onWriteBack()\n\tp.dirty[page] = false\n"}},
 		pkgs: []string{bufferPkg, storagePkg, benchPkg},
 	},
 	{
@@ -366,6 +366,14 @@ var catalogue = []mutant{
 		edits: []edit{{"internal/buffer/pool.go",
 			"\t\tif err := p.flushPage(page); err != nil {\n\t\t\trest := p.dirtyList[i:]\n",
 			"\t\tif err := p.flushPage(page); err != nil {\n\t\t\tif c, ok := p.sink.(interface {\n\t\t\t\tReadMeta() ([]byte, error)\n\t\t\t\tWriteMeta([]byte) error\n\t\t\t}); ok {\n\t\t\t\tif meta, merr := c.ReadMeta(); merr == nil {\n\t\t\t\t\t_ = c.WriteMeta(meta)\n\t\t\t\t}\n\t\t\t}\n\t\t\trest := p.dirtyList[i:]\n"}},
+		pkgs: []string{bufferPkg, storagePkg, benchPkg},
+	},
+	{
+		name: "dur-put-republishes-catalog", aim: "durcheck:writeback-pages-only",
+		what: "Pool.Put republishes the sink's catalog after installing a page (off the query path, where hotalloc does not look)",
+		edits: []edit{{"internal/buffer/pool.go",
+			"\tcopy(p.frames[page], data)\n\tp.setDirty(page)\n",
+			"\tcopy(p.frames[page], data)\n\tp.setDirty(page)\n\tif c, ok := p.sink.(interface {\n\t\tReadMeta() ([]byte, error)\n\t\tWriteMeta([]byte) error\n\t}); ok {\n\t\tif meta, err := c.ReadMeta(); err == nil {\n\t\t\t_ = c.WriteMeta(meta)\n\t\t}\n\t}\n"}},
 		pkgs: []string{bufferPkg, storagePkg, benchPkg},
 	},
 	{

@@ -182,7 +182,7 @@ func Rules() []*Rule {
 			Kind:     RuleNever,
 			A:        effects(EffMetaWrite, EffLogAppend, EffCommit, EffCheckpoint),
 			Scope: []ScopeSpec{
-				{"*", "FlushDirty"}, {"*", "flushPage"}, {"*", "writeBackVictim"},
+				{"*", "FlushDirty"}, {"*", "flushPage"}, {"*", "makeRoom"},
 				{"Pool", "Put"},
 			},
 			Doc: "pool write-back paths move data pages only; they must never publish a catalog, " +

@@ -97,33 +97,6 @@ func (c *Clock) insert(page int) {
 	}
 }
 
-// Victim returns the page insert's sweep would evict next, without
-// moving the hand or clearing any reference bits. It simulates the
-// sweep: the first unreferenced, unpinned frame from the hand wins the
-// first lap; if every candidate is referenced, the sweep will have
-// cleared them all, so the first unpinned frame from the hand wins the
-// second.
-func (c *Clock) Victim() (page int, ok bool) {
-	first := -1
-	for i := 0; i < c.capacity; i++ {
-		f := (c.hand + i) % c.capacity
-		p := c.frames[f]
-		if p == sentinel || c.pinned[p] {
-			continue
-		}
-		if first < 0 {
-			first = f
-		}
-		if !c.ref[f] {
-			return int(p), true
-		}
-	}
-	if first < 0 {
-		return 0, false
-	}
-	return int(c.frames[first]), true
-}
-
 // Install makes page resident without counting a hit or a miss (see
 // PoolPolicy). A resident page gets its reference bit set; a miss-side
 // install may evict, which still counts.
@@ -134,20 +107,6 @@ func (c *Clock) Install(page int) bool {
 	}
 	c.insert(page)
 	return false
-}
-
-// Remove drops page without counting an eviction — backing out a failed
-// fault. The frame becomes empty and is refilled by the next insert.
-func (c *Clock) Remove(page int) bool {
-	f := c.frameOf[page]
-	if f == sentinel || c.pinned[page] {
-		return false
-	}
-	c.frames[f] = sentinel
-	c.ref[f] = false
-	c.frameOf[page] = sentinel
-	c.size--
-	return true
 }
 
 // Grow extends the page-number space to numPages (no-op if not larger).
@@ -190,6 +149,6 @@ func (c *Clock) Unpin(page int) {
 	c.nPinned--
 }
 
-// Stats, ResetStats, HitRatio, SetMetrics, Capacity, Len, Full, Pinned,
-// NumPages, and SetOnEvict are promoted from the embedded policyCore,
+// Stats, ResetStats, HitRatio, SetMetrics, Capacity, Len, Full, and
+// SetOnEvict are promoted from the embedded policyCore,
 // the bookkeeping shared by every Policy.

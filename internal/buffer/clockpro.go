@@ -20,12 +20,9 @@ package buffer
 // reuse-distance feedback that makes CLOCK-Pro scan-resistant where
 // plain CLOCK is not. coldTarget starts at half the unpinned capacity.
 //
-// Victim is memoized: peeking the next eviction victim performs the
-// hand work (promotions, demotions, test expirations — everything
-// except dropping a frame) and caches the chosen page, so the pool's
-// peek / write-back / evict protocol acts on one stable victim. The
-// cache is revalidated, not trusted: any intervening state change that
-// makes the cached page unevictable forces a re-settle.
+// All hand work happens inside the access that needs a frame (Access,
+// Install or Pin of an absent page into a full cache): nothing looks
+// ahead, so the policy's state depends on the access sequence alone.
 //
 // The paper under study models LRU; ClockPro is the second of the two
 // modern policies experiment ext-policy validates the extended model
@@ -45,7 +42,6 @@ type ClockPro struct {
 
 	nHot, nCold, nGhost int
 	coldTarget          int
-	settled             int32 // memoized eviction victim, or sentinel
 }
 
 // Page states for ClockPro.state.
@@ -70,7 +66,6 @@ func NewClockPro(capacity, numPages int) *ClockPro {
 		handHot:    sentinel,
 		handCold:   sentinel,
 		handTest:   sentinel,
-		settled:    sentinel,
 	}
 	c.coldTarget = max(1, capacity/2)
 	return c
@@ -168,25 +163,11 @@ func (c *ClockPro) admitGhost(page int) {
 	c.rebalanceHot()
 }
 
-// Victim returns the page the next eviction will drop, doing the hand
-// work up front (see the type comment on memoization).
-func (c *ClockPro) Victim() (page int, ok bool) {
-	v := c.settleVictim()
-	if v == sentinel {
-		return 0, false
-	}
-	return int(v), true
-}
-
-// settleVictim advances the CLOCK-Pro machinery until an unreferenced
-// resident cold page sits under handCold, and caches it. Promotions,
-// renewals, and hot demotions happen here; only the frame drop is left
-// to evictOne.
-func (c *ClockPro) settleVictim() int32 {
-	if s := c.settled; s != sentinel && c.state[s] == cpCold && !c.ref[s] && !c.pinned[s] {
-		return s
-	}
-	c.settled = sentinel
+// runHandCold advances the CLOCK-Pro machinery until an unreferenced
+// resident cold page sits under handCold and returns it (sentinel when
+// everything resident is pinned). Promotions, renewals, and hot
+// demotions happen here; only the frame drop is left to evictOne.
+func (c *ClockPro) runHandCold() int32 {
 	bound := 4*c.capacity + 4*(c.nHot+c.nCold+c.nGhost) + 16
 	for i := 0; i < bound; i++ {
 		if c.nCold == 0 {
@@ -199,7 +180,6 @@ func (c *ClockPro) settleVictim() int32 {
 		c.handCold = c.seek(c.handCold, cpCold)
 		p := c.handCold
 		if !c.ref[p] {
-			c.settled = p
 			return p
 		}
 		if c.inTest[p] {
@@ -226,11 +206,10 @@ func (c *ClockPro) settleVictim() int32 {
 // test period stays in the ring as a non-resident test entry; one past
 // it vanishes.
 func (c *ClockPro) evictOne() {
-	v := c.settleVictim()
+	v := c.runHandCold()
 	if v == sentinel {
 		panic(noEvictableErr(c.capacity, c.nPinned))
 	}
-	c.settled = sentinel
 	if c.inTest[v] {
 		// Keep the entry, advance the eviction hand past it.
 		if c.handCold == v {
@@ -369,28 +348,6 @@ func (c *ClockPro) Unpin(page int) {
 	c.clampColdTarget()
 }
 
-// Remove drops page without counting an eviction — backing out a failed
-// fault. No test entry is left behind: the page was never really read.
-func (c *ClockPro) Remove(page int) bool {
-	if c.pinned[page] {
-		return false
-	}
-	switch c.state[page] {
-	case cpHot:
-		c.removeNode(int32(page))
-		c.nHot--
-	case cpCold:
-		c.removeNode(int32(page))
-		c.nCold--
-		c.inTest[page] = false
-	default:
-		return false
-	}
-	c.state[page] = cpNone
-	c.size--
-	return true
-}
-
 // Grow extends the page-number space to numPages (no-op if not larger).
 func (c *ClockPro) Grow(numPages int) {
 	old := c.numPages
@@ -405,8 +362,8 @@ func (c *ClockPro) Grow(numPages int) {
 	c.ref = append(c.ref, make([]bool, extra)...)
 }
 
-// Stats, ResetStats, HitRatio, SetMetrics, Capacity, Len, Full, Pinned,
-// NumPages, and SetOnEvict are promoted from the embedded policyCore.
+// Stats, ResetStats, HitRatio, SetMetrics, Capacity, Len, Full, and
+// SetOnEvict are promoted from the embedded policyCore.
 
 // insertNewest links p into the ring as the youngest entry with the
 // given state.
@@ -442,9 +399,6 @@ func (c *ClockPro) removeNode(p int32) {
 	}
 	if c.handTest == p {
 		c.handTest = adv
-	}
-	if c.settled == p {
-		c.settled = sentinel
 	}
 	if c.oldest == p {
 		c.oldest = adv

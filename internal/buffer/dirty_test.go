@@ -3,6 +3,8 @@ package buffer
 import (
 	"bytes"
 	"errors"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"rtreebuf/internal/obs"
@@ -86,6 +88,9 @@ func TestPoolPutFlushDirty(t *testing.T) {
 	}
 }
 
+// Every operation that evicts from a full pool — a fault, a Put of an
+// absent page, a Pin — writes the dirty pages back first, the page the
+// policy then drops among them.
 func TestPoolEvictionWritesBackDirtyVictim(t *testing.T) {
 	src := &fakeSource{pageSize: 16, numPages: 8}
 	sink := newFakeSink(16)
@@ -97,33 +102,36 @@ func TestPoolEvictionWritesBackDirtyVictim(t *testing.T) {
 	if err := p.Put(1, pattern(16, 0xB1)); err != nil {
 		t.Fatal(err)
 	}
-	// Faulting page 2 must evict page 0 (LRU) — but only after writing
-	// it back.
+	// Faulting page 2 evicts page 0 (LRU) — but only after writing it
+	// back, and page 1 with it.
 	if _, err := p.Get(2); err != nil {
 		t.Fatalf("Get(2): %v", err)
 	}
-	if !bytes.Equal(sink.pages[0], pattern(16, 0xB0)) {
-		t.Fatal("evicted dirty page 0 not written back")
+	if !bytes.Equal(sink.pages[0], pattern(16, 0xB0)) || !bytes.Equal(sink.pages[1], pattern(16, 0xB1)) {
+		t.Fatal("dirty pages not written back before the fault evicted")
 	}
-	if p.DirtyPages() != 1 {
-		t.Fatalf("DirtyPages = %d, want 1 (page 1)", p.DirtyPages())
+	if p.DirtyPages() != 0 || p.policy.Contains(0) {
+		t.Fatalf("DirtyPages = %d, page 0 resident %v; want a clean pool without page 0", p.DirtyPages(), p.policy.Contains(0))
 	}
-	// Put over a full pool write-backs the dirty victim too.
+	// Put of an absent page over a full pool: same contract.
 	if err := p.Put(3, pattern(16, 0xB3)); err != nil {
 		t.Fatalf("Put(3): %v", err)
 	}
-	if _, ok := sink.pages[1]; !ok {
-		t.Fatal("dirty victim of Put not written back")
+	if err := p.Put(4, pattern(16, 0xB4)); err != nil {
+		t.Fatalf("Put(4): %v", err)
+	}
+	if !bytes.Equal(sink.pages[3], pattern(16, 0xB3)) {
+		t.Fatal("dirty page 3 not written back before Put evicted")
 	}
 	// Pin over a full pool: same contract.
-	if err := p.Put(4, pattern(16, 0xB4)); err != nil {
-		t.Fatal(err)
-	}
 	if err := p.Pin(5); err != nil {
 		t.Fatalf("Pin(5): %v", err)
 	}
-	if _, ok := sink.pages[3]; !ok {
-		t.Fatal("dirty victim of Pin not written back")
+	if !bytes.Equal(sink.pages[4], pattern(16, 0xB4)) {
+		t.Fatal("dirty page 4 not written back before Pin evicted")
+	}
+	if want := []int{0, 1, 3, 4}; !slices.Equal(sink.order, want) {
+		t.Fatalf("write-backs %v, want %v: each page once, before the eviction that followed", sink.order, want)
 	}
 }
 
@@ -255,5 +263,89 @@ func TestPoolDirtyMetricsMirrored(t *testing.T) {
 	}
 	if p.FailedWrites() != 1 {
 		t.Fatalf("FailedWrites = %d, want 1", p.FailedWrites())
+	}
+}
+
+// TestCommitWriteSequenceUnchanged pins what the page file sees of a
+// commit. commitUpdate puts a batch's pages in ascending order and ends
+// with FlushDirty; through a pool that is full — so that puts of absent
+// pages evict, and write back before they do — every page of the batch
+// still reaches the sink exactly once, in batch order.
+func TestCommitWriteSequenceUnchanged(t *testing.T) {
+	const pageSize, numPages, capacity = 16, 32, 4
+	fill := func(p *Pool) {
+		t.Helper()
+		for page := numPages - capacity; page < numPages; page++ {
+			if _, err := p.Get(page); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(9))
+	for size := 1; size <= 6; size++ {
+		for trial := 0; trial < 20; trial++ {
+			src := &fakeSource{pageSize: pageSize, numPages: numPages}
+			sink := newFakeSink(pageSize)
+			p := NewPool(src, capacity, numPages)
+			p.SetSink(sink)
+			fill(p)
+			batch := rng.Perm(numPages)[:size] // resident and absent pages alike
+			slices.Sort(batch)
+			for _, page := range batch {
+				if err := p.Put(page, pattern(pageSize, byte(page))); err != nil {
+					t.Fatalf("Put(%d): %v", page, err)
+				}
+			}
+			if err := p.FlushDirty(); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(sink.order, batch) {
+				t.Fatalf("batch %v reached the sink as %v", batch, sink.order)
+			}
+		}
+	}
+
+	// A fault into a full pool holding dirty pages writes them all back,
+	// in page order, before the policy evicts, and the access reports them.
+	src := &fakeSource{pageSize: pageSize, numPages: numPages}
+	sink := newFakeSink(pageSize)
+	p := NewPool(src, capacity, numPages)
+	p.SetSink(sink)
+	fill(p)
+	for _, page := range []int{numPages - 1, numPages - 3} {
+		if err := p.Put(page, pattern(pageSize, byte(page))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	info, err := p.View(0, func([]byte) {})
+	if err != nil || info.Hit || info.WriteBacks != 2 || p.DirtyPages() != 0 {
+		t.Fatalf("fault into a full dirty pool: info=%+v err=%v, %d pages still dirty; want a miss with 2 write-backs", info, err, p.DirtyPages())
+	}
+	if want := []int{numPages - 3, numPages - 1}; !slices.Equal(sink.order, want) {
+		t.Fatalf("the fault wrote back %v, want %v", sink.order, want)
+	}
+
+	// Through a failing sink the access fails after its read: the miss
+	// counts, nothing is evicted, and the pages stay dirty and resident.
+	for _, page := range []int{numPages - 1, numPages - 2} {
+		if err := p.Put(page, pattern(pageSize, byte(page))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sink.failOn[numPages-1] = true
+	_, missesBefore, evictionsBefore := p.Stats()
+	info, err = p.View(1, func([]byte) { t.Error("callback ran on a failed access") })
+	_, misses, evictions := p.Stats()
+	if err == nil || info.WriteBacks != 1 || misses != missesBefore+1 || evictions != evictionsBefore {
+		t.Fatalf("fault through a failing sink: info=%+v err=%v, misses %d->%d, evictions %d->%d; want an error after one write-back, one more miss, no eviction",
+			info, err, missesBefore, misses, evictionsBefore, evictions)
+	}
+	if p.FailedWrites() != 1 || p.DirtyPages() != 1 || !p.dirty[numPages-1] || p.Resident() != capacity {
+		t.Fatalf("after the failed write-back: %d failed writes, %d dirty pages, %d resident; want 1, 1 (page %d), %d",
+			p.FailedWrites(), p.DirtyPages(), p.Resident(), numPages-1, capacity)
+	}
+	got, err := p.Get(numPages - 1)
+	if err != nil || !bytes.Equal(got, pattern(pageSize, byte(numPages-1))) {
+		t.Fatalf("dirty page lost after the failed write-back: %v", err)
 	}
 }

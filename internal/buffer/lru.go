@@ -104,18 +104,6 @@ func (l *LRU) Unpin(page int) {
 	l.pushFront(int32(page))
 }
 
-// Victim returns the page the next capacity eviction would drop (the
-// least recently used unpinned page) without touching anything. ok is
-// false when every resident page is pinned or the cache is empty. A pool
-// that tracks dirty pages peeks the victim before a fault so it can
-// write the contents back while they are still resident.
-func (l *LRU) Victim() (page int, ok bool) {
-	if l.tail == sentinel {
-		return 0, false
-	}
-	return int(l.tail), true
-}
-
 // Install makes page resident as most recently used without counting a
 // hit or a miss — the caller is writing the page, not reading it, so no
 // physical read is implied (Stats' "misses equal source reads" contract
@@ -153,22 +141,8 @@ func (l *LRU) Grow(numPages int) {
 	l.resident = append(l.resident, make([]bool, extra)...)
 }
 
-// Remove drops page from the cache without invoking the evict hook or
-// counting an eviction. Used by pools to back out a fault whose source
-// read failed. Removing a pinned or absent page is a no-op returning
-// false.
-func (l *LRU) Remove(page int) bool {
-	if l.pinned[page] || !l.resident[page] {
-		return false
-	}
-	l.unlink(int32(page))
-	l.resident[page] = false
-	l.size--
-	return true
-}
-
-// Stats, ResetStats, HitRatio, SetMetrics, Capacity, Len, Full, Pinned,
-// NumPages, and SetOnEvict are promoted from the embedded policyCore,
+// Stats, ResetStats, HitRatio, SetMetrics, Capacity, Len, Full, and
+// SetOnEvict are promoted from the embedded policyCore,
 // the bookkeeping shared by every Policy.
 
 func (l *LRU) evictLRU() {

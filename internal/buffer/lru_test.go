@@ -166,29 +166,6 @@ func TestLRUDoublePin(t *testing.T) {
 	}
 }
 
-func TestLRURemove(t *testing.T) {
-	l := NewLRU(3, 10)
-	l.Access(1)
-	l.Access(2)
-	if !l.Remove(1) {
-		t.Error("Remove of resident page failed")
-	}
-	if l.Contains(1) || l.Len() != 1 {
-		t.Error("Remove left page resident")
-	}
-	if l.Remove(1) {
-		t.Error("Remove of absent page succeeded")
-	}
-	l.Pin(2)
-	if l.Remove(2) {
-		t.Error("Remove of pinned page succeeded")
-	}
-	_, _, evictions := l.Stats()
-	if evictions != 0 {
-		t.Errorf("Remove counted %d evictions", evictions)
-	}
-}
-
 func TestLRUOnEvict(t *testing.T) {
 	l := NewLRU(2, 10)
 	var evicted []int

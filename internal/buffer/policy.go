@@ -11,15 +11,17 @@ import "fmt"
 //
 //   - Policy is the access-level contract the validation simulator
 //     drives: touch a page, pin a page, read the counters.
-//   - PoolPolicy adds the frame-manager hooks a page pool needs — peek
-//     the next eviction victim (for dirty write-back before the frame is
-//     lost), install a written page without read accounting, back out a
-//     failed fault, grow the page-number space, observe evictions.
+//   - PoolPolicy adds the four hooks a page pool needs to move frames
+//     around the policy's decisions: install a written page without read
+//     accounting, count a read that made nothing resident, grow the
+//     page-number space, observe evictions. The policy decides and the
+//     pool moves bytes: a pool never asks which page goes next and never
+//     takes a decision back, so a pool over a policy is, access for
+//     access, the automaton the simulator drives.
 //
 // All four built-in policies (LRU, Clock, TwoQ, ClockPro) implement
 // PoolPolicy; the Sharded wrapper, which routes accesses across
-// per-shard sub-policies for the simulator, implements only Policy
-// (a cross-shard eviction victim is not well defined).
+// per-shard sub-policies for the simulator, implements only Policy.
 
 // Policy is the replacement-policy contract the validation simulator
 // drives, letting it swap policies under one workload.
@@ -43,31 +45,17 @@ type Policy interface {
 // frames around the policy's decisions.
 type PoolPolicy interface {
 	Policy
-	// Victim returns the page the next capacity eviction will drop,
-	// given that the only intervening policy mutation is the faulting
-	// access (or install) that triggers the eviction. ok is false when
-	// every resident page is pinned or the cache is empty.
-	Victim() (page int, ok bool)
 	// Install makes page resident as most recently used without
 	// counting a hit or a miss — the caller is writing the page, not
 	// reading it, so no physical read is implied. A capacity eviction
 	// still counts. Returns whether the page was already resident.
 	Install(page int) bool
-	// Remove drops page without invoking the evict hook or counting an
-	// eviction — pools back out a fault whose source read failed.
-	// Removing a pinned or absent page is a no-op returning false.
-	Remove(page int) bool
-	// Pinned reports whether page is pinned.
-	Pinned(page int) bool
-	// NoteMiss counts a miss without making the page resident — the
-	// accounting for a fault whose source read failed. Unlike Access it
-	// can never evict, so it is safe when a dirty victim has not been
-	// written back.
+	// NoteMiss counts a miss and changes nothing else — the accounting
+	// for a source read that made no page resident (the read failed, or
+	// its commit did).
 	NoteMiss(page int)
 	// Grow extends the page-number space (no-op if not larger).
 	Grow(numPages int)
-	// NumPages returns the current page-number space bound.
-	NumPages() int
 	// SetOnEvict registers a hook called with each evicted page, letting
 	// a pool release the frame. The hook must not call back into the
 	// policy.
@@ -119,18 +107,12 @@ func newPolicyCore(kind string, capacity, numPages int) policyCore {
 // Capacity returns the page capacity.
 func (c *policyCore) Capacity() int { return c.capacity }
 
-// NumPages returns the page-number space bound.
-func (c *policyCore) NumPages() int { return c.numPages }
-
 // Len returns the number of resident pages (pinned included).
 func (c *policyCore) Len() int { return c.size }
 
 // Full reports whether the cache is at capacity — the warm-up boundary
 // of the Bhide/Dan/Dias analysis.
 func (c *policyCore) Full() bool { return c.size >= c.capacity }
-
-// Pinned reports whether page is pinned.
-func (c *policyCore) Pinned(page int) bool { return c.pinned[page] }
 
 // SetOnEvict registers the eviction hook (nil clears it).
 func (c *policyCore) SetOnEvict(f func(page int)) { c.onEvict = f }

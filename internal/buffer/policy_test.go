@@ -15,10 +15,7 @@ func TestTwoQQueueTransitions(t *testing.T) {
 			t.Fatalf("first access of %d hit", p)
 		}
 	}
-	// A1in = [2 1 0]; over Kin, so the next eviction drains its tail.
-	if v, ok := q.Victim(); !ok || v != 0 {
-		t.Fatalf("Victim = %d,%v, want 0", v, ok)
-	}
+	// A1in = [2 1 0]; over Kin, so the next eviction drains its tail, 0.
 	if q.Access(3) {
 		t.Fatal("access of 3 hit")
 	}
@@ -170,24 +167,6 @@ func TestClockProGhostPromotion(t *testing.T) {
 	checkClockProRing(t, c)
 }
 
-func TestClockProVictimStableAcrossPeeks(t *testing.T) {
-	c := NewClockPro(4, 64)
-	for p := 0; p < 4; p++ {
-		c.Access(p)
-	}
-	v1, ok1 := c.Victim()
-	v2, ok2 := c.Victim()
-	if !ok1 || !ok2 || v1 != v2 {
-		t.Fatalf("Victim not stable: %d,%v then %d,%v", v1, ok1, v2, ok2)
-	}
-	var evicted []int
-	c.SetOnEvict(func(p int) { evicted = append(evicted, p) })
-	c.Access(9) // miss: must evict exactly the peeked victim
-	if len(evicted) != 1 || evicted[0] != v1 {
-		t.Fatalf("evicted %v, peeked %d", evicted, v1)
-	}
-}
-
 func TestClockProPinning(t *testing.T) {
 	c := NewClockPro(3, 32)
 	if err := c.Pin(7); err != nil {
@@ -205,26 +184,6 @@ func TestClockProPinning(t *testing.T) {
 	c.Unpin(7)
 	if c.state[7] != cpCold || !c.inTest[7] {
 		t.Fatal("unpinned page not returned as cold page in test")
-	}
-	checkClockProRing(t, c)
-}
-
-func TestClockProRemove(t *testing.T) {
-	c := NewClockPro(3, 16)
-	c.Access(0)
-	c.Access(1)
-	if !c.Remove(0) {
-		t.Fatal("Remove of resident page failed")
-	}
-	if c.Contains(0) || c.state[0] != cpNone {
-		t.Fatal("removed page still tracked")
-	}
-	if c.Remove(0) {
-		t.Fatal("Remove of absent page succeeded")
-	}
-	_, _, evictions := c.Stats()
-	if evictions != 0 {
-		t.Fatalf("Remove counted %d evictions", evictions)
 	}
 	checkClockProRing(t, c)
 }
@@ -263,8 +222,9 @@ func TestClockProRandomizedInvariants(t *testing.T) {
 					delete(pinned, p)
 				}
 			default:
-				if !pinned[p] {
-					c.Remove(p)
+				c.Install(p)
+				if !c.Contains(p) {
+					t.Fatal("page absent right after install")
 				}
 			}
 			if c.Len() > capacity {
@@ -328,9 +288,10 @@ func checkClockProRing(t *testing.T, c *ClockPro) {
 
 // --- cross-policy contracts ---
 
-// Every policy must evict exactly the page Victim peeked when the only
-// intervening mutation is the faulting access — the pool's dirty
-// write-back protocol depends on it.
+// The pool takes a frame back for every page the eviction hook names, so
+// every policy must, on a miss into a full cache, evict exactly one page
+// — resident until then, not pinned, absent afterwards — and evict
+// nothing on any other access.
 func TestPolicyVictimEvictContract(t *testing.T) {
 	for _, name := range PolicyNames() {
 		t.Run(name, func(t *testing.T) {
@@ -339,35 +300,41 @@ func TestPolicyVictimEvictContract(t *testing.T) {
 				t.Fatal(err)
 			}
 			p := factory(8, 64)
+			if err := p.Pin(5); err != nil {
+				t.Fatal(err)
+			}
 			var evicted []int
-			p.SetOnEvict(func(pg int) { evicted = append(evicted, pg) })
+			resident := map[int]bool{5: true}
+			p.SetOnEvict(func(pg int) {
+				if !resident[pg] || pg == 5 {
+					t.Fatalf("evicted page %d: resident %v, pinned %v", pg, resident[pg], pg == 5)
+				}
+				delete(resident, pg)
+				evicted = append(evicted, pg)
+			})
 			rng := rand.New(rand.NewSource(7))
 			for i := 0; i < 4000; i++ {
 				pg := rng.Intn(64)
-				want, wantOK := 0, false
+				want := 0
 				if p.Full() && !p.Contains(pg) {
-					want, wantOK = p.Victim()
-					if !wantOK {
-						t.Fatal("full unpinned cache has no victim")
-					}
+					want = 1
 				}
 				before := len(evicted)
 				p.Access(pg)
-				if wantOK {
-					if len(evicted) != before+1 {
-						t.Fatalf("op %d: miss on full cache evicted %d pages", i, len(evicted)-before)
-					}
-					if evicted[before] != want {
-						t.Fatalf("op %d: evicted %d, Victim peeked %d", i, evicted[before], want)
-					}
+				resident[pg] = true
+				if got := len(evicted) - before; got != want {
+					t.Fatalf("op %d: access evicted %d pages, want %d", i, got, want)
 				}
-				if p.Len() > p.Capacity() {
-					t.Fatalf("Len %d > capacity", p.Len())
+				if want == 1 && p.Contains(evicted[before]) {
+					t.Fatalf("op %d: evicted page %d still resident", i, evicted[before])
+				}
+				if p.Len() != len(resident) || p.Len() > p.Capacity() {
+					t.Fatalf("op %d: Len %d, %d pages not evicted, capacity %d", i, p.Len(), len(resident), p.Capacity())
 				}
 			}
-			hits, misses, _ := p.Stats()
-			if hits+misses != 4000 {
-				t.Fatalf("hits+misses = %d, want 4000", hits+misses)
+			hits, misses, evictions := p.Stats()
+			if hits+misses != 4001 || evictions != uint64(len(evicted)) {
+				t.Fatalf("hits+misses = %d, want 4001; %d evictions counted, %d hooked", hits+misses, evictions, len(evicted))
 			}
 		})
 	}

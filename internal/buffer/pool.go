@@ -32,31 +32,27 @@ type PageSink interface {
 // The read path treats pages as immutable, matching the paper's
 // query-only experiments. The update path adds dirty-page tracking on
 // top: Put installs a page as resident and ahead of the source,
-// FlushDirty writes such pages back to the attached PageSink in page order,
-// and a fault that must evict a dirty victim writes it back first (the
-// write-back failing fails the fault — a dirty page is never silently
-// dropped). Crash atomicity is not the pool's job: callers WAL-log a
-// batch before putting its pages, so a write-back at any moment is
-// redo-covered.
+// FlushDirty writes such pages back to the attached PageSink in page
+// order, and an operation that may evict from a full pool flushes first
+// (makeRoom; the write-back failing fails the operation — a dirty page
+// is never silently dropped). Crash atomicity is not the pool's job:
+// callers WAL-log a batch before putting its pages, so a write-back at
+// any moment is redo-covered.
 //
 // Pool has no lock: it serves one goroutine at a time, is the only pool
 // that takes writes, and is the reference the oracle tests compare
-// against. Concurrent readers use ShardedPool, which stripes this core's
-// read side under per-shard mutexes (one shard, NewShardedPool(…, 1), is
-// one buffer behind one lock).
+// against. Concurrent readers use ShardedPool, which runs this pool's
+// fault phases under per-shard mutexes (one shard, NewShardedPool(…, 1),
+// is one buffer behind one lock).
 type Pool struct {
 	src    PageSource
 	sink   PageSink
 	policy PoolPolicy
-	frames [][]byte
-	free   [][]byte // recycled frames from evictions
+	frames [][]byte // page -> its frame; non-nil exactly when the policy holds the page
+	free   [][]byte // spare frames: evicted pages' and failed faults'
 
-	dirty []bool // page -> contents ahead of the source
-	// dirtyList holds every dirty page at least once, unordered. Entries
-	// of pages cleaned since (a victim written back, a partial flush) stay
-	// until the last dirty page is cleaned.
-	dirtyList []int
-	nDirty    int
+	dirty     []bool // page -> contents ahead of the source
+	dirtyList []int  // the dirty pages, each once, unordered
 
 	// readFailures counts source reads that returned an error. Failed
 	// reads still count as misses (a physical read was issued) but leave
@@ -106,9 +102,9 @@ func NewPoolWith(src PageSource, capacity, numPages int, factory PolicyFactory) 
 	}
 	p.policy.SetOnEvict(func(page int) {
 		if p.dirty[page] {
-			// Every eviction point writes the victim back first; a dirty
-			// page reaching here means the write-back protocol was
-			// bypassed and its contents are about to be lost.
+			// Every operation that may evict runs makeRoom first; a dirty
+			// page reaching here means it was bypassed and the page's
+			// contents are about to be lost.
 			panic(fmt.Sprintf("buffer: evicting dirty page %d", page))
 		}
 		p.free = append(p.free, p.frames[page])
@@ -143,8 +139,8 @@ func (p *Pool) Get(page int) ([]byte, error) {
 
 // View runs fn on the frame holding page, reading the page from the
 // source on a miss, and reports the access's attribution: whether the
-// page was resident and how many dirty victims the miss had to write
-// back. The frame is lent, not given: fn must not modify or retain it
+// page was resident and how many dirty pages the miss wrote back to make
+// room. The frame is lent, not given: fn must not modify or retain it
 // and must not call the pool, and the next pool operation may recycle
 // it. fn is not called when the access fails.
 func (p *Pool) View(page int, fn func(frame []byte)) (AccessInfo, error) {
@@ -155,39 +151,88 @@ func (p *Pool) View(page int, fn func(frame []byte)) (AccessInfo, error) {
 	return info, err
 }
 
-// fetch is the one read access behind Get and View: a hit touches the
-// policy, a miss writes a dirty victim back, faults the page in and
-// counts one source read.
+// fetch is the one read access behind Get and View.
 func (p *Pool) fetch(page int) ([]byte, AccessInfo, error) {
-	if page < 0 || page >= len(p.frames) {
-		return nil, AccessInfo{}, fmt.Errorf("buffer: page %d outside [0,%d)", page, len(p.frames))
+	frame, hit, err := p.probe(page, false)
+	if hit || err != nil {
+		return frame, AccessInfo{Hit: hit}, err
 	}
-	if p.policy.Contains(page) && p.frames[page] != nil {
+	return p.fault(page, frame, false)
+}
+
+// Pin makes page permanently resident (reading it if absent).
+func (p *Pool) Pin(page int) error {
+	frame, done, err := p.probe(page, true)
+	if done || err != nil {
+		return err
+	}
+	_, _, err = p.fault(page, frame, true)
+	return err
+}
+
+// Unpin returns a pinned page to replacement management; a page outside
+// the page space is ignored.
+func (p *Pool) Unpin(page int) {
+	if p.checkPage(page) == nil {
+		p.policy.Unpin(page)
+	}
+}
+
+// The fault, written once. Every access that may need the source — Get,
+// View and Pin, on Pool and on ShardedPool — is three phases in order:
+//
+//	probe   the bounds check; a resident page is touched (or pinned) and
+//	        served, and the access is over. Otherwise probe hands out a
+//	        spare frame to read into.
+//	read    src.ReadPage into that frame. The caller issues it, so
+//	        ShardedPool can do so with no lock held.
+//	commit  the page becomes resident in the frame that was read: the
+//	        policy counts the miss and evicts if it must, the pool keeps
+//	        the frame. A read that failed, or whose commit does, is
+//	        counted and changes nothing else.
+//
+// ShardedPool takes its shard mutex around probe and around commit,
+// which therefore do no I/O (lockcheck holds them to it). Pool runs the
+// phases back to back (fault) and, being the one pool that can hold
+// dirty pages, writes them back between read and commit when the commit
+// may evict (makeRoom). One rule accounts for all of it: a miss is a
+// source read issued, whatever became of it.
+
+// checkPage is the bounds check of every operation that names a page.
+func (p *Pool) checkPage(page int) error { return checkPageIn(page, len(p.frames)) }
+
+// checkPageIn rejects a page outside [0, numPages). The error is built
+// out of line so that the check itself inlines into every access.
+func checkPageIn(page, numPages int) error {
+	if page < 0 || page >= numPages {
+		return outsideErr(page, numPages)
+	}
+	return nil
+}
+
+//go:noinline
+func outsideErr(page, numPages int) error {
+	return fmt.Errorf("buffer: page %d outside [0,%d)", page, numPages)
+}
+
+// probe is phase one. A resident page ends the access here: a read
+// counts its hit and touches recency, a pin takes the page out of
+// replacement (failing when every slot is pinned), and the resident
+// frame is returned with done set. For an absent page the frame returned
+// is a spare one for the caller to read the source into.
+func (p *Pool) probe(page int, pin bool) (frame []byte, done bool, err error) {
+	if err := p.checkPage(page); err != nil {
+		return nil, false, err
+	}
+	if !p.policy.Contains(page) {
+		return p.takeFrame(), false, nil
+	}
+	if pin {
+		err = p.policy.Pin(page)
+	} else {
 		p.policy.Access(page)
-		return p.frames[page], AccessInfo{Hit: true}, nil
 	}
-	wrote, err := p.writeBackVictim()
-	info := AccessInfo{}
-	if wrote {
-		info.WriteBacks = 1
-	}
-	if err != nil {
-		return nil, info, err
-	}
-	p.policy.Access(page)
-	frame := p.takeFrame()
-	if err := p.src.ReadPage(page, frame); err != nil {
-		// Back out the fault so a failed read never leaves a garbage
-		// frame resident. The source error stays in the chain so the
-		// storage layer's fault classification (transient vs permanent)
-		// survives the trip through the pool.
-		p.noteReadFailure()
-		p.policy.Remove(page)
-		p.free = append(p.free, frame)
-		return nil, info, fmt.Errorf("buffer: reading page %d: %w", page, err)
-	}
-	p.frames[page] = frame
-	return frame, info, nil
+	return p.frames[page], true, err
 }
 
 func (p *Pool) takeFrame() []byte {
@@ -200,119 +245,64 @@ func (p *Pool) takeFrame() []byte {
 	return make([]byte, p.src.PageSize())
 }
 
-// The methods below are Get's and Pin's fault paths split into phases
-// for ShardedPool, which runs each phase under its shard mutex and the
-// source read between them with no lock held: probe the cache (tryGet),
-// read src, then commit the fault (install) or back it out
-// (failedFault); preparePin, installPinned and failedPin are the same
-// three steps for Pin. A pool driven this way is never Put to, so no
-// page is dirty and an install may evict freely — but install and
-// preparePin still peek the eviction victim where fetch and Pin do
-// (writeBackVictim): a peek is part of the access sequence on Clock-Pro,
-// which does its hand work there, and one shard must stay
-// access-for-access identical to Pool.
-
-// tryGet returns the frame if page is resident, counting a hit; on a miss
-// it performs no accounting, leaving the fault to the caller. Pages being
-// concurrently pinned (resident but frameless) report as missing so
-// callers route through the fault path.
-func (p *Pool) tryGet(page int) ([]byte, bool, error) {
-	if page < 0 || page >= len(p.frames) {
-		return nil, false, fmt.Errorf("buffer: page %d outside [0,%d)", page, len(p.frames))
-	}
-	if !p.policy.Contains(page) || p.frames[page] == nil {
-		return nil, false, nil
-	}
-	p.policy.Access(page) // resident: counts the hit and touches recency
-	return p.frames[page], true, nil
-}
-
-// install commits a successful fault: counts the miss (evicting if
-// needed) and copies data into a frame. If the page became resident
-// while the source read was in flight, this fault lost a duplicate-fault
-// race: it counts a hit and the winner's frame, which holds the same
-// source bytes, stays as it is.
-func (p *Pool) install(page int, data []byte) {
-	p.dirtyVictim() // fetch's peek; the victim is never dirty here
-	if p.policy.Access(page) {
-		return
-	}
-	frame := p.takeFrame()
-	copy(frame, data)
-	p.frames[page] = frame
-}
-
-// failedFault accounts for a fault whose source read failed: the miss
-// still counts (a physical read was issued) but nothing becomes
-// resident. The returned error matches Get's wrapping.
-func (p *Pool) failedFault(page int, err error) error {
-	p.policy.NoteMiss(page)
-	p.noteReadFailure()
-	return fmt.Errorf("buffer: reading page %d: %w", page, err)
-}
-
-// preparePin pins the page slot and reports whether the caller must read
-// its contents (it was not resident). See Pin for single-step use.
-func (p *Pool) preparePin(page int) (needRead bool, err error) {
-	if page < 0 || page >= len(p.frames) {
-		return false, fmt.Errorf("buffer: page %d outside [0,%d)", page, len(p.frames))
-	}
-	if p.policy.Pinned(page) {
-		return false, nil
-	}
-	resident := p.policy.Contains(page)
-	if !resident {
-		p.dirtyVictim() // Pin's peek; the victim is never dirty here
-	}
-	if err := p.policy.Pin(page); err != nil {
-		return false, err
-	}
-	return !resident, nil
-}
-
-// installPinned stores the contents of a freshly pinned page.
-func (p *Pool) installPinned(page int, data []byte) {
-	if p.frames[page] == nil {
-		p.frames[page] = p.takeFrame()
-	}
-	copy(p.frames[page], data)
-}
-
-// failedPin backs out preparePin after a failed source read, matching
-// Pin's error wrapping.
-func (p *Pool) failedPin(page int, err error) error {
-	p.noteReadFailure()
-	p.policy.Unpin(page)
-	p.policy.Remove(page)
-	return fmt.Errorf("buffer: pinning page %d: %w", page, err)
-}
-
-// Pin makes page permanently resident (reading it if absent).
-func (p *Pool) Pin(page int) error {
-	if p.policy.Pinned(page) {
-		return nil
-	}
-	resident := p.policy.Contains(page)
-	if !resident {
-		if _, err := p.writeBackVictim(); err != nil {
-			return err
-		}
-	}
-	if err := p.policy.Pin(page); err != nil {
-		return err
-	}
-	if !resident {
-		frame := p.takeFrame()
-		if err := p.src.ReadPage(page, frame); err != nil {
-			p.noteReadFailure()
-			p.policy.Unpin(page)
-			p.policy.Remove(page)
+// fault is phases two and three for the pool that serves one goroutine:
+// read, write the dirty pages back if the commit may evict, commit.
+func (p *Pool) fault(page int, frame []byte, pin bool) ([]byte, AccessInfo, error) {
+	var info AccessInfo
+	readErr := p.src.ReadPage(page, frame)
+	if readErr == nil {
+		var err error
+		if info.WriteBacks, err = p.makeRoom(); err != nil {
+			// The read lost its commit: still a miss, nothing evicted.
+			p.policy.NoteMiss(page)
 			p.free = append(p.free, frame)
-			return fmt.Errorf("buffer: pinning page %d: %w", page, err)
+			return nil, info, err
 		}
-		p.frames[page] = frame
 	}
-	return nil
+	frame, err := p.commit(page, frame, readErr, pin)
+	return frame, info, err
+}
+
+// commit is phase three: frame is probe's spare frame and readErr what
+// reading the source into it returned. On success the page is resident
+// in that very frame — nothing is copied — and the policy has counted
+// the miss, evicting if the pool was full (a clean page: nothing is
+// dirty under ShardedPool, and Pool has just run makeRoom). A read that
+// failed, or a pin that finds every slot taken, counts the miss the read
+// was, keeps the frame as a spare, evicts nothing and leaves the policy
+// otherwise untouched.
+func (p *Pool) commit(page int, frame []byte, readErr error, pin bool) ([]byte, error) {
+	err := readErr
+	switch {
+	case err != nil:
+		// The source error stays in the chain so the storage layer's
+		// fault classification (transient vs permanent) survives the
+		// trip through the pool.
+		p.noteReadFailure()
+		err = fmt.Errorf("buffer: reading page %d: %w", page, err)
+	case p.policy.Contains(page):
+		// Only under ShardedPool: another fault of this page committed
+		// while this one was reading. Its frame holds the same source
+		// bytes and stays (a pin pins it); this read still counts, and
+		// its frame is dropped — the race is rare, and evictions keep
+		// the spares stocked.
+		p.policy.NoteMiss(page)
+		if pin {
+			err = p.policy.Pin(page)
+		}
+		return p.frames[page], err
+	case pin:
+		err = p.policy.Pin(page)
+	default:
+		p.policy.Access(page)
+	}
+	if err != nil {
+		p.policy.NoteMiss(page)
+		p.free = append(p.free, frame)
+		return nil, err
+	}
+	p.frames[page] = frame
+	return frame, nil
 }
 
 // FailedReads returns how many source reads errored. These reads count
@@ -326,22 +316,22 @@ func (p *Pool) FailedReads() uint64 { return p.readFailures }
 func (p *Pool) FailedWrites() uint64 { return p.failedWrites }
 
 // DirtyPages returns how many resident pages are ahead of the source.
-func (p *Pool) DirtyPages() int { return p.nDirty }
+func (p *Pool) DirtyPages() int { return len(p.dirtyList) }
 
 // Put installs data as the contents of page, resident and dirty — the
 // update path's entry point after its batch is WAL-committed. The page
 // becomes most recently used; no read miss is counted (no physical read
-// happens). Installing into a full pool may evict, writing a dirty
-// victim back first.
+// happens). Installing an absent page into a full pool evicts, after
+// the dirty pages are written back.
 func (p *Pool) Put(page int, data []byte) error {
-	if page < 0 || page >= len(p.frames) {
-		return fmt.Errorf("buffer: page %d outside [0,%d)", page, len(p.frames))
+	if err := p.checkPage(page); err != nil {
+		return err
 	}
 	if len(data) != p.src.PageSize() {
 		return fmt.Errorf("buffer: put of %d bytes != page size %d", len(data), p.src.PageSize())
 	}
 	if !p.policy.Contains(page) {
-		if _, err := p.writeBackVictim(); err != nil {
+		if _, err := p.makeRoom(); err != nil {
 			return err
 		}
 	}
@@ -361,14 +351,8 @@ func (p *Pool) Put(page int, data []byte) error {
 // ordering a WAL commit call this after logging, so a partial flush is
 // always redo-covered.
 func (p *Pool) FlushDirty() error {
-	if p.nDirty == 0 {
-		return nil
-	}
 	slices.Sort(p.dirtyList)
 	for i, page := range p.dirtyList {
-		if !p.dirty[page] {
-			continue // cleaned earlier (write-back on eviction) or a duplicate entry
-		}
 		if err := p.flushPage(page); err != nil {
 			rest := p.dirtyList[i:]
 			n := copy(p.dirtyList, rest)
@@ -376,7 +360,8 @@ func (p *Pool) FlushDirty() error {
 			return err
 		}
 	}
-	return nil // cleaning the last dirty page emptied dirtyList
+	p.dirtyList = p.dirtyList[:0]
+	return nil
 }
 
 func (p *Pool) setDirty(page int) {
@@ -384,25 +369,14 @@ func (p *Pool) setDirty(page int) {
 		return
 	}
 	p.dirty[page] = true
-	p.nDirty++
 	p.dirtyList = append(p.dirtyList, page)
 	p.metrics.onDirty()
 }
 
-func (p *Pool) clearDirty(page int) {
-	if !p.dirty[page] {
-		return
-	}
-	p.dirty[page] = false
-	p.nDirty--
-	if p.nDirty == 0 {
-		p.dirtyList = p.dirtyList[:0] // every entry left is a cleaned page
-	}
-}
-
-// flushPage writes one dirty page to the sink and clears its flag. A
-// failed write (or no sink to write to) counts a failed write and leaves
-// the page dirty and resident.
+// flushPage writes one dirty page to the sink and clears its flag;
+// FlushDirty, its only caller, keeps dirtyList in step. A failed write
+// (or no sink to write to) counts a failed write and leaves the page
+// dirty and resident.
 func (p *Pool) flushPage(page int) error {
 	var err error
 	if p.sink == nil {
@@ -415,41 +389,27 @@ func (p *Pool) flushPage(page int) error {
 		return fmt.Errorf("buffer: writing back page %d: %w", page, err)
 	}
 	p.metrics.onWriteBack()
-	p.clearDirty(page)
+	p.dirty[page] = false
 	return nil
 }
 
-// dirtyVictim returns the page the next capacity eviction would drop if
-// that page is dirty, else -1 (the pool isn't full or the victim is
-// clean, so an install may evict freely).
-func (p *Pool) dirtyVictim() int {
-	if !p.policy.Full() {
-		return -1
+// makeRoom runs before every policy call that may evict (the commit of
+// a fault on Pool, Put of an absent page). An eviction drops a frame without
+// writing it, so when the pool is full and holds dirty pages they are
+// all written back first, in page order, and the eviction can only drop
+// a clean page. Writing early is always legal: every dirty page is
+// redo-covered (its batch was in the WAL before Put), and the commit
+// that dirtied it ends with FlushDirty anyway. It returns how many pages
+// it wrote; on a failed write the rest stay dirty and resident and the
+// caller's operation fails.
+func (p *Pool) makeRoom() (wrote int, err error) {
+	if len(p.dirtyList) == 0 || !p.policy.Full() {
+		return 0, nil
 	}
-	v, ok := p.policy.Victim()
-	if !ok || !p.dirty[v] {
-		return -1
-	}
-	return v
+	before := len(p.dirtyList)
+	err = p.FlushDirty()
+	return before - len(p.dirtyList), err
 }
-
-// writeBackVictim cleans the page the next capacity eviction would drop,
-// so the eviction (inside LRU.Access/Install/Pin) never loses a dirty
-// page, and reports whether a dirty victim was actually written back.
-// Pool calls it immediately before any operation that may evict.
-func (p *Pool) writeBackVictim() (wrote bool, err error) {
-	v := p.dirtyVictim()
-	if v < 0 {
-		return false, nil
-	}
-	if err := p.flushPage(v); err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
-// Unpin returns a pinned page to replacement management.
-func (p *Pool) Unpin(page int) { p.policy.Unpin(page) }
 
 // Stats returns cumulative hits, misses, and evictions. Misses equal the
 // number of source reads issued.

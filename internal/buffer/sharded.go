@@ -18,9 +18,9 @@ import (
 // not modify or retain the frame and must not call the pool (ShardedPool
 // runs it under a shard mutex), and callers that read several pages
 // finish with one before asking for the next. View also reports the
-// access's attribution (hit or miss, dirty write-backs) for the flight
-// recorder; AccessInfo.WriteBacks is always 0 from ShardedPool, which
-// holds no dirty pages.
+// access's attribution (hit or miss, dirty pages written back) for the
+// flight recorder; AccessInfo.WriteBacks is always 0 from ShardedPool,
+// which holds no dirty pages.
 //
 // Get is View for callers that need the bytes past the access. Its
 // ownership contract is the weaker of the two implementations': the
@@ -60,12 +60,14 @@ var (
 // return the same bytes whenever they happen; a tree that takes updates
 // is backed by Pool.
 //
-// No lock is ever held across source I/O: a fault (and a Pin of an
-// absent page) reads the source into a staging buffer with no lock held,
-// then commits under the shard mutex. Concurrent faults of one page
-// issue duplicate reads; the losing install counts a hit and leaves the
-// winner's frame alone. Single-threaded runs never take that path, so
-// shards=1 accounting is bit-identical to Pool's.
+// View and Pin are Pool's three fault phases (see pool.go) with the
+// shard mutex taken around probe and around commit and never across the
+// source read: the read fills a spare frame the fault took from the
+// shard under the first lock, and that frame becomes the resident one
+// under the second. Concurrent faults of one page issue duplicate reads;
+// the one that commits second counts its miss and leaves the first's
+// frame alone. Single-threaded runs never take that path, so shards=1
+// accounting is bit-identical to Pool's.
 //
 // The source must be safe for concurrent calls — the file-backed and
 // in-memory disk managers are.
@@ -73,9 +75,7 @@ type ShardedPool struct {
 	shards   []*poolShard
 	n        int
 	capacity int
-	pageSize int
-	numPages int       // global page-space bound
-	bufs     sync.Pool // page-size staging buffers for faults and pins
+	numPages int // global page-space bound
 }
 
 // poolShard is one lock stripe: a private Pool over the shard's local
@@ -120,10 +120,8 @@ func NewShardedPoolWith(src PageSource, capacity, numPages, shards int, factory 
 		shards:   make([]*poolShard, shards),
 		n:        shards,
 		capacity: capacity,
-		pageSize: src.PageSize(),
 		numPages: numPages,
 	}
-	s.bufs.New = func() any { return make([]byte, s.pageSize) }
 	for i := 0; i < shards; i++ {
 		s.shards[i] = &poolShard{
 			pool: NewPoolWith(shardIO{src: src, shard: i, n: shards},
@@ -136,16 +134,14 @@ func NewShardedPoolWith(src PageSource, capacity, numPages, shards int, factory 
 // Shards returns the shard count.
 func (s *ShardedPool) Shards() int { return s.n }
 
-func (s *ShardedPool) locate(page int) (*poolShard, int) {
-	return s.shards[page%s.n], page / s.n
-}
-
-func (s *ShardedPool) getBuf() []byte  { return s.bufs.Get().([]byte) }
-func (s *ShardedPool) putBuf(b []byte) { s.bufs.Put(b) } //lint:allow hotalloc sync.Pool boxing; cheaper than the page copy it recycles
-
-// boundsErr reports a page outside the pool's page space.
-func (s *ShardedPool) boundsErr(page int) error {
-	return fmt.Errorf("buffer: page %d outside [0,%d)", page, s.numPages)
+// locate maps a global page to its shard and local page number. The
+// mapping only holds inside the global page space, so this is where a
+// page outside it is rejected.
+func (s *ShardedPool) locate(page int) (sh *poolShard, local int, err error) {
+	if err := checkPageIn(page, s.numPages); err != nil {
+		return nil, 0, err
+	}
+	return s.shards[page%s.n], page / s.n, nil
 }
 
 // globalize annotates a shard-local error with the global page number.
@@ -170,87 +166,72 @@ func (s *ShardedPool) Get(page int) ([]byte, error) {
 	return out, err
 }
 
-// View runs fn on the contents of page and reports whether the page was
-// resident in its shard. On a hit fn reads the frame itself under the
-// shard mutex, so no eviction can recycle it meanwhile; on a miss the
-// page is read into a staging buffer with no lock held, installed under
-// the mutex, and fn reads the staging buffer — the bytes just installed,
-// private to this fault — with no lock held. Either way nothing is
+// View runs fn on the frame holding page and reports whether the page
+// was resident in its shard. fn always reads the resident frame, under
+// the shard mutex, so no eviction can recycle it meanwhile: on a hit
+// straight away, on a miss once the fault has committed. Nothing is
 // allocated or copied for the caller, so fn must be brief, must not
 // modify or retain the frame, and must not call the pool (the shard
 // mutex is not reentrant). fn is not called when the access fails.
 func (s *ShardedPool) View(page int, fn func(frame []byte)) (AccessInfo, error) {
-	if page < 0 || page >= s.numPages {
-		return AccessInfo{}, s.boundsErr(page)
+	sh, local, err := s.locate(page)
+	if err != nil {
+		return AccessInfo{}, err
 	}
-	sh, local := s.locate(page)
-	hit, err := sh.viewResident(local, fn)
+	frame, hit, err := sh.viewResident(local, fn)
 	if hit || err != nil {
 		return AccessInfo{Hit: hit}, s.globalize(err, page)
 	}
-	buf := s.getBuf()
-	defer s.putBuf(buf)
-	err = sh.pool.src.ReadPage(local, buf)
-	sh.mu.Lock()
-	if err != nil {
-		err = sh.pool.failedFault(local, err)
-	} else {
-		sh.pool.install(local, buf)
-	}
-	sh.mu.Unlock()
-	if err != nil {
-		return AccessInfo{}, s.globalize(err, page)
-	}
-	fn(buf)
-	return AccessInfo{}, nil
-}
-
-// viewResident runs fn on local's frame if the page is resident, counting
-// the hit. The deferred unlock keeps a panicking fn from wedging the
-// shard.
-func (sh *poolShard) viewResident(local int, fn func(frame []byte)) (hit bool, err error) {
+	err = sh.pool.src.ReadPage(local, frame)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	frame, ok, err := sh.pool.tryGet(local)
-	if ok {
+	frame, err = sh.pool.commit(local, frame, err, false)
+	if err == nil {
 		fn(frame)
 	}
-	return ok, err
+	return AccessInfo{}, s.globalize(err, page)
+}
+
+// viewResident is View's probe: it runs fn on local's frame if the page
+// is resident, and otherwise returns the spare frame to read into. The
+// deferred unlock keeps a panicking fn from wedging the shard.
+func (sh *poolShard) viewResident(local int, fn func(frame []byte)) (frame []byte, hit bool, err error) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	frame, hit, err = sh.pool.probe(local, false)
+	if hit {
+		fn(frame)
+	}
+	return frame, hit, err
 }
 
 // Pin makes page permanently resident (reading it if absent). Until the
-// read completes a concurrent Get of the same page faults it redundantly
-// and counts a pinned hit.
+// read commits the page is simply absent: a concurrent Get of it faults
+// it in, and the pin then pins that frame.
 func (s *ShardedPool) Pin(page int) error {
-	if page < 0 || page >= s.numPages {
-		return s.boundsErr(page)
+	sh, local, err := s.locate(page)
+	if err != nil {
+		return err
 	}
-	sh, local := s.locate(page)
 	sh.mu.Lock()
-	need, err := sh.pool.preparePin(local)
+	frame, done, err := sh.pool.probe(local, true)
 	sh.mu.Unlock()
-	if err != nil || !need {
+	if done || err != nil {
 		return s.globalize(err, page)
 	}
-	buf := s.getBuf()
-	defer s.putBuf(buf)
-	err = sh.pool.src.ReadPage(local, buf)
+	err = sh.pool.src.ReadPage(local, frame)
 	sh.mu.Lock()
-	if err != nil {
-		err = sh.pool.failedPin(local, err)
-	} else {
-		sh.pool.installPinned(local, buf)
-	}
+	_, err = sh.pool.commit(local, frame, err, true)
 	sh.mu.Unlock()
 	return s.globalize(err, page)
 }
 
 // Unpin returns a pinned page to replacement management.
 func (s *ShardedPool) Unpin(page int) {
-	if page < 0 || page >= s.numPages {
+	sh, local, err := s.locate(page)
+	if err != nil {
 		return
 	}
-	sh, local := s.locate(page)
 	sh.mu.Lock()
 	sh.pool.Unpin(local)
 	sh.mu.Unlock()

@@ -166,16 +166,6 @@ func (t *TwoQ) evictChoice() *pageQueue {
 	return nil
 }
 
-// Victim returns the page the next eviction will drop: the tail of the
-// queue evictChoice selects.
-func (t *TwoQ) Victim() (page int, ok bool) {
-	q := t.evictChoice()
-	if q == nil {
-		return 0, false
-	}
-	return int(q.tail), true
-}
-
 // evictOne drops one resident page. An A1in victim leaves a ghost in
 // A1out (trimming its tail past Kout); an Am victim vanishes.
 func (t *TwoQ) evictOne() {
@@ -199,25 +189,6 @@ func (t *TwoQ) evictOne() {
 		t.where[victim] = qNone
 	}
 	t.evictPage(int(victim))
-}
-
-// Remove drops page without counting an eviction — backing out a failed
-// fault. No ghost is left behind: the page was never really read.
-func (t *TwoQ) Remove(page int) bool {
-	if t.pinned[page] {
-		return false
-	}
-	switch t.where[page] {
-	case qA1in:
-		t.qRemove(&t.a1in, int32(page))
-	case qAm:
-		t.qRemove(&t.am, int32(page))
-	default:
-		return false
-	}
-	t.where[page] = qNone
-	t.size--
-	return true
 }
 
 // Pin makes page permanently resident (a miss if absent). Pinned pages
@@ -276,8 +247,8 @@ func (t *TwoQ) Grow(numPages int) {
 	t.where = append(t.where, make([]uint8, extra)...)
 }
 
-// Stats, ResetStats, HitRatio, SetMetrics, Capacity, Len, Full, Pinned,
-// NumPages, and SetOnEvict are promoted from the embedded policyCore.
+// Stats, ResetStats, HitRatio, SetMetrics, Capacity, Len, Full, and
+// SetOnEvict are promoted from the embedded policyCore.
 
 func (t *TwoQ) qPushFront(q *pageQueue, p int32) {
 	t.prev[p] = sentinel

@@ -101,7 +101,7 @@ func (fr *FlightRecorder) Begin(name string) *ActiveQuery {
 
 // Access attributes one node access at the given tree level (level 0 is
 // the root). hit reports whether the page was resident; writeBacks is
-// how many dirty victims the access had to flush.
+// how many dirty pages the access had to write back.
 func (q *ActiveQuery) Access(level int, hit bool, writeBacks int) {
 	if q == nil {
 		return
