@@ -87,13 +87,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 	if *list {
+		width := 0
 		for _, a := range analyzers {
-			printf(stdout, "%-10s %s\n", a.Name, a.Doc)
+			width = max(width, len(a.Name))
+		}
+		indent := strings.Repeat(" ", width+1)
+		for _, a := range analyzers {
+			printf(stdout, "%-*s %s\n", width, a.Name, a.Doc)
 			if a.CheckModule != nil {
-				printf(stdout, "           module-wide (call-graph facts)\n")
+				printf(stdout, "%smodule-wide (call-graph facts)\n", indent)
 			}
 			for _, t := range a.Targets {
-				printf(stdout, "           target %s\n", t)
+				printf(stdout, "%starget %s\n", indent, t)
 			}
 		}
 		return 0
@@ -299,6 +304,10 @@ func dumpFacts(pkgs []*analysis.Package, name string) (string, error) {
 	if len(nodes) == 0 {
 		return "", fmt.Errorf("no function matches %q", name)
 	}
+	width := 0 // the fact label column fits the longest label
+	for _, fact := range (^analysis.FactSet(0)).Facts() {
+		width = max(width, len(fact.String())+1)
+	}
 	var w strings.Builder
 	for _, n := range nodes {
 		pos := n.Pkg.Fset.Position(n.Decl.Pos())
@@ -307,9 +316,9 @@ func dumpFacts(pkgs []*analysis.Package, name string) (string, error) {
 		for _, fact := range n.Facts.Facts() {
 			for i, hop := range graph.FactChain(n, fact) {
 				if i == 0 {
-					fmt.Fprintf(&w, "  %-12s %s\n", fact.String()+":", hop)
+					fmt.Fprintf(&w, "  %-*s %s\n", width, fact.String()+":", hop)
 				} else {
-					fmt.Fprintf(&w, "  %-12s   -> %s\n", "", hop)
+					fmt.Fprintf(&w, "  %-*s   -> %s\n", width, "", hop)
 				}
 			}
 		}

@@ -90,14 +90,21 @@ func TestListNamesTheSurvivors(t *testing.T) {
 		t.Fatalf("-list: exit %d", code)
 	}
 	var got []string
+	docAt := map[int][]string{} // doc column offset -> analyzers printed with it
 	for _, line := range strings.Split(out, "\n") {
 		if line != "" && !strings.HasPrefix(line, " ") {
-			got = append(got, strings.Fields(line)[0])
+			name := strings.Fields(line)[0]
+			got = append(got, name)
+			at := len(name) + len(line[len(name):]) - len(strings.TrimLeft(line[len(name):], " "))
+			docAt[at] = append(docAt[at], name)
 		}
 	}
 	want := survivors
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Errorf("-list names %v, want %v", got, want)
+	}
+	if len(docAt) != 1 {
+		t.Errorf("-list doc column starts at different offsets: %v", docAt)
 	}
 }
 

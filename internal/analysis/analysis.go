@@ -4,10 +4,13 @@
 // runs analyzers that encode correctness rules this codebase depends on
 // but that go vet cannot know about. Three look at one package at a time
 // (floatcmp, errcheck and probrange, at the packages Analyzers lists);
-// the rest read the whole module through the call graph and its facts
-// (lockcheck, hotalloc, iopurity, sharecheck, determcheck, atomiccheck)
-// or through ordered effect traces (durcheck, errflow). `rtreelint -list`
-// prints each with its one-line contract.
+// the rest read the whole module through two engines. Across calls, one
+// callees-first pass over the call graph's SCCs (facts.go) computes each
+// function's facts, effect set and SCC (hotalloc, iopurity, determcheck
+// and the others read these). Within a body, one path walker (flow.go)
+// carries either of two lattices: must-held lock sets (lockcheck,
+// sharecheck, atomiccheck) or ordered effect traces (durcheck, errflow).
+// `rtreelint -list` prints each analyzer with its one-line contract.
 //
 // Which analyzers exist is decided by evidence, not by what was once
 // worth writing: the kill matrix (killmatrix_test.go, DESIGN.md §7a)

@@ -23,33 +23,38 @@ import (
 // plain loads, and every use goes through Load/Add/CompareAndSwap.
 // Copying such a field (`x := c.n`) is reported as a plain access.
 func checkAtomic(m *Module) []Finding {
-	// Pass 1: find every atomic site, keyed by the field/variable object.
-	sites := make(map[*types.Var][]atomicSite)
+	// Pass 1: find every atomic site, keyed by the field/variable object,
+	// with the locks held there. The guard that excuses a plain access
+	// must be held at every atomic site of the field: meet the held sets
+	// per field.
+	sites := make(map[*types.Var][]token.Pos)
+	common := make(map[*types.Var]lockSet)
 	claimed := make(map[token.Pos]bool)
 	for _, n := range m.Graph.Nodes() {
-		if n.Decl.Body == nil {
-			continue
+		var held *heldIndex
+		for _, c := range n.Calls {
+			if c.Expr == nil || (c.sync != atomicFunc && c.sync != atomicMethod) {
+				continue
+			}
+			if held == nil {
+				held = &walkLocks(n).held
+			}
+			for _, target := range atomicTargets(c) {
+				v, id := atomicTargetVar(n.Pkg.Info, target)
+				if v == nil {
+					continue
+				}
+				claimed[id.Pos()] = true
+				at := held.at(c.Pos)
+				if prev, ok := common[v]; ok {
+					at = prev.meet(at)
+				}
+				sites[v], common[v] = append(sites[v], c.Pos), at
+			}
 		}
-		collectAtomicSites(n, sites, claimed)
 	}
 	if len(sites) == 0 {
 		return nil
-	}
-	// The guard that excuses a plain access must be held at every atomic
-	// site of the field: intersect the held sets per field.
-	common := make(map[*types.Var]map[string]bool)
-	for v, ss := range sites {
-		inter := ss[0].held
-		for _, s := range ss[1:] {
-			next := make(map[string]bool)
-			for k := range inter {
-				if s.held[k] {
-					next[k] = true
-				}
-			}
-			inter = next
-		}
-		common[v] = inter
 	}
 	// Pass 2: every other use of a tracked field is a plain access.
 	var out []Finding
@@ -57,29 +62,28 @@ func checkAtomic(m *Module) []Finding {
 		if n.Decl.Body == nil {
 			continue
 		}
-		events := lockEvents(n.Pkg.Info, n.Decl.Body)
+		var held *heldIndex
 		ast.Inspect(n.Decl.Body, func(node ast.Node) bool {
 			id, ok := node.(*ast.Ident)
 			if !ok || claimed[id.Pos()] {
 				return true
 			}
 			v, ok := n.Pkg.Info.Uses[id].(*types.Var)
-			if !ok {
+			if !ok || sites[v] == nil {
 				return true
 			}
-			ss, tracked := sites[v]
-			if !tracked {
-				return true
+			if held == nil {
+				held = &walkLocks(n).held
 			}
-			if intersects(heldAt(events, id.Pos()), common[v]) {
+			if len(held.at(id.Pos()).meet(common[v])) > 0 {
 				return true // a lock dominating all atomic sites guards this access
 			}
-			first := n.Pkg.Fset.Position(ss[0].pos)
+			first := n.Pkg.Fset.Position(sites[v][0])
 			out = append(out, Finding{
 				Pos:      n.Pkg.Fset.Position(id.Pos()),
 				Analyzer: "atomiccheck",
 				Message: fmt.Sprintf("plain access to %s, which is accessed atomically at %d site(s) (first: %s:%d); no lock dominates all atomic sites",
-					atomicVarDisplay(v), len(ss), filepath.Base(first.Filename), first.Line),
+					atomicVarDisplay(v), len(sites[v]), filepath.Base(first.Filename), first.Line),
 			})
 			return true
 		})
@@ -87,60 +91,23 @@ func checkAtomic(m *Module) []Finding {
 	return out
 }
 
-// atomicSite is one sync/atomic access to a field, with the lock set
-// lexically held there.
-type atomicSite struct {
-	pos  token.Pos
-	held map[string]bool
-}
-
-// collectAtomicSites records the atomic accesses in one function body:
-// legacy atomic.Op(&x.f, ...) calls and method calls on typed atomic
-// fields (x.f.Add where f is an atomic.* named type). The identifier of
-// the accessed field is claimed so pass 2 does not re-count it.
-func collectAtomicSites(n *FuncNode, sites map[*types.Var][]atomicSite, claimed map[token.Pos]bool) {
-	info := n.Pkg.Info
-	events := lockEvents(info, n.Decl.Body)
-	record := func(v *types.Var, id *ast.Ident, pos token.Pos) {
-		claimed[id.Pos()] = true
-		sites[v] = append(sites[v], atomicSite{pos: pos, held: heldAt(events, pos)})
+// atomicTargets returns the expressions naming what one atomic call site
+// accesses: the &operands of a legacy atomic.AddUint64(&x.f, 1), the
+// receiver of a typed x.f.Add(1).
+func atomicTargets(c *Call) []ast.Expr {
+	var out []ast.Expr
+	if c.sync == atomicMethod {
+		if sel, ok := ast.Unparen(c.Expr.Fun).(*ast.SelectorExpr); ok {
+			out = append(out, sel.X)
+		}
+		return out
 	}
-	ast.Inspect(n.Decl.Body, func(node ast.Node) bool {
-		call, ok := node.(*ast.CallExpr)
-		if !ok {
-			return true
+	for _, arg := range c.Expr.Args {
+		if un, ok := ast.Unparen(arg).(*ast.UnaryExpr); ok && un.Op == token.AND {
+			out = append(out, un.X)
 		}
-		if atomicPkgCall(info, call) {
-			// atomic.AddUint64(&x.f, 1): the &target is the accessed value.
-			for _, arg := range call.Args {
-				un, ok := ast.Unparen(arg).(*ast.UnaryExpr)
-				if !ok || un.Op != token.AND {
-					continue
-				}
-				if v, id := atomicTargetVar(info, un.X); v != nil {
-					record(v, id, call.Pos())
-				}
-			}
-			return true
-		}
-		// x.f.Add(1) on an atomic.Uint64-style typed field.
-		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		selection, ok := info.Selections[sel]
-		if !ok || selection.Kind() != types.MethodVal {
-			return true
-		}
-		fn, _ := selection.Obj().(*types.Func)
-		if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
-			return true
-		}
-		if v, id := atomicTargetVar(info, sel.X); v != nil {
-			record(v, id, call.Pos())
-		}
-		return true
-	})
+	}
+	return out
 }
 
 // atomicTargetVar resolves the variable an atomic operation targets: the

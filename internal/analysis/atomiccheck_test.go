@@ -99,6 +99,67 @@ func (s *Stats) Leak() atomic.Uint64 {
 	}})
 }
 
+// TestAtomicCheckHeldOnEveryPath: the guard is the lock held on every
+// path to the plain access. An early-out branch that unlocks and returns
+// leaves the lock held after it (EarlyOut is clean); a lock taken on one
+// branch only guards nothing after the branches meet (MaybeLocked).
+func TestAtomicCheckHeldOnEveryPath(t *testing.T) {
+	runModuleFixture(t, atomiccheckAnalyzer(), []fixtureFile{{
+		path: "fixture/TestAtomicCheckHeldOnEveryPath/p",
+		src: `package p
+
+import (
+	"sync"
+	"sync/atomic"
+)
+
+type EarlyOut struct {
+	mu sync.Mutex
+	n  uint64
+}
+
+func (e *EarlyOut) Inc() {
+	e.mu.Lock()
+	atomic.AddUint64(&e.n, 1)
+	e.mu.Unlock()
+}
+
+func (e *EarlyOut) Read(skip bool) uint64 {
+	e.mu.Lock()
+	if skip {
+		e.mu.Unlock()
+		return 0
+	}
+	v := e.n
+	e.mu.Unlock()
+	return v
+}
+
+type MaybeLocked struct {
+	mu sync.Mutex
+	n  uint64
+}
+
+func (m *MaybeLocked) Inc() {
+	m.mu.Lock()
+	atomic.AddUint64(&m.n, 1)
+	m.mu.Unlock()
+}
+
+func (m *MaybeLocked) Read(lock bool) uint64 {
+	if lock {
+		m.mu.Lock()
+	}
+	v := m.n // WANT
+	if lock {
+		m.mu.Unlock()
+	}
+	return v
+}
+`,
+	}})
+}
+
 // TestAtomicCheckRealRepoClean asserts the repository mixes no plain
 // accesses into its atomic fields — in particular the obs package's
 // typed-atomic counters, gauges, and histograms come out clean.

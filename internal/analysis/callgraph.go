@@ -47,8 +47,11 @@ type FuncNode struct {
 	// Facts is the transitive fact set, computed bottom-up over SCCs.
 	Facts FactSet
 
-	sites map[token.Pos]*Call  // call expression position -> site
-	via   map[FactSet]*witness // single fact bit -> how it was acquired
+	eff EffectSet // transitive effect set (or the effect table's contract)
+	scc int       // the function's SCC: calls within one are traced as clumps
+
+	sites map[*ast.CallExpr]*Call // call expression -> site
+	via   map[FactSet]*witness    // single fact bit -> how it was acquired
 
 	index, lowlink int // Tarjan bookkeeping
 	onStack        bool
@@ -57,8 +60,8 @@ type FuncNode struct {
 // String renders the function as package.Name or package.(*Recv).Name.
 func (n *FuncNode) String() string { return funcDisplay(n.Fn) }
 
-// SiteAt returns the call site recorded for a call expression position.
-func (n *FuncNode) SiteAt(pos token.Pos) *Call { return n.sites[pos] }
+// SiteAt returns the call site recorded for a call expression.
+func (n *FuncNode) SiteAt(call *ast.CallExpr) *Call { return n.sites[call] }
 
 // Call is one call or function-value reference inside a function body.
 type Call struct {
@@ -75,11 +78,11 @@ type Call struct {
 	Std FactSet
 	// Desc describes the callee for diagnostics.
 	Desc string
-	// SyncAcq/SyncRel mark direct sync.Mutex/RWMutex acquisition and
-	// release calls; lockcheck models these itself rather than treating
-	// them as blocking callees.
-	SyncAcq bool
-	SyncRel bool
+	// sync is the site's synchronization role, classified once here for
+	// every concurrency analyzer; lock names the lock an acquire or
+	// release operates on.
+	sync syncKind
+	lock string
 	// Dispatch marks a site resolved by interface CHA.
 	Dispatch bool
 	// Ref marks a value reference rather than a call.
@@ -143,7 +146,7 @@ func NewCallGraph(pkgs []*Package) *CallGraph {
 				}
 				g.nodes[fn] = &FuncNode{
 					Fn: fn, Pkg: pkg, Decl: fd,
-					sites: make(map[token.Pos]*Call),
+					sites: make(map[*ast.CallExpr]*Call),
 					via:   make(map[FactSet]*witness),
 				}
 			}
@@ -183,7 +186,7 @@ func NewCallGraph(pkgs []*Package) *CallGraph {
 			g.walkBody(n)
 		}
 	}
-	g.computeFacts()
+	g.summarize()
 	return g
 }
 
@@ -379,17 +382,22 @@ func (g *CallGraph) addCall(n *FuncNode, call *ast.CallExpr, exempt spans) {
 		if tn := g.NodeOf(callee); tn != nil {
 			c.Targets = []*FuncNode{tn}
 		} else {
-			c.Std, c.SyncAcq, c.SyncRel = stdFacts(callee)
+			c.Std, c.sync = stdFacts(callee), syncKindOf(callee)
+			if c.sync == lockAcquire || c.sync == lockRelease {
+				if c.lock = lockName(info, call, callee); c.lock == "" {
+					c.sync = lockOther
+				}
+			}
 			g.addStdIntrinsic(n, c)
 		}
 		n.Calls = append(n.Calls, c)
-		n.sites[call.Pos()] = c
+		n.sites[call] = c
 	default:
 		// Call through a function-typed value: the reference edge added
 		// where the value was formed keeps facts sound.
 		c := &Call{Pos: call.Pos(), Expr: call, Desc: "dynamic call through function value"}
 		n.Calls = append(n.Calls, c)
-		n.sites[call.Pos()] = c
+		n.sites[call] = c
 	}
 	g.addBoxing(n, call, exempt)
 }
@@ -404,16 +412,13 @@ func (g *CallGraph) addDispatch(n *FuncNode, pos token.Pos, expr *ast.CallExpr, 
 		if tn := g.NodeOf(fn); tn != nil {
 			c.Targets = append(c.Targets, tn)
 		} else {
-			std, acq, rel := stdFacts(fn)
-			c.Std |= std
-			c.SyncAcq = c.SyncAcq || acq
-			c.SyncRel = c.SyncRel || rel
+			c.Std |= stdFacts(fn)
 		}
 	}
 	g.addStdIntrinsic(n, c)
 	n.Calls = append(n.Calls, c)
 	if expr != nil {
-		n.sites[expr.Pos()] = c
+		n.sites[expr] = c
 	}
 }
 
@@ -423,7 +428,7 @@ func (g *CallGraph) addRef(n *FuncNode, pos token.Pos, fn *types.Func) {
 	if tn := g.NodeOf(fn); tn != nil {
 		c.Targets = []*FuncNode{tn}
 	} else {
-		c.Std, _, _ = stdFacts(fn)
+		c.Std = stdFacts(fn)
 		if c.Std == 0 {
 			return // fact-free stdlib reference: nothing to record
 		}

@@ -19,14 +19,9 @@ import "fmt"
 // Run; Run itself is the root, so the by-design time.Now there is not
 // reachable from it).
 func checkDeterm(m *Module, roots []RootSpec) []Finding {
-	g := m.Graph
-	var rootNodes []*FuncNode
-	for _, spec := range roots {
-		rootNodes = append(rootNodes, g.Resolve(spec)...)
-	}
-	parent := g.Reachable(rootNodes)
+	parent := m.Graph.Reachable(roots)
 	var out []Finding
-	for _, n := range g.Nodes() {
+	for _, n := range m.Graph.Nodes() {
 		if _, ok := parent[n]; !ok {
 			continue
 		}

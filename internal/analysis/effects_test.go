@@ -189,3 +189,47 @@ func ping(d *Dev, n int) error {
 		t.Error("recursive function produced no approximate trace")
 	}
 }
+
+// TestTracesIndependentOfQueryOrder: within a recursive pair, each call
+// into the pair is an approximate clump, so f's and g's traces do not
+// depend on which of the two was asked for first.
+func TestTracesIndependentOfQueryOrder(t *testing.T) {
+	const src = `package efffix
+
+type Dev struct{}
+
+func (d *Dev) WritePage(page int, b []byte) error { return nil }
+func (d *Dev) Sync() error                        { return nil }
+
+func f(d *Dev, n int) error {
+	if n == 0 {
+		return d.Sync()
+	}
+	if err := d.WritePage(n, nil); err != nil {
+		return err
+	}
+	return g(d, n-1)
+}
+
+func g(d *Dev, n int) error {
+	if err := f(d, n); err != nil {
+		return err
+	}
+	return d.Sync()
+}
+`
+	traces := func(first, second string) map[string][]string {
+		m := NewModule(fixtureModule(t, []fixtureFile{{path: "fixture/" + t.Name(), src: src}}))
+		out := map[string][]string{}
+		for _, name := range []string{first, second} {
+			out[name] = traceStrings(m.Effects().BodyTraces(one(t, m.Graph, name)))
+		}
+		return out
+	}
+	fg, gf := traces("f", "g"), traces("g", "f")
+	for _, name := range []string{"f", "g"} {
+		if strings.Join(fg[name], "; ") != strings.Join(gf[name], "; ") {
+			t.Errorf("BodyTraces(%s) depends on query order:\n f first: %v\n g first: %v", name, fg[name], gf[name])
+		}
+	}
+}

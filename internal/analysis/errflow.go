@@ -16,14 +16,13 @@ import (
 // look failed, which is exactly the commitUpdate bug PR 7's review
 // caught.
 //
-// The check is lexical about "after the commit point": any return
-// statement positioned after the function's first Commit-effect call
-// site is in scope. That over-approximates reachability the same way the
-// fact store does, but the flagged errors are filtered by ORIGIN — only
-// errors that provably come from a call whose entire effect set is
-// checkpoint-stage ({Sync}, {Checkpoint}, or both) are reported, so
-// pre-commit error plumbing (AppendBatch, Put, FlushDirty, WriteMeta)
-// never trips it.
+// "After the commit point" is path-sensitive: a return statement is in
+// scope when an effect trace reaching it (the path walker's trace
+// lattice, flow.go) has passed a Commit effect. The flagged errors are
+// filtered by ORIGIN — only errors that provably come from a call whose
+// entire effect set is checkpoint-stage ({Sync}, {Checkpoint}, or both)
+// are reported, so pre-commit error plumbing (AppendBatch, Put,
+// FlushDirty, WriteMeta) never trips it.
 
 // checkErrFlow runs errflow over every function that commits.
 func checkErrFlow(m *Module) []Finding {
@@ -41,78 +40,34 @@ func checkErrFlow(m *Module) []Finding {
 
 // errFlowFunc checks one function body.
 func errFlowFunc(r *Rule, e *Effects, n *FuncNode) []Finding {
-	// The commit point: the first call site that can emit Commit. A
-	// function that never commits has no post-commit region.
-	var commit *Call
-	for _, c := range n.Calls {
-		if !c.Ref && c.Expr != nil && e.SiteEffects(c).Has(EffCommit) {
-			if commit == nil || c.Pos < commit.Pos {
-				commit = c
-			}
-		}
+	if !n.eff.Has(EffCommit) {
+		return nil // a function that never commits has no post-commit region
 	}
-	if commit == nil {
-		return nil
-	}
-	commitLoc := n.Pkg.Fset.Position(commit.Pos)
 
-	// Track error origins: objects assigned from a call whose effect set
-	// is known, and the checkpoint-stage subset among them.
-	origins := make(map[types.Object]EffectSet)
-	recordAssign := func(lhs []ast.Expr, rhs []ast.Expr) {
-		if len(rhs) == 0 {
-			return
-		}
-		call, ok := ast.Unparen(rhs[len(rhs)-1]).(*ast.CallExpr)
-		if !ok {
-			return
-		}
-		c := n.SiteAt(call.Pos())
-		if c == nil {
-			return
-		}
-		eff := e.SiteEffects(c)
-		for _, l := range lhs {
-			if id, ok := ast.Unparen(l).(*ast.Ident); ok {
-				if obj := n.Pkg.Info.Defs[id]; obj != nil {
-					origins[obj] = eff
-				} else if obj := n.Pkg.Info.Uses[id]; obj != nil {
-					origins[obj] = eff
-				}
-			}
-		}
-	}
+	// Error origins: the last call assigned to each variable.
+	assigns := localAssignments(n.Pkg.Info, n.Decl.Body)
 
 	// checkpointStage reports whether an effect set marks a value as
 	// coming from a checkpoint-stage call only.
 	checkpointStage := func(s EffectSet) bool { return s != 0 && s&^r.A == 0 }
-
-	var out []Finding
-	report := func(pos ast.Node, what string, eff EffectSet) {
-		out = append(out, Finding{
-			Pos:      n.Pkg.Fset.Position(pos.Pos()),
-			Analyzer: r.Analyzer,
-			Message: fmt.Sprintf(
-				"rule %s: %s (effects %s) returned as the operation error after the commit point "+
-					"(%s at %s:%d) in %s; checkpoint-stage failures must go to the sticky "+
-					"CheckpointErr/observability path, the committed update succeeded",
-				r.Name, what, eff, commit.Desc, filepath.Base(commitLoc.Filename), commitLoc.Line, n),
-		})
-	}
 
 	// exprOrigin classifies a returned expression's error origin.
 	var exprOrigin func(ex ast.Expr) (string, EffectSet, bool)
 	exprOrigin = func(ex ast.Expr) (string, EffectSet, bool) {
 		switch x := ast.Unparen(ex).(type) {
 		case *ast.Ident:
-			if obj := n.Pkg.Info.Uses[x]; obj != nil {
-				if eff, ok := origins[obj]; ok && checkpointStage(eff) {
-					return "error from " + x.Name, eff, true
+			var eff EffectSet
+			for _, rhs := range assigns[n.Pkg.Info.Uses[x]] {
+				if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok && n.SiteAt(call) != nil {
+					eff = siteEffects(n.SiteAt(call))
 				}
 			}
+			if checkpointStage(eff) {
+				return "error from " + x.Name, eff, true
+			}
 		case *ast.CallExpr:
-			if c := n.SiteAt(x.Pos()); c != nil {
-				if eff := e.SiteEffects(c); checkpointStage(eff) {
+			if c := n.SiteAt(x); c != nil {
+				if eff := siteEffects(c); checkpointStage(eff) {
 					return "error from " + c.Desc, eff, true
 				}
 			}
@@ -127,34 +82,46 @@ func errFlowFunc(r *Rule, e *Effects, n *FuncNode) []Finding {
 		return "", 0, false
 	}
 
-	ast.Inspect(n.Decl.Body, func(node ast.Node) bool {
-		switch x := node.(type) {
-		case *ast.AssignStmt:
-			recordAssign(x.Lhs, x.Rhs)
-		case *ast.ValueSpec:
-			var lhs []ast.Expr
-			for _, name := range x.Names {
-				lhs = append(lhs, name)
-			}
-			recordAssign(lhs, x.Values)
-		case *ast.ReturnStmt:
-			if x.Pos() <= commit.Pos || len(x.Results) == 0 {
-				return true
-			}
-			last := x.Results[len(x.Results)-1]
-			if t := n.Pkg.Info.TypeOf(last); t == nil || !types.Identical(t, errType) {
-				return true
-			}
-			if what, eff, ok := exprOrigin(last); ok {
-				report(x, what, eff)
-			}
-		case *ast.FuncLit:
-			// Closures return to their own callers, not from this
-			// operation; walkBody's dynamic-extent assumption does not
-			// apply to return statements.
-			return false
+	var out []Finding
+	reported := make(map[*ast.ReturnStmt]bool)
+	e.walk(n, n.Decl.Body, func(ret *ast.ReturnStmt, traces []EffTrace) {
+		if reported[ret] || len(ret.Results) == 0 {
+			return
 		}
-		return true
+		commit := firstCommit(traces)
+		last := ret.Results[len(ret.Results)-1]
+		if t := n.Pkg.Info.TypeOf(last); commit == nil || t == nil || !types.Identical(t, errType) {
+			return
+		}
+		what, eff, ok := exprOrigin(last)
+		if !ok {
+			return
+		}
+		reported[ret] = true
+		loc := n.Pkg.Fset.Position(commit.Pos)
+		out = append(out, Finding{
+			Pos:      n.Pkg.Fset.Position(ret.Pos()),
+			Analyzer: r.Analyzer,
+			Message: fmt.Sprintf(
+				"rule %s: %s (effects %s) returned as the operation error after the commit point "+
+					"(%s at %s:%d) in %s; checkpoint-stage failures must go to the sticky "+
+					"CheckpointErr/observability path, the committed update succeeded",
+				r.Name, what, eff, commit.What, filepath.Base(loc.Filename), loc.Line, n),
+		})
 	})
 	return out
+}
+
+// firstCommit returns the earliest-positioned Commit event on any of the
+// traces, or nil when no path has committed.
+func firstCommit(traces []EffTrace) *EffEvent {
+	var first *EffEvent
+	for _, t := range traces {
+		for _, ev := range t.Events {
+			if ev.Eff == EffCommit && (first == nil || ev.Pos < first.Pos) {
+				first = ev
+			}
+		}
+	}
+	return first
 }

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"go/ast"
 	"go/token"
 	"go/types"
 	"path/filepath"
@@ -78,48 +79,37 @@ func (f FactSet) Facts() []FactSet {
 }
 
 // stdFacts classifies a non-module (stdlib) function into intrinsic
-// facts, and reports whether it is a direct sync lock acquisition or
-// release. The table is deliberately coarse — anything in os/net/syscall
+// facts. The table is deliberately coarse — anything in os/net/syscall
 // counts as I/O — because iopurity-style checks want "cannot possibly
 // touch the disk", not a precise effect system.
-func stdFacts(fn *types.Func) (facts FactSet, acquire, release bool) {
+func stdFacts(fn *types.Func) FactSet {
 	pkg := fn.Pkg()
 	if pkg == nil {
-		return 0, false, false
+		return 0
+	}
+	switch syncKindOf(fn) {
+	case lockAcquire:
+		return FactAcquiresLock | FactMayBlock
+	case lockOther:
+		return FactAcquiresLock // TryLock: conditional, never waits
+	case atomicFunc, atomicMethod:
+		return FactUsesAtomic
+	case waitGroupWait:
+		return FactMayBlock
 	}
 	path, name := pkg.Path(), fn.Name()
 	switch {
 	case path == "sync":
-		switch recvBase(fn) {
-		case "Mutex", "RWMutex":
-			switch name {
-			case "Lock", "RLock":
-				return FactAcquiresLock | FactMayBlock, true, false
-			case "TryLock", "TryRLock":
-				return FactAcquiresLock, false, false // conditional: not modelled as held
-			case "Unlock", "RUnlock":
-				return 0, false, true
-			}
-		case "WaitGroup", "Cond":
-			if name == "Wait" {
-				return FactMayBlock, false, false
-			}
-		case "Once":
-			if name == "Do" {
-				return FactMayBlock, false, false
-			}
+		if name == "Wait" || name == "Do" { // Cond.Wait, Once.Do
+			return FactMayBlock
 		}
-	case path == "sync/atomic":
-		// Every package function and every method of the typed atomics
-		// (atomic.Uint64.Add, ...) is an atomic operation.
-		return FactUsesAtomic, false, false
 	case path == "time":
 		switch name {
 		case "Sleep":
-			return FactMayBlock, false, false
+			return FactMayBlock
 		case "Now", "Since", "Until":
 			// Wall-clock reads are nondeterminism sources for determcheck.
-			return FactNondet, false, false
+			return FactNondet
 		}
 	case path == "math/rand" || path == "math/rand/v2":
 		// Package-level draw functions use the shared global stream —
@@ -128,25 +118,25 @@ func stdFacts(fn *types.Func) (facts FactSet, acquire, release bool) {
 		// explicitly seeded *Rand are the deterministic per-replica
 		// streams the simulator depends on and stay fact-free.
 		if recvBase(fn) == "" && !strings.HasPrefix(name, "New") && name != "Seed" {
-			return FactNondet, false, false
+			return FactNondet
 		}
 	case path == "os" || strings.HasPrefix(path, "os/"),
 		path == "syscall" || strings.HasPrefix(path, "syscall/"),
 		path == "net" || strings.HasPrefix(path, "net/"),
 		path == "io/ioutil":
-		return FactDoesIO | FactMayBlock, false, false
+		return FactDoesIO | FactMayBlock
 	case path == "fmt":
 		if strings.HasPrefix(name, "Print") || strings.HasPrefix(name, "Fprint") ||
 			strings.HasPrefix(name, "Scan") || strings.HasPrefix(name, "Fscan") {
-			return FactDoesIO | FactMayBlock, false, false
+			return FactDoesIO | FactMayBlock
 		}
 	case path == "log" || strings.HasPrefix(path, "log/"):
-		return FactDoesIO | FactMayBlock, false, false
+		return FactDoesIO | FactMayBlock
 	case path == "bufio":
 		// Flushing/reading forwards to the wrapped reader/writer; the
 		// wrapped value's origin carries the I/O fact where it matters.
 	}
-	return 0, false, false
+	return 0
 }
 
 // witness records how a function acquired one fact: through a call into
@@ -157,12 +147,16 @@ type witness struct {
 	what   string
 }
 
-// computeFacts condenses the graph into SCCs (Tarjan) and propagates
-// facts bottom-up: an SCC's fact set is the union of its members'
-// intrinsics and of every fact of every callee outside the SCC. Tarjan
-// emits SCCs in reverse topological order of the condensation — every
-// SCC only after all SCCs it can reach — so a single pass suffices.
-func (g *CallGraph) computeFacts() {
+// summarize condenses the graph into SCCs (Tarjan) and computes every
+// per-function summary in one callees-first pass: Tarjan emits each SCC
+// only after every SCC it can reach, so the summaries of a member's
+// outside callees are final when its SCC comes up. It records each
+// function's SCC; the facts of an SCC are the union of its members'
+// intrinsics and of every outside callee's facts (every member reaches
+// every other); the effect sets, where effect-table members are fixed
+// contracts that cut the cycle, iterate over the SCC's members alone
+// until stable.
+func (g *CallGraph) summarize() {
 	index := 0
 	var stack []*FuncNode
 	var sccs [][]*FuncNode
@@ -204,10 +198,11 @@ func (g *CallGraph) computeFacts() {
 		}
 	}
 
-	for _, scc := range sccs {
+	for id, scc := range sccs {
 		inSCC := make(map[*FuncNode]bool, len(scc))
 		for _, m := range scc {
 			inSCC[m] = true
+			m.scc = id
 		}
 		var facts FactSet
 		for _, m := range scc {
@@ -230,6 +225,22 @@ func (g *CallGraph) computeFacts() {
 			m.Facts = facts
 		}
 		assignWitnesses(scc, inSCC, facts)
+		for changed := true; changed; {
+			changed = false
+			for _, m := range scc {
+				var s EffectSet
+				if en := effectEntry(m.Fn); en != nil {
+					s = effects(en.trace...)
+				} else {
+					for _, c := range m.Calls {
+						s |= siteEffects(c)
+					}
+				}
+				if s != m.eff {
+					m.eff, changed = s, true
+				}
+			}
+		}
 	}
 }
 
@@ -319,10 +330,8 @@ func (g *CallGraph) FactChain(n *FuncNode, fact FactSet) []string {
 type RootSpec struct {
 	// Path is the import path holding the roots.
 	Path string
-	// Recv is the receiver's named type without pointer ("Tree"); ""
-	// matches package-level functions only, "*" matches any receiver.
+	// Recv and Name select functions in Path as ScopeSpec does.
 	Recv string
-	// Name is the function name; a trailing "*" matches a prefix.
 	Name string
 }
 
@@ -342,28 +351,9 @@ func (s RootSpec) String() string {
 func (g *CallGraph) Resolve(spec RootSpec) []*FuncNode {
 	var out []*FuncNode
 	for _, n := range g.order {
-		if n.Pkg.ImportPath != spec.Path {
-			continue
+		if n.Pkg.ImportPath == spec.Path && (ScopeSpec{spec.Recv, spec.Name}).Matches(n.Fn) {
+			out = append(out, n)
 		}
-		switch spec.Recv {
-		case "*":
-		case "":
-			if recvBase(n.Fn) != "" {
-				continue
-			}
-		default:
-			if recvBase(n.Fn) != spec.Recv {
-				continue
-			}
-		}
-		if pre, ok := strings.CutSuffix(spec.Name, "*"); ok {
-			if !strings.HasPrefix(n.Fn.Name(), pre) {
-				continue
-			}
-		} else if n.Fn.Name() != spec.Name {
-			continue
-		}
-		out = append(out, n)
 	}
 	return out
 }
@@ -382,16 +372,18 @@ func (g *CallGraph) ResolveName(name string) []*FuncNode {
 	return out
 }
 
-// Reachable walks calls and value references breadth-first from roots and
-// returns every node reached, mapped to the node it was first reached
-// from (roots map to nil).
-func (g *CallGraph) Reachable(roots []*FuncNode) map[*FuncNode]*FuncNode {
+// Reachable walks calls and value references breadth-first from the
+// functions the specs resolve to and returns every node reached, mapped
+// to the node it was first reached from (roots map to nil).
+func (g *CallGraph) Reachable(roots []RootSpec) map[*FuncNode]*FuncNode {
 	parent := make(map[*FuncNode]*FuncNode)
-	queue := make([]*FuncNode, 0, len(roots))
-	for _, r := range roots {
-		if _, ok := parent[r]; !ok {
-			parent[r] = nil
-			queue = append(queue, r)
+	var queue []*FuncNode
+	for _, spec := range roots {
+		for _, r := range g.Resolve(spec) {
+			if _, ok := parent[r]; !ok {
+				parent[r] = nil
+				queue = append(queue, r)
+			}
 		}
 	}
 	for len(queue) > 0 {
@@ -435,11 +427,11 @@ func NewModule(pkgs []*Package) *Module {
 	return &Module{Pkgs: pkgs, Graph: NewCallGraph(pkgs)}
 }
 
-// Effects returns the module's effect store, built on first use and
+// Effects returns the module's trace store, built on first use and
 // shared by durcheck, errflow, and the -facts dump.
 func (m *Module) Effects() *Effects {
 	if m.effects == nil {
-		m.effects = NewEffects(m.Graph)
+		m.effects = &Effects{bodies: make(map[*FuncNode][]EffTrace), lits: make(map[*ast.FuncLit][]EffTrace)}
 	}
 	return m.effects
 }

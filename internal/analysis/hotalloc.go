@@ -9,14 +9,9 @@ import "fmt"
 // (result materialization, one-time setup on a hot type) are annotated
 // with `//lint:allow hotalloc <reason>` at the site.
 func checkHotAlloc(m *Module, roots []RootSpec) []Finding {
-	g := m.Graph
-	var rootNodes []*FuncNode
-	for _, spec := range roots {
-		rootNodes = append(rootNodes, g.Resolve(spec)...)
-	}
-	parent := g.Reachable(rootNodes)
+	parent := m.Graph.Reachable(roots)
 	var out []Finding
-	for _, n := range g.Nodes() {
+	for _, n := range m.Graph.Nodes() {
 		if _, hot := parent[n]; !hot {
 			continue
 		}

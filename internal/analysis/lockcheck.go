@@ -4,342 +4,122 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"sort"
 	"strings"
 )
 
 // lockcheck tracks sync.Mutex/RWMutex acquisition through each function
-// body and reports two classes of bugs the buffer and storage layers are
-// prone to:
+// body and reports the bugs the buffer and storage layers are prone to:
 //
 //   - a return path (or the function end) reached with a lock still held
-//     and no deferred Unlock pending;
+//     after the deferred calls ran;
+//   - a lock acquired again while it is held (self-deadlock), including
+//     on a loop's next iteration;
 //   - a lock held across a call whose transitive facts include doesIO or
 //     mayBlock — the call-graph facts make this work across package
 //     boundaries and interface dispatch (e.g. a DiskManager.ReadPage
-//     behind two wrappers).
+//     behind two wrappers) — or across a channel operation or select.
 //
-// Direct sync.* Lock/Unlock calls are modelled as state transitions, not
-// as blocking callees, so ordered multi-mutex acquisition inside one
-// function does not self-report. The scan is lexical and conservative:
-// branches fork the lock state and merge by intersection, loops are
-// scanned once with the entry state, and closure bodies are skipped
-// (a deferred closure's unlock is not credited — prefer the direct
-// `defer mu.Unlock()` form this codebase uses).
+// Direct sync.* Lock/Unlock calls are state transitions, not blocking
+// callees, so ordered multi-mutex acquisition inside one function does
+// not self-report. The lock state is the path walker's must-held
+// lattice (flow.go): branches fork and meet by intersection, and a
+// function literal is a body of its own, entered with no lock held.
 func checkLock(m *Module) []Finding {
 	var out []Finding
 	for _, n := range m.Graph.Nodes() {
-		if n.Decl.Body == nil {
-			continue
+		if n.Decl.Body != nil {
+			out = append(out, walkLocks(n).findings...)
 		}
-		s := &lockScanner{pkg: n.Pkg, node: n}
-		exit, term := s.block(n.Decl.Body.List, nil)
-		if !term {
-			s.leak(n.Decl.Body.Rbrace, exit, "function end")
-		}
-		out = append(out, s.findings...)
 	}
 	return out
 }
 
-// heldLock is the state of one acquired lock on the current path.
-type heldLock struct {
-	display  string    // "s.mu" or "s.mu (read)"
-	pos      token.Pos // acquisition site
-	deferred bool      // a matching deferred Unlock is pending
-}
-
-type lockScanner struct {
-	pkg      *Package
-	node     *FuncNode
+// lockFlow is the path walker's lock lattice: must-held lock sets, met by
+// intersection. It records each statement's entry set (sharecheck's and
+// atomiccheck's "which locks are held here") and lockcheck's findings.
+type lockFlow struct {
+	n        *FuncNode
+	held     heldIndex
 	findings []Finding
+	reported map[string]bool
+	walked   map[*ast.FuncLit]bool
 }
 
-func (s *lockScanner) report(pos token.Pos, format string, args ...any) {
-	s.findings = append(s.findings, Finding{
-		Pos:      s.pkg.Fset.Position(pos),
-		Analyzer: "lockcheck",
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// leak reports every lock still held (without a pending deferred Unlock)
-// when a path leaves the function.
-func (s *lockScanner) leak(pos token.Pos, held map[string]*heldLock, where string) {
-	for _, key := range sortedKeys(held) {
-		l := held[key]
-		if !l.deferred {
-			line := s.pkg.Fset.Position(l.pos).Line
-			s.report(pos, "%s reached with %s still locked (acquired at line %d; no Unlock on this path)", where, l.display, line)
-		}
+// walkLocks runs the lock lattice over one function body and every
+// function literal in it.
+func walkLocks(n *FuncNode) *lockFlow {
+	f := &lockFlow{
+		n:        n,
+		held:     heldIndex{index: make(map[ast.Stmt]int)},
+		reported: make(map[string]bool),
+		walked:   make(map[*ast.FuncLit]bool),
 	}
+	walkPaths[lockSet](f, n.Decl.Body, lockSet{})
+	return f
 }
 
-// block scans a statement list with the given entry state and returns the
-// exit state plus whether the path terminates (return/branch).
-func (s *lockScanner) block(stmts []ast.Stmt, held map[string]*heldLock) (map[string]*heldLock, bool) {
-	for _, st := range stmts {
-		var term bool
-		held, term = s.stmt(st, held)
-		if term {
-			return held, true
-		}
-	}
-	return held, false
-}
+func (f *lockFlow) join(a, b lockSet) lockSet { return a.meet(b) }
 
-func (s *lockScanner) stmt(st ast.Stmt, held map[string]*heldLock) (map[string]*heldLock, bool) {
-	switch x := st.(type) {
-	case *ast.ExprStmt:
-		if call, ok := x.X.(*ast.CallExpr); ok {
-			if key, display, acquire, release, ok := s.lockOp(call); ok {
-				if acquire {
-					if _, dup := held[key]; dup {
-						s.report(call.Pos(), "%s locked again while already held (self-deadlock)", display)
-					}
-					held = copyHeld(held)
-					held[key] = &heldLock{display: display, pos: call.Pos()}
-				} else if release {
-					held = copyHeld(held)
-					delete(held, key)
-				}
-				return held, false
-			}
-		}
-		s.checkBlocking(x, held)
-		return held, false
+func (f *lockFlow) enter(held lockSet, s ast.Stmt) { f.held.record(s, held) }
 
-	case *ast.DeferStmt:
-		if key, _, _, release, ok := s.lockOp(x.Call); ok && release {
-			if l := held[key]; l != nil {
-				held = copyHeld(held)
-				held[key] = &heldLock{display: l.display, pos: l.pos, deferred: true}
-			}
-			return held, false
-		}
-		// Only the deferred call's arguments evaluate now; the call
-		// itself runs at return time, when the lock state is unknown.
-		for _, a := range x.Call.Args {
-			s.checkBlocking(a, held)
-		}
-		return held, false
-
-	case *ast.ReturnStmt:
-		for _, r := range x.Results {
-			s.checkBlocking(r, held)
-		}
-		s.leak(x.Pos(), held, "return")
-		return held, true
-
-	case *ast.BranchStmt:
-		return held, true
-
-	case *ast.BlockStmt:
-		return s.block(x.List, held)
-
-	case *ast.IfStmt:
-		if x.Init != nil {
-			held, _ = s.stmt(x.Init, held)
-		}
-		s.checkBlocking(x.Cond, held)
-		bodyOut, bodyTerm := s.block(x.Body.List, copyHeld(held))
-		elseOut, elseTerm := held, false
-		if x.Else != nil {
-			elseOut, elseTerm = s.stmt(x.Else, copyHeld(held))
-		}
+func (f *lockFlow) step(held lockSet, node ast.Node) lockSet {
+	switch x := node.(type) {
+	case *ast.CallExpr:
+		c := f.n.SiteAt(x)
 		switch {
-		case bodyTerm && elseTerm:
-			return held, true
-		case bodyTerm:
-			return elseOut, false
-		case elseTerm:
-			return bodyOut, false
+		case c == nil || c.sync == lockOther:
+		case c.sync == lockAcquire:
+			if _, dup := held[c.lock]; dup {
+				f.report(x.Pos(), "%s locked again while already held (self-deadlock)", c.lock)
+			}
+			return held.with(c.lock, x.Pos())
+		case c.sync == lockRelease:
+			return held.with(c.lock, token.NoPos)
 		default:
-			return intersectHeld(bodyOut, elseOut), false
+			if risky := c.Facts() & (FactDoesIO | FactMayBlock); risky != 0 {
+				f.across(x.Pos(), held, fmt.Sprintf("call to %s (%s)", c.Desc, risky))
+			}
 		}
-
-	case *ast.ForStmt:
-		if x.Init != nil {
-			held, _ = s.stmt(x.Init, held)
-		}
-		if x.Cond != nil {
-			s.checkBlocking(x.Cond, held)
-		}
-		if x.Post != nil {
-			s.checkBlocking(x.Post, held)
-		}
-		s.block(x.Body.List, copyHeld(held)) // body findings; 0-iteration exit keeps entry state
-		return held, false
-
-	case *ast.RangeStmt:
-		s.checkBlocking(x.X, held)
-		s.block(x.Body.List, copyHeld(held))
-		return held, false
-
-	case *ast.SwitchStmt:
-		if x.Init != nil {
-			held, _ = s.stmt(x.Init, held)
-		}
-		if x.Tag != nil {
-			s.checkBlocking(x.Tag, held)
-		}
-		return s.mergeClauses(x.Body, held, true)
-
-	case *ast.TypeSwitchStmt:
-		if x.Init != nil {
-			held, _ = s.stmt(x.Init, held)
-		}
-		return s.mergeClauses(x.Body, held, true)
-
+	case *ast.UnaryExpr: // the walker steps on receives only
+		f.across(x.Pos(), held, "channel receive")
+	case *ast.SendStmt:
+		f.across(x.Pos(), held, "channel send")
 	case *ast.SelectStmt:
-		if len(held) > 0 {
-			s.leakAcross(x.Pos(), held, "select statement")
-		}
-		return s.mergeClauses(x.Body, held, false)
-
-	case *ast.LabeledStmt:
-		return s.stmt(x.Stmt, held)
-
-	case *ast.GoStmt:
-		for _, a := range x.Call.Args {
-			s.checkBlocking(a, held)
-		}
-		return held, false
-
-	case nil:
-		return held, false
-
-	default:
-		s.checkBlocking(st, held)
-		return held, false
-	}
-}
-
-// mergeClauses scans each case/comm clause with a forked state and merges
-// the survivors by intersection. Without a default clause the zero-match
-// path keeps the entry state (switch); a select with no default always
-// takes some clause.
-func (s *lockScanner) mergeClauses(body *ast.BlockStmt, held map[string]*heldLock, zeroMatchFallsThrough bool) (map[string]*heldLock, bool) {
-	var outs []map[string]*heldLock
-	hasDefault := false
-	for _, cs := range body.List {
-		var stmts []ast.Stmt
-		switch c := cs.(type) {
-		case *ast.CaseClause:
-			if c.List == nil {
-				hasDefault = true
-			}
-			for _, e := range c.List {
-				s.checkBlocking(e, held)
-			}
-			stmts = c.Body
-		case *ast.CommClause:
-			if c.Comm == nil {
-				hasDefault = true
-			} else {
-				held2, _ := s.stmt(c.Comm, copyHeld(held))
-				out, term := s.block(c.Body, held2)
-				if !term {
-					outs = append(outs, out)
-				}
-				continue
-			}
-			stmts = c.Body
-		}
-		out, term := s.block(stmts, copyHeld(held))
-		if !term {
-			outs = append(outs, out)
+		f.across(x.Pos(), held, "select statement")
+	case *ast.FuncLit:
+		if !f.walked[x] {
+			f.walked[x] = true
+			walkPaths[lockSet](f, x.Body, lockSet{})
 		}
 	}
-	if zeroMatchFallsThrough && !hasDefault {
-		outs = append(outs, held)
-	}
-	if len(outs) == 0 {
-		return held, true
-	}
-	merged := outs[0]
-	for _, o := range outs[1:] {
-		merged = intersectHeld(merged, o)
-	}
-	return merged, false
+	return held
 }
 
-// checkBlocking reports calls and channel operations under node that are
-// risky while any lock is held: transitive doesIO/mayBlock callees
-// (except direct sync.* operations) and channel sends/receives.
-func (s *lockScanner) checkBlocking(node ast.Node, held map[string]*heldLock) {
-	if len(held) == 0 || node == nil {
-		return
+// exit reports every lock still held when a path leaves the body.
+func (f *lockFlow) exit(held lockSet, ret *ast.ReturnStmt, at token.Pos) {
+	where := "function end"
+	if ret != nil {
+		where = "return"
 	}
-	ast.Inspect(node, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.FuncLit:
-			return false // not executed here
-		case *ast.CallExpr:
-			site := s.node.SiteAt(x.Pos())
-			if site == nil || site.SyncAcq || site.SyncRel {
-				return true
-			}
-			if _, _, _, _, isLockOp := s.lockOp(x); isLockOp {
-				return true
-			}
-			risky := site.Facts() & (FactDoesIO | FactMayBlock)
-			if risky != 0 {
-				s.leakAcross(x.Pos(), held, fmt.Sprintf("call to %s (%s)", site.Desc, risky))
-			}
-		case *ast.UnaryExpr:
-			if x.Op == token.ARROW {
-				s.leakAcross(x.Pos(), held, "channel receive")
-			}
-		case *ast.SendStmt:
-			s.leakAcross(x.Pos(), held, "channel send")
-		}
-		return true
-	})
+	for _, name := range held.names() {
+		line := f.n.Pkg.Fset.Position(held[name]).Line
+		f.report(at, "%s reached with %s still locked (acquired at line %d; no Unlock on this path)", where, name, line)
+	}
 }
 
-// leakAcross reports every held lock spanning one risky operation.
-func (s *lockScanner) leakAcross(pos token.Pos, held map[string]*heldLock, what string) {
-	var names []string
-	for _, key := range sortedKeys(held) {
-		names = append(names, held[key].display)
+// across reports the held locks spanning one risky operation.
+func (f *lockFlow) across(pos token.Pos, held lockSet, what string) {
+	if len(held) > 0 {
+		f.report(pos, "%s held across %s", strings.Join(held.names(), ", "), what)
 	}
-	s.report(pos, "%s held across %s", strings.Join(names, ", "), what)
 }
 
-// lockOp classifies a call as a direct sync.Mutex/RWMutex operation.
-func (s *lockScanner) lockOp(call *ast.CallExpr) (key, display string, acquire, release, ok bool) {
-	return syncLockOp(s.pkg.Info, call)
-}
-
-func copyHeld(held map[string]*heldLock) map[string]*heldLock {
-	out := make(map[string]*heldLock, len(held))
-	for k, v := range held {
-		c := *v
-		out[k] = &c
+// report records a finding once: the walk reaches a loop body's
+// statements more than once.
+func (f *lockFlow) report(pos token.Pos, format string, args ...any) {
+	msg := fmt.Sprintf(format, args...)
+	if key := fmt.Sprint(pos, msg); !f.reported[key] {
+		f.reported[key] = true
+		f.findings = append(f.findings, Finding{Pos: f.n.Pkg.Fset.Position(pos), Analyzer: "lockcheck", Message: msg})
 	}
-	return out
-}
-
-// intersectHeld keeps locks held on both paths; a pending deferred Unlock
-// survives only if both paths registered it.
-func intersectHeld(a, b map[string]*heldLock) map[string]*heldLock {
-	out := make(map[string]*heldLock)
-	for k, la := range a {
-		if lb, ok := b[k]; ok {
-			c := *la
-			c.deferred = la.deferred && lb.deferred
-			out[k] = &c
-		}
-	}
-	return out
-}
-
-func sortedKeys(held map[string]*heldLock) []string {
-	keys := make([]string, 0, len(held))
-	for k := range held {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -185,3 +185,39 @@ func (p *Pool) FillUnlocked(buf []byte) (int, error) {
 		},
 	})
 }
+
+// TestLockCheckLoopIterations: a loop body runs again on the state its
+// last iteration left, so a Lock with no Unlock in the body meets
+// itself.
+func TestLockCheckLoopIterations(t *testing.T) {
+	runModuleFixture(t, lockcheckAnalyzer(), []fixtureFile{{
+		path: "fixture/TestLockCheckLoopIterations",
+		src: `package fix
+
+import "sync"
+
+type box struct {
+	mu sync.Mutex
+	n  int
+}
+
+func (b *box) lockInLoop(xs []int) {
+	for range xs {
+		b.mu.Lock() // WANT
+	}
+}
+
+func (b *box) lockPerIteration(xs []int) {
+	for _, x := range xs {
+		b.mu.Lock()
+		if x < 0 {
+			b.mu.Unlock()
+			continue
+		}
+		b.n += x
+		b.mu.Unlock()
+	}
+}
+`,
+	}})
+}

@@ -28,7 +28,7 @@ func checkProbRange(pkg *Package) []Finding {
 			if !ok || fn.Body == nil || !isProbFunc(pkg, fn) {
 				continue
 			}
-			assigns := localAssignments(pkg, fn.Body)
+			assigns := localAssignments(pkg.Info, fn.Body)
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
 				if _, ok := n.(*ast.FuncLit); ok {
 					return false // nested closures are not the prob function's returns
@@ -72,30 +72,43 @@ func isProbFunc(pkg *Package, fn *ast.FuncDecl) bool {
 	return ok && basic.Kind() == types.Float64
 }
 
-// localAssignments maps each local variable object to the expressions
-// assigned to it anywhere in the function body.
-func localAssignments(pkg *Package, body *ast.BlockStmt) map[types.Object][]ast.Expr {
+// localAssignments maps each variable object to the expressions assigned
+// to it in the function body, in source order: `x := e`, `x = e`,
+// `var x = e`, and each target of a tuple assignment from one call
+// (`v, err := f()` records f() for both). An arithmetic assignment
+// `p += w` (or -=, *=, /=) is recorded as raw arithmetic on p.
+func localAssignments(info *types.Info, body *ast.BlockStmt) map[types.Object][]ast.Expr {
 	out := make(map[types.Object][]ast.Expr)
-	record := func(lhs ast.Expr, rhs ast.Expr) {
-		id, ok := ast.Unparen(lhs).(*ast.Ident)
-		if !ok {
-			return
-		}
-		obj := pkg.Info.Defs[id]
-		if obj == nil {
-			obj = pkg.Info.Uses[id]
-		}
-		if obj != nil {
-			out[obj] = append(out[obj], rhs)
+	record := func(lhs, rhs []ast.Expr, tok token.Token, at token.Pos) {
+		for i, l := range lhs {
+			id, ok := ast.Unparen(l).(*ast.Ident)
+			if !ok || len(rhs) == 0 {
+				continue
+			}
+			r := rhs[min(i, len(rhs)-1)]
+			switch tok {
+			case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
+				r = &ast.BinaryExpr{X: l, OpPos: at, Op: token.ADD, Y: r}
+			}
+			obj := info.Defs[id]
+			if obj == nil {
+				obj = info.Uses[id]
+			}
+			if obj != nil {
+				out[obj] = append(out[obj], r)
+			}
 		}
 	}
 	ast.Inspect(body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Lhs) != len(as.Rhs) {
-			return true
-		}
-		for i := range as.Lhs {
-			record(as.Lhs[i], as.Rhs[i])
+		switch x := n.(type) {
+		case *ast.AssignStmt:
+			record(x.Lhs, x.Rhs, x.Tok, x.TokPos)
+		case *ast.ValueSpec:
+			lhs := make([]ast.Expr, len(x.Names))
+			for i, id := range x.Names {
+				lhs[i] = id
+			}
+			record(lhs, x.Values, token.DEFINE, x.Pos())
 		}
 		return true
 	})

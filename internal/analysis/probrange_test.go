@@ -68,3 +68,29 @@ func annotatedProb(w float64) float64 {
 }
 `)
 }
+
+// TestProbRangeFollowsAccumulation: `p += w` is raw arithmetic on p, so
+// an accumulated sum returned bare is flagged and a capped one is not.
+func TestProbRangeFollowsAccumulation(t *testing.T) {
+	runFixture(t, checkProbRange, "probrange", `
+package fixture
+
+import "math"
+
+func sumProb(ws []float64) float64 {
+	var p float64
+	for _, w := range ws {
+		p += w
+	}
+	return p // WANT
+}
+
+func cappedSumProb(ws []float64) float64 {
+	var p float64
+	for _, w := range ws {
+		p += w
+	}
+	return math.Min(p, 1)
+}
+`)
+}

@@ -50,11 +50,13 @@ func (k RuleKind) String() string {
 	return fmt.Sprintf("RuleKind(%d)", uint8(k))
 }
 
-// ScopeSpec selects the functions a rule applies to, by receiver base
-// type and name, module-wide and package-agnostic — fixture packages
-// modelling the protocol with their own types participate in the same
-// rules. Recv "" matches package-level functions only, "*" matches any
-// function with the name, anything else matches that receiver exactly.
+// ScopeSpec selects functions by receiver base type and name,
+// package-agnostic — fixture packages modelling the protocol with their
+// own types participate in the same rules. It is the one name matcher:
+// rule scopes, the effect table and (with a package) RootSpec use it.
+// Recv "" matches package-level functions only, "*" any receiver,
+// anything else that receiver exactly; a trailing "*" on Name matches a
+// prefix.
 type ScopeSpec struct {
 	Recv string
 	Name string
@@ -62,17 +64,14 @@ type ScopeSpec struct {
 
 // Matches reports whether the spec selects the function.
 func (s ScopeSpec) Matches(fn *types.Func) bool {
-	if fn.Name() != s.Name {
+	if pre, ok := strings.CutSuffix(s.Name, "*"); ok {
+		if !strings.HasPrefix(fn.Name(), pre) {
+			return false
+		}
+	} else if fn.Name() != s.Name {
 		return false
 	}
-	switch s.Recv {
-	case "*":
-		return true
-	case "":
-		return recvBase(fn) == ""
-	default:
-		return recvBase(fn) == s.Recv
-	}
+	return s.Recv == "*" || s.Recv == recvBase(fn)
 }
 
 func (s ScopeSpec) String() string {
@@ -267,75 +266,36 @@ func (r *Rule) inScope(fn *types.Func) bool {
 	return false
 }
 
-// evalRule evaluates one ordering rule over one function's body traces.
+// evalRule evaluates one ordering rule over one function's body traces:
+// one witness per violating trace, or per unseparated pair for
+// RuleSeparated.
 func evalRule(r *Rule, e *Effects, n *FuncNode) []ruleViolation {
-	traces := e.BodyTraces(n)
-	switch r.Kind {
-	case RulePrecedes:
-		return evalPrecedes(r, traces)
-	case RuleSeparated:
-		return evalSeparated(r, traces)
-	case RuleNever:
-		return evalNever(r, traces)
-	}
-	return nil
-}
-
-func evalPrecedes(r *Rule, traces []EffTrace) []ruleViolation {
 	var out []ruleViolation
-	for _, t := range traces {
+	for _, t := range e.BodyTraces(n) {
 		if t.Approx {
 			continue
 		}
-		seenA := false
-		for _, ev := range t.Events {
-			if r.A.Has(ev.Eff) {
-				seenA = true
-			} else if r.B.Has(ev.Eff) && !seenA {
-				out = append(out, ruleViolation{r, ev, nil})
-				break // one witness per trace
-			}
-		}
-	}
-	return out
-}
-
-func evalSeparated(r *Rule, traces []EffTrace) []ruleViolation {
-	var out []ruleViolation
-	for _, t := range traces {
-		if t.Approx {
-			continue
-		}
-		var pending *EffEvent
+		var pending *EffEvent // RuleSeparated: the A not yet separated
+		seenA := false        // RulePrecedes
+	events:
 		for _, ev := range t.Events {
 			switch {
+			case r.Kind == RulePrecedes && r.A.Has(ev.Eff):
+				seenA = true
+			case r.Kind == RulePrecedes && r.B.Has(ev.Eff) && !seenA,
+				r.Kind == RuleNever && r.A.Has(ev.Eff):
+				out = append(out, ruleViolation{r, ev, nil})
+				break events
+			case r.Kind != RuleSeparated:
 			case r.B.Has(ev.Eff):
 				pending = nil
 			case r.A.Has(ev.Eff):
 				if pending == nil {
 					pending = ev
 				}
-			case r.C.Has(ev.Eff):
-				if pending != nil {
-					out = append(out, ruleViolation{r, ev, pending})
-					pending = nil
-				}
-			}
-		}
-	}
-	return out
-}
-
-func evalNever(r *Rule, traces []EffTrace) []ruleViolation {
-	var out []ruleViolation
-	for _, t := range traces {
-		if t.Approx {
-			continue
-		}
-		for _, ev := range t.Events {
-			if r.A.Has(ev.Eff) {
-				out = append(out, ruleViolation{r, ev, nil})
-				break
+			case r.C.Has(ev.Eff) && pending != nil:
+				out = append(out, ruleViolation{r, ev, pending})
+				pending = nil
 			}
 		}
 	}

@@ -24,7 +24,8 @@ import (
 // when at least one side writes — or both sides call a method with a
 // pointer receiver — and none of the recognized guards applies:
 //
-//   - a common mutex lexically held on both sides (heldAt);
+//   - a common mutex held on both sides (the path walker's must-held
+//     set on entry to the access's statement);
 //   - a guarding fact on the called method (acquiresLock or usesAtomic),
 //     so obs counters and registry methods pass;
 //   - the disjoint-index write pattern `arr[i] = ...` where every index
@@ -42,14 +43,14 @@ import (
 //   - values that are synchronization primitives themselves (channels,
 //     sync.*, sync/atomic.* — see syncPrimitive).
 //
-// The model is lexical and per-function, so it has known gaps, chosen to
-// keep the module clean of false positives rather than complete: spawns
-// via `go f(x)` with a named callee hand x off at spawn time and f's
-// internal mutations are not tracked; a loop that mutates a variable
-// before spawning a goroutine that reads it races its own next iteration
-// unseen; and sibling instances calling the same unguarded pointer method
-// are not reported (method bodies may be internally read-only, as the
-// stdlib importer's level workers are).
+// The spawn and barrier order is lexical and per-function, so the model
+// has known gaps, chosen to keep the module clean of false positives
+// rather than complete: spawns via `go f(x)` with a named callee hand x
+// off at spawn time and f's internal mutations are not tracked; a loop
+// that mutates a variable before spawning a goroutine that reads it
+// races its own next iteration unseen; and sibling instances calling the
+// same unguarded pointer method are not reported (method bodies may be
+// internally read-only, as the stdlib importer's level workers are).
 func checkShare(m *Module) []Finding {
 	var out []Finding
 	for _, n := range m.Graph.Nodes() {
@@ -98,8 +99,14 @@ type capAccess struct {
 	pos      token.Pos
 	kind     accessKind
 	disjoint bool // index write with region-local index variables
-	held     map[string]bool
-	what     string
+	held     lockSet
+}
+
+// conflicts reports whether two accesses race: one side writes, or both
+// call pointer methods, and no lock is held on both.
+func conflicts(a, b capAccess) bool {
+	return (a.kind == accWrite || b.kind == accWrite || a.kind == accPtrCall && b.kind == accPtrCall) &&
+		len(a.held.meet(b.held)) == 0
 }
 
 func shareCheckFunc(n *FuncNode) []Finding {
@@ -128,7 +135,8 @@ func shareCheckFunc(n *FuncNode) []Finding {
 		return nil
 	}
 
-	outside := scanSide(n, body, nil, captured, regionSpans)
+	held := &walkLocks(n).held
+	outside := scanSide(n, held, body, nil, captured, regionSpans)
 	barriers := collectBarriers(n, body, regionSpans)
 	inside := make([]map[*types.Var][]capAccess, len(regions))
 	for i, r := range regions {
@@ -138,7 +146,7 @@ func shareCheckFunc(n *FuncNode) []Finding {
 				others = append(others, span{o.lit.Pos(), o.lit.End()})
 			}
 		}
-		inside[i] = scanSide(n, r.lit.Body, r, captured, others)
+		inside[i] = scanSide(n, held, r.lit.Body, r, captured, others)
 	}
 
 	var out []Finding
@@ -152,53 +160,33 @@ func shareCheckFunc(n *FuncNode) []Finding {
 	line := func(p token.Pos) int { return n.Pkg.Fset.Position(p).Line }
 
 	for i, r := range regions {
+	vars:
 		for v, gAccs := range inside[i] {
-			done := false
 			for _, a := range gAccs {
-				if done {
-					break
-				}
-				// Goroutine vs the enclosing function after the spawn.
+				// Goroutine vs the enclosing function after the spawn,
+				// unless a barrier or the spawning helper's return (it
+				// joins before returning) orders them.
 				for _, b := range outside[v] {
-					if b.pos <= r.spawn || barrierBetween(barriers, r.spawn, b.pos) {
-						continue
-					}
-					if r.joins && b.pos >= r.end {
-						continue // the spawning helper joined before returning
-					}
-					conflict := a.kind == accWrite || b.kind == accWrite ||
-						(a.kind == accPtrCall && b.kind == accPtrCall)
-					if conflict && !intersects(a.held, b.held) {
+					ordered := b.pos <= r.spawn || barrierBetween(barriers, r.spawn, b.pos) || (r.joins && b.pos >= r.end)
+					if !ordered && conflicts(a, b) {
 						report(a, "captured %s %s in goroutine (%s) and %s in %s at line %d after the spawn, with no common lock, barrier, or atomic guard",
 							v.Name(), a.kind, r.desc, b.kind, n, line(b.pos))
-						done = true
-						break
+						continue vars
 					}
-				}
-				if done {
-					break
 				}
 				// Sibling instances of a looped / handed-off region body.
 				if r.loop && a.kind == accWrite && !a.disjoint && len(a.held) == 0 {
 					report(a, "captured %s %s concurrently by multiple instances of the goroutine body (%s, line %d) without a lock or a region-local disjoint index",
 						v.Name(), a.kind, r.desc, line(r.spawn))
-					done = true
-					break
+					continue vars
 				}
 				// Two distinct regions of the same function.
-				for j := range regions {
-					if j == i || done {
-						continue
-					}
+				for j, o := range regions {
 					for _, b := range inside[j][v] {
-						bothDisjoint := a.kind == accWrite && b.kind == accWrite && a.disjoint && b.disjoint
-						conflict := (a.kind == accWrite || b.kind == accWrite ||
-							(a.kind == accPtrCall && b.kind == accPtrCall)) && !bothDisjoint
-						if conflict && !intersects(a.held, b.held) {
+						if j != i && conflicts(a, b) && !(a.disjoint && b.disjoint) {
 							report(a, "captured %s %s by the goroutine spawned at line %d and %s by the goroutine spawned at line %d, with no common lock",
-								v.Name(), a.kind, line(r.spawn), b.kind, line(regions[j].spawn))
-							done = true
-							break
+								v.Name(), a.kind, line(r.spawn), b.kind, line(o.spawn))
+							continue vars
 						}
 					}
 				}
@@ -243,7 +231,7 @@ func collectRegions(n *FuncNode, body *ast.BlockStmt) []*goRegion {
 			}
 			return true
 		case *ast.CallExpr:
-			site := n.SiteAt(x.Pos())
+			site := n.SiteAt(x)
 			if site == nil || site.Facts()&FactSpawnsGoroutine == 0 {
 				return true
 			}
@@ -294,13 +282,12 @@ func capturedVars(n *FuncNode, r *goRegion) map[*types.Var]bool {
 // scanSide collects the accesses to captured vars within root, skipping
 // the excluded spans. region is non-nil when root is a region body (its
 // locals make index writes disjoint); nil scans the outside.
-func scanSide(n *FuncNode, root ast.Node, region *goRegion, captured map[*types.Var]bool, exclude spans) map[*types.Var][]capAccess {
+func scanSide(n *FuncNode, held *heldIndex, root ast.Node, region *goRegion, captured map[*types.Var]bool, exclude spans) map[*types.Var][]capAccess {
 	info := n.Pkg.Info
-	events := lockEvents(info, root)
 	accs := make(map[*types.Var][]capAccess)
 	claimed := make(map[ast.Node]bool)
-	add := func(v *types.Var, pos token.Pos, kind accessKind, disjoint bool, what string) {
-		accs[v] = append(accs[v], capAccess{pos: pos, kind: kind, disjoint: disjoint, held: heldAt(events, pos), what: what})
+	add := func(v *types.Var, pos token.Pos, kind accessKind, disjoint bool) {
+		accs[v] = append(accs[v], capAccess{pos: pos, kind: kind, disjoint: disjoint, held: held.at(pos)})
 	}
 	// lhsWrite records a write through an assignment target and claims its
 	// base identifier so the generic pass does not double-count a read.
@@ -320,7 +307,7 @@ func scanSide(n *FuncNode, root ast.Node, region *goRegion, captured map[*types.
 				disjoint = regionLocalIndex(info, idx.Index, region)
 			}
 		}
-		add(v, expr.Pos(), accWrite, disjoint, "assignment")
+		add(v, expr.Pos(), accWrite, disjoint)
 	}
 	ast.Inspect(root, func(node ast.Node) bool {
 		if node == nil {
@@ -346,12 +333,16 @@ func scanSide(n *FuncNode, root ast.Node, region *goRegion, captured map[*types.
 			}
 			if v, ok := info.Uses[base].(*types.Var); ok && captured[v] && !claimed[base] {
 				claimed[base] = true
-				add(v, x.Pos(), accWrite, false, "address taken")
+				add(v, x.Pos(), accWrite, false)
 			}
 		case *ast.CallExpr:
+			site := n.SiteAt(x)
+			if site == nil {
+				return true
+			}
 			// sync/atomic package calls are the guard, not the race: claim
 			// the &field arguments they operate on.
-			if atomicPkgCall(info, x) {
+			if site.sync == atomicFunc {
 				for _, arg := range x.Args {
 					ast.Inspect(arg, func(sub ast.Node) bool {
 						if id, ok := sub.(*ast.Ident); ok {
@@ -363,46 +354,23 @@ func scanSide(n *FuncNode, root ast.Node, region *goRegion, captured map[*types.
 				return true
 			}
 			sel, ok := ast.Unparen(x.Fun).(*ast.SelectorExpr)
-			if !ok {
+			if !ok || info.Selections[sel] == nil || info.Selections[sel].Kind() != types.MethodVal {
 				return true
 			}
-			selection, ok := info.Selections[sel]
-			if !ok || selection.Kind() != types.MethodVal {
-				return true
-			}
-			fn, _ := selection.Obj().(*types.Func)
 			base, _ := baseAndIndex(sel.X)
-			if fn == nil || base == nil {
-				return true
-			}
 			v, ok := info.Uses[base].(*types.Var)
-			if !ok || !captured[v] {
-				return true
+			_, ptrRecv := site.Callee.Type().(*types.Signature).Recv().Type().(*types.Pointer)
+			if !ok || !captured[v] || !ptrRecv || site.Facts()&(FactAcquiresLock|FactUsesAtomic) != 0 {
+				return true // a value receiver operates on a copy; a locking or atomic method guards itself
 			}
-			sig, _ := fn.Type().(*types.Signature)
-			ptrRecv := false
-			if sig != nil && sig.Recv() != nil {
-				_, ptrRecv = sig.Recv().Type().(*types.Pointer)
-			}
-			if !ptrRecv {
-				return true // value receiver: operates on a copy
-			}
-			guarded := false
-			if site := n.SiteAt(x.Pos()); site != nil {
-				guarded = site.Facts()&(FactAcquiresLock|FactUsesAtomic) != 0
-			} else if pkg := fn.Pkg(); pkg != nil && (pkg.Path() == "sync" || pkg.Path() == "sync/atomic") {
-				guarded = true
-			}
-			if !guarded {
-				claimed[base] = true
-				add(v, x.Pos(), accPtrCall, false, "call to "+fn.Name())
-			}
+			claimed[base] = true
+			add(v, x.Pos(), accPtrCall, false)
 		case *ast.Ident:
 			if claimed[x] {
 				return true
 			}
 			if v, ok := info.Uses[x].(*types.Var); ok && captured[v] {
-				add(v, x.Pos(), accRead, false, "use")
+				add(v, x.Pos(), accRead, false)
 			}
 		}
 		return true
@@ -454,23 +422,6 @@ func regionLocalIndex(info *types.Info, index ast.Expr, r *goRegion) bool {
 	return total > 0 && localVars == total
 }
 
-// atomicPkgCall reports whether the call targets a sync/atomic
-// package-level function (the legacy atomic.AddUint64-style API, selected
-// through the package name — methods of the typed atomics do not match).
-func atomicPkgCall(info *types.Info, call *ast.CallExpr) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	if id, ok := ast.Unparen(sel.X).(*ast.Ident); !ok {
-		return false
-	} else if _, isPkg := info.Uses[id].(*types.PkgName); !isPkg {
-		return false
-	}
-	fn, ok := info.Uses[sel.Sel].(*types.Func)
-	return ok && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic"
-}
-
 // collectBarriers finds the completion barriers of the enclosing body:
 // sync.WaitGroup.Wait calls and channel receives outside any region. An
 // outside access after such a barrier (itself after the spawn) is ordered
@@ -487,12 +438,7 @@ func collectBarriers(n *FuncNode, body *ast.BlockStmt, exclude spans) []token.Po
 		}
 		switch x := node.(type) {
 		case *ast.CallExpr:
-			sel, ok := ast.Unparen(x.Fun).(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			if fn, ok := info.Uses[sel.Sel].(*types.Func); ok && fn.Pkg() != nil &&
-				fn.Pkg().Path() == "sync" && recvBase(fn) == "WaitGroup" && fn.Name() == "Wait" {
+			if site := n.SiteAt(x); site != nil && site.sync == waitGroupWait {
 				out = append(out, x.Pos())
 			}
 		case *ast.UnaryExpr:

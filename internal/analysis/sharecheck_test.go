@@ -220,6 +220,57 @@ func GuardedMethods() {
 	}})
 }
 
+// TestShareCheckHeldOnEveryPath: the common lock must be held on every
+// path to the outside access. An early-out branch that unlocks and
+// returns leaves it held after the branch (EarlyOut is clean); a lock
+// taken on one branch only guards nothing after the branches meet
+// (MaybeLocked).
+func TestShareCheckHeldOnEveryPath(t *testing.T) {
+	runModuleFixture(t, sharecheckAnalyzer(), []fixtureFile{{
+		path: "fixture/TestShareCheckHeldOnEveryPath/p",
+		src: `package p
+
+import "sync"
+
+func EarlyOut(skip bool) int {
+	n := 0
+	var mu sync.Mutex
+	go func() {
+		mu.Lock()
+		n++
+		mu.Unlock()
+	}()
+	mu.Lock()
+	if skip {
+		mu.Unlock()
+		return 0
+	}
+	v := n
+	mu.Unlock()
+	return v
+}
+
+func MaybeLocked(lock bool) int {
+	n := 0
+	var mu sync.Mutex
+	go func() {
+		mu.Lock()
+		n++ // WANT
+		mu.Unlock()
+	}()
+	if lock {
+		mu.Lock()
+	}
+	v := n
+	if lock {
+		mu.Unlock()
+	}
+	return v
+}
+`,
+	}})
+}
+
 // TestShareCheckRealRepoClean asserts the repository's own fan-outs —
 // sim.RunPreparedParallel's per-replica slots, the experiments engine's
 // worker pool, the stdlib importer's level workers, and the buffer

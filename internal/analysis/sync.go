@@ -4,110 +4,151 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"sort"
 )
 
-// This file holds the synchronization-awareness shared by the concurrency
-// analyzers (lockcheck, sharecheck, atomiccheck): classifying direct
-// sync.Mutex/RWMutex operations, and a lexical model of which mutexes are
-// held at a given position inside one function body.
+// This file holds the synchronization model the concurrency analyzers
+// (lockcheck, sharecheck, atomiccheck) share: the one classification of a
+// call site's sync/atomic role, made when the call graph is built, and
+// the must-held lock sets the path walker (flow.go) records per statement.
 
-// syncLockOp classifies a call as a direct sync.Mutex/RWMutex operation.
-// key identifies the lock and mode ("s.mu/w"), display is the
-// human-readable form. TryLock/TryRLock report ok with empty key: they are
-// lock operations but their conditional acquisition is not modelled.
-func syncLockOp(info *types.Info, call *ast.CallExpr) (key, display string, acquire, release, ok bool) {
-	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !isSel {
-		return
-	}
-	var fn *types.Func
-	if selection, found := info.Selections[sel]; found {
-		fn, _ = selection.Obj().(*types.Func)
-	}
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return
-	}
-	if base := recvBase(fn); base != "Mutex" && base != "RWMutex" {
-		return
-	}
-	expr := types.ExprString(sel.X)
-	switch fn.Name() {
-	case "Lock":
-		return expr + "/w", expr, true, false, true
-	case "Unlock":
-		return expr + "/w", expr, false, true, true
-	case "RLock":
-		return expr + "/r", expr + " (read)", true, false, true
-	case "RUnlock":
-		return expr + "/r", expr + " (read)", false, true, true
-	case "TryLock", "TryRLock":
-		return "", "", false, false, true // conditional acquire: not modelled
-	}
-	return
-}
+// syncKind is a call site's synchronization role.
+type syncKind uint8
 
-// lockEvent is one lexical lock-state transition inside a body.
-type lockEvent struct {
-	pos     token.Pos
-	key     string
-	acquire bool
-}
+const (
+	syncNone      syncKind = iota
+	lockAcquire            // sync.Mutex/RWMutex Lock or RLock on a named lock
+	lockRelease            // Unlock or RUnlock on a named lock
+	lockOther              // TryLock/TryRLock, or a lock method not called on a value: not modelled as held
+	atomicFunc             // a sync/atomic package function: its &operands are the accessed values
+	atomicMethod           // a method of a sync/atomic typed value
+	waitGroupWait          // sync.WaitGroup.Wait: a completion barrier
+)
 
-// lockEvents collects the lock-state transitions of root in source order,
-// skipping nested function literals (their bodies execute at an unknown
-// time). A deferred Unlock produces no event: the lock stays held for the
-// rest of the body, which is exactly the guard semantics callers want.
-func lockEvents(info *types.Info, root ast.Node) []lockEvent {
-	var out []lockEvent
-	ast.Inspect(root, func(node ast.Node) bool {
-		switch x := node.(type) {
-		case *ast.FuncLit:
-			if x != root {
-				return false
-			}
-		case *ast.DeferStmt:
-			return false // deferred unlocks keep the lock held lexically
-		case *ast.CallExpr:
-			if key, _, acquire, release, ok := syncLockOp(info, x); ok && key != "" {
-				if acquire {
-					out = append(out, lockEvent{x.Pos(), key, true})
-				} else if release {
-					out = append(out, lockEvent{x.Pos(), key, false})
-				}
-			}
+// syncKindOf classifies a non-module callee.
+func syncKindOf(fn *types.Func) syncKind {
+	if fn.Pkg() == nil {
+		return syncNone
+	}
+	recv := recvBase(fn)
+	switch fn.Pkg().Path() {
+	case "sync/atomic":
+		if recv == "" {
+			return atomicFunc
 		}
-		return true
-	})
+		return atomicMethod
+	case "sync":
+		if recv == "WaitGroup" && fn.Name() == "Wait" {
+			return waitGroupWait
+		}
+		if recv != "Mutex" && recv != "RWMutex" {
+			return syncNone
+		}
+		switch fn.Name() {
+		case "Lock", "RLock":
+			return lockAcquire
+		case "Unlock", "RUnlock":
+			return lockRelease
+		case "TryLock", "TryRLock":
+			return lockOther
+		}
+	}
+	return syncNone
+}
+
+// lockName names the lock a classified acquire/release site operates on:
+// the receiver expression, marked when the mode is read ("s.mu",
+// "s.mu (read)"). It is "" — and the site is reclassified lockOther —
+// when the method is not called on a value.
+func lockName(info *types.Info, call *ast.CallExpr, fn *types.Func) string {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || info.Selections[sel] == nil || info.Selections[sel].Kind() != types.MethodVal {
+		return ""
+	}
+	name := types.ExprString(sel.X)
+	if fn.Name() == "RLock" || fn.Name() == "RUnlock" {
+		name += " (read)"
+	}
+	return name
+}
+
+// lockSet is a must-held lock set: lock name to acquisition site. States
+// are never changed in place, so a path can share its parent's set.
+type lockSet map[string]token.Pos
+
+// meet is the lattice join of must-held sets: the locks held on both.
+func (a lockSet) meet(b lockSet) lockSet {
+	if len(a) == 0 {
+		return a
+	}
+	out := lockSet{}
+	for k, p := range a {
+		if _, ok := b[k]; ok {
+			out[k] = p
+		}
+	}
 	return out
 }
 
-// heldAt replays events lexically preceding pos and returns the keys of
-// the mutexes held there. The model is linear — branches are not forked —
-// which matches how this codebase writes its critical sections (lockcheck
-// separately enforces balanced paths).
-func heldAt(events []lockEvent, pos token.Pos) map[string]bool {
-	held := make(map[string]bool)
-	for _, e := range events {
-		if e.pos >= pos {
-			break
-		}
-		if e.acquire {
-			held[e.key] = true
-		} else {
-			delete(held, e.key)
-		}
+// with returns the set plus one lock (acquired at pos), or minus it when
+// pos is NoPos.
+func (a lockSet) with(name string, pos token.Pos) lockSet {
+	if _, held := a[name]; !held && pos == token.NoPos {
+		return a
 	}
-	return held
+	out := make(lockSet, len(a)+1)
+	for k, p := range a {
+		out[k] = p
+	}
+	if pos == token.NoPos {
+		delete(out, name)
+	} else {
+		out[name] = pos
+	}
+	return out
 }
 
-// intersects reports whether the two key sets share an element.
-func intersects(a, b map[string]bool) bool {
+// names returns the held locks in sorted order.
+func (a lockSet) names() []string {
+	out := make([]string, 0, len(a))
 	for k := range a {
-		if b[k] {
-			return true
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// heldIndex answers "which locks are held here" for one function body and
+// the literals in it: the must-held set on entry to the innermost walked
+// statement containing a position, met over every time the walk reached
+// the statement.
+type heldIndex struct {
+	stmts []ast.Stmt
+	held  []lockSet
+	index map[ast.Stmt]int
+}
+
+func (h *heldIndex) record(s ast.Stmt, held lockSet) {
+	if i, ok := h.index[s]; ok {
+		h.held[i] = h.held[i].meet(held)
+		return
+	}
+	h.index[s] = len(h.stmts)
+	h.stmts = append(h.stmts, s)
+	h.held = append(h.held, held)
+}
+
+func (h *heldIndex) at(pos token.Pos) lockSet {
+	best := -1
+	for i, s := range h.stmts {
+		if s.Pos() <= pos && pos < s.End() && (best < 0 || s.Pos() >= h.stmts[best].Pos()) {
+			best = i
 		}
 	}
-	return false
+	if best < 0 {
+		return nil
+	}
+	return h.held[best]
 }
 
 // syncPrimitive reports whether t (or the type it points to) is a named
