@@ -101,8 +101,8 @@ var catalogue = []mutant{
 				"\tpt.wpool.Grow(u.meta.PageSpan())\n\tfor _, img := range images {\n\t\tif err := pt.wpool.Put(img.Page, img.Data); err != nil {\n\t\t\tpt.updateErr = err\n\t\t\treturn fmt.Errorf(\"storage: applying committed batch %d: %w\", batch, err)\n\t\t}\n\t}\n",
 				""},
 			{"internal/storage/update.go",
-				"\tmetaBytes := encodeMetaV2(u.meta)\n\tbatch, err := pt.wal.AppendBatch(images, metaBytes)\n",
-				"\tpt.wpool.Grow(u.meta.PageSpan())\n\tfor _, img := range images {\n\t\tif err := pt.wpool.Put(img.Page, img.Data); err != nil {\n\t\t\treturn err\n\t\t}\n\t}\n\tmetaBytes := encodeMetaV2(u.meta)\n\tbatch, err := pt.wal.AppendBatch(images, metaBytes)\n"},
+				"\tmetaBytes := u.encodeMeta()\n\tbatch, err := pt.wal.AppendBatch(images, metaBytes)\n",
+				"\tpt.wpool.Grow(u.meta.PageSpan())\n\tfor _, img := range images {\n\t\tif err := pt.wpool.Put(img.Page, img.Data); err != nil {\n\t\t\treturn err\n\t\t}\n\t}\n\tmetaBytes := u.encodeMeta()\n\tbatch, err := pt.wal.AppendBatch(images, metaBytes)\n"},
 		},
 		pkgs: []string{storagePkg, benchPkg},
 	},
@@ -231,8 +231,8 @@ var catalogue = []mutant{
 				"\tif err := pt.wpool.FlushDirty(); err != nil {\n\t\tpt.updateErr = err\n\t\treturn fmt.Errorf(\"storage: applying committed batch %d: %w\", batch, err)\n\t}\n",
 				""},
 			{"internal/storage/update.go",
-				"\tmetaBytes := encodeMetaV2(u.meta)\n\tbatch, err := pt.wal.AppendBatch(images, metaBytes)\n",
-				"\tif err := pt.wpool.FlushDirty(); err != nil {\n\t\treturn err\n\t}\n\tmetaBytes := encodeMetaV2(u.meta)\n\tbatch, err := pt.wal.AppendBatch(images, metaBytes)\n"},
+				"\tmetaBytes := u.encodeMeta()\n\tbatch, err := pt.wal.AppendBatch(images, metaBytes)\n",
+				"\tif err := pt.wpool.FlushDirty(); err != nil {\n\t\treturn err\n\t}\n\tmetaBytes := u.encodeMeta()\n\tbatch, err := pt.wal.AppendBatch(images, metaBytes)\n"},
 		},
 		pkgs: []string{storagePkg, benchPkg},
 	},
@@ -240,8 +240,8 @@ var catalogue = []mutant{
 		name: "dur-early-put-large-batch", aim: "durcheck:commit-before-writeback", rare: true,
 		what: "commitUpdate installs batches of more than 64 pages in the pool before AppendBatch, to bound staging memory",
 		edits: []edit{{"internal/storage/update.go",
-			"\tmetaBytes := encodeMetaV2(u.meta)\n\tbatch, err := pt.wal.AppendBatch(images, metaBytes)\n",
-			"\tif len(images) > 64 {\n\t\tpt.wpool.Grow(u.meta.PageSpan())\n\t\tfor _, img := range images {\n\t\t\tif err := pt.wpool.Put(img.Page, img.Data); err != nil {\n\t\t\t\treturn err\n\t\t\t}\n\t\t}\n\t}\n\tmetaBytes := encodeMetaV2(u.meta)\n\tbatch, err := pt.wal.AppendBatch(images, metaBytes)\n"}},
+			"\tmetaBytes := u.encodeMeta()\n\tbatch, err := pt.wal.AppendBatch(images, metaBytes)\n",
+			"\tif len(images) > 64 {\n\t\tpt.wpool.Grow(u.meta.PageSpan())\n\t\tfor _, img := range images {\n\t\t\tif err := pt.wpool.Put(img.Page, img.Data); err != nil {\n\t\t\t\treturn err\n\t\t\t}\n\t\t}\n\t}\n\tmetaBytes := u.encodeMeta()\n\tbatch, err := pt.wal.AppendBatch(images, metaBytes)\n"}},
 		pkgs: []string{storagePkg, benchPkg},
 	},
 	{

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"rtreebuf/internal/core"
 	"rtreebuf/internal/hilbert"
@@ -33,15 +32,11 @@ func runExtLocality(cfg Config) (*Report, error) {
 
 	// Zipf weights over centers ranked by Hilbert position: the hot
 	// region is spatially contiguous, like a popular neighborhood.
-	order := make([]int, len(points))
-	for i := range order {
-		order[i] = i
+	keys := make([]uint64, len(points))
+	for i, p := range points {
+		keys[i] = hilbert.EncodePoint(hilbert.DefaultOrder, p.X, p.Y)
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ka := hilbert.EncodePoint(hilbert.DefaultOrder, points[order[a]].X, points[order[a]].Y)
-		kb := hilbert.EncodePoint(hilbert.DefaultOrder, points[order[b]].X, points[order[b]].Y)
-		return ka < kb
-	})
+	order := pack.SortKeys(keys)
 	ranked, err := core.ZipfWeights(len(points), 0.9)
 	if err != nil {
 		return nil, err

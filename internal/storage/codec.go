@@ -159,28 +159,31 @@ func DecodeNode(buf []byte, page int) (rtree.NodeData, error) {
 	if err := validatePage(buf, page); err != nil {
 		return rtree.NodeData{}, err
 	}
-	return decodeValidated(buf, page), nil
+	count := pageCount(buf)
+	nd := rtree.NodeData{Page: page, Rects: make([]geom.Rect, 0, count)}
+	if pageIsLeaf(buf) {
+		nd.IDs = make([]int64, 0, count)
+	} else {
+		nd.Children = make([]int, 0, count)
+	}
+	decodeInto(&nd, buf)
+	return nd, nil
 }
 
-// decodeValidated materializes a page that already passed validatePage.
-func decodeValidated(buf []byte, page int) rtree.NodeData {
-	nd := rtree.NodeData{Page: page, Leaf: pageIsLeaf(buf)}
-	count := pageCount(buf)
-	nd.Rects = make([]geom.Rect, count)
-	if nd.Leaf {
-		nd.IDs = make([]int64, count)
-	} else {
-		nd.Children = make([]int, count)
-	}
-	for i := 0; i < count; i++ {
-		nd.Rects[i] = entryRect(buf, i)
+// decodeInto sets nd's leaf flag from a page that already passed
+// validatePage and appends the page's entries to nd's slices: sized by
+// the caller, so the update path decodes into recycled slices and
+// allocates nothing.
+func decodeInto(nd *rtree.NodeData, buf []byte) {
+	nd.Leaf = pageIsLeaf(buf)
+	for i, n := 0, pageCount(buf); i < n; i++ {
+		nd.Rects = append(nd.Rects, entryRect(buf, i))
 		if payload := entryPayload(buf, i); nd.Leaf {
-			nd.IDs[i] = int64(payload)
+			nd.IDs = append(nd.IDs, int64(payload))
 		} else {
-			nd.Children[i] = int(payload)
+			nd.Children = append(nd.Children, int(payload))
 		}
 	}
-	return nd
 }
 
 func putFloat(b []byte, v float64) {

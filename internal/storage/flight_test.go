@@ -82,14 +82,15 @@ func TestFlightRecorderIdenticalResults(t *testing.T) {
 	}
 }
 
-// TestReadNodeAttribution drives readNode through both pools and every
-// outcome, and checks that the AccessInfo it reports is exactly what the
-// pool's View reports for the same access on an identically prepared
-// twin, including when the read or the validation at fault fails — a
-// corrupt page is a failed read every time it is asked for, never a
-// resident; then it checks a failing query's and a degraded query's
-// flight record against the pool counters.
-func TestReadNodeAttribution(t *testing.T) {
+// TestStagedReadAttribution drives the update path's staged read
+// (updater.node, one operation per access) through both pools and every
+// outcome, and checks that it costs the pool exactly what View costs for
+// the same access on an identically prepared twin, including when the
+// read or the validation at fault fails — a corrupt page is a failed read
+// every time it is asked for, never a resident, and a failed read stages
+// nothing; then it checks a failing query's and a degraded query's flight
+// record against the pool counters.
+func TestStagedReadAttribution(t *testing.T) {
 	const badPage, corruptPage = 2, 3
 	for _, shards := range []int{1, 2} { // Pool, ShardedPool
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -112,6 +113,7 @@ func TestReadNodeAttribution(t *testing.T) {
 				return pt
 			}
 			pt, twin := open(), open()
+			u := newUpdater(pt)
 			for _, tc := range []struct {
 				name        string
 				page        int
@@ -127,16 +129,23 @@ func TestReadNodeAttribution(t *testing.T) {
 				{"corrupt page refused at fault", corruptPage, false, true, 3, 1},
 				{"corrupt page never resident", corruptPage, false, true, 4, 1},
 			} {
-				want, _ := twin.pool.View(tc.page, func([]byte) {})
-				nd, got, err := pt.readNode(tc.page)
-				if got != want || got.Hit != tc.hit {
-					t.Errorf("%s: readNode info %+v, View reports %+v, want hit=%v", tc.name, got, want, tc.hit)
+				info, _ := twin.pool.View(tc.page, func([]byte) {})
+				u.reset()
+				n, err := u.node(tc.page)
+				gh, gm, ge := pt.Pool().Stats()
+				wh, wm, we := twin.Pool().Stats()
+				if gh != wh || gm != wm || ge != we || info.Hit != tc.hit {
+					t.Errorf("%s: staged read left hits/misses/evictions %d/%d/%d, View %d/%d/%d (hit=%v), want hit=%v",
+						tc.name, gh, gm, ge, wh, wm, we, info.Hit, tc.hit)
 				}
 				if (err != nil) != tc.wantErr {
 					t.Errorf("%s: err = %v, want error %v", tc.name, err, tc.wantErr)
 				}
-				if err == nil && nd.Page != tc.page {
-					t.Errorf("%s: decoded page %d, want %d", tc.name, nd.Page, tc.page)
+				if err == nil && (n.Page != tc.page || len(n.Rects) == 0) {
+					t.Errorf("%s: staged page %d with %d entries, want page %d", tc.name, n.Page, len(n.Rects), tc.page)
+				}
+				if _, staged := u.nodes[tc.page]; staged == tc.wantErr {
+					t.Errorf("%s: page staged = %v after err = %v", tc.name, staged, err)
 				}
 				if fr, res := pt.Pool().FailedReads(), pt.Pool().Resident(); fr != tc.failedReads || res != tc.resident {
 					t.Errorf("%s: FailedReads=%d Resident=%d, want %d and %d", tc.name, fr, res, tc.failedReads, tc.resident)

@@ -383,6 +383,45 @@ func TestQueryAllocations(t *testing.T) {
 	}
 }
 
+// TestPutQueryCapsResultScratch: a full-window query over more than
+// maxScratchItems items leaves no result buffer beyond the cap in the
+// recycling pool, while an ordinary query's scratch is kept for reuse.
+func TestPutQueryCapsResultScratch(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop values at random")
+	}
+	rng := rand.New(rand.NewPCG(1707, 1708))
+	tr := rtree.MustNew(rtree.Params{MaxEntries: 100})
+	tr.InsertAll(randItems(rng, maxScratchItems+5_000))
+	dm, err := NewMemoryManager(DefaultPageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveTree(dm, tr); err != nil {
+		t.Fatal(err)
+	}
+	pt, err := OpenPagedTree(dm, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := pt.SearchWindow(geom.UnitSquare)
+	if err != nil || len(got) != tr.Len() {
+		t.Fatalf("full-window search: %d of %d items, err %v", len(got), tr.Len(), err)
+	}
+	q := pt.getQuery()
+	if cap(q.items) > maxScratchItems {
+		t.Errorf("recycled query holds a %d-item result buffer, cap %d", cap(q.items), maxScratchItems)
+	}
+	for _, size := range []int{100, maxScratchItems, maxScratchItems + 1} {
+		q.items = make([]rtree.Item, 0, size)
+		pt.putQuery(q)
+		if kept := cap(q.items) == size; kept != (size <= maxScratchItems) {
+			t.Errorf("putQuery of a %d-item scratch left cap %d (limit %d)", size, cap(q.items), maxScratchItems)
+		}
+		q = pt.getQuery()
+	}
+}
+
 var benchSink int
 
 // benchQueries runs one query kind over the hot tree on Pool and on the

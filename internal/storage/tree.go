@@ -105,34 +105,31 @@ func encodeMeta(m TreeMeta) []byte {
 // readable by older tooling); the updater switches a tree to v2 on its
 // first committed batch.
 func encodeMetaV2(m TreeMeta) []byte {
-	buf := make([]byte, 0, 40+4*len(m.Levels)+4*len(m.Free))
-	var tmp [8]byte
-	put32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(tmp[:4], v)
-		buf = append(buf, tmp[:4]...)
-	}
-	put64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(tmp[:8], v)
-		buf = append(buf, tmp[:8]...)
-	}
-	put32(metaMagicV2)
-	put32(uint32(m.MaxEntries))
-	put32(uint32(m.MinEntries))
-	put32(uint32(m.Split))
-	put64(uint64(m.Items))
+	return appendMetaV2(make([]byte, 0, 40+4*len(m.Levels)+4*len(m.Free)), m)
+}
+
+// appendMetaV2 appends the v2 catalog of m to buf: the update path
+// encodes every commit's catalog into one reused buffer.
+func appendMetaV2(buf []byte, m TreeMeta) []byte {
+	le := binary.LittleEndian
+	buf = le.AppendUint32(buf, metaMagicV2)
+	buf = le.AppendUint32(buf, uint32(m.MaxEntries))
+	buf = le.AppendUint32(buf, uint32(m.MinEntries))
+	buf = le.AppendUint32(buf, uint32(m.Split))
+	buf = le.AppendUint64(buf, uint64(m.Items))
 	var flags uint32
 	if m.LevelOrder {
 		flags |= metaFlagLevelOrder
 	}
-	put32(flags)
-	put32(uint32(m.PageSpan()))
-	put32(uint32(len(m.Levels)))
-	put32(uint32(len(m.Free)))
+	buf = le.AppendUint32(buf, flags)
+	buf = le.AppendUint32(buf, uint32(m.PageSpan()))
+	buf = le.AppendUint32(buf, uint32(len(m.Levels)))
+	buf = le.AppendUint32(buf, uint32(len(m.Free)))
 	for _, c := range m.Levels {
-		put32(uint32(c))
+		buf = le.AppendUint32(buf, uint32(c))
 	}
 	for _, p := range m.Free {
-		put32(uint32(p))
+		buf = le.AppendUint32(buf, uint32(p))
 	}
 	return buf
 }
@@ -370,6 +367,7 @@ type PagedTree struct {
 	// Update-path state, nil/zero on read-only trees (OpenPagedTree).
 	wal       *WAL             // write-ahead log; non-nil enables Insert/Delete
 	wpool     *buffer.Pool     // pool, as the type that takes writes; set with wal
+	upd       *updater         // the one staging area, reset by every beginUpdate
 	ckpt      CheckpointPolicy // when to truncate the log
 	updateErr error            // sticky: a half-applied commit poisons the handle
 	ckptErr   error            // sticky warning: last due checkpoint failed; the op still committed
@@ -450,16 +448,6 @@ func (pt *PagedTree) Meta() TreeMeta { return pt.meta }
 
 // Pool exposes the underlying buffer pool (for statistics and pinning).
 func (pt *PagedTree) Pool() buffer.PagePool { return pt.pool }
-
-// readNode materializes the node on page for the update path, which
-// needs a NodeData to mutate; queries read frames in place (see query).
-// The frame was validated when it entered the pool, so this only decodes.
-// The pool's per-access attribution is returned even when the read fails.
-func (pt *PagedTree) readNode(page int) (rtree.NodeData, buffer.AccessInfo, error) {
-	var nd rtree.NodeData
-	info, err := pt.pool.View(page, func(frame []byte) { nd = decodeValidated(frame, page) })
-	return nd, info, err
-}
 
 // SetFlightRecorder attaches (or with nil detaches) the query-path
 // flight recorder. Recording only observes the pool's per-access
@@ -569,8 +557,16 @@ func (pt *PagedTree) getQuery() *query {
 	return q
 }
 
+// maxScratchItems bounds the result scratch a recycled query keeps: a
+// full-window query would otherwise park its whole result buffer (40 MB
+// at a million items) in the recycling pool until the collector clears it.
+const maxScratchItems = 1 << 16
+
 func (pt *PagedTree) putQuery(q *query) {
 	q.aq, q.rep = nil, nil
+	if cap(q.items) > maxScratchItems {
+		q.items = nil
+	}
 	pt.queries.Put(q)
 }
 

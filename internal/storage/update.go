@@ -1,8 +1,9 @@
 package storage
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"rtreebuf/internal/buffer"
 	"rtreebuf/internal/geom"
@@ -14,7 +15,8 @@ import (
 // every mutation funneled through a redo-only write-ahead log.
 //
 // One operation is one WAL batch. An operation stages its changes in
-// memory (decoded NodeData per touched page), then commits:
+// memory (each touched page decoded once into a staged node), then
+// commits:
 //
 //	1. page images + new catalog  -> WAL (AppendBatch; the log device's
 //	   WriteMeta is the commit point)
@@ -35,6 +37,25 @@ import (
 // allocates the next free page wherever it lands, and a merge returns
 // pages to a free list. The catalog records this (meta v2, LevelOrder
 // false) so readers switch from range scans to root walks.
+//
+// In the steady state an operation allocates next to nothing: the memory
+// it stages, encodes and logs in is recycled. The tree owns one updater,
+// reset by every beginUpdate. Its staged nodes come from a free list with
+// slices at capacity MaxEntries+1 (the most a node holds, between an
+// overflow and its split), and a page is decoded into them inside its one
+// View. commitUpdate encodes each dirty node once, into a page buffer of
+// an arena the updater keeps across batches, and the catalog into one
+// reused buffer; the WAL frames every record in one buffer of its own.
+// Three rules keep the reuse invisible:
+//
+//   - pt.meta never aliases the updater: beginUpdate copies Levels and
+//     Free afresh, because Meta() hands out their slice headers.
+//   - A node is recycled only when no caller holds it: staged and
+//     replaced nodes at the next reset, a split's spare and a node whose
+//     first read failed before the function that took them returns.
+//   - Whatever the commit hands on is copied by its receiver (Pool.Put,
+//     AppendBatch, the managers' WritePage and WriteMeta), so no byte of
+//     one operation, failed or committed, survives into the next.
 
 // ErrReadOnlyTree is returned by Insert/Delete on a tree opened without
 // a WAL (OpenPagedTree): unlogged in-place writes could tear the file.
@@ -71,7 +92,9 @@ func OpenPagedTreeWAL(dm, walDev DiskManager, bufferPages int) (*PagedTree, Reco
 	}
 	pool := buffer.NewPool(dmSource{dm}, bufferPages, meta.PageSpan())
 	pool.SetSink(dm)
-	return &PagedTree{dm: dm, pool: pool, meta: meta, wal: w, wpool: pool}, rep, nil
+	pt := &PagedTree{dm: dm, pool: pool, meta: meta, wal: w, wpool: pool}
+	pt.upd = newUpdater(pt)
+	return pt, rep, nil
 }
 
 // WAL returns the tree's log handle, or nil for read-only trees.
@@ -118,8 +141,9 @@ func (pt *PagedTree) Delete(item rtree.Item) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	var path []int
+	path := u.leafPath[:0]
 	found, err := u.findLeaf(0, item, &path)
+	u.leafPath = path
 	if err != nil || !found {
 		return false, err
 	}
@@ -160,11 +184,34 @@ type updateNode struct {
 // updater stages one operation's changes before the all-or-nothing
 // commit. Pages are decoded on first touch (reads go through the pool,
 // so the operation's I/O is counted like any query's); the stored tree
-// and catalog stay untouched until commitUpdate.
+// and catalog stay untouched until commitUpdate. A tree has one updater
+// and every operation reuses it (see the top of the file).
 type updater struct {
 	pt    *PagedTree
-	meta  TreeMeta // deep copy; mutated freely
+	meta  TreeMeta // Levels and Free copied per operation; mutated freely
 	nodes map[int]*updateNode
+
+	free    []*updateNode      // recycled nodes, ready to stage
+	retired []*updateNode      // replaced in nodes this operation; free at the next reset
+	reading *updateNode        // the node decodeFrame fills
+	decode  func(frame []byte) // decodeFrame, bound once: a func passed to View escapes
+
+	// Scratch of the operation's walks.
+	path     []int    // insertEntry's root-to-target pages
+	leafPath []int    // Delete's root-to-leaf pages
+	orphans  []orphan // condense's eliminated entries
+
+	// Commit scratch: page buffers, one per dirty node, kept across
+	// batches; the batch's images over them; the encoded catalog.
+	arena   [][]byte
+	images  []PageImage
+	metaBuf []byte
+}
+
+func newUpdater(pt *PagedTree) *updater {
+	u := &updater{pt: pt, nodes: make(map[int]*updateNode)}
+	u.decode = u.decodeFrame
+	return u
 }
 
 func (pt *PagedTree) beginUpdate() (*updater, error) {
@@ -174,11 +221,45 @@ func (pt *PagedTree) beginUpdate() (*updater, error) {
 	if pt.updateErr != nil {
 		return nil, fmt.Errorf("storage: tree handle poisoned by earlier half-applied commit: %w", pt.updateErr)
 	}
-	meta := pt.meta
-	meta.Levels = append([]int(nil), pt.meta.Levels...)
-	meta.Free = append([]int(nil), pt.meta.Free...)
-	meta.TotalPages = pt.meta.PageSpan()
-	return &updater{pt: pt, meta: meta, nodes: make(map[int]*updateNode)}, nil
+	u := pt.upd
+	u.reset()
+	u.meta = pt.meta
+	u.meta.Levels = append([]int(nil), pt.meta.Levels...)
+	u.meta.Free = append([]int(nil), pt.meta.Free...)
+	u.meta.TotalPages = pt.meta.PageSpan()
+	return u, nil
+}
+
+// reset returns every node the last operation staged or replaced,
+// committed or failed, to the free list: once an operation has returned
+// no caller holds any of them.
+func (u *updater) reset() {
+	for _, n := range u.nodes {
+		u.free = append(u.free, n)
+	}
+	clear(u.nodes)
+	u.free = append(u.free, u.retired...)
+	u.retired = u.retired[:0]
+}
+
+// spare returns an empty node that is not staged: a recycled one, or a
+// new one whose slices hold MaxEntries+1 entries so that filling it never
+// reallocates.
+func (u *updater) spare(page int, leaf bool) *updateNode {
+	k := len(u.free)
+	if k == 0 {
+		c := u.meta.MaxEntries + 1
+		return &updateNode{NodeData: rtree.NodeData{
+			Page: page, Leaf: leaf,
+			Rects: make([]geom.Rect, 0, c), Children: make([]int, 0, c), IDs: make([]int64, 0, c),
+		}}
+	}
+	n := u.free[k-1]
+	u.free = u.free[:k-1]
+	n.Page, n.Leaf = page, leaf
+	n.Rects, n.Children, n.IDs = n.Rects[:0], n.Children[:0], n.IDs[:0]
+	n.dirty, n.freed = false, false
+	return n
 }
 
 // node returns the staged copy of page, decoding it on first touch.
@@ -186,22 +267,33 @@ func (u *updater) node(page int) (*updateNode, error) {
 	if n, ok := u.nodes[page]; ok {
 		return n, nil
 	}
-	nd, _, err := u.pt.readNode(page)
+	n := u.spare(page, false)
+	u.reading = n
+	_, err := u.pt.pool.View(page, u.decode)
+	u.reading = nil
 	if err != nil {
+		u.free = append(u.free, n)
 		return nil, err
 	}
-	n := &updateNode{NodeData: nd}
 	u.nodes[page] = n
 	return n, nil
 }
 
+// decodeFrame is node's View callback: the frame's entries go into the
+// node being read while the frame is on loan. The frame was validated
+// when it entered the pool, so this only decodes.
+func (u *updater) decodeFrame(frame []byte) { decodeInto(&u.reading.NodeData, frame) }
+
 // newNode stages a fresh node on page, replacing any earlier staging
-// (reusing a page freed in this same batch is legal).
+// (reusing a page freed in this same batch is legal; so is replacing the
+// root). The replaced node may still be in a caller's hands, so it is
+// recycled only at the next reset.
 func (u *updater) newNode(page int, leaf bool) *updateNode {
-	n := &updateNode{
-		NodeData: rtree.NodeData{Page: page, Leaf: leaf},
-		dirty:    true,
+	if old, ok := u.nodes[page]; ok {
+		u.retired = append(u.retired, old)
 	}
+	n := u.spare(page, leaf)
+	n.dirty = true
 	u.nodes[page] = n
 	return n
 }
@@ -232,7 +324,7 @@ func (u *updater) freePage(n *updateNode) {
 // by splitting upward — Guttman's Insert generalized to any level so
 // condense can reinsert orphaned subtrees with it.
 func (u *updater) insertEntry(rect geom.Rect, childPage int, id int64, isItem bool, targetDepth int) error {
-	path := []int{0}
+	path := append(u.path[:0], 0)
 	for depth := 0; depth < targetDepth; depth++ {
 		n, err := u.node(path[depth])
 		if err != nil {
@@ -258,6 +350,7 @@ func (u *updater) insertEntry(rect geom.Rect, childPage int, id int64, isItem bo
 		}
 		path = append(path, n.Children[best])
 	}
+	u.path = path
 
 	target, err := u.node(path[targetDepth])
 	if err != nil {
@@ -292,23 +385,16 @@ func (u *updater) insertEntry(rect geom.Rect, childPage int, id int64, isItem bo
 	return nil
 }
 
-// takeIndices builds the entry set of one split half.
-func takeIndices(n *updateNode, idx []int) (rects []geom.Rect, children []int, ids []int64) {
-	rects = make([]geom.Rect, len(idx))
-	if n.Leaf {
-		ids = make([]int64, len(idx))
-	} else {
-		children = make([]int, len(idx))
-	}
-	for i, j := range idx {
-		rects[i] = n.Rects[j]
-		if n.Leaf {
-			ids[i] = n.IDs[j]
+// take appends src's entries at idx, in idx order, to n: one split half.
+func (n *updateNode) take(src *updateNode, idx []int) {
+	for _, j := range idx {
+		n.Rects = append(n.Rects, src.Rects[j])
+		if src.Leaf {
+			n.IDs = append(n.IDs, src.IDs[j])
 		} else {
-			children[i] = n.Children[j]
+			n.Children = append(n.Children, src.Children[j])
 		}
 	}
-	return rects, children, ids
 }
 
 // splitChild splits an overflowing non-root node in place: the left
@@ -317,13 +403,17 @@ func takeIndices(n *updateNode, idx []int) (rects []geom.Rect, children []int, i
 // the parent — the caller's loop continues upward).
 func (u *updater) splitChild(n, parent *updateNode, depth int) {
 	left, right := rtree.SplitIndices(u.meta.Split, u.meta.MinEntries, n.Rects)
-	lr, lc, li := takeIndices(n, left)
-	rr, rc, ri := takeIndices(n, right)
-
 	sib := u.newNode(u.allocPage(), n.Leaf)
-	sib.Rects, sib.Children, sib.IDs = rr, rc, ri
+	sib.take(n, right)
 
-	n.Rects, n.Children, n.IDs = lr, lc, li
+	// The left group is gathered in a spare node whose slices then trade
+	// places with n's, so no entry of n is overwritten before it is read.
+	spare := u.spare(n.Page, n.Leaf)
+	spare.take(n, left)
+	n.Rects, spare.Rects = spare.Rects, n.Rects
+	n.Children, spare.Children = spare.Children, n.Children
+	n.IDs, spare.IDs = spare.IDs, n.IDs
+	u.free = append(u.free, spare)
 	n.dirty = true
 	u.meta.Levels[depth]++
 
@@ -344,17 +434,14 @@ func (u *updater) splitChild(n, parent *updateNode, depth int) {
 // not store their level.
 func (u *updater) splitRoot(root *updateNode) {
 	left, right := rtree.SplitIndices(u.meta.Split, u.meta.MinEntries, root.Rects)
-	lr, lc, li := takeIndices(root, left)
-	rr, rc, ri := takeIndices(root, right)
-
 	ln := u.newNode(u.allocPage(), root.Leaf)
-	ln.Rects, ln.Children, ln.IDs = lr, lc, li
+	ln.take(root, left)
 	rn := u.newNode(u.allocPage(), root.Leaf)
-	rn.Rects, rn.Children, rn.IDs = rr, rc, ri
+	rn.take(root, right)
 
 	newRoot := u.newNode(0, false)
-	newRoot.Rects = []geom.Rect{geom.MBR(ln.Rects), geom.MBR(rn.Rects)}
-	newRoot.Children = []int{ln.Page, rn.Page}
+	newRoot.Rects = append(newRoot.Rects, geom.MBR(ln.Rects), geom.MBR(rn.Rects))
+	newRoot.Children = append(newRoot.Children, ln.Page, rn.Page)
 
 	levels := make([]int, 0, len(u.meta.Levels)+1)
 	levels = append(levels, 1, 2)
@@ -392,19 +479,20 @@ func (u *updater) findLeaf(page int, item rtree.Item, path *[]int) (bool, error)
 	return false, nil
 }
 
+// orphan is an entry condense takes out of an eliminated node.
+type orphan struct {
+	rect   geom.Rect
+	child  int // subtree page; item orphans use id instead
+	id     int64
+	isItem bool
+	height int // of the node the entry lived in (0 = leaf)
+}
+
 // condense walks the deletion path leaf-to-root, eliminating under-full
 // nodes (their entries become orphans) and tightening surviving covering
 // rectangles, then reinserts orphans at their original height.
 func (u *updater) condense(path []int) error {
-	type orphan struct {
-		rect   geom.Rect
-		child  int // subtree page; item orphans use id instead
-		id     int64
-		isItem bool
-		height int // of the node the entry lived in (0 = leaf)
-	}
-	var orphans []orphan
-
+	orphans := u.orphans[:0]
 	for d := len(path) - 1; d >= 1; d-- {
 		n, err := u.node(path[d])
 		if err != nil {
@@ -447,6 +535,7 @@ func (u *updater) condense(path []int) error {
 			}
 		}
 	}
+	u.orphans = orphans
 
 	// Reinsert in reverse collection order (subtrees before leaf items),
 	// matching the in-memory Tree.condense. Heights are re-anchored to
@@ -479,9 +568,9 @@ func (u *updater) shrinkRoot() error {
 			return err
 		}
 		next := u.newNode(0, child.Leaf)
-		next.Rects = append([]geom.Rect(nil), child.Rects...)
-		next.Children = append([]int(nil), child.Children...)
-		next.IDs = append([]int64(nil), child.IDs...)
+		next.Rects = append(next.Rects, child.Rects...)
+		next.Children = append(next.Children, child.Children...)
+		next.IDs = append(next.IDs, child.IDs...)
 		u.freePage(child)
 		u.meta.Levels = u.meta.Levels[1:]
 		u.meta.Levels[0] = 1
@@ -499,6 +588,33 @@ func maxFreeListLen(pageSize, nLevels int) int {
 	return n
 }
 
+// encodeDirty encodes every dirty live node once, each into its own page
+// buffer of the arena, and returns their images in ascending page order.
+func (u *updater) encodeDirty() ([]PageImage, error) {
+	u.images = u.images[:0]
+	for page, n := range u.nodes {
+		if !n.dirty || n.freed {
+			continue
+		}
+		if len(u.images) == len(u.arena) {
+			u.arena = append(u.arena, make([]byte, u.pt.dm.PageSize()))
+		}
+		data := u.arena[len(u.images)]
+		if err := encodeNodeInto(data, n.NodeData); err != nil {
+			return nil, err
+		}
+		u.images = append(u.images, PageImage{Page: page, Data: data})
+	}
+	slices.SortFunc(u.images, func(a, b PageImage) int { return cmp.Compare(a.Page, b.Page) })
+	return u.images, nil
+}
+
+// encodeMeta encodes the staged catalog into the updater's reused buffer.
+func (u *updater) encodeMeta() []byte {
+	u.metaBuf = appendMetaV2(u.metaBuf[:0], u.meta)
+	return u.metaBuf
+}
+
 // commitUpdate runs the commit sequence described at the top of the
 // file. On a WAL append failure the staged operation is discarded and
 // the stored tree is untouched; on a write-back or catalog failure after
@@ -514,23 +630,15 @@ func (pt *PagedTree) commitUpdate(u *updater) error {
 		u.meta.Free = u.meta.Free[:max]
 	}
 
-	var images []PageImage
-	for page, n := range u.nodes {
-		if !n.dirty || n.freed {
-			continue
-		}
-		data, err := EncodeNode(n.NodeData, pt.dm.PageSize())
-		if err != nil {
-			return err
-		}
-		images = append(images, PageImage{Page: page, Data: data})
+	images, err := u.encodeDirty()
+	if err != nil {
+		return err
 	}
 	if len(images) == 0 {
 		return nil
 	}
-	sort.Slice(images, func(i, j int) bool { return images[i].Page < images[j].Page })
 
-	metaBytes := encodeMetaV2(u.meta)
+	metaBytes := u.encodeMeta()
 	batch, err := pt.wal.AppendBatch(images, metaBytes)
 	if err != nil {
 		return fmt.Errorf("storage: logging update: %w", err)

@@ -92,6 +92,12 @@ type WAL struct {
 
 	batchesSinceCheckpoint int
 	metrics                *Metrics
+
+	// frame is the one buffer AppendBatch encodes every record in (the
+	// device copies each block it is handed); metaBlock the same for the
+	// meta blob.
+	frame     []byte
+	metaBlock [walMetaSize]byte
 }
 
 // CreateWAL initializes an empty log on dev for pages of dataPageSize
@@ -180,7 +186,7 @@ type walMeta struct {
 }
 
 func (w *WAL) writeWALMeta() error {
-	buf := make([]byte, walMetaSize)
+	buf := w.metaBlock[:]
 	binary.LittleEndian.PutUint32(buf[0:4], walMetaMagic)
 	binary.LittleEndian.PutUint32(buf[4:8], walFormatVersion)
 	binary.LittleEndian.PutUint64(buf[8:16], w.committedSeq)
@@ -240,11 +246,9 @@ func (w *WAL) encodeRecord(buf []byte, kind uint32, seq, batch uint64, pageNo in
 // walBlockChecksum computes the CRC-32C of a log block with the checksum
 // field treated as zero.
 func walBlockChecksum(buf []byte) uint32 {
-	crc := crc32.New(castagnoli)
-	crc.Write(buf[:walCRCOffset])
-	crc.Write(zeroChecksum[:])
-	crc.Write(buf[walCRCOffset+4:])
-	return crc.Sum32()
+	crc := crc32.Update(0, castagnoli, buf[:walCRCOffset])
+	crc = crc32.Update(crc, castagnoli, zeroChecksum[:])
+	return crc32.Update(crc, castagnoli, buf[walCRCOffset+4:])
 }
 
 // decodeRecord parses one log block; ok is false for torn, corrupt, or
@@ -343,7 +347,10 @@ func (w *WAL) AppendBatch(pages []PageImage, treeMeta []byte) (batchID uint64, e
 	}
 	startSeq, startBlock := w.nextSeq, w.writeBlock
 	batchID = w.nextBatch
-	buf := make([]byte, w.dev.PageSize())
+	if len(w.frame) != w.dev.PageSize() {
+		w.frame = make([]byte, w.dev.PageSize())
+	}
+	buf := w.frame
 	for _, img := range pages {
 		if len(img.Data) != w.dataPageSize {
 			w.nextSeq, w.writeBlock = startSeq, startBlock
