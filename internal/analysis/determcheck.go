@@ -47,8 +47,8 @@ func checkDeterm(m *Module, roots []RootSpec) []Finding {
 func DetermRoots() []RootSpec {
 	const mod = "rtreebuf"
 	return []RootSpec{
-		// Run* covers Run, RunPrepared, RunParallel, RunPreparedParallel
-		// and RunTraced; TraceWarmup is the cold-start sampler.
+		// Run* covers Run, RunPrepared, RunSource and RunTraced;
+		// TraceWarmup is the cold-start sampler.
 		{Path: mod + "/internal/sim", Name: "Run*"},
 		{Path: mod + "/internal/sim", Name: "TraceWarmup"},
 		// experiments.Run produces the Report bytes; RunAllTimed is

@@ -41,8 +41,8 @@ func checkIOPurity(m *Module, roots []RootSpec) []Finding {
 func PureRoots() []RootSpec {
 	const mod = "rtreebuf"
 	return []RootSpec{
-		// Run* covers Run, RunPrepared, RunParallel, RunPreparedParallel
-		// and RunTraced; TraceWarmup is the cold-start sampler.
+		// Run* covers Run, RunPrepared, RunSource and RunTraced;
+		// TraceWarmup is the cold-start sampler.
 		{Path: mod + "/internal/sim", Name: "Run*"},
 		{Path: mod + "/internal/sim", Name: "TraceWarmup"},
 		{Path: mod + "/internal/core", Recv: "*", Name: "*"},

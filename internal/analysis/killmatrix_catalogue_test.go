@@ -46,16 +46,15 @@ var catalogue = []mutant{
 	// ---- sharecheck
 	{
 		name: "share-replica-total", aim: "sharecheck",
-		what: "RunPreparedParallel's replicas add their misses into one captured total",
+		what: "forEachPoint's workers count finished sweep points into one captured total for a counter",
 		edits: []edit{
-			{"internal/sim/parallel.go", "\tvar wg sync.WaitGroup\n", "\tvar wg sync.WaitGroup\n\tvar disk int\n"},
-			{"internal/sim/parallel.go",
-				"\t\t\tresults[r], errs[r] = runReplica(g.source(w, cfg, r), g.levelOf, rcfg, r, batches)\n",
-				"\t\t\tresults[r], errs[r] = runReplica(g.source(w, cfg, r), g.levelOf, rcfg, r, batches)\n\t\t\tdisk += results[r].disk\n"},
-			{"internal/sim/parallel.go", "\tvar disk, nodes int\n", "\tvar nodes int\n"},
-			{"internal/sim/parallel.go", "\t\tdisk += rr.disk\n", ""},
+			{"internal/experiments/engine.go", "\terrs := make([]error, n)\n", "\terrs := make([]error, n)\n\tvar done uint64\n"},
+			{"internal/experiments/engine.go", "\t\t\t\terrs[i] = fn(i)\n", "\t\t\t\terrs[i] = fn(i)\n\t\t\t\tdone++\n"},
+			{"internal/experiments/engine.go",
+				"\twg.Wait()\n\tfor _, err := range errs {\n",
+				"\twg.Wait()\n\tc.Metrics.Counter(\"experiments_points_total\").Add(done)\n\tfor _, err := range errs {\n"},
 		},
-		pkgs: []string{simPkg, expPkg},
+		pkgs: []string{expPkg},
 	},
 	{
 		name: "share-engine-wall-total", aim: "sharecheck", rare: true,
@@ -145,8 +144,8 @@ var catalogue = []mutant{
 		edits: []edit{
 			{"internal/sim/sim.go", "import (\n\t\"fmt\"\n\t\"math/rand/v2\"\n", "import (\n\t\"fmt\"\n\t\"math/rand/v2\"\n\t\"time\"\n"},
 			{"internal/sim/sim.go",
-				"\t\trr.diskBatch[b] = float64(disk) / float64(cfg.BatchSize)\n",
-				"\t\trr.diskBatch[b] = float64(disk+int(time.Now().UnixNano()&1)) / float64(cfg.BatchSize)\n"},
+				"\t\tdiskBatch[b] = float64(disk) / float64(cfg.BatchSize)\n",
+				"\t\tdiskBatch[b] = float64(disk+int(time.Now().UnixNano()&1)) / float64(cfg.BatchSize)\n"},
 		},
 		pkgs: []string{simPkg, expPkg},
 	},
@@ -436,12 +435,12 @@ var catalogue = []mutant{
 	},
 	{
 		name: "io-sim-warns-on-worker-cap", aim: "iopurity", rare: true,
-		what: "sim.RunPreparedParallel prints a warning when it caps workers at the batch count",
+		what: "sim's Config.checked prints a warning to stderr before rejecting a buffer of no pages",
 		edits: []edit{
-			{"internal/sim/parallel.go", "import (\n\t\"fmt\"\n\t\"runtime\"\n", "import (\n\t\"fmt\"\n\t\"os\"\n\t\"runtime\"\n"},
-			{"internal/sim/parallel.go",
-				"\tif workers > cfg.Batches {\n\t\tworkers = cfg.Batches\n",
-				"\tif workers > cfg.Batches {\n\t\tfmt.Fprintf(os.Stderr, \"sim: capping %d workers at %d batches\\n\", workers, cfg.Batches)\n\t\tworkers = cfg.Batches\n"},
+			{"internal/sim/sim.go", "import (\n\t\"fmt\"\n\t\"math/rand/v2\"\n", "import (\n\t\"fmt\"\n\t\"math/rand/v2\"\n\t\"os\"\n"},
+			{"internal/sim/sim.go",
+				"\tif c.BufferSize < 1 {\n\t\treturn c, fmt.Errorf(",
+				"\tif c.BufferSize < 1 {\n\t\tfmt.Fprintf(os.Stderr, \"sim: rejecting buffer size %d\\n\", c.BufferSize)\n\t\treturn c, fmt.Errorf("},
 		},
 		pkgs: []string{simPkg, expPkg},
 	},

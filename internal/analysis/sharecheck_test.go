@@ -272,10 +272,10 @@ func MaybeLocked(lock bool) int {
 }
 
 // TestShareCheckRealRepoClean asserts the repository's own fan-outs —
-// sim.RunPreparedParallel's per-replica slots, the experiments engine's
-// worker pool, the stdlib importer's level workers, and the buffer
-// package (ShardedPool's per-shard mutexes included) — produce no
-// findings.
+// the experiments engine's worker pool and per-point slots, the page
+// encoders of storage's savePages, the stdlib importer's level workers,
+// and the buffer package (ShardedPool's per-shard mutexes included) —
+// produce no findings.
 func TestShareCheckRealRepoClean(t *testing.T) {
 	m := loadRepoModule(t)
 	for _, f := range checkShare(m) {
@@ -289,25 +289,28 @@ func TestShareCheckRealRepoClean(t *testing.T) {
 func TestSpawnFactRealRepo(t *testing.T) {
 	g := loadRepoModule(t).Graph
 	for _, name := range []string{
-		"sim.RunPreparedParallel",
+		"experiments.RunAllTimed",
 		"experiments.(Config).forEachPoint",
+		"storage.savePages",
 		"obs.StartDebugServer",
 	} {
 		if n := one(t, g, name); n.Facts&FactSpawnsGoroutine == 0 {
 			t.Errorf("%s facts = %s, want spawnsGoroutine", n, n.Facts)
 		}
 	}
-	if n := one(t, g, "sim.RunPrepared"); n.Facts&FactSpawnsGoroutine != 0 {
-		t.Errorf("sim.RunPrepared facts = %s: the serial path must not spawn", n.Facts)
+	for _, name := range []string{"sim.RunPrepared", "sim.RunSource", "sim.RunTraced"} {
+		if n := one(t, g, name); n.Facts&FactSpawnsGoroutine != 0 {
+			t.Errorf("%s facts = %s: the serial path must not spawn", name, n.Facts)
+		}
 	}
-	// RunParallel reaches the spawn through RunPreparedParallel; the
-	// witness chain must say so.
-	rp := one(t, g, "sim.RunParallel")
-	if rp.Facts&FactSpawnsGoroutine == 0 {
-		t.Fatalf("sim.RunParallel facts = %s, want spawnsGoroutine", rp.Facts)
+	// RunAll reaches the spawn through RunAllTimed; the witness chain
+	// must say so.
+	ra := one(t, g, "experiments.RunAll")
+	if ra.Facts&FactSpawnsGoroutine == 0 {
+		t.Fatalf("experiments.RunAll facts = %s, want spawnsGoroutine", ra.Facts)
 	}
-	chain := strings.Join(g.FactChain(rp, FactSpawnsGoroutine), "; ")
-	if !strings.Contains(chain, "RunPreparedParallel") {
-		t.Errorf("spawnsGoroutine chain for RunParallel = %q, want it to pass through RunPreparedParallel", chain)
+	chain := strings.Join(g.FactChain(ra, FactSpawnsGoroutine), "; ")
+	if !strings.Contains(chain, "RunAllTimed") {
+		t.Errorf("spawnsGoroutine chain for RunAll = %q, want it to pass through RunAllTimed", chain)
 	}
 }

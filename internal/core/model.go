@@ -93,20 +93,17 @@ type DataDrivenQueries struct {
 	centers *geom.GridCounter
 }
 
-// NewDataDrivenQueries indexes the data centers for fast counting.
-// gridRes controls the counting grid; 256 suits 10^4..10^6 points
-// (pass 0 for that default).
-func NewDataDrivenQueries(qx, qy float64, centers []geom.Point, gridRes int) (DataDrivenQueries, error) {
+// NewDataDrivenQueries indexes the data centers for fast counting on a
+// 256 x 256 grid, which suits 10^4..10^6 points; counts are exact at any
+// resolution.
+func NewDataDrivenQueries(qx, qy float64, centers []geom.Point) (DataDrivenQueries, error) {
 	if qx < 0 || qy < 0 {
 		return DataDrivenQueries{}, fmt.Errorf("core: negative query size %gx%g", qx, qy)
 	}
 	if len(centers) == 0 {
 		return DataDrivenQueries{}, fmt.Errorf("core: data-driven model needs at least one data center")
 	}
-	if gridRes == 0 {
-		gridRes = 256
-	}
-	return DataDrivenQueries{QX: qx, QY: qy, centers: geom.NewGridCounter(centers, gridRes)}, nil
+	return DataDrivenQueries{QX: qx, QY: qy, centers: geom.NewGridCounter(centers, 256)}, nil
 }
 
 // AccessProb implements QueryModel via Equation 4.

@@ -147,7 +147,7 @@ func TestEPTClosedForm(t *testing.T) {
 
 func TestDataDrivenQueries(t *testing.T) {
 	centers := []geom.Point{{X: 0.1, Y: 0.1}, {X: 0.2, Y: 0.2}, {X: 0.8, Y: 0.8}, {X: 0.9, Y: 0.9}}
-	dd, err := NewDataDrivenQueries(0, 0, centers, 16)
+	dd, err := NewDataDrivenQueries(0, 0, centers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestDataDrivenQueries(t *testing.T) {
 		t.Errorf("dd point prob = %g", got)
 	}
 	// Region queries: centers within the expanded rectangle count too.
-	dd2, _ := NewDataDrivenQueries(0.25, 0.25, centers, 16)
+	dd2, _ := NewDataDrivenQueries(0.25, 0.25, centers)
 	// Expanding [0,0.5]^2 by 0.25 about its center gives [-0.125,0.625]^2:
 	// still 2 of 4 centers.
 	if got := dd2.AccessProb(rect(0, 0, 0.5, 0.5)); got != 0.5 {
@@ -164,17 +164,17 @@ func TestDataDrivenQueries(t *testing.T) {
 	}
 	// Bigger expansion reaches (0.8,0.8) but not (0.9,0.9): expanding
 	// [0,0.5]^2 by 0.6 about its center (0.25,0.25) gives [-0.3,0.8]^2.
-	dd3, _ := NewDataDrivenQueries(0.6, 0.6, centers, 16)
+	dd3, _ := NewDataDrivenQueries(0.6, 0.6, centers)
 	if got := dd3.AccessProb(rect(0, 0, 0.5, 0.5)); got != 0.75 {
 		t.Errorf("dd wide prob = %g", got)
 	}
 }
 
 func TestDataDrivenValidation(t *testing.T) {
-	if _, err := NewDataDrivenQueries(0, 0, nil, 0); err == nil {
+	if _, err := NewDataDrivenQueries(0, 0, nil); err == nil {
 		t.Error("empty centers accepted")
 	}
-	if _, err := NewDataDrivenQueries(-1, 0, []geom.Point{{X: 0, Y: 0}}, 0); err == nil {
+	if _, err := NewDataDrivenQueries(-1, 0, []geom.Point{{X: 0, Y: 0}}); err == nil {
 		t.Error("negative size accepted")
 	}
 }
@@ -186,7 +186,7 @@ func TestDataDrivenMatchesBruteForce(t *testing.T) {
 	for i := range centers {
 		centers[i] = geom.Point{X: rng.Float64(), Y: rng.Float64()}
 	}
-	dd, err := NewDataDrivenQueries(0.07, 0.03, centers, 0)
+	dd, err := NewDataDrivenQueries(0.07, 0.03, centers)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -190,7 +190,7 @@ func TestPredictorWithDataDriven(t *testing.T) {
 	for i := range centers {
 		centers[i] = geom.Point{X: rng.Float64() * 0.3, Y: rng.Float64() * 0.3} // clustered corner
 	}
-	dd, err := NewDataDrivenQueries(0, 0, centers, 0)
+	dd, err := NewDataDrivenQueries(0, 0, centers)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,7 +68,7 @@ func TestWeightedReducesToDataDriven(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dd, err := NewDataDrivenQueries(0.1, 0.05, centers, 0)
+	dd, err := NewDataDrivenQueries(0.1, 0.05, centers)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -210,7 +210,7 @@ func uniformPredictor(t *rtree.Tree, qx, qy float64) (*core.Predictor, error) {
 // dataDrivenPredictor builds a predictor for the data-driven query model
 // over the given data centers.
 func dataDrivenPredictor(t *rtree.Tree, qx, qy float64, centers []geom.Point) (*core.Predictor, error) {
-	qm, err := core.NewDataDrivenQueries(qx, qy, centers, 0)
+	qm, err := core.NewDataDrivenQueries(qx, qy, centers)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"rtreebuf/internal/nd"
+	"rtreebuf/internal/sim"
 )
 
 func init() {
@@ -71,18 +72,25 @@ func runExtDimensions(cfg Config) (*Report, error) {
 		}
 		regionPred := nd.NewPredictor(levels, regionQM)
 
-		sim, err := nd.SimulatePointQueries(levels, buffer, simQueries/2, simQueries, cfg.seed()+uint64(dims)*7)
+		next, levelOf, err := nd.PointSource(levels, cfg.seed()+uint64(dims)*7)
 		if err != nil {
 			return nil, err
 		}
+		res, err := sim.RunSource(next, levelOf, sim.Config{
+			BufferSize: buffer, Batches: 1, BatchSize: simQueries, Warmup: simQueries / 2,
+		})
+		if err != nil {
+			return nil, err
+		}
+		simulated := res.DiskPerQuery.Mean
 		model := pointPred.DiskAccesses(buffer)
-		if sim > 0 {
-			if rel := math.Abs(model-sim) / sim; rel > worst {
+		if simulated > 0 {
+			if rel := math.Abs(model-simulated) / simulated; rel > worst {
 				worst = rel
 			}
 		}
 		tbl.AddRow(FInt(dims), FInt(pointPred.NodeCount()),
-			F(pointPred.NodesVisited()), F(model), F(sim),
+			F(pointPred.NodesVisited()), F(model), F(simulated),
 			F(regionPred.NodesVisited()), F(regionPred.DiskAccesses(buffer)))
 	}
 	rep.Tables = append(rep.Tables, tbl)

@@ -3,10 +3,10 @@ package experiments
 import (
 	"math/rand/v2"
 
-	"rtreebuf/internal/buffer"
 	"rtreebuf/internal/geom"
 	"rtreebuf/internal/pack"
 	"rtreebuf/internal/rtree"
+	"rtreebuf/internal/sim"
 )
 
 func init() {
@@ -62,17 +62,18 @@ func runExtKNN(cfg Config) (*Report, error) {
 		Caption: "Disk accesses per query through an LRU (kNN k=10 vs 0.02x0.02 window queries).",
 		Columns: []string{"buffer", "knn10", "window_0.02"},
 	}
+	levelOf := t.PageLevels()
 	for _, b := range []int{10, 25, 50, 100, 200} {
 		if b >= pages {
 			continue
 		}
-		knn, err := replayLRU(t, pages, b, queries, cfg.seed()+uint64(b), func(p geom.Point, visit func(rtree.NodeVisit)) {
+		knn, err := replay(levelOf, b, queries, cfg.seed()+uint64(b), func(p geom.Point, visit func(rtree.NodeVisit)) {
 			t.TraceNearest(p, 10, visit)
 		})
 		if err != nil {
 			return nil, err
 		}
-		win, err := replayLRU(t, pages, b, queries, cfg.seed()+uint64(b), func(p geom.Point, visit func(rtree.NodeVisit)) {
+		win, err := replay(levelOf, b, queries, cfg.seed()+uint64(b), func(p geom.Point, visit func(rtree.NodeVisit)) {
 			q := geom.RectAround(p, 0.02, 0.02)
 			t.TraceWindow(q, rtree.TraceDFS, false, visit)
 		})
@@ -89,24 +90,19 @@ func runExtKNN(cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-// replayLRU replays traced searches for uniformly placed query points
-// against a fresh LRU and returns steady-state misses per query.
-func replayLRU(t *rtree.Tree, pages, bufferSize, queries int, seed uint64, search func(geom.Point, func(rtree.NodeVisit))) (float64, error) {
-	lru := buffer.NewLRU(bufferSize, pages)
+// replay runs traced searches for uniformly placed query points through
+// the simulator's LRU loop — a quarter of queries as warm-up, then one
+// batch of queries — and returns the misses per measured query.
+func replay(levelOf []int, bufferSize, queries int, seed uint64, search func(geom.Point, func(rtree.NodeVisit))) (float64, error) {
 	rng := rand.New(rand.NewPCG(seed, seed^0x2222))
-	warm := queries / 4
-	misses := 0
-	for q := 0; q < warm+queries; q++ {
-		if q == warm {
-			lru.ResetStats()
-			misses = 0
-		}
-		p := geom.Point{X: rng.Float64(), Y: rng.Float64()}
-		search(p, func(v rtree.NodeVisit) {
-			if !lru.Access(v.Page) {
-				misses++
-			}
+	next := func(dst []int32) []int32 {
+		search(geom.Point{X: rng.Float64(), Y: rng.Float64()}, func(v rtree.NodeVisit) {
+			dst = append(dst, int32(v.Page))
 		})
+		return dst
 	}
-	return float64(misses) / float64(queries), nil
+	res, err := sim.RunSource(next, levelOf, sim.Config{
+		BufferSize: bufferSize, Batches: 1, BatchSize: queries, Warmup: queries / 4,
+	})
+	return res.DiskPerQuery.Mean, err
 }

@@ -45,7 +45,7 @@ func runExtValidation(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	ddQM, err := core.NewDataDrivenQueries(0, 0, centers, 0)
+	ddQM, err := core.NewDataDrivenQueries(0, 0, centers)
 	if err != nil {
 		return nil, err
 	}

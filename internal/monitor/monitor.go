@@ -104,49 +104,27 @@ func PredictionFor(pred *core.Predictor, policy string, bufferSize, pinLevels, s
 	return p, nil
 }
 
-// Config tunes the monitor's window and drift detector. The zero value
-// selects the defaults.
+// Config sizes the monitor's window. The zero value selects the default.
 type Config struct {
 	// Window is how many queries one residual window spans.
 	Window int
-	// EWMAAlpha weights the newest window in the residual EWMA.
-	EWMAAlpha float64
-	// CUSUMK is the per-window slack (drift below it is absorbed);
-	// CUSUMH is the alarm threshold on the accumulated statistic.
-	CUSUMK, CUSUMH float64
-	// ResidualFloor bounds the normalization denominator away from zero
+}
+
+// DefaultWindow is the Window a zero Config selects.
+const DefaultWindow = 1000
+
+// The drift detector's fixed tuning.
+const (
+	// ewmaAlpha weights the newest window in the residual EWMA.
+	ewmaAlpha = 0.2
+	// cusumK is the per-window slack (drift below it is absorbed); cusumH
+	// is the alarm threshold on the accumulated statistic.
+	cusumK, cusumH = 0.25, 1.0
+	// residualFloor bounds the normalization denominator away from zero
 	// so near-zero predictions don't blow tiny absolute errors up into
 	// huge relative ones.
-	ResidualFloor float64
-}
-
-// Defaults for Config's zero fields.
-const (
-	DefaultWindow        = 1000
-	DefaultEWMAAlpha     = 0.2
-	DefaultCUSUMK        = 0.25
-	DefaultCUSUMH        = 1.0
-	DefaultResidualFloor = 0.05
+	residualFloor = 0.05
 )
-
-func (c Config) withDefaults() Config {
-	if c.Window <= 0 {
-		c.Window = DefaultWindow
-	}
-	if c.EWMAAlpha <= 0 || c.EWMAAlpha > 1 {
-		c.EWMAAlpha = DefaultEWMAAlpha
-	}
-	if c.CUSUMK <= 0 {
-		c.CUSUMK = DefaultCUSUMK
-	}
-	if c.CUSUMH <= 0 {
-		c.CUSUMH = DefaultCUSUMH
-	}
-	if c.ResidualFloor <= 0 {
-		c.ResidualFloor = DefaultResidualFloor
-	}
-	return c
-}
 
 // Monitor is the online residual monitor. It reads the buffer counters
 // the metrics mirror already maintains (grabbing each handle once — the
@@ -159,9 +137,9 @@ type Monitor struct {
 	cfg  Config
 	pred Prediction
 
-	// Inputs: the buffer layer's counters (cumulative, never reset).
-	hits, misses           *obs.Counter
-	levelHits, levelMisses []*obs.Counter
+	// Inputs: the buffer layer's miss counters (cumulative, never reset).
+	misses      *obs.Counter
+	levelMisses []*obs.Counter
 
 	// Outputs.
 	residual    *obs.Gauge // level="all"
@@ -177,9 +155,7 @@ type Monitor struct {
 	queries atomic.Uint64
 
 	mu             sync.Mutex
-	baseHits       uint64
 	baseMisses     uint64
-	baseLevelHits  []uint64
 	baseLevelMiss  []uint64
 	ewma           float64
 	ewmaPrimed     bool
@@ -200,13 +176,14 @@ func New(reg *obs.Registry, pred Prediction, cfg Config) *Monitor {
 	if reg == nil {
 		return nil
 	}
-	cfg = cfg.withDefaults()
+	if cfg.Window <= 0 {
+		cfg.Window = DefaultWindow
+	}
 	pol := obs.L("policy", pred.Policy)
 	levels := len(pred.LevelDisk)
 	m := &Monitor{
 		cfg:            cfg,
 		pred:           pred,
-		hits:           reg.Counter("buffer_hits_total", pol),
 		misses:         reg.Counter("buffer_misses_total", pol),
 		residual:       reg.Gauge("model_residual", pol, obs.L("level", "all")),
 		ewmaGauge:      reg.Gauge("model_residual_ewma", pol),
@@ -214,16 +191,13 @@ func New(reg *obs.Registry, pred Prediction, cfg Config) *Monitor {
 		cusumNegG:      reg.Gauge("model_cusum_neg", pol),
 		alarmsC:        reg.Counter("drift_alarm_total", pol),
 		windowsC:       reg.Counter("monitor_windows_total", pol),
-		levelHits:      make([]*obs.Counter, levels),
 		levelMisses:    make([]*obs.Counter, levels),
 		levelResids:    make([]*obs.Gauge, levels),
-		baseLevelHits:  make([]uint64, levels),
 		baseLevelMiss:  make([]uint64, levels),
 		levelResidVals: make([]float64, levels),
 	}
 	for lvl := 0; lvl < levels; lvl++ {
 		l := obs.L("level", strconv.Itoa(lvl))
-		m.levelHits[lvl] = reg.Counter("buffer_level_hits_total", pol, l)
 		m.levelMisses[lvl] = reg.Counter("buffer_level_misses_total", pol, l)
 		m.levelResids[lvl] = reg.Gauge("model_residual", pol, l)
 	}
@@ -249,10 +223,8 @@ func (m *Monitor) Rebase() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.queries.Store(0)
-	m.baseHits = m.hits.Value()
 	m.baseMisses = m.misses.Value()
-	for lvl := range m.levelHits {
-		m.baseLevelHits[lvl] = m.levelHits[lvl].Value()
+	for lvl := range m.levelMisses {
 		m.baseLevelMiss[lvl] = m.levelMisses[lvl].Value()
 	}
 	m.ewma, m.ewmaPrimed = 0, false
@@ -278,8 +250,8 @@ func (m *Monitor) OnQuery() {
 
 // residualOf normalizes observed-vs-predicted into a relative residual,
 // with the denominator floored so near-zero predictions stay sane.
-func (m *Monitor) residualOf(observed, predicted float64) float64 {
-	return (observed - predicted) / math.Max(predicted, m.cfg.ResidualFloor)
+func residualOf(observed, predicted float64) float64 {
+	return (observed - predicted) / math.Max(predicted, residualFloor)
 }
 
 // tick evaluates the window that just closed.
@@ -288,12 +260,12 @@ func (m *Monitor) tick() {
 	defer m.mu.Unlock()
 	w := float64(m.cfg.Window)
 
-	curHits, curMisses := m.hits.Value(), m.misses.Value()
+	curMisses := m.misses.Value()
 	dMiss := curMisses - m.baseMisses
-	m.baseHits, m.baseMisses = curHits, curMisses
+	m.baseMisses = curMisses
 
 	observed := float64(dMiss) / w
-	r := m.residualOf(observed, m.pred.DiskPerQuery)
+	r := residualOf(observed, m.pred.DiskPerQuery)
 
 	m.windows++
 	m.lastResidual = r
@@ -303,7 +275,7 @@ func (m *Monitor) tick() {
 		m.maxAbsResidual = a
 	}
 	if m.ewmaPrimed {
-		m.ewma = m.cfg.EWMAAlpha*r + (1-m.cfg.EWMAAlpha)*m.ewma
+		m.ewma = ewmaAlpha*r + (1-ewmaAlpha)*m.ewma
 	} else {
 		m.ewma, m.ewmaPrimed = r, true
 	}
@@ -312,9 +284,9 @@ func (m *Monitor) tick() {
 	// collapsing into the buffer is drift too). Alarm resets both sides
 	// so sustained drift re-alarms once per excursion past the
 	// threshold, not once per window.
-	m.pos = math.Max(0, m.pos+r-m.cfg.CUSUMK)
-	m.neg = math.Max(0, m.neg-r-m.cfg.CUSUMK)
-	if m.pos > m.cfg.CUSUMH || m.neg > m.cfg.CUSUMH {
+	m.pos = math.Max(0, m.pos+r-cusumK)
+	m.neg = math.Max(0, m.neg-r-cusumK)
+	if m.pos > cusumH || m.neg > cusumH {
 		m.alarms++
 		m.alarmsC.Inc()
 		m.pos, m.neg = 0, 0
@@ -324,8 +296,7 @@ func (m *Monitor) tick() {
 		cur := m.levelMisses[lvl].Value()
 		d := cur - m.baseLevelMiss[lvl]
 		m.baseLevelMiss[lvl] = cur
-		m.baseLevelHits[lvl] = m.levelHits[lvl].Value()
-		lr := m.residualOf(float64(d)/w, m.pred.LevelDisk[lvl])
+		lr := residualOf(float64(d)/w, m.pred.LevelDisk[lvl])
 		m.levelResidVals[lvl] = lr
 		m.levelResids[lvl].Set(lr)
 	}
@@ -428,7 +399,7 @@ func (m *Monitor) WriteText(w io.Writer) error {
 			"  residual: last %+.3f  mean %+.3f  max|r| %.3f  ewma %+.3f\n"+
 			"  cusum: pos %.3f neg %.3f (k=%.2f h=%.2f)  drift alarms: %d\n",
 		s.LastObservedDisk, s.LastResidual, s.MeanResidual, s.MaxAbsResidual, s.EWMA,
-		s.CUSUMPos, s.CUSUMNeg, m.cfg.CUSUMK, m.cfg.CUSUMH, s.Alarms); err != nil {
+		s.CUSUMPos, s.CUSUMNeg, cusumK, cusumH, s.Alarms); err != nil {
 		return err
 	}
 	for lvl, lr := range s.LevelResiduals {

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand/v2"
 
-	"rtreebuf/internal/buffer"
 	"rtreebuf/internal/core"
 )
 
@@ -104,38 +103,34 @@ func NewPredictor(levels [][]Rect, qm QueryModel) *core.Predictor {
 	return core.NewPredictorFromProbs(probs)
 }
 
-// SimulatePointQueries runs a small LRU validation simulation with
-// uniform point queries over the unit cube, returning average disk
-// accesses per query — the d-dimensional counterpart of internal/sim at
-// test scale (brute-force candidate scan; no grid index).
-func SimulatePointQueries(levels [][]Rect, bufferSize, warmup, queries int, seed uint64) (float64, error) {
-	if bufferSize < 1 {
-		return 0, fmt.Errorf("nd: buffer size %d < 1", bufferSize)
-	}
+// PointSource is the d-dimensional access source for the simulator
+// (sim.RunSource): uniform point queries over the unit cube on the seed's
+// stream, each touching every node whose MBR contains the point, in
+// ascending page order (levels flattened root first). levelOf maps each
+// page to its level. The scan is brute force; there is no grid index.
+func PointSource(levels [][]Rect, seed uint64) (next func(dst []int32) []int32, levelOf []int, err error) {
 	var rects []Rect
-	for _, lvl := range levels {
-		rects = append(rects, lvl...)
+	for lvl, rs := range levels {
+		rects = append(rects, rs...)
+		for range rs {
+			levelOf = append(levelOf, lvl)
+		}
 	}
 	if len(rects) == 0 {
-		return 0, fmt.Errorf("nd: empty geometry")
+		return nil, nil, fmt.Errorf("nd: empty geometry")
 	}
-	dims := rects[0].Dims()
 	rng := rand.New(rand.NewPCG(seed, seed^0xabcdef123))
-	lru := buffer.NewLRU(bufferSize, len(rects))
-	p := make(Point, dims)
-	misses := 0
-	for q := 0; q < warmup+queries; q++ {
-		if q == warmup {
-			misses = 0
-		}
+	p := make(Point, rects[0].Dims())
+	next = func(dst []int32) []int32 {
 		for i := range p {
 			p[i] = rng.Float64()
 		}
-		for id, r := range rects {
-			if r.ContainsPoint(p) && !lru.Access(id) {
-				misses++
+		for page, r := range rects {
+			if r.ContainsPoint(p) {
+				dst = append(dst, int32(page))
 			}
 		}
+		return dst
 	}
-	return float64(misses) / float64(queries), nil
+	return next, levelOf, nil
 }

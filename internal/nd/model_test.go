@@ -3,6 +3,8 @@ package nd
 import (
 	"math"
 	"testing"
+
+	"rtreebuf/internal/sim"
 )
 
 func TestNDUniformQueriesValidation(t *testing.T) {
@@ -97,28 +99,41 @@ func TestNDModelAgreesWithSimulation(t *testing.T) {
 	qm, _ := NewUniformQueries([]float64{0, 0, 0})
 	pred := NewPredictor(levels, qm)
 	for _, b := range []int{25, 100} {
-		sim, err := SimulatePointQueries(levels, b, 20000, 60000, 77)
+		next, levelOf, err := PointSource(levels, 77)
 		if err != nil {
 			t.Fatal(err)
 		}
-		model := pred.DiskAccesses(b)
-		if sim == 0 && model == 0 {
+		res, err := sim.RunSource(next, levelOf, sim.Config{
+			BufferSize: b, Batches: 1, BatchSize: 60000, Warmup: 20000,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		simulated, model := res.DiskPerQuery.Mean, pred.DiskAccesses(b)
+		if simulated == 0 && model == 0 {
 			continue
 		}
-		rel := math.Abs(model-sim) / math.Max(sim, 1e-9)
+		rel := math.Abs(model-simulated) / math.Max(simulated, 1e-9)
 		if rel > 0.10 {
-			t.Errorf("B=%d: model %.4f vs sim %.4f (%.1f%%)", b, model, sim, 100*rel)
+			t.Errorf("B=%d: model %.4f vs sim %.4f (%.1f%%)", b, model, simulated, 100*rel)
 		}
 	}
 }
 
 func TestNDSimulateValidation(t *testing.T) {
-	if _, err := SimulatePointQueries(nil, 10, 1, 1, 1); err == nil {
+	if _, _, err := PointSource(nil, 1); err == nil {
 		t.Error("empty geometry accepted")
 	}
 	items := PointItems(UniformPoints(2, 100, 1))
 	tr, _ := Pack(Params{Dims: 2, MaxEntries: 10}, items, HilbertOrdering(2))
-	if _, err := SimulatePointQueries(tr.Levels(), 0, 1, 1, 1); err == nil {
+	next, levelOf, err := PointSource(tr.Levels(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := tr.NodeCount(); len(levelOf) != want || levelOf[0] != 0 || levelOf[want-1] != len(tr.Levels())-1 {
+		t.Errorf("levelOf %v does not number %d pages level-major", levelOf, want)
+	}
+	if _, err := sim.RunSource(next, levelOf, sim.Config{BufferSize: 0}); err == nil {
 		t.Error("zero buffer accepted")
 	}
 }

@@ -11,9 +11,7 @@
 //     cost of "off" is one predictable branch, guarded by
 //     BenchmarkObsDisabled and rtreelint's hotalloc analyzer.
 //   - Enabled is race-safe. Counters, gauges, and histogram buckets are
-//     atomics; registration takes the registry lock. Independent
-//     collectors (e.g. one per simulation replica) merge deterministically
-//     with Merge.
+//     atomics; registration takes the registry lock.
 //   - Observability never changes results. Metrics mirror existing
 //     accounting; they are never read back into a computation, so every
 //     numeric result and report byte is identical with instrumentation on
@@ -201,8 +199,8 @@ type metric struct {
 
 // Registry holds named metrics. Metrics are identified by (name, labels);
 // asking for the same identity twice returns the same metric, so layers
-// that are constructed repeatedly (one pool per replica) accumulate into
-// one series unless they use separate registries and Merge.
+// that are constructed repeatedly (one pool per run) accumulate into one
+// series unless they use separate registries.
 //
 // A nil *Registry is the disabled registry: every lookup returns a nil
 // metric and every method is a no-op.
@@ -289,44 +287,6 @@ func (r *Registry) Histogram(name string, labels ...Label) *Histogram {
 		return nil
 	}
 	return r.lookup(name, KindHistogram, labels).h
-}
-
-// Merge folds src's metrics into r: counters and histograms add, gauges
-// take src's value when src has one registered (last merge wins). Merging
-// a nil src, or into a nil r, is a no-op. Merge order is up to the caller;
-// merging replica registries in replica order keeps results deterministic.
-func (r *Registry) Merge(src *Registry) {
-	if r == nil || src == nil {
-		return
-	}
-	src.mu.Lock()
-	keys := append([]string(nil), src.order...)
-	ms := make([]*metric, len(keys))
-	for i, k := range keys {
-		ms[i] = src.metrics[k]
-	}
-	src.mu.Unlock()
-	for _, m := range ms {
-		switch m.kind {
-		case KindCounter:
-			r.Counter(m.name, m.labels...).Add(m.c.Value())
-		case KindGauge:
-			r.Gauge(m.name, m.labels...).Set(m.g.Value())
-		case KindHistogram:
-			dst := r.Histogram(m.name, m.labels...)
-			dst.count.Add(m.h.count.Load())
-			for {
-				old := dst.sumBits.Load()
-				nw := math.Float64bits(math.Float64frombits(old) + m.h.Sum())
-				if dst.sumBits.CompareAndSwap(old, nw) {
-					break
-				}
-			}
-			for i := range dst.buckets {
-				dst.buckets[i].Add(m.h.buckets[i].Load())
-			}
-		}
-	}
 }
 
 // BucketCount is one non-empty histogram bucket in a snapshot: Count

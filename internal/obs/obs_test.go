@@ -3,6 +3,7 @@ package obs
 import (
 	"io"
 	"math"
+	"strconv"
 	"sync"
 	"testing"
 )
@@ -96,8 +97,6 @@ func TestNilRegistryAndMetricsAreNoOps(t *testing.T) {
 	if r.Snapshot() != nil {
 		t.Error("nil registry snapshot is non-nil")
 	}
-	r.Merge(NewRegistry()) // must not panic
-	NewRegistry().Merge(r) // must not panic
 }
 
 // TestObsDisabledZeroAlloc is the disabled-path contract: every operation
@@ -179,103 +178,17 @@ func TestRegistryConcurrency(t *testing.T) {
 	}
 }
 
-func TestMergeAddsCountersAndHistograms(t *testing.T) {
-	dst := NewRegistry()
-	dst.Counter("c_total").Add(10)
-	dst.Histogram("h").Observe(1)
-	dst.Gauge("g").Set(1)
-
-	src := NewRegistry()
-	src.Counter("c_total").Add(5)
-	src.Counter("only_src_total").Add(7)
-	src.Histogram("h").Observe(3)
-	src.Gauge("g").Set(9)
-
-	dst.Merge(src)
-	if got := dst.Counter("c_total").Value(); got != 15 {
-		t.Errorf("merged counter = %d, want 15", got)
-	}
-	if got := dst.Counter("only_src_total").Value(); got != 7 {
-		t.Errorf("merged new counter = %d, want 7", got)
-	}
-	h := dst.Histogram("h")
-	if h.Count() != 2 || h.Sum() != 4 {
-		t.Errorf("merged histogram count=%d sum=%g, want 2 and 4", h.Count(), h.Sum())
-	}
-	if got := dst.Gauge("g").Value(); got != 9 {
-		t.Errorf("merged gauge = %g, want 9 (src wins)", got)
-	}
-}
-
-// TestMergeDisjointAndOverlappingLabelSets: merging registries whose
-// (name, labels) identities partially overlap must add the overlapping
-// series (down to histogram buckets) and copy the disjoint ones.
-func TestMergeDisjointAndOverlappingLabelSets(t *testing.T) {
-	dst := NewRegistry()
-	dst.Counter("hits_total", L("policy", "lru")).Add(3)
-	dst.Counter("hits_total", L("policy", "2q")).Add(5)
-	dh := dst.Histogram("lat", L("policy", "lru"))
-	dh.Observe(1)
-	dh.Observe(3)
-
-	src := NewRegistry()
-	src.Counter("hits_total", L("policy", "lru")).Add(4)      // overlaps
-	src.Counter("hits_total", L("policy", "clockpro")).Add(9) // disjoint
-	sh := src.Histogram("lat", L("policy", "lru"))            // overlaps
-	sh.Observe(3)
-	sh.Observe(100)
-	src.Histogram("lat", L("policy", "2q")).Observe(7) // disjoint
-
-	dst.Merge(src)
-
-	if got := dst.Counter("hits_total", L("policy", "lru")).Value(); got != 7 {
-		t.Errorf("overlapping counter = %d, want 7", got)
-	}
-	if got := dst.Counter("hits_total", L("policy", "2q")).Value(); got != 5 {
-		t.Errorf("dst-only counter = %d, want 5 (untouched)", got)
-	}
-	if got := dst.Counter("hits_total", L("policy", "clockpro")).Value(); got != 9 {
-		t.Errorf("src-only counter = %d, want 9 (copied)", got)
-	}
-	merged := dst.Histogram("lat", L("policy", "lru"))
-	if merged.Count() != 4 || merged.Sum() != 107 {
-		t.Errorf("overlapping histogram count=%d sum=%g, want 4 and 107", merged.Count(), merged.Sum())
-	}
-	if got := dst.Histogram("lat", L("policy", "2q")).Count(); got != 1 {
-		t.Errorf("src-only histogram count = %d, want 1 (copied)", got)
-	}
-	// Bucket-level check on the overlapping histogram: 1 → bucket le=2,
-	// 3+3 → bucket le=4, 100 → bucket le=128.
-	for _, s := range dst.Snapshot() {
-		if s.Kind != KindHistogram || len(s.Labels) == 0 || s.Labels[0].Value != "lru" {
-			continue
-		}
-		got := map[float64]uint64{}
-		for _, b := range s.Buckets {
-			got[b.UpperBound] = b.Count
-		}
-		want := map[float64]uint64{2: 1, 4: 2, 128: 1}
-		for ub, n := range want {
-			if got[ub] != n {
-				t.Errorf("merged bucket le=%g count = %d, want %d", ub, got[ub], n)
-			}
-		}
-	}
-}
-
-// TestRegistryConcurrentMergeExport drives two goroutines merging replica
-// registries into one destination while a third continuously snapshots
-// and renders it; run under -race this exercises the Merge/export locking
-// (Merge holds only the source lock while copying, then folds through the
-// destination's own locked lookups — an exporter must be able to run
-// mid-merge without tearing). Final counter totals check no increment was
-// lost.
-func TestRegistryConcurrentMergeExport(t *testing.T) {
-	dst := NewRegistry()
-	const mergers = 2
-	const merges = 200
-	const perSrc = 17
-	var mergeWG, exportWG sync.WaitGroup
+// TestRegistryConcurrentExport drives two goroutines registering and
+// updating series in one registry while a third continuously snapshots
+// and renders it; run under -race this exercises the registration/export
+// locking (an exporter must be able to run mid-registration without
+// tearing). Final totals check no increment was lost.
+func TestRegistryConcurrentExport(t *testing.T) {
+	r := NewRegistry()
+	const writers = 2
+	const rounds = 200
+	const perRound = 17
+	var writeWG, exportWG sync.WaitGroup
 	stop := make(chan struct{})
 	exportWG.Add(1)
 	go func() {
@@ -286,60 +199,34 @@ func TestRegistryConcurrentMergeExport(t *testing.T) {
 				return
 			default:
 			}
-			if err := WriteText(io.Discard, dst); err != nil {
-				t.Errorf("WriteText during merges: %v", err)
+			if err := WriteText(io.Discard, r); err != nil {
+				t.Errorf("WriteText during updates: %v", err)
 				return
 			}
-			_ = dst.Snapshot()
+			_ = r.Snapshot()
 		}
 	}()
-	for g := 0; g < mergers; g++ {
-		mergeWG.Add(1)
+	for g := 0; g < writers; g++ {
+		writeWG.Add(1)
 		go func(g int) {
-			defer mergeWG.Done()
-			for i := 0; i < merges; i++ {
-				src := NewRegistry()
-				src.Counter("merged_total").Add(perSrc)
-				src.Histogram("lat").Observe(float64(g*merges + i))
-				dst.Merge(src)
+			defer writeWG.Done()
+			for i := 0; i < rounds; i++ {
+				r.Counter("written_total").Add(perRound)
+				r.Counter("round_total", L("round", strconv.Itoa(i))).Inc()
+				r.Histogram("lat").Observe(float64(g*rounds + i))
 			}
 		}(g)
 	}
-	mergeWG.Wait()
+	writeWG.Wait()
 	close(stop)
 	exportWG.Wait()
-	if got := dst.Counter("merged_total").Value(); got != mergers*merges*perSrc {
-		t.Errorf("merged counter = %d, want %d", got, mergers*merges*perSrc)
+	if got := r.Counter("written_total").Value(); got != writers*rounds*perRound {
+		t.Errorf("counter = %d, want %d", got, writers*rounds*perRound)
 	}
-	if got := dst.Histogram("lat").Count(); got != mergers*merges {
-		t.Errorf("merged histogram count = %d, want %d", got, mergers*merges)
+	if got := r.Histogram("lat").Count(); got != writers*rounds {
+		t.Errorf("histogram count = %d, want %d", got, writers*rounds)
 	}
-}
-
-// TestMergeDeterministic: merging the same replica registries in the same
-// order yields identical snapshots — the property RunParallel relies on.
-func TestMergeDeterministic(t *testing.T) {
-	build := func() *Registry {
-		root := NewRegistry()
-		for rep := 0; rep < 4; rep++ {
-			r := NewRegistry()
-			for i := 0; i <= rep; i++ {
-				r.Counter("replica_total").Inc()
-				r.Histogram("work").Observe(float64(rep))
-			}
-			root.Merge(r)
-		}
-		return root
-	}
-	a, b := build(), build()
-	sa, sb := a.Snapshot(), b.Snapshot()
-	if len(sa) != len(sb) {
-		t.Fatalf("snapshot lengths differ: %d vs %d", len(sa), len(sb))
-	}
-	for i := range sa {
-		if sa[i].FullName() != sb[i].FullName() || sa[i].Value != sb[i].Value ||
-			sa[i].Count != sb[i].Count || sa[i].Sum != sb[i].Sum {
-			t.Errorf("sample %d differs: %+v vs %+v", i, sa[i], sb[i])
-		}
+	if got := len(r.Snapshot()); got != rounds+2 {
+		t.Errorf("registry holds %d series, want %d", got, rounds+2)
 	}
 }

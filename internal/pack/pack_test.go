@@ -45,9 +45,6 @@ func TestLoadAllAlgorithms(t *testing.T) {
 			if err := tr.CheckInvariants(); err != nil {
 				t.Fatal(err)
 			}
-			if err := rtree.ValidateTree(tr); err != nil {
-				t.Fatal(err)
-			}
 			// Every item findable by point query at its center.
 			for i := 0; i < 200; i += 7 {
 				hits := tr.SearchPoint(items[i].Rect.Center())

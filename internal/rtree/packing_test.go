@@ -34,9 +34,6 @@ func TestPackBasic(t *testing.T) {
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateTree(tr); err != nil {
-		t.Fatal(err)
-	}
 	// 1000/10 = 100 leaves, 10 level-1 nodes, 1 root.
 	if got := tr.NodesPerLevel(); len(got) != 3 || got[0] != 1 || got[1] != 10 || got[2] != 100 {
 		t.Errorf("NodesPerLevel = %v", got)
@@ -92,9 +89,6 @@ func TestPackSizes(t *testing.T) {
 		if err := tr.CheckInvariants(); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		if err := ValidateTree(tr); err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
 		if n > 0 && !equalIDs(idsOf(tr.Items()), idsOf(items)) {
 			t.Fatalf("n=%d: item set mismatch", n)
 		}
@@ -120,9 +114,6 @@ func TestPackedTreeSupportsUpdates(t *testing.T) {
 		}
 	}
 	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateTree(tr); err != nil {
 		t.Fatal(err)
 	}
 	if tr.Len() != 500 {

@@ -57,7 +57,7 @@ func TestRStarDelete(t *testing.T) {
 			}
 		}
 	}
-	if err := ValidateTree(tr); err != nil {
+	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	if !equalIDs(idsOf(tr.Items()), idsOf(items[500:])) {

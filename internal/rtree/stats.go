@@ -1,8 +1,6 @@
 package rtree
 
 import (
-	"fmt"
-
 	"rtreebuf/internal/geom"
 )
 
@@ -108,94 +106,6 @@ func (t *Tree) ComputeStats() Stats {
 		s.AvgFill = fillSum / float64(s.Nodes)
 	}
 	return s
-}
-
-// CheckInvariants verifies the structural invariants of the R-tree and
-// returns the first violation found, or nil. Checked: every internal
-// entry's rectangle equals the MBR of its child; parent pointers are
-// consistent; all leaves sit at height zero; no node exceeds MaxEntries;
-// an internal root has at least two entries; node heights decrease by one
-// per level. Minimum fill is deliberately not checked here — packed trees
-// legitimately leave the trailing node of each level short; use
-// CheckMinFill for trees built by insertion. Tests and loaders call this
-// after every build.
-func (t *Tree) CheckInvariants() error {
-	var check func(n *node, isRoot bool) error
-	check = func(n *node, isRoot bool) error {
-		if len(n.entries) > t.params.MaxEntries {
-			return fmt.Errorf("rtree: node at height %d has %d entries > max %d",
-				n.height, len(n.entries), t.params.MaxEntries)
-		}
-		if isRoot && !n.isLeaf() && len(n.entries) < 2 {
-			return fmt.Errorf("rtree: internal root has %d entries < 2", len(n.entries))
-		}
-		if n.isLeaf() {
-			for i, e := range n.entries {
-				if e.child != nil {
-					return fmt.Errorf("rtree: leaf entry %d has a child", i)
-				}
-				if !e.rect.Valid() {
-					return fmt.Errorf("rtree: leaf entry %d has invalid rect %v", i, e.rect)
-				}
-			}
-			return nil
-		}
-		for i, e := range n.entries {
-			c := e.child
-			if c == nil {
-				return fmt.Errorf("rtree: internal entry %d has nil child", i)
-			}
-			if c.parent != n {
-				return fmt.Errorf("rtree: child %d parent pointer mismatch", i)
-			}
-			if c.height != n.height-1 {
-				return fmt.Errorf("rtree: child %d at height %d under node at height %d",
-					i, c.height, n.height)
-			}
-			if len(c.entries) == 0 {
-				return fmt.Errorf("rtree: child %d is empty", i)
-			}
-			if got := c.mbr(); !e.rect.Equal(got) {
-				return fmt.Errorf("rtree: entry %d rect %v != child MBR %v", i, e.rect, got)
-			}
-			if err := check(c, false); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := check(t.root, true); err != nil {
-		return err
-	}
-	// Item count must match.
-	items := 0
-	t.walk(func(n *node) {
-		if n.isLeaf() {
-			items += len(n.entries)
-		}
-	})
-	if items != t.size {
-		return fmt.Errorf("rtree: size %d but %d leaf entries", t.size, items)
-	}
-	return nil
-}
-
-// CheckMinFill verifies that every non-root node holds at least
-// MinEntries entries — the Guttman invariant maintained by Insert and
-// Delete. Packed trees may legally violate it in their trailing nodes, so
-// it is separate from CheckInvariants.
-func (t *Tree) CheckMinFill() error {
-	var err error
-	t.walk(func(n *node) {
-		if err != nil || n == t.root {
-			return
-		}
-		if len(n.entries) < t.params.MinEntries {
-			err = fmt.Errorf("rtree: node at height %d has %d entries < min %d",
-				n.height, len(n.entries), t.params.MinEntries)
-		}
-	})
-	return err
 }
 
 // Items returns every stored item in depth-first order. Intended for tests

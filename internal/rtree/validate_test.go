@@ -134,14 +134,36 @@ func TestValidateTreeDetectsSeededCorruptions(t *testing.T) {
 			corrupt: func(tr *Tree) { tr.size++ },
 			want:    "items",
 		},
+		{
+			name: "leaf at height 1",
+			corrupt: func(tr *Tree) {
+				// Give the lowest internal node data entries of its own: a
+				// leaf at height 1 beside the height-0 leaves.
+				n := firstLeaf(tr).parent
+				n.entries = append([]entry(nil), firstLeaf(tr).entries...)
+				for ; n.parent != nil; n = n.parent {
+					for i := range n.parent.entries {
+						if n.parent.entries[i].child == n {
+							n.parent.entries[i].rect = n.mbr()
+						}
+					}
+				}
+			},
+			want: "nil child",
+		},
+		{
+			name:    "root with a parent",
+			corrupt: func(tr *Tree) { tr.root.parent = tr.root.entries[0].child },
+			want:    "parent",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := validTree(t)
 			tc.corrupt(tr)
-			err := ValidateTree(tr)
+			err := tr.CheckInvariants()
 			if err == nil {
-				t.Fatalf("ValidateTree accepted tree with %s", tc.name)
+				t.Fatalf("CheckInvariants accepted tree with %s", tc.name)
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("error %q does not mention %q", err, tc.want)
@@ -169,7 +191,7 @@ func TestValidateTreeStrictCatchesUnderfill(t *testing.T) {
 			}
 		}
 	}
-	if err := ValidateTree(tr); err != nil {
+	if err := tr.CheckInvariants(); err != nil {
 		t.Fatalf("base validator should accept underfilled node: %v", err)
 	}
 	if err := ValidateTreeStrict(tr); err == nil {
@@ -178,7 +200,7 @@ func TestValidateTreeStrictCatchesUnderfill(t *testing.T) {
 }
 
 func TestValidateTreeAcceptsEmptyAndPackedTrees(t *testing.T) {
-	if err := ValidateTree(MustNew(Params{MaxEntries: 4})); err != nil {
+	if err := MustNew(Params{MaxEntries: 4}).CheckInvariants(); err != nil {
 		t.Errorf("empty tree rejected: %v", err)
 	}
 	rng := rand.New(rand.NewPCG(3, 5))
@@ -193,7 +215,7 @@ func TestValidateTreeAcceptsEmptyAndPackedTrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateTree(tr); err != nil {
+	if err := tr.CheckInvariants(); err != nil {
 		t.Errorf("packed tree rejected: %v", err)
 	}
 }

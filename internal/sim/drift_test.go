@@ -194,8 +194,8 @@ func TestMonitorNeverChangesResults(t *testing.T) {
 	}
 }
 
-// TestMonitorConfigValidation pins the wiring rules: a monitor needs the
-// registry its counters live in, and a serial run.
+// TestMonitorConfigValidation pins the wiring rule: a monitor needs the
+// registry its counters live in.
 func TestMonitorConfigValidation(t *testing.T) {
 	levels, _ := fixtureLevels(t, 2000, 20)
 	reg := obs.NewRegistry()
@@ -206,15 +206,7 @@ func TestMonitorConfigValidation(t *testing.T) {
 	if _, err := Run(levels, UniformPoints{}, noMetrics); err == nil {
 		t.Error("Monitor without Metrics accepted")
 	}
-
-	par := driftConfig(reg, mon)
-	par.Workers = 4
-	if _, err := RunParallel(levels, UniformPoints{}, par); err == nil {
-		t.Error("Monitor with Workers > 1 accepted")
-	}
-	// Workers <= 1 degenerates to the serial run and is allowed.
-	par.Workers = 1
-	if _, err := RunParallel(levels, UniformPoints{}, par); err != nil {
-		t.Errorf("Monitor with Workers = 1 rejected: %v", err)
+	if _, err := Run(levels, UniformPoints{}, driftConfig(reg, mon)); err != nil {
+		t.Errorf("Monitor with Metrics rejected: %v", err)
 	}
 }

@@ -19,7 +19,7 @@ func snapValue(t *testing.T, reg *obs.Registry, fullName string) (float64, bool)
 
 // TestResultsByteIdenticalWithMetrics is the contract the whole obs
 // layer hangs on: attaching a registry must not change any numeric
-// result — serial or parallel.
+// result.
 func TestResultsByteIdenticalWithMetrics(t *testing.T) {
 	levels, _ := fixtureLevels(t, 2000, 20)
 	base := Config{BufferSize: 20, Batches: 4, BatchSize: 2000, Seed: 99}
@@ -36,22 +36,6 @@ func TestResultsByteIdenticalWithMetrics(t *testing.T) {
 	}
 	if !reflect.DeepEqual(plain, withObs) {
 		t.Errorf("Run results differ with metrics attached:\n%+v\n%+v", plain, withObs)
-	}
-
-	par := base
-	par.Workers = 4
-	plainPar, err := RunParallel(levels, UniformPoints{}, par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parObs := par
-	parObs.Metrics = obs.NewRegistry()
-	withObsPar, err := RunParallel(levels, UniformPoints{}, parObs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plainPar, withObsPar) {
-		t.Errorf("RunParallel results differ with metrics attached:\n%+v\n%+v", plainPar, withObsPar)
 	}
 }
 
@@ -84,40 +68,6 @@ func TestRunMetricsContent(t *testing.T) {
 	}
 }
 
-// TestParallelMetricsMerge: with Workers > 1 each replica collects into
-// a private registry; after the ordered merge the totals must cover the
-// whole batch budget, and the merged run must be deterministic.
-func TestParallelMetricsMerge(t *testing.T) {
-	levels, _ := fixtureLevels(t, 2000, 20)
-	run := func() (*obs.Registry, Result) {
-		reg := obs.NewRegistry()
-		cfg := Config{BufferSize: 20, Batches: 8, BatchSize: 1000, Seed: 7, Workers: 4, Metrics: reg}
-		res, err := RunParallel(levels, UniformPoints{}, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return reg, res
-	}
-	reg, res := run()
-	if got, ok := snapValue(t, reg, "sim_queries_total"); !ok || got != float64(res.Queries) {
-		t.Errorf("merged sim_queries_total = %v (ok=%v), want %d", got, ok, res.Queries)
-	}
-	// Each of the 4 replicas warms up independently.
-	wantWarm := 4 * Config{BufferSize: 20, Batches: 8, BatchSize: 1000}.withDefaults().Warmup
-	if got, ok := snapValue(t, reg, "sim_warmup_queries_total"); !ok || got != float64(wantWarm) {
-		t.Errorf("merged sim_warmup_queries_total = %v (ok=%v), want %d", got, ok, wantWarm)
-	}
-	// The fill gauge comes from replica 0 alone, matching Result.
-	if got, ok := snapValue(t, reg, "sim_fill_query"); !ok || got != float64(res.FillQueries) {
-		t.Errorf("merged sim_fill_query = %v (ok=%v), want %d", got, ok, res.FillQueries)
-	}
-	// Deterministic merge: a second identical run snapshots identically.
-	reg2, _ := run()
-	if !reflect.DeepEqual(reg.Snapshot(), reg2.Snapshot()) {
-		t.Error("two identical parallel runs produced different merged snapshots")
-	}
-}
-
 // TestTraceWarmup checks the observed warm-up curve: monotone distinct
 // pages, fill point consistent with Run, and sane hit rates.
 func TestTraceWarmup(t *testing.T) {
@@ -143,7 +93,7 @@ func TestTraceWarmup(t *testing.T) {
 	if tr.FillQueries == 0 {
 		t.Error("buffer of 50 pages never filled in 1000 queries (suspicious)")
 	}
-	// The trace replays replica 0's stream, so its fill point equals the
+	// The trace replays Run's stream, so its fill point equals the
 	// simulator's FillQueries for the same config.
 	res, err := Run(levels, UniformPoints{}, cfg)
 	if err != nil {

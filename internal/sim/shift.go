@@ -54,9 +54,8 @@ func (h HotspotPoints) Describe() string {
 // rectangles — NewShift probe-checks that — because the geometry is
 // prepared once, before the run.
 //
-// Shift is stateful (it counts draws), so it is serial-only: use it with
-// Run/RunPrepared, never with RunParallel, whose replicas would race on
-// the draw counter and each see a different shift point anyway.
+// Shift is stateful (it counts draws): use a fresh value per run, and
+// never share one between concurrent runs.
 type Shift struct {
 	Before, After Workload
 	At            int

@@ -138,37 +138,26 @@ type Config struct {
 	Warmup int
 	// Seed makes runs reproducible. Zero selects a fixed default.
 	Seed uint64
-	// Confidence level for intervals; zero selects the paper's 0.90.
-	Confidence float64
-	// BruteForce disables the grid index and scans every node per query.
-	// Slower; used by tests to cross-check the index.
-	BruteForce bool
 	// Policy constructs the replacement policy; nil selects the LRU the
 	// paper models. buffer.NewClock tests whether the predictions
 	// transfer to CLOCK-managed buffers (experiment ext-clock).
 	Policy func(capacity, numPages int) buffer.Policy
-	// Workers is the replica count RunParallel spreads the batch budget
-	// over; Run ignores it. Zero selects runtime.NumCPU; 1 makes
-	// RunParallel identical to Run.
-	Workers int
 	// Metrics, when non-nil, receives observability counters: query
 	// counts, per-query node-access histograms, buffer hit/miss/evict
 	// series (per policy and per tree level), and the observed fill
 	// point. Metrics never feed back into the simulation — results are
-	// byte-identical with or without a registry attached. RunParallel
-	// gives each replica a private registry and merges them in replica
-	// order after the join, so enabling metrics adds no locking to the
-	// query loop.
+	// byte-identical with or without a registry attached.
 	Metrics *obs.Registry
 	// Monitor, when non-nil, is ticked once per measured query and
 	// rebased at the warm-up boundary, so its windows track steady state.
-	// It requires Metrics (the monitor reads the buffer counters the
-	// metrics mirror maintains, so both must share one registry) and a
-	// serial run (Workers <= 1): the monitor compares one buffer's
-	// counters against the model, which replica splitting would smear.
-	// Like Metrics, it never feeds back into the simulation.
+	// It requires Metrics: the monitor reads the buffer counters the
+	// metrics mirror maintains, so both must share one registry. Like
+	// Metrics, it never feeds back into the simulation.
 	Monitor *monitor.Monitor
 }
+
+// confidence is the level of every reported interval: the paper's 90%.
+const confidence = 0.90
 
 func (c Config) withDefaults() Config {
 	if c.Batches == 0 {
@@ -185,9 +174,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = 0x5eed0f42
-	}
-	if c.Confidence == 0 {
-		c.Confidence = 0.90
 	}
 	return c
 }
@@ -257,10 +243,10 @@ func prepare(levels [][]geom.Rect, w Workload, buildIndex bool) (*Geometry, erro
 // touched appends to dst the pages whose hit rectangle contains the test
 // point p — the nodes the query accesses — in ascending page order, and
 // returns dst. The grid index narrows the scan to one cell's candidates;
-// without it (no index built, or bruteForce) every node is tested. Both
-// paths yield the same pages in the same order.
-func (g *Geometry) touched(p geom.Point, bruteForce bool, dst []int32) []int32 {
-	if g.idx == nil || bruteForce {
+// without it every node is tested. Both paths yield the same pages in the
+// same order.
+func (g *Geometry) touched(p geom.Point, dst []int32) []int32 {
+	if g.idx == nil {
 		for page := range g.hitRects {
 			if g.hitRects[page].ContainsPoint(p) {
 				dst = append(dst, int32(page)) //lint:allow hotalloc scratch grows once, then is reused
@@ -277,28 +263,24 @@ func (g *Geometry) touched(p geom.Point, bruteForce bool, dst []int32) []int32 {
 }
 
 // source issues one query and appends the pages it touches to dst, in the
-// order the buffer sees them. The flattened MBR list (Geometry.source)
-// and a traced tree search (RunTraced) are the two sources; everything
-// downstream of a source — buffer, warm-up, batches, metrics, monitor —
-// is shared.
+// order the buffer sees them. The flattened MBR list (Geometry.source), a
+// traced tree search (RunTraced) and any caller's stream (RunSource) are
+// sources; everything downstream of a source — buffer, warm-up, batches,
+// metrics, monitor — is shared.
 type source func(dst []int32) []int32
 
-// source returns the paper's access source for one replica: draw a test
-// point from w on the replica's stream and touch every node whose hit
-// rectangle contains it.
-func (g *Geometry) source(w Workload, cfg Config, replica int) source {
-	rng, bruteForce := replicaStream(cfg.Seed, replica), cfg.BruteForce
+// source returns the paper's access source: draw a test point from w on
+// the seed's stream and touch every node whose hit rectangle contains it.
+func (g *Geometry) source(w Workload, seed uint64) source {
+	rng := stream(seed)
 	return func(dst []int32) []int32 {
-		return g.touched(w.Next(rng), bruteForce, dst)
+		return g.touched(w.Next(rng), dst)
 	}
 }
 
-// replicaStream returns the deterministic PCG stream of one replica.
-// Replica 0 is exactly the stream Run uses, so a one-replica parallel
-// run reproduces the serial reference bit for bit; higher replicas get
-// disjoint streams derived from (Seed, replica).
-func replicaStream(seed uint64, replica int) *rand.Rand {
-	return rand.New(rand.NewPCG(seed, (seed^0x9e3779b97f4a7c15)+uint64(replica)))
+// stream returns the deterministic PCG stream a seed selects.
+func stream(seed uint64) *rand.Rand {
+	return rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
 }
 
 // checked applies the defaults and validates what every entry point
@@ -321,9 +303,9 @@ type replica struct {
 	fill  int     // first cold-start query after which the buffer was full (0 = not yet)
 }
 
-// newReplica builds the replica-private replacement policy over pages
-// numbered like levelOf (page -> tree level, level-major) with the top
-// PinLevels levels pinned.
+// newReplica builds the replacement policy over pages numbered like
+// levelOf (page -> tree level, level-major) with the top PinLevels levels
+// pinned.
 func (c Config) newReplica(next source, levelOf []int) (*replica, error) {
 	m := len(levelOf)
 	var lru buffer.Policy
@@ -367,23 +349,16 @@ func (r *replica) coldQuery(q int) {
 	}
 }
 
-// replicaResult is one replica's contribution to a run: its batch means,
-// raw measured totals, and warm-up observations.
-type replicaResult struct {
-	diskBatch []float64
-	nodeBatch []float64
-	disk      int // total misses during measurement
-	nodes     int // total accesses during measurement
-	fill      int // empirical N* observed during warm-up (0 = never filled)
-	hitRatio  float64
-}
-
-// runReplica executes warm-up plus the given number of batches against a
-// replica-private buffer, drawing queries from the replica's own source.
-func runReplica(next source, levelOf []int, cfg Config, id, batches int) (replicaResult, error) {
+// runReplica is the one simulator loop behind every steady-state entry
+// point: a cold buffer fed by next warms up for cfg.Warmup queries, then
+// measures cfg.Batches batches of cfg.BatchSize queries each.
+func runReplica(next source, levelOf []int, cfg Config) (Result, error) {
+	if cfg.Monitor != nil && cfg.Metrics == nil {
+		return Result{}, fmt.Errorf("sim: Monitor requires Metrics (the monitor reads the buffer counters)")
+	}
 	r, err := cfg.newReplica(next, levelOf)
 	if err != nil {
-		return replicaResult{}, err
+		return Result{}, err
 	}
 
 	// Obs handles; nil (free no-ops) when no registry is attached.
@@ -393,30 +368,19 @@ func runReplica(next source, levelOf []int, cfg Config, id, batches int) (replic
 		queryNodesHist = cfg.Metrics.Histogram("sim_query_nodes")
 	)
 
-	// The drift monitor is serial by contract: only the replica whose
-	// stream equals the serial reference feeds it, so a monitored run is
-	// deterministic and compares one buffer against the model.
-	mon := cfg.Monitor
-	if id != 0 {
-		mon = nil
-	}
-
-	rr := replicaResult{
-		diskBatch: make([]float64, batches),
-		nodeBatch: make([]float64, batches),
-	}
+	diskBatch := make([]float64, cfg.Batches)
+	nodeBatch := make([]float64, cfg.Batches)
 	for q := 1; q <= cfg.Warmup; q++ {
 		r.coldQuery(q)
 		warmupQueries.Inc()
 	}
-	rr.fill = r.fill
 	r.lru.ResetStats()
 	// Rebase after warm-up: the obs counters are cumulative (ResetStats
 	// zeroes only the policy's own stats), so the monitor captures the
 	// post-warm-up counter values as its window baseline.
-	mon.Rebase()
+	cfg.Monitor.Rebase()
 
-	for b := 0; b < batches; b++ {
+	for b := 0; b < cfg.Batches; b++ {
 		var disk, nodes int
 		for i := 0; i < cfg.BatchSize; i++ {
 			a, m := r.query()
@@ -424,49 +388,29 @@ func runReplica(next source, levelOf []int, cfg Config, id, batches int) (replic
 			disk += m
 			queriesTotal.Inc()
 			queryNodesHist.Observe(float64(a))
-			mon.OnQuery()
+			cfg.Monitor.OnQuery()
 		}
-		rr.diskBatch[b] = float64(disk) / float64(cfg.BatchSize)
-		rr.nodeBatch[b] = float64(nodes) / float64(cfg.BatchSize)
-		rr.disk += disk
-		rr.nodes += nodes
+		diskBatch[b] = float64(disk) / float64(cfg.BatchSize)
+		nodeBatch[b] = float64(nodes) / float64(cfg.BatchSize)
 	}
-	rr.hitRatio = r.lru.HitRatio()
-	if id == 0 {
-		// The observed buffer-fill point N̂* — the empirical counterpart
-		// of the analytic N* — is replica 0's observation, matching
-		// Result.FillQueries.
-		cfg.Metrics.Gauge("sim_fill_query").Set(float64(rr.fill))
-	}
-	return rr, nil
-}
-
-// runSerial is the one-replica run behind RunPrepared and RunTraced:
-// replica 0 measures every batch.
-func runSerial(next source, levelOf []int, cfg Config) (Result, error) {
-	if cfg.Monitor != nil && cfg.Metrics == nil {
-		return Result{}, fmt.Errorf("sim: Monitor requires Metrics (the monitor reads the buffer counters)")
-	}
-	rr, err := runReplica(next, levelOf, cfg, 0, cfg.Batches)
-	if err != nil {
-		return Result{}, err
-	}
-	cfg.Metrics.Gauge("sim_hit_ratio").Set(rr.hitRatio)
+	hitRatio := r.lru.HitRatio()
+	// The observed buffer-fill point N̂* is the empirical counterpart of
+	// the analytic N*.
+	cfg.Metrics.Gauge("sim_fill_query").Set(float64(r.fill))
+	cfg.Metrics.Gauge("sim_hit_ratio").Set(hitRatio)
 	return Result{
-		DiskPerQuery:  stats.BatchMeans(rr.diskBatch, cfg.Confidence),
-		NodesPerQuery: stats.BatchMeans(rr.nodeBatch, cfg.Confidence),
-		HitRatio:      rr.hitRatio,
-		FillQueries:   rr.fill,
+		DiskPerQuery:  stats.BatchMeans(diskBatch, confidence),
+		NodesPerQuery: stats.BatchMeans(nodeBatch, confidence),
+		HitRatio:      hitRatio,
+		FillQueries:   r.fill,
 		Queries:       cfg.Batches * cfg.BatchSize,
 	}, nil
 }
 
 // Run simulates the workload against the tree geometry (levels of node
-// MBRs, root first) and returns steady-state measurements. Run is the
-// serial reference implementation; RunParallel reproduces it with the
-// batch budget spread over replicas.
+// MBRs, root first) and returns steady-state measurements.
 func Run(levels [][]geom.Rect, w Workload, cfg Config) (Result, error) {
-	g, err := prepare(levels, w, !cfg.BruteForce)
+	g, err := Prepare(levels, w)
 	if err != nil {
 		return Result{}, err
 	}
@@ -482,5 +426,21 @@ func RunPrepared(g *Geometry, w Workload, cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return runSerial(g.source(w, cfg, 0), g.levelOf, cfg)
+	return runReplica(g.source(w, cfg.Seed), g.levelOf, cfg)
+}
+
+// RunSource runs any access stream through the simulator loop Run uses.
+// Each call of next issues one query and appends the pages it touches to
+// dst, in the order the buffer sees them; next owns its random stream, so
+// cfg.Seed is not consulted. levelOf maps every page to its tree level
+// (root 0), numbered level-major so that PinLevels pins a prefix.
+func RunSource(next func(dst []int32) []int32, levelOf []int, cfg Config) (Result, error) {
+	cfg, err := cfg.checked()
+	if err != nil {
+		return Result{}, err
+	}
+	if len(levelOf) == 0 {
+		return Result{}, fmt.Errorf("sim: source has no pages")
+	}
+	return runReplica(next, levelOf, cfg)
 }

@@ -3,11 +3,13 @@ package sim
 import (
 	"math"
 	"math/rand/v2"
+	"reflect"
 	"testing"
 
 	"rtreebuf/internal/core"
 	"rtreebuf/internal/datagen"
 	"rtreebuf/internal/geom"
+	"rtreebuf/internal/obs"
 	"rtreebuf/internal/pack"
 	"rtreebuf/internal/rtree"
 )
@@ -120,8 +122,11 @@ func TestIndexMatchesBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.BruteForce = true
-		slow, err := Run(levels, w, cfg)
+		g, err := prepare(levels, w, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slow, err := RunPrepared(g, w, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,6 +136,73 @@ func TestIndexMatchesBruteForce(t *testing.T) {
 				fast.DiskPerQuery.Mean, fast.NodesPerQuery.Mean,
 				slow.DiskPerQuery.Mean, slow.NodesPerQuery.Mean)
 		}
+	}
+}
+
+// Prepare once, run many: RunPrepared over a shared geometry must equal
+// Run for every buffer size.
+func TestPreparedReuseMatchesRun(t *testing.T) {
+	levels, _ := fixtureLevels(t, 3000, 25)
+	w := mustRegions(t, 0.1, 0.1)
+	g, err := Prepare(levels, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []int{5, 20, 80} {
+		cfg := Config{BufferSize: b, Batches: 4, BatchSize: 1500, Seed: 11}
+		want, err := Run(levels, w, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := RunPrepared(g, w, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("buffer %d: RunPrepared differs from Run", b)
+		}
+	}
+}
+
+// RunSource is the simulator loop every entry point shares: fed a
+// Geometry's own source it must reproduce RunPrepared bit for bit —
+// pinning, metrics and the brute-force scan included.
+func TestRunSourceMatchesRunPrepared(t *testing.T) {
+	levels, _ := fixtureLevels(t, 3000, 25)
+	w := mustRegions(t, 0.05, 0.05)
+	indexed, err := Prepare(levels, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan, err := prepare(levels, w, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		g   *Geometry
+		cfg Config
+	}{
+		{indexed, Config{BufferSize: 20, Batches: 4, BatchSize: 2000, Seed: 99}},
+		{indexed, Config{BufferSize: 50, Batches: 6, BatchSize: 1500, Seed: 7, PinLevels: 1, Metrics: obs.NewRegistry()}},
+		{scan, Config{BufferSize: 10, Batches: 3, BatchSize: 1000, Seed: 3}},
+	} {
+		want, err := RunPrepared(tc.g, w, tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := RunSource(tc.g.source(w, tc.cfg.Seed), tc.g.levelOf, tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("%+v: RunSource differs from RunPrepared:\nprepared %+v\nsource   %+v", tc.cfg, want, got)
+		}
+	}
+	if _, err := RunSource(indexed.source(w, 1), nil, Config{BufferSize: 5}); err == nil {
+		t.Error("source without pages accepted")
+	}
+	if _, err := RunSource(indexed.source(w, 1), indexed.levelOf, Config{}); err == nil {
+		t.Error("zero buffer accepted")
 	}
 }
 
@@ -197,7 +269,7 @@ func mustQM(t testing.TB, qx, qy float64) core.QueryModel {
 
 func mustDDQM(t testing.TB, centers []geom.Point) core.QueryModel {
 	t.Helper()
-	qm, err := core.NewDataDrivenQueries(0, 0, centers, 0)
+	qm, err := core.NewDataDrivenQueries(0, 0, centers)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,14 +32,14 @@ func RunTraced(t *rtree.Tree, w Workload, order rtree.TraceOrder, cfg Config) (R
 		return Result{}, err
 	}
 	t.AssignPageIDs()
-	rng := replicaStream(cfg.Seed, 0)
+	rng := stream(cfg.Seed)
 	next := func(dst []int32) []int32 {
 		t.TraceWindow(queryRect(w.Next(rng)), order, false, func(v rtree.NodeVisit) {
 			dst = append(dst, int32(v.Page))
 		})
 		return dst
 	}
-	return runSerial(next, t.PageLevels(), cfg)
+	return runReplica(next, t.PageLevels(), cfg)
 }
 
 // queryFromTestPoint inverts a workload's test-point convention back into

@@ -29,8 +29,8 @@ type WarmupTrace struct {
 }
 
 // TraceWarmup runs queryCounts[len-1] queries against a cold buffer —
-// replica 0's exact stream, so the trace matches what Run warms up
-// through — sampling the distinct-pages count, cumulative misses, and
+// the exact stream Run warms up through, so the trace matches it —
+// sampling the distinct-pages count, cumulative misses, and
 // hit rate at each count in queryCounts. Counts are sorted and deduped;
 // non-positive counts are dropped.
 func TraceWarmup(levels [][]geom.Rect, w Workload, cfg Config, queryCounts []int) (WarmupTrace, error) {
@@ -50,11 +50,11 @@ func TraceWarmup(levels [][]geom.Rect, w Workload, cfg Config, queryCounts []int
 		return WarmupTrace{}, fmt.Errorf("sim: no positive query counts to trace")
 	}
 
-	g, err := prepare(levels, w, !cfg.BruteForce)
+	g, err := Prepare(levels, w)
 	if err != nil {
 		return WarmupTrace{}, err
 	}
-	r, err := cfg.newReplica(g.source(w, cfg, 0), g.levelOf)
+	r, err := cfg.newReplica(g.source(w, cfg.Seed), g.levelOf)
 	if err != nil {
 		return WarmupTrace{}, err
 	}

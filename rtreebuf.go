@@ -108,7 +108,7 @@ func NewUniformQueries(qx, qy float64) (UniformQueries, error) {
 
 // NewDataDrivenQueries returns the data-driven model over data centers.
 func NewDataDrivenQueries(qx, qy float64, centers []Point) (DataDrivenQueries, error) {
-	return core.NewDataDrivenQueries(qx, qy, centers, 0)
+	return core.NewDataDrivenQueries(qx, qy, centers)
 }
 
 // Fully analytical model (Theodoridis–Sellis-style): predict cost from
@@ -236,13 +236,6 @@ type (
 // Simulate runs the LRU simulation of Section 4 over tree geometry.
 func Simulate(levels [][]Rect, w SimWorkload, cfg SimConfig) (SimResult, error) {
 	return sim.Run(levels, w, cfg)
-}
-
-// SimulateParallel is Simulate with the batch budget split across
-// cfg.Workers independent deterministic replicas (0 = NumCPU).
-// Workers == 1 reproduces Simulate bit for bit.
-func SimulateParallel(levels [][]Rect, w SimWorkload, cfg SimConfig) (SimResult, error) {
-	return sim.RunParallel(levels, w, cfg)
 }
 
 // SimUniformPoints returns the uniform point-query workload.

@@ -131,27 +131,6 @@ func TestFacadeSimulation(t *testing.T) {
 		t.Errorf("model %g vs sim %g", model, res.DiskPerQuery.Mean)
 	}
 
-	// The parallel facade with one worker reproduces Simulate bit for
-	// bit, and with several workers stays within the same model band.
-	one, err := rtreebuf.SimulateParallel(levels, rtreebuf.SimUniformPoints(), rtreebuf.SimConfig{
-		BufferSize: 40, Batches: 8, BatchSize: 10000, Seed: 5, Workers: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if one.DiskPerQuery.Mean != res.DiskPerQuery.Mean {
-		t.Errorf("SimulateParallel(Workers=1) %g != Simulate %g", one.DiskPerQuery.Mean, res.DiskPerQuery.Mean)
-	}
-	par, err := rtreebuf.SimulateParallel(levels, rtreebuf.SimUniformPoints(), rtreebuf.SimConfig{
-		BufferSize: 40, Batches: 8, BatchSize: 10000, Seed: 5, Workers: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(model-par.DiskPerQuery.Mean) > 0.08*par.DiskPerQuery.Mean+0.01 {
-		t.Errorf("model %g vs parallel sim %g", model, par.DiskPerQuery.Mean)
-	}
-
 	// Region and data-driven workload constructors.
 	if _, err := rtreebuf.SimUniformRegions(0.1, 0.1); err != nil {
 		t.Error(err)
