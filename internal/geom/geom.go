@@ -35,10 +35,10 @@ var UnitSquare = Rect{0, 0, 1, 1}
 // RectFromPoints returns the smallest rectangle containing both points.
 func RectFromPoints(a, b Point) Rect {
 	return Rect{
-		MinX: math.Min(a.X, b.X),
-		MinY: math.Min(a.Y, b.Y),
-		MaxX: math.Max(a.X, b.X),
-		MaxY: math.Max(a.Y, b.Y),
+		MinX: min(a.X, b.X),
+		MinY: min(a.Y, b.Y),
+		MaxX: max(a.X, b.X),
+		MaxY: max(a.Y, b.Y),
 	}
 }
 
@@ -97,10 +97,10 @@ func (r Rect) Intersects(s Rect) bool {
 // Intersect returns the common region of r and s and whether it is non-empty.
 func (r Rect) Intersect(s Rect) (Rect, bool) {
 	out := Rect{
-		MinX: math.Max(r.MinX, s.MinX),
-		MinY: math.Max(r.MinY, s.MinY),
-		MaxX: math.Min(r.MaxX, s.MaxX),
-		MaxY: math.Min(r.MaxY, s.MaxY),
+		MinX: max(r.MinX, s.MinX),
+		MinY: max(r.MinY, s.MinY),
+		MaxX: min(r.MaxX, s.MaxX),
+		MaxY: min(r.MaxY, s.MaxY),
 	}
 	if !out.Valid() {
 		return Rect{}, false
@@ -111,20 +111,20 @@ func (r Rect) Intersect(s Rect) (Rect, bool) {
 // Union returns the smallest rectangle containing both r and s.
 func (r Rect) Union(s Rect) Rect {
 	return Rect{
-		MinX: math.Min(r.MinX, s.MinX),
-		MinY: math.Min(r.MinY, s.MinY),
-		MaxX: math.Max(r.MaxX, s.MaxX),
-		MaxY: math.Max(r.MaxY, s.MaxY),
+		MinX: min(r.MinX, s.MinX),
+		MinY: min(r.MinY, s.MinY),
+		MaxX: max(r.MaxX, s.MaxX),
+		MaxY: max(r.MaxY, s.MaxY),
 	}
 }
 
 // UnionPoint returns the smallest rectangle containing r and p.
 func (r Rect) UnionPoint(p Point) Rect {
 	return Rect{
-		MinX: math.Min(r.MinX, p.X),
-		MinY: math.Min(r.MinY, p.Y),
-		MaxX: math.Max(r.MaxX, p.X),
-		MaxY: math.Max(r.MaxY, p.Y),
+		MinX: min(r.MinX, p.X),
+		MinY: min(r.MinY, p.Y),
+		MaxX: max(r.MaxX, p.X),
+		MaxY: max(r.MaxY, p.Y),
 	}
 }
 

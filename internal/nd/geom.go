@@ -13,10 +13,7 @@
 // carry the paper's actual evaluation.
 package nd
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Point is a location in d-dimensional space.
 type Point []float64
@@ -113,8 +110,8 @@ func (r Rect) Intersects(s Rect) bool {
 func (r Rect) Union(s Rect) Rect {
 	out := Rect{Min: make(Point, len(r.Min)), Max: make(Point, len(r.Max))}
 	for i := range r.Min {
-		out.Min[i] = math.Min(r.Min[i], s.Min[i])
-		out.Max[i] = math.Max(r.Max[i], s.Max[i])
+		out.Min[i] = min(r.Min[i], s.Min[i])
+		out.Max[i] = max(r.Max[i], s.Max[i])
 	}
 	return out
 }

@@ -16,8 +16,8 @@ import (
 // The queue and the loop exist once, in Frontier: the in-memory tree
 // expands *node values below, the paged tree (storage.PagedTree.Nearest)
 // expands page numbers read through its buffer pool. Same queue, same
-// sift order — so two trees of the same shape visit nodes and report
-// ties in the same order.
+// total order (distance, then push order) — so two trees of the same
+// shape visit nodes and report ties in the same order.
 
 // Neighbor is one nearest-neighbor result.
 type Neighbor struct {
@@ -30,29 +30,53 @@ type Neighbor struct {
 // minDistSq returns the squared minimum distance from p to r (zero when
 // p is inside r).
 func minDistSq(p geom.Point, r geom.Rect) float64 {
-	dx := math.Max(math.Max(r.MinX-p.X, 0), p.X-r.MaxX)
-	dy := math.Max(math.Max(r.MinY-p.Y, 0), p.Y-r.MaxY)
+	dx := max(r.MinX-p.X, 0, p.X-r.MaxX)
+	dy := max(r.MinY-p.Y, 0, p.Y-r.MaxY)
 	return dx*dx + dy*dy
 }
 
-// frontierEntry is a prioritized traversal element: a node reference or
-// a data item.
-type frontierEntry[N any] struct {
+// frontierKey is one heap slot: an entry's squared distance and its push
+// sequence number, which indexes Frontier.entries.
+type frontierKey struct {
 	distSq float64
+	seq    int
+}
+
+// before is the frontier's total order: nearer first, and of two
+// equidistant entries the one pushed first.
+func (a frontierKey) before(b frontierKey) bool {
+	return a.distSq < b.distSq || !(b.distSq < a.distSq) && a.seq < b.seq
+}
+
+// frontierEntry is a queued traversal element: a node reference or a
+// data item.
+type frontierEntry[N any] struct {
+	item   Item
 	node   N // meaningful when isItem is false
 	isItem bool
-	item   Item
 }
 
 // Frontier is the priority queue of one best-first search over nodes
-// referenced by N, keyed on squared distance to the query point. It is a
-// slice-backed binary heap of concrete entries: nothing is boxed. The
-// zero value is ready for BestFirst, and so is a used one: each search
-// starts from an empty queue on the backing array the last one grew.
+// referenced by N. Its heap holds compact (distance, push order) keys;
+// the entries they name sit in an append-only slice. Nothing is boxed.
+// The zero value is ready for BestFirst, and so is a used one: each
+// search starts from an empty queue on the backing arrays the last one
+// grew.
+//
+// A search for k items also keeps the k smallest item distances queued
+// so far and, once it has k, queues nothing farther than the largest of
+// them. Such an entry could never be returned: the k items at or below
+// that distance all pop before it, and anything below it is no nearer.
+// Ties pop in push order, so dropping it moves nothing else — pop order,
+// nodes expanded and results are those of the same search without the
+// bound.
 type Frontier[N any] struct {
 	p       geom.Point
-	limitSq float64
-	h       []frontierEntry[N]
+	k       int
+	boundSq float64            // nothing farther is queued: limitSq, then the k-th best item distance
+	keys    []frontierKey      // binary min-heap in before order
+	entries []frontierEntry[N] // entries[seq] for every key pushed in this search
+	best    []float64          // max-heap of the k smallest queued item distances (k > 0)
 }
 
 // BestFirst runs the Hjaltason–Samet search from root around p and
@@ -63,13 +87,14 @@ type Frontier[N any] struct {
 // node, in visit order, and pushes the node's entries with PushNode or
 // PushItem; an error from it ends the search.
 func (f *Frontier[N]) BestFirst(dst []Neighbor, p geom.Point, root N, k int, limitSq float64, expand func(n N) error) ([]Neighbor, error) {
-	f.p, f.limitSq = p, limitSq
-	f.h = append(f.h[:0], frontierEntry[N]{node: root}) //lint:allow hotalloc the queue grows once; a reused Frontier keeps its backing array
+	f.p, f.k, f.boundSq = p, k, limitSq
+	f.keys, f.entries, f.best = f.keys[:0], f.entries[:0], f.best[:0]
+	f.push(0, frontierEntry[N]{node: root})
 	found := 0
-	for len(f.h) > 0 && (k <= 0 || found < k) {
-		e := f.pop()
-		if e.isItem {
-			dst = append(dst, Neighbor{Item: e.item, Dist: math.Sqrt(e.distSq)}) //lint:allow hotalloc the result, appended to the caller's buffer
+	for len(f.keys) > 0 && (k <= 0 || found < k) {
+		key := f.pop()
+		if e := &f.entries[key.seq]; e.isItem {
+			dst = append(dst, Neighbor{Item: e.item, Dist: math.Sqrt(key.distSq)}) //lint:allow hotalloc the result, appended to the caller's buffer
 			found++
 		} else if err := expand(e.node); err != nil {
 			return nil, err
@@ -80,56 +105,105 @@ func (f *Frontier[N]) BestFirst(dst []Neighbor, p geom.Point, root N, k int, lim
 
 // PushNode queues the child node n, whose covering rectangle is r.
 func (f *Frontier[N]) PushNode(r geom.Rect, n N) {
-	if d := minDistSq(f.p, r); d <= f.limitSq {
-		f.h = append(f.h, frontierEntry[N]{distSq: d, node: n}) //lint:allow hotalloc the queue grows once; a reused Frontier keeps its backing array
-		f.siftUp()
+	if d := minDistSq(f.p, r); d <= f.boundSq {
+		f.push(d, frontierEntry[N]{node: n})
 	}
 }
 
 // PushItem queues the data item (r, id).
 func (f *Frontier[N]) PushItem(r geom.Rect, id int64) {
-	if d := minDistSq(f.p, r); d <= f.limitSq {
-		f.h = append(f.h, frontierEntry[N]{distSq: d, isItem: true, item: Item{Rect: r, ID: id}}) //lint:allow hotalloc the queue grows once; a reused Frontier keeps its backing array
-		f.siftUp()
+	if d := minDistSq(f.p, r); d <= f.boundSq {
+		f.push(d, frontierEntry[N]{item: Item{Rect: r, ID: id}, isItem: true})
+		if f.k > 0 {
+			f.tighten(d)
+		}
 	}
 }
 
-// siftUp restores heap order after an append.
-func (f *Frontier[N]) siftUp() {
-	h := f.h
-	for i := len(h) - 1; i > 0; {
+// push queues e at squared distance d, behind everything already queued
+// at d.
+func (f *Frontier[N]) push(d float64, e frontierEntry[N]) {
+	x := frontierKey{d, len(f.entries)}
+	f.entries = append(f.entries, e) //lint:allow hotalloc the queue grows once; a reused Frontier keeps its backing array
+	f.keys = append(f.keys, x)       //lint:allow hotalloc the queue grows once; a reused Frontier keeps its backing array
+	h := f.keys
+	i := len(h) - 1
+	for i > 0 {
 		parent := (i - 1) / 2
-		if h[parent].distSq <= h[i].distSq {
+		if !x.before(h[parent]) {
 			break
 		}
-		h[parent], h[i] = h[i], h[parent]
+		h[i] = h[parent]
 		i = parent
 	}
+	h[i] = x
 }
 
-func (f *Frontier[N]) pop() frontierEntry[N] {
-	h := f.h
+// pop removes and returns the first key in before order.
+func (f *Frontier[N]) pop() frontierKey {
+	h := f.keys
 	top := h[0]
 	last := len(h) - 1
-	h[0] = h[last]
+	x := h[last]
 	h = h[:last]
-	for i := 0; ; {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(h) && h[l].distSq < h[smallest].distSq {
-			smallest = l
-		}
-		if r < len(h) && h[r].distSq < h[smallest].distSq {
-			smallest = r
-		}
-		if smallest == i {
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= last {
 			break
 		}
-		h[i], h[smallest] = h[smallest], h[i]
-		i = smallest
+		if r := c + 1; r < last && h[r].before(h[c]) {
+			c = r
+		}
+		if !h[c].before(x) {
+			break
+		}
+		h[i] = h[c]
+		i = c
 	}
-	f.h = h
+	if last > 0 {
+		h[i] = x
+	}
+	f.keys = h
 	return top
+}
+
+// tighten counts a queued item's squared distance d among the k smallest
+// (f.best, a max-heap) and, once it holds k, lowers the bound to the
+// largest of them. A full heap only sees d <= f.best[0] (anything farther
+// was not queued), so d replaces the top.
+func (f *Frontier[N]) tighten(d float64) {
+	h := f.best
+	if len(h) < f.k {
+		h = append(h, d) //lint:allow hotalloc grows to k once; a reused Frontier keeps its backing array
+		i := len(h) - 1
+		for i > 0 && h[(i-1)/2] < d {
+			h[i] = h[(i-1)/2]
+			i = (i - 1) / 2
+		}
+		h[i] = d
+		f.best = h
+	} else {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= len(h) {
+				break
+			}
+			if r := c + 1; r < len(h) && h[r] > h[c] {
+				c = r
+			}
+			if !(h[c] > d) {
+				break
+			}
+			h[i] = h[c]
+			i = c
+		}
+		h[i] = d
+	}
+	if len(h) == f.k {
+		f.boundSq = h[0]
+	}
 }
 
 // bestFirst is BestFirst over the in-memory tree's nodes, which cannot
@@ -157,7 +231,7 @@ func (t *Tree) bestFirst(p geom.Point, k int, limitSq float64, visit func(*node)
 
 // Nearest returns the k stored items closest to p in ascending distance
 // order (fewer if the tree holds fewer). Distance to a rectangle is the
-// minimum Euclidean distance; ties are broken by traversal order.
+// minimum Euclidean distance; ties are broken by push order.
 func (t *Tree) Nearest(p geom.Point, k int) []Neighbor {
 	if k <= 0 {
 		return nil

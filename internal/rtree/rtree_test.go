@@ -360,3 +360,21 @@ func TestRandomInsertInvariants(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkInsert is tuple-at-a-time (Guttman) insertion at fan-out 100,
+// the build of the benchmark's paper_model phase A: each round of 50,000
+// inserts grows a fresh tree, so ns/op averages over every tree size up
+// to it.
+func BenchmarkInsert(b *testing.B) {
+	rng := rand.New(rand.NewPCG(813, 814))
+	items := testItems(rng, 50000)
+	var tr *Tree
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%len(items) == 0 {
+			tr = MustNew(Params{MaxEntries: 100})
+		}
+		tr.Insert(items[i%len(items)])
+	}
+}

@@ -128,8 +128,8 @@ func linearSeeds(rects []geom.Rect) (int, int) {
 		highestLow, lowestHigh := math.Inf(-1), math.Inf(1)
 		for i, r := range rects {
 			lo, hi := lowSide(r), highSide(r)
-			lowestLow = math.Min(lowestLow, lo)
-			highestHigh = math.Max(highestHigh, hi)
+			lowestLow = min(lowestLow, lo)
+			highestHigh = max(highestHigh, hi)
 			if lo > highestLow {
 				highestLow, highestLowIdx = lo, i
 			}

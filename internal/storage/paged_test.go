@@ -137,7 +137,12 @@ func TestPagedTreeNearestMatchesInMemory(t *testing.T) {
 		if len(got) != len(want) {
 			t.Fatalf("paged kNN returned %d, in-memory %d", len(got), len(want))
 		}
+		// Same queue, same total order, same entry order in every node:
+		// equidistant items come back in the same order too.
 		for j := range got {
+			if got[j].Item.ID != want[j].Item.ID {
+				t.Fatalf("neighbor %d: paged ID %d, in-memory %d", j, got[j].Item.ID, want[j].Item.ID)
+			}
 			if diff := got[j].Dist - want[j].Dist; diff > 1e-12 || diff < -1e-12 {
 				t.Fatalf("neighbor %d: paged dist %g, in-memory %g", j, got[j].Dist, want[j].Dist)
 			}
