@@ -3,7 +3,7 @@
 // Usage:
 //
 //	rtreebench [-quick] [-seed N] [-batches N] [-batchsize N] [-csv]
-//	           [-parallel N] [-benchjson path] [ids...]
+//	           [-parallel N] [ids...]
 //
 // With no ids it runs every registered experiment in order. Each
 // experiment prints its tables (aligned text, or CSV with -csv) followed
@@ -15,19 +15,16 @@
 //	rtreebench fig6 fig9         # the buffer-matters headline figures
 //	rtreebench -quick            # reduced sizes, ~seconds
 //	rtreebench -parallel 1       # serial reference run
-//	rtreebench -benchjson out.json   # machine-readable timing summary
 //	rtreebench -metrics run.prom     # engine metrics dump (.json/.prom/.txt)
 //	rtreebench -debug-addr :6060     # live /metrics + /debug/pprof
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -71,62 +68,6 @@ func writeCSVs(dir string, rep *experiments.Report) error {
 	return nil
 }
 
-// benchExperiment is one entry of the -benchjson summary.
-type benchExperiment struct {
-	ID      string  `json:"id"`
-	Seconds float64 `json:"seconds"`
-	Tables  int     `json:"tables"`
-}
-
-// benchMark is one before/after micro-benchmark record. rtreebench does
-// not run these itself; checked-in BENCH_PR*.json files append them from
-// `go test -bench` runs on the same machine as the experiment timings.
-type benchMark struct {
-	Name     string  `json:"name"`
-	BeforeNs float64 `json:"before_ns_op,omitempty"`
-	AfterNs  float64 `json:"after_ns_op"`
-	Speedup  float64 `json:"speedup,omitempty"`
-	Note     string  `json:"note,omitempty"`
-}
-
-// benchSummary is the machine-readable run record emitted by -benchjson;
-// BENCH_PR*.json files checked into the repository use this schema.
-type benchSummary struct {
-	Generated    string            `json:"generated"`
-	GoVersion    string            `json:"go_version"`
-	CPUs         int               `json:"cpus"`
-	Workers      int               `json:"workers"`
-	Quick        bool              `json:"quick"`
-	Seed         uint64            `json:"seed"`
-	Experiments  []benchExperiment `json:"experiments"`
-	TotalSeconds float64           `json:"total_seconds"`
-	Benchmarks   []benchMark       `json:"benchmarks,omitempty"`
-}
-
-func writeBenchJSON(path string, workers int, cfg experiments.Config, timings []experiments.Timing, reports []*experiments.Report, total time.Duration) error {
-	s := benchSummary{
-		Generated:    time.Now().UTC().Format(time.RFC3339),
-		GoVersion:    runtime.Version(),
-		CPUs:         runtime.NumCPU(),
-		Workers:      workers,
-		Quick:        cfg.Quick,
-		Seed:         cfg.Seed,
-		TotalSeconds: total.Seconds(),
-	}
-	for i, tm := range timings {
-		s.Experiments = append(s.Experiments, benchExperiment{
-			ID:      tm.ID,
-			Seconds: tm.Seconds,
-			Tables:  len(reports[i].Tables),
-		})
-	}
-	data, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
 func main() {
 	quick := flag.Bool("quick", false, "shrink data sizes and simulation lengths")
 	seed := flag.Uint64("seed", 0, "generator seed (0 = fixed default)")
@@ -138,7 +79,6 @@ func main() {
 	parallel := flag.Int("parallel", 0, "experiment worker count (0 = NumCPU, 1 = serial)")
 	policy := flag.String("policy", "", "paged-tree replacement policy for system experiments (lru, clock, 2q, clockpro; empty = lru)")
 	shards := flag.Int("shards", 1, "paged-tree pool shards for system experiments (>1 = lock-striped pool)")
-	benchJSON := flag.String("benchjson", "", "write a machine-readable timing summary to this path")
 	monitorFlag := flag.Bool("monitor", false, "enable the online model-residual monitor in paged-system experiments (adds a residual table to ext-system)")
 	metricsPath := flag.String("metrics", "", "write an engine metrics dump to this path (.json/.prom/anything-else=text)")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics and /debug/pprof on this address (keeps the process alive after the run until interrupted)")
@@ -204,12 +144,6 @@ func main() {
 	}
 	fmt.Printf("[all %d experiments in %v]\n", len(reports), total.Round(time.Millisecond))
 
-	if *benchJSON != "" {
-		if err := writeBenchJSON(*benchJSON, *parallel, cfg, timings, reports, total); err != nil {
-			fmt.Fprintf(os.Stderr, "rtreebench: writing %s: %v\n", *benchJSON, err)
-			os.Exit(1)
-		}
-	}
 	if *metricsPath != "" {
 		if err := writeMetrics(*metricsPath, cfg.Metrics); err != nil {
 			fmt.Fprintf(os.Stderr, "rtreebench: writing %s: %v\n", *metricsPath, err)

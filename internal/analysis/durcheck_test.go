@@ -352,8 +352,8 @@ func TestRepoInsertComposesCommitTrace(t *testing.T) {
 }
 
 // BenchmarkDurcheck measures the durcheck+errflow analysis phase on the
-// real repository (graph construction excluded — BenchmarkLoadModule and
-// the BENCH_PR8.json wall-time entry cover the full pipeline).
+// real repository (graph construction excluded — BenchmarkLoadModule
+// covers the full pipeline).
 func BenchmarkDurcheck(b *testing.B) {
 	root := repoRoot(b)
 	pkgs, err := LoadModule(root)

@@ -80,7 +80,7 @@ func TestFactsCrossPackageRealRepo(t *testing.T) {
 // DiskManager interface must see more than one module implementer.
 func TestDiskManagerDispatchRealRepo(t *testing.T) {
 	g := loadRepoModule(t).Graph
-	n := one(t, g, "storage.(*ResilientManager).readRetry")
+	n := one(t, g, "storage.(*ResilientManager).ReadPage")
 	var best *Call
 	for _, c := range n.Calls {
 		if c.Dispatch && (best == nil || len(c.Targets) > len(best.Targets)) {
@@ -88,7 +88,7 @@ func TestDiskManagerDispatchRealRepo(t *testing.T) {
 		}
 	}
 	if best == nil {
-		t.Fatal("readRetry has no interface dispatch site (inner.ReadPage)")
+		t.Fatal("ResilientManager.ReadPage has no interface dispatch site (inner.ReadPage)")
 	}
 	if len(best.Targets) < 2 {
 		t.Errorf("DiskManager.ReadPage dispatch resolves %d targets, want >= 2", len(best.Targets))

@@ -166,9 +166,10 @@ func TestPoolIsItsPolicy(t *testing.T) {
 }
 
 // TestPinUnpinOutOfRange: Pin and Unpin of a page outside the page space
-// — PagedTree.pinWalk pins child page numbers it read from a page — are
-// an error and a no-op on both pools, under every policy, and leave the
-// pool as it was.
+// — PagedTree.PinLevels pins child page numbers read from stored pages,
+// which the pool checks again after the tree walk has — are an error and
+// a no-op on both pools, under every policy, and leave the pool as it
+// was.
 func TestPinUnpinOutOfRange(t *testing.T) {
 	const pageSize, numPages = 16, 4
 	for _, name := range PolicyNames() {

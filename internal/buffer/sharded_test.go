@@ -360,7 +360,7 @@ func (s *ShardedPool) Contains(page int) bool {
 	return sh.pool.policy.Contains(local)
 }
 
-// --- benchmarks (recorded in BENCH_PR9.json) ---
+// --- benchmarks ---
 
 type benchPool interface {
 	Get(page int) ([]byte, error)

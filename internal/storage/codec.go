@@ -154,7 +154,7 @@ func entryPayload(buf []byte, i int) uint64 {
 
 // DecodeNode parses a node page. page is recorded into the result; the
 // buffer is not retained. Level is left zero: a page does not know its
-// node's depth (see readLiveNodes).
+// node's depth (walkTree finds it).
 func DecodeNode(buf []byte, page int) (rtree.NodeData, error) {
 	if err := validatePage(buf, page); err != nil {
 		return rtree.NodeData{}, err

@@ -143,9 +143,6 @@ func (f *FaultManager) CrashAfterWrites(n int) *FaultManager {
 // rather than of the whole session.
 func (f *FaultManager) Writes() uint64 { return f.writes }
 
-// CrashNow puts the manager into the fail-stop state immediately.
-func (f *FaultManager) CrashNow() { f.crashed = true }
-
 // Crashed reports whether a crash point has fired.
 func (f *FaultManager) Crashed() bool { return f.crashed }
 

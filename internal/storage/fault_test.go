@@ -231,16 +231,13 @@ func TestResilientBackoffScheduleAndGiveup(t *testing.T) {
 	dm, _ := savedMemoryTree(t, 100, 16)
 	fm := NewFaultManager(dm, 1).FailEveryNthRead(1) // every read fails
 	var slept []time.Duration
-	rm := NewResilientManager(fm,
-		WithMaxRetries(3),
-		WithBackoff(time.Millisecond, 3*time.Millisecond),
-		WithSleep(func(d time.Duration) { slept = append(slept, d) }))
+	rm := NewResilientManager(fm, WithSleep(func(d time.Duration) { slept = append(slept, d) }))
 	buf := make([]byte, dm.PageSize())
 	err := rm.ReadPage(0, buf)
 	if err == nil || !Transient(err) {
 		t.Fatalf("exhausted retries returned %v", err)
 	}
-	want := []time.Duration{time.Millisecond, 2 * time.Millisecond, 3 * time.Millisecond}
+	want := []time.Duration{time.Millisecond, 2 * time.Millisecond, 4 * time.Millisecond, 8 * time.Millisecond}
 	if len(slept) != len(want) {
 		t.Fatalf("slept %v, want %v", slept, want)
 	}
@@ -250,7 +247,7 @@ func TestResilientBackoffScheduleAndGiveup(t *testing.T) {
 		}
 	}
 	st := rm.RetryStats()
-	if st.Giveups != 1 || st.Recoveries != 0 || st.Retries != 3 {
+	if st.Giveups != 1 || st.Recoveries != 0 || st.Retries != 4 {
 		t.Errorf("stats = %+v", st)
 	}
 	rm.ResetRetryStats()
@@ -276,57 +273,22 @@ func TestResilientDoesNotRetryPermanentErrors(t *testing.T) {
 	}
 }
 
-// flakyChecksumManager returns bit-flipped data for the first read of a
-// chosen page and clean data afterwards — transport corruption, not
-// media corruption.
-type flakyChecksumManager struct {
-	DiskManager
-	page  int
-	fired bool
-}
-
-func (f *flakyChecksumManager) ReadPage(page int, dst []byte) error {
-	if err := f.DiskManager.ReadPage(page, dst); err != nil {
-		return err
-	}
-	if page == f.page && !f.fired {
-		f.fired = true
-		dst[20] ^= 0x10
-	}
-	return nil
-}
-
-func TestResilientChecksumReread(t *testing.T) {
+// TestResilientReadPageAllocatesNothing: the retry layer sits on every
+// pool fault, and a read that succeeds first time costs it one call and
+// one nil check — no allocation.
+func TestResilientReadPageAllocatesNothing(t *testing.T) {
 	dm, _ := savedMemoryTree(t, 300, 16)
-	flaky := &flakyChecksumManager{DiskManager: dm, page: 2}
-	rm := NewResilientManager(flaky, WithChecksumVerify(true), WithSleep(func(time.Duration) {}))
+	rm := NewResilientManager(dm)
 	buf := make([]byte, dm.PageSize())
-	if err := rm.ReadPage(2, buf); err != nil {
-		t.Fatalf("transport corruption not healed by re-read: %v", err)
+	page := 0
+	if got := testing.AllocsPerRun(200, func() {
+		if err := rm.ReadPage(page%dm.NumPages(), buf); err != nil {
+			t.Fatal(err)
+		}
+		page++
+	}); got != 0 {
+		t.Errorf("ResilientManager.ReadPage: %v allocations per read, want 0", got)
 	}
-	if err := VerifyPage(buf); err != nil {
-		t.Fatalf("delivered page still corrupt: %v", err)
-	}
-	st := rm.RetryStats()
-	if st.Recoveries != 1 || st.Retries != 1 {
-		t.Errorf("stats = %+v", st)
-	}
-
-	// Media corruption (every read corrupt) must surface, not loop.
-	fm := NewFaultManager(dm, 3)
-	if err := fm.CorruptStoredPage(4); err != nil {
-		t.Fatal(err)
-	}
-	if err := rm2check(t, dm); err == nil {
-		t.Fatal("persistently corrupt page passed checksum verification")
-	}
-}
-
-func rm2check(t *testing.T, dm DiskManager) error {
-	t.Helper()
-	rm := NewResilientManager(dm, WithChecksumVerify(true), WithSleep(func(time.Duration) {}))
-	buf := make([]byte, dm.PageSize())
-	return rm.ReadPage(4, buf)
 }
 
 // TestPagedTreeResilientUnderFaultPlan is the acceptance scenario: with
@@ -344,7 +306,7 @@ func TestPagedTreeResilientUnderFaultPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	fm := NewFaultManager(dm, 99).FailEveryNthRead(7)
-	rm := NewResilientManager(fm, WithChecksumVerify(true), WithSleep(func(time.Duration) {}))
+	rm := NewResilientManager(fm, WithSleep(func(time.Duration) {}))
 	pt, err := OpenPagedTree(rm, 20)
 	if err != nil {
 		t.Fatal(err)

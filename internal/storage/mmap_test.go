@@ -210,9 +210,22 @@ func touchPages(b *testing.B, fm *FileManager) {
 // BenchmarkFileManagerReadPage is one device read as read_cold pays it:
 // a random page of the benchmark's 10,101-page file.
 func BenchmarkFileManagerReadPage(b *testing.B) {
+	benchDeviceReads(b, func(fm *FileManager) DiskManager { return fm })
+}
+
+// BenchmarkResilientReadPage is the same read through the retry layer
+// the benchmark stacks over its page file.
+func BenchmarkResilientReadPage(b *testing.B) {
+	benchDeviceReads(b, func(fm *FileManager) DiskManager { return NewResilientManager(fm) })
+}
+
+// benchDeviceReads times dm.ReadPage of random pages of the benchmark's
+// page file, dm being the file under whatever wrap stacks over it.
+func benchDeviceReads(b *testing.B, wrap func(*FileManager) DiskManager) {
 	fm, _ := saveBenchFile(b, 1_000_000)
 	defer fm.Close()
 	touchPages(b, fm)
+	dm := wrap(fm)
 	rng := rand.New(rand.NewPCG(31, 32))
 	pages := make([]int, 1<<16)
 	for i := range pages {
@@ -222,7 +235,7 @@ func BenchmarkFileManagerReadPage(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := fm.ReadPage(pages[i%len(pages)], buf); err != nil {
+		if err := dm.ReadPage(pages[i%len(pages)], buf); err != nil {
 			b.Fatal(err)
 		}
 	}

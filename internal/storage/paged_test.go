@@ -115,6 +115,42 @@ func TestPagedTreePinLevels(t *testing.T) {
 	}
 }
 
+// TestPinLevelsZeroPinsNothing: PinLevels(0) leaves the buffer as it
+// was, on a level-order tree and on an updated one, whose walk starts at
+// the root but must not pin it. Page 0 is evicted like any other page.
+func TestPinLevelsZeroPinsNothing(t *testing.T) {
+	for _, walked := range []bool{false, true} {
+		t.Run(fmt.Sprintf("walked=%v", walked), func(t *testing.T) {
+			dm, _ := evictionFixture(t, walked)
+			pt, err := OpenPagedTree(dm, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := pt.PinLevels(0); err != nil {
+				t.Fatal(err)
+			}
+			pool := pt.Pool()
+			if n := pool.Resident(); n != 0 {
+				t.Errorf("PinLevels(0) left %d pages resident", n)
+			}
+			view := func(page int) bool {
+				t.Helper()
+				info, err := pool.View(page, func([]byte) {})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return info.Hit
+			}
+			for page := 1; page < 40; page++ {
+				view(page)
+			}
+			if view(0) {
+				t.Error("page 0 still hits after 39 other pages through an 8-page buffer: PinLevels(0) pinned it")
+			}
+		})
+	}
+}
+
 func TestPagedTreePinBeyondBuffer(t *testing.T) {
 	_, pt := pagedFixture(t, 1200, 8, 4) // many leaves, tiny buffer
 	err := pt.PinLevels(len(pt.Meta().Levels))

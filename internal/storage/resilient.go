@@ -15,42 +15,33 @@ type RetryStats struct {
 	Giveups    uint64
 }
 
+// The retry budget: a transiently failing operation is re-issued up to
+// maxRetries times, the nth retry after a sleep of retryDelay<<(n-1) —
+// 1, 2, 4 and 8 ms.
+const (
+	maxRetries = 4
+	retryDelay = time.Millisecond
+)
+
 // ResilientManager wraps a DiskManager with a retry policy for the
 // failures disks actually exhibit: operations failing with a Transient
-// error are retried with bounded exponential backoff, and (opt-in)
-// node-page reads whose checksum does not verify are re-read once before
-// the corruption error is surfaced — a wrong read off the wire is
-// transient, a wrong page on the medium is not.
+// error are retried with exponential backoff. Other errors surface at
+// once: retrying a medium error only burns the latency budget, and a page
+// that fails its checksum is refused where it enters the buffer pool.
 //
 // The sleep function is injectable so tests exercise the full backoff
 // schedule in zero wall-clock time. Everything else delegates, so
 // stacking ResilientManager over a FaultManager over a FileManager runs
 // the identical query path the paper's cost model prices.
 type ResilientManager struct {
-	inner      DiskManager
-	maxRetries int
-	baseDelay  time.Duration
-	maxDelay   time.Duration
-	sleep      func(time.Duration)
-	verify     bool
-	stats      RetryStats
-	metrics    *Metrics
+	inner   DiskManager
+	sleep   func(time.Duration)
+	stats   RetryStats
+	metrics *Metrics
 }
 
 // ResilientOption configures a ResilientManager.
 type ResilientOption func(*ResilientManager)
-
-// WithMaxRetries bounds how many times a transiently failing operation
-// is re-issued (default 4).
-func WithMaxRetries(n int) ResilientOption {
-	return func(r *ResilientManager) { r.maxRetries = n }
-}
-
-// WithBackoff sets the base and maximum retry delays. The nth retry
-// sleeps base<<(n-1), capped at limit (defaults 1ms and 100ms).
-func WithBackoff(base, limit time.Duration) ResilientOption {
-	return func(r *ResilientManager) { r.baseDelay, r.maxDelay = base, limit }
-}
 
 // WithSleep injects the sleep function (default time.Sleep). Tests pass
 // a recorder so the whole backoff schedule runs instantly.
@@ -58,24 +49,10 @@ func WithSleep(sleep func(time.Duration)) ResilientOption {
 	return func(r *ResilientManager) { r.sleep = sleep }
 }
 
-// WithChecksumVerify makes ReadPage verify the node-page checksum after
-// every successful read and re-read once on mismatch, catching transport
-// or memory corruption between the medium and the caller.
-func WithChecksumVerify(on bool) ResilientOption {
-	return func(r *ResilientManager) { r.verify = on }
-}
-
-// NewResilientManager wraps inner with the default policy (4 retries,
-// 1ms..100ms backoff, real sleep, no checksum verification) adjusted by
-// the given options.
+// NewResilientManager wraps inner with the retry policy, sleeping with
+// time.Sleep unless an option says otherwise.
 func NewResilientManager(inner DiskManager, opts ...ResilientOption) *ResilientManager {
-	r := &ResilientManager{
-		inner:      inner,
-		maxRetries: 4,
-		baseDelay:  time.Millisecond,
-		maxDelay:   100 * time.Millisecond,
-		sleep:      time.Sleep,
-	}
+	r := &ResilientManager{inner: inner, sleep: time.Sleep}
 	for _, o := range opts {
 		o(r)
 	}
@@ -88,69 +65,30 @@ func (r *ResilientManager) RetryStats() RetryStats { return r.stats }
 // ResetRetryStats zeroes the retry counters.
 func (r *ResilientManager) ResetRetryStats() { r.stats = RetryStats{} }
 
-// retry runs op, re-issuing it on Transient errors with exponential
-// backoff. Non-transient errors surface immediately: retrying a medium
-// error only burns the latency budget.
-func (r *ResilientManager) retry(op func() error) error {
-	delay := r.baseDelay
-	var err error
-	for attempt := 0; ; attempt++ {
-		err = op()
-		if err == nil {
-			if attempt > 0 {
-				r.stats.Recoveries++
-				r.metrics.noteRecovery()
-			}
-			return nil
-		}
-		if !Transient(err) {
-			return err
-		}
-		if attempt >= r.maxRetries {
-			r.stats.Giveups++
-			r.metrics.noteGiveup()
-			return fmt.Errorf("storage: gave up after %d retries: %w", r.maxRetries, err)
-		}
-		r.stats.Retries++
-		r.metrics.noteRetry()
-		r.sleep(delay)
-		if delay *= 2; delay > r.maxDelay {
-			delay = r.maxDelay
-		}
+// again is the retry policy, asked only after an operation has failed
+// attempt+1 times with *err. It sleeps and reports true when the
+// operation should be re-issued; on a non-transient error, or with the
+// budget spent (*err then says so), it reports false.
+func (r *ResilientManager) again(attempt int, err *error) bool {
+	if !Transient(*err) {
+		return false
 	}
+	if attempt >= maxRetries {
+		r.stats.Giveups++
+		r.metrics.noteGiveup()
+		*err = fmt.Errorf("storage: gave up after %d retries: %w", maxRetries, *err)
+		return false
+	}
+	r.stats.Retries++
+	r.metrics.noteRetry()
+	r.sleep(retryDelay << attempt)
+	return true
 }
 
-// readRetry is retry specialized to inner.ReadPage without the closure:
-// ReadPage sits on the buffer pool's miss path, and allocating a func
-// literal per physical read is measurable at simulation scale. The loop
-// must stay in lockstep with retry's policy.
-func (r *ResilientManager) readRetry(page int, dst []byte) error {
-	delay := r.baseDelay
-	var err error
-	for attempt := 0; ; attempt++ {
-		err = r.inner.ReadPage(page, dst)
-		if err == nil {
-			if attempt > 0 {
-				r.stats.Recoveries++
-				r.metrics.noteRecovery()
-			}
-			return nil
-		}
-		if !Transient(err) {
-			return err
-		}
-		if attempt >= r.maxRetries {
-			r.stats.Giveups++
-			r.metrics.noteGiveup()
-			return fmt.Errorf("storage: gave up after %d retries: %w", r.maxRetries, err)
-		}
-		r.stats.Retries++
-		r.metrics.noteRetry()
-		r.sleep(delay)
-		if delay *= 2; delay > r.maxDelay {
-			delay = r.maxDelay
-		}
-	}
+// recovered counts an operation that succeeded on a retry.
+func (r *ResilientManager) recovered() {
+	r.stats.Recoveries++
+	r.metrics.noteRecovery()
 }
 
 // PageSize implements DiskManager.
@@ -159,55 +97,48 @@ func (r *ResilientManager) PageSize() int { return r.inner.PageSize() }
 // NumPages implements DiskManager.
 func (r *ResilientManager) NumPages() int { return r.inner.NumPages() }
 
-// ReadPage implements DiskManager with transient-error retry and
-// optional checksum verification with a single re-read.
+// ReadPage implements DiskManager with transient-error retry.
 func (r *ResilientManager) ReadPage(page int, dst []byte) error {
-	if err := r.readRetry(page, dst); err != nil {
-		return err
+	err := r.inner.ReadPage(page, dst)
+	for attempt := 0; err != nil && r.again(attempt, &err); attempt++ {
+		if err = r.inner.ReadPage(page, dst); err == nil {
+			r.recovered()
+		}
 	}
-	if !r.verify {
-		return nil
-	}
-	if VerifyPage(dst[:r.inner.PageSize()]) == nil {
-		return nil
-	}
-	// Mismatch: re-read once. If the copy on the medium is fine the
-	// second read verifies; if the medium itself is corrupt this fails
-	// identically and the caller gets the checksum error.
-	r.stats.Retries++
-	r.metrics.noteRetry()
-	if err := r.readRetry(page, dst); err != nil {
-		return err
-	}
-	if err := VerifyPage(dst[:r.inner.PageSize()]); err != nil {
-		r.stats.Giveups++
-		r.metrics.noteGiveup()
-		return fmt.Errorf("storage: page %d corrupt after re-read: %w", page, err)
-	}
-	r.stats.Recoveries++
-	r.metrics.noteRecovery()
-	return nil
+	return err
 }
 
 // WritePage implements DiskManager with transient-error retry.
 func (r *ResilientManager) WritePage(page int, data []byte) error {
-	return r.retry(func() error { return r.inner.WritePage(page, data) }) //lint:allow hotalloc write-back is not the read hot path; the closure prices in with the I/O
+	err := r.inner.WritePage(page, data)
+	for attempt := 0; err != nil && r.again(attempt, &err); attempt++ {
+		if err = r.inner.WritePage(page, data); err == nil {
+			r.recovered()
+		}
+	}
+	return err
 }
 
 // WriteMeta implements DiskManager with transient-error retry.
 func (r *ResilientManager) WriteMeta(meta []byte) error {
-	return r.retry(func() error { return r.inner.WriteMeta(meta) })
+	err := r.inner.WriteMeta(meta)
+	for attempt := 0; err != nil && r.again(attempt, &err); attempt++ {
+		if err = r.inner.WriteMeta(meta); err == nil {
+			r.recovered()
+		}
+	}
+	return err
 }
 
 // ReadMeta implements DiskManager with transient-error retry.
 func (r *ResilientManager) ReadMeta() ([]byte, error) {
-	var out []byte
-	err := r.retry(func() error {
-		var e error
-		out, e = r.inner.ReadMeta()
-		return e
-	})
-	return out, err
+	meta, err := r.inner.ReadMeta()
+	for attempt := 0; err != nil && r.again(attempt, &err); attempt++ {
+		if meta, err = r.inner.ReadMeta(); err == nil {
+			r.recovered()
+		}
+	}
+	return meta, err
 }
 
 // Sync forwards a durability barrier to the wrapped manager. Syncs are

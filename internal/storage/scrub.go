@@ -1,6 +1,10 @@
 package storage
 
-import "fmt"
+import (
+	"fmt"
+
+	"rtreebuf/internal/rtree"
+)
 
 // PageFault records one damaged page and what is wrong with it.
 type PageFault struct {
@@ -39,8 +43,9 @@ func (r ScrubReport) String() string {
 // Scrub verifies a persisted tree end to end: the catalog decodes and is
 // consistent with the allocated page count, and every node page reads,
 // passes its checksum, decodes, and references only in-range child
-// pages. It never stops at the first fault — the report names every
-// damaged page so an operator can judge blast radius. Pair it with
+// pages (on an updated tree, walkTree's checks). It never stops at the
+// first fault — the report names every damaged page so an operator can
+// judge blast radius. Pair it with
 // PagedTree degraded mode to keep serving around the damage, or with a
 // re-save to repair it.
 func Scrub(dm DiskManager) ScrubReport {
@@ -62,7 +67,16 @@ func Scrub(dm DiskManager) ScrubReport {
 		return rep
 	}
 	if !meta.LevelOrder {
-		scrubWalk(dm, meta, &rep)
+		// An updated tree's live pages are whatever the root reaches.
+		live := 0
+		// With a fault recorder and a visit that cannot fail, the walk returns nil.
+		_ = walkTree(dm, meta, len(meta.Levels),
+			func(int, int, *rtree.NodeData) error { live++; return nil },
+			func(f PageFault) { rep.Faults = append(rep.Faults, f) })
+		if len(rep.Faults) == 0 && live != rep.Pages {
+			rep.MetaErr = fmt.Errorf("storage: catalog claims %d live pages but the root reaches %d",
+				rep.Pages, live)
+		}
 		return rep
 	}
 	buf := make([]byte, dm.PageSize())
@@ -90,68 +104,4 @@ func Scrub(dm DiskManager) ScrubReport {
 		}
 	}
 	return rep
-}
-
-// scrubWalk verifies a non-level-order (updated) tree: live pages are
-// whatever the root reaches, free pages hold stale bytes and are never
-// read. The walk checks each child reference against the file span and
-// the free list, and flags pages reached twice (a cycle or shared
-// child would otherwise loop or double-count).
-func scrubWalk(dm DiskManager, meta TreeMeta, rep *ScrubReport) {
-	span := meta.PageSpan()
-	free := make(map[int]bool, len(meta.Free))
-	for _, p := range meta.Free {
-		free[p] = true
-	}
-	seen := make(map[int]bool, rep.Pages)
-	buf := make([]byte, dm.PageSize())
-	live := 0
-
-	var walk func(page int)
-	walk = func(page int) {
-		if seen[page] {
-			rep.Faults = append(rep.Faults, PageFault{
-				Page: page,
-				Err:  fmt.Errorf("storage: page reachable twice (cycle or shared child)"),
-			})
-			return
-		}
-		seen[page] = true
-		live++
-		if err := dm.ReadPage(page, buf); err != nil {
-			rep.Faults = append(rep.Faults, PageFault{Page: page, Err: err})
-			return
-		}
-		nd, err := DecodeNode(buf, page)
-		if err != nil {
-			rep.Faults = append(rep.Faults, PageFault{Page: page, Err: err})
-			return
-		}
-		if nd.Leaf {
-			return
-		}
-		for i, child := range nd.Children {
-			switch {
-			case child < 0 || child >= span:
-				rep.Faults = append(rep.Faults, PageFault{
-					Page: page,
-					Err: fmt.Errorf("storage: entry %d references out-of-range child page %d (file spans %d pages)",
-						i, child, span),
-				})
-			case free[child]:
-				rep.Faults = append(rep.Faults, PageFault{
-					Page: page,
-					Err:  fmt.Errorf("storage: entry %d references free page %d", i, child),
-				})
-			default:
-				walk(child)
-			}
-		}
-	}
-	walk(0)
-
-	if rep.MetaErr == nil && len(rep.Faults) == 0 && live != rep.Pages {
-		rep.MetaErr = fmt.Errorf("storage: catalog claims %d live pages but the root reaches %d",
-			rep.Pages, live)
-	}
 }

@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"fmt"
+	"math/rand"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -142,4 +144,91 @@ func TestScrubFileManagerAfterAtomicSave(t *testing.T) {
 	if rep := Scrub(fm); !rep.Clean() {
 		t.Fatalf("atomically saved file scrubbed dirty: %+v", rep)
 	}
+}
+
+// freedFixture is an updated tree on a memory device whose deletes have
+// left pages on the free list.
+func freedFixture(t *testing.T) (*MemoryManager, TreeMeta) {
+	t.Helper()
+	items := randomItems(rand.New(rand.NewSource(53)), 200, 0)
+	dm, _, pt := openUpdatable(t, items, 16)
+	for _, it := range items[:150] {
+		if found, err := pt.Delete(it); err != nil || !found {
+			t.Fatalf("Delete %d: found=%v err=%v", it.ID, found, err)
+		}
+	}
+	meta := pt.Meta()
+	if meta.LevelOrder || len(meta.Free) == 0 {
+		t.Fatalf("LevelOrder=%v with %d free pages: the fixture does not test what it says", meta.LevelOrder, len(meta.Free))
+	}
+	if rep := Scrub(dm); !rep.Clean() {
+		t.Fatalf("fixture scrubbed dirty before tampering: %v", rep)
+	}
+	return dm, meta
+}
+
+// TestWalkChecksReachLoadTreePinLevelsAndScrub: the three readers that
+// walk a stored tree share one walk and so one set of checks. A live
+// entry re-pointed at a free page — re-encoded, so its checksum is valid
+// — is refused by LoadTree and PinLevels and reported by Scrub; a catalog
+// with fewer levels than the tree is deep is an error, not a panic.
+func TestWalkChecksReachLoadTreePinLevelsAndScrub(t *testing.T) {
+	wantFault := func(rep ScrubReport, want string) {
+		t.Helper()
+		for _, f := range rep.Faults {
+			if strings.Contains(f.Err.Error(), want) {
+				return
+			}
+		}
+		t.Errorf("Scrub: %v, want a fault containing %q", rep, want)
+	}
+
+	t.Run("free child", func(t *testing.T) {
+		dm, meta := freedFixture(t)
+		buf := make([]byte, dm.PageSize())
+		if err := dm.ReadPage(0, buf); err != nil {
+			t.Fatal(err)
+		}
+		nd, err := DecodeNode(buf, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if nd.Leaf {
+			t.Fatal("fixture tree has a leaf root")
+		}
+		nd.Children[0] = meta.Free[0]
+		page, err := EncodeNode(nd, dm.PageSize())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dm.WritePage(0, page); err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("references free page %d", meta.Free[0])
+
+		if _, err := LoadTree(dm); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("LoadTree: %v, want an error containing %q", err, want)
+		}
+		pt, err := OpenPagedTree(dm, meta.PageSpan())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := pt.PinLevels(len(meta.Levels)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("PinLevels(%d): %v, want an error containing %q", len(meta.Levels), err, want)
+		}
+		wantFault(Scrub(dm), want)
+	})
+
+	t.Run("deeper than the catalog", func(t *testing.T) {
+		dm, meta := freedFixture(t)
+		meta.Levels = meta.Levels[:len(meta.Levels)-1]
+		if err := dm.WriteMeta(encodeMetaV2(meta)); err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("below the catalog's %d levels", len(meta.Levels))
+		if _, err := LoadTree(dm); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("LoadTree: %v, want an error containing %q", err, want)
+		}
+		wantFault(Scrub(dm), want)
+	})
 }

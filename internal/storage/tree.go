@@ -271,17 +271,21 @@ func SaveTreeAtomicWith(path string, pageSize int, t *rtree.Tree, wrap func(Disk
 // structure. Use OpenPagedTree instead to query on-disk pages through a
 // buffer pool.
 func LoadTree(dm DiskManager) (*rtree.Tree, error) {
-	metaBuf, err := dm.ReadMeta()
+	meta, err := openMeta(dm)
 	if err != nil {
 		return nil, err
 	}
-	meta, err := decodeMeta(metaBuf)
-	if err != nil {
+	nodes := make([]rtree.NodeData, 0, meta.NumPages())
+	if err := walkTree(dm, meta, len(meta.Levels), func(_, depth int, nd *rtree.NodeData) error {
+		nd.Level = depth // a page does not store its node's level
+		nodes = append(nodes, *nd)
+		return nil
+	}, nil); err != nil {
 		return nil, err
 	}
-	nodes, err := readLiveNodes(dm, meta)
-	if err != nil {
-		return nil, err
+	if len(nodes) != meta.NumPages() {
+		return nil, fmt.Errorf("storage: catalog claims %d live pages but the root reaches %d",
+			meta.NumPages(), len(nodes))
 	}
 	return rtree.ImportNodes(rtree.Params{
 		MaxEntries: meta.MaxEntries,
@@ -290,60 +294,79 @@ func LoadTree(dm DiskManager) (*rtree.Tree, error) {
 	}, nodes)
 }
 
-// readLiveNodes reads every live node page. Level-order trees are read
-// with one linear scan; updated trees are walked from the root, since
-// their files interleave live and free pages and free pages hold stale
-// bytes that must not be decoded. A page does not store its node's level:
-// it is the level range the page falls in, or the depth the walk found it
-// at.
-func readLiveNodes(dm DiskManager, meta TreeMeta) ([]rtree.NodeData, error) {
+// walkTree is the one walk of a stored tree. It goes from the root,
+// depth first in entry order, reading pages through dm, and calls visit
+// for each page it reaches: with the decoded node above depth stop, and
+// with nil at depth stop, where it neither reads the page nor follows its
+// children. An updated tree's live pages lie among free ones that hold
+// stale bytes, so only what the root reaches is read, and before it
+// follows a child the walk checks that the child lies inside the file
+// span, is not a free page, has not been reached before (a cycle or a
+// shared child) and is not deeper than the catalog's levels. A failed
+// read, decode or check goes to fault, and the walk goes on past that
+// page or child; with fault nil it stops and returns the error. An error
+// from visit always stops it.
+func walkTree(dm DiskManager, meta TreeMeta, stop int,
+	visit func(page, depth int, nd *rtree.NodeData) error, fault func(PageFault)) error {
+	fail := func(page int, err error) error {
+		if fault == nil {
+			return err
+		}
+		fault(PageFault{Page: page, Err: err})
+		return nil
+	}
+	span, levels := meta.PageSpan(), len(meta.Levels)
+	free := make(map[int]bool, len(meta.Free))
+	for _, p := range meta.Free {
+		free[p] = true
+	}
+	seen := map[int]bool{0: true}
 	buf := make([]byte, dm.PageSize())
-	read := func(page, level int) (rtree.NodeData, error) {
+
+	var walk func(page, depth int) error
+	walk = func(page, depth int) error {
+		if depth == stop {
+			return visit(page, depth, nil)
+		}
 		if err := dm.ReadPage(page, buf); err != nil {
-			return rtree.NodeData{}, err
+			return fail(page, err)
 		}
 		nd, err := DecodeNode(buf, page)
-		nd.Level = level
-		return nd, err
-	}
-	nodes := make([]rtree.NodeData, 0, meta.NumPages())
-	if meta.LevelOrder {
-		for level := range meta.Levels {
-			lo, hi := meta.LevelPageRange(level)
-			for page := lo; page < hi; page++ {
-				nd, err := read(page, level)
-				if err != nil {
-					return nil, err
+		if err != nil {
+			return fail(page, err)
+		}
+		if err := visit(page, depth, &nd); err != nil {
+			return err
+		}
+		for i, child := range nd.Children {
+			var bad error
+			switch {
+			case child < 0 || child >= span:
+				bad = fmt.Errorf("storage: page %d entry %d references out-of-range child page %d (file spans %d pages)",
+					page, i, child, span)
+			case free[child]:
+				bad = fmt.Errorf("storage: page %d entry %d references free page %d", page, i, child)
+			case seen[child]:
+				bad = fmt.Errorf("storage: page %d entry %d references page %d, reached twice (cycle or shared child)",
+					page, i, child)
+			case depth+1 >= levels:
+				bad = fmt.Errorf("storage: page %d entry %d references page %d below the catalog's %d levels",
+					page, i, child, levels)
+			}
+			if bad != nil {
+				if err := fail(page, bad); err != nil {
+					return err
 				}
-				nodes = append(nodes, nd)
+				continue
+			}
+			seen[child] = true
+			if err := walk(child, depth+1); err != nil {
+				return err
 			}
 		}
-		return nodes, nil
+		return nil
 	}
-
-	span := meta.PageSpan()
-	seen := make(map[int]bool, meta.NumPages())
-	stack := []pageRef{{page: 0, depth: 0}}
-	for len(stack) > 0 {
-		ref := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if ref.page < 0 || ref.page >= span {
-			return nil, fmt.Errorf("storage: child page %d outside file span %d", ref.page, span)
-		}
-		if seen[ref.page] {
-			return nil, fmt.Errorf("storage: page %d reachable twice (cycle or shared child)", ref.page)
-		}
-		seen[ref.page] = true
-		nd, err := read(ref.page, ref.depth)
-		if err != nil {
-			return nil, err
-		}
-		for _, child := range nd.Children {
-			stack = append(stack, pageRef{page: child, depth: ref.depth + 1})
-		}
-		nodes = append(nodes, nd)
-	}
-	return nodes, nil
+	return walk(0, 0)
 }
 
 // PagedTree executes R-tree queries directly against stored pages through
@@ -458,13 +481,24 @@ func (pt *PagedTree) SetFlightRecorder(fr *obs.FlightRecorder) { pt.fr = fr }
 // PinLevels pins the top n levels of the tree in the buffer, the policy
 // studied in Section 5.5. On a level-order tree level pages are
 // contiguous, so this pins pages [0, pages(level<n)); on an updated
-// tree it walks from the root to find them.
+// tree it walks from the root to find them. The walk reads the structure
+// through the disk manager, not the pool, so the discovery reads do not
+// perturb hit/miss accounting — only the Pin loads themselves touch the
+// buffer, as in the level-order path.
 func (pt *PagedTree) PinLevels(n int) error {
 	if n < 0 || n > len(pt.meta.Levels) {
 		return fmt.Errorf("storage: pin %d levels of a %d-level tree", n, len(pt.meta.Levels))
 	}
 	if !pt.meta.LevelOrder {
-		return pt.pinWalk(0, 0, n)
+		if n == 0 {
+			return nil
+		}
+		return walkTree(pt.dm, pt.meta, n-1, func(page, depth int, _ *rtree.NodeData) error {
+			if err := pt.pool.Pin(page); err != nil {
+				return fmt.Errorf("storage: pinning level %d: %w", depth, err)
+			}
+			return nil
+		}, nil)
 	}
 	for level := 0; level < n; level++ {
 		lo, hi := pt.meta.LevelPageRange(level)
@@ -472,36 +506,6 @@ func (pt *PagedTree) PinLevels(n int) error {
 			if err := pt.pool.Pin(page); err != nil {
 				return fmt.Errorf("storage: pinning level %d: %w", level, err)
 			}
-		}
-	}
-	return nil
-}
-
-// pinWalk pins page (at the given depth) and recurses into its children
-// while depth+1 < n. Structure is read through the disk manager, not the
-// pool, so the discovery reads do not perturb hit/miss accounting — only
-// the Pin loads themselves touch the buffer, as in the level-order path.
-func (pt *PagedTree) pinWalk(page, depth, n int) error {
-	if err := pt.pool.Pin(page); err != nil {
-		return fmt.Errorf("storage: pinning level %d: %w", depth, err)
-	}
-	if depth+1 >= n || depth == len(pt.meta.Levels)-1 {
-		return nil
-	}
-	buf := make([]byte, pt.dm.PageSize())
-	if err := pt.dm.ReadPage(page, buf); err != nil {
-		return err
-	}
-	nd, err := DecodeNode(buf, page)
-	if err != nil {
-		return err
-	}
-	if nd.Leaf {
-		return nil
-	}
-	for _, child := range nd.Children {
-		if err := pt.pinWalk(child, depth+1, n); err != nil {
-			return err
 		}
 	}
 	return nil

@@ -168,9 +168,6 @@ func checkWALDevice(dev DiskManager, dataPageSize int) error {
 // SetMetrics attaches an obs mirror for WAL events; nil detaches.
 func (w *WAL) SetMetrics(m *Metrics) { w.metrics = m }
 
-// CommittedSeq returns the durable commit horizon.
-func (w *WAL) CommittedSeq() uint64 { return w.committedSeq }
-
 // AppliedBatch returns the checkpoint watermark: the highest batch ID
 // known to be fully in the page file.
 func (w *WAL) AppliedBatch() uint64 { return w.appliedBatch }
