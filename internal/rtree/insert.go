@@ -40,8 +40,6 @@ func (t *Tree) insertEntryCtx(e entry, height int, ctx *insertCtx) {
 	}
 	if len(n.entries) > t.params.MaxEntries {
 		t.overflow(n, ctx)
-	} else {
-		t.adjustUpward(n)
 	}
 }
 
@@ -62,6 +60,16 @@ func (t *Tree) overflow(n *node, ctx *insertCtx) {
 // smallest area (Guttman's ChooseLeaf, generalized to any level). Under
 // SplitRStar, the step onto the target level instead minimizes overlap
 // enlargement (the R* ChooseSubtree refinement).
+//
+// The descent also does AdjustTree's MBR work: it unions r into every
+// entry on the path, so once the caller appends r's entry to the returned
+// node every ancestor's rectangle again equals its child's MBR bit for bit
+// (CheckInvariants rule 1), and nothing is recomputed upward. This holds
+// because union is componentwise min/max, which is exact and
+// order-independent: the builtin min/max order -0 below +0, and valid
+// rectangles carry no NaN, so (old MBR) ∪ r is the MBR of the grown node
+// however its entries are ordered. A split that follows keeps the set of
+// items under the split node's parent, so nothing above the parent moves.
 func (t *Tree) chooseNode(r geom.Rect, height int) *node {
 	n := t.root
 	for n.height > height {
@@ -80,17 +88,17 @@ func (t *Tree) chooseNode(r geom.Rect, height int) *node {
 			}
 		}
 		// Extend the chosen subtree's MBR on the way down so ancestors are
-		// already correct when the entry lands (AdjustTree handles splits).
+		// already exact when the entry lands.
 		n.entries[best].rect = n.entries[best].rect.Union(r)
 		n = n.entries[best].child
 	}
 	return n
 }
 
-// splitAndAdjust splits the overflowing node n and propagates splits and
-// MBR updates toward the root (Guttman's AdjustTree). Overflows of
-// ancestors go back through the overflow treatment, so R* forced
-// reinsertion applies at upper levels too.
+// splitAndAdjust splits the overflowing node n and propagates splits
+// toward the root (Guttman's AdjustTree; chooseNode already made the
+// covering rectangles exact). Overflows of ancestors go back through the
+// overflow treatment, so R* forced reinsertion applies at upper levels too.
 func (t *Tree) splitAndAdjust(n *node, ctx *insertCtx) {
 	left, right := t.split(n)
 	p := n.parent
@@ -113,13 +121,12 @@ func (t *Tree) splitAndAdjust(n *node, ctx *insertCtx) {
 	right.parent = p
 	if len(p.entries) > t.params.MaxEntries {
 		t.overflow(p, ctx)
-	} else {
-		t.adjustUpward(p)
 	}
 }
 
-// adjustUpward recomputes MBRs from n to the root after a change that did
-// not overflow.
+// adjustUpward recomputes MBRs from n to the root. Inserts never need it
+// (see chooseNode); it is only for a node that lost entries, which R*
+// forced reinsertion leaves behind.
 func (t *Tree) adjustUpward(n *node) {
 	for n.parent != nil {
 		p := n.parent

@@ -38,12 +38,26 @@ func SplitIndices(alg SplitAlgorithm, minFill int, rects []geom.Rect) (left, rig
 	right = make([]int, 1, len(rects)-1)
 	left[0], right[0] = s1, s2
 	leftMBR, rightMBR := rects[s1], rects[s2]
+	leftArea, rightArea := leftMBR.Area(), rightMBR.Area()
 
 	remaining := make([]int, 0, len(rects)-2)
 	for i := range rects {
 		if i != s1 && i != s2 {
 			remaining = append(remaining, i)
 		}
+	}
+
+	// enl1[k] and enl2[k] are the enlargements remaining[k] would cost the
+	// left and the right group. A column changes only when its group's MBR
+	// grows, so each step recomputes at most one.
+	var stack1, stack2 [splitStackEntries]float64
+	enl1, enl2 := stack1[:0], stack2[:0]
+	if len(remaining) > splitStackEntries {
+		enl1, enl2 = make([]float64, 0, len(remaining)), make([]float64, 0, len(remaining))
+	}
+	for _, ri := range remaining {
+		enl1 = append(enl1, leftMBR.Union(rects[ri]).Area()-leftArea)
+		enl2 = append(enl2, rightMBR.Union(rects[ri]).Area()-rightArea)
 	}
 
 	for len(remaining) > 0 {
@@ -61,40 +75,66 @@ func SplitIndices(alg SplitAlgorithm, minFill int, rects []geom.Rect) (left, rig
 		// PickNext: entry with the greatest preference for one group,
 		// measured by the difference in enlargement cost.
 		bestIdx, bestDiff := 0, -1.0
-		for i, ri := range remaining {
-			d1 := leftMBR.Union(rects[ri]).Area() - leftMBR.Area()
-			d2 := rightMBR.Union(rects[ri]).Area() - rightMBR.Area()
-			diff := math.Abs(d1 - d2)
+		for k := range remaining {
+			diff := math.Abs(enl1[k] - enl2[k])
 			if diff > bestDiff {
-				bestIdx, bestDiff = i, diff
+				bestIdx, bestDiff = k, diff
 			}
 		}
-		ri := remaining[bestIdx]
-		remaining[bestIdx] = remaining[len(remaining)-1]
-		remaining = remaining[:len(remaining)-1]
+		ri, d1, d2 := remaining[bestIdx], enl1[bestIdx], enl2[bestIdx]
+		last := len(remaining) - 1
+		remaining[bestIdx], enl1[bestIdx], enl2[bestIdx] = remaining[last], enl1[last], enl2[last]
+		remaining, enl1, enl2 = remaining[:last], enl1[:last], enl2[:last]
 
 		// Distribute: least enlargement, ties by smaller area, then fewer
 		// entries (Guttman's resolution order).
-		d1 := leftMBR.Union(rects[ri]).Area() - leftMBR.Area()
-		d2 := rightMBR.Union(rects[ri]).Area() - rightMBR.Area()
 		toLeft := d1 < d2
 		if d1 == d2 {
-			a1, a2 := leftMBR.Area(), rightMBR.Area()
-			if a1 != a2 {
-				toLeft = a1 < a2
+			if leftArea != rightArea {
+				toLeft = leftArea < rightArea
 			} else {
 				toLeft = len(left) <= len(right)
 			}
 		}
 		if toLeft {
 			left = append(left, ri)
-			leftMBR = leftMBR.Union(rects[ri])
+			leftMBR, leftArea = growColumn(leftMBR, leftArea, rects[ri], rects, remaining, enl1)
 		} else {
 			right = append(right, ri)
-			rightMBR = rightMBR.Union(rects[ri])
+			rightMBR, rightArea = growColumn(rightMBR, rightArea, rects[ri], rects, remaining, enl2)
 		}
 	}
 	return left, right
+}
+
+// splitStackEntries bounds the nodes whose PickNext columns SplitIndices
+// keeps on the stack, so that no node a 4 KiB page holds (102 entries)
+// allocates for them.
+const splitStackEntries = 128
+
+// growColumn extends a group's MBR mbr (of area area) by r and returns
+// the new MBR and area. If the MBR grew, it recomputes the group's
+// enlargement column enl for the remaining entries; otherwise every
+// value in it is unchanged, operand for operand.
+func growColumn(mbr geom.Rect, area float64, r geom.Rect, rects []geom.Rect, remaining []int, enl []float64) (geom.Rect, float64) {
+	grown := mbr.Union(r)
+	if sameBits(grown, mbr) {
+		return mbr, area
+	}
+	area = grown.Area()
+	for k, ri := range remaining {
+		enl[k] = grown.Union(rects[ri]).Area() - area
+	}
+	return grown, area
+}
+
+// sameBits reports whether a and b have identical coordinates bit for
+// bit, so that -0 and +0 count as different.
+func sameBits(a, b geom.Rect) bool {
+	return math.Float64bits(a.MinX) == math.Float64bits(b.MinX) &&
+		math.Float64bits(a.MinY) == math.Float64bits(b.MinY) &&
+		math.Float64bits(a.MaxX) == math.Float64bits(b.MaxX) &&
+		math.Float64bits(a.MaxY) == math.Float64bits(b.MaxY)
 }
 
 // quadraticSeeds implements Guttman's PickSeeds: choose the pair of
@@ -104,8 +144,9 @@ func quadraticSeeds(rects []geom.Rect) (int, int) {
 	s1, s2 := 0, 1
 	worst := math.Inf(-1)
 	for i := 0; i < len(rects); i++ {
+		ri, ai := rects[i], rects[i].Area()
 		for j := i + 1; j < len(rects); j++ {
-			d := rects[i].Union(rects[j]).Area() - rects[i].Area() - rects[j].Area()
+			d := ri.Union(rects[j]).Area() - ai - rects[j].Area()
 			if d > worst {
 				worst, s1, s2 = d, i, j
 			}
