@@ -111,7 +111,7 @@ func VerifyPage(buf []byte) error {
 // its entries: the checksum, the entry count within the page, every
 // rectangle valid. DecodeNode runs it per call; the paged tree runs it
 // once, as the page enters the buffer pool (dmSource.ReadPage), which is
-// what lets its queries read entries in place with the accessors below.
+// what lets its queries walk the entries in place with pageEntries.
 func validatePage(buf []byte, page int) error {
 	if err := VerifyPage(buf); err != nil {
 		return fmt.Errorf("storage: page %d: %w", page, err)
@@ -120,37 +120,41 @@ func validatePage(buf []byte, page int) error {
 	if nodeHeaderSize+count*entrySize > len(buf) {
 		return fmt.Errorf("storage: page %d claims %d entries beyond page end", page, count)
 	}
-	for i := 0; i < count; i++ {
-		if r := entryRect(buf, i); !r.Valid() {
+	for i, e := 0, pageEntries(buf); len(e) >= entrySize; i, e = i+1, e[entrySize:] {
+		if r := getRect(e); !r.Valid() {
 			return fmt.Errorf("storage: page %d entry %d has invalid rect %v", page, i, r)
 		}
 	}
 	return nil
 }
 
-// In-place accessors over a validated page: the layout above, read
-// without materializing a NodeData.
+// In-place access to a validated page: the layout above, read without
+// materializing a NodeData. A reader steps through the entries with a
+// cursor over pageEntries,
+//
+//	for e := pageEntries(buf); len(e) >= entrySize; e = e[entrySize:]
+//
+// and reads entry e's fields with getRect, getPayload or getFloat at the
+// field's offset.
 
 func pageIsLeaf(buf []byte) bool { return buf[0]&flagLeaf != 0 }
 
 func pageCount(buf []byte) int { return int(binary.LittleEndian.Uint16(buf[2:4])) }
 
-// entryRect returns the rectangle of entry i.
-func entryRect(buf []byte, i int) geom.Rect {
-	e := buf[nodeHeaderSize+i*entrySize:][:entrySize]
-	return geom.Rect{
-		MinX: getFloat(e),
-		MinY: getFloat(e[8:]),
-		MaxX: getFloat(e[16:]),
-		MaxY: getFloat(e[24:]),
-	}
+// pageEntries returns the entry bytes of a page whose count validatePage
+// has checked against the page end: count*entrySize bytes, entry 0 first.
+func pageEntries(buf []byte) []byte {
+	return buf[nodeHeaderSize : nodeHeaderSize+pageCount(buf)*entrySize]
 }
 
-// entryPayload returns the payload of entry i: the child page of an
-// internal node's entry, the data ID of a leaf's.
-func entryPayload(buf []byte, i int) uint64 {
-	return binary.LittleEndian.Uint64(buf[nodeHeaderSize+i*entrySize+32:])
+// getRect returns the rectangle of the entry e starts with.
+func getRect(e []byte) geom.Rect {
+	return geom.Rect{MinX: getFloat(e), MinY: getFloat(e[8:]), MaxX: getFloat(e[16:]), MaxY: getFloat(e[24:])}
 }
+
+// getPayload returns the payload of the entry e starts with: the child
+// page of an internal node's entry, the data ID of a leaf's.
+func getPayload(e []byte) uint64 { return binary.LittleEndian.Uint64(e[32:]) }
 
 // DecodeNode parses a node page. page is recorded into the result; the
 // buffer is not retained. Level is left zero: a page does not know its
@@ -176,9 +180,9 @@ func DecodeNode(buf []byte, page int) (rtree.NodeData, error) {
 // allocates nothing.
 func decodeInto(nd *rtree.NodeData, buf []byte) {
 	nd.Leaf = pageIsLeaf(buf)
-	for i, n := 0, pageCount(buf); i < n; i++ {
-		nd.Rects = append(nd.Rects, entryRect(buf, i))
-		if payload := entryPayload(buf, i); nd.Leaf {
+	for e := pageEntries(buf); len(e) >= entrySize; e = e[entrySize:] {
+		nd.Rects = append(nd.Rects, getRect(e))
+		if payload := getPayload(e); nd.Leaf {
 			nd.IDs = append(nd.IDs, int64(payload))
 		} else {
 			nd.Children = append(nd.Children, int(payload))

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"rtreebuf/internal/geom"
@@ -61,6 +62,21 @@ func FuzzDecodeNode(f *testing.F) {
 			if !r.Valid() {
 				t.Fatalf("decoded invalid rect %v", r)
 			}
+		}
+		// The query scan reads the same entries in place: a window every
+		// valid rectangle intersects returns all of them, in page order.
+		leaf, items, kids := scanPage(data, everything)
+		if leaf != nd.Leaf || len(items)+len(kids) != len(nd.Rects) {
+			t.Fatalf("scanFrame: leaf %v, %d items, %d children; DecodeNode: leaf %v, %d entries",
+				leaf, len(items), len(kids), nd.Leaf, len(nd.Rects))
+		}
+		for i, it := range items {
+			if it.ID != nd.IDs[i] || !sameBits(it.Rect, nd.Rects[i]) {
+				t.Fatalf("scanFrame item %d = %v, DecodeNode entry = (%v, %d)", i, it, nd.Rects[i], nd.IDs[i])
+			}
+		}
+		if !nd.Leaf && !slices.Equal(kids, nd.Children) {
+			t.Fatalf("scanFrame children %v, DecodeNode %v", kids, nd.Children)
 		}
 		// Round trip: re-encoding must reproduce a decodable page.
 		if len(nd.Rects) <= NodeCapacity(4096) {

@@ -662,19 +662,34 @@ func (q *query) visit(page, depth int) error {
 
 // scanFrame is visit's View callback: the entries intersecting q.window
 // go to q.items (a leaf's) or q.kids[q.depth] (an internal node's).
+// The window test is geom.Rect.Intersects taken apart: the same four
+// comparisons in the same order, each field loaded only when the tests
+// before it passed, and each written !(a <= b) so that a NaN fails it
+// as it fails Intersects. One if per test compiles to a load, a compare
+// and a branch; a single || of the four would materialize booleans. The
+// payload is read only for a match.
 func (q *query) scanFrame(frame []byte) {
-	q.leaf = pageIsLeaf(frame)
-	for i, n := 0, pageCount(frame); i < n; i++ {
-		r := entryRect(frame, i)
-		if !r.Intersects(q.window) {
+	w, leaf := q.window, pageIsLeaf(frame)
+	q.leaf = leaf
+	for e := pageEntries(frame); len(e) >= entrySize; e = e[entrySize:] {
+		if !(getFloat(e) <= w.MaxX) {
 			continue
 		}
-		if q.leaf {
+		if !(w.MinX <= getFloat(e[16:])) {
+			continue
+		}
+		if !(getFloat(e[8:]) <= w.MaxY) {
+			continue
+		}
+		if !(w.MinY <= getFloat(e[24:])) {
+			continue
+		}
+		if leaf {
 			//lint:allow hotalloc scratch: grows to the largest result once per recycled query value
-			q.items = append(q.items, rtree.Item{Rect: r, ID: int64(entryPayload(frame, i))})
+			q.items = append(q.items, rtree.Item{Rect: getRect(e), ID: int64(getPayload(e))})
 		} else {
 			//lint:allow hotalloc scratch: grows to the fan-out once per recycled query value
-			q.kids[q.depth] = append(q.kids[q.depth], int(entryPayload(frame, i)))
+			q.kids[q.depth] = append(q.kids[q.depth], int(getPayload(e)))
 		}
 	}
 }
@@ -731,12 +746,12 @@ func (q *query) expandNode(n pageRef) error {
 
 // pushFrame is expandNode's View callback.
 func (q *query) pushFrame(frame []byte) {
-	leaf := pageIsLeaf(frame)
-	for i, n := 0, pageCount(frame); i < n; i++ {
-		if r := entryRect(frame, i); leaf {
-			q.frontier.PushItem(r, int64(entryPayload(frame, i)))
+	leaf, depth := pageIsLeaf(frame), q.node.depth+1
+	for e := pageEntries(frame); len(e) >= entrySize; e = e[entrySize:] {
+		if r, payload := getRect(e), getPayload(e); leaf {
+			q.frontier.PushItem(r, int64(payload))
 		} else {
-			q.frontier.PushNode(r, pageRef{int(entryPayload(frame, i)), q.node.depth + 1})
+			q.frontier.PushNode(r, pageRef{int(payload), depth})
 		}
 	}
 }
