@@ -86,8 +86,7 @@ func main() {
 	meta := paged.Meta()
 	fmt.Printf("tree:   %d items, %d pages, levels %v\n", meta.Items, meta.NumPages(), meta.Levels)
 	fmt.Printf("buffer: %d pages (%s, %d shard(s)), pinning %d levels\n", *bufferPages, policyLabel(*policy), *shards, *pin)
-	paged.Pool().SetMetrics(buffer.NewMetrics(reg, policyLabel(*policy)).
-		WithLevels(buffer.LevelsFromCounts(meta.Levels), len(meta.Levels)))
+	paged.SetMetrics(buffer.NewMetrics(reg, policyLabel(*policy)))
 	paged.SetFlightRecorder(fr)
 	if *pin > 0 {
 		fatalIf(paged.PinLevels(*pin))

@@ -44,14 +44,14 @@ func (c *Clock) Contains(page int) bool { return c.frameOf[page] != sentinel }
 func (c *Clock) Access(page int) bool {
 	if f := c.frameOf[page]; f != sentinel {
 		if c.pinned[page] {
-			c.pinHit(page)
+			c.pinHit()
 		} else {
-			c.hit(page)
+			c.hit()
 		}
 		c.ref[f] = true
 		return true
 	}
-	c.miss(page)
+	c.miss()
 	c.insert(page)
 	return false
 }
@@ -132,7 +132,7 @@ func (c *Clock) Pin(page int) error {
 		return err
 	}
 	if c.frameOf[page] == sentinel {
-		c.miss(page)
+		c.miss()
 		c.insert(page)
 	}
 	c.pinned[page] = true

@@ -93,20 +93,20 @@ func (c *ClockPro) Contains(page int) bool {
 // re-enters hot; a cold miss enters as a cold page in test.
 func (c *ClockPro) Access(page int) bool {
 	if c.pinned[page] {
-		c.pinHit(page)
+		c.pinHit()
 		return true
 	}
 	switch c.state[page] {
 	case cpHot, cpCold:
-		c.hit(page)
+		c.hit()
 		c.ref[page] = true
 		return true
 	case cpGhost:
-		c.miss(page)
+		c.miss()
 		c.admitGhost(page)
 		return false
 	default:
-		c.miss(page)
+		c.miss()
 		c.admitCold(page)
 		return false
 	}
@@ -319,7 +319,7 @@ func (c *ClockPro) Pin(page int) error {
 			c.nGhost--
 			c.state[page] = cpNone
 		}
-		c.miss(page)
+		c.miss()
 		if c.size >= c.capacity {
 			c.evictOne()
 		}

@@ -48,15 +48,15 @@ func (l *LRU) Contains(page int) bool { return l.resident[page] }
 // if needed). A miss models one disk access.
 func (l *LRU) Access(page int) bool {
 	if l.pinned[page] {
-		l.pinHit(page)
+		l.pinHit()
 		return true
 	}
 	if l.resident[page] {
-		l.hit(page)
+		l.hit()
 		l.moveToFront(int32(page))
 		return true
 	}
-	l.miss(page)
+	l.miss()
 	if l.size >= l.capacity {
 		l.evictLRU()
 	}
@@ -79,7 +79,7 @@ func (l *LRU) Pin(page int) error {
 	if l.resident[page] {
 		l.unlink(int32(page))
 	} else {
-		l.miss(page)
+		l.miss()
 		if l.size >= l.capacity {
 			if err := l.tryEvict(); err != nil {
 				return err

@@ -11,7 +11,10 @@ import (
 // the hand-rolled hits/misses/evictions triples each policy used to
 // carry); policyCounters keeps the exact counters the Stats contract
 // reports and, when a *Metrics is attached, mirrors each event into
-// obs-backed per-policy and per-tree-level counters. With no Metrics
+// obs-backed per-policy counters. The buffer counts pages and knows
+// nothing of the tree above it: the per-tree-level series are counted by
+// the reader that knows each node's level (Metrics.Level), next to the
+// access it makes through the pool. With no Metrics
 // attached the mirror is a nil-receiver no-op — zero allocations, one
 // predictable branch — so uninstrumented runs pay nothing on the
 // Access/Get hot path (guarded by BenchmarkObsDisabled and rtreelint's
@@ -19,9 +22,10 @@ import (
 
 // Metrics mirrors one policy's buffer events into an obs.Registry:
 // hits, misses, evictions, pin hits (hits on pinned pages), failed
-// source reads, and — when the page→level mapping is known — per-tree-
-// level hit/miss splits. A nil *Metrics disables mirroring; all methods
-// are nil-safe.
+// source reads, dirtied pages and write-backs; and, once WithLevels has
+// registered them, the per-tree-level hit/miss splits its caller counts
+// with Level. A nil *Metrics disables mirroring; all methods are
+// nil-safe.
 type Metrics struct {
 	reg    *obs.Registry
 	policy obs.Label
@@ -35,8 +39,7 @@ type Metrics struct {
 	writeBacks    *obs.Counter
 	writeFailures *obs.Counter
 
-	levelOf     []int // page -> tree level (root = 0); nil disables per-level series
-	levelHits   []*obs.Counter
+	levelHits   []*obs.Counter // by tree level, root = 0; empty until WithLevels
 	levelMisses []*obs.Counter
 }
 
@@ -62,15 +65,14 @@ func NewMetrics(reg *obs.Registry, policy string) *Metrics {
 	}
 }
 
-// WithLevels attaches a page→level mapping (root = 0, as produced by the
-// level-order page numbering every tree save uses) enabling the
-// buffer_level_{hits,misses}_total{policy,level} series. levels is the
-// number of tree levels. Returns m for chaining; nil-safe.
-func (m *Metrics) WithLevels(levelOf []int, levels int) *Metrics {
+// WithLevels registers the buffer_level_{hits,misses}_total{policy,level}
+// series for levels 0 (the root) through levels-1, which Level then
+// counts into; called again it re-registers for a tree whose height
+// changed. Returns m for chaining; nil-safe.
+func (m *Metrics) WithLevels(levels int) *Metrics {
 	if m == nil || levels <= 0 {
 		return m
 	}
-	m.levelOf = levelOf
 	m.levelHits = make([]*obs.Counter, levels)
 	m.levelMisses = make([]*obs.Counter, levels)
 	for lvl := 0; lvl < levels; lvl++ {
@@ -81,64 +83,42 @@ func (m *Metrics) WithLevels(levelOf []int, levels int) *Metrics {
 	return m
 }
 
-// LevelsFromCounts expands per-level page counts (root first, the
-// storage.TreeMeta.Levels shape) into the page→level mapping WithLevels
-// takes.
-func LevelsFromCounts(counts []int) []int {
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	out := make([]int, 0, total)
-	for lvl, c := range counts {
-		for i := 0; i < c; i++ {
-			out = append(out, lvl)
-		}
-	}
-	return out
-}
-
-func (m *Metrics) levelHit(page int) {
-	if m.levelOf == nil || page >= len(m.levelOf) {
+// Level counts one access to a node at the given tree level (root = 0)
+// as a hit or a miss. The buffer does not know what a page holds, so the
+// caller that does — the reader that walked to the node — reports it
+// beside the access itself. A level WithLevels did not register is not
+// counted; nil-safe.
+func (m *Metrics) Level(level int, hit bool) {
+	if m == nil || uint(level) >= uint(len(m.levelHits)) {
 		return
 	}
-	if lvl := m.levelOf[page]; lvl >= 0 && lvl < len(m.levelHits) {
-		m.levelHits[lvl].Inc()
+	if hit {
+		m.levelHits[level].Inc()
+	} else {
+		m.levelMisses[level].Inc()
 	}
 }
 
-func (m *Metrics) levelMiss(page int) {
-	if m.levelOf == nil || page >= len(m.levelOf) {
-		return
-	}
-	if lvl := m.levelOf[page]; lvl >= 0 && lvl < len(m.levelMisses) {
-		m.levelMisses[lvl].Inc()
-	}
-}
-
-func (m *Metrics) onHit(page int) {
+func (m *Metrics) onHit() {
 	if m == nil {
 		return
 	}
 	m.hits.Inc()
-	m.levelHit(page)
 }
 
-func (m *Metrics) onPinHit(page int) {
+func (m *Metrics) onPinHit() {
 	if m == nil {
 		return
 	}
 	m.hits.Inc()
 	m.pinHits.Inc()
-	m.levelHit(page)
 }
 
-func (m *Metrics) onMiss(page int) {
+func (m *Metrics) onMiss() {
 	if m == nil {
 		return
 	}
 	m.misses.Inc()
-	m.levelMiss(page)
 }
 
 func (m *Metrics) onEvict() {
@@ -190,19 +170,19 @@ type policyCounters struct {
 // SetMetrics attaches (or with nil detaches) the obs mirror.
 func (c *policyCounters) SetMetrics(m *Metrics) { c.metrics = m }
 
-func (c *policyCounters) hit(page int) {
+func (c *policyCounters) hit() {
 	c.hits++
-	c.metrics.onHit(page)
+	c.metrics.onHit()
 }
 
-func (c *policyCounters) pinHit(page int) {
+func (c *policyCounters) pinHit() {
 	c.hits++
-	c.metrics.onPinHit(page)
+	c.metrics.onPinHit()
 }
 
-func (c *policyCounters) miss(page int) {
+func (c *policyCounters) miss() {
 	c.misses++
-	c.metrics.onMiss(page)
+	c.metrics.onMiss()
 }
 
 func (c *policyCounters) evict() {
@@ -227,26 +207,6 @@ func (c *policyCounters) HitRatio() float64 {
 		return 0
 	}
 	return float64(c.hits) / float64(total)
-}
-
-// shardView returns a shallow clone of m for shard number `shard` of n:
-// the obs counters are shared (shards sum into one per-policy series),
-// but the page→level mapping is remapped so a shard reporting its local
-// page numbers still increments the right global level. Nil-safe; with
-// n == 1 the mapping is the identity and m itself is returned.
-func (m *Metrics) shardView(shard, n int) *Metrics {
-	if m == nil || n <= 1 {
-		return m
-	}
-	v := *m
-	if m.levelOf != nil {
-		locals := shardPages(len(m.levelOf), n, shard)
-		v.levelOf = make([]int, locals)
-		for local := 0; local < locals; local++ {
-			v.levelOf[local] = m.levelOf[local*n+shard]
-		}
-	}
-	return &v
 }
 
 // PolicyName returns the metrics label of a replacement policy.

@@ -52,33 +52,48 @@ func TestMetricsMirrorsStats(t *testing.T) {
 	}
 }
 
-// TestMetricsPerLevel checks per-level splits sum to the policy totals.
+// TestMetricsPerLevel: WithLevels registers one hit and one miss series
+// per level, Level counts into them and nothing else, a level outside
+// the registered ones is dropped, and re-registering for a taller tree
+// keeps the counts already made. The sim's and storage's per-level tests
+// hold the series to the pool totals.
 func TestMetricsPerLevel(t *testing.T) {
 	reg := obs.NewRegistry()
-	// Pages 0 is level 0 (root); pages 1..3 are level 1.
-	levelOf := LevelsFromCounts([]int{1, 3})
-	if len(levelOf) != 4 || levelOf[0] != 0 || levelOf[3] != 1 {
-		t.Fatalf("LevelsFromCounts = %v", levelOf)
-	}
-	c := NewClock(2, 4)
-	c.SetMetrics(NewMetrics(reg, "clock").WithLevels(levelOf, 2))
+	m := NewMetrics(reg, "clock").WithLevels(2)
+	m.Level(0, false)
+	m.Level(0, true)
+	m.Level(1, false)
+	m.Level(1, false)
+	m.Level(1, true)
+	m.Level(2, true) // not registered: dropped
 
-	c.Access(0) // miss level 0
-	c.Access(0) // hit level 0
-	c.Access(1) // miss level 1
-	c.Access(2) // miss level 1 (evicts)
-	c.Access(2) // hit level 1
-
-	hits, misses, _ := c.Stats()
-	lvlHits := counterValue(t, reg, `buffer_level_hits_total{level="0",policy="clock"}`) +
-		counterValue(t, reg, `buffer_level_hits_total{level="1",policy="clock"}`)
-	lvlMisses := counterValue(t, reg, `buffer_level_misses_total{level="0",policy="clock"}`) +
-		counterValue(t, reg, `buffer_level_misses_total{level="1",policy="clock"}`)
-	if lvlHits != float64(hits) || lvlMisses != float64(misses) {
-		t.Errorf("per-level sums %v/%v != totals %d/%d", lvlHits, lvlMisses, hits, misses)
+	want := map[string]float64{
+		`buffer_level_hits_total{level="0",policy="clock"}`:   1,
+		`buffer_level_misses_total{level="0",policy="clock"}`: 1,
+		`buffer_level_hits_total{level="1",policy="clock"}`:   1,
+		`buffer_level_misses_total{level="1",policy="clock"}`: 2,
+		`buffer_hits_total{policy="clock"}`:                   0,
+		`buffer_misses_total{policy="clock"}`:                 0,
 	}
-	if got := counterValue(t, reg, `buffer_level_hits_total{level="0",policy="clock"}`); got != 1 {
-		t.Errorf("level-0 hits = %v, want 1", got)
+	for name, w := range want {
+		if got := counterValue(t, reg, name); got != w {
+			t.Errorf("%s = %v, want %v", name, got, w)
+		}
+	}
+
+	m.WithLevels(3)
+	m.Level(2, true)
+	if got := counterValue(t, reg, `buffer_level_hits_total{level="2",policy="clock"}`); got != 1 {
+		t.Errorf("level-2 hits after WithLevels(3) = %v, want 1", got)
+	}
+	if got := counterValue(t, reg, `buffer_level_misses_total{level="1",policy="clock"}`); got != 2 {
+		t.Errorf("level-1 misses after re-registering = %v, want 2", got)
+	}
+
+	var off *Metrics
+	off.Level(0, true) // nil-safe
+	if off.WithLevels(2) != nil {
+		t.Error("nil WithLevels returned non-nil")
 	}
 }
 

@@ -118,7 +118,7 @@ func (c *policyCore) Full() bool { return c.size >= c.capacity }
 func (c *policyCore) SetOnEvict(f func(page int)) { c.onEvict = f }
 
 // NoteMiss counts a miss without touching residency (see PoolPolicy).
-func (c *policyCore) NoteMiss(page int) { c.miss(page) }
+func (c *policyCore) NoteMiss(page int) { c.miss() }
 
 // checkPin rejects pinning when every slot is already pinned.
 func (c *policyCore) checkPin(page int) error {
@@ -317,11 +317,10 @@ func (s *Sharded) HitRatio() float64 {
 	return float64(h) / float64(h+m)
 }
 
-// SetMetrics attaches the obs mirror to every shard. Per-level series
-// need global page numbers, so each shard gets a view that remaps its
-// local pages back through the shard stride.
+// SetMetrics attaches the obs mirror to every shard; the shards sum
+// into one set of series.
 func (s *Sharded) SetMetrics(m *Metrics) {
-	for i, p := range s.shards {
-		p.SetMetrics(m.shardView(i, s.n))
+	for _, p := range s.shards {
+		p.SetMetrics(m)
 	}
 }

@@ -238,12 +238,12 @@ func (s *ShardedPool) Unpin(page int) {
 }
 
 // SetMetrics attaches an obs mirror: every shard shares the mirror's
-// (atomic) counters, with per-level series remapped through the shard
-// stride so they report global levels. Nil detaches.
+// (atomic) counters, so the shards sum into one set of series. Nil
+// detaches.
 func (s *ShardedPool) SetMetrics(m *Metrics) {
-	for i, sh := range s.shards {
+	for _, sh := range s.shards {
 		sh.mu.Lock()
-		sh.pool.SetMetrics(m.shardView(i, s.n))
+		sh.pool.SetMetrics(m)
 		sh.mu.Unlock()
 	}
 }

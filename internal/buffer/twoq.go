@@ -85,23 +85,23 @@ func (t *TwoQ) Contains(page int) bool {
 // Am; a cold miss enters A1in.
 func (t *TwoQ) Access(page int) bool {
 	if t.pinned[page] {
-		t.pinHit(page)
+		t.pinHit()
 		return true
 	}
 	switch t.where[page] {
 	case qAm:
-		t.hit(page)
+		t.hit()
 		t.qMoveToFront(&t.am, int32(page))
 		return true
 	case qA1in:
-		t.hit(page)
+		t.hit()
 		return true
 	case qA1out:
-		t.miss(page)
+		t.miss()
 		t.admit(page, true)
 		return false
 	default:
-		t.miss(page)
+		t.miss()
 		t.admit(page, false)
 		return false
 	}
@@ -212,7 +212,7 @@ func (t *TwoQ) Pin(page int) error {
 			t.qRemove(&t.a1out, int32(page))
 			t.where[page] = qNone
 		}
-		t.miss(page)
+		t.miss()
 		if t.size >= t.capacity {
 			t.evictOne()
 		}

@@ -108,9 +108,7 @@ func runExtSystem(cfg Config) (*Report, error) {
 			if label == "" {
 				label = "lru"
 			}
-			meta := paged.Meta()
-			paged.Pool().SetMetrics(buffer.NewMetrics(reg, label).
-				WithLevels(buffer.LevelsFromCounts(meta.Levels), len(meta.Levels)))
+			paged.SetMetrics(buffer.NewMetrics(reg, label))
 			prediction, err := monitor.PredictionFor(pred, label, b, 0, cfg.Shards)
 			if err != nil {
 				return nil, err

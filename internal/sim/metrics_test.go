@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"rtreebuf/internal/buffer"
 	"rtreebuf/internal/obs"
 )
 
@@ -65,6 +66,56 @@ func TestRunMetricsContent(t *testing.T) {
 	// Per-level series exist for the root level.
 	if _, ok := snapValue(t, reg, `buffer_level_hits_total{level="0",policy="lru"}`); !ok {
 		t.Error("per-level buffer series missing from sim registry")
+	}
+}
+
+// TestRunLevelSeriesSumToTotals: the replica counts every access and
+// every pin at its page's level, so the per-level series split the
+// policy's hits and misses exactly, under LRU and under the sharded
+// policy, whose shards share one mirror. With the root pinned, its one
+// miss is the pin.
+func TestRunLevelSeriesSumToTotals(t *testing.T) {
+	levels, _ := fixtureLevels(t, 2000, 20)
+	sharded := func(capacity, numPages int) buffer.Policy {
+		lru := func(c, n int) buffer.PoolPolicy { return buffer.NewLRU(c, n) }
+		return buffer.NewSharded(lru, capacity, numPages, 3)
+	}
+	for name, policy := range map[string]func(int, int) buffer.Policy{"lru": nil, "sharded": sharded} {
+		t.Run(name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			cfg := Config{BufferSize: 30, PinLevels: 1, Batches: 2, BatchSize: 500, Seed: 7, Metrics: reg, Policy: policy}
+			if _, err := Run(levels, UniformPoints{}, cfg); err != nil {
+				t.Fatal(err)
+			}
+			var hits, misses, lvlHits, lvlMisses float64
+			rootMisses := -1.0
+			for _, s := range reg.Snapshot() {
+				switch s.Name {
+				case "buffer_hits_total":
+					hits += s.Value
+				case "buffer_misses_total":
+					misses += s.Value
+				case "buffer_level_hits_total":
+					lvlHits += s.Value
+				case "buffer_level_misses_total":
+					lvlMisses += s.Value
+					for _, l := range s.Labels {
+						if l.Key == "level" && l.Value == "0" {
+							rootMisses = s.Value
+						}
+					}
+				}
+			}
+			if hits == 0 || misses == 0 {
+				t.Fatalf("policy counted %v hits %v misses: the run exercised nothing", hits, misses)
+			}
+			if lvlHits != hits || lvlMisses != misses {
+				t.Errorf("per-level Σ %v hits %v misses, policy %v and %v", lvlHits, lvlMisses, hits, misses)
+			}
+			if rootMisses != 1 {
+				t.Errorf("pinned root missed %v times, want 1 (the pin)", rootMisses)
+			}
+		})
 	}
 }
 

@@ -301,6 +301,12 @@ type replica struct {
 	lru   buffer.Policy
 	pages []int32 // the last query's touched pages; scratch reused across queries
 	fill  int     // first cold-start query after which the buffer was full (0 = not yet)
+
+	// metrics, when a registry is attached, is lru's obs mirror; the
+	// replica counts each access into its per-level series at
+	// levelOf[page], the level the buffer does not know.
+	metrics *buffer.Metrics
+	levelOf []int
 }
 
 // newReplica builds the replacement policy over pages numbered like
@@ -314,18 +320,22 @@ func (c Config) newReplica(next source, levelOf []int) (*replica, error) {
 	} else {
 		lru = buffer.NewLRU(c.BufferSize, m)
 	}
+	r := &replica{next: next, lru: lru, levelOf: levelOf}
 	if c.Metrics != nil {
 		// Attach the obs mirror before pinning so pin faults are
 		// mirrored too.
-		lru.SetMetrics(buffer.NewMetrics(c.Metrics, buffer.PolicyName(lru)).
-			WithLevels(levelOf, levelOf[m-1]+1))
+		r.metrics = buffer.NewMetrics(c.Metrics, buffer.PolicyName(lru)).WithLevels(levelOf[m-1] + 1)
+		lru.SetMetrics(r.metrics)
 	}
 	for page := 0; page < m && levelOf[page] < c.PinLevels; page++ {
 		if err := lru.Pin(page); err != nil {
 			return nil, fmt.Errorf("sim: pinning %d levels: %w", c.PinLevels, err)
 		}
+		// The buffer is cold and each page is pinned once: every pin
+		// reads its page, one miss.
+		r.metrics.Level(levelOf[page], false)
 	}
-	return &replica{next: next, lru: lru}, nil
+	return r, nil
 }
 
 // query issues one query through the buffer and returns its node
@@ -333,8 +343,12 @@ func (c Config) newReplica(next source, levelOf []int) (*replica, error) {
 func (r *replica) query() (accesses, misses int) {
 	r.pages = r.next(r.pages[:0])
 	for _, page := range r.pages {
-		if !r.lru.Access(int(page)) {
+		hit := r.lru.Access(int(page))
+		if !hit {
 			misses++
+		}
+		if r.metrics != nil {
+			r.metrics.Level(r.levelOf[page], hit)
 		}
 	}
 	return len(r.pages), misses

@@ -60,8 +60,7 @@ type FaultManager struct {
 
 	tornWrites map[uint64]int // write number -> bytes actually persisted
 
-	stats   FaultStats
-	metrics *Metrics
+	stats FaultStats
 }
 
 // NewFaultManager wraps inner with an empty fault plan. With no plan
@@ -169,47 +168,10 @@ func (f *FaultManager) CorruptStoredPage(page int) error {
 
 func (f *FaultManager) checkCrashed() error {
 	if f.crashed {
-		f.noteCrashedOp()
+		f.stats.CrashedOps++
 		return ErrCrashed
 	}
 	return nil
-}
-
-// The note helpers bump the result-bearing FaultStats field and mirror
-// the event into the obs registry (when attached).
-func (f *FaultManager) noteCrashedOp() {
-	f.stats.CrashedOps++
-	if f.metrics != nil {
-		f.metrics.faultCrashedOps.Inc()
-	}
-}
-
-func (f *FaultManager) noteTransientRead() {
-	f.stats.TransientReads++
-	if f.metrics != nil {
-		f.metrics.faultTransientReads.Inc()
-	}
-}
-
-func (f *FaultManager) noteTransientWrite() {
-	f.stats.TransientWrites++
-	if f.metrics != nil {
-		f.metrics.faultTransientWrites.Inc()
-	}
-}
-
-func (f *FaultManager) notePermanentRead() {
-	f.stats.PermanentReads++
-	if f.metrics != nil {
-		f.metrics.faultPermanentReads.Inc()
-	}
-}
-
-func (f *FaultManager) noteTornWrite() {
-	f.stats.TornWrites++
-	if f.metrics != nil {
-		f.metrics.faultTornWrites.Inc()
-	}
 }
 
 // PageSize implements DiskManager.
@@ -225,15 +187,15 @@ func (f *FaultManager) ReadPage(page int, dst []byte) error {
 	}
 	f.reads++
 	if f.badPages[page] {
-		f.notePermanentRead()
+		f.stats.PermanentReads++
 		return fmt.Errorf("storage: injected permanent read fault on page %d", page)
 	}
 	if f.transientReadEvery > 0 && f.reads%f.transientReadEvery == 0 {
-		f.noteTransientRead()
+		f.stats.TransientReads++
 		return fmt.Errorf("storage: injected fault on read %d of page %d: %w", f.reads, page, ErrTransient)
 	}
 	if f.readFaultProb > 0 && f.rng.Float64() < f.readFaultProb {
-		f.noteTransientRead()
+		f.stats.TransientReads++
 		return fmt.Errorf("storage: injected fault on read %d of page %d: %w", f.reads, page, ErrTransient)
 	}
 	return f.inner.ReadPage(page, dst)
@@ -247,15 +209,15 @@ func (f *FaultManager) WritePage(page int, data []byte) error {
 	f.writes++
 	if f.crashArmed && f.writes > f.crashAfterWrites {
 		f.crashed = true
-		f.noteCrashedOp()
+		f.stats.CrashedOps++
 		return fmt.Errorf("storage: crash point at write %d: %w", f.writes, ErrCrashed)
 	}
 	if f.transientWriteEvery > 0 && f.writes%f.transientWriteEvery == 0 {
-		f.noteTransientWrite()
+		f.stats.TransientWrites++
 		return fmt.Errorf("storage: injected fault on write %d of page %d: %w", f.writes, page, ErrTransient)
 	}
 	if keep, torn := f.tornWrites[f.writes]; torn {
-		f.noteTornWrite()
+		f.stats.TornWrites++
 		return f.tornWrite(page, data, keep)
 	}
 	return f.inner.WritePage(page, data)
@@ -290,11 +252,11 @@ func (f *FaultManager) WriteMeta(meta []byte) error {
 	f.writes++
 	if f.crashArmed && f.writes > f.crashAfterWrites {
 		f.crashed = true
-		f.noteCrashedOp()
+		f.stats.CrashedOps++
 		return fmt.Errorf("storage: crash point at write %d (meta): %w", f.writes, ErrCrashed)
 	}
 	if f.transientWriteEvery > 0 && f.writes%f.transientWriteEvery == 0 {
-		f.noteTransientWrite()
+		f.stats.TransientWrites++
 		return fmt.Errorf("storage: injected fault on meta write %d: %w", f.writes, ErrTransient)
 	}
 	return f.inner.WriteMeta(meta)
@@ -330,7 +292,7 @@ func (f *FaultManager) ResetStats() { f.inner.ResetStats() }
 func (f *FaultManager) Close() error {
 	err := f.inner.Close()
 	if f.crashed {
-		f.noteCrashedOp()
+		f.stats.CrashedOps++
 		return fmt.Errorf("storage: close after crash (inner close error: %v): %w", err, ErrCrashed)
 	}
 	return err

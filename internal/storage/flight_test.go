@@ -131,7 +131,7 @@ func TestStagedReadAttribution(t *testing.T) {
 			} {
 				info, _ := twin.pool.View(tc.page, func([]byte) {})
 				u.reset()
-				n, err := u.node(tc.page)
+				n, err := u.node(tc.page, 0) // no metrics attached: the depth is not counted
 				gh, gm, ge := pt.Pool().Stats()
 				wh, wm, we := twin.Pool().Stats()
 				if gh != wh || gm != wm || ge != we || info.Hit != tc.hit {

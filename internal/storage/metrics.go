@@ -4,9 +4,9 @@ import "rtreebuf/internal/obs"
 
 // Metrics mirrors storage-layer events into an obs.Registry: physical
 // page transfers (count and bytes), fsyncs, the resilience layer's
-// retry outcomes, injected faults by kind, and scrub findings. Like the
-// buffer mirror it is purely additive — the result-bearing IOStats /
-// RetryStats / FaultStats structs stay the source of truth, the obs
+// retry outcomes, and the WAL's records, commits, checkpoints and
+// replays. Like the buffer mirror it is purely additive — the
+// result-bearing IOStats / RetryStats structs stay the source of truth, the obs
 // series are cumulative shadows — and a nil *Metrics disables every
 // method at the cost of one branch (zero allocations, guarded by
 // BenchmarkObsDisabled).
@@ -20,15 +20,6 @@ type Metrics struct {
 	retries    *obs.Counter
 	recoveries *obs.Counter
 	giveups    *obs.Counter
-
-	faultTransientReads  *obs.Counter
-	faultTransientWrites *obs.Counter
-	faultPermanentReads  *obs.Counter
-	faultTornWrites      *obs.Counter
-	faultCrashedOps      *obs.Counter
-
-	scrubPages  *obs.Counter
-	scrubFaults *obs.Counter
 
 	walRecords            *obs.Counter
 	walCommits            *obs.Counter
@@ -45,7 +36,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	if reg == nil {
 		return nil
 	}
-	kind := func(k string) obs.Label { return obs.L("kind", k) }
 	return &Metrics{
 		reads:      reg.Counter("storage_page_reads_total"),
 		writes:     reg.Counter("storage_page_writes_total"),
@@ -56,15 +46,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		retries:    reg.Counter("storage_retries_total"),
 		recoveries: reg.Counter("storage_retry_recoveries_total"),
 		giveups:    reg.Counter("storage_retry_giveups_total"),
-
-		faultTransientReads:  reg.Counter("storage_faults_injected_total", kind("transient_read")),
-		faultTransientWrites: reg.Counter("storage_faults_injected_total", kind("transient_write")),
-		faultPermanentReads:  reg.Counter("storage_faults_injected_total", kind("permanent_read")),
-		faultTornWrites:      reg.Counter("storage_faults_injected_total", kind("torn_write")),
-		faultCrashedOps:      reg.Counter("storage_faults_injected_total", kind("crashed_op")),
-
-		scrubPages:  reg.Counter("storage_scrub_pages_total"),
-		scrubFaults: reg.Counter("storage_scrub_faults_total"),
 
 		walRecords:            reg.Counter("storage_wal_records_total"),
 		walCommits:            reg.Counter("storage_wal_commits_total"),
@@ -161,22 +142,11 @@ func (m *Metrics) noteWALReplayedBatch() {
 	m.walReplayedBatches.Inc()
 }
 
-// Record mirrors a scrub pass into the metrics: pages scanned and faults
-// found. Call it once per Scrub; nil-safe.
-func (r ScrubReport) Record(m *Metrics) {
-	if m == nil {
-		return
-	}
-	m.scrubPages.Add(uint64(r.Pages))
-	m.scrubFaults.Add(uint64(len(r.Faults)))
-	if r.MetaErr != nil {
-		m.scrubFaults.Inc()
-	}
-}
-
 // SetManagerMetrics attaches m to dm and, for the wrapping managers
 // (resilient, fault), descends into the wrapped manager too, so one call
-// instruments a whole stack. Managers of unknown type are skipped.
+// instruments a whole stack. A fault manager is a test harness and keeps
+// its own record (FaultStats); it only passes m down. Managers of
+// unknown type are skipped.
 func SetManagerMetrics(dm DiskManager, m *Metrics) {
 	for dm != nil {
 		switch v := dm.(type) {
@@ -190,7 +160,6 @@ func SetManagerMetrics(dm DiskManager, m *Metrics) {
 			v.metrics = m
 			dm = v.inner
 		case *FaultManager:
-			v.metrics = m
 			dm = v.inner
 		default:
 			return

@@ -68,28 +68,8 @@ func TestMetricsMirrorIO(t *testing.T) {
 	if got := obsValue(t, reg, "storage_retry_recoveries_total"); got != float64(rs.Recoveries) {
 		t.Errorf("obs recoveries = %v, stats %d", got, rs.Recoveries)
 	}
-	fs := fault.FaultStats()
-	if got := obsValue(t, reg, `storage_faults_injected_total{kind="transient_read"}`); got != float64(fs.TransientReads) {
-		t.Errorf("obs transient reads = %v, stats %d", got, fs.TransientReads)
-	}
 	// Close syncs the file at least once.
 	if got := obsValue(t, reg, "storage_fsyncs_total"); got < 1 {
 		t.Errorf("obs fsyncs = %v, want >= 1", got)
 	}
-}
-
-// TestScrubRecord mirrors a scrub report into the registry.
-func TestScrubRecord(t *testing.T) {
-	reg := obs.NewRegistry()
-	m := NewMetrics(reg)
-	rep := ScrubReport{Pages: 9, Faults: []PageFault{{Page: 3}, {Page: 5}}}
-	rep.Record(m)
-	if got := obsValue(t, reg, "storage_scrub_pages_total"); got != 9 {
-		t.Errorf("scrub pages = %v, want 9", got)
-	}
-	if got := obsValue(t, reg, "storage_scrub_faults_total"); got != 2 {
-		t.Errorf("scrub faults = %v, want 2", got)
-	}
-	// Nil metrics is a no-op, not a panic.
-	rep.Record(nil)
 }

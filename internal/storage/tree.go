@@ -383,6 +383,11 @@ type PagedTree struct {
 	// unconditionally with zero overhead).
 	fr *obs.FlightRecorder
 
+	// metrics, when attached, is the pool's obs mirror, which the tree
+	// feeds the per-level series the pool cannot: each read is counted at
+	// the level of the node it reads (nil — the default — disables it).
+	metrics *buffer.Metrics
+
 	// queries recycles per-query scratch (*query) between queries, so a
 	// steady-state query allocates its result slice and nothing else.
 	queries sync.Pool
@@ -478,6 +483,21 @@ func (pt *PagedTree) Pool() buffer.PagePool { return pt.pool }
 // returns.
 func (pt *PagedTree) SetFlightRecorder(fr *obs.FlightRecorder) { pt.fr = fr }
 
+// SetMetrics attaches (or with nil detaches) the buffer's obs mirror.
+// The pool counts its hits and misses into m; the tree, which knows the
+// level of every node it reads, counts each of those reads once more
+// into m's per-level series, registered here for the tree's height and
+// again by every commit that changes it. Every read of a query, a scan,
+// an update or a pin is counted, so the levels sum to the pool's hits
+// plus misses; the one exception is a child pointer naming a page past
+// the file, which the pool rejects uncounted and the levels, like the
+// flight recorder, count as a miss. Attach it before PinLevels for the
+// pins to be counted.
+func (pt *PagedTree) SetMetrics(m *buffer.Metrics) {
+	pt.metrics = m.WithLevels(len(pt.meta.Levels))
+	pt.pool.SetMetrics(m)
+}
+
 // PinLevels pins the top n levels of the tree in the buffer, the policy
 // studied in Section 5.5. On a level-order tree level pages are
 // contiguous, so this pins pages [0, pages(level<n)); on an updated
@@ -494,19 +514,39 @@ func (pt *PagedTree) PinLevels(n int) error {
 			return nil
 		}
 		return walkTree(pt.dm, pt.meta, n-1, func(page, depth int, _ *rtree.NodeData) error {
-			if err := pt.pool.Pin(page); err != nil {
-				return fmt.Errorf("storage: pinning level %d: %w", depth, err)
-			}
-			return nil
+			return pt.pin(page, depth)
 		}, nil)
 	}
 	for level := 0; level < n; level++ {
 		lo, hi := pt.meta.LevelPageRange(level)
 		for page := lo; page < hi; page++ {
-			if err := pt.pool.Pin(page); err != nil {
-				return fmt.Errorf("storage: pinning level %d: %w", level, err)
+			if err := pt.pin(page, level); err != nil {
+				return err
 			}
 		}
+	}
+	return nil
+}
+
+// pin pins page, a node at the given level, and counts the pin into the
+// per-level series as the pool counted it: a pin counts no hit, and one
+// that read its page counts one miss. Pin does not say whether it read,
+// so the miss is the pool's miss count moving — exact while no query
+// runs beside PinLevels, which sets up a workload rather than taking
+// part in one.
+func (pt *PagedTree) pin(page, level int) error {
+	var before uint64
+	if pt.metrics != nil {
+		_, before, _ = pt.pool.Stats()
+	}
+	err := pt.pool.Pin(page)
+	if pt.metrics != nil {
+		if _, after, _ := pt.pool.Stats(); after > before {
+			pt.metrics.Level(level, false)
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("storage: pinning level %d: %w", level, err)
 	}
 	return nil
 }
@@ -648,8 +688,8 @@ func (pt *PagedTree) searchWindow(w geom.Rect, rep *CorruptionReport) ([]rtree.I
 }
 
 // visit reads the node on page (at the given tree level) through
-// scanFrame. Every read is attributed to the flight recorder, failed ones
-// included.
+// scanFrame. Every read is attributed to the flight recorder and the
+// per-level series, failed ones included.
 func (q *query) visit(page, depth int) error {
 	for depth >= len(q.kids) {
 		q.kids = append(q.kids, nil) //lint:allow hotalloc scratch: grows to the tree height once per recycled query value
@@ -657,6 +697,7 @@ func (q *query) visit(page, depth int) error {
 	q.depth, q.kids[depth] = depth, q.kids[depth][:0]
 	info, err := q.pt.pool.View(page, q.scan)
 	q.aq.Access(depth, info.Hit, info.WriteBacks)
+	q.pt.metrics.Level(depth, info.Hit)
 	return err
 }
 
@@ -741,6 +782,7 @@ func (q *query) expandNode(n pageRef) error {
 	q.node = n
 	info, err := q.pt.pool.View(n.page, q.push)
 	q.aq.Access(n.depth, info.Hit, info.WriteBacks)
+	q.pt.metrics.Level(n.depth, info.Hit)
 	return err
 }
 

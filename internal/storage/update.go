@@ -147,7 +147,7 @@ func (pt *PagedTree) Delete(item rtree.Item) (bool, error) {
 	if err != nil || !found {
 		return false, err
 	}
-	leaf, err := u.node(path[len(path)-1])
+	leaf, err := u.node(path[len(path)-1], len(path)-1)
 	if err != nil {
 		return false, err
 	}
@@ -262,14 +262,19 @@ func (u *updater) spare(page int, leaf bool) *updateNode {
 	return n
 }
 
-// node returns the staged copy of page, decoding it on first touch.
-func (u *updater) node(page int) (*updateNode, error) {
+// node returns the staged copy of page, the node at depth on the
+// operation's path, decoding it on first touch. That first read is of
+// the stored tree, where the node sits as many levels higher as the
+// operation has so far grown the tree (a root split deepens it, a root
+// shrink lifts it), and it is counted at that stored level.
+func (u *updater) node(page, depth int) (*updateNode, error) {
 	if n, ok := u.nodes[page]; ok {
 		return n, nil
 	}
 	n := u.spare(page, false)
 	u.reading = n
-	_, err := u.pt.pool.View(page, u.decode)
+	info, err := u.pt.pool.View(page, u.decode)
+	u.pt.metrics.Level(depth-(len(u.meta.Levels)-len(u.pt.meta.Levels)), info.Hit)
 	u.reading = nil
 	if err != nil {
 		u.free = append(u.free, n)
@@ -326,7 +331,7 @@ func (u *updater) freePage(n *updateNode) {
 func (u *updater) insertEntry(rect geom.Rect, childPage int, id int64, isItem bool, targetDepth int) error {
 	path := append(u.path[:0], 0)
 	for depth := 0; depth < targetDepth; depth++ {
-		n, err := u.node(path[depth])
+		n, err := u.node(path[depth], depth)
 		if err != nil {
 			return err
 		}
@@ -352,7 +357,7 @@ func (u *updater) insertEntry(rect geom.Rect, childPage int, id int64, isItem bo
 	}
 	u.path = path
 
-	target, err := u.node(path[targetDepth])
+	target, err := u.node(path[targetDepth], targetDepth)
 	if err != nil {
 		return err
 	}
@@ -365,7 +370,7 @@ func (u *updater) insertEntry(rect geom.Rect, childPage int, id int64, isItem bo
 	target.dirty = true
 
 	for d := targetDepth; d >= 0; d-- {
-		n, err := u.node(path[d])
+		n, err := u.node(path[d], d)
 		if err != nil {
 			return err
 		}
@@ -376,7 +381,7 @@ func (u *updater) insertEntry(rect geom.Rect, childPage int, id int64, isItem bo
 			u.splitRoot(n)
 			return nil
 		}
-		parent, err := u.node(path[d-1])
+		parent, err := u.node(path[d-1], d-1)
 		if err != nil {
 			return err
 		}
@@ -454,7 +459,7 @@ func (u *updater) splitRoot(root *updateNode) {
 // FindLeaf: several subtrees may contain the rectangle.
 func (u *updater) findLeaf(page int, item rtree.Item, path *[]int) (bool, error) {
 	*path = append(*path, page)
-	n, err := u.node(page)
+	n, err := u.node(page, len(*path)-1)
 	if err != nil {
 		return false, err
 	}
@@ -494,11 +499,11 @@ type orphan struct {
 func (u *updater) condense(path []int) error {
 	orphans := u.orphans[:0]
 	for d := len(path) - 1; d >= 1; d-- {
-		n, err := u.node(path[d])
+		n, err := u.node(path[d], d)
 		if err != nil {
 			return err
 		}
-		parent, err := u.node(path[d-1])
+		parent, err := u.node(path[d-1], d-1)
 		if err != nil {
 			return err
 		}
@@ -556,14 +561,14 @@ func (u *updater) condense(path []int) error {
 // level.
 func (u *updater) shrinkRoot() error {
 	for {
-		root, err := u.node(0)
+		root, err := u.node(0, 0)
 		if err != nil {
 			return err
 		}
 		if root.Leaf || len(root.Rects) != 1 {
 			return nil
 		}
-		child, err := u.node(root.Children[0])
+		child, err := u.node(root.Children[0], 1)
 		if err != nil {
 			return err
 		}
@@ -659,6 +664,9 @@ func (pt *PagedTree) commitUpdate(u *updater) error {
 	if err := pt.dm.WriteMeta(metaBytes); err != nil {
 		pt.updateErr = err
 		return fmt.Errorf("storage: applying committed batch %d: %w", batch, err)
+	}
+	if len(u.meta.Levels) != len(pt.meta.Levels) {
+		pt.metrics.WithLevels(len(u.meta.Levels)) // the tree changed height
 	}
 	pt.meta = u.meta
 
