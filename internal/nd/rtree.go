@@ -2,6 +2,8 @@ package nd
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"rtreebuf/internal/pack"
 	"rtreebuf/internal/rtree"
@@ -95,24 +97,59 @@ func (t *Tree) walk(visit func(*node)) {
 	rec(t.root)
 }
 
-// SearchWindow reports every item intersecting q.
+// SearchWindow reports every item intersecting q, in depth-first order.
+// As in the 2-D package it collects into a recycled scratch and returns
+// an exact-size copy, nil when nothing matches.
 func (t *Tree) SearchWindow(q Rect) []Item {
 	checkDims(t.params.Dims, q)
+	s := getScratch()
+	found := t.root.search(q, (*s)[:0])
 	var out []Item
-	var rec func(n *node)
-	rec = func(n *node) {
-		for _, e := range n.entries {
-			if !e.rect.Intersects(q) {
-				continue
-			}
-			if n.isLeaf() {
+	if len(found) > 0 {
+		out = slices.Clone(found)
+	}
+	putScratch(s, found)
+	return out
+}
+
+// scratchPool recycles SearchWindow's result scratch (*[]Item) between
+// queries; maxScratchItems bounds what it keeps, as in the 2-D package.
+var scratchPool sync.Pool
+
+const maxScratchItems = 1 << 16
+
+func getScratch() *[]Item {
+	s, _ := scratchPool.Get().(*[]Item)
+	if s == nil {
+		s = new([]Item)
+	}
+	return s
+}
+
+func putScratch(s *[]Item, items []Item) {
+	if cap(items) > maxScratchItems {
+		items = nil
+	}
+	*s = items[:0]
+	scratchPool.Put(s)
+}
+
+// search appends every item under n that intersects q to out, in DFS
+// order, and returns the grown slice.
+func (n *node) search(q Rect, out []Item) []Item {
+	if n.isLeaf() {
+		for i := range n.entries {
+			if e := &n.entries[i]; e.rect.Intersects(q) {
 				out = append(out, Item{Rect: e.rect, ID: e.id})
-			} else {
-				rec(e.child)
 			}
 		}
+		return out
 	}
-	rec(t.root)
+	for i := range n.entries {
+		if e := &n.entries[i]; e.rect.Intersects(q) {
+			out = e.child.search(q, out)
+		}
+	}
 	return out
 }
 

@@ -1,13 +1,53 @@
 package rtree
 
-import "rtreebuf/internal/geom"
+import (
+	"slices"
+	"sync"
+
+	"rtreebuf/internal/geom"
+)
 
 // SearchWindow reports every stored item whose rectangle intersects q,
-// in depth-first order. This is the paper's region (window) query.
+// in depth-first order. This is the paper's region (window) query. It
+// collects into a recycled scratch and returns an exact-size copy: a
+// steady-state query allocates that copy and nothing else, and a query
+// with no results returns nil.
 func (t *Tree) SearchWindow(q geom.Rect) []Item {
+	s := getScratch()
+	found := t.searchNode(t.root, q, (*s)[:0])
 	var out []Item
-	t.searchNode(t.root, q, &out)
+	if len(found) > 0 {
+		out = slices.Clone(found) //lint:allow hotalloc the caller's exact-size copy is SearchWindow's contract
+	}
+	putScratch(s, found)
 	return out
+}
+
+// scratchPool recycles SearchWindow's result scratch (*[]Item) between
+// queries, so concurrent readers of one tree each fill their own.
+var scratchPool sync.Pool
+
+// maxScratchItems bounds the result scratch the pool keeps: a
+// full-window query would otherwise park its whole result buffer (40 MB
+// at a million items) in the pool until the collector clears it.
+const maxScratchItems = 1 << 16
+
+// getScratch takes a result scratch from the pool; putScratch returns
+// it holding items' storage, or none beyond maxScratchItems.
+func getScratch() *[]Item {
+	s, _ := scratchPool.Get().(*[]Item)
+	if s == nil {
+		s = new([]Item) //lint:allow hotalloc scratch: allocated when the pool is empty, not per query
+	}
+	return s
+}
+
+func putScratch(s *[]Item, items []Item) {
+	if cap(items) > maxScratchItems {
+		items = nil
+	}
+	*s = items[:0]
+	scratchPool.Put(s)
 }
 
 // SearchPoint reports every stored item whose rectangle contains p — the
@@ -54,18 +94,24 @@ func (t *Tree) Intersecting(q geom.Rect) bool {
 	return found
 }
 
-func (t *Tree) searchNode(n *node, q geom.Rect, out *[]Item) {
-	for _, e := range n.entries {
-		if !e.rect.Intersects(q) {
-			continue
+// searchNode appends every item under n that intersects q to out, in
+// DFS order, and returns the grown slice.
+func (t *Tree) searchNode(n *node, q geom.Rect, out []Item) []Item {
+	if n.isLeaf() {
+		for i := range n.entries {
+			if e := &n.entries[i]; e.rect.Intersects(q) {
+				//lint:allow hotalloc scratch: grows to the largest result once per recycled value
+				out = append(out, Item{Rect: e.rect, ID: e.id})
+			}
 		}
-		if n.isLeaf() {
-			//lint:allow hotalloc materializing the result slice is SearchWindow's contract
-			*out = append(*out, Item{Rect: e.rect, ID: e.id})
-		} else {
-			t.searchNode(e.child, q, out)
+		return out
+	}
+	for i := range n.entries {
+		if e := &n.entries[i]; e.rect.Intersects(q) {
+			out = t.searchNode(e.child, q, out)
 		}
 	}
+	return out
 }
 
 // TraceOrder selects the node-visit order reported by TraceWindow.
