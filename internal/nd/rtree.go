@@ -2,8 +2,6 @@ package nd
 
 import (
 	"fmt"
-	"slices"
-	"sync"
 
 	"rtreebuf/internal/pack"
 	"rtreebuf/internal/rtree"
@@ -97,41 +95,11 @@ func (t *Tree) walk(visit func(*node)) {
 	rec(t.root)
 }
 
-// SearchWindow reports every item intersecting q, in depth-first order.
-// As in the 2-D package it collects into a recycled scratch and returns
-// an exact-size copy, nil when nothing matches.
+// SearchWindow reports every item intersecting q, in depth-first order,
+// nil when nothing matches.
 func (t *Tree) SearchWindow(q Rect) []Item {
 	checkDims(t.params.Dims, q)
-	s := getScratch()
-	found := t.root.search(q, (*s)[:0])
-	var out []Item
-	if len(found) > 0 {
-		out = slices.Clone(found)
-	}
-	putScratch(s, found)
-	return out
-}
-
-// scratchPool recycles SearchWindow's result scratch (*[]Item) between
-// queries; maxScratchItems bounds what it keeps, as in the 2-D package.
-var scratchPool sync.Pool
-
-const maxScratchItems = 1 << 16
-
-func getScratch() *[]Item {
-	s, _ := scratchPool.Get().(*[]Item)
-	if s == nil {
-		s = new([]Item)
-	}
-	return s
-}
-
-func putScratch(s *[]Item, items []Item) {
-	if cap(items) > maxScratchItems {
-		items = nil
-	}
-	*s = items[:0]
-	scratchPool.Put(s)
+	return t.root.search(q, nil)
 }
 
 // search appends every item under n that intersects q to out, in DFS
