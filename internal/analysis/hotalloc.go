@@ -36,6 +36,11 @@ func HotRoots() []RootSpec {
 	const mod = "rtreebuf"
 	return []RootSpec{
 		{Path: mod + "/internal/rtree", Recv: "Tree", Name: "Search*"},
+		// One update of the paper's tuple-at-a-time tree: a steady-state
+		// insert allocates only the nodes its splits add, a delete nothing
+		// but what its reinsertions' splits add.
+		{Path: mod + "/internal/rtree", Recv: "Tree", Name: "Insert*"},
+		{Path: mod + "/internal/rtree", Recv: "Tree", Name: "Delete"},
 		{Path: mod + "/internal/buffer", Recv: "Pool", Name: "Get"},
 		{Path: mod + "/internal/buffer", Recv: "ShardedPool", Name: "Get"},
 		// The buffered query: a node visit on a resident page borrows the

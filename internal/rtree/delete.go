@@ -1,5 +1,7 @@
 package rtree
 
+import "slices"
+
 // Delete removes one stored item matching both rectangle and ID and
 // reports whether it was found. Removal follows Guttman's algorithm:
 // FindLeaf, remove the entry, CondenseTree (eliminate under-full nodes and
@@ -10,7 +12,7 @@ func (t *Tree) Delete(item Item) bool {
 	if leaf == nil {
 		return false
 	}
-	leaf.entries = append(leaf.entries[:idx], leaf.entries[idx+1:]...)
+	leaf.entries = slices.Delete(leaf.entries, idx, idx+1)
 	t.size--
 	t.pagesValid = false
 	t.condense(leaf)
@@ -46,22 +48,21 @@ func (t *Tree) findLeaf(n *node, item Item) (*node, int) {
 // condense walks from n to the root, removing under-full nodes and
 // collecting their entries for reinsertion, then reinserts orphans at
 // their original height (leaf entries at height 0, subtrees higher up).
+// The orphan list is the tree's scratch; it is cleared after use, so it
+// keeps no subtree reachable.
 func (t *Tree) condense(n *node) {
-	type orphan struct {
-		e      entry
-		height int
-	}
-	var orphans []orphan
-
+	orphans := t.scratch.orphans[:0]
 	for n.parent != nil {
 		p := n.parent
 		i := p.entryIndexOf(n)
 		if len(n.entries) < t.params.MinEntries {
-			// Eliminate the node, orphaning its entries.
+			// Eliminate the node, orphaning its entries. slices.Delete
+			// clears the slot it vacates, which would otherwise keep a
+			// copy of a child pointer past the parent's length.
 			for _, e := range n.entries {
-				orphans = append(orphans, orphan{e, n.height})
+				orphans = append(orphans, orphan{e, n.height}) //lint:allow hotalloc scratch: grows to the largest condense once per tree
 			}
-			p.entries = append(p.entries[:i], p.entries[i+1:]...)
+			p.entries = slices.Delete(p.entries, i, i+1)
 		} else {
 			p.entries[i].rect = n.mbr()
 		}
@@ -73,4 +74,6 @@ func (t *Tree) condense(n *node) {
 		o := orphans[i]
 		t.insertEntry(o.e, o.height)
 	}
+	clear(orphans)
+	t.scratch.orphans = orphans[:0]
 }

@@ -163,3 +163,34 @@ func TestDeleteInvalidatesPages(t *testing.T) {
 	}()
 	tr.TraceWindow(geom.UnitSquare, TraceDFS, false, func(NodeVisit) {})
 }
+
+// BenchmarkDelete is delete churn on a fan-out-100 tree built by Guttman
+// inserts, like the delete step of the benchmark's paper_model phase A.
+// A fifth of the items are out of the tree at any time: each op deletes
+// a uniformly chosen live item and inserts back the one deleted a fifth
+// of the items earlier, so the tree keeps its size and the op counts
+// what condense's eliminations and reinsertions cost.
+func BenchmarkDelete(b *testing.B) {
+	rng := rand.New(rand.NewPCG(817, 818))
+	live := testItems(rng, 50000)
+	tr := MustNew(Params{MaxEntries: 100})
+	tr.InsertAll(live)
+	out := make([]Item, len(live)/5)
+	for k := range out {
+		at := rng.IntN(len(live))
+		out[k] = live[at]
+		tr.Delete(out[k])
+		live[at] = live[len(live)-1]
+		live = live[:len(live)-1]
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		at, k := rng.IntN(len(live)), i%len(out)
+		if !tr.Delete(live[at]) {
+			b.Fatal("Delete missed a live item")
+		}
+		tr.Insert(out[k])
+		live[at], out[k] = out[k], live[at]
+	}
+}

@@ -9,7 +9,7 @@ import "rtreebuf/internal/geom"
 func (t *Tree) Insert(item Item) {
 	var ctx *insertCtx
 	if t.params.Split == SplitRStar {
-		ctx = &insertCtx{reinserted: make(map[int]bool)}
+		ctx = &insertCtx{reinserted: make(map[int]bool)} //lint:allow hotalloc R* only; no workload runs it
 	}
 	t.insertEntryCtx(entry{rect: item.Rect, id: item.ID}, 0, ctx)
 	t.size++
@@ -34,7 +34,7 @@ func (t *Tree) insertEntry(e entry, height int) {
 // overflow treatment.
 func (t *Tree) insertEntryCtx(e entry, height int, ctx *insertCtx) {
 	n := t.chooseNode(e.rect, height)
-	n.entries = append(n.entries, e)
+	n.entries = append(n.entries, e) //lint:allow hotalloc a node a split left or made has room for MaxEntries+1; only a young root, a packed or an imported node regrows
 	if e.child != nil {
 		e.child.parent = n
 	}
@@ -100,25 +100,22 @@ func (t *Tree) chooseNode(r geom.Rect, height int) *node {
 // covering rectangles exact). Overflows of ancestors go back through the
 // overflow treatment, so R* forced reinsertion applies at upper levels too.
 func (t *Tree) splitAndAdjust(n *node, ctx *insertCtx) {
-	left, right := t.split(n)
+	sib := t.split(n)
 	p := n.parent
 	if p == nil {
 		// Root split: grow the tree by one level.
-		newRoot := &node{height: n.height + 1}
-		newRoot.entries = []entry{
-			{rect: left.mbr(), child: left},
-			{rect: right.mbr(), child: right},
-		}
-		left.parent, right.parent = newRoot, newRoot
-		t.root = newRoot
+		root := &node{height: n.height + 1, entries: make([]entry, 2, t.params.MaxEntries+1)} //lint:allow hotalloc the root a root split adds
+		root.entries[0] = entry{rect: n.mbr(), child: n}
+		root.entries[1] = entry{rect: sib.mbr(), child: sib}
+		n.parent, sib.parent = root, root
+		t.root = root
 		return
 	}
-	// Replace n's entry in the parent with the left half, add the right.
-	i := p.entryIndexOf(n)
-	p.entries[i] = entry{rect: left.mbr(), child: left}
-	left.parent = p
-	p.entries = append(p.entries, entry{rect: right.mbr(), child: right})
-	right.parent = p
+	// n keeps its entry in the parent, now covering the left group; the
+	// sibling's entry follows the others.
+	p.entries[p.entryIndexOf(n)].rect = n.mbr()
+	p.entries = append(p.entries, entry{rect: sib.mbr(), child: sib}) //lint:allow hotalloc as in insertEntryCtx: a parent regrows only while young, packed or imported
+	sib.parent = p
 	if len(p.entries) > t.params.MaxEntries {
 		t.overflow(p, ctx)
 	}

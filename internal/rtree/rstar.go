@@ -92,19 +92,22 @@ func (t *Tree) forcedReinsert(n *node, ctx *insertCtx) {
 		e entry
 		d float64
 	}
-	des := make([]distEntry, len(n.entries))
+	des := make([]distEntry, len(n.entries)) //lint:allow hotalloc R* only; no workload runs it
 	for i, e := range n.entries {
 		c := e.rect.Center()
 		dx, dy := c.X-center.X, c.Y-center.Y
 		des[i] = distEntry{e, dx*dx + dy*dy}
 	}
+	//lint:allow hotalloc R* only; no workload runs it
 	sort.SliceStable(des, func(a, b int) bool { return des[a].d > des[b].d }) // farthest first
 
 	removed := des[:p]
-	n.entries = n.entries[:0]
+	kept := n.entries[:0]
 	for _, de := range des[p:] {
-		n.entries = append(n.entries, de.e)
+		kept = append(kept, de.e) //lint:allow hotalloc R* only; no workload runs it
 	}
+	clear(n.entries[len(kept):]) // no stale child pointer past the length
+	n.entries = kept
 	t.adjustUpward(n)
 
 	// Close reinsert: start with the entry closest to the node's center.

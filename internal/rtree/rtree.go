@@ -138,6 +138,7 @@ type Tree struct {
 	params     Params
 	size       int  // number of data items
 	pagesValid bool // page numbers current since last AssignPageIDs
+	scratch    updateScratch
 }
 
 // New returns an empty R-tree with the given parameters.

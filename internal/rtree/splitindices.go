@@ -21,8 +21,24 @@ import (
 // in-memory tree. Both index lists hold at least minFill indices (for a
 // set of at least 2*minFill rectangles) and together cover every index
 // exactly once; the order within each list is the order the entries
-// take in their new node.
+// take in their node after the split.
 func SplitIndices(alg SplitAlgorithm, minFill int, rects []geom.Rect) (left, right []int) {
+	var s splitLists
+	return s.split(alg, minFill, rects)
+}
+
+// splitLists holds the index lists of a Guttman split: the two groups
+// and the entries not yet assigned to either. A zero value sizes them to
+// the split; a reused one keeps its arrays for the next split of as many
+// rectangles, which is how Tree.split allocates none of them.
+type splitLists struct {
+	left, right, remaining []int
+}
+
+// split is SplitIndices over s's arrays: the returned groups alias
+// s.left and s.right until the next call. The R* split keeps its own
+// lists.
+func (s *splitLists) split(alg SplitAlgorithm, minFill int, rects []geom.Rect) (left, right []int) {
 	var s1, s2 int
 	switch alg {
 	case SplitRStar:
@@ -34,16 +50,16 @@ func SplitIndices(alg SplitAlgorithm, minFill int, rects []geom.Rect) (left, rig
 	}
 
 	// Each group leaves the other at least its seed.
-	left = make([]int, 1, len(rects)-1)
-	right = make([]int, 1, len(rects)-1)
-	left[0], right[0] = s1, s2
+	// Every append to the lists stays within the capacity reuse gave.
+	left = append(reuse(s.left, len(rects)-1), s1)   //lint:allow hotalloc within reuse's capacity
+	right = append(reuse(s.right, len(rects)-1), s2) //lint:allow hotalloc within reuse's capacity
 	leftMBR, rightMBR := rects[s1], rects[s2]
 	leftArea, rightArea := leftMBR.Area(), rightMBR.Area()
 
-	remaining := make([]int, 0, len(rects)-2)
+	remaining := reuse(s.remaining, len(rects)-2)
 	for i := range rects {
 		if i != s1 && i != s2 {
-			remaining = append(remaining, i)
+			remaining = append(remaining, i) //lint:allow hotalloc within reuse's capacity
 		}
 	}
 
@@ -51,24 +67,26 @@ func SplitIndices(alg SplitAlgorithm, minFill int, rects []geom.Rect) (left, rig
 	// left and the right group. A column changes only when its group's MBR
 	// grows, so each step recomputes at most one.
 	var stack1, stack2 [splitStackEntries]float64
-	enl1, enl2 := stack1[:0], stack2[:0]
+	enl1, enl2 := stack1[:], stack2[:]
 	if len(remaining) > splitStackEntries {
-		enl1, enl2 = make([]float64, 0, len(remaining)), make([]float64, 0, len(remaining))
+		//lint:allow hotalloc nodes of over 128 entries only; a 4 KiB page holds 102
+		enl1, enl2 = make([]float64, len(remaining)), make([]float64, len(remaining))
 	}
-	for _, ri := range remaining {
-		enl1 = append(enl1, leftMBR.Union(rects[ri]).Area()-leftArea)
-		enl2 = append(enl2, rightMBR.Union(rects[ri]).Area()-rightArea)
+	enl1, enl2 = enl1[:len(remaining)], enl2[:len(remaining)]
+	for k, ri := range remaining {
+		enl1[k] = leftMBR.Union(rects[ri]).Area() - leftArea
+		enl2[k] = rightMBR.Union(rects[ri]).Area() - rightArea
 	}
 
 	for len(remaining) > 0 {
 		// If one group must absorb everything left to reach minimum fill,
 		// assign the remainder wholesale.
 		if len(left)+len(remaining) == minFill {
-			left = append(left, remaining...)
+			left = append(left, remaining...) //lint:allow hotalloc within reuse's capacity
 			break
 		}
 		if len(right)+len(remaining) == minFill {
-			right = append(right, remaining...)
+			right = append(right, remaining...) //lint:allow hotalloc within reuse's capacity
 			break
 		}
 
@@ -97,14 +115,23 @@ func SplitIndices(alg SplitAlgorithm, minFill int, rects []geom.Rect) (left, rig
 			}
 		}
 		if toLeft {
-			left = append(left, ri)
+			left = append(left, ri) //lint:allow hotalloc within reuse's capacity
 			leftMBR, leftArea = growColumn(leftMBR, leftArea, rects[ri], rects, remaining, enl1)
 		} else {
-			right = append(right, ri)
+			right = append(right, ri) //lint:allow hotalloc within reuse's capacity
 			rightMBR, rightArea = growColumn(rightMBR, rightArea, rects[ri], rects, remaining, enl2)
 		}
 	}
+	s.left, s.right, s.remaining = left, right, remaining
 	return left, right
+}
+
+// reuse returns s emptied, or a new empty slice if s cannot hold n.
+func reuse(s []int, n int) []int {
+	if cap(s) < n {
+		return make([]int, 0, n) //lint:allow hotalloc once per tree in Tree.split; SplitIndices' own lists
+	}
+	return s[:0]
 }
 
 // splitStackEntries bounds the nodes whose PickNext columns SplitIndices
@@ -163,6 +190,7 @@ func linearSeeds(rects []geom.Rect) (int, int) {
 		lo, hi int     // rectangle with highest low side / lowest high side
 		sep    float64 // normalized separation
 	}
+	//lint:allow hotalloc the closure does not escape and stays on the stack
 	pick := func(lowSide, highSide func(geom.Rect) float64) axisPick {
 		lowestLow, highestHigh := math.Inf(1), math.Inf(-1)
 		highestLowIdx, lowestHighIdx := 0, 0
@@ -215,12 +243,12 @@ func rstarSplitIndices(m int, rects []geom.Rect) (left, right []int) {
 	total := len(rects)
 
 	// order returns the indices of rects stably sorted by key, ties by tie.
-	order := func(key, tie func(geom.Rect) float64) []int {
-		perm := make([]int, total)
+	order := func(key, tie func(geom.Rect) float64) []int { //lint:allow hotalloc R* only; no workload runs it
+		perm := make([]int, total) //lint:allow hotalloc R* only; no workload runs it
 		for i := range perm {
 			perm[i] = i
 		}
-		sort.SliceStable(perm, func(i, j int) bool {
+		sort.SliceStable(perm, func(i, j int) bool { //lint:allow hotalloc R* only; no workload runs it
 			a, b := rects[perm[i]], rects[perm[j]]
 			if key(a) != key(b) {
 				return key(a) < key(b)
@@ -235,8 +263,9 @@ func rstarSplitIndices(m int, rects []geom.Rect) (left, right []int) {
 
 	// prefix[i] is the MBR of the first i+1 rectangles of a sort and
 	// suffix[i] the MBR of those from position i on; refilled per sort.
+	//lint:allow hotalloc R* only; no workload runs it
 	prefix, suffix := make([]geom.Rect, total), make([]geom.Rect, total)
-	sweep := func(perm []int) {
+	sweep := func(perm []int) { //lint:allow hotalloc R* only; no workload runs it
 		prefix[0] = rects[perm[0]]
 		for i := 1; i < total; i++ {
 			prefix[i] = prefix[i-1].Union(rects[perm[i]])
@@ -248,7 +277,7 @@ func rstarSplitIndices(m int, rects []geom.Rect) (left, right []int) {
 	}
 
 	// ChooseSplitAxis: margin sum over all distributions of both sorts.
-	marginSum := func(perm []int) float64 {
+	marginSum := func(perm []int) float64 { //lint:allow hotalloc R* only; no workload runs it
 		sweep(perm)
 		var s float64
 		for k := m; k <= total-m; k++ {
