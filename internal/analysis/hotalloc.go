@@ -36,6 +36,8 @@ func HotRoots() []RootSpec {
 	const mod = "rtreebuf"
 	return []RootSpec{
 		{Path: mod + "/internal/rtree", Recv: "Tree", Name: "Search*"},
+		// A kNN search on a recycled frontier allocates its result copy.
+		{Path: mod + "/internal/rtree", Recv: "Tree", Name: "Nearest*"},
 		// One update of the paper's tuple-at-a-time tree: a steady-state
 		// insert allocates only the nodes its splits add, a delete nothing
 		// but what its reinsertions' splits add.

@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"math"
+	"slices"
 
 	"rtreebuf/internal/geom"
 )
@@ -35,11 +36,25 @@ func minDistSq(p geom.Point, r geom.Rect) float64 {
 	return dx*dx + dy*dy
 }
 
-// frontierKey is one heap slot: an entry's squared distance and its push
-// sequence number, which indexes Frontier.entries.
+// maxDistSq returns the squared distance from p to the farthest point of
+// r. It is minDistSq's counterpart with the same subtractions, so for a
+// rectangle s inside r, minDistSq(p, s) <= maxDistSq(p, r) holds exactly
+// in floating point: rounding is monotone, and each of s's differences
+// is at most one of r's.
+func maxDistSq(p geom.Point, r geom.Rect) float64 {
+	dx := max(p.X-r.MinX, r.MaxX-p.X)
+	dy := max(p.Y-r.MinY, r.MaxY-p.Y)
+	return dx*dx + dy*dy
+}
+
+// frontierKey is one heap slot: an entry's squared distance, its push
+// sequence number and where the entry sits — Frontier.nodes[ref] for
+// ref >= 0, Frontier.items[^ref] otherwise. 32 bits count the entries of
+// any tree that fits in memory.
 type frontierKey struct {
 	distSq float64
-	seq    int
+	seq    int32
+	ref    int32
 }
 
 // before is the frontier's total order: nearer first, and of two
@@ -48,35 +63,49 @@ func (a frontierKey) before(b frontierKey) bool {
 	return a.distSq < b.distSq || !(b.distSq < a.distSq) && a.seq < b.seq
 }
 
-// frontierEntry is a queued traversal element: a node reference or a
-// data item.
-type frontierEntry[N any] struct {
-	item   Item
-	node   N // meaningful when isItem is false
-	isItem bool
-}
-
 // Frontier is the priority queue of one best-first search over nodes
-// referenced by N. Its heap holds compact (distance, push order) keys;
-// the entries they name sit in an append-only slice. Nothing is boxed.
-// The zero value is ready for BestFirst, and so is a used one: each
-// search starts from an empty queue on the backing arrays the last one
-// grew.
+// referenced by N. Its heap holds 16-byte (distance, push order, ref)
+// keys; the nodes and items they name sit in two append-only slices.
+// Nothing is boxed. The zero value is ready for BestFirst, and so is a
+// used one: each search starts from an empty queue on the backing arrays
+// the last one grew.
 //
-// A search for k items also keeps the k smallest item distances queued
-// so far and, once it has k, queues nothing farther than the largest of
-// them. Such an entry could never be returned: the k items at or below
-// that distance all pop before it, and anything below it is no nearer.
-// Ties pop in push order, so dropping it moves nothing else — pop order,
-// nodes expanded and results are those of the same search without the
-// bound.
+// A node's entries are queued only once the node has been read: while
+// expand runs, PushNode and PushItem (or Within, then PushNodeAt and
+// PushItemAt) collect the candidates within the bound, and once it
+// returns BestFirst pushes those still within it, in entry order. A search for k items lowers the bound in two ways.
+//
+//   - Item bound: it keeps the k smallest item distances queued so far
+//     and, once it has k, queues nothing farther than the largest of
+//     them. Such an entry could never be returned: the k items at or
+//     below that distance all pop before it, and anything below it is
+//     no nearer.
+//   - Sibling bound: when an expanded node has at least k children
+//     within the bound, the bound drops to the k-th smallest of their
+//     MAXDISTs (the distance to a child rectangle's farthest corner).
+//     Each child's subtree is non-empty, lies inside its rectangle and
+//     shares no item with its siblings, so k distinct items lie within
+//     that distance: every node on their paths is no farther than they
+//     are and pops before anything strictly beyond it. Exact MBRs are
+//     not needed, containment is; computed with the same floating-point
+//     operations, an item's minDistSq never exceeds its container's
+//     maxDistSq, so no epsilon is needed.
+//
+// Ties pop in push order, and an entry is dropped only when it is
+// strictly farther than k items queued or bound to be queued, so pop
+// order, nodes expanded and results are those of the same search without
+// either bound.
 type Frontier[N any] struct {
 	p       geom.Point
 	k       int
-	boundSq float64            // nothing farther is queued: limitSq, then the k-th best item distance
-	keys    []frontierKey      // binary min-heap in before order
-	entries []frontierEntry[N] // entries[seq] for every key pushed in this search
-	best    []float64          // max-heap of the k smallest queued item distances (k > 0)
+	boundSq float64       // nothing farther is queued: limitSq, then the bounds above
+	keys    []frontierKey // binary min-heap in before order
+	nodes   []N           // nodes[ref] for every node collected in this search
+	items   []Item        // items[^ref] for every item collected in this search
+	seq     int32         // keys pushed in this search
+	cands   []frontierKey // the expanding node's candidates in entry order; seq unset
+	far     []float64     // max-heap of its children's k smallest squared MAXDISTs (k > 0)
+	best    []float64     // max-heap of the k smallest queued item distances (k > 0)
 }
 
 // BestFirst runs the Hjaltason–Samet search from root around p and
@@ -84,49 +113,105 @@ type Frontier[N any] struct {
 // the extended slice. It stops after k items (k <= 0: no bound) and
 // never queues anything farther than sqrt(limitSq) from p (+Inf: no
 // bound). expand is how a node is read: it is called once per visited
-// node, in visit order, and pushes the node's entries with PushNode or
-// PushItem; an error from it ends the search.
+// node, in visit order, and offers the node's entries, in entry order,
+// to PushNode or PushItem (or PushNodeAt or PushItemAt); an error from
+// it ends the search.
 func (f *Frontier[N]) BestFirst(dst []Neighbor, p geom.Point, root N, k int, limitSq float64, expand func(n N) error) ([]Neighbor, error) {
-	f.p, f.k, f.boundSq = p, k, limitSq
-	f.keys, f.entries, f.best = f.keys[:0], f.entries[:0], f.best[:0]
-	f.push(0, frontierEntry[N]{node: root})
+	f.p, f.k, f.boundSq, f.seq = p, k, limitSq, 0
+	f.keys, f.nodes, f.items, f.best = f.keys[:0], f.nodes[:0], f.items[:0], f.best[:0]
+	f.nodes = append(f.nodes, root) //lint:allow hotalloc the queue grows once; a reused Frontier keeps its backing array
+	f.push(frontierKey{distSq: 0, ref: 0})
 	found := 0
 	for len(f.keys) > 0 && (k <= 0 || found < k) {
 		key := f.pop()
-		if e := &f.entries[key.seq]; e.isItem {
-			dst = append(dst, Neighbor{Item: e.item, Dist: math.Sqrt(key.distSq)}) //lint:allow hotalloc the result, appended to the caller's buffer
+		if key.ref < 0 {
+			dst = append(dst, Neighbor{Item: f.items[^key.ref], Dist: math.Sqrt(key.distSq)}) //lint:allow hotalloc the result, appended to the caller's buffer
 			found++
-		} else if err := expand(e.node); err != nil {
+			continue
+		}
+		f.cands, f.far = f.cands[:0], f.far[:0]
+		if err := expand(f.nodes[key.ref]); err != nil {
 			return nil, err
 		}
+		f.queueCandidates()
 	}
 	return dst, nil
 }
 
-// PushNode queues the child node n, whose covering rectangle is r.
+// Within returns the squared distance from the search point to r and
+// whether an entry there may still be returned. PushNode and PushItem
+// make this test themselves; a reader that offers many entries can make
+// it inline, before the call, and pass only the entries within to
+// PushNodeAt and PushItemAt.
+func (f *Frontier[N]) Within(r geom.Rect) (float64, bool) {
+	d := minDistSq(f.p, r)
+	return d, d <= f.boundSq
+}
+
+// PushNode offers the child node n, whose covering rectangle is r.
 func (f *Frontier[N]) PushNode(r geom.Rect, n N) {
-	if d := minDistSq(f.p, r); d <= f.boundSq {
-		f.push(d, frontierEntry[N]{node: n})
+	if d, ok := f.Within(r); ok {
+		f.PushNodeAt(d, r, n)
 	}
 }
 
-// PushItem queues the data item (r, id).
-func (f *Frontier[N]) PushItem(r geom.Rect, id int64) {
-	if d := minDistSq(f.p, r); d <= f.boundSq {
-		f.push(d, frontierEntry[N]{item: Item{Rect: r, ID: id}, isItem: true})
-		if f.k > 0 {
-			f.tighten(d)
+// PushNodeAt offers the child node n, whose covering rectangle r is at
+// squared distance d, as Within reported it; a d the bound has dropped
+// below since is ignored. It records n as a candidate and counts its
+// MAXDIST toward the sibling bound; only a MAXDIST below the bound can
+// lower it, so no other is kept.
+func (f *Frontier[N]) PushNodeAt(d float64, r geom.Rect, n N) {
+	if !(d <= f.boundSq) {
+		return
+	}
+	f.cands = append(f.cands, frontierKey{distSq: d, ref: int32(len(f.nodes))}) //lint:allow hotalloc grows to the fan-out once; a reused Frontier keeps its backing array
+	f.nodes = append(f.nodes, n)                                                //lint:allow hotalloc the queue grows once; a reused Frontier keeps its backing array
+	if f.k > 0 {
+		if m := maxDistSq(f.p, r); m < f.boundSq {
+			f.far = f.tighten(f.far, m)
 		}
 	}
 }
 
-// push queues e at squared distance d, behind everything already queued
-// at d.
-func (f *Frontier[N]) push(d float64, e frontierEntry[N]) {
-	x := frontierKey{d, len(f.entries)}
-	f.entries = append(f.entries, e) //lint:allow hotalloc the queue grows once; a reused Frontier keeps its backing array
-	f.keys = append(f.keys, x)       //lint:allow hotalloc the queue grows once; a reused Frontier keeps its backing array
-	h := f.keys
+// PushItem offers the data item (r, id).
+func (f *Frontier[N]) PushItem(r geom.Rect, id int64) {
+	if d, ok := f.Within(r); ok {
+		f.PushItemAt(d, r, id)
+	}
+}
+
+// PushItemAt offers the data item (r, id) at squared distance d, as
+// Within reported it; a d the bound has dropped below since is ignored.
+// It records the item as a candidate and counts d toward the item bound
+// at once: the items collected so far are all queued unless the bound
+// drops below them.
+func (f *Frontier[N]) PushItemAt(d float64, r geom.Rect, id int64) {
+	if !(d <= f.boundSq) {
+		return
+	}
+	f.cands = append(f.cands, frontierKey{distSq: d, ref: ^int32(len(f.items))}) //lint:allow hotalloc grows to the fan-out once; a reused Frontier keeps its backing array
+	f.items = append(f.items, Item{Rect: r, ID: id})                             //lint:allow hotalloc the queue grows once; a reused Frontier keeps its backing array
+	if f.k > 0 {
+		f.best = f.tighten(f.best, d)
+	}
+}
+
+// queueCandidates pushes the expanded node's candidates that are still
+// within the bound, in entry order: the bound may have dropped since the
+// first of them was collected.
+func (f *Frontier[N]) queueCandidates() {
+	for _, c := range f.cands {
+		if c.distSq <= f.boundSq {
+			f.push(c)
+		}
+	}
+}
+
+// push queues x behind everything already queued at its distance.
+func (f *Frontier[N]) push(x frontierKey) {
+	x.seq = f.seq
+	f.seq++
+	h := append(f.keys, x) //lint:allow hotalloc the queue grows once; a reused Frontier keeps its backing array
 	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -137,6 +222,25 @@ func (f *Frontier[N]) push(d float64, e frontierEntry[N]) {
 		i = parent
 	}
 	h[i] = x
+	f.keys = h
+}
+
+// Pushes returns how many entries the last search queued below its
+// root.
+func (f *Frontier[N]) Pushes() int { return max(int(f.seq)-1, 0) }
+
+// recycle readies f for a pool: it drops the last search's node
+// references, so a pooled Frontier pins no node, and any backing array
+// longer than maxLen, so one wide search does not park its queue there.
+func (f *Frontier[N]) recycle(maxLen int) {
+	clear(f.nodes)
+	f.nodes = f.nodes[:0]
+	if cap(f.keys) > maxLen || cap(f.nodes) > maxLen || cap(f.items) > maxLen {
+		f.keys, f.nodes, f.items = nil, nil, nil
+	}
+	if cap(f.best) > maxLen {
+		f.best = nil
+	}
 }
 
 // pop removes and returns the first key in before order.
@@ -168,12 +272,12 @@ func (f *Frontier[N]) pop() frontierKey {
 	return top
 }
 
-// tighten counts a queued item's squared distance d among the k smallest
-// (f.best, a max-heap) and, once it holds k, lowers the bound to the
-// largest of them. A full heap only sees d <= f.best[0] (anything farther
-// was not queued), so d replaces the top.
-func (f *Frontier[N]) tighten(d float64) {
-	h := f.best
+// tighten counts d among the k smallest distances in h, a max-heap of
+// at most k, and returns the heap. Once h holds k, the bound drops to the
+// largest of them if it is not lower yet. A full heap is only offered
+// d <= h[0] (the bound is at most h[0], and nothing beyond the bound is
+// offered), so d replaces the top.
+func (f *Frontier[N]) tighten(h []float64, d float64) []float64 {
 	if len(h) < f.k {
 		h = append(h, d) //lint:allow hotalloc grows to k once; a reused Frontier keeps its backing array
 		i := len(h) - 1
@@ -182,7 +286,6 @@ func (f *Frontier[N]) tighten(d float64) {
 			i = (i - 1) / 2
 		}
 		h[i] = d
-		f.best = h
 	} else {
 		i := 0
 		for {
@@ -202,30 +305,65 @@ func (f *Frontier[N]) tighten(d float64) {
 		h[i] = d
 	}
 	if len(h) == f.k {
-		f.boundSq = h[0]
+		f.boundSq = min(f.boundSq, h[0])
 	}
+	return h
+}
+
+// treeSearch is one best-first search over the in-memory tree: the
+// frontier, its output buffer, and expand bound once per value, so a
+// recycled search allocates only the caller's copy of its result.
+type treeSearch struct {
+	f      Frontier[*node]
+	found  []Neighbor
+	expand func(n *node) error
+	trace  func(NodeVisit) // TraceNearest's visit; nil otherwise
+	height int             // the root's height, for trace levels
+}
+
+// expandNode offers n's entries to the frontier; it never fails.
+func (s *treeSearch) expandNode(n *node) error {
+	if s.trace != nil {
+		s.trace(NodeVisit{Page: n.page, Level: s.height - n.height})
+	}
+	if n.isLeaf() {
+		for i := range n.entries {
+			s.f.PushItem(n.entries[i].rect, n.entries[i].id)
+		}
+		return nil
+	}
+	for i := range n.entries {
+		s.f.PushNode(n.entries[i].rect, n.entries[i].child)
+	}
+	return nil
 }
 
 // bestFirst is BestFirst over the in-memory tree's nodes, which cannot
-// fail to read. visit, when non-nil, sees every node as it is expanded.
-func (t *Tree) bestFirst(p geom.Point, k int, limitSq float64, visit func(*node)) []Neighbor {
+// fail to read. trace, when non-nil, sees every node as it is expanded.
+// It searches on a frontier from the tree's recycling pool, so concurrent
+// readers each use their own, and returns an exact-size copy of what it
+// found (nil for nothing).
+func (t *Tree) bestFirst(p geom.Point, k int, limitSq float64, trace func(NodeVisit)) []Neighbor {
 	if t.size == 0 {
 		return nil
 	}
-	var f Frontier[*node]
-	out, _ := f.BestFirst(nil, p, t.root, k, limitSq, func(n *node) error { // expand below never fails
-		if visit != nil {
-			visit(n)
-		}
-		for _, e := range n.entries {
-			if n.isLeaf() {
-				f.PushItem(e.rect, e.id)
-			} else {
-				f.PushNode(e.rect, e.child)
-			}
-		}
-		return nil
-	})
+	s, _ := t.searches.Get().(*treeSearch)
+	if s == nil {
+		s = new(treeSearch) //lint:allow hotalloc scratch: allocated when the recycling pool is empty, not per query
+		s.expand = s.expandNode
+	}
+	s.trace, s.height = trace, t.root.height
+	found, _ := s.f.BestFirst(s.found[:0], p, t.root, k, limitSq, s.expand) // expandNode never fails
+	var out []Neighbor
+	if len(found) > 0 {
+		out = slices.Clone(found) //lint:allow hotalloc the caller's exact-size copy is the search's contract
+	}
+	s.trace, s.found = nil, found[:0]
+	if cap(found) > maxScratchItems {
+		s.found = nil
+	}
+	s.f.recycle(maxScratchItems)
+	t.searches.Put(s)
 	return out
 }
 
@@ -258,7 +396,5 @@ func (t *Tree) TraceNearest(p geom.Point, k int, visit func(NodeVisit)) []Neighb
 	if k <= 0 {
 		return nil
 	}
-	return t.bestFirst(p, k, math.Inf(1), func(n *node) {
-		visit(NodeVisit{Page: n.page, Level: t.root.height - n.height})
-	})
+	return t.bestFirst(p, k, math.Inf(1), visit)
 }

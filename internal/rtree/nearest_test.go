@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"rtreebuf/internal/geom"
@@ -319,6 +320,78 @@ func TestTraceNearestRequiresPages(t *testing.T) {
 		}
 	}()
 	tr.TraceNearest(geom.Point{X: 0.5, Y: 0.5}, 1, func(NodeVisit) {})
+}
+
+// TestNearestRecyclesSearch: a kNN search goes back to its tree's pool
+// holding no reference to a node, so a pooled search never keeps a node
+// alive, and a search that grew its queue past maxScratchItems leaves no
+// queue or result buffer beyond the cap there. Concurrent searches on one
+// tree each use their own frontier and return what one search alone did.
+func TestNearestRecyclesSearch(t *testing.T) {
+	rng := rand.New(rand.NewPCG(813, 814))
+	items := testItems(rng, maxScratchItems+5_000)
+	tr, err := Pack(Params{MaxEntries: 100}, items, xOrdering)
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := make([]geom.Point, 64)
+	want := make([][]Neighbor, len(points))
+	for i := range points {
+		points[i] = geom.Point{X: rng.Float64(), Y: rng.Float64()}
+		want[i] = tr.Nearest(points[i], 10)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 5; round++ {
+				for i, p := range points {
+					got := tr.Nearest(p, 10)
+					if len(got) != len(want[i]) {
+						t.Errorf("%v: %d neighbours, want %d", p, len(got), len(want[i]))
+						return
+					}
+					for j := range got {
+						if got[j] != want[i][j] {
+							t.Errorf("%v: neighbour %d is %v, alone %v", p, j, got[j], want[i][j])
+							return
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	if got := tr.NearestWithin(geom.Point{X: 0.5, Y: 0.5}, 2); len(got) != len(items) {
+		t.Fatalf("NearestWithin over the whole tree: %d of %d items", len(got), len(items))
+	}
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop values at random")
+	}
+	s, _ := tr.searches.Get().(*treeSearch)
+	if s == nil {
+		t.Fatal("no recycled search in the pool")
+	}
+	if cap(s.found) > maxScratchItems || cap(s.f.keys) > maxScratchItems || cap(s.f.nodes) > maxScratchItems || cap(s.f.items) > maxScratchItems {
+		t.Errorf("recycled search keeps %d results, %d keys, %d nodes, %d items; cap %d",
+			cap(s.found), cap(s.f.keys), cap(s.f.nodes), cap(s.f.items), maxScratchItems)
+	}
+	tr.searches.Put(s)
+	tr.Nearest(geom.Point{X: 0.3, Y: 0.6}, 10)
+	s, _ = tr.searches.Get().(*treeSearch)
+	if s == nil || cap(s.f.nodes) == 0 {
+		t.Fatal("the search was not recycled with its queue")
+	}
+	for i, n := range s.f.nodes[:cap(s.f.nodes)] {
+		if n != nil {
+			t.Fatalf("recycled search still references node %d of its queue", i)
+		}
+	}
+	if s.trace != nil {
+		t.Error("recycled search keeps its trace callback")
+	}
 }
 
 func BenchmarkNearest(b *testing.B) {

@@ -188,8 +188,8 @@ func TestSearchCapsResultScratch(t *testing.T) {
 
 // TestTreeQueryAllocations is the dynamic half of the allocation guard
 // on the in-memory tree, shaped like storage's TestQueryAllocations: on
-// a warm tree a query allocates its result slice when it has results
-// and nothing when it has none.
+// a warm tree a window or kNN query allocates its result slice when it
+// has results and nothing when it has none.
 func TestTreeQueryAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop values at random")
@@ -199,6 +199,8 @@ func TestTreeQueryAllocations(t *testing.T) {
 	tr := MustNew(Params{MaxEntries: 100})
 	tr.InsertAll(items)
 	tr.SearchWindow(geom.UnitSquare) // sizes the scratch
+	tr.AssignPageIDs()
+	visit := func(NodeVisit) {}
 	nowhere := geom.Point{X: 7, Y: 7}
 	p := items[0].Rect.Center()
 	w := geom.RectAround(geom.Point{X: 0.4, Y: 0.6}, 0.01, 0.01)
@@ -211,6 +213,10 @@ func TestTreeQueryAllocations(t *testing.T) {
 		{"SearchWindow, no match", 0, func() int { return len(tr.SearchWindow(geom.PointRect(nowhere))) }},
 		{"SearchPoint", 1, func() int { return len(tr.SearchPoint(p)) }},
 		{"SearchWindow", 1, func() int { return len(tr.SearchWindow(w)) }},
+		{"Nearest", 1, func() int { return len(tr.Nearest(p, 10)) }},
+		{"NearestWithin", 1, func() int { return len(tr.NearestWithin(p, 0.01)) }},
+		{"NearestWithin, no match", 0, func() int { return len(tr.NearestWithin(nowhere, 0.01)) }},
+		{"TraceNearest", 1, func() int { return len(tr.TraceNearest(p, 10, visit)) }},
 	} {
 		if n := tc.run(); (n > 0) != (tc.want > 0) {
 			t.Fatalf("%s returned %d results: the case does not test what it says", tc.name, n)

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"strings"
+	"sync"
 	"testing"
 
 	"rtreebuf/internal/geom"
@@ -424,22 +425,98 @@ func TestPutQueryCapsResultScratch(t *testing.T) {
 
 var benchSink int
 
-// benchQueries runs one query kind over the hot tree on Pool and on the
-// 8-shard ShardedPool.
-func benchQueries(b *testing.B, run func(pt *PagedTree, p geom.Point) (int, error)) {
-	for _, shards := range []int{1, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			pt, items := hotTree(b, shards)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				n, err := run(pt, items[i%len(items)].Rect.Center())
-				if err != nil {
-					b.Fatal(err)
-				}
-				benchSink += n
+// packedDevice holds the page file of the benchmark's own tree shape,
+// saved once per test binary: benchTree(1M), 10,101 pages.
+var packedDevice struct {
+	once sync.Once
+	dm   *MemoryManager
+	err  error
+}
+
+// packedHotTree is the tree read_hot queries, every page resident: 1M
+// TIGER-like items Hilbert-packed at fan-out 100. Its query points are
+// uniform in the unit square, as read_hot's kNN points are.
+func packedHotTree(tb testing.TB, shards int) (*PagedTree, []geom.Point) {
+	tb.Helper()
+	packedDevice.once.Do(func() {
+		tr := benchTree(tb, 1_000_000)
+		packedDevice.dm, packedDevice.err = NewMemoryManager(DefaultPageSize)
+		if packedDevice.err == nil {
+			packedDevice.err = SaveTree(packedDevice.dm, tr)
+		}
+	})
+	if packedDevice.err != nil {
+		tb.Fatal(packedDevice.err)
+	}
+	dm := packedDevice.dm
+	pt, err := OpenPagedTreeWith(dm, dm.NumPages(), "", shards)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for page := 0; page < dm.NumPages(); page++ {
+		if _, err := pt.Pool().View(page, func([]byte) {}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	center := geom.Point{X: 0.5, Y: 0.5}
+	if _, err := pt.SearchWindow(geom.RectAround(center, 0.1, 0.1)); err != nil { // sizes the scratch
+		tb.Fatal(err)
+	}
+	if _, err := pt.Nearest(center, 10); err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(1709, 1710))
+	points := make([]geom.Point, 4096)
+	for i := range points {
+		points[i] = geom.Point{X: rng.Float64(), Y: rng.Float64()}
+	}
+	return pt, points
+}
+
+// benchQueries runs one query kind on Pool and on the 8-shard
+// ShardedPool over two hot trees: hotTree, built by 30,000 inserts and
+// queried at item centers, and packedHotTree, the shape read_hot
+// queries. count, when non-nil, is reported per query as unit; it is
+// taken on a separate pass over the same points, after the timed loop.
+func benchQueries(b *testing.B, run func(pt *PagedTree, p geom.Point) (int, error), count func(pt *PagedTree, p geom.Point) int, unit string) {
+	fixtures := []struct {
+		name string
+		open func(tb testing.TB, shards int) (*PagedTree, []geom.Point)
+	}{
+		{"insert", func(tb testing.TB, shards int) (*PagedTree, []geom.Point) {
+			pt, items := hotTree(tb, shards)
+			points := make([]geom.Point, len(items))
+			for i, it := range items {
+				points[i] = it.Rect.Center()
 			}
-		})
+			return pt, points
+		}},
+		{"packed", packedHotTree},
+	}
+	for _, fx := range fixtures {
+		for _, shards := range []int{1, 8} {
+			b.Run(fmt.Sprintf("tree=%s/shards=%d", fx.name, shards), func(b *testing.B) {
+				pt, points := fx.open(b, shards)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					n, err := run(pt, points[i%len(points)])
+					if err != nil {
+						b.Fatal(err)
+					}
+					benchSink += n
+				}
+				b.StopTimer()
+				if count != nil {
+					n := min(b.N, len(points))
+					total := 0
+					for _, p := range points[:n] {
+						total += count(pt, p)
+					}
+					b.ReportMetric(float64(total)/float64(n), unit)
+				}
+			})
+		}
 	}
 }
 
@@ -447,19 +524,28 @@ func BenchmarkPagedSearchPoint(b *testing.B) {
 	benchQueries(b, func(pt *PagedTree, p geom.Point) (int, error) {
 		got, err := pt.SearchPoint(p)
 		return len(got), err
-	})
+	}, nil, "")
 }
 
 func BenchmarkPagedSearchWindow(b *testing.B) {
 	benchQueries(b, func(pt *PagedTree, p geom.Point) (int, error) {
 		got, err := pt.SearchWindow(geom.RectAround(p, 0.01, 0.01))
 		return len(got), err
-	})
+	}, nil, "")
 }
 
+// BenchmarkPagedNearest times a k = 10 search, read_hot's kNN, and
+// reports the entries its frontier queues per query.
 func BenchmarkPagedNearest(b *testing.B) {
 	benchQueries(b, func(pt *PagedTree, p geom.Point) (int, error) {
 		got, err := pt.Nearest(p, 10)
 		return len(got), err
-	})
+	}, func(pt *PagedTree, p geom.Point) int {
+		q := pt.getQuery()
+		defer pt.putQuery(q)
+		if _, err := q.nearest(p, 10); err != nil {
+			panic(err)
+		}
+		return q.frontier.Pushes()
+	}, "pushes/op")
 }

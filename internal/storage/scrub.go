@@ -42,12 +42,12 @@ func (r ScrubReport) String() string {
 
 // Scrub verifies a persisted tree end to end: the catalog decodes and is
 // consistent with the allocated page count, and every node page reads,
-// passes its checksum, decodes, and references only in-range child
-// pages (on an updated tree, walkTree's checks). It never stops at the
-// first fault — the report names every damaged page so an operator can
-// judge blast radius. Pair it with
-// PagedTree degraded mode to keep serving around the damage, or with a
-// re-save to repair it.
+// passes its checksum, decodes, holds an entry unless it is the root,
+// and references only in-range child pages (on an updated tree,
+// walkTree's checks). It never stops at the first fault — the report
+// names every damaged page so an operator can judge blast radius. Pair
+// it with PagedTree degraded mode to keep serving around the damage, or
+// with a re-save to repair it.
 func Scrub(dm DiskManager) ScrubReport {
 	rep := ScrubReport{PageSize: dm.PageSize()}
 	metaBuf, err := dm.ReadMeta()
@@ -88,6 +88,10 @@ func Scrub(dm DiskManager) ScrubReport {
 		nd, err := DecodeNode(buf, page)
 		if err != nil {
 			rep.Faults = append(rep.Faults, PageFault{Page: page, Err: err})
+			continue
+		}
+		if page > 0 && len(nd.Rects) == 0 {
+			rep.Faults = append(rep.Faults, PageFault{Page: page, Err: errEmptyNode(page)})
 			continue
 		}
 		if !nd.Leaf {

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"rtreebuf/internal/rtree"
 )
 
 func TestScrubCleanTree(t *testing.T) {
@@ -231,4 +233,62 @@ func TestWalkChecksReachLoadTreePinLevelsAndScrub(t *testing.T) {
 		}
 		wantFault(Scrub(dm), want)
 	})
+}
+
+// TestEmptyNonRootNodeIsAFault: a kNN search counts every child it reads
+// as a non-empty subtree, so a stored non-root node with no entries is
+// damage. A leaf emptied in place — re-encoded, so its checksum is valid
+// — is refused by LoadTree and reported by Scrub, on a level-order file
+// (Scrub's page loop) and on an updated one (walkTree).
+func TestEmptyNonRootNodeIsAFault(t *testing.T) {
+	// emptyLeaf empties the first leaf below the root and returns its page.
+	emptyLeaf := func(t *testing.T, dm *MemoryManager) int {
+		t.Helper()
+		buf := make([]byte, dm.PageSize())
+		page := 0
+		for {
+			if err := dm.ReadPage(page, buf); err != nil {
+				t.Fatal(err)
+			}
+			nd, err := DecodeNode(buf, page)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if nd.Leaf {
+				break
+			}
+			page = nd.Children[0]
+		}
+		if page == 0 {
+			t.Fatal("fixture tree has a leaf root")
+		}
+		empty, err := EncodeNode(rtree.NodeData{Page: page, Leaf: true}, dm.PageSize())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dm.WritePage(page, empty); err != nil {
+			t.Fatal(err)
+		}
+		return page
+	}
+	for _, tc := range []struct {
+		name    string
+		fixture func(t *testing.T) *MemoryManager
+	}{
+		{"level order", func(t *testing.T) *MemoryManager { dm, _ := savedMemoryTree(t, 400, 16); return dm }},
+		{"updated", func(t *testing.T) *MemoryManager { dm, _ := freedFixture(t); return dm }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dm := tc.fixture(t)
+			page := emptyLeaf(t, dm)
+			want := fmt.Sprintf("page %d is a non-root node with no entries", page)
+			if _, err := LoadTree(dm); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("LoadTree: %v, want an error containing %q", err, want)
+			}
+			rep := Scrub(dm)
+			if len(rep.Faults) != 1 || rep.Faults[0].Page != page || !strings.Contains(rep.Faults[0].Err.Error(), want) {
+				t.Errorf("Scrub: %v, want exactly page %d reported: %q", rep, page, want)
+			}
+		})
+	}
 }

@@ -294,6 +294,13 @@ func LoadTree(dm DiskManager) (*rtree.Tree, error) {
 	}, nodes)
 }
 
+// errEmptyNode is the fault of a non-root node with no entries. Only the
+// root of an empty tree may be empty: a kNN search takes every child it
+// reads for a non-empty subtree (rtree.Frontier's sibling bound).
+func errEmptyNode(page int) error {
+	return fmt.Errorf("storage: page %d is a non-root node with no entries", page)
+}
+
 // walkTree is the one walk of a stored tree. It goes from the root,
 // depth first in entry order, reading pages through dm, and calls visit
 // for each page it reaches: with the decoded node above depth stop, and
@@ -302,10 +309,11 @@ func LoadTree(dm DiskManager) (*rtree.Tree, error) {
 // stale bytes, so only what the root reaches is read, and before it
 // follows a child the walk checks that the child lies inside the file
 // span, is not a free page, has not been reached before (a cycle or a
-// shared child) and is not deeper than the catalog's levels. A failed
-// read, decode or check goes to fault, and the walk goes on past that
-// page or child; with fault nil it stops and returns the error. An error
-// from visit always stops it.
+// shared child) and is not deeper than the catalog's levels, and it
+// refuses a non-root node with no entries. A failed read, decode or
+// check goes to fault, and the walk goes on past that page or child;
+// with fault nil it stops and returns the error. An error from visit
+// always stops it.
 func walkTree(dm DiskManager, meta TreeMeta, stop int,
 	visit func(page, depth int, nd *rtree.NodeData) error, fault func(PageFault)) error {
 	fail := func(page int, err error) error {
@@ -334,6 +342,9 @@ func walkTree(dm DiskManager, meta TreeMeta, stop int,
 		nd, err := DecodeNode(buf, page)
 		if err != nil {
 			return fail(page, err)
+		}
+		if depth > 0 && len(nd.Rects) == 0 {
+			return fail(page, errEmptyNode(page))
 		}
 		if err := visit(page, depth, &nd); err != nil {
 			return err
@@ -559,8 +570,9 @@ type pageRef struct{ page, depth int }
 // PagedTree.queries. It reads every node in place, in the frame the pool
 // lends to View, and strictly in two phases: inside the callback it
 // scans the whole frame into its own slices — matching leaf entries into
-// items, matching children into kids, frontier entries into the heap —
-// and only after View has returned does it ask for the next page. A
+// items, matching children into kids, a kNN node's entries into the
+// frontier's candidates — and only after View has returned does it ask
+// for the next page (or the frontier push the candidates it kept). A
 // frame is never read after another pool operation: Pool recycles an
 // evicted frame for the next fault, so reading the parent's frame after
 // a child visit returns another page's entries on a small buffer, and
@@ -766,18 +778,25 @@ func (pt *PagedTree) Nearest(p geom.Point, k int) ([]rtree.Neighbor, error) {
 	q := pt.getQuery()
 	defer pt.putQuery(q)
 	q.record("nearest")
-	found, err := q.frontier.BestFirst(q.found[:0], p, pageRef{}, k, math.Inf(1), q.expand)
-	if err == nil {
-		q.found = found
-	}
+	found, err := q.nearest(p, k)
 	out := owned(found)
 	q.finish(len(out))
 	return out, err
 }
 
-// expandNode is how BestFirst reads node n: its entries go onto the
-// frontier inside the View callback, and BestFirst pops only after
-// expandNode has returned.
+// nearest runs Nearest's search on q's frontier and returns the items
+// found in q's scratch, nil on error.
+func (q *query) nearest(p geom.Point, k int) ([]rtree.Neighbor, error) {
+	found, err := q.frontier.BestFirst(q.found[:0], p, pageRef{}, k, math.Inf(1), q.expand)
+	if err == nil {
+		q.found = found
+	}
+	return found, err
+}
+
+// expandNode is how BestFirst reads node n: its entries are offered to
+// the frontier inside the View callback, and BestFirst queues the ones
+// it keeps, and pops, only after expandNode has returned.
 func (q *query) expandNode(n pageRef) error {
 	q.node = n
 	info, err := q.pt.pool.View(n.page, q.push)
@@ -786,14 +805,21 @@ func (q *query) expandNode(n pageRef) error {
 	return err
 }
 
-// pushFrame is expandNode's View callback.
+// pushFrame is expandNode's View callback: it offers every entry of the
+// frame to the frontier, in entry order, making the frontier's bound
+// test inline so that the entries beyond it (most of them) cost no call.
 func (q *query) pushFrame(frame []byte) {
 	leaf, depth := pageIsLeaf(frame), q.node.depth+1
 	for e := pageEntries(frame); len(e) >= entrySize; e = e[entrySize:] {
-		if r, payload := getRect(e), getPayload(e); leaf {
-			q.frontier.PushItem(r, int64(payload))
+		r := getRect(e)
+		d, ok := q.frontier.Within(r)
+		if !ok {
+			continue
+		}
+		if payload := getPayload(e); leaf {
+			q.frontier.PushItemAt(d, r, int64(payload))
 		} else {
-			q.frontier.PushNode(r, pageRef{int(payload), depth})
+			q.frontier.PushNodeAt(d, r, pageRef{int(payload), depth})
 		}
 	}
 }
