@@ -86,17 +86,22 @@ func (p *Pool) noteFailedWrite() {
 // NewPool returns an LRU pool of the given capacity (in pages) over
 // pages [0, numPages) of src.
 func NewPool(src PageSource, capacity, numPages int) *Pool {
-	return NewPoolWith(src, capacity, numPages, func(capacity, numPages int) PoolPolicy {
-		return NewLRU(capacity, numPages)
-	})
+	return NewPoolWith(src, capacity, numPages, nil)
 }
 
 // NewPoolWith returns a pool whose replacement decisions are made by the
-// policy the factory constructs (see FactoryFor for the built-in names).
+// policy the factory constructs (see FactoryFor for the built-in names;
+// nil is LRU).
 func NewPoolWith(src PageSource, capacity, numPages int, factory PolicyFactory) *Pool {
+	var policy PoolPolicy
+	if factory == nil {
+		policy = NewLRU(capacity, numPages)
+	} else {
+		policy = factory(capacity, numPages)
+	}
 	p := &Pool{
 		src:    src,
-		policy: factory(capacity, numPages),
+		policy: policy,
 		frames: make([][]byte, numPages),
 		dirty:  make([]bool, numPages),
 	}

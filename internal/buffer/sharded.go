@@ -101,21 +101,15 @@ func (io shardIO) ReadPage(local int, dst []byte) error {
 // capacity (in pages) over pages [0, numPages) of src, striped across
 // the given number of shards.
 func NewShardedPool(src PageSource, capacity, numPages, shards int) *ShardedPool {
-	return NewShardedPoolWith(src, capacity, numPages, shards, func(capacity, numPages int) PoolPolicy {
-		return NewLRU(capacity, numPages)
-	})
+	return NewShardedPoolWith(src, capacity, numPages, shards, nil)
 }
 
 // NewShardedPoolWith is NewShardedPool with each shard's replacement
-// policy built by factory (see FactoryFor). shards is clamped to
-// [1, capacity] so every shard has at least one frame.
+// policy built by factory (see FactoryFor; nil is LRU). shards is
+// clamped to capacity, so every shard has at least one frame, and then
+// to at least 1.
 func NewShardedPoolWith(src PageSource, capacity, numPages, shards int, factory PolicyFactory) *ShardedPool {
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > capacity {
-		shards = capacity
-	}
+	shards = max(min(shards, capacity), 1)
 	s := &ShardedPool{
 		shards:   make([]*poolShard, shards),
 		n:        shards,

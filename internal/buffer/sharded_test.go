@@ -84,6 +84,46 @@ func TestShardedPoolClampsShards(t *testing.T) {
 	}
 }
 
+// TestNilFactoryIsLRU: a nil policy factory builds LRU, as the facade
+// documents. On one seeded access stream NewPoolWith and
+// NewShardedPoolWith given nil count the same hits, misses and
+// evictions as NewPool and NewShardedPool.
+func TestNilFactoryIsLRU(t *testing.T) {
+	const capacity, numPages = 8, 40
+	src := &concSource{pageSize: 32, numPages: numPages}
+	for _, tc := range []struct {
+		name         string
+		lru, withNil func() PagePool
+	}{
+		{"Pool",
+			func() PagePool { return NewPool(src, capacity, numPages) },
+			func() PagePool { return NewPoolWith(src, capacity, numPages, nil) }},
+		{"ShardedPool",
+			func() PagePool { return NewShardedPool(src, capacity, numPages, 3) },
+			func() PagePool { return NewShardedPoolWith(src, capacity, numPages, 3, nil) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			lru, nilPool := tc.lru(), tc.withNil()
+			rng := rand.New(rand.NewSource(43))
+			for i := 0; i < 5000; i++ {
+				page := rng.Intn(rng.Intn(numPages) + 1) // skewed toward low pages
+				for _, p := range []PagePool{lru, nilPool} {
+					if _, err := p.Get(page); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			h, m, e := lru.Stats()
+			if h == 0 || e == 0 {
+				t.Fatalf("stream too easy: %d hits, %d misses, %d evictions", h, m, e)
+			}
+			if h2, m2, e2 := nilPool.Stats(); h2 != h || m2 != m || e2 != e {
+				t.Errorf("nil factory: %d/%d/%d hits/misses/evictions, LRU %d/%d/%d", h2, m2, e2, h, m, e)
+			}
+		})
+	}
+}
+
 func TestShardedPoolBounds(t *testing.T) {
 	src := &concSource{pageSize: 32, numPages: 20}
 	p := NewShardedPool(src, 4, 10, 2)

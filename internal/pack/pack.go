@@ -79,20 +79,20 @@ func loadTAT(p rtree.Params, items []rtree.Item) (*rtree.Tree, error) {
 // x-coordinate of their center. (The original paper gives no details; like
 // Leutenegger–López we assume the rectangle's center is used.)
 func NearestXOrdering() rtree.Ordering {
-	return rtree.OrderingFunc(func(rects []geom.Rect, _ int) []int {
+	return func(rects []geom.Rect, _ int) []int {
 		p, _, _ := sortByCenter(rects)
 		return indices(p)
-	})
+	}
 }
 
 // HilbertOrdering returns the HS ordering: rectangles sorted by the
 // Hilbert-curve distance of their center on a 2^order x 2^order grid over
 // the unit square.
 func HilbertOrdering(order uint) rtree.Ordering {
-	return rtree.OrderingFunc(func(rects []geom.Rect, _ int) []int {
+	return func(rects []geom.Rect, _ int) []int {
 		xs, ys := centers(rects)
 		return SortKeys(hilbert.EncodePoints(order, xs, ys))
-	})
+	}
 }
 
 // STROrdering returns the Sort-Tile-Recursive ordering of
@@ -101,7 +101,7 @@ func HilbertOrdering(order uint) rtree.Ordering {
 // each slab by center y. Grouping consecutive runs of n afterwards yields
 // the STR tiling exactly.
 func STROrdering() rtree.Ordering {
-	return rtree.OrderingFunc(func(rects []geom.Rect, groupSize int) []int {
+	return func(rects []geom.Rect, groupSize int) []int {
 		p, tmp, ky := sortByCenter(rects)
 		if groupSize < 1 {
 			return indices(p)
@@ -120,7 +120,7 @@ func STROrdering() rtree.Ordering {
 			}
 		})
 		return indices(p)
-	})
+	}
 }
 
 // sortByCenter returns the rectangles' indices in (center x, center y,

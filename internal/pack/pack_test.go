@@ -85,7 +85,7 @@ func TestPaperAlgorithms(t *testing.T) {
 func TestNearestXOrderingSortsByCenterX(t *testing.T) {
 	rng := rand.New(rand.NewPCG(203, 204))
 	rects := randRects(rng, 500)
-	perm := NearestXOrdering().Order(rects, 10)
+	perm := NearestXOrdering()(rects, 10)
 	for i := 1; i < len(perm); i++ {
 		if rects[perm[i-1]].Center().X > rects[perm[i]].Center().X {
 			t.Fatalf("NX ordering not sorted at %d", i)
@@ -96,7 +96,7 @@ func TestNearestXOrderingSortsByCenterX(t *testing.T) {
 func TestHilbertOrderingSortsByHilbertKey(t *testing.T) {
 	rng := rand.New(rand.NewPCG(205, 206))
 	rects := randRects(rng, 500)
-	perm := HilbertOrdering(hilbert.DefaultOrder).Order(rects, 10)
+	perm := HilbertOrdering(hilbert.DefaultOrder)(rects, 10)
 	prev := uint64(0)
 	for i, idx := range perm {
 		c := rects[idx].Center()
@@ -118,7 +118,7 @@ func TestSTROrderingStructure(t *testing.T) {
 			rects = append(rects, geom.PointRect(p))
 		}
 	}
-	perm := STROrdering().Order(rects, 16)
+	perm := STROrdering()(rects, 16)
 	if len(perm) != 256 {
 		t.Fatalf("perm length %d", len(perm))
 	}
@@ -144,7 +144,7 @@ func TestOrderingsArePermutations(t *testing.T) {
 		"str": STROrdering(),
 	}
 	for name, ord := range orderings {
-		perm := ord.Order(rects, 10)
+		perm := ord(rects, 10)
 		if len(perm) != len(rects) {
 			t.Fatalf("%s: length %d", name, len(perm))
 		}

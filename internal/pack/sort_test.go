@@ -131,7 +131,7 @@ func TestOrderingsMatchComparisonSortOracle(t *testing.T) {
 				for _, group := range []int{7, 100} {
 					want := o.oracle(rects, group)
 					withProcs(t, func(t *testing.T, procs int) {
-						if got := o.ord.Order(rects, group); !slices.Equal(got, want) {
+						if got := o.ord(rects, group); !slices.Equal(got, want) {
 							t.Errorf("%s %s n=%d group=%d procs=%d: permutation differs from the comparison sort's (first at %d)",
 								o.name, in.name, n, group, procs, firstDiff(got, want))
 						}

@@ -51,7 +51,7 @@ func ExamplePack() {
 		})
 	}
 	// Order by center-x: the Nearest-X packing of Roussopoulos–Leifker.
-	byX := rtree.OrderingFunc(func(rects []geom.Rect, _ int) []int {
+	byX := rtree.Ordering(func(rects []geom.Rect, _ int) []int {
 		perm := make([]int, len(rects))
 		for i := range perm {
 			perm[i] = i

@@ -2,7 +2,6 @@ package rtree
 
 import (
 	"math"
-	"slices"
 
 	"rtreebuf/internal/geom"
 )
@@ -71,9 +70,11 @@ func (a frontierKey) before(b frontierKey) bool {
 // the last one grew.
 //
 // A node's entries are queued only once the node has been read: while
-// expand runs, PushNode and PushItem (or Within, then PushNodeAt and
-// PushItemAt) collect the candidates within the bound, and once it
-// returns BestFirst pushes those still within it, in entry order. A search for k items lowers the bound in two ways.
+// expand runs, it tests each entry with Within and offers those within
+// the bound to PushNodeAt or PushItemAt, which collect them as
+// candidates; once it returns, BestFirst pushes those still within the
+// bound, in entry order. A search for k items lowers the bound in two
+// ways.
 //
 //   - Item bound: it keeps the k smallest item distances queued so far
 //     and, once it has k, queues nothing farther than the largest of
@@ -114,8 +115,8 @@ type Frontier[N any] struct {
 // never queues anything farther than sqrt(limitSq) from p (+Inf: no
 // bound). expand is how a node is read: it is called once per visited
 // node, in visit order, and offers the node's entries, in entry order,
-// to PushNode or PushItem (or PushNodeAt or PushItemAt); an error from
-// it ends the search.
+// through Within to PushNodeAt or PushItemAt; an error from it ends the
+// search.
 func (f *Frontier[N]) BestFirst(dst []Neighbor, p geom.Point, root N, k int, limitSq float64, expand func(n N) error) ([]Neighbor, error) {
 	f.p, f.k, f.boundSq, f.seq = p, k, limitSq, 0
 	f.keys, f.nodes, f.items, f.best = f.keys[:0], f.nodes[:0], f.items[:0], f.best[:0]
@@ -139,20 +140,11 @@ func (f *Frontier[N]) BestFirst(dst []Neighbor, p geom.Point, root N, k int, lim
 }
 
 // Within returns the squared distance from the search point to r and
-// whether an entry there may still be returned. PushNode and PushItem
-// make this test themselves; a reader that offers many entries can make
-// it inline, before the call, and pass only the entries within to
-// PushNodeAt and PushItemAt.
+// whether an entry there may still be returned. It inlines, so a reader
+// pays a call to PushNodeAt or PushItemAt only for the entries within.
 func (f *Frontier[N]) Within(r geom.Rect) (float64, bool) {
 	d := minDistSq(f.p, r)
 	return d, d <= f.boundSq
-}
-
-// PushNode offers the child node n, whose covering rectangle is r.
-func (f *Frontier[N]) PushNode(r geom.Rect, n N) {
-	if d, ok := f.Within(r); ok {
-		f.PushNodeAt(d, r, n)
-	}
 }
 
 // PushNodeAt offers the child node n, whose covering rectangle r is at
@@ -170,13 +162,6 @@ func (f *Frontier[N]) PushNodeAt(d float64, r geom.Rect, n N) {
 		if m := maxDistSq(f.p, r); m < f.boundSq {
 			f.far = f.tighten(f.far, m)
 		}
-	}
-}
-
-// PushItem offers the data item (r, id).
-func (f *Frontier[N]) PushItem(r geom.Rect, id int64) {
-	if d, ok := f.Within(r); ok {
-		f.PushItemAt(d, r, id)
 	}
 }
 
@@ -310,60 +295,39 @@ func (f *Frontier[N]) tighten(h []float64, d float64) []float64 {
 	return h
 }
 
-// treeSearch is one best-first search over the in-memory tree: the
-// frontier, its output buffer, and expand bound once per value, so a
-// recycled search allocates only the caller's copy of its result.
-type treeSearch struct {
-	f      Frontier[*node]
-	found  []Neighbor
-	expand func(n *node) error
-	trace  func(NodeVisit) // TraceNearest's visit; nil otherwise
-	height int             // the root's height, for trace levels
-}
-
 // expandNode offers n's entries to the frontier; it never fails.
 func (s *treeSearch) expandNode(n *node) error {
 	if s.trace != nil {
 		s.trace(NodeVisit{Page: n.page, Level: s.height - n.height})
 	}
-	if n.isLeaf() {
-		for i := range n.entries {
-			s.f.PushItem(n.entries[i].rect, n.entries[i].id)
-		}
-		return nil
-	}
+	leaf := n.isLeaf()
 	for i := range n.entries {
-		s.f.PushNode(n.entries[i].rect, n.entries[i].child)
+		e := &n.entries[i]
+		d, ok := s.f.Within(e.rect)
+		if !ok {
+			continue
+		}
+		if leaf {
+			s.f.PushItemAt(d, e.rect, e.id)
+		} else {
+			s.f.PushNodeAt(d, e.rect, e.child)
+		}
 	}
 	return nil
 }
 
 // bestFirst is BestFirst over the in-memory tree's nodes, which cannot
 // fail to read. trace, when non-nil, sees every node as it is expanded.
-// It searches on a frontier from the tree's recycling pool, so concurrent
-// readers each use their own, and returns an exact-size copy of what it
-// found (nil for nothing).
+// It returns an exact-size copy of what it found (nil for nothing).
 func (t *Tree) bestFirst(p geom.Point, k int, limitSq float64, trace func(NodeVisit)) []Neighbor {
 	if t.size == 0 {
 		return nil
 	}
-	s, _ := t.searches.Get().(*treeSearch)
-	if s == nil {
-		s = new(treeSearch) //lint:allow hotalloc scratch: allocated when the recycling pool is empty, not per query
-		s.expand = s.expandNode
-	}
+	s := t.getSearch()
 	s.trace, s.height = trace, t.root.height
-	found, _ := s.f.BestFirst(s.found[:0], p, t.root, k, limitSq, s.expand) // expandNode never fails
-	var out []Neighbor
-	if len(found) > 0 {
-		out = slices.Clone(found) //lint:allow hotalloc the caller's exact-size copy is the search's contract
-	}
-	s.trace, s.found = nil, found[:0]
-	if cap(found) > maxScratchItems {
-		s.found = nil
-	}
-	s.f.recycle(maxScratchItems)
-	t.searches.Put(s)
+	s.found, _ = s.f.BestFirst(s.found[:0], p, t.root, k, limitSq, s.expand) // expandNode never fails
+	out := owned(s.found)
+	t.putSearch(s)
 	return out
 }
 

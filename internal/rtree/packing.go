@@ -8,23 +8,13 @@ import (
 )
 
 // Ordering arranges the rectangles of one tree level prior to grouping
-// them into nodes. Order returns a permutation of indices of rects; the
+// them into nodes. It returns a permutation of indices of rects; the
 // packer then fills nodes with groupSize consecutive rectangles in that
 // order. groupSize is the node capacity n, which slab-based orderings
 // (STR) need to shape their tiles.
 //
 // Implementations live in internal/pack (Nearest-X, Hilbert Sort, STR).
-type Ordering interface {
-	Order(rects []geom.Rect, groupSize int) []int
-}
-
-// OrderingFunc adapts a function to the Ordering interface.
-type OrderingFunc func(rects []geom.Rect, groupSize int) []int
-
-// Order implements Ordering.
-func (f OrderingFunc) Order(rects []geom.Rect, groupSize int) []int {
-	return f(rects, groupSize)
-}
+type Ordering func(rects []geom.Rect, groupSize int) []int
 
 // Pack bulk-loads an R-tree bottom-up, implementing the paper's "General
 // Algorithm" for packing: order the R data rectangles, place each
@@ -51,7 +41,7 @@ func Pack(p Params, items []Item, ord Ordering) (*Tree, error) {
 	}
 
 	// Leaf level.
-	perm := ord.Order(itemRects(items), np.MaxEntries)
+	perm := ord(itemRects(items), np.MaxEntries)
 	if err := CheckPermutation(perm, len(items)); err != nil {
 		return nil, fmt.Errorf("rtree: %w", err)
 	}
@@ -61,7 +51,7 @@ func Pack(p Params, items []Item, ord Ordering) (*Tree, error) {
 	// Upper levels.
 	for height := 1; len(level) > 1; height++ {
 		mbrs := nodeMBRs(level, np.MaxEntries)
-		perm := ord.Order(mbrs, np.MaxEntries)
+		perm := ord(mbrs, np.MaxEntries)
 		if err := CheckPermutation(perm, len(level)); err != nil {
 			return nil, fmt.Errorf("rtree: %w", err)
 		}

@@ -10,7 +10,7 @@ import (
 
 // xOrdering sorts rectangles by center x — a minimal valid Ordering
 // (equivalent to NX) for exercising Pack without importing internal/pack.
-var xOrdering = OrderingFunc(func(rects []geom.Rect, _ int) []int {
+var xOrdering = Ordering(func(rects []geom.Rect, _ int) []int {
 	perm := make([]int, len(rects))
 	for i := range perm {
 		perm[i] = i
@@ -128,12 +128,12 @@ func TestPackRejectsBadOrderings(t *testing.T) {
 		ord  Ordering
 	}{
 		{"nil", nil},
-		{"short", OrderingFunc(func(rects []geom.Rect, _ int) []int { return []int{0} })},
-		{"duplicate", OrderingFunc(func(rects []geom.Rect, _ int) []int {
+		{"short", Ordering(func(rects []geom.Rect, _ int) []int { return []int{0} })},
+		{"duplicate", Ordering(func(rects []geom.Rect, _ int) []int {
 			p := make([]int, len(rects))
 			return p // all zeros
 		})},
-		{"out of range", OrderingFunc(func(rects []geom.Rect, _ int) []int {
+		{"out of range", Ordering(func(rects []geom.Rect, _ int) []int {
 			p := make([]int, len(rects))
 			for i := range p {
 				p[i] = i

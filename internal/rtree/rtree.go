@@ -140,7 +140,7 @@ type Tree struct {
 	size       int  // number of data items
 	pagesValid bool // page numbers current since last AssignPageIDs
 	scratch    updateScratch
-	searches   sync.Pool // recycled kNN searches (*treeSearch), holding no node between searches
+	searches   sync.Pool // recycled window and kNN searches (*treeSearch), holding no node between searches
 }
 
 // New returns an empty R-tree with the given parameters.

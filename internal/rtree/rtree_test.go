@@ -200,19 +200,6 @@ func TestBounds(t *testing.T) {
 	}
 }
 
-func TestCountWindowMatchesSearch(t *testing.T) {
-	rng := rand.New(rand.NewPCG(8, 8))
-	tr := MustNew(Params{MaxEntries: 8})
-	items := testItems(rng, 500)
-	tr.InsertAll(items)
-	for i := 0; i < 50; i++ {
-		q := geom.RectAround(geom.Point{X: rng.Float64(), Y: rng.Float64()}, 0.3, 0.3)
-		if got, want := tr.CountWindow(q), len(tr.SearchWindow(q)); got != want {
-			t.Fatalf("CountWindow = %d, SearchWindow = %d", got, want)
-		}
-	}
-}
-
 func TestSearchWindowFunc(t *testing.T) {
 	rng := rand.New(rand.NewPCG(9, 10))
 	tr := MustNew(Params{MaxEntries: 8})
@@ -246,14 +233,6 @@ func TestSearchWindowFunc(t *testing.T) {
 	}
 	if count != 3 {
 		t.Errorf("visited %d items after stop at 3", count)
-	}
-
-	// Intersecting: true where hits exist, false in empty space.
-	if !tr.Intersecting(q) {
-		t.Error("Intersecting false on populated region")
-	}
-	if tr.Intersecting(geom.Rect{MinX: 2, MinY: 2, MaxX: 3, MaxY: 3}) {
-		t.Error("Intersecting true outside the data space")
 	}
 }
 

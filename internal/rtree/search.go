@@ -2,7 +2,6 @@ package rtree
 
 import (
 	"slices"
-	"sync"
 
 	"rtreebuf/internal/geom"
 )
@@ -13,41 +12,64 @@ import (
 // steady-state query allocates that copy and nothing else, and a query
 // with no results returns nil.
 func (t *Tree) SearchWindow(q geom.Rect) []Item {
-	s := getScratch()
-	found := t.searchNode(t.root, q, (*s)[:0])
-	var out []Item
-	if len(found) > 0 {
-		out = slices.Clone(found) //lint:allow hotalloc the caller's exact-size copy is SearchWindow's contract
-	}
-	putScratch(s, found)
+	s := t.getSearch()
+	s.items = t.searchNode(t.root, q, s.items[:0])
+	out := owned(s.items)
+	t.putSearch(s)
 	return out
 }
 
-// scratchPool recycles SearchWindow's result scratch (*[]Item) between
-// queries, so concurrent readers of one tree each fill their own.
-var scratchPool sync.Pool
+// treeSearch is one query's scratch, recycled through the tree's pool:
+// SearchWindow's result buffer, and the best-first search's frontier,
+// its output buffer and expand bound once per value. A recycled search
+// allocates only the caller's copy of its result, and concurrent readers
+// of one tree each use their own.
+type treeSearch struct {
+	items  []Item // SearchWindow's results
+	f      Frontier[*node]
+	found  []Neighbor
+	expand func(n *node) error
+	trace  func(NodeVisit) // TraceNearest's visit; nil otherwise
+	height int             // the root's height, for trace levels
+}
 
-// maxScratchItems bounds the result scratch the pool keeps: a
+// maxScratchItems bounds every array a pooled search keeps: a
 // full-window query would otherwise park its whole result buffer (40 MB
-// at a million items) in the pool until the collector clears it.
+// at a million items) in the pool until the collector clears it, and a
+// wide NearestWithin its whole queue.
 const maxScratchItems = 1 << 16
 
-// getScratch takes a result scratch from the pool; putScratch returns
-// it holding items' storage, or none beyond maxScratchItems.
-func getScratch() *[]Item {
-	s, _ := scratchPool.Get().(*[]Item)
+// getSearch takes a search from the tree's recycling pool; putSearch
+// returns it holding no node, no trace callback and no array beyond
+// maxScratchItems.
+func (t *Tree) getSearch() *treeSearch {
+	s, _ := t.searches.Get().(*treeSearch)
 	if s == nil {
-		s = new([]Item) //lint:allow hotalloc scratch: allocated when the pool is empty, not per query
+		s = new(treeSearch) //lint:allow hotalloc scratch: allocated when the recycling pool is empty, not per query
+		s.expand = s.expandNode
 	}
 	return s
 }
 
-func putScratch(s *[]Item, items []Item) {
-	if cap(items) > maxScratchItems {
-		items = nil
+func (t *Tree) putSearch(s *treeSearch) {
+	s.trace = nil
+	if cap(s.items) > maxScratchItems {
+		s.items = nil
 	}
-	*s = items[:0]
-	scratchPool.Put(s)
+	if cap(s.found) > maxScratchItems {
+		s.found = nil
+	}
+	s.f.recycle(maxScratchItems)
+	t.searches.Put(s)
+}
+
+// owned returns the caller's copy of a search's scratch results — the
+// one allocation a steady-state query makes. No results is nil.
+func owned[T any](scratch []T) []T {
+	if len(scratch) == 0 {
+		return nil
+	}
+	return slices.Clone(scratch) //lint:allow hotalloc the caller's exact-size copy is the query's contract
 }
 
 // SearchPoint reports every stored item whose rectangle contains p — the
@@ -81,17 +103,6 @@ func (t *Tree) searchFunc(n *node, q geom.Rect, visit func(Item) bool) bool {
 		}
 	}
 	return true
-}
-
-// Intersecting reports whether any stored item intersects q, descending
-// only until the first hit.
-func (t *Tree) Intersecting(q geom.Rect) bool {
-	found := false
-	t.SearchWindowFunc(q, func(Item) bool {
-		found = true
-		return false
-	})
-	return found
 }
 
 // searchNode appends every item under n that intersects q to out, in
@@ -213,50 +224,4 @@ func (t *Tree) TraceWindow(q geom.Rect, order TraceOrder, strictRoot bool, visit
 		}
 		rec(t.root)
 	}
-}
-
-// CountWindow returns the number of items intersecting q without
-// materializing them — handy for benchmarks that must not measure
-// allocation of result slices.
-func (t *Tree) CountWindow(q geom.Rect) int {
-	count := 0
-	var rec func(n *node)
-	rec = func(n *node) {
-		for _, e := range n.entries {
-			if !e.rect.Intersects(q) {
-				continue
-			}
-			if n.isLeaf() {
-				count++
-			} else {
-				rec(e.child)
-			}
-		}
-	}
-	rec(t.root)
-	return count
-}
-
-// NodesTouched returns the number of tree nodes whose MBR intersects q —
-// the bufferless "nodes visited" metric of the Kamel–Faloutsos model that
-// the paper argues is insufficient.
-func (t *Tree) NodesTouched(q geom.Rect) int {
-	count := 0
-	var rec func(n *node, mbr geom.Rect)
-	rec = func(n *node, mbr geom.Rect) {
-		if !mbr.Intersects(q) {
-			return
-		}
-		count++
-		if n.isLeaf() {
-			return
-		}
-		for _, e := range n.entries {
-			rec(e.child, e.rect)
-		}
-	}
-	if len(t.root.entries) > 0 {
-		rec(t.root, t.root.mbr())
-	}
-	return count
 }

@@ -159,7 +159,7 @@ func TestSearchConcurrentQueries(t *testing.T) {
 // TestSearchCapsResultScratch mirrors storage's
 // TestPutQueryCapsResultScratch: a full-window query over more than
 // maxScratchItems items returns every item and leaves no result buffer
-// beyond the cap in the pool, while an ordinary scratch is kept.
+// beyond the cap in the tree's pool, while an ordinary scratch is kept.
 func TestSearchCapsResultScratch(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3609, 3610))
 	items := testItems(rng, maxScratchItems+5_000)
@@ -173,16 +173,96 @@ func TestSearchCapsResultScratch(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop values at random")
 	}
-	s := getScratch()
-	if cap(*s) > maxScratchItems {
-		t.Errorf("the pool holds a %d-item result buffer, cap %d", cap(*s), maxScratchItems)
+	s, _ := tr.searches.Get().(*treeSearch)
+	if s == nil {
+		t.Fatal("no recycled search in the pool")
+	}
+	if cap(s.items) > maxScratchItems {
+		t.Errorf("the pool holds a %d-item result buffer, cap %d", cap(s.items), maxScratchItems)
 	}
 	for _, size := range []int{100, maxScratchItems, maxScratchItems + 1} {
-		putScratch(s, make([]Item, 0, size))
-		if kept := cap(*s) == size; kept != (size <= maxScratchItems) {
-			t.Errorf("putScratch of a %d-item scratch left cap %d (limit %d)", size, cap(*s), maxScratchItems)
+		s.items = make([]Item, 0, size)
+		tr.putSearch(s)
+		s = tr.getSearch()
+		if kept := cap(s.items) == size; kept != (size <= maxScratchItems) {
+			t.Errorf("putSearch of a %d-item scratch left cap %d (limit %d)", size, cap(s.items), maxScratchItems)
 		}
-		s = getScratch()
+	}
+}
+
+// TestWindowAndNearestShareSearches: window and kNN queries recycle one
+// kind of search through the tree's pool. Goroutines that interleave
+// them on one tree each get what the query returns alone, and after
+// either kind of query the pooled search holds no node and no array
+// beyond maxScratchItems.
+func TestWindowAndNearestShareSearches(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3613, 3614))
+	items := testItems(rng, maxScratchItems+5_000)
+	tr, err := Pack(Params{MaxEntries: 100}, items, xOrdering)
+	if err != nil {
+		t.Fatal(err)
+	}
+	windows := contractWindows(rng)
+	wantWindow := make([][]Item, len(windows))
+	wantNearest := make([][]Neighbor, len(windows))
+	for i, q := range windows {
+		wantWindow[i] = tr.SearchWindow(q)
+		wantNearest[i] = tr.Nearest(q.Center(), 10)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				for i := range windows {
+					at := (i + g*7 + round) % len(windows)
+					if (at+g)%2 == 0 {
+						if got := tr.SearchWindow(windows[at]); !slices.Equal(got, wantWindow[at]) {
+							t.Errorf("goroutine %d: window %d returned %d items, alone %d", g, at, len(got), len(wantWindow[at]))
+							return
+						}
+					} else if got := tr.Nearest(windows[at].Center(), 10); !slices.Equal(got, wantNearest[at]) {
+						t.Errorf("goroutine %d: kNN %d returned %v, alone %v", g, at, got, wantNearest[at])
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop values at random")
+	}
+	center := geom.Point{X: 0.5, Y: 0.5}
+	for _, tc := range []struct {
+		name string
+		run  func() int
+	}{
+		{"SearchWindow, whole tree", func() int { return len(tr.SearchWindow(geom.UnitSquare)) }},
+		{"Nearest", func() int { return len(tr.Nearest(center, 10)) }},
+		{"NearestWithin, whole tree", func() int { return len(tr.NearestWithin(center, 2)) }},
+		{"SearchWindow", func() int { return len(tr.SearchWindow(geom.RectAround(center, 0.01, 0.01))) }},
+	} {
+		if n := tc.run(); n == 0 {
+			t.Fatalf("%s returned nothing: the case does not test what it says", tc.name)
+		}
+		s, _ := tr.searches.Get().(*treeSearch)
+		if s == nil {
+			t.Fatalf("%s: no recycled search in the pool", tc.name)
+		}
+		for _, c := range []int{cap(s.items), cap(s.found), cap(s.f.keys), cap(s.f.nodes), cap(s.f.items), cap(s.f.best)} {
+			if c > maxScratchItems {
+				t.Errorf("%s: the pooled search keeps an array of %d, cap %d", tc.name, c, maxScratchItems)
+			}
+		}
+		for i, n := range s.f.nodes[:cap(s.f.nodes)] {
+			if n != nil {
+				t.Fatalf("%s: the pooled search still references node %d of its queue", tc.name, i)
+			}
+		}
+		tr.searches.Put(s)
 	}
 }
 

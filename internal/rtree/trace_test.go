@@ -59,10 +59,6 @@ func TestTraceMatchesMBRIntersections(t *testing.T) {
 				}
 			}
 		}
-		// NodesTouched agrees with the trace cardinality.
-		if got := tr.NodesTouched(q); got != len(want) {
-			t.Fatalf("NodesTouched = %d, want %d", got, len(want))
-		}
 	}
 }
 
@@ -131,11 +127,4 @@ func TestTraceRequiresPageIDs(t *testing.T) {
 		}
 	}()
 	tr.TraceWindow(geom.UnitSquare, TraceDFS, false, func(NodeVisit) {})
-}
-
-func TestNodesTouchedEmptyTree(t *testing.T) {
-	tr := MustNew(Params{MaxEntries: 4})
-	if got := tr.NodesTouched(geom.UnitSquare); got != 0 {
-		t.Errorf("NodesTouched on empty tree = %d", got)
-	}
 }

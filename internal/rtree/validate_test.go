@@ -205,7 +205,7 @@ func TestValidateTreeAcceptsEmptyAndPackedTrees(t *testing.T) {
 	}
 	rng := rand.New(rand.NewPCG(3, 5))
 	items := testItems(rng, 133) // not a multiple of capacity: trailing nodes run short
-	tr, err := Pack(Params{MaxEntries: 4}, items, OrderingFunc(func(rects []geom.Rect, _ int) []int {
+	tr, err := Pack(Params{MaxEntries: 4}, items, Ordering(func(rects []geom.Rect, _ int) []int {
 		out := make([]int, len(rects))
 		for i := range out {
 			out[i] = i

@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"math/rand/v2"
+	"strings"
 	"testing"
 
 	"rtreebuf/internal/geom"
@@ -236,6 +237,53 @@ func TestOpenPagedTreeErrors(t *testing.T) {
 	dm, _ := NewMemoryManager(DefaultPageSize)
 	if _, err := OpenPagedTree(dm, 10); err == nil {
 		t.Error("paged tree over empty manager opened")
+	}
+}
+
+// TestOpenRejectsBufferBelowOnePage: a buffer of fewer than one page is
+// an error that names the size, from every opener and at every shard
+// count, never a panic in the pool; the WAL opener rejects it before it
+// writes the log.
+func TestOpenRejectsBufferBelowOnePage(t *testing.T) {
+	dm, err := NewMemoryManager(DefaultPageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveTree(dm, buildTestTree(t, 300, 16)); err != nil {
+		t.Fatal(err)
+	}
+	for _, pages := range []int{0, -1} {
+		for _, shards := range []int{1, 4} {
+			checkOpenError(t, fmt.Sprintf("OpenPagedTreeWith(%d pages, %d shards)", pages, shards), pages, func() error {
+				_, err := OpenPagedTreeWith(dm, pages, "", shards)
+				return err
+			})
+		}
+		walDev, err := NewMemoryManager(DefaultPageSize + WALFrameOverhead)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkOpenError(t, fmt.Sprintf("OpenPagedTreeWAL(%d pages)", pages), pages, func() error {
+			_, _, err := OpenPagedTreeWAL(dm, walDev, pages)
+			return err
+		})
+		if meta, _ := walDev.ReadMeta(); len(meta) != 0 || walDev.NumPages() != 0 {
+			t.Errorf("OpenPagedTreeWAL(%d pages) wrote the log before rejecting the buffer", pages)
+		}
+	}
+}
+
+// checkOpenError fails t unless open returns an error naming a buffer of
+// pages pages; a panic fails it too.
+func checkOpenError(t *testing.T, call string, pages int, open func() error) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != nil {
+			t.Errorf("%s panicked: %v", call, r)
+		}
+	}()
+	if err := open(); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%d pages", pages)) {
+		t.Errorf("%s: error %v, want one naming %d pages", call, err, pages)
 	}
 }
 

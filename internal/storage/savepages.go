@@ -20,7 +20,7 @@ type pageBatch struct {
 	err    error  // why page lo+n could not be encoded
 	buf    []byte // the n encoded pages
 	nd     rtree.NodeData
-	ready  chan struct{} // signalled once per encode, by an encoder to the writer; nil when the writer encodes
+	ready  chan struct{} // signalled once per encode, by an encoder to the writer
 }
 
 // newPageBatch returns a batch with room for a full run of a pages-page
@@ -53,25 +53,14 @@ func (b *pageBatch) write(dm DiskManager, pageSize int) error {
 
 // savePages writes every page of x to dm: WritePage(0), WritePage(1), ...
 // from the calling goroutine, stopping at the first error, which is what
-// a loop of encode-then-write does. Given a second processor and enough
-// pages, the encoding moves to the other processors: the writer hands
+// a loop of encode-then-write does. The encoding runs on other
+// goroutines, one per spare processor and at least one: the writer hands
 // batches of pages to encoders in order, over a window of reused buffers,
 // and takes them back in the same order, so what the device sees — the
 // calls, their order, their bytes — does not depend on who encoded what.
 func savePages(dm DiskManager, x rtree.PageExporter) error {
 	pages, pageSize := x.NumPages(), dm.PageSize()
-	encoders := par.Workers(pages, saveBatchPages) - 1 // the writer has the remaining processor
-	if encoders == 0 {
-		b := newPageBatch(pages, pageSize)
-		for b.lo = 0; b.lo < pages; b.lo = b.hi {
-			b.hi = min(b.lo+saveBatchPages, pages)
-			b.encode(x, pageSize)
-			if err := b.write(dm, pageSize); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+	encoders := max(par.Workers(pages, saveBatchPages)-1, 1) // the writer has the remaining processor
 
 	// Each encoder has one batch to fill while the writer drains another.
 	window := make([]*pageBatch, 2*encoders)

@@ -177,10 +177,14 @@ func TestScanFrameMatchesDecode(t *testing.T) {
 			var f rtree.Frontier[pageRef]
 			want, wantNodes := pushSequence(&f, p, func(root pageRef) {
 				for i, r := range nd.Rects {
+					d, ok := f.Within(r)
+					if !ok {
+						continue
+					}
 					if leaf {
-						f.PushItem(r, nd.IDs[i])
+						f.PushItemAt(d, r, nd.IDs[i])
 					} else {
-						f.PushNode(r, pageRef{nd.Children[i], root.depth + 1})
+						f.PushNodeAt(d, r, pageRef{nd.Children[i], root.depth + 1})
 					}
 				}
 			})

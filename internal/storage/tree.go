@@ -443,8 +443,11 @@ func OpenPagedTree(dm DiskManager, bufferPages int) (*PagedTree, error) {
 // one goroutine at a time; shards > 1 selects the lock-striped
 // ShardedPool, the pool concurrent readers need, whose hit path scales
 // across them at a hit-rate cost ext-policy shows to be within a few
-// percent.
+// percent. A buffer of fewer than one page is an error.
 func OpenPagedTreeWith(dm DiskManager, bufferPages int, policy string, shards int) (*PagedTree, error) {
+	if err := checkBufferPages(bufferPages); err != nil {
+		return nil, err
+	}
 	factory, err := buffer.FactoryFor(policy)
 	if err != nil {
 		return nil, err
@@ -464,6 +467,15 @@ func OpenPagedTreeWith(dm DiskManager, bufferPages int, policy string, shards in
 		pool: pool,
 		meta: meta,
 	}, nil
+}
+
+// checkBufferPages rejects a buffer that cannot hold one page: every
+// pool needs a frame to read into.
+func checkBufferPages(bufferPages int) error {
+	if bufferPages < 1 {
+		return fmt.Errorf("storage: buffer of %d pages, need at least 1", bufferPages)
+	}
+	return nil
 }
 
 // openMeta reads the catalog of a tree about to be opened for querying.

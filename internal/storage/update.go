@@ -68,8 +68,13 @@ var ErrReadOnlyTree = fmt.Errorf("storage: tree opened read-only (no WAL; use Op
 // to the log but not fully in the page file are replayed before the tree
 // is opened, so a crash between commit and write-back is invisible to
 // the caller. The report says what recovery found. The tree is backed by
-// the single-goroutine LRU Pool, the only pool that takes writes.
+// the single-goroutine LRU Pool, the only pool that takes writes. A
+// buffer of fewer than one page is an error, reported before the log is
+// touched.
 func OpenPagedTreeWAL(dm, walDev DiskManager, bufferPages int) (*PagedTree, RecoveryReport, error) {
+	if err := checkBufferPages(bufferPages); err != nil {
+		return nil, RecoveryReport{}, err
+	}
 	var (
 		w   *WAL
 		err error

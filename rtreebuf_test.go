@@ -85,7 +85,7 @@ func TestEndToEnd(t *testing.T) {
 		}
 		// Cross-check result correctness occasionally.
 		if i%1000 == 0 {
-			if want := tree.CountWindow(q); len(hits) != want {
+			if want := len(tree.SearchWindow(q)); len(hits) != want {
 				t.Fatalf("paged search returned %d, in-memory %d", len(hits), want)
 			}
 		}
