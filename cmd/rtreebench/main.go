@@ -105,7 +105,7 @@ func main() {
 		cfg.Metrics = obs.NewRegistry()
 	}
 	if *debugAddr != "" {
-		ds, err := obs.StartDebugServer(*debugAddr, cfg.Metrics)
+		ds, err := obs.StartDebugServer(*debugAddr, cfg.Metrics, nil)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "rtreebench: %v\n", err)
 			os.Exit(1)

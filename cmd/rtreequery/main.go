@@ -70,7 +70,7 @@ func main() {
 		fr = obs.NewFlightRecorder(obs.DefaultFlightRecent, obs.DefaultFlightTop)
 	}
 	if *debugAddr != "" {
-		ds, err := obs.StartDebugServerWith(*debugAddr, reg, fr)
+		ds, err := obs.StartDebugServer(*debugAddr, reg, fr)
 		fatalIf(err)
 		defer ds.Close()
 		fmt.Printf("debug:  serving /metrics, /debug/pprof, and /debug/flightrecorder on http://%s\n", ds.Addr)

@@ -47,7 +47,7 @@ func checkDeterm(m *Module, roots []RootSpec) []Finding {
 func DetermRoots() []RootSpec {
 	const mod = "rtreebuf"
 	return []RootSpec{
-		// Run* covers Run, RunPrepared, RunSource and RunTraced;
+		// Run* covers Run, RunPrepared and RunSource;
 		// TraceWarmup is the cold-start sampler.
 		{Path: mod + "/internal/sim", Name: "Run*"},
 		{Path: mod + "/internal/sim", Name: "TraceWarmup"},

@@ -85,7 +85,7 @@ func TestDetermRootsExist(t *testing.T) {
 // root set — do carry it.
 func TestDetermFactRealRepo(t *testing.T) {
 	g := loadRepoModule(t).Graph
-	for _, name := range []string{"sim.Run", "sim.RunSource", "sim.RunTraced", "sim.TraceWarmup", "obs.WriteText", "obs.WriteJSON"} {
+	for _, name := range []string{"sim.Run", "sim.RunSource", "sim.TraceWarmup", "obs.WriteText", "obs.WriteJSON"} {
 		if n := one(t, g, name); n.Facts&FactNondet != 0 {
 			t.Errorf("%s facts = %s; determinism contract requires no nondet (chain: %s)",
 				n, n.Facts, strings.Join(g.FactChain(n, FactNondet), "; "))

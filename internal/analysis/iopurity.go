@@ -41,7 +41,7 @@ func checkIOPurity(m *Module, roots []RootSpec) []Finding {
 func PureRoots() []RootSpec {
 	const mod = "rtreebuf"
 	return []RootSpec{
-		// Run* covers Run, RunPrepared, RunSource and RunTraced;
+		// Run* covers Run, RunPrepared and RunSource;
 		// TraceWarmup is the cold-start sampler.
 		{Path: mod + "/internal/sim", Name: "Run*"},
 		{Path: mod + "/internal/sim", Name: "TraceWarmup"},

@@ -298,7 +298,7 @@ func TestSpawnFactRealRepo(t *testing.T) {
 			t.Errorf("%s facts = %s, want spawnsGoroutine", n, n.Facts)
 		}
 	}
-	for _, name := range []string{"sim.RunPrepared", "sim.RunSource", "sim.RunTraced"} {
+	for _, name := range []string{"sim.RunPrepared", "sim.RunSource"} {
 		if n := one(t, g, name); n.Facts&FactSpawnsGoroutine != 0 {
 			t.Errorf("%s facts = %s: the serial path must not spawn", name, n.Facts)
 		}

@@ -75,7 +75,7 @@ func runExtKNN(cfg Config) (*Report, error) {
 		}
 		win, err := replay(levelOf, b, queries, cfg.seed()+uint64(b), func(p geom.Point, visit func(rtree.NodeVisit)) {
 			q := geom.RectAround(p, 0.02, 0.02)
-			t.TraceWindow(q, rtree.TraceDFS, false, visit)
+			t.TraceWindow(q, visit)
 		})
 		if err != nil {
 			return nil, err

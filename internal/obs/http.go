@@ -29,17 +29,12 @@ func FlightHandler(fr *FlightRecorder) http.Handler {
 }
 
 // DebugMux builds the debug endpoint surface the -debug-addr flag serves:
-// /metrics in Prometheus format plus the standard net/http/pprof handlers
+// /metrics in Prometheus format, /debug/flightrecorder backed by fr (nil
+// fr serves an empty snapshot), and the standard net/http/pprof handlers
 // under /debug/pprof/. The pprof handlers are registered explicitly on a
 // private mux (importing net/http/pprof for its side effect would pollute
 // http.DefaultServeMux for every embedder).
-func DebugMux(r *Registry) *http.ServeMux {
-	return DebugMuxWith(r, nil)
-}
-
-// DebugMuxWith is DebugMux plus the /debug/flightrecorder endpoint
-// backed by fr (nil fr serves an empty snapshot).
-func DebugMuxWith(r *Registry, fr *FlightRecorder) *http.ServeMux {
+func DebugMux(r *Registry, fr *FlightRecorder) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", Handler(r))
 	mux.Handle("/debug/flightrecorder", FlightHandler(fr))
@@ -61,19 +56,13 @@ type DebugServer struct {
 }
 
 // StartDebugServer binds addr (e.g. "localhost:6060" or ":0") and serves
-// DebugMux(r) in a background goroutine until Close.
-func StartDebugServer(addr string, r *Registry) (*DebugServer, error) {
-	return StartDebugServerWith(addr, r, nil)
-}
-
-// StartDebugServerWith is StartDebugServer with a flight recorder wired
-// into /debug/flightrecorder (nil fr serves an empty snapshot).
-func StartDebugServerWith(addr string, r *Registry, fr *FlightRecorder) (*DebugServer, error) {
+// DebugMux(r, fr) in a background goroutine until Close.
+func StartDebugServer(addr string, r *Registry, fr *FlightRecorder) (*DebugServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("obs: debug server listen %s: %w", addr, err)
 	}
-	srv := &http.Server{Handler: DebugMuxWith(r, fr)}
+	srv := &http.Server{Handler: DebugMux(r, fr)}
 	ds := &DebugServer{Addr: ln.Addr().String(), srv: srv, ln: ln}
 	go func() {
 		_ = srv.Serve(ln) // returns http.ErrServerClosed on Close

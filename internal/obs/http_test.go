@@ -38,7 +38,7 @@ func TestMetricsHandler(t *testing.T) {
 func TestDebugServerServesMetricsAndPprof(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("up_total").Inc()
-	ds, err := StartDebugServer("127.0.0.1:0", r)
+	ds, err := StartDebugServer("127.0.0.1:0", r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestDebugServerServesFlightRecorder(t *testing.T) {
 	q.Access(0, false, 0)
 	q.SetResults(2)
 	q.End()
-	ds, err := StartDebugServerWith("127.0.0.1:0", nil, fr)
+	ds, err := StartDebugServer("127.0.0.1:0", nil, fr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -161,7 +161,7 @@ func TestDeleteInvalidatesPages(t *testing.T) {
 			t.Fatal("TraceWindow after Delete did not panic on stale pages")
 		}
 	}()
-	tr.TraceWindow(geom.UnitSquare, TraceDFS, false, func(NodeVisit) {})
+	tr.TraceWindow(geom.UnitSquare, func(NodeVisit) {})
 }
 
 // BenchmarkDelete is delete churn on a fan-out-100 tree built by Guttman

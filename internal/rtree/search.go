@@ -142,19 +142,6 @@ func bit(b bool) uint8 {
 	return x
 }
 
-// TraceOrder selects the node-visit order reported by TraceWindow.
-type TraceOrder int
-
-const (
-	// TraceDFS visits nodes in the order a recursive R-tree search reads
-	// pages from disk: parent before children, children in entry order.
-	TraceDFS TraceOrder = iota
-	// TraceLevelOrder visits intersecting nodes level by level from the
-	// root, matching the paper's validation simulator, which "checks each
-	// node's MBR" per level rather than recursing.
-	TraceLevelOrder
-)
-
 // NodeVisit describes one node touched by a traced query.
 type NodeVisit struct {
 	// Page is the node's page number as assigned by AssignPageIDs
@@ -164,64 +151,37 @@ type NodeVisit struct {
 	Level int
 }
 
-// TraceWindow reports every node whose MBR intersects q, in the given
-// order, invoking visit once per node. Consistent with the paper's model
-// and simulator, a node is reported iff its own MBR intersects the query —
-// including the root. (A real search always reads the root page; the model
-// instead assigns the root an access probability equal to its MBR's reach,
-// which for realistic trees is nearly 1. Both semantics are available:
-// pass strictRoot=true to force the root visit.)
+// TraceWindow reports every node whose MBR intersects q, invoking visit
+// once per node in the order a recursive R-tree search reads pages from
+// disk: parent before children, children in entry order. Consistent with
+// the paper's model and simulator, a node is reported iff its own MBR
+// intersects the query, the root included: the model assigns the root an
+// access probability equal to its MBR's reach rather than 1. The visit
+// order differs from the simulator's level order, which DESIGN.md §8 shows
+// does not change steady-state disk accesses; sim.RunSource replays the
+// pages.
 //
 // TraceWindow requires AssignPageIDs to have been called after the last
 // structural change; it panics otherwise, since silent page-number reuse
 // would corrupt buffer statistics.
-func (t *Tree) TraceWindow(q geom.Rect, order TraceOrder, strictRoot bool, visit func(NodeVisit)) {
+func (t *Tree) TraceWindow(q geom.Rect, visit func(NodeVisit)) {
 	if !t.pagesValid {
 		panic("rtree: TraceWindow before AssignPageIDs")
 	}
-	rootMBR := geom.Rect{}
-	rootHit := false
-	if len(t.root.entries) > 0 {
-		rootMBR = t.root.mbr()
-		rootHit = rootMBR.Intersects(q)
-	}
-	if strictRoot {
-		rootHit = true
-	}
-	if !rootHit {
+	if len(t.root.entries) == 0 || !t.root.mbr().Intersects(q) {
 		return
 	}
-	switch order {
-	case TraceLevelOrder:
-		frontier := []*node{t.root}
-		for len(frontier) > 0 {
-			var next []*node
-			for _, n := range frontier {
-				visit(NodeVisit{Page: n.page, Level: t.root.height - n.height})
-				if n.isLeaf() {
-					continue
-				}
-				for _, e := range n.entries {
-					if e.rect.Intersects(q) {
-						next = append(next, e.child)
-					}
-				}
-			}
-			frontier = next
+	var rec func(n *node)
+	rec = func(n *node) {
+		visit(NodeVisit{Page: n.page, Level: t.root.height - n.height})
+		if n.isLeaf() {
+			return
 		}
-	default:
-		var rec func(n *node)
-		rec = func(n *node) {
-			visit(NodeVisit{Page: n.page, Level: t.root.height - n.height})
-			if n.isLeaf() {
-				return
-			}
-			for _, e := range n.entries {
-				if e.rect.Intersects(q) {
-					rec(e.child)
-				}
+		for _, e := range n.entries {
+			if e.rect.Intersects(q) {
+				rec(e.child)
 			}
 		}
-		rec(t.root)
 	}
+	rec(t.root)
 }

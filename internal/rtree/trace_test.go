@@ -2,16 +2,15 @@ package rtree
 
 import (
 	"math/rand/v2"
-	"sort"
 	"testing"
 
 	"rtreebuf/internal/geom"
 )
 
 // collectTrace returns the visited pages of a traced query.
-func collectTrace(tr *Tree, q geom.Rect, order TraceOrder, strictRoot bool) []NodeVisit {
+func collectTrace(tr *Tree, q geom.Rect) []NodeVisit {
 	var out []NodeVisit
-	tr.TraceWindow(q, order, strictRoot, func(v NodeVisit) { out = append(out, v) })
+	tr.TraceWindow(q, func(v NodeVisit) { out = append(out, v) })
 	return out
 }
 
@@ -43,20 +42,18 @@ func TestTraceMatchesMBRIntersections(t *testing.T) {
 		q := geom.RectAround(geom.Point{X: rng.Float64(), Y: rng.Float64()},
 			rng.Float64()*0.3, rng.Float64()*0.3)
 		want := intersectingPages(tr, q)
-		for _, order := range []TraceOrder{TraceDFS, TraceLevelOrder} {
-			got := collectTrace(tr, q, order, false)
-			if len(got) != len(want) {
-				t.Fatalf("order %v: trace visited %d pages, want %d", order, len(got), len(want))
+		got := collectTrace(tr, q)
+		if len(got) != len(want) {
+			t.Fatalf("trace visited %d pages, want %d", len(got), len(want))
+		}
+		seen := map[int]bool{}
+		for _, v := range got {
+			if seen[v.Page] {
+				t.Fatalf("page %d visited twice", v.Page)
 			}
-			seen := map[int]bool{}
-			for _, v := range got {
-				if seen[v.Page] {
-					t.Fatalf("page %d visited twice", v.Page)
-				}
-				seen[v.Page] = true
-				if !want[v.Page] {
-					t.Fatalf("page %d visited but MBR does not intersect", v.Page)
-				}
+			seen[v.Page] = true
+			if !want[v.Page] {
+				t.Fatalf("page %d visited but MBR does not intersect", v.Page)
 			}
 		}
 	}
@@ -72,49 +69,26 @@ func TestTraceOrders(t *testing.T) {
 	q := geom.Rect{MinX: 0.2, MinY: 0.2, MaxX: 0.8, MaxY: 0.8}
 
 	// DFS: every node is visited after its parent; level may zigzag.
-	dfs := collectTrace(tr, q, TraceDFS, false)
+	dfs := collectTrace(tr, q)
 	if len(dfs) == 0 || dfs[0].Level != 0 {
 		t.Fatalf("DFS trace does not start at the root: %+v", dfs[:1])
 	}
-	// Level order: levels are non-decreasing.
-	lo := collectTrace(tr, q, TraceLevelOrder, false)
-	for i := 1; i < len(lo); i++ {
-		if lo[i].Level < lo[i-1].Level {
-			t.Fatalf("level-order trace decreased level at %d", i)
-		}
-	}
-	// Both visit the same set.
-	key := func(vs []NodeVisit) []int {
-		pages := make([]int, len(vs))
-		for i, v := range vs {
-			pages[i] = v.Page
-		}
-		sort.Ints(pages)
-		return pages
-	}
-	a, b := key(dfs), key(lo)
-	if len(a) != len(b) {
-		t.Fatalf("orders disagree on visit count: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("orders disagree at %d: %d vs %d", i, a[i], b[i])
+	for i := 1; i < len(dfs); i++ {
+		if dfs[i].Level > dfs[i-1].Level+1 {
+			t.Fatalf("DFS trace skipped a level at %d: %d after %d", i, dfs[i].Level, dfs[i-1].Level)
 		}
 	}
 }
 
-func TestTraceStrictRoot(t *testing.T) {
+// A query that misses the root's MBR visits nothing: the model assigns
+// the root an access probability equal to its MBR's reach.
+func TestTraceSkipsMissedRoot(t *testing.T) {
 	tr := MustNew(Params{MaxEntries: 4})
 	tr.Insert(Item{Rect: geom.Rect{MinX: 0.1, MinY: 0.1, MaxX: 0.2, MaxY: 0.2}, ID: 1})
 	tr.AssignPageIDs()
-	// Query far away from all data: model semantics visit nothing.
 	q := geom.Rect{MinX: 0.8, MinY: 0.8, MaxX: 0.9, MaxY: 0.9}
-	if got := collectTrace(tr, q, TraceDFS, false); len(got) != 0 {
-		t.Errorf("model-semantics trace visited %d nodes", len(got))
-	}
-	// Strict semantics always read the root page.
-	if got := collectTrace(tr, q, TraceDFS, true); len(got) != 1 || got[0].Page != 0 {
-		t.Errorf("strict trace = %+v, want just the root", got)
+	if got := collectTrace(tr, q); len(got) != 0 {
+		t.Errorf("trace of a query missing the root visited %d nodes", len(got))
 	}
 }
 
@@ -126,5 +100,5 @@ func TestTraceRequiresPageIDs(t *testing.T) {
 			t.Fatal("TraceWindow without AssignPageIDs did not panic")
 		}
 	}()
-	tr.TraceWindow(geom.UnitSquare, TraceDFS, false, func(NodeVisit) {})
+	tr.TraceWindow(geom.UnitSquare, func(NodeVisit) {})
 }

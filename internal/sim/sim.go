@@ -263,8 +263,8 @@ func (g *Geometry) touched(p geom.Point, dst []int32) []int32 {
 }
 
 // source issues one query and appends the pages it touches to dst, in the
-// order the buffer sees them. The flattened MBR list (Geometry.source), a
-// traced tree search (RunTraced) and any caller's stream (RunSource) are
+// order the buffer sees them. The flattened MBR list (Geometry.source)
+// and any caller's stream (RunSource), such as a traced tree search, are
 // sources; everything downstream of a source — buffer, warm-up, batches,
 // metrics, monitor — is shared.
 type source func(dst []int32) []int32
@@ -294,8 +294,8 @@ func (c Config) checked() (Config, error) {
 }
 
 // replica is one cold buffer fed by one access source: the state every
-// kind of run — steady-state, traced, cold-start — advances one query at
-// a time.
+// kind of run — steady-state on any source, cold-start — advances one
+// query at a time.
 type replica struct {
 	next  source
 	lru   buffer.Policy

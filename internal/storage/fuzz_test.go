@@ -178,6 +178,7 @@ func FuzzDecodeMeta(f *testing.F) {
 	f.Add(good)
 	f.Add([]byte{})
 	f.Add(good[:10])
+	f.Add(encodeMetaV2(TreeMeta{MaxEntries: 25, MinEntries: 10, Items: 1000, Levels: []int{1, 4, 40}, TotalPages: 48, Free: []int{45, 46, 47}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := decodeMeta(data)
 		if err != nil {
@@ -185,6 +186,20 @@ func FuzzDecodeMeta(f *testing.F) {
 		}
 		if m.NumPages() < 0 {
 			t.Fatalf("negative page count from %+v", m)
+		}
+		span := m.PageSpan()
+		if m.NumPages()+len(m.Free) > span {
+			t.Fatalf("accepted %d live and %d free pages in a span of %d", m.NumPages(), len(m.Free), span)
+		}
+		listed := make(map[int]bool, len(m.Free))
+		for _, p := range m.Free {
+			if p < 1 || p >= span {
+				t.Fatalf("accepted free page %d outside [1,%d)", p, span)
+			}
+			if listed[p] {
+				t.Fatalf("accepted free page %d twice", p)
+			}
+			listed[p] = true
 		}
 	})
 }

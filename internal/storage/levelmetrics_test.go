@@ -159,6 +159,56 @@ func TestLevelSeriesMatchFlightRecorder(t *testing.T) {
 			})
 		}
 	}
+
+	// A read that fails is counted too, once, on each path that reads
+	// through PagedTree.read: a window query, a kNN query and a WAL
+	// insert's staged read. The root is unreadable, so each fails on its
+	// first read, and only the two queries keep a flight record.
+	t.Run("failed-reads", func(t *testing.T) {
+		fm := NewFaultManager(snapshot(files["level-order"]), 9).BadPage(0)
+		walDev, err := NewMemoryManager(fm.PageSize() + WALFrameOverhead)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pt, _, err := OpenPagedTreeWAL(fm, walDev, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.NewRegistry()
+		fr := obs.NewFlightRecorder(4, 1)
+		pt.SetMetrics(buffer.NewMetrics(reg, "lru"))
+		pt.SetFlightRecorder(fr)
+		for i, op := range []struct {
+			name string
+			run  func() error
+		}{
+			{"window", func() error { _, err := pt.SearchWindow(windowAround(rng)); return err }},
+			{"nearest", func() error { _, err := pt.Nearest(geom.Point{X: 50, Y: 50}, 5); return err }},
+			{"insert", func() error { return pt.Insert(randomItems(rng, 1, 5000)[0]) }},
+		} {
+			if err := op.run(); err == nil {
+				t.Fatalf("%s over an unreadable root succeeded", op.name)
+			}
+			hits, misses := levelSeries(t, reg)
+			if sum(hits) != 0 || len(misses) == 0 || misses[0] != uint64(i+1) || sum(misses) != uint64(i+1) {
+				t.Errorf("after the failed %s: per-level hits %v misses %v, want %d level-0 misses only",
+					op.name, hits, misses, i+1)
+			}
+			checkLevelsSumToPool(t, "after the failed "+op.name, reg, pt)
+		}
+		if fr := pt.Pool().FailedReads(); fr != 3 {
+			t.Errorf("pool counted %d failed reads, want 3", fr)
+		}
+		snap := fr.Snapshot()
+		if len(snap.Recent) != 2 {
+			t.Fatalf("flight recorder kept %d queries, want the window and the kNN query", len(snap.Recent))
+		}
+		for _, r := range snap.Recent {
+			if r.Accesses != 1 || r.Misses != 1 {
+				t.Errorf("%s record: %d accesses, %d misses; want the one failed read", r.Name, r.Accesses, r.Misses)
+			}
+		}
+	})
 }
 
 // TestLevelSeriesSumToPoolTotals follows a WAL-backed tree through pins,

@@ -187,7 +187,31 @@ func decodeMeta(buf []byte) (TreeMeta, error) {
 		return m, fmt.Errorf("storage: tree metadata inconsistent (%d total pages, %d live)",
 			m.TotalPages, m.NumPages())
 	}
-	return m, nil
+	return m, checkFree(m)
+}
+
+// checkFree rejects a free list an update could not have written: a page
+// outside [1, PageSpan()) (page 0 is the root), a page listed twice, or
+// more free pages than the span leaves beside the live ones. A free
+// entry naming a live page while the counts agree passes here; only
+// walkTree's "references free page" check finds it.
+func checkFree(m TreeMeta) error {
+	span := m.PageSpan()
+	listed := make(map[int]bool, len(m.Free))
+	for _, p := range m.Free {
+		switch {
+		case p < 1 || p >= span:
+			return fmt.Errorf("storage: tree metadata lists free page %d outside [1,%d)", p, span)
+		case listed[p]:
+			return fmt.Errorf("storage: tree metadata lists free page %d twice", p)
+		}
+		listed[p] = true
+	}
+	if live := m.NumPages(); live+len(m.Free) > span {
+		return fmt.Errorf("storage: tree metadata inconsistent (%d live and %d free pages in a span of %d)",
+			live, len(m.Free), span)
+	}
+	return nil
 }
 
 // SaveTree writes every node of t to dm in level order (root = page 0)
@@ -551,6 +575,18 @@ func (pt *PagedTree) PinLevels(n int) error {
 	return nil
 }
 
+// read lends fn the frame of page, a node at the given tree level, and
+// attributes the read: to aq's flight record (nil for a read no query
+// records) and to the per-level series. Every read a query or an update
+// makes goes through here, failed ones included, so the levels and the
+// flight record count each read once.
+func (pt *PagedTree) read(page, depth int, aq *obs.ActiveQuery, fn func(frame []byte)) error {
+	info, err := pt.pool.View(page, fn)
+	aq.Access(depth, info.Hit, info.WriteBacks)
+	pt.metrics.Level(depth, info.Hit)
+	return err
+}
+
 // pin pins page, a node at the given level, and counts the pin into the
 // per-level series as the pool counted it: a pin counts no hit, and one
 // that read its page counts one miss. Pin does not say whether it read,
@@ -712,17 +748,13 @@ func (pt *PagedTree) searchWindow(w geom.Rect, rep *CorruptionReport) ([]rtree.I
 }
 
 // visit reads the node on page (at the given tree level) through
-// scanFrame. Every read is attributed to the flight recorder and the
-// per-level series, failed ones included.
+// scanFrame.
 func (q *query) visit(page, depth int) error {
 	for depth >= len(q.kids) {
 		q.kids = append(q.kids, nil) //lint:allow hotalloc scratch: grows to the tree height once per recycled query value
 	}
 	q.depth, q.kids[depth] = depth, q.kids[depth][:0]
-	info, err := q.pt.pool.View(page, q.scan)
-	q.aq.Access(depth, info.Hit, info.WriteBacks)
-	q.pt.metrics.Level(depth, info.Hit)
-	return err
+	return q.pt.read(page, depth, q.aq, q.scan)
 }
 
 // scanFrame is visit's View callback: the entries intersecting q.window
@@ -811,10 +843,7 @@ func (q *query) nearest(p geom.Point, k int) ([]rtree.Neighbor, error) {
 // it keeps, and pops, only after expandNode has returned.
 func (q *query) expandNode(n pageRef) error {
 	q.node = n
-	info, err := q.pt.pool.View(n.page, q.push)
-	q.aq.Access(n.depth, info.Hit, info.WriteBacks)
-	q.pt.metrics.Level(n.depth, info.Hit)
-	return err
+	return q.pt.read(n.page, n.depth, q.aq, q.push)
 }
 
 // pushFrame is expandNode's View callback: it offers every entry of the

@@ -278,8 +278,7 @@ func (u *updater) node(page, depth int) (*updateNode, error) {
 	}
 	n := u.spare(page, false)
 	u.reading = n
-	info, err := u.pt.pool.View(page, u.decode)
-	u.pt.metrics.Level(depth-(len(u.meta.Levels)-len(u.pt.meta.Levels)), info.Hit)
+	err := u.pt.read(page, depth-(len(u.meta.Levels)-len(u.pt.meta.Levels)), nil, u.decode)
 	u.reading = nil
 	if err != nil {
 		u.free = append(u.free, n)

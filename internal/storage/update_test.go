@@ -6,10 +6,13 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
+	"rtreebuf/internal/datagen"
 	"rtreebuf/internal/geom"
 	"rtreebuf/internal/obs"
+	"rtreebuf/internal/pack"
 	"rtreebuf/internal/rtree"
 )
 
@@ -494,7 +497,8 @@ func TestCheckpointFailureDoesNotFailCommittedOperation(t *testing.T) {
 
 func TestFreeListCapLeaksInsteadOfOverflowing(t *testing.T) {
 	maxLen := maxFreeListLen(updateTestPageSize, 3)
-	m := TreeMeta{Levels: []int{1, 1, 1}, TotalPages: 3}
+	// Pages 3..99 are leaked and 100.. free, so the span holds them all.
+	m := TreeMeta{Levels: []int{1, 1, 1}, TotalPages: 100}
 	for p := 0; p < maxLen+10; p++ {
 		m.Free = append(m.Free, 100+p)
 		m.TotalPages++
@@ -506,6 +510,100 @@ func TestFreeListCapLeaksInsteadOfOverflowing(t *testing.T) {
 			len(blob), updateTestPageSize-24)
 	}
 	if _, err := decodeMeta(blob); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A catalog's free list is trusted by every reader and by the next
+// split that allocates from it, and the catalog has no checksum. A list
+// naming the root, a page past the span, a page twice, or more pages than
+// the span leaves beside the live ones must keep every opener, LoadTree
+// and Scrub from using the file: before decodeMeta checked the list, the
+// first insert panicked on the root, logged a write past the span, or
+// turned a live page into a second parent's child.
+func TestOpenRejectsBadFreeList(t *testing.T) {
+	items := datagen.Items(datagen.SyntheticRegions(2000, 5))
+	tr, err := pack.Load(pack.HilbertSort, rtree.Params{MaxEntries: 20}, items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dm, err := NewMemoryManager(DefaultPageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveTree(dm, tr); err != nil {
+		t.Fatal(err)
+	}
+	walDev, err := NewMemoryManager(DefaultPageSize + WALFrameOverhead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt, _, err := OpenPagedTreeWAL(dm, walDev, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := rtree.Item{Rect: geom.Rect{MinX: 0.5, MinY: 0.5, MaxX: 0.51, MaxY: 0.51}, ID: 1 << 40}
+	if err := pt.Insert(x); err != nil { // the catalog is v2 from here on
+		t.Fatal(err)
+	}
+	good, err := openMeta(dm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	span := good.PageSpan()
+	if good.NumPages() != span || len(good.Free) != 0 {
+		t.Fatalf("fixture catalog %+v: want no free or leaked pages", good)
+	}
+	blank := make([]byte, DefaultPageSize)
+	for _, page := range []int{span, span + 1} { // room for the duplicate case
+		if err := dm.WritePage(page, blank); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for _, tc := range []struct {
+		name  string
+		free  []int
+		total int
+		want  string
+	}{
+		{"root", []int{0}, span, "free page 0 outside"},
+		{"past-span", []int{1 << 20}, span, "free page 1048576 outside"},
+		{"live-page-overcount", []int{5}, span, "1 free pages in a span of"},
+		{"duplicate", []int{span, span}, span + 2, fmt.Sprintf("free page %d twice", span)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := good
+			bad.Free, bad.TotalPages = tc.free, tc.total
+			if err := dm.WriteMeta(encodeMetaV2(bad)); err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				if err := dm.WriteMeta(encodeMetaV2(good)); err != nil {
+					t.Fatal(err)
+				}
+			}()
+			check := func(what string, err error) {
+				t.Helper()
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("%s: err = %v, want one containing %q", what, err, tc.want)
+				}
+			}
+			freshWAL, err := NewMemoryManager(DefaultPageSize + WALFrameOverhead)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _, err = OpenPagedTreeWAL(dm, freshWAL, 64)
+			check("OpenPagedTreeWAL", err)
+			_, err = OpenPagedTree(dm, 64)
+			check("OpenPagedTree", err)
+			_, err = LoadTree(dm)
+			check("LoadTree", err)
+			check("Scrub", Scrub(dm).MetaErr)
+		})
+	}
+	// The good catalog still opens.
+	if _, err := LoadTree(dm); err != nil {
 		t.Fatal(err)
 	}
 }
