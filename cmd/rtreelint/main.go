@@ -292,8 +292,8 @@ func explainRule(name string) (string, error) {
 }
 
 // dumpFacts prints the fact store's view of every function matching name:
-// the transitive fact set, one witness chain per fact, the function's own
-// allocation sites, and its effect summary and body traces. This is the
+// the transitive fact set, one witness chain per fact, and its effect
+// summary and body traces. This is the
 // debugging lens for "why does lockcheck think this callee blocks?" and
 // "what order does durcheck believe this function writes in?".
 func dumpFacts(pkgs []*analysis.Package, name string) (string, error) {
@@ -321,10 +321,6 @@ func dumpFacts(pkgs []*analysis.Package, name string) (string, error) {
 					fmt.Fprintf(&w, "  %-*s   -> %s\n", width, "", hop)
 				}
 			}
-		}
-		for _, a := range n.Allocs {
-			apos := n.Pkg.Fset.Position(a.Pos)
-			fmt.Fprintf(&w, "  alloc: %s at %s:%d\n", a.What, relPath(apos.Filename), apos.Line)
 		}
 		fmt.Fprintf(&w, "  effects: %s\n", effects.EffectSet(n))
 		body := effects.BodyTraces(n)

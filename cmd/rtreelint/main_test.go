@@ -72,7 +72,7 @@ func TestExitCodes(t *testing.T) {
 	for _, args := range [][]string{
 		{"-root", clean, "-only", "lockchek"},
 		{"-root", clean, "-skip", "nosuch"},
-		{"-root", clean, "-only", "lockcheck", "-skip", "hotalloc"},
+		{"-root", clean, "-only", "lockcheck", "-skip", "iopurity"},
 		{"-root", filepath.Join(clean, "missing")},
 		{"-explain", "no-such-rule"},
 	} {
@@ -121,6 +121,6 @@ func TestBaselineFlagsAreGone(t *testing.T) {
 
 // survivors is the registry the kill matrix left, in run order.
 var survivors = []string{
-	"floatcmp", "errcheck", "probrange", "lockcheck", "hotalloc", "iopurity",
+	"floatcmp", "errcheck", "probrange", "lockcheck", "iopurity",
 	"sharecheck", "determcheck", "atomiccheck", "durcheck", "errflow",
 }

@@ -6,8 +6,8 @@
 // (floatcmp, errcheck and probrange, at the packages Analyzers lists);
 // the rest read the whole module through two engines. Across calls, one
 // callees-first pass over the call graph's SCCs (facts.go) computes each
-// function's facts, effect set and SCC (hotalloc, iopurity, determcheck
-// and the others read these). Within a body, one path walker (flow.go)
+// function's facts, effect set and SCC (iopurity, determcheck and the
+// others read these). Within a body, one path walker (flow.go)
 // carries either of two lattices: must-held lock sets (lockcheck,
 // sharecheck, atomiccheck) or ordered effect traces (durcheck, errflow).
 // `rtreelint -list` prints each analyzer with its one-line contract.
@@ -134,11 +134,6 @@ func Analyzers() []*Analyzer {
 			Name:        "lockcheck",
 			Doc:         "missing Unlock on a return path, or a lock held across a blocking/I/O call",
 			CheckModule: checkLock,
-		},
-		{
-			Name:        "hotalloc",
-			Doc:         "heap allocation in a function reachable from the query hot roots",
-			CheckModule: func(m *Module) []Finding { return checkHotAlloc(m, HotRoots()) },
 		},
 		{
 			Name:        "iopurity",

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -10,8 +9,8 @@ import (
 )
 
 // This file builds the whole-module call graph that backs the fact store
-// (facts.go) and the fact-consuming analyzers (lockcheck, hotalloc,
-// iopurity). The graph is intentionally conservative:
+// (facts.go) and the fact-consuming analyzers (lockcheck, iopurity,
+// determcheck and the others). The graph is intentionally conservative:
 //
 //   - static calls resolve to their *types.Func callee;
 //   - interface method calls resolve by Class Hierarchy Analysis: every
@@ -40,9 +39,6 @@ type FuncNode struct {
 	// Intrinsics are the facts this body establishes directly (channel
 	// operations, calls into fact-bearing stdlib, ...).
 	Intrinsics []Intrinsic
-	// Allocs are the body's heap-allocation sites (hotalloc's raw
-	// material; they also induce the allocates fact).
-	Allocs []AllocSite
 
 	// Facts is the transitive fact set, computed bottom-up over SCCs.
 	Facts FactSet
@@ -102,12 +98,6 @@ func (c *Call) Facts() FactSet {
 // Intrinsic is one fact a function body establishes directly.
 type Intrinsic struct {
 	Fact FactSet
-	Pos  token.Pos
-	What string
-}
-
-// AllocSite is one heap-allocation site.
-type AllocSite struct {
 	Pos  token.Pos
 	What string
 }
@@ -226,17 +216,19 @@ func (g *CallGraph) implementers(iface *types.Interface, m *types.Func) []*types
 	return out
 }
 
-// walkBody records the function's call sites, value references,
-// intrinsics, and allocation sites.
+// walkBody records the function's call sites, value references and
+// intrinsics. A function literal's body is walked as part of the
+// enclosing body: it is assumed to run within the enclosing function's
+// dynamic extent (conservatively, even when the closure is stored for
+// later).
 func (g *CallGraph) walkBody(n *FuncNode) {
 	info := n.Pkg.Info
-	exempt := exemptRanges(n.Pkg, n.Decl.Body)
 	claimed := make(map[ast.Node]bool)
 	ast.Inspect(n.Decl.Body, func(node ast.Node) bool {
 		switch x := node.(type) {
 		case *ast.CallExpr:
 			claimed[ast.Unparen(x.Fun)] = true
-			g.addCall(n, x, exempt)
+			g.addCall(n, x)
 
 		case *ast.SelectorExpr:
 			claimed[x.Sel] = true
@@ -267,40 +259,9 @@ func (g *CallGraph) walkBody(n *FuncNode) {
 				g.addRef(n, x.Pos(), fn) // local function used as a value
 			}
 
-		case *ast.FuncLit:
-			if !exempt.covers(x.Pos()) {
-				n.Allocs = append(n.Allocs, AllocSite{x.Pos(), "closure (func literal)"})
-			}
-			// Keep descending: the literal's body executes within this
-			// function's dynamic extent (conservatively, even when the
-			// closure is stored for later).
-
 		case *ast.UnaryExpr:
-			switch x.Op {
-			case token.AND:
-				if lit, ok := ast.Unparen(x.X).(*ast.CompositeLit); ok {
-					claimed[lit] = true
-					if !exempt.covers(x.Pos()) {
-						n.Allocs = append(n.Allocs, AllocSite{x.Pos(), "address-taken composite literal " + typeOfString(info, lit)})
-					}
-				}
-			case token.ARROW:
+			if x.Op == token.ARROW {
 				n.Intrinsics = append(n.Intrinsics, Intrinsic{FactMayBlock, x.Pos(), "channel receive"})
-			}
-
-		case *ast.CompositeLit:
-			if claimed[x] {
-				return true
-			}
-			switch info.TypeOf(x).Underlying().(type) {
-			case *types.Slice:
-				if !exempt.covers(x.Pos()) {
-					n.Allocs = append(n.Allocs, AllocSite{x.Pos(), "slice literal " + typeOfString(info, x)})
-				}
-			case *types.Map:
-				if !exempt.covers(x.Pos()) {
-					n.Allocs = append(n.Allocs, AllocSite{x.Pos(), "map literal " + typeOfString(info, x)})
-				}
 			}
 
 		case *ast.SendStmt:
@@ -339,13 +300,12 @@ func (g *CallGraph) walkBody(n *FuncNode) {
 }
 
 // addCall resolves one call expression.
-func (g *CallGraph) addCall(n *FuncNode, call *ast.CallExpr, exempt spans) {
+func (g *CallGraph) addCall(n *FuncNode, call *ast.CallExpr) {
 	info := n.Pkg.Info
 	fun := ast.Unparen(call.Fun)
 
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
-		g.addConversionAlloc(n, call, exempt)
-		return
+		return // a conversion
 	}
 
 	var obj types.Object
@@ -368,13 +328,11 @@ func (g *CallGraph) addCall(n *FuncNode, call *ast.CallExpr, exempt spans) {
 
 	switch callee := obj.(type) {
 	case *types.Builtin:
-		g.addBuiltinAlloc(n, call, callee.Name(), exempt)
-		return
+		return // len, append, panic, ...: nothing to resolve
 	case *types.Func:
 		if sel != nil && sel.Kind() == types.MethodVal {
 			if iface, ok := sel.Recv().Underlying().(*types.Interface); ok {
 				g.addDispatch(n, call.Pos(), call, sel.Recv(), iface, callee, false)
-				g.addBoxing(n, call, exempt)
 				return
 			}
 		}
@@ -399,7 +357,6 @@ func (g *CallGraph) addCall(n *FuncNode, call *ast.CallExpr, exempt spans) {
 		n.Calls = append(n.Calls, c)
 		n.sites[call] = c
 	}
-	g.addBoxing(n, call, exempt)
 }
 
 // addDispatch resolves an interface method call or method value by CHA.
@@ -445,102 +402,8 @@ func (g *CallGraph) addStdIntrinsic(n *FuncNode, c *Call) {
 	}
 }
 
-// addBuiltinAlloc records allocation sites for allocating builtins.
-func (g *CallGraph) addBuiltinAlloc(n *FuncNode, call *ast.CallExpr, name string, exempt spans) {
-	if exempt.covers(call.Pos()) {
-		return
-	}
-	switch name {
-	case "make":
-		n.Allocs = append(n.Allocs, AllocSite{call.Pos(), "make"})
-	case "new":
-		n.Allocs = append(n.Allocs, AllocSite{call.Pos(), "new"})
-	case "append":
-		n.Allocs = append(n.Allocs, AllocSite{call.Pos(), "append (may grow backing array)"})
-	}
-}
-
-// addConversionAlloc flags string<->[]byte/[]rune conversions, which copy.
-func (g *CallGraph) addConversionAlloc(n *FuncNode, call *ast.CallExpr, exempt spans) {
-	if len(call.Args) != 1 || exempt.covers(call.Pos()) {
-		return
-	}
-	info := n.Pkg.Info
-	dst := info.TypeOf(call.Fun)
-	src := info.TypeOf(call.Args[0])
-	if dst == nil || src == nil {
-		return
-	}
-	if isStringSliceConv(dst.Underlying(), src.Underlying()) || isStringSliceConv(src.Underlying(), dst.Underlying()) {
-		n.Allocs = append(n.Allocs, AllocSite{call.Pos(), "string conversion copies"})
-	}
-}
-
-func isStringSliceConv(a, b types.Type) bool {
-	if basic, ok := a.(*types.Basic); !ok || basic.Info()&types.IsString == 0 {
-		return false
-	}
-	s, ok := b.(*types.Slice)
-	if !ok {
-		return false
-	}
-	e, ok := s.Elem().Underlying().(*types.Basic)
-	return ok && (e.Kind() == types.Byte || e.Kind() == types.Rune || e.Kind() == types.Uint8 || e.Kind() == types.Int32)
-}
-
-// addBoxing flags arguments converted to interface parameters, which box
-// non-pointer-shaped values onto the heap.
-func (g *CallGraph) addBoxing(n *FuncNode, call *ast.CallExpr, exempt spans) {
-	info := n.Pkg.Info
-	tv, ok := info.Types[call.Fun]
-	if !ok || tv.Type == nil {
-		return
-	}
-	sig, ok := tv.Type.Underlying().(*types.Signature)
-	if !ok {
-		return
-	}
-	params := sig.Params()
-	for i, arg := range call.Args {
-		var pt types.Type
-		switch {
-		case sig.Variadic() && i >= params.Len()-1:
-			if call.Ellipsis.IsValid() {
-				continue // arg... passes the slice itself
-			}
-			pt = params.At(params.Len() - 1).Type().(*types.Slice).Elem()
-		case i < params.Len():
-			pt = params.At(i).Type()
-		default:
-			continue
-		}
-		if !types.IsInterface(pt) {
-			continue
-		}
-		at := info.Types[arg]
-		if at.Type == nil || at.Value != nil || at.IsNil() || types.IsInterface(at.Type) {
-			continue
-		}
-		if pointerShaped(at.Type) || exempt.covers(arg.Pos()) {
-			continue
-		}
-		n.Allocs = append(n.Allocs, AllocSite{arg.Pos(), "interface boxing of " + typeString(at.Type) + " argument"})
-	}
-}
-
-// pointerShaped reports whether values of t fit in an interface word
-// without a heap allocation.
-func pointerShaped(t types.Type) bool {
-	switch t.Underlying().(type) {
-	case *types.Pointer, *types.Chan, *types.Map, *types.Signature:
-		return true
-	case *types.Basic:
-		return t.Underlying().(*types.Basic).Kind() == types.UnsafePointer
-	}
-	return false
-}
-
-// spans is a set of position ranges exempt from allocation reporting.
+// spans is a set of half-open position ranges: sharecheck's go-statement
+// regions and the spans it excludes from a scan.
 type spans []span
 
 type span struct{ lo, hi token.Pos }
@@ -554,80 +417,8 @@ func (s spans) covers(p token.Pos) bool {
 	return false
 }
 
-// exemptRanges computes the body regions where allocations are expected
-// and cold, so hotalloc does not drown real findings in error-path noise:
-// error-constructor calls (fmt.Errorf, errors.New, errors.Join), panic
-// arguments, and the branch of an error-nil check that handles the error.
-func exemptRanges(pkg *Package, body *ast.BlockStmt) spans {
-	info := pkg.Info
-	var out spans
-	ast.Inspect(body, func(node ast.Node) bool {
-		switch x := node.(type) {
-		case *ast.CallExpr:
-			var path, name string
-			switch f := ast.Unparen(x.Fun).(type) {
-			case *ast.Ident:
-				if b, ok := info.Uses[f].(*types.Builtin); ok && b.Name() == "panic" {
-					out = append(out, span{x.Pos(), x.End()})
-				}
-				return true
-			case *ast.SelectorExpr:
-				fn, ok := info.Uses[f.Sel].(*types.Func)
-				if !ok || fn.Pkg() == nil {
-					return true
-				}
-				path, name = fn.Pkg().Path(), fn.Name()
-			default:
-				return true
-			}
-			if (path == "fmt" && name == "Errorf") || (path == "errors" && (name == "New" || name == "Join")) {
-				out = append(out, span{x.Pos(), x.End()})
-			}
-		case *ast.IfStmt:
-			if branch := errorBranch(info, x); branch != nil {
-				out = append(out, span{branch.Pos(), branch.End()})
-			}
-		}
-		return true
-	})
-	return out
-}
-
-// errorBranch returns the branch of an if statement that handles a
-// non-nil error (the body of `if err != nil`, the else of `if err == nil`),
-// or nil when the condition is not an error-nil test.
-func errorBranch(info *types.Info, ifs *ast.IfStmt) ast.Stmt {
-	var op token.Token
-	found := false
-	ast.Inspect(ifs.Cond, func(node ast.Node) bool {
-		be, ok := node.(*ast.BinaryExpr)
-		if !ok || (be.Op != token.NEQ && be.Op != token.EQL) || found {
-			return true
-		}
-		x, y := ast.Unparen(be.X), ast.Unparen(be.Y)
-		if isNilErrTest(info, x, y) || isNilErrTest(info, y, x) {
-			op, found = be.Op, true
-		}
-		return true
-	})
-	if !found {
-		return nil
-	}
-	if op == token.NEQ {
-		return ifs.Body
-	}
-	return ifs.Else // may be nil: `if err == nil { ... }` has no cold branch
-}
-
+// errType is the predeclared error type.
 var errType = types.Universe.Lookup("error").Type()
-
-func isNilErrTest(info *types.Info, errSide, nilSide ast.Expr) bool {
-	if id, ok := nilSide.(*ast.Ident); !ok || id.Name != "nil" {
-		return false
-	}
-	t := info.TypeOf(errSide)
-	return t != nil && types.Identical(t, errType)
-}
 
 // funcDisplay renders a function as package.Name or package.(*Recv).Name.
 func funcDisplay(fn *types.Func) string {
@@ -666,11 +457,4 @@ func recvBase(fn *types.Func) string {
 // typeString renders a type with package-name (not path) qualifiers.
 func typeString(t types.Type) string {
 	return types.TypeString(t, func(p *types.Package) string { return p.Name() })
-}
-
-func typeOfString(info *types.Info, e ast.Expr) string {
-	if t := info.TypeOf(e); t != nil {
-		return typeString(t)
-	}
-	return fmt.Sprintf("%T", e)
 }

@@ -68,7 +68,7 @@ func unrooted(m map[string]int) []string {
 }
 
 // TestDetermRootsExist guards the determcheck root list against silent
-// rot, exactly as TestHotRootsExist does for hotalloc and iopurity.
+// rot, exactly as TestPureRootsExist does for iopurity.
 func TestDetermRootsExist(t *testing.T) {
 	g := loadRepoModule(t).Graph
 	for _, spec := range DetermRoots() {

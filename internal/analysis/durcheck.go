@@ -4,9 +4,7 @@ package analysis
 // every effect-ordering rule (rules.go) against the interprocedural
 // effect traces (effects.go) of each in-scope function: the
 // commit-before-* family and checkpoint-after-sync pin commitUpdate's
-// step order, sync-before-publish catches a publish that goes around
-// WriteMeta's sync, writeback-pages-only keeps the pool below the
-// protocol. Each rule is registered because the kill matrix records a
+// step order, writeback-pages-only keeps the pool below the protocol. Each rule is registered because the kill matrix records a
 // fault only it catches (DESIGN.md §7a).
 
 // checkDur runs the durcheck-owned rules module-wide.

@@ -221,7 +221,7 @@ func (p *Pool) FlushDirty() error {
 }
 
 // TestDurcheckRulesResolve guards the rule scopes against silent rot the
-// same way TestHotRootsExist guards the fact roots: every scoped rule
+// same way TestPureRootsExist guards the fact roots: every scoped rule
 // must match at least one real-repo function, and the rule registry must
 // stay consistent.
 func TestDurcheckRulesResolve(t *testing.T) {
@@ -297,7 +297,7 @@ func TestRepoCommitUpdateSatisfiesRules(t *testing.T) {
 	}
 	for _, name := range []string{
 		"commit-before-writeback", "commit-before-catalog",
-		"commit-before-checkpoint", "checkpoint-after-sync", "sync-before-publish",
+		"commit-before-checkpoint", "checkpoint-after-sync",
 	} {
 		if vs := evalRule(ruleNamed(t, name), e, n); len(vs) != 0 {
 			t.Errorf("rule %s violated by commitUpdate: %v", name, vs[0].Finding())

@@ -22,8 +22,8 @@ import (
 // from those bodies: the table entry is the method's CONTRACT, the
 // boundary callers reason at. WriteMeta, for instance, is fixed as
 // [Sync, MetaWrite] — "the catalog publish syncs data first" — so every
-// caller satisfies sync-before-publish by construction; that the
-// implementations honour the contract is a tier-1 test's job
+// caller publishes synced data by construction; that the implementations
+// honour the contract is a tier-1 test's job
 // (storage.TestWriteMetaSyncsInPlaceOverwrites), not a rule's.
 //
 // Traces are possibilistic: the path walker (flow.go) forks at branches

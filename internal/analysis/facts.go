@@ -23,8 +23,6 @@ const (
 	FactMayBlock
 	// FactAcquiresLock: the function can acquire a sync.Mutex/RWMutex.
 	FactAcquiresLock
-	// FactAllocates: the function can allocate on the heap.
-	FactAllocates
 	// FactSpawnsGoroutine: the function can start a goroutine (a `go`
 	// statement anywhere in its transitive call tree). sharecheck uses
 	// this to treat function literals handed to spawning callees as
@@ -47,7 +45,6 @@ var factNames = map[FactSet]string{
 	FactDoesIO:          "doesIO",
 	FactMayBlock:        "mayBlock",
 	FactAcquiresLock:    "acquiresLock",
-	FactAllocates:       "allocates",
 	FactSpawnsGoroutine: "spawnsGoroutine",
 	FactNondet:          "nondet",
 	FactUsesAtomic:      "usesAtomic",
@@ -209,9 +206,6 @@ func (g *CallGraph) summarize() {
 			for _, in := range m.Intrinsics {
 				facts |= in.Fact
 			}
-			if len(m.Allocs) > 0 {
-				facts |= FactAllocates
-			}
 			for _, c := range m.Calls {
 				facts |= c.Std
 				for _, t := range c.Targets {
@@ -245,9 +239,9 @@ func (g *CallGraph) summarize() {
 }
 
 // assignWitnesses records, for every member of an SCC and every fact the
-// SCC carries, one concrete reason: an own intrinsic or allocation if the
-// member has one, else a call to a function whose reason is already
-// known. Iterating until fixpoint threads witnesses through cycles.
+// SCC carries, one concrete reason: an own intrinsic if the member has
+// one, else a call to a function whose reason is already known. Iterating
+// until fixpoint threads witnesses through cycles.
 func assignWitnesses(scc []*FuncNode, inSCC map[*FuncNode]bool, facts FactSet) {
 	for _, fact := range facts.Facts() {
 		resolved := make(map[*FuncNode]bool, len(scc))
@@ -280,17 +274,12 @@ func assignWitnesses(scc []*FuncNode, inSCC map[*FuncNode]bool, facts FactSet) {
 }
 
 // ownWitness finds a reason for the fact within the function itself: an
-// intrinsic, an allocation site, or a call to an outside function already
-// carrying the fact.
+// intrinsic, or a call to an outside function already carrying the fact.
 func ownWitness(m *FuncNode, fact FactSet) *witness {
 	for _, in := range m.Intrinsics {
 		if in.Fact&fact != 0 {
 			return &witness{pos: in.Pos, what: in.What}
 		}
-	}
-	if fact == FactAllocates && len(m.Allocs) > 0 {
-		a := m.Allocs[0]
-		return &witness{pos: a.Pos, what: a.What}
 	}
 	for _, c := range m.Calls {
 		for _, t := range c.Targets {

@@ -73,7 +73,7 @@ var catalogue = []mutant{
 		pkgs: []string{expPkg},
 	},
 
-	// ---- hotalloc
+	// ---- hotalloc (retired: the runtime allocation gates kill every row)
 	{
 		name: "alloc-fetch-hit-copies", aim: "hotalloc",
 		what: "Pool.probe returns a defensive copy of the frame on a hit",
@@ -190,7 +190,8 @@ var catalogue = []mutant{
 		pkgs: []string{obsPkg},
 	},
 
-	// ---- hotalloc beyond the pool
+	// ---- hotalloc beyond the pool: sim's TestQueriesAllocateNothing,
+	// core's TestModelAllocations and obs's TestObsEnabledZeroAlloc
 	{
 		name: "alloc-replica-query-scratch", aim: "hotalloc",
 		what: "(*replica).query sizes a fresh page scratch per query instead of reusing r.pages",
@@ -369,7 +370,7 @@ var catalogue = []mutant{
 	},
 	{
 		name: "dur-put-republishes-catalog", aim: "durcheck:writeback-pages-only",
-		what: "Pool.Put republishes the sink's catalog after installing a page (off the query path, where hotalloc does not look)",
+		what: "Pool.Put republishes the sink's catalog after installing a page",
 		edits: []edit{{"internal/buffer/pool.go",
 			"\tcopy(p.frames[page], data)\n\tp.setDirty(page)\n",
 			"\tcopy(p.frames[page], data)\n\tp.setDirty(page)\n\tif c, ok := p.sink.(interface {\n\t\tReadMeta() ([]byte, error)\n\t\tWriteMeta([]byte) error\n\t}); ok {\n\t\tif meta, err := c.ReadMeta(); err == nil {\n\t\t\t_ = c.WriteMeta(meta)\n\t\t}\n\t}\n"}},

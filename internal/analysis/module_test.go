@@ -40,7 +40,7 @@ func TestFactsCrossPackageRealRepo(t *testing.T) {
 	g := loadRepoModule(t).Graph
 
 	get := one(t, g, "buffer.(*Pool).Get")
-	for _, want := range []FactSet{FactDoesIO, FactMayBlock, FactAllocates} {
+	for _, want := range []FactSet{FactDoesIO, FactMayBlock} {
 		if get.Facts&want == 0 {
 			t.Errorf("Pool.Get facts = %s, want %s set", get.Facts, want)
 		}
@@ -98,12 +98,12 @@ func TestDiskManagerDispatchRealRepo(t *testing.T) {
 	}
 }
 
-// TestHotRootsExist guards the root lists against silent rot: a renamed
-// Search method or model function must fail here, not silently disable
-// hotalloc or iopurity.
-func TestHotRootsExist(t *testing.T) {
+// TestPureRootsExist guards the iopurity root list against silent rot: a
+// renamed model or simulator function must fail here, not silently
+// disable iopurity.
+func TestPureRootsExist(t *testing.T) {
 	g := loadRepoModule(t).Graph
-	for _, spec := range append(HotRoots(), PureRoots()...) {
+	for _, spec := range PureRoots() {
 		if len(g.Resolve(spec)) == 0 {
 			t.Errorf("root spec %s matches no function in the repository", spec)
 		}

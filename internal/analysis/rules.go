@@ -149,19 +149,6 @@ func Rules() []*Rule {
 			Witness: "the checkpoint call reachable before any Commit effect",
 		},
 		{
-			Name:     "sync-before-publish",
-			Analyzer: "durcheck",
-			Kind:     RuleSeparated,
-			A:        effects(EffPageWrite, EffWriteBack),
-			B:        effects(EffSync),
-			C:        effects(EffMetaWrite),
-			Doc: "module-wide: between any data-page write (direct or via pool write-back) and a " +
-				"later catalog/header publish there must be a Sync; publishing unsynced data is " +
-				"the PR 7 WriteMeta bug",
-			Step:    "§7e durability invariant: data reaches stable storage before any metadata that references it",
-			Witness: "the publishing call, plus the unsynced data write it would publish",
-		},
-		{
 			Name:     "checkpoint-after-sync",
 			Analyzer: "durcheck",
 			Kind:     RuleSeparated,

@@ -17,8 +17,9 @@ import (
 // access it makes through the pool. With no Metrics
 // attached the mirror is a nil-receiver no-op — zero allocations, one
 // predictable branch — so uninstrumented runs pay nothing on the
-// Access/Get hot path (guarded by BenchmarkObsDisabled and rtreelint's
-// hotalloc analyzer).
+// Access/Get hot path (guarded by obs's TestObsDisabledZeroAlloc and
+// BenchmarkObsDisabled; with a registry attached, sim's
+// TestQueriesAllocateNothing runs the mirror on every simulated access).
 
 // Metrics mirrors one policy's buffer events into an obs.Registry:
 // hits, misses, evictions, pin hits (hits on pinned pages), failed

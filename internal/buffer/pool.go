@@ -246,7 +246,6 @@ func (p *Pool) takeFrame() []byte {
 		p.free = p.free[:n-1]
 		return f
 	}
-	//lint:allow hotalloc frame allocation is the one-time cost of growing the buffer
 	return make([]byte, p.src.PageSize())
 }
 

@@ -152,9 +152,8 @@ func (s *ShardedPool) globalize(err error, page int) error {
 // The returned slice is owned by the caller.
 func (s *ShardedPool) Get(page int) ([]byte, error) {
 	var out []byte
-	//lint:allow hotalloc View does not retain fn, so the closure stays on the stack (TestGetAllocatesOnlyItsCopy)
 	_, err := s.View(page, func(frame []byte) {
-		out = make([]byte, len(frame)) //lint:allow hotalloc the returned page copy is Get's ownership contract
+		out = make([]byte, len(frame))
 		copy(out, frame)
 	})
 	return out, err

@@ -115,10 +115,8 @@ func (d DataDrivenQueries) AccessProb(mbr geom.Rect) float64 {
 // level structure (index 0 = root). This is the expensive step — a
 // Predictor computes it once and reuses it across buffer sizes.
 func AccessProbs(levels [][]geom.Rect, qm QueryModel) [][]float64 {
-	//lint:allow hotalloc result materialization, computed once and reused across buffer sizes
 	out := make([][]float64, len(levels))
 	for i, lvl := range levels {
-		//lint:allow hotalloc result materialization, computed once and reused across buffer sizes
 		out[i] = make([]float64, len(lvl))
 		for j, r := range lvl {
 			out[i][j] = qm.AccessProb(r)

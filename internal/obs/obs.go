@@ -9,9 +9,10 @@
 //     is a no-op that performs zero heap allocations. Hot paths hold the
 //     (possibly nil) metric pointer and call it unconditionally — the
 //     cost of "off" is one predictable branch, guarded by
-//     BenchmarkObsDisabled and rtreelint's hotalloc analyzer.
+//     TestObsDisabledZeroAlloc and BenchmarkObsDisabled.
 //   - Enabled is race-safe. Counters, gauges, and histogram buckets are
-//     atomics; registration takes the registry lock.
+//     atomics; registration takes the registry lock. Their write paths
+//     allocate nothing either (TestObsEnabledZeroAlloc).
 //   - Observability never changes results. Metrics mirror existing
 //     accounting; they are never read back into a computation, so every
 //     numeric result and report byte is identical with instrumentation on

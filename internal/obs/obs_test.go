@@ -119,6 +119,37 @@ func TestObsDisabledZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestObsEnabledZeroAlloc is the enabled-path contract: the write
+// paths instrumented code calls per operation allocate nothing on live
+// metrics either. It counts the mallocs of the whole run, not a per-call
+// average, which would round a structure that grows now and then down to
+// 0; the counter is fresh, declared inside the run, so no growth it
+// could make happened before the count starts.
+func TestObsEnabledZeroAlloc(t *testing.T) {
+	r := NewRegistry()
+	counter := r.Counter("ops_total")
+	g := r.Gauge("level")
+	h := r.Histogram("latency")
+	if allocs := testing.AllocsPerRun(1, func() {
+		var c Counter
+		for i := 0; i < 1<<20; i++ {
+			c.Inc()
+		}
+		for i := 0; i < 1<<12; i++ {
+			v := float64(i)
+			counter.Add(2)
+			g.Set(v)
+			g.Add(1)
+			h.Observe(v)
+		}
+		if c.Value() != 1<<20 {
+			t.Errorf("counter holds %d", c.Value())
+		}
+	}); allocs != 0 {
+		t.Errorf("enabled obs path: %v mallocs in the run, want 0", allocs)
+	}
+}
+
 // BenchmarkObsDisabled measures the disabled hot path (what every
 // uninstrumented run pays). The zero-alloc guard is the allocs/op column.
 func BenchmarkObsDisabled(b *testing.B) {

@@ -60,7 +60,7 @@ func (t *Tree) condense(n *node) {
 			// clears the slot it vacates, which would otherwise keep a
 			// copy of a child pointer past the parent's length.
 			for _, e := range n.entries {
-				orphans = append(orphans, orphan{e, n.height}) //lint:allow hotalloc scratch: grows to the largest condense once per tree
+				orphans = append(orphans, orphan{e, n.height})
 			}
 			p.entries = slices.Delete(p.entries, i, i+1)
 		} else {

@@ -9,7 +9,7 @@ import "rtreebuf/internal/geom"
 func (t *Tree) Insert(item Item) {
 	var ctx *insertCtx
 	if t.params.Split == SplitRStar {
-		ctx = &insertCtx{reinserted: make(map[int]bool)} //lint:allow hotalloc R* only; no workload runs it
+		ctx = &insertCtx{reinserted: make(map[int]bool)}
 	}
 	t.insertEntryCtx(entry{rect: item.Rect, id: item.ID}, 0, ctx)
 	t.size++
@@ -34,7 +34,7 @@ func (t *Tree) insertEntry(e entry, height int) {
 // overflow treatment.
 func (t *Tree) insertEntryCtx(e entry, height int, ctx *insertCtx) {
 	n := t.chooseNode(e.rect, height)
-	n.entries = append(n.entries, e) //lint:allow hotalloc a node a split left or made has room for MaxEntries+1; only a young root, a packed or an imported node regrows
+	n.entries = append(n.entries, e)
 	if e.child != nil {
 		e.child.parent = n
 	}
@@ -104,7 +104,7 @@ func (t *Tree) splitAndAdjust(n *node, ctx *insertCtx) {
 	p := n.parent
 	if p == nil {
 		// Root split: grow the tree by one level.
-		root := &node{height: n.height + 1, entries: make([]entry, 2, t.params.MaxEntries+1)} //lint:allow hotalloc the root a root split adds
+		root := &node{height: n.height + 1, entries: make([]entry, 2, t.params.MaxEntries+1)}
 		root.entries[0] = entry{rect: n.mbr(), child: n}
 		root.entries[1] = entry{rect: sib.mbr(), child: sib}
 		n.parent, sib.parent = root, root
@@ -114,7 +114,7 @@ func (t *Tree) splitAndAdjust(n *node, ctx *insertCtx) {
 	// n keeps its entry in the parent, now covering the left group; the
 	// sibling's entry follows the others.
 	p.entries[p.entryIndexOf(n)].rect = n.mbr()
-	p.entries = append(p.entries, entry{rect: sib.mbr(), child: sib}) //lint:allow hotalloc as in insertEntryCtx: a parent regrows only while young, packed or imported
+	p.entries = append(p.entries, entry{rect: sib.mbr(), child: sib})
 	sib.parent = p
 	if len(p.entries) > t.params.MaxEntries {
 		t.overflow(p, ctx)

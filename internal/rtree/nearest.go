@@ -120,13 +120,13 @@ type Frontier[N any] struct {
 func (f *Frontier[N]) BestFirst(dst []Neighbor, p geom.Point, root N, k int, limitSq float64, expand func(n N) error) ([]Neighbor, error) {
 	f.p, f.k, f.boundSq, f.seq = p, k, limitSq, 0
 	f.keys, f.nodes, f.items, f.best = f.keys[:0], f.nodes[:0], f.items[:0], f.best[:0]
-	f.nodes = append(f.nodes, root) //lint:allow hotalloc the queue grows once; a reused Frontier keeps its backing array
+	f.nodes = append(f.nodes, root)
 	f.push(frontierKey{distSq: 0, ref: 0})
 	found := 0
 	for len(f.keys) > 0 && (k <= 0 || found < k) {
 		key := f.pop()
 		if key.ref < 0 {
-			dst = append(dst, Neighbor{Item: f.items[^key.ref], Dist: math.Sqrt(key.distSq)}) //lint:allow hotalloc the result, appended to the caller's buffer
+			dst = append(dst, Neighbor{Item: f.items[^key.ref], Dist: math.Sqrt(key.distSq)})
 			found++
 			continue
 		}
@@ -156,8 +156,8 @@ func (f *Frontier[N]) PushNodeAt(d float64, r geom.Rect, n N) {
 	if !(d <= f.boundSq) {
 		return
 	}
-	f.cands = append(f.cands, frontierKey{distSq: d, ref: int32(len(f.nodes))}) //lint:allow hotalloc grows to the fan-out once; a reused Frontier keeps its backing array
-	f.nodes = append(f.nodes, n)                                                //lint:allow hotalloc the queue grows once; a reused Frontier keeps its backing array
+	f.cands = append(f.cands, frontierKey{distSq: d, ref: int32(len(f.nodes))})
+	f.nodes = append(f.nodes, n)
 	if f.k > 0 {
 		if m := maxDistSq(f.p, r); m < f.boundSq {
 			f.far = f.tighten(f.far, m)
@@ -174,8 +174,8 @@ func (f *Frontier[N]) PushItemAt(d float64, r geom.Rect, id int64) {
 	if !(d <= f.boundSq) {
 		return
 	}
-	f.cands = append(f.cands, frontierKey{distSq: d, ref: ^int32(len(f.items))}) //lint:allow hotalloc grows to the fan-out once; a reused Frontier keeps its backing array
-	f.items = append(f.items, Item{Rect: r, ID: id})                             //lint:allow hotalloc the queue grows once; a reused Frontier keeps its backing array
+	f.cands = append(f.cands, frontierKey{distSq: d, ref: ^int32(len(f.items))})
+	f.items = append(f.items, Item{Rect: r, ID: id})
 	if f.k > 0 {
 		f.best = f.tighten(f.best, d)
 	}
@@ -196,7 +196,7 @@ func (f *Frontier[N]) queueCandidates() {
 func (f *Frontier[N]) push(x frontierKey) {
 	x.seq = f.seq
 	f.seq++
-	h := append(f.keys, x) //lint:allow hotalloc the queue grows once; a reused Frontier keeps its backing array
+	h := append(f.keys, x)
 	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -264,7 +264,7 @@ func (f *Frontier[N]) pop() frontierKey {
 // offered), so d replaces the top.
 func (f *Frontier[N]) tighten(h []float64, d float64) []float64 {
 	if len(h) < f.k {
-		h = append(h, d) //lint:allow hotalloc grows to k once; a reused Frontier keeps its backing array
+		h = append(h, d)
 		i := len(h) - 1
 		for i > 0 && h[(i-1)/2] < d {
 			h[i] = h[(i-1)/2]

@@ -367,21 +367,18 @@ func TestNearestRecyclesSearch(t *testing.T) {
 	if got := tr.NearestWithin(geom.Point{X: 0.5, Y: 0.5}, 2); len(got) != len(items) {
 		t.Fatalf("NearestWithin over the whole tree: %d of %d items", len(got), len(items))
 	}
-	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop values at random")
-	}
-	s, _ := tr.searches.Get().(*treeSearch)
-	if s == nil {
-		t.Fatal("no recycled search in the pool")
+	s, n := heldBestFirst(tr, geom.Point{X: 0.5, Y: 0.5}, 0, 4, nil)
+	if n != len(items) {
+		t.Fatalf("NearestWithin body over the whole tree: %d of %d items", n, len(items))
 	}
 	if cap(s.found) > maxScratchItems || cap(s.f.keys) > maxScratchItems || cap(s.f.nodes) > maxScratchItems || cap(s.f.items) > maxScratchItems {
 		t.Errorf("recycled search keeps %d results, %d keys, %d nodes, %d items; cap %d",
 			cap(s.found), cap(s.f.keys), cap(s.f.nodes), cap(s.f.items), maxScratchItems)
 	}
-	tr.searches.Put(s)
-	tr.Nearest(geom.Point{X: 0.3, Y: 0.6}, 10)
-	s, _ = tr.searches.Get().(*treeSearch)
-	if s == nil || cap(s.f.nodes) == 0 {
+	tr.AssignPageIDs()
+	traced := 0
+	s, _ = heldBestFirst(tr, geom.Point{X: 0.3, Y: 0.6}, 10, math.Inf(1), func(NodeVisit) { traced++ })
+	if traced == 0 || cap(s.f.nodes) == 0 {
 		t.Fatal("the search was not recycled with its queue")
 	}
 	for i, n := range s.f.nodes[:cap(s.f.nodes)] {

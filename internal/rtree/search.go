@@ -45,7 +45,7 @@ const maxScratchItems = 1 << 16
 func (t *Tree) getSearch() *treeSearch {
 	s, _ := t.searches.Get().(*treeSearch)
 	if s == nil {
-		s = new(treeSearch) //lint:allow hotalloc scratch: allocated when the recycling pool is empty, not per query
+		s = new(treeSearch)
 		s.expand = s.expandNode
 	}
 	return s
@@ -69,7 +69,7 @@ func owned[T any](scratch []T) []T {
 	if len(scratch) == 0 {
 		return nil
 	}
-	return slices.Clone(scratch) //lint:allow hotalloc the caller's exact-size copy is the query's contract
+	return slices.Clone(scratch)
 }
 
 // SearchPoint reports every stored item whose rectangle contains p — the
@@ -88,7 +88,8 @@ func (t *Tree) SearchWindowFunc(q geom.Rect, visit func(Item) bool) bool {
 
 // searchFunc is the recursive worker of SearchWindowFunc. It is a method,
 // not a per-query recursive closure, so a streaming search allocates
-// nothing beyond what visit itself does (hotalloc keeps it that way).
+// nothing beyond what visit itself does (TestTreeQueryAllocations keeps it
+// that way).
 func (t *Tree) searchFunc(n *node, q geom.Rect, visit func(Item) bool) bool {
 	for _, e := range n.entries {
 		if !e.rect.Intersects(q) {
@@ -111,7 +112,6 @@ func (t *Tree) searchNode(n *node, q geom.Rect, out []Item) []Item {
 	if n.isLeaf() {
 		for i := range n.entries {
 			if e := &n.entries[i]; overlaps(&e.rect, &q) {
-				//lint:allow hotalloc scratch: grows to the largest result once per recycled value
 				out = append(out, Item{Rect: e.rect, ID: e.id})
 			}
 		}

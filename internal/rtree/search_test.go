@@ -156,10 +156,34 @@ func TestSearchConcurrentQueries(t *testing.T) {
 	wg.Wait()
 }
 
+// heldWindow runs SearchWindow's body on a search the test holds and
+// returns it after putSearch, with the number of results. The tests read
+// what putSearch left in the search itself, not what the pool hands out
+// next: sync.Pool promises no retention, and a Get on another P does not
+// see a value just put back.
+func heldWindow(tr *Tree, q geom.Rect) (*treeSearch, int) {
+	s := tr.getSearch()
+	s.items = tr.searchNode(tr.root, q, s.items[:0])
+	n := len(s.items)
+	tr.putSearch(s)
+	return s, n
+}
+
+// heldBestFirst is heldWindow for bestFirst, the body of Nearest (k > 0),
+// NearestWithin (k = 0, limitSq the squared radius) and TraceNearest.
+func heldBestFirst(tr *Tree, p geom.Point, k int, limitSq float64, trace func(NodeVisit)) (*treeSearch, int) {
+	s := tr.getSearch()
+	s.trace, s.height = trace, tr.root.height
+	s.found, _ = s.f.BestFirst(s.found[:0], p, tr.root, k, limitSq, s.expand)
+	n := len(s.found)
+	tr.putSearch(s)
+	return s, n
+}
+
 // TestSearchCapsResultScratch mirrors storage's
 // TestPutQueryCapsResultScratch: a full-window query over more than
-// maxScratchItems items returns every item and leaves no result buffer
-// beyond the cap in the tree's pool, while an ordinary scratch is kept.
+// maxScratchItems items returns every item and leaves its search holding
+// no result buffer beyond the cap, while an ordinary scratch is kept.
 func TestSearchCapsResultScratch(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3609, 3610))
 	items := testItems(rng, maxScratchItems+5_000)
@@ -170,20 +194,17 @@ func TestSearchCapsResultScratch(t *testing.T) {
 	if got := tr.SearchWindow(geom.UnitSquare); len(got) != len(items) || !equalIDs(idsOf(got), idsOf(items)) {
 		t.Fatalf("full-window search: %d of %d items", len(got), len(items))
 	}
-	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop values at random")
-	}
-	s, _ := tr.searches.Get().(*treeSearch)
-	if s == nil {
-		t.Fatal("no recycled search in the pool")
+	s, n := heldWindow(tr, geom.UnitSquare)
+	if n != len(items) {
+		t.Fatalf("full-window search body: %d of %d items", n, len(items))
 	}
 	if cap(s.items) > maxScratchItems {
-		t.Errorf("the pool holds a %d-item result buffer, cap %d", cap(s.items), maxScratchItems)
+		t.Errorf("the recycled search holds a %d-item result buffer, cap %d", cap(s.items), maxScratchItems)
 	}
 	for _, size := range []int{100, maxScratchItems, maxScratchItems + 1} {
+		s = tr.getSearch()
 		s.items = make([]Item, 0, size)
 		tr.putSearch(s)
-		s = tr.getSearch()
 		if kept := cap(s.items) == size; kept != (size <= maxScratchItems) {
 			t.Errorf("putSearch of a %d-item scratch left cap %d (limit %d)", size, cap(s.items), maxScratchItems)
 		}
@@ -232,44 +253,38 @@ func TestWindowAndNearestShareSearches(t *testing.T) {
 	}
 	wg.Wait()
 
-	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop values at random")
-	}
 	center := geom.Point{X: 0.5, Y: 0.5}
 	for _, tc := range []struct {
 		name string
-		run  func() int
+		run  func() (*treeSearch, int)
 	}{
-		{"SearchWindow, whole tree", func() int { return len(tr.SearchWindow(geom.UnitSquare)) }},
-		{"Nearest", func() int { return len(tr.Nearest(center, 10)) }},
-		{"NearestWithin, whole tree", func() int { return len(tr.NearestWithin(center, 2)) }},
-		{"SearchWindow", func() int { return len(tr.SearchWindow(geom.RectAround(center, 0.01, 0.01))) }},
+		{"SearchWindow, whole tree", func() (*treeSearch, int) { return heldWindow(tr, geom.UnitSquare) }},
+		{"Nearest", func() (*treeSearch, int) { return heldBestFirst(tr, center, 10, math.Inf(1), nil) }},
+		{"NearestWithin, whole tree", func() (*treeSearch, int) { return heldBestFirst(tr, center, 0, 4, nil) }},
+		{"SearchWindow", func() (*treeSearch, int) { return heldWindow(tr, geom.RectAround(center, 0.01, 0.01)) }},
 	} {
-		if n := tc.run(); n == 0 {
+		s, n := tc.run()
+		if n == 0 {
 			t.Fatalf("%s returned nothing: the case does not test what it says", tc.name)
-		}
-		s, _ := tr.searches.Get().(*treeSearch)
-		if s == nil {
-			t.Fatalf("%s: no recycled search in the pool", tc.name)
 		}
 		for _, c := range []int{cap(s.items), cap(s.found), cap(s.f.keys), cap(s.f.nodes), cap(s.f.items), cap(s.f.best)} {
 			if c > maxScratchItems {
-				t.Errorf("%s: the pooled search keeps an array of %d, cap %d", tc.name, c, maxScratchItems)
+				t.Errorf("%s: the recycled search keeps an array of %d, cap %d", tc.name, c, maxScratchItems)
 			}
 		}
 		for i, n := range s.f.nodes[:cap(s.f.nodes)] {
 			if n != nil {
-				t.Fatalf("%s: the pooled search still references node %d of its queue", tc.name, i)
+				t.Fatalf("%s: the recycled search still references node %d of its queue", tc.name, i)
 			}
 		}
-		tr.searches.Put(s)
 	}
 }
 
-// TestTreeQueryAllocations is the dynamic half of the allocation guard
-// on the in-memory tree, shaped like storage's TestQueryAllocations: on
+// TestTreeQueryAllocations is the allocation gate on the in-memory
+// tree's queries, shaped like storage's TestQueryAllocations: on
 // a warm tree a window or kNN query allocates its result slice when it
-// has results and nothing when it has none.
+// has results and nothing when it has none, and a query that streams its
+// results (SearchWindowFunc, TraceWindow) allocates nothing.
 func TestTreeQueryAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop values at random")
@@ -303,6 +318,24 @@ func TestTreeQueryAllocations(t *testing.T) {
 		}
 		if got := testing.AllocsPerRun(200, func() { sink += tc.run() }); got != tc.want {
 			t.Errorf("%s: %v allocations per query, want %v", tc.name, got, tc.want)
+		}
+	}
+	streamed := 0
+	item := func(Item) bool { streamed++; return true }
+	node := func(NodeVisit) { streamed++ }
+	for _, tc := range []struct {
+		name string
+		run  func()
+	}{
+		{"SearchWindowFunc", func() { tr.SearchWindowFunc(w, item) }},
+		{"TraceWindow", func() { tr.TraceWindow(w, node) }},
+	} {
+		streamed = 0
+		if tc.run(); streamed == 0 {
+			t.Fatalf("%s streamed nothing: the case does not test what it says", tc.name)
+		}
+		if got := testing.AllocsPerRun(200, tc.run); got != 0 {
+			t.Errorf("%s: %v allocations per query, want 0", tc.name, got)
 		}
 	}
 }

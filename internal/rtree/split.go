@@ -34,11 +34,11 @@ func (t *Tree) split(n *node) *node {
 	s := &t.scratch
 	s.rects = s.rects[:0]
 	for i := range n.entries {
-		s.rects = append(s.rects, n.entries[i].rect) //lint:allow hotalloc scratch: grows to MaxEntries+1 once per tree
+		s.rects = append(s.rects, n.entries[i].rect)
 	}
 	left, right := s.lists.split(t.params.Split, t.params.MinEntries, s.rects)
 
-	sib := &node{height: n.height, entries: make([]entry, len(right), t.params.MaxEntries+1)} //lint:allow hotalloc the node the split adds, the only allocation of a steady-state split
+	sib := &node{height: n.height, entries: make([]entry, len(right), t.params.MaxEntries+1)}
 	for k, j := range right {
 		sib.entries[k] = n.entries[j]
 		if c := sib.entries[k].child; c != nil {

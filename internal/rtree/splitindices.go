@@ -51,15 +51,15 @@ func (s *splitLists) split(alg SplitAlgorithm, minFill int, rects []geom.Rect) (
 
 	// Each group leaves the other at least its seed.
 	// Every append to the lists stays within the capacity reuse gave.
-	left = append(reuse(s.left, len(rects)-1), s1)   //lint:allow hotalloc within reuse's capacity
-	right = append(reuse(s.right, len(rects)-1), s2) //lint:allow hotalloc within reuse's capacity
+	left = append(reuse(s.left, len(rects)-1), s1)
+	right = append(reuse(s.right, len(rects)-1), s2)
 	leftMBR, rightMBR := rects[s1], rects[s2]
 	leftArea, rightArea := leftMBR.Area(), rightMBR.Area()
 
 	remaining := reuse(s.remaining, len(rects)-2)
 	for i := range rects {
 		if i != s1 && i != s2 {
-			remaining = append(remaining, i) //lint:allow hotalloc within reuse's capacity
+			remaining = append(remaining, i)
 		}
 	}
 
@@ -69,7 +69,6 @@ func (s *splitLists) split(alg SplitAlgorithm, minFill int, rects []geom.Rect) (
 	var stack1, stack2 [splitStackEntries]float64
 	enl1, enl2 := stack1[:], stack2[:]
 	if len(remaining) > splitStackEntries {
-		//lint:allow hotalloc nodes of over 128 entries only; a 4 KiB page holds 102
 		enl1, enl2 = make([]float64, len(remaining)), make([]float64, len(remaining))
 	}
 	enl1, enl2 = enl1[:len(remaining)], enl2[:len(remaining)]
@@ -82,11 +81,11 @@ func (s *splitLists) split(alg SplitAlgorithm, minFill int, rects []geom.Rect) (
 		// If one group must absorb everything left to reach minimum fill,
 		// assign the remainder wholesale.
 		if len(left)+len(remaining) == minFill {
-			left = append(left, remaining...) //lint:allow hotalloc within reuse's capacity
+			left = append(left, remaining...)
 			break
 		}
 		if len(right)+len(remaining) == minFill {
-			right = append(right, remaining...) //lint:allow hotalloc within reuse's capacity
+			right = append(right, remaining...)
 			break
 		}
 
@@ -115,10 +114,10 @@ func (s *splitLists) split(alg SplitAlgorithm, minFill int, rects []geom.Rect) (
 			}
 		}
 		if toLeft {
-			left = append(left, ri) //lint:allow hotalloc within reuse's capacity
+			left = append(left, ri)
 			leftMBR, leftArea = growColumn(leftMBR, leftArea, rects[ri], rects, remaining, enl1)
 		} else {
-			right = append(right, ri) //lint:allow hotalloc within reuse's capacity
+			right = append(right, ri)
 			rightMBR, rightArea = growColumn(rightMBR, rightArea, rects[ri], rects, remaining, enl2)
 		}
 	}
@@ -129,7 +128,7 @@ func (s *splitLists) split(alg SplitAlgorithm, minFill int, rects []geom.Rect) (
 // reuse returns s emptied, or a new empty slice if s cannot hold n.
 func reuse(s []int, n int) []int {
 	if cap(s) < n {
-		return make([]int, 0, n) //lint:allow hotalloc once per tree in Tree.split; SplitIndices' own lists
+		return make([]int, 0, n)
 	}
 	return s[:0]
 }
@@ -190,7 +189,6 @@ func linearSeeds(rects []geom.Rect) (int, int) {
 		lo, hi int     // rectangle with highest low side / lowest high side
 		sep    float64 // normalized separation
 	}
-	//lint:allow hotalloc the closure does not escape and stays on the stack
 	pick := func(lowSide, highSide func(geom.Rect) float64) axisPick {
 		lowestLow, highestHigh := math.Inf(1), math.Inf(-1)
 		highestLowIdx, lowestHighIdx := 0, 0
@@ -243,12 +241,12 @@ func rstarSplitIndices(m int, rects []geom.Rect) (left, right []int) {
 	total := len(rects)
 
 	// order returns the indices of rects stably sorted by key, ties by tie.
-	order := func(key, tie func(geom.Rect) float64) []int { //lint:allow hotalloc R* only; no workload runs it
-		perm := make([]int, total) //lint:allow hotalloc R* only; no workload runs it
+	order := func(key, tie func(geom.Rect) float64) []int {
+		perm := make([]int, total)
 		for i := range perm {
 			perm[i] = i
 		}
-		sort.SliceStable(perm, func(i, j int) bool { //lint:allow hotalloc R* only; no workload runs it
+		sort.SliceStable(perm, func(i, j int) bool {
 			a, b := rects[perm[i]], rects[perm[j]]
 			if key(a) != key(b) {
 				return key(a) < key(b)
@@ -263,9 +261,8 @@ func rstarSplitIndices(m int, rects []geom.Rect) (left, right []int) {
 
 	// prefix[i] is the MBR of the first i+1 rectangles of a sort and
 	// suffix[i] the MBR of those from position i on; refilled per sort.
-	//lint:allow hotalloc R* only; no workload runs it
 	prefix, suffix := make([]geom.Rect, total), make([]geom.Rect, total)
-	sweep := func(perm []int) { //lint:allow hotalloc R* only; no workload runs it
+	sweep := func(perm []int) {
 		prefix[0] = rects[perm[0]]
 		for i := 1; i < total; i++ {
 			prefix[i] = prefix[i-1].Union(rects[perm[i]])
@@ -277,7 +274,7 @@ func rstarSplitIndices(m int, rects []geom.Rect) (left, right []int) {
 	}
 
 	// ChooseSplitAxis: margin sum over all distributions of both sorts.
-	marginSum := func(perm []int) float64 { //lint:allow hotalloc R* only; no workload runs it
+	marginSum := func(perm []int) float64 {
 		sweep(perm)
 		var s float64
 		for k := m; k <= total-m; k++ {

@@ -19,13 +19,12 @@ func allocsOnce(f func()) int {
 	}))
 }
 
-// TestTreeUpdateAllocations is the dynamic half of the allocation guard
-// on the in-memory tree's updates (hotalloc roots Insert* and Delete):
-// on a warm fan-out-100 quadratic tree an Insert allocates the nodes it
-// adds, two allocations each (the node and its entry array), and
-// nothing else; a Delete that eliminates nothing allocates nothing, and
-// neither does one whose condense eliminates a leaf and reinserts its
-// entries without a split.
+// TestTreeUpdateAllocations is the allocation gate on the in-memory
+// tree's updates: on a warm fan-out-100 quadratic tree an Insert
+// allocates the nodes it adds, two allocations each (the node and its
+// entry array), and nothing else; a Delete that eliminates nothing
+// allocates nothing, and neither does one whose condense eliminates a
+// leaf and reinserts its entries without a split.
 func TestTreeUpdateAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")

@@ -249,14 +249,14 @@ func (g *Geometry) touched(p geom.Point, dst []int32) []int32 {
 	if g.idx == nil {
 		for page := range g.hitRects {
 			if g.hitRects[page].ContainsPoint(p) {
-				dst = append(dst, int32(page)) //lint:allow hotalloc scratch grows once, then is reused
+				dst = append(dst, int32(page))
 			}
 		}
 		return dst
 	}
 	for _, page := range g.idx.candidates(p) {
 		if g.hitRects[page].ContainsPoint(p) {
-			dst = append(dst, page) //lint:allow hotalloc scratch grows once, then is reused
+			dst = append(dst, page)
 		}
 	}
 	return dst

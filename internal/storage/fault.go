@@ -229,7 +229,7 @@ func (f *FaultManager) tornWrite(page int, data []byte, keep int) error {
 	if keep > len(data) {
 		keep = len(data)
 	}
-	composed := make([]byte, f.inner.PageSize()) //lint:allow hotalloc fires once per programmed tear, test harness only
+	composed := make([]byte, f.inner.PageSize())
 	if page < f.inner.NumPages() {
 		if err := f.inner.ReadPage(page, composed); err != nil {
 			// Unreadable old contents: the tear lands on zeros.

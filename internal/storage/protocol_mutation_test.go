@@ -205,7 +205,7 @@ func protoMutations() []protoMutation {
 		// root the log cannot reconstruct.
 		{name: "early-catalog",
 			steps: []string{"catalog", "append", "writeback", "sync", "checkpoint"},
-			rules: []string{"commit-before-catalog", "sync-before-publish"}},
+			rules: []string{"commit-before-catalog"}},
 		// Log truncated before the page writes are issued at all.
 		{name: "checkpoint-before-writeback",
 			steps: []string{"append", "checkpoint", "writeback", "catalog", "sync"},

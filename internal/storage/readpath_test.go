@@ -341,10 +341,10 @@ func hotTree(tb testing.TB, shards int) (*PagedTree, []rtree.Item) {
 	return pt, items
 }
 
-// TestQueryAllocations is the dynamic half of the allocation guard
-// (hotalloc over analysis.HotRoots is the static half): on a warm tree a
-// point query that matches nothing allocates nothing, and a window or
-// kNN query allocates its result slice only.
+// TestQueryAllocations is the allocation gate on the paged tree's
+// queries, on Pool and on ShardedPool: on a warm tree a point query that
+// matches nothing allocates nothing, a window or kNN query allocates its
+// result slice only, and a degraded window query its result and report.
 func TestQueryAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop values at random")
@@ -365,6 +365,14 @@ func TestQueryAllocations(t *testing.T) {
 				{"SearchPoint", 1, func() (int, error) { got, err := pt.SearchPoint(p); return len(got), err }},
 				{"SearchWindow", 1, func() (int, error) { got, err := pt.SearchWindow(w); return len(got), err }},
 				{"Nearest", 1, func() (int, error) { got, err := pt.Nearest(p, 10); return len(got), err }},
+				// The result and its report.
+				{"SearchWindowDegraded", 2, func() (int, error) {
+					got, rep := pt.SearchWindowDegraded(w)
+					if rep.Degraded() {
+						return len(got), fmt.Errorf("degraded on a healthy tree: %v", rep.Faults)
+					}
+					return len(got), nil
+				}},
 			} {
 				n, err := tc.run()
 				if err != nil {

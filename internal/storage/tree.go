@@ -655,7 +655,7 @@ type query struct {
 func (pt *PagedTree) getQuery() *query {
 	q, _ := pt.queries.Get().(*query)
 	if q == nil {
-		q = &query{pt: pt} //lint:allow hotalloc scratch: allocated when the recycling pool is empty, not per query
+		q = &query{pt: pt}
 		q.scan, q.push, q.expand = q.scanFrame, q.pushFrame, q.expandNode
 	}
 	return q
@@ -722,7 +722,6 @@ func (r *CorruptionReport) Degraded() bool { return len(r.Faults) > 0 }
 // is not — the opt-in behaviour for serving reads off a partially
 // damaged file while a repair (Scrub + re-save) is scheduled.
 func (pt *PagedTree) SearchWindowDegraded(w geom.Rect) ([]rtree.Item, *CorruptionReport) {
-	//lint:allow hotalloc the report is the degraded search's second result
 	rep := &CorruptionReport{}
 	out, _ := pt.searchWindow(w, rep) // with a report, faults are recorded there and never returned
 	return out, rep
@@ -751,7 +750,7 @@ func (pt *PagedTree) searchWindow(w geom.Rect, rep *CorruptionReport) ([]rtree.I
 // scanFrame.
 func (q *query) visit(page, depth int) error {
 	for depth >= len(q.kids) {
-		q.kids = append(q.kids, nil) //lint:allow hotalloc scratch: grows to the tree height once per recycled query value
+		q.kids = append(q.kids, nil)
 	}
 	q.depth, q.kids[depth] = depth, q.kids[depth][:0]
 	return q.pt.read(page, depth, q.aq, q.scan)
@@ -782,10 +781,8 @@ func (q *query) scanFrame(frame []byte) {
 			continue
 		}
 		if leaf {
-			//lint:allow hotalloc scratch: grows to the largest result once per recycled query value
 			q.items = append(q.items, rtree.Item{Rect: getRect(e), ID: int64(getPayload(e))})
 		} else {
-			//lint:allow hotalloc scratch: grows to the fan-out once per recycled query value
 			q.kids[q.depth] = append(q.kids[q.depth], int(getPayload(e)))
 		}
 	}
