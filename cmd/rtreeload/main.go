@@ -25,10 +25,10 @@ import (
 
 func main() {
 	in := flag.String("in", "", "input dataset file (required)")
-	alg := flag.String("alg", "hs", "loading algorithm: tat, tat-linear, nx, hs, str")
+	alg := flag.String("alg", "hs", "loading algorithm: "+algorithmNames())
 	capacity := flag.Int("cap", 100, "node capacity (entries per page)")
 	out := flag.String("o", "", "persist the tree to this page file")
-	buffers := flag.String("buffers", "10,50,100,200,500", "buffer sizes for model predictions")
+	buffers := flag.String("buffers", "10,50,100,200,500", "buffer sizes for model predictions (0 is the bufferless case)")
 	qx := flag.Float64("qx", 0, "query width (0 = point queries)")
 	qy := flag.Float64("qy", 0, "query height (0 = point queries)")
 	flag.Parse()
@@ -36,6 +36,11 @@ func main() {
 	if *in == "" {
 		fmt.Fprintln(os.Stderr, "rtreeload: -in is required")
 		flag.Usage()
+		os.Exit(2)
+	}
+	sizes, err := parseBuffers(*buffers)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "rtreeload: -buffers: %v\n", err)
 		os.Exit(2)
 	}
 
@@ -60,9 +65,7 @@ func main() {
 	pred := core.NewPredictor(tree.Levels(), qm)
 	fmt.Printf("\nuniform %gx%g queries: EPT (nodes visited) = %.4f\n", *qx, *qy, pred.NodesVisited())
 	fmt.Printf("%-8s  %-12s  %-10s\n", "buffer", "disk/query", "hit ratio")
-	for _, f := range strings.Split(*buffers, ",") {
-		b, err := strconv.Atoi(strings.TrimSpace(f))
-		fatalIf(err)
+	for _, b := range sizes {
 		fmt.Printf("%-8d  %-12.4f  %-10.4f\n", b, pred.DiskAccesses(b), pred.HitRatio(b))
 	}
 
@@ -72,6 +75,33 @@ func main() {
 		fatalIf(storage.SaveTreeAtomic(*out, storage.DefaultPageSize, tree))
 		fmt.Printf("\npersisted %d pages to %s\n", tree.NodeCount(), *out)
 	}
+}
+
+// algorithmNames lists the loading algorithms pack.Load accepts, for the
+// -alg help.
+func algorithmNames() string {
+	names := make([]string, 0, len(pack.Algorithms()))
+	for _, a := range pack.Algorithms() {
+		names = append(names, string(a))
+	}
+	return strings.Join(names, ", ")
+}
+
+// parseBuffers reads the comma-separated -buffers list. Sizes must not
+// be negative; 0 is the bufferless case.
+func parseBuffers(list string) ([]int, error) {
+	var sizes []int
+	for _, f := range strings.Split(list, ",") {
+		b, err := strconv.Atoi(strings.TrimSpace(f))
+		if err != nil {
+			return nil, err
+		}
+		if b < 0 {
+			return nil, fmt.Errorf("negative buffer size %d", b)
+		}
+		sizes = append(sizes, b)
+	}
+	return sizes, nil
 }
 
 func fatalIf(err error) {

@@ -1,12 +1,16 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"rtreebuf/internal/datagen"
+	"rtreebuf/internal/pack"
 	"rtreebuf/internal/storage"
 )
 
@@ -22,11 +26,22 @@ func TestMain(m *testing.M) {
 
 func rtreeload(t *testing.T, args ...string) {
 	t.Helper()
+	if code, out := rtreeloadExit(t, args...); code != 0 {
+		t.Fatalf("rtreeload %v: exit %d\n%s", args, code, out)
+	}
+}
+
+// rtreeloadExit runs the command and returns its exit code and output.
+func rtreeloadExit(t *testing.T, args ...string) (int, string) {
+	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "RTREELOAD_AS_MAIN=1")
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("rtreeload %v: %v\n%s", args, err, out)
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if err != nil && !errors.As(err, &exit) {
+		t.Fatalf("rtreeload %v: %v", args, err)
 	}
+	return cmd.ProcessState.ExitCode(), string(out)
 }
 
 func loadItems(t *testing.T, path string) int {
@@ -86,5 +101,40 @@ func TestOutReplacesIndexAtomically(t *testing.T) {
 	}
 	if len(entries) != 3 {
 		t.Errorf("directory holds %d entries after two runs, want the two datasets and the index", len(entries))
+	}
+}
+
+// TestBuffersRejectsNegativeSizes: a negative buffer size is a usage
+// error, not a row of the prediction table; 0, the bufferless case,
+// still prints one.
+func TestBuffersRejectsNegativeSizes(t *testing.T) {
+	ds := filepath.Join(t.TempDir(), "small.ds")
+	if err := datagen.WriteRectsFile(ds, datagen.SyntheticRegions(300, 1)); err != nil {
+		t.Fatal(err)
+	}
+	code, out := rtreeloadExit(t, "-in", ds, "-cap", "20", "-buffers", "0,-3,10")
+	if code != 2 || !strings.Contains(out, "negative buffer size -3") {
+		t.Errorf("-buffers 0,-3,10: exit %d, want 2 naming the size:\n%s", code, out)
+	}
+	code, out = rtreeloadExit(t, "-in", ds, "-cap", "20", "-buffers", "0,10")
+	if code != 0 || !strings.Contains(out, "\n0  ") {
+		t.Errorf("-buffers 0,10: exit %d, want a row for the bufferless case:\n%s", code, out)
+	}
+}
+
+// TestAlgHelpNamesEveryAlgorithm: the -alg help lists every algorithm
+// pack.Load accepts.
+func TestAlgHelpNamesEveryAlgorithm(t *testing.T) {
+	_, out := rtreeloadExit(t, "-h")
+	_, help, ok := strings.Cut(out, "loading algorithm: ")
+	if !ok {
+		t.Fatalf("no -alg help in:\n%s", out)
+	}
+	help, _, _ = strings.Cut(help, " (default")
+	listed := strings.Split(help, ", ")
+	for _, a := range pack.Algorithms() {
+		if !slices.Contains(listed, string(a)) {
+			t.Errorf("-alg help %q omits %q", help, a)
+		}
 	}
 }

@@ -57,6 +57,10 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if *n < 1 {
+		fmt.Fprintf(os.Stderr, "rtreequery: -n %d: need at least 1 measured query\n", *n)
+		os.Exit(2)
+	}
 
 	// One registry feeds the -metrics dump, the -monitor report, and the
 	// -debug-addr endpoint; nil (all mirrors disabled, zero overhead)

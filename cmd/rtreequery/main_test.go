@@ -1,7 +1,11 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -9,7 +13,49 @@ import (
 	"rtreebuf/internal/datagen"
 	"rtreebuf/internal/pack"
 	"rtreebuf/internal/rtree"
+	"rtreebuf/internal/storage"
 )
+
+// TestMain lets the test binary stand in for the command: re-executed
+// with RTREEQUERY_AS_MAIN set it runs main on its arguments.
+func TestMain(m *testing.M) {
+	if os.Getenv("RTREEQUERY_AS_MAIN") == "1" {
+		main()
+		return
+	}
+	os.Exit(m.Run())
+}
+
+// TestRejectsFewerThanOneQuery: the measured figure is misses over -n,
+// so a run of no queries, or of a negative number, is a usage error
+// rather than a NaN or an infinite percentage.
+func TestRejectsFewerThanOneQuery(t *testing.T) {
+	tree, err := pack.Load(pack.HilbertSort, rtree.Params{MaxEntries: 20},
+		datagen.Items(datagen.SyntheticRegions(300, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "small.rt")
+	if err := storage.SaveTreeAtomic(path, storage.DefaultPageSize, tree); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []string{"0", "-5", "1"} {
+		cmd := exec.Command(os.Args[0], "-tree", path, "-buffer", "10", "-n", n)
+		cmd.Env = append(os.Environ(), "RTREEQUERY_AS_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if err != nil && !errors.As(err, &exit) {
+			t.Fatal(err)
+		}
+		want := 2
+		if n == "1" {
+			want = 0
+		}
+		if code := cmd.ProcessState.ExitCode(); code != want || strings.Contains(string(out), "NaN") || strings.Contains(string(out), "Inf") {
+			t.Errorf("-n %s: exit %d, want %d:\n%s", n, code, want, out)
+		}
+	}
+}
 
 // TestWarmupComparisonModelsThePinnedBuffer: with -pin k the simulator
 // trace runs against a buffer whose top k levels are pinned, so the

@@ -209,21 +209,3 @@ func (c *policyCounters) HitRatio() float64 {
 	}
 	return float64(c.hits) / float64(total)
 }
-
-// PolicyName returns the metrics label of a replacement policy.
-func PolicyName(p Policy) string {
-	switch p := p.(type) {
-	case *LRU:
-		return "lru"
-	case *Clock:
-		return "clock"
-	case *TwoQ:
-		return "2q"
-	case *ClockPro:
-		return "clockpro"
-	case *Sharded:
-		return PolicyName(p.shards[0])
-	default:
-		return "custom"
-	}
-}

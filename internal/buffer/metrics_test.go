@@ -185,12 +185,3 @@ func TestPoolDirtyMetricsExported(t *testing.T) {
 		}
 	}
 }
-
-func TestPolicyName(t *testing.T) {
-	if got := PolicyName(&LRU{}); got != "lru" {
-		t.Errorf("PolicyName(LRU) = %q", got)
-	}
-	if got := PolicyName(&Clock{}); got != "clock" {
-		t.Errorf("PolicyName(Clock) = %q", got)
-	}
-}

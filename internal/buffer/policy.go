@@ -9,15 +9,17 @@ import "fmt"
 //
 // Two interfaces split the two consumers:
 //
-//   - Policy is the access-level contract the validation simulator
-//     drives: touch a page, pin a page, read the counters.
-//   - PoolPolicy adds the four hooks a page pool needs to move frames
-//     around the policy's decisions: install a written page without read
-//     accounting, count a read that made nothing resident, grow the
-//     page-number space, observe evictions. The policy decides and the
-//     pool moves bytes: a pool never asks which page goes next and never
-//     takes a decision back, so a pool over a policy is, access for
-//     access, the automaton the simulator drives.
+//   - Policy is exactly what the validation simulator calls: touch a
+//     page, pin a page, ask whether the buffer is full, read and reset
+//     the counters.
+//   - PoolPolicy adds what a page pool needs to move frames around the
+//     policy's decisions: unpin, residency and size queries, the obs
+//     mirror, installing a written page without read accounting,
+//     counting a read that made nothing resident, growing the
+//     page-number space, observing evictions. The policy decides and
+//     the pool moves bytes: a pool never asks which page goes next and
+//     never takes a decision back, so a pool over a policy is, access
+//     for access, the automaton the simulator drives.
 //
 // All four built-in policies (LRU, Clock, TwoQ, ClockPro) implement
 // PoolPolicy; the Sharded wrapper, which routes accesses across
@@ -28,23 +30,23 @@ import "fmt"
 type Policy interface {
 	Access(page int) bool
 	Pin(page int) error
-	Unpin(page int)
-	Contains(page int) bool
 	Full() bool
-	Len() int
-	Capacity() int
 	Stats() (hits, misses, evictions uint64)
 	ResetStats()
 	HitRatio() float64
-	// SetMetrics attaches (or with nil detaches) an obs mirror that
-	// shadows every hit/miss/evict into a metrics registry.
-	SetMetrics(*Metrics)
 }
 
 // PoolPolicy extends Policy with the hooks Pool needs to manage page
 // frames around the policy's decisions.
 type PoolPolicy interface {
 	Policy
+	Unpin(page int)
+	Contains(page int) bool
+	Len() int
+	Capacity() int
+	// SetMetrics attaches (or with nil detaches) an obs mirror that
+	// shadows every hit/miss/evict into a metrics registry.
+	SetMetrics(*Metrics)
 	// Install makes page resident as most recently used without
 	// counting a hit or a miss — the caller is writing the page, not
 	// reading it, so no physical read is implied. A capacity eviction
@@ -231,9 +233,6 @@ func shardPages(numPages, n, s int) int {
 	return (numPages - s + n - 1) / n
 }
 
-// Shards returns the shard count.
-func (s *Sharded) Shards() int { return s.n }
-
 func (s *Sharded) locate(page int) (PoolPolicy, int) {
 	return s.shards[page%s.n], page / s.n
 }
@@ -250,18 +249,6 @@ func (s *Sharded) Pin(page int) error {
 	return p.Pin(local)
 }
 
-// Unpin unpins page in its shard.
-func (s *Sharded) Unpin(page int) {
-	p, local := s.locate(page)
-	p.Unpin(local)
-}
-
-// Contains reports residency in the page's shard.
-func (s *Sharded) Contains(page int) bool {
-	p, local := s.locate(page)
-	return p.Contains(local)
-}
-
 // Full reports whether every shard is at capacity.
 func (s *Sharded) Full() bool {
 	for _, p := range s.shards {
@@ -270,24 +257,6 @@ func (s *Sharded) Full() bool {
 		}
 	}
 	return true
-}
-
-// Len sums resident pages across shards.
-func (s *Sharded) Len() int {
-	n := 0
-	for _, p := range s.shards {
-		n += p.Len()
-	}
-	return n
-}
-
-// Capacity sums shard capacities (the configured total).
-func (s *Sharded) Capacity() int {
-	n := 0
-	for _, p := range s.shards {
-		n += p.Capacity()
-	}
-	return n
 }
 
 // Stats sums the shard counters.
@@ -315,12 +284,4 @@ func (s *Sharded) HitRatio() float64 {
 		return 0
 	}
 	return float64(h) / float64(h+m)
-}
-
-// SetMetrics attaches the obs mirror to every shard; the shards sum
-// into one set of series.
-func (s *Sharded) SetMetrics(m *Metrics) {
-	for _, p := range s.shards {
-		p.SetMetrics(m)
-	}
 }

@@ -457,11 +457,18 @@ func TestShardedSingleShardIdentity(t *testing.T) {
 func TestShardedMultiShardAccounting(t *testing.T) {
 	factory, _ := FactoryFor("lru")
 	sh := NewSharded(factory, 10, 100, 4)
-	if sh.Capacity() != 10 {
-		t.Fatalf("Capacity = %d, want 10", sh.Capacity())
+	sum := func(of func(PoolPolicy) int) int {
+		n := 0
+		for _, p := range sh.shards {
+			n += of(p)
+		}
+		return n
 	}
-	if sh.Shards() != 4 {
-		t.Fatalf("Shards = %d", sh.Shards())
+	if got := sum(PoolPolicy.Capacity); got != 10 {
+		t.Fatalf("shard capacities sum to %d, want 10", got)
+	}
+	if len(sh.shards) != 4 {
+		t.Fatalf("%d shards, want 4", len(sh.shards))
 	}
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 5000; i++ {
@@ -471,7 +478,7 @@ func TestShardedMultiShardAccounting(t *testing.T) {
 	if hits+misses != 5000 {
 		t.Fatalf("hits+misses = %d, want 5000", hits+misses)
 	}
-	if sh.Len() > 10 {
-		t.Fatalf("Len %d > capacity", sh.Len())
+	if got := sum(PoolPolicy.Len); got > 10 {
+		t.Fatalf("%d resident pages > capacity", got)
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"rtreebuf/internal/obs"
 )
 
 // TestViewNeverTorn: readers View pages through a pool a quarter of the
@@ -78,9 +80,15 @@ func TestViewNeverTorn(t *testing.T) {
 // frame itself, nothing — and a View nothing at all. That holds for
 // misses as for hits: on pools half the size of the page space, read
 // round-robin so that every access faults, the frames circulate through
-// the free list once each pool has made one spare.
+// the free list once each pool has made one spare. The metered rows
+// hold the same counts with an obs mirror attached, whose hit, miss and
+// evict hooks allocate nothing either.
 func TestGetAllocatesOnlyItsCopy(t *testing.T) {
 	const pageSize, numPages = 64, 8
+	metered := func(p PagePool) PagePool {
+		p.SetMetrics(NewMetrics(obs.NewRegistry(), "lru"))
+		return p
+	}
 	for _, tc := range []struct {
 		name   string
 		pool   PagePool
@@ -91,6 +99,10 @@ func TestGetAllocatesOnlyItsCopy(t *testing.T) {
 		{"pool", NewPool(&fakeSource{pageSize: pageSize, numPages: numPages}, numPages, numPages), 0, false},
 		{"sharded, every access a miss", NewShardedPool(&concSource{pageSize: pageSize, numPages: numPages}, numPages/2, numPages, 2), 1, true},
 		{"pool, every access a miss", NewPool(&fakeSource{pageSize: pageSize, numPages: numPages}, numPages/2, numPages), 0, true},
+		{"sharded, metered", metered(NewShardedPool(&concSource{pageSize: pageSize, numPages: numPages}, numPages, numPages, 2)), 1, false},
+		{"pool, metered", metered(NewPool(&fakeSource{pageSize: pageSize, numPages: numPages}, numPages, numPages)), 0, false},
+		{"sharded, every access a miss, metered", metered(NewShardedPool(&concSource{pageSize: pageSize, numPages: numPages}, numPages/2, numPages, 2)), 1, true},
+		{"pool, every access a miss, metered", metered(NewPool(&fakeSource{pageSize: pageSize, numPages: numPages}, numPages/2, numPages)), 0, true},
 	} {
 		for page := 0; page < numPages; page++ {
 			if _, err := tc.pool.Get(page); err != nil {

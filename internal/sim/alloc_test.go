@@ -1,20 +1,15 @@
 package sim
 
-import (
-	"testing"
-
-	"rtreebuf/internal/obs"
-)
+import "testing"
 
 // TestQueriesAllocateNothing is the allocation gate on one simulated
-// query: a run allocates its replica, its batch arrays and its metrics
-// once, and each query — replica.query on the steady-state batches,
-// coldQuery on the warm-up, Geometry.touched on both paths of a
-// prepared geometry, the buffer's metrics mirror — reuses the replica's
-// page scratch. So a run of ten times the queries (warm-up included,
-// which defaults to the batch size here) makes exactly as many
-// allocations. The count is the whole run's, not a per-query average,
-// which would round a growing scratch down to 0.
+// query: a run allocates its replica and its batch arrays once, and
+// each query — replica.query on the steady-state batches, coldQuery on
+// the warm-up, Geometry.touched on both paths of a prepared geometry —
+// reuses the replica's page scratch. So a run of ten times the queries
+// (warm-up included, which defaults to the batch size here) makes
+// exactly as many allocations. The count is the whole run's, not a
+// per-query average, which would round a growing scratch down to 0.
 func TestQueriesAllocateNothing(t *testing.T) {
 	levels, _ := fixtureLevels(t, 3000, 25)
 	w := mustRegions(t, 0.05, 0.05)
@@ -41,10 +36,6 @@ func TestQueriesAllocateNothing(t *testing.T) {
 		{"RunSource", func(cfg Config) (Result, error) { return RunSource(cycle, indexed.levelOf, cfg) }},
 		{"RunPrepared, indexed", func(cfg Config) (Result, error) { return RunPrepared(indexed, w, cfg) }},
 		{"RunPrepared, scan", func(cfg Config) (Result, error) { return RunPrepared(scan, w, cfg) }},
-		{"RunPrepared, metrics", func(cfg Config) (Result, error) {
-			cfg.Metrics, cfg.PinLevels = obs.NewRegistry(), 1
-			return RunPrepared(indexed, w, cfg)
-		}},
 	} {
 		allocs := func(batchSize int) int {
 			cfg := Config{BufferSize: 20, Batches: 4, BatchSize: batchSize, Seed: 5}

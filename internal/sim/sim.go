@@ -25,8 +25,6 @@ import (
 
 	"rtreebuf/internal/buffer"
 	"rtreebuf/internal/geom"
-	"rtreebuf/internal/monitor"
-	"rtreebuf/internal/obs"
 	"rtreebuf/internal/stats"
 )
 
@@ -142,18 +140,6 @@ type Config struct {
 	// paper models. buffer.NewClock tests whether the predictions
 	// transfer to CLOCK-managed buffers (experiment ext-clock).
 	Policy func(capacity, numPages int) buffer.Policy
-	// Metrics, when non-nil, receives observability counters: query
-	// counts, per-query node-access histograms, buffer hit/miss/evict
-	// series (per policy and per tree level), and the observed fill
-	// point. Metrics never feed back into the simulation — results are
-	// byte-identical with or without a registry attached.
-	Metrics *obs.Registry
-	// Monitor, when non-nil, is ticked once per measured query and
-	// rebased at the warm-up boundary, so its windows track steady state.
-	// It requires Metrics: the monitor reads the buffer counters the
-	// metrics mirror maintains, so both must share one registry. Like
-	// Metrics, it never feeds back into the simulation.
-	Monitor *monitor.Monitor
 }
 
 // confidence is the level of every reported interval: the paper's 90%.
@@ -265,8 +251,8 @@ func (g *Geometry) touched(p geom.Point, dst []int32) []int32 {
 // source issues one query and appends the pages it touches to dst, in the
 // order the buffer sees them. The flattened MBR list (Geometry.source)
 // and any caller's stream (RunSource), such as a traced tree search, are
-// sources; everything downstream of a source — buffer, warm-up, batches,
-// metrics, monitor — is shared.
+// sources; everything downstream of a source — buffer, warm-up, batches —
+// is shared.
 type source func(dst []int32) []int32
 
 // source returns the paper's access source: draw a test point from w on
@@ -301,12 +287,6 @@ type replica struct {
 	lru   buffer.Policy
 	pages []int32 // the last query's touched pages; scratch reused across queries
 	fill  int     // first cold-start query after which the buffer was full (0 = not yet)
-
-	// metrics, when a registry is attached, is lru's obs mirror; the
-	// replica counts each access into its per-level series at
-	// levelOf[page], the level the buffer does not know.
-	metrics *buffer.Metrics
-	levelOf []int
 }
 
 // newReplica builds the replacement policy over pages numbered like
@@ -320,22 +300,12 @@ func (c Config) newReplica(next source, levelOf []int) (*replica, error) {
 	} else {
 		lru = buffer.NewLRU(c.BufferSize, m)
 	}
-	r := &replica{next: next, lru: lru, levelOf: levelOf}
-	if c.Metrics != nil {
-		// Attach the obs mirror before pinning so pin faults are
-		// mirrored too.
-		r.metrics = buffer.NewMetrics(c.Metrics, buffer.PolicyName(lru)).WithLevels(levelOf[m-1] + 1)
-		lru.SetMetrics(r.metrics)
-	}
 	for page := 0; page < m && levelOf[page] < c.PinLevels; page++ {
 		if err := lru.Pin(page); err != nil {
 			return nil, fmt.Errorf("sim: pinning %d levels: %w", c.PinLevels, err)
 		}
-		// The buffer is cold and each page is pinned once: every pin
-		// reads its page, one miss.
-		r.metrics.Level(levelOf[page], false)
 	}
-	return r, nil
+	return &replica{next: next, lru: lru}, nil
 }
 
 // query issues one query through the buffer and returns its node
@@ -343,12 +313,8 @@ func (c Config) newReplica(next source, levelOf []int) (*replica, error) {
 func (r *replica) query() (accesses, misses int) {
 	r.pages = r.next(r.pages[:0])
 	for _, page := range r.pages {
-		hit := r.lru.Access(int(page))
-		if !hit {
+		if !r.lru.Access(int(page)) {
 			misses++
-		}
-		if r.metrics != nil {
-			r.metrics.Level(r.levelOf[page], hit)
 		}
 	}
 	return len(r.pages), misses
@@ -367,32 +333,17 @@ func (r *replica) coldQuery(q int) {
 // point: a cold buffer fed by next warms up for cfg.Warmup queries, then
 // measures cfg.Batches batches of cfg.BatchSize queries each.
 func runReplica(next source, levelOf []int, cfg Config) (Result, error) {
-	if cfg.Monitor != nil && cfg.Metrics == nil {
-		return Result{}, fmt.Errorf("sim: Monitor requires Metrics (the monitor reads the buffer counters)")
-	}
 	r, err := cfg.newReplica(next, levelOf)
 	if err != nil {
 		return Result{}, err
 	}
 
-	// Obs handles; nil (free no-ops) when no registry is attached.
-	var (
-		warmupQueries  = cfg.Metrics.Counter("sim_warmup_queries_total")
-		queriesTotal   = cfg.Metrics.Counter("sim_queries_total")
-		queryNodesHist = cfg.Metrics.Histogram("sim_query_nodes")
-	)
-
 	diskBatch := make([]float64, cfg.Batches)
 	nodeBatch := make([]float64, cfg.Batches)
 	for q := 1; q <= cfg.Warmup; q++ {
 		r.coldQuery(q)
-		warmupQueries.Inc()
 	}
 	r.lru.ResetStats()
-	// Rebase after warm-up: the obs counters are cumulative (ResetStats
-	// zeroes only the policy's own stats), so the monitor captures the
-	// post-warm-up counter values as its window baseline.
-	cfg.Monitor.Rebase()
 
 	for b := 0; b < cfg.Batches; b++ {
 		var disk, nodes int
@@ -400,22 +351,14 @@ func runReplica(next source, levelOf []int, cfg Config) (Result, error) {
 			a, m := r.query()
 			nodes += a
 			disk += m
-			queriesTotal.Inc()
-			queryNodesHist.Observe(float64(a))
-			cfg.Monitor.OnQuery()
 		}
 		diskBatch[b] = float64(disk) / float64(cfg.BatchSize)
 		nodeBatch[b] = float64(nodes) / float64(cfg.BatchSize)
 	}
-	hitRatio := r.lru.HitRatio()
-	// The observed buffer-fill point N̂* is the empirical counterpart of
-	// the analytic N*.
-	cfg.Metrics.Gauge("sim_fill_query").Set(float64(r.fill))
-	cfg.Metrics.Gauge("sim_hit_ratio").Set(hitRatio)
 	return Result{
 		DiskPerQuery:  stats.BatchMeans(diskBatch, confidence),
 		NodesPerQuery: stats.BatchMeans(nodeBatch, confidence),
-		HitRatio:      hitRatio,
+		HitRatio:      r.lru.HitRatio(),
 		FillQueries:   r.fill,
 		Queries:       cfg.Batches * cfg.BatchSize,
 	}, nil

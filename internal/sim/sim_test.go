@@ -9,7 +9,6 @@ import (
 	"rtreebuf/internal/core"
 	"rtreebuf/internal/datagen"
 	"rtreebuf/internal/geom"
-	"rtreebuf/internal/obs"
 	"rtreebuf/internal/pack"
 	"rtreebuf/internal/rtree"
 )
@@ -166,7 +165,7 @@ func TestPreparedReuseMatchesRun(t *testing.T) {
 
 // RunSource is the simulator loop every entry point shares: fed a
 // Geometry's own source it must reproduce RunPrepared bit for bit —
-// pinning, metrics and the brute-force scan included.
+// pinning and the brute-force scan included.
 func TestRunSourceMatchesRunPrepared(t *testing.T) {
 	levels, _ := fixtureLevels(t, 3000, 25)
 	w := mustRegions(t, 0.05, 0.05)
@@ -183,7 +182,7 @@ func TestRunSourceMatchesRunPrepared(t *testing.T) {
 		cfg Config
 	}{
 		{indexed, Config{BufferSize: 20, Batches: 4, BatchSize: 2000, Seed: 99}},
-		{indexed, Config{BufferSize: 50, Batches: 6, BatchSize: 1500, Seed: 7, PinLevels: 1, Metrics: obs.NewRegistry()}},
+		{indexed, Config{BufferSize: 50, Batches: 6, BatchSize: 1500, Seed: 7, PinLevels: 1}},
 		{scan, Config{BufferSize: 10, Batches: 3, BatchSize: 1000, Seed: 3}},
 	} {
 		want, err := RunPrepared(tc.g, w, tc.cfg)

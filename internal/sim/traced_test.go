@@ -2,13 +2,11 @@ package sim
 
 import (
 	"math"
-	"reflect"
 	"testing"
 
 	"rtreebuf/internal/buffer"
 	"rtreebuf/internal/datagen"
 	"rtreebuf/internal/geom"
-	"rtreebuf/internal/obs"
 	"rtreebuf/internal/pack"
 	"rtreebuf/internal/rtree"
 )
@@ -148,9 +146,8 @@ func TestTracedPinning(t *testing.T) {
 
 // A traced source runs under the same driver as Run, so it honours the
 // whole Config: a non-LRU Policy changes the result and lands where the
-// MBR-list simulator lands under that policy, and a registry collects the
-// same series without changing any number.
-func TestTracedHonoursPolicyAndMetrics(t *testing.T) {
+// MBR-list simulator lands under that policy.
+func TestTracedHonoursPolicy(t *testing.T) {
 	tr := tracedFixture(t)
 	w, err := NewUniformRegions(0.05, 0.05)
 	if err != nil {
@@ -172,15 +169,4 @@ func TestTracedHonoursPolicyAndMetrics(t *testing.T) {
 			clock.DiskPerQuery.Mean, mbr.DiskPerQuery.Mean)
 	}
 
-	reg := obs.NewRegistry()
-	withMetrics := clockCfg
-	withMetrics.Metrics = reg
-	observed := runTraced(t, tr, w, withMetrics)
-	if !reflect.DeepEqual(observed, clock) {
-		t.Errorf("metrics changed the result:\n with    %+v\n without %+v", observed, clock)
-	}
-	want := float64(clockCfg.Batches * clockCfg.BatchSize)
-	if got, ok := snapValue(t, reg, "sim_queries_total"); !ok || got != want {
-		t.Errorf("sim_queries_total = %v (ok=%v), want %v", got, ok, want)
-	}
 }

@@ -82,8 +82,5 @@ func TraceWarmup(levels [][]geom.Rect, w Workload, cfg Config, queryCounts []int
 		}
 	}
 	tr.FillQueries = r.fill
-
-	cfg.Metrics.Gauge("sim_observed_fill_query").Set(float64(tr.FillQueries))
-	cfg.Metrics.Gauge("sim_observed_distinct_pages").Set(float64(distinct))
 	return tr, nil
 }

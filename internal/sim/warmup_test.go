@@ -145,3 +145,42 @@ func TestColdStartMatchesExtWarmupRecord(t *testing.T) {
 		})
 	}
 }
+
+// TestTraceWarmup checks the observed warm-up curve: monotone distinct
+// pages, fill point consistent with Run, and sane hit rates.
+func TestTraceWarmup(t *testing.T) {
+	levels, _ := fixtureLevels(t, 2000, 20)
+	cfg := Config{BufferSize: 50, Batches: 2, BatchSize: 1000, Seed: 42}
+	tr, err := TraceWarmup(levels, UniformPoints{}, cfg, []int{10, 100, 100, 1000, -5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Points) != 3 {
+		t.Fatalf("got %d points, want 3 (sorted, deduped, positives only): %+v", len(tr.Points), tr.Points)
+	}
+	prev := 0
+	for _, pt := range tr.Points {
+		if pt.DistinctPages < prev {
+			t.Errorf("distinct pages decreased: %+v", tr.Points)
+		}
+		prev = pt.DistinctPages
+		if pt.HitRate < 0 || pt.HitRate > 1 {
+			t.Errorf("hit rate %v outside [0,1]", pt.HitRate)
+		}
+	}
+	if tr.FillQueries == 0 {
+		t.Error("buffer of 50 pages never filled in 1000 queries (suspicious)")
+	}
+	// The trace replays Run's stream, so its fill point equals the
+	// simulator's FillQueries for the same config.
+	res, err := Run(levels, UniformPoints{}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.FillQueries != tr.FillQueries {
+		t.Errorf("trace fill %d != simulator fill %d", tr.FillQueries, res.FillQueries)
+	}
+	if _, err := TraceWarmup(levels, UniformPoints{}, cfg, []int{0, -1}); err == nil {
+		t.Error("all-nonpositive counts accepted")
+	}
+}

@@ -9,7 +9,9 @@ import (
 	"sync"
 	"testing"
 
+	"rtreebuf/internal/buffer"
 	"rtreebuf/internal/geom"
+	"rtreebuf/internal/obs"
 	"rtreebuf/internal/rtree"
 )
 
@@ -345,13 +347,29 @@ func hotTree(tb testing.TB, shards int) (*PagedTree, []rtree.Item) {
 // queries, on Pool and on ShardedPool: on a warm tree a point query that
 // matches nothing allocates nothing, a window or kNN query allocates its
 // result slice only, and a degraded window query its result and report.
+// The metered runs hold the same counts with an obs mirror attached and
+// the root pinned, so the mirror's hit, pin-hit and per-level hooks
+// allocate nothing either.
 func TestQueryAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop values at random")
 	}
-	for _, shards := range []int{1, 8} { // Pool, ShardedPool
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			pt, _ := hotTree(t, shards)
+	for _, run := range []struct {
+		shards  int // 1 is Pool, 8 ShardedPool
+		metered bool
+	}{{1, false}, {8, false}, {1, true}, {8, true}} {
+		name := fmt.Sprintf("shards=%d", run.shards)
+		if run.metered {
+			name += ",metered"
+		}
+		t.Run(name, func(t *testing.T) {
+			pt, _ := hotTree(t, run.shards)
+			if run.metered {
+				pt.SetMetrics(buffer.NewMetrics(obs.NewRegistry(), "lru"))
+				if err := pt.PinLevels(1); err != nil {
+					t.Fatal(err)
+				}
+			}
 			_, misses, _ := pt.Pool().Stats()
 			nowhere := geom.Point{X: 7, Y: 7} // outside the unit square the items live in
 			w := geom.RectAround(geom.Point{X: 0.4, Y: 0.6}, 0.02, 0.02)
