@@ -22,20 +22,26 @@ func TestViewAttribution(t *testing.T) {
 	for name, mkPool := range mk {
 		t.Run(name, func(t *testing.T) {
 			p := mkPool()
-			// view is View with the callback checked: calls counts its runs
-			// and first is the frame's first byte (the page number, for
-			// pages the source filled).
+			// view is View with the callback checked: calls counts its runs,
+			// first is the frame's first byte (the page number, for pages
+			// the source filled), and the hit the callback is told must be
+			// the one View reports.
 			var calls int
 			var first byte
 			view := func(page int) (AccessInfo, error) {
 				calls = 0
-				return p.View(page, func(frame []byte) {
+				var told bool
+				info, err := p.View(page, func(frame []byte, hit bool) {
 					calls++
-					first = frame[0]
+					first, told = frame[0], hit
 					if len(frame) != pageSize {
 						t.Errorf("page %d: frame of %d bytes, want %d", page, len(frame), pageSize)
 					}
 				})
+				if calls > 0 && told != info.Hit {
+					t.Errorf("page %d: callback told hit=%v, View reports %+v", page, told, info)
+				}
+				return info, err
 			}
 
 			if info, err := view(0); err != nil || info.Hit || info.WriteBacks != 0 || calls != 1 || first != 0 {

@@ -317,7 +317,7 @@ func TestCommitWriteSequenceUnchanged(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	info, err := p.View(0, func([]byte) {})
+	info, err := p.View(0, func([]byte, bool) {})
 	if err != nil || info.Hit || info.WriteBacks != 2 || p.DirtyPages() != 0 {
 		t.Fatalf("fault into a full dirty pool: info=%+v err=%v, %d pages still dirty; want a miss with 2 write-backs", info, err, p.DirtyPages())
 	}
@@ -334,7 +334,7 @@ func TestCommitWriteSequenceUnchanged(t *testing.T) {
 	}
 	sink.failOn[numPages-1] = true
 	_, missesBefore, evictionsBefore := p.Stats()
-	info, err = p.View(1, func([]byte) { t.Error("callback ran on a failed access") })
+	info, err = p.View(1, func([]byte, bool) { t.Error("callback ran on a failed access") })
 	_, misses, evictions := p.Stats()
 	if err == nil || info.WriteBacks != 1 || misses != missesBefore+1 || evictions != evictionsBefore {
 		t.Fatalf("fault through a failing sink: info=%+v err=%v, misses %d->%d, evictions %d->%d; want an error after one write-back, one more miss, no eviction",

@@ -145,13 +145,15 @@ func (p *Pool) Get(page int) ([]byte, error) {
 // View runs fn on the frame holding page, reading the page from the
 // source on a miss, and reports the access's attribution: whether the
 // page was resident and how many dirty pages the miss wrote back to make
-// room. The frame is lent, not given: fn must not modify or retain it
-// and must not call the pool, and the next pool operation may recycle
-// it. fn is not called when the access fails.
-func (p *Pool) View(page int, fn func(frame []byte)) (AccessInfo, error) {
+// room. fn's hit argument is AccessInfo.Hit, told to fn as well: true
+// when the page was resident, false when this access just read it. The
+// frame is lent, not given: fn must not modify or retain it and must not
+// call the pool, and the next pool operation may recycle it. fn is not
+// called when the access fails.
+func (p *Pool) View(page int, fn func(frame []byte, hit bool)) (AccessInfo, error) {
 	frame, info, err := p.fetch(page)
 	if err == nil {
-		fn(frame)
+		fn(frame, info.Hit)
 	}
 	return info, err
 }

@@ -84,7 +84,7 @@ func TestPoolIsItsPolicy(t *testing.T) {
 					page := rng.Intn(numPages)
 					switch op := rng.Intn(20); {
 					case op < 8:
-						info, err := p.View(page, func(frame []byte) {
+						info, err := p.View(page, func(frame []byte, _ bool) {
 							if err := checkFill(frame, page); err != nil {
 								t.Error(err)
 							}

@@ -17,10 +17,15 @@ import (
 // no copy. The loan ends when the callback returns; the callback must
 // not modify or retain the frame and must not call the pool (ShardedPool
 // runs it under a shard mutex), and callers that read several pages
-// finish with one before asking for the next. View also reports the
-// access's attribution (hit or miss, dirty pages written back) for the
-// flight recorder; AccessInfo.WriteBacks is always 0 from ShardedPool,
-// which holds no dirty pages.
+// finish with one before asking for the next. The callback's hit
+// argument says whether the page was resident (true) or was read from
+// the source by this very access (false); both pools know it before
+// they call. A caller may keep state per page that it derives from the
+// frame on a hit: under ShardedPool the callback for page p always runs
+// under p's shard mutex, so that state needs no lock of its own. View
+// also reports the access's attribution (hit or miss, dirty pages
+// written back) for the flight recorder; AccessInfo.WriteBacks is always
+// 0 from ShardedPool, which holds no dirty pages.
 //
 // Get is View for callers that need the bytes past the access. Its
 // ownership contract is the weaker of the two implementations': the
@@ -29,7 +34,7 @@ import (
 // eviction; ShardedPool returns a copy the caller owns).
 type PagePool interface {
 	Get(page int) ([]byte, error)
-	View(page int, fn func(frame []byte)) (AccessInfo, error)
+	View(page int, fn func(frame []byte, hit bool)) (AccessInfo, error)
 	Pin(page int) error
 	Unpin(page int)
 	SetMetrics(m *Metrics)
@@ -152,7 +157,7 @@ func (s *ShardedPool) globalize(err error, page int) error {
 // The returned slice is owned by the caller.
 func (s *ShardedPool) Get(page int) ([]byte, error) {
 	var out []byte
-	_, err := s.View(page, func(frame []byte) {
+	_, err := s.View(page, func(frame []byte, _ bool) {
 		out = make([]byte, len(frame))
 		copy(out, frame)
 	})
@@ -162,11 +167,13 @@ func (s *ShardedPool) Get(page int) ([]byte, error) {
 // View runs fn on the frame holding page and reports whether the page
 // was resident in its shard. fn always reads the resident frame, under
 // the shard mutex, so no eviction can recycle it meanwhile: on a hit
-// straight away, on a miss once the fault has committed. Nothing is
+// straight away (hit true), on a miss once the fault has committed (hit
+// false, also when a concurrent fault of the page committed first and fn
+// reads that fault's frame). Nothing is
 // allocated or copied for the caller, so fn must be brief, must not
 // modify or retain the frame, and must not call the pool (the shard
 // mutex is not reentrant). fn is not called when the access fails.
-func (s *ShardedPool) View(page int, fn func(frame []byte)) (AccessInfo, error) {
+func (s *ShardedPool) View(page int, fn func(frame []byte, hit bool)) (AccessInfo, error) {
 	sh, local, err := s.locate(page)
 	if err != nil {
 		return AccessInfo{}, err
@@ -180,7 +187,7 @@ func (s *ShardedPool) View(page int, fn func(frame []byte)) (AccessInfo, error) 
 	defer sh.mu.Unlock()
 	frame, err = sh.pool.commit(local, frame, err, false)
 	if err == nil {
-		fn(frame)
+		fn(frame, false)
 	}
 	return AccessInfo{}, s.globalize(err, page)
 }
@@ -188,12 +195,12 @@ func (s *ShardedPool) View(page int, fn func(frame []byte)) (AccessInfo, error) 
 // viewResident is View's probe: it runs fn on local's frame if the page
 // is resident, and otherwise returns the spare frame to read into. The
 // deferred unlock keeps a panicking fn from wedging the shard.
-func (sh *poolShard) viewResident(local int, fn func(frame []byte)) (frame []byte, hit bool, err error) {
+func (sh *poolShard) viewResident(local int, fn func(frame []byte, hit bool)) (frame []byte, hit bool, err error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	frame, hit, err = sh.pool.probe(local, false)
 	if hit {
-		fn(frame)
+		fn(frame, true)
 	}
 	return frame, hit, err
 }

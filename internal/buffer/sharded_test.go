@@ -163,7 +163,7 @@ func driveOracle(t *testing.T, p PagePool, seed int64, numPages, failPage int) [
 	// view reads page through View and checks what the callback saw.
 	view := func(page int) error {
 		calls := 0
-		info, err := p.View(page, func(frame []byte) {
+		info, err := p.View(page, func(frame []byte, _ bool) {
 			calls++
 			if err := checkFill(frame, page); err != nil {
 				t.Error(err)
@@ -342,7 +342,7 @@ func TestShardedPoolConcurrentStress(t *testing.T) {
 								reads.Add(1)
 							case op < 90:
 								var bad error
-								if _, err := p.View(page, func(frame []byte) { bad = checkFill(frame, page) }); err != nil || bad != nil {
+								if _, err := p.View(page, func(frame []byte, _ bool) { bad = checkFill(frame, page) }); err != nil || bad != nil {
 									errs <- fmt.Errorf("View(%d): %v / %v", page, err, bad)
 									return
 								}
@@ -485,7 +485,7 @@ func BenchmarkPoolGetMissView(b *testing.B) {
 	} {
 		b.Run(name, func(b *testing.B) {
 			var sum int
-			add := func(frame []byte) { sum += int(frame[0]) }
+			add := func(frame []byte, _ bool) { sum += int(frame[0]) }
 			page := 0
 			view := func() {
 				if _, err := p.View(page, add); err != nil {

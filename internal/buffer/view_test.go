@@ -49,7 +49,7 @@ func TestViewNeverTorn(t *testing.T) {
 					for i := 0; i < 4000; i++ {
 						page := rng.Intn(numPages)
 						calls := 0
-						_, err := p.View(page, func(frame []byte) {
+						_, err := p.View(page, func(frame []byte, _ bool) {
 							calls++
 							if err := checkFill(frame, page); err != nil {
 								fail(err)
@@ -117,7 +117,7 @@ func TestGetAllocatesOnlyItsCopy(t *testing.T) {
 			t.Errorf("%s: Get allocates %v times, want %v", tc.name, got, tc.want)
 		}
 		var sum int
-		add := func(frame []byte) { sum += int(frame[0]) }
+		add := func(frame []byte, _ bool) { sum += int(frame[0]) }
 		if got := testing.AllocsPerRun(200, func() {
 			_, _ = tc.pool.View(page, add)
 			page = (page + 1) % numPages

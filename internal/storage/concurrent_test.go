@@ -213,7 +213,7 @@ func TestManagersConcurrentPageIO(t *testing.T) {
 				for i := 0; i < readOps || !grown.Load(); i++ {
 					pg := rng.IntN(treePages)
 					var same bool
-					if _, err := pool.View(pg, func(frame []byte) { same = bytes.Equal(frame, want[pg]) }); err != nil {
+					if _, err := pool.View(pg, func(frame []byte, _ bool) { same = bytes.Equal(frame, want[pg]) }); err != nil {
 						errs <- err
 						return
 					}

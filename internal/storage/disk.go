@@ -154,14 +154,16 @@ func (m *MemoryManager) WritePage(page int, data []byte) error {
 	return nil
 }
 
-// WriteMeta implements DiskManager.
+// WriteMeta implements DiskManager. The blob is copied into the
+// manager's own buffer, reused from one write to the next: ReadMeta
+// hands out copies, so nothing outside holds it.
 func (m *MemoryManager) WriteMeta(meta []byte) error {
 	if len(meta) > m.pageSize {
 		return fmt.Errorf("storage: metadata %d bytes > page size %d", len(meta), m.pageSize)
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.meta = append([]byte(nil), meta...)
+	m.meta = append(m.meta[:0], meta...)
 	return nil
 }
 

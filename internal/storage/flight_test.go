@@ -129,7 +129,7 @@ func TestStagedReadAttribution(t *testing.T) {
 				{"corrupt page refused at fault", corruptPage, false, true, 3, 1},
 				{"corrupt page never resident", corruptPage, false, true, 4, 1},
 			} {
-				info, _ := twin.pool.View(tc.page, func([]byte) {})
+				info, _ := twin.pool.View(tc.page, func([]byte, bool) {})
 				u.reset()
 				n, err := u.node(tc.page, 0) // no metrics attached: the depth is not counted
 				gh, gm, ge := pt.Pool().Stats()

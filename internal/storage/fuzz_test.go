@@ -2,6 +2,9 @@ package storage
 
 import (
 	"encoding/binary"
+	"hash/crc32"
+	"math"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"slices"
@@ -16,7 +19,8 @@ import (
 // never return out-of-range shapes. `go test` exercises the seed corpus;
 // `go test -fuzz=FuzzDecodeNode ./internal/storage` explores further.
 func FuzzDecodeNode(f *testing.F) {
-	// Seeds: a valid leaf page, a valid internal page, mutations.
+	// Seeds: a valid leaf page, a valid internal page, a full leaf page,
+	// mutations.
 	leaf := rtree.NodeData{
 		Page: 0, Leaf: true,
 		Rects: []geom.Rect{{MinX: 0.1, MinY: 0.1, MaxX: 0.2, MaxY: 0.2}},
@@ -37,6 +41,8 @@ func FuzzDecodeNode(f *testing.F) {
 	}
 	f.Add(leafPage)
 	f.Add(internalPage)
+	full := randomPage(f, rand.New(rand.NewPCG(3407, 3408)), true, NodeCapacity(DefaultPageSize)) // 13 groups
+	f.Add(full)
 	f.Add([]byte{})
 	f.Add(make([]byte, nodeHeaderSize))
 	corrupted := append([]byte(nil), leafPage...)
@@ -65,7 +71,7 @@ func FuzzDecodeNode(f *testing.F) {
 		}
 		// The query scan reads the same entries in place: a window every
 		// valid rectangle intersects returns all of them, in page order.
-		leaf, items, kids := scanPage(data, everything)
+		leaf, items, kids := scanPage(data, everything, false)
 		if leaf != nd.Leaf || len(items)+len(kids) != len(nd.Rects) {
 			t.Fatalf("scanFrame: leaf %v, %d items, %d children; DecodeNode: leaf %v, %d entries",
 				leaf, len(items), len(kids), nd.Leaf, len(nd.Rects))
@@ -78,6 +84,15 @@ func FuzzDecodeNode(f *testing.F) {
 		if !nd.Leaf && !slices.Equal(kids, nd.Children) {
 			t.Fatalf("scanFrame children %v, DecodeNode %v", kids, nd.Children)
 		}
+		// A hit's scan through the group MBRs returns what the plain scan
+		// does, bit for bit and in order, for a window drawn from the
+		// page's own coordinates.
+		w := fuzzWindow(data, nd.Rects)
+		pLeaf, pItems, pKids := scanPage(data, w, false)
+		gLeaf, gItems, gKids := scanPage(data, w, true)
+		if pLeaf != gLeaf || !sameItemBits(pItems, gItems) || !slices.Equal(pKids, gKids) {
+			t.Fatalf("window %v: plain scan %v %v, grouped scan %v %v", w, pItems, pKids, gItems, gKids)
+		}
 		// Round trip: re-encoding must reproduce a decodable page.
 		if len(nd.Rects) <= NodeCapacity(4096) {
 			page, err := EncodeNode(nd, 4096)
@@ -89,6 +104,30 @@ func FuzzDecodeNode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// fuzzWindow draws a window for a fuzzed page, seeded by the page's
+// bytes: each coordinate is a coordinate of a random entry (so window
+// edges land exactly on entry edges), and now and then an infinity or a
+// NaN. The window may be inverted.
+func fuzzWindow(data []byte, rects []geom.Rect) geom.Rect {
+	rng := rand.New(rand.NewPCG(uint64(crc32.ChecksumIEEE(data)), uint64(len(data))))
+	coord := func() float64 {
+		switch k := rng.IntN(16); {
+		case k == 0:
+			return math.Inf(1)
+		case k == 1:
+			return math.Inf(-1)
+		case k == 2:
+			return math.NaN()
+		case len(rects) == 0:
+			return rng.Float64()
+		default:
+			r := rects[rng.IntN(len(rects))]
+			return [4]float64{r.MinX, r.MinY, r.MaxX, r.MaxY}[rng.IntN(4)]
+		}
+	}
+	return geom.Rect{MinX: coord(), MinY: coord(), MaxX: coord(), MaxY: coord()}
 }
 
 // FuzzOpenFile throws arbitrary file contents at the page-file opener:

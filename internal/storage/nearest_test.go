@@ -64,7 +64,7 @@ func unboundedNearest(t *testing.T, pt *PagedTree, p geom.Point, k int) ([]int, 
 		pages = append(pages, e.page)
 		var nd rtree.NodeData
 		var err error
-		if _, verr := pt.Pool().View(e.page, func(frame []byte) { nd, err = DecodeNode(frame, e.page) }); verr != nil {
+		if _, verr := pt.Pool().View(e.page, func(frame []byte, _ bool) { nd, err = DecodeNode(frame, e.page) }); verr != nil {
 			t.Fatal(verr)
 		}
 		if err != nil {

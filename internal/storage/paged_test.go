@@ -136,7 +136,7 @@ func TestPinLevelsZeroPinsNothing(t *testing.T) {
 			}
 			view := func(page int) bool {
 				t.Helper()
-				info, err := pool.View(page, func([]byte) {})
+				info, err := pool.View(page, func([]byte, bool) {})
 				if err != nil {
 					t.Fatal(err)
 				}

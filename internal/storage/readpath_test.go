@@ -101,7 +101,7 @@ func TestFaultRejectsStructurallyInvalidPage(t *testing.T) {
 					}
 				}
 				for i := 0; i < 2; i++ { // the second access is a miss again, not a hit on a bad frame
-					info, err := pool.View(tc.page, func([]byte) { t.Errorf("View(%d) lent out an invalid page", tc.page) })
+					info, err := pool.View(tc.page, func([]byte, bool) { t.Errorf("View(%d) lent out an invalid page", tc.page) })
 					if info.Hit {
 						t.Errorf("View(%d) #%d reports a hit", tc.page, i)
 					}
@@ -480,7 +480,7 @@ func packedHotTree(tb testing.TB, shards int) (*PagedTree, []geom.Point) {
 		tb.Fatal(err)
 	}
 	for page := 0; page < dm.NumPages(); page++ {
-		if _, err := pt.Pool().View(page, func([]byte) {}); err != nil {
+		if _, err := pt.Pool().View(page, func([]byte, bool) {}); err != nil {
 			tb.Fatal(err)
 		}
 	}

@@ -16,15 +16,32 @@ import (
 
 // The entry scan (DESIGN §7c): queries read a validated frame in place,
 // and scanFrame's window test is geom.Rect.Intersects taken apart. These
-// tests hold the in-place readers to DecodeNode, the reference decoder.
+// tests hold the in-place readers to DecodeNode, the reference decoder,
+// on both paths: a fault's plain scan and a hit's scan through the
+// page's group MBRs (pageindex.go).
 
-// scanPage runs scanFrame over frame with window w and returns what it
-// collected: the leaf flag, the matching leaf items, the matching
-// children.
-func scanPage(frame []byte, w geom.Rect) (leaf bool, items []rtree.Item, kids []int) {
-	q := &query{window: w, kids: make([][]int, 1)}
-	q.scanFrame(frame)
+// frameTree returns a tree whose page index has one unbuilt slot, page
+// 0, for pages of len(frame) bytes: what scanFrame and pushFrame need to
+// read frame as a hit.
+func frameTree(frame []byte) *PagedTree {
+	return &PagedTree{index: newPageIndex(1, len(frame))}
+}
+
+// scanPage runs scanFrame over frame, page 0, with window w, as a fault
+// (hit false) or as a hit, and returns what it collected: the leaf flag,
+// the matching leaf items, the matching children.
+func scanPage(frame []byte, w geom.Rect, hit bool) (leaf bool, items []rtree.Item, kids []int) {
+	q := &query{pt: frameTree(frame), window: w, kids: make([][]int, 1)}
+	q.scanFrame(frame, hit)
 	return q.leaf, q.items, q.kids[0]
+}
+
+// pathName names the scan path a hit flag selects, for failure messages.
+func pathName(hit bool) string {
+	if hit {
+		return "grouped"
+	}
+	return "plain"
 }
 
 // wantScan is scanPage's reference: DecodeNode, then Intersects per entry.
@@ -140,8 +157,15 @@ func pushSequence(f *rtree.Frontier[pageRef], p geom.Point, push func(root pageR
 // yields that Intersects the window, in entry order — for windows whose
 // edges touch entries, degenerate to an entry's corner or edge, infinite,
 // inverted or NaN. pushFrame queues the entries DecodeNode yields, in
-// the same order, with the same rectangles and payloads.
+// the same order, with the same rectangles and payloads. Every case runs
+// on the plain path a fault takes and on the grouped path of a hit.
 func TestScanFrameMatchesDecode(t *testing.T) {
+	for _, hit := range []bool{false, true} {
+		t.Run(pathName(hit), func(t *testing.T) { testScanFrameMatchesDecode(t, hit) })
+	}
+}
+
+func testScanFrameMatchesDecode(t *testing.T, hit bool) {
 	rng := rand.New(rand.NewPCG(3401, 3402))
 	capacity := NodeCapacity(DefaultPageSize)
 	for trial := 0; trial < 200; trial++ {
@@ -160,7 +184,7 @@ func TestScanFrameMatchesDecode(t *testing.T) {
 			entry = nd.Rects[rng.IntN(n)]
 		}
 		for _, w := range scanWindows(rng, entry) {
-			gotLeaf, items, kids := scanPage(frame, w)
+			gotLeaf, items, kids := scanPage(frame, w, hit)
 			wantItems, wantKids := wantScan(t, frame, w)
 			if gotLeaf != leaf || !sameItemBits(items, wantItems) || !slices.Equal(kids, wantKids) {
 				t.Fatalf("trial %d (leaf %v, %d entries), window %v:\nscanFrame %v %v\nDecodeNode %v %v",
@@ -169,10 +193,10 @@ func TestScanFrameMatchesDecode(t *testing.T) {
 		}
 
 		for _, p := range []geom.Point{{X: math.Inf(1), Y: math.Inf(1)}, {X: rng.Float64(), Y: rng.Float64()}} {
-			q := &query{}
+			q := &query{pt: frameTree(frame)}
 			got, gotNodes := pushSequence(&q.frontier, p, func(root pageRef) {
-				q.node = root
-				q.pushFrame(frame)
+				q.node = pageRef{0, root.depth} // the frame's page in q.pt's index
+				q.pushFrame(frame, hit)
 			})
 			var f rtree.Frontier[pageRef]
 			want, wantNodes := pushSequence(&f, p, func(root pageRef) {
@@ -268,8 +292,8 @@ func TestValidatePageEntryBounds(t *testing.T) {
 			t.Errorf("%s: DecodeNode yields %d entries, want %d", tc.name, len(nd.Rects), capacity)
 		}
 		entries := 0
-		_, err = pool.View(page, func(frame []byte) {
-			_, items, _ := scanPage(frame, everything)
+		_, err = pool.View(page, func(frame []byte, hit bool) {
+			_, items, _ := scanPage(frame, everything, hit)
 			entries = len(items)
 		})
 		check("View", err)
@@ -279,63 +303,97 @@ func TestValidatePageEntryBounds(t *testing.T) {
 	}
 }
 
-// BenchmarkScanFrame times one scan of a validated 100-entry page, the
-// benchmark's fan-out, for a point that matches no entry and for a
-// 0.01² window that matches some. Neither allocates: the result scratch
-// is reused across scans, as a recycled query's is.
-func BenchmarkScanFrame(b *testing.B) {
-	const fanout = 100
-	for _, leaf := range []bool{true, false} {
-		rng := rand.New(rand.NewPCG(3405, 3406))
-		side := 0.05 // internal entries cover more than leaf ones
-		if leaf {
-			side = 0.01
+// scanVisit is one page visit of a query: the page and the query's
+// window.
+type scanVisit struct {
+	page int
+	w    geom.Rect
+}
+
+// scanVisits returns the first 4,096 page visits, in DFS order, that
+// point queries (window false) or 0.01² window queries (true) at points
+// make on the tree stored in dm.
+func scanVisits(tb testing.TB, dm DiskManager, points []geom.Point, window bool) []scanVisit {
+	tb.Helper()
+	const n = 4096
+	visits := make([]scanVisit, 0, n)
+	buf := make([]byte, dm.PageSize())
+	var walk func(page int, w geom.Rect)
+	walk = func(page int, w geom.Rect) {
+		if len(visits) == n {
+			return
 		}
-		nd := rtree.NodeData{Leaf: leaf}
-		for i := 0; i < fanout; i++ {
-			c := geom.Point{X: rng.Float64(), Y: rng.Float64()}
-			nd.Rects = append(nd.Rects, geom.RectAround(c, side*rng.Float64(), side*rng.Float64()))
-			nd.IDs = append(nd.IDs, int64(i))
-			nd.Children = append(nd.Children, i)
+		visits = append(visits, scanVisit{page, w})
+		if err := dm.ReadPage(page, buf); err != nil {
+			tb.Fatal(err)
 		}
-		if leaf {
-			nd.Children = nil
-		} else {
-			nd.IDs = nil
-		}
-		frame, err := EncodeNode(nd, DefaultPageSize)
+		nd, err := DecodeNode(buf, page)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-		if err := validatePage(frame, 0); err != nil {
-			b.Fatal(err)
-		}
-		miss := geom.Point{X: 0.5, Y: 0.5}
-		for hit := true; hit; {
-			hit = false
-			for _, r := range nd.Rects {
-				if r.ContainsPoint(miss) {
-					hit, miss.X = true, miss.X+0.001
-					break
-				}
+		for i, r := range nd.Rects {
+			if !nd.Leaf && r.Intersects(w) {
+				walk(nd.Children[i], w)
 			}
 		}
-		kind := map[bool]string{true: "leaf", false: "internal"}[leaf]
-		for _, wc := range []struct {
-			name string
-			w    geom.Rect
-		}{
-			{"point-miss", geom.PointRect(miss)},
-			{"window", geom.RectAround(nd.Rects[0].Center(), 0.01, 0.01)},
-		} {
-			b.Run(kind+"/"+wc.name, func(b *testing.B) {
-				q := &query{window: wc.w, kids: make([][]int, 1)}
-				q.scanFrame(frame) // sizes the scratch
+	}
+	for _, p := range points {
+		w := geom.PointRect(p)
+		if window {
+			w = geom.RectAround(p, 0.01, 0.01)
+		}
+		if walk(0, w); len(visits) == n {
+			return visits
+		}
+	}
+	tb.Fatalf("%d queries make only %d visits", len(points), len(visits))
+	return nil
+}
+
+// BenchmarkScanFrame times one page scan of a query on read_hot's tree
+// (packedHotTree's 1M Hilbert-packed items, fan-out 100): each iteration
+// takes the next of 4,096 page visits that point queries, or 0.01²
+// window queries, make in DFS order, and scans that visit's page with
+// the query's window. The pages are the tree's own, so the branch
+// pattern is a real one and a page is seldom in the CPU cache, as in a
+// pool of 10,101 frames. plain is a fault's scan of every entry; grouped
+// is a hit's scan through the page's group MBRs, built before the clock
+// starts. Neither allocates: the result scratch is reused across scans,
+// as a recycled query's is.
+func BenchmarkScanFrame(b *testing.B) {
+	pt, points := packedHotTree(b, 1)
+	dm := pt.dm
+	frames := map[int][]byte{} // page -> its validated frame, one per page
+	for _, kind := range []struct {
+		name   string
+		window bool
+	}{{"point", false}, {"window", true}} {
+		visits := scanVisits(b, dm, points, kind.window)
+		for _, v := range visits {
+			if frames[v.page] != nil {
+				continue
+			}
+			frame := make([]byte, dm.PageSize())
+			if err := (dmSource{dm}).ReadPage(v.page, frame); err != nil {
+				b.Fatal(err)
+			}
+			frames[v.page] = frame
+		}
+		for _, hit := range []bool{false, true} {
+			b.Run(kind.name+"/"+pathName(hit), func(b *testing.B) {
+				q := &query{pt: &PagedTree{index: newPageIndex(dm.NumPages(), dm.PageSize())}, kids: make([][]int, 1)}
+				scan := func(v scanVisit) {
+					q.window, q.page = v.w, v.page
+					q.items, q.kids[0] = q.items[:0], q.kids[0][:0]
+					q.scanFrame(frames[v.page], hit)
+				}
+				for _, v := range visits { // builds the groups, sizes the scratch
+					scan(v)
+				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					q.items, q.kids[0] = q.items[:0], q.kids[0][:0]
-					q.scanFrame(frame)
+					scan(visits[i%len(visits)])
 				}
 				benchSink += len(q.items) + len(q.kids[0])
 			})

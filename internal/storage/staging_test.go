@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -17,6 +18,13 @@ import (
 // resident, checkpointed like the benchmark's write workload. It returns
 // the heap tree that was saved, for the leaves' contents.
 func writableHotTree(tb testing.TB) (*PagedTree, *rtree.Tree) {
+	return writableHotTreeFree(tb, 0)
+}
+
+// writableHotTreeFree is writableHotTree with free free pages past the
+// live ones, listed in a v2 catalog: the free list a run of merges
+// leaves behind.
+func writableHotTreeFree(tb testing.TB, free int) (*PagedTree, *rtree.Tree) {
 	tb.Helper()
 	rng := rand.New(rand.NewPCG(2705, 2706))
 	tr := rtree.MustNew(rtree.Params{MaxEntries: 100})
@@ -28,6 +36,24 @@ func writableHotTree(tb testing.TB) (*PagedTree, *rtree.Tree) {
 	if err := SaveTree(dm, tr); err != nil {
 		tb.Fatal(err)
 	}
+	if free > 0 {
+		meta, err := openMeta(dm)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		live := meta.NumPages()
+		stale := make([]byte, DefaultPageSize)
+		for p := live; p < live+free; p++ {
+			if err := dm.WritePage(p, stale); err != nil {
+				tb.Fatal(err)
+			}
+			meta.Free = append(meta.Free, p)
+		}
+		meta.TotalPages = live + free
+		if err := dm.WriteMeta(encodeMetaV2(meta)); err != nil {
+			tb.Fatal(err)
+		}
+	}
 	walDev, err := NewMemoryManager(DefaultPageSize + WALFrameOverhead)
 	if err != nil {
 		tb.Fatal(err)
@@ -35,6 +61,9 @@ func writableHotTree(tb testing.TB) (*PagedTree, *rtree.Tree) {
 	pt, _, err := OpenPagedTreeWAL(dm, walDev, 2*tr.NodeCount())
 	if err != nil {
 		tb.Fatal(err)
+	}
+	if got := len(pt.Meta().Free); got != free {
+		tb.Fatalf("fixture opened with %d free pages, want %d", got, free)
 	}
 	pt.SetCheckpointPolicy(CheckpointPolicy{EveryBatches: 64, MaxLogBlocks: 4096})
 	if err := pt.ScanLeaves(func(rtree.Item) error { return nil }); err != nil {
@@ -49,15 +78,36 @@ func writableHotTree(tb testing.TB) (*PagedTree, *rtree.Tree) {
 // allocate a handful of objects, not one per touched page, dirty node and
 // log record. Before staging, encoding and log framing were recycled the
 // same operations cost 32 and 30 allocations here (BenchmarkPagedInsert
-// and BenchmarkPagedDelete: 31 and 34, 23.5 KB and 20.0 KB). What is left
-// is 3 of each: the catalog's Levels copy and the two memory managers'
-// copies of a meta blob — plus, while the log is first growing, the log
-// device's new blocks.
+// and BenchmarkPagedDelete: 31 and 34, 23.5 KB and 20.0 KB). The
+// catalog's Levels and Free are double-buffered and the memory managers
+// reuse their meta buffers, so what is left is the log device's new
+// blocks while the log is first growing. A tree with a free list of 500
+// pages is held to the same budget: neither the catalog copy nor the
+// encoded catalog may cost an allocation that grows with the free list.
 func TestUpdateAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
-	pt, tr := writableHotTree(t)
+	const free = 500
+	bytes := map[int]map[string]float64{}
+	for _, n := range []int{0, free} {
+		t.Run(fmt.Sprintf("free=%d", n), func(t *testing.T) { bytes[n] = testUpdateAllocationBudget(t, n) })
+	}
+	// The bytes the free list adds to an operation: less than one copy of
+	// it, which is what copying Free into a fresh slice cost by itself.
+	for op, b := range bytes[free] {
+		if extra := b - bytes[0][op]; extra >= 8*free {
+			t.Errorf("%s: %.0f B per operation with %d free pages, %.0f B with none: the free list is copied",
+				op, b, free, bytes[0][op])
+		}
+	}
+}
+
+// testUpdateAllocationBudget holds Insert and Delete on writableHotTreeFree
+// to the allocation budget and returns the bytes each allocates per
+// operation.
+func testUpdateAllocationBudget(t *testing.T, free int) map[string]float64 {
+	pt, tr := writableHotTreeFree(t, free)
 	// One new point item per leaf with room: the center of one of the
 	// leaf's items that lies in one node's rectangle per level, so the
 	// descent can only lead to that leaf and enlarges nothing.
@@ -90,19 +140,24 @@ func TestUpdateAllocationBudget(t *testing.T) {
 		t.Fatalf("fixture has %d leaves, want at least 101", len(dups))
 	}
 	before := pt.Meta()
+	bytes := map[string]float64{}
 	run := func(name string, max float64, op func(rtree.Item) error) {
 		k := 0
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
 		got := testing.AllocsPerRun(100, func() {
 			if err := op(dups[k]); err != nil {
 				t.Fatalf("%s %d: %v", name, k, err)
 			}
 			k++
 		})
+		runtime.ReadMemStats(&m1)
+		bytes[name] = float64(m1.TotalAlloc-m0.TotalAlloc) / float64(k)
 		if after := pt.Meta(); after.NumPages() != before.NumPages() || len(after.Free) != len(before.Free) {
 			t.Fatalf("%s changed the tree's shape (%v → %v pages, %d → %d free): the case does not test what it says",
 				name, before.Levels, after.Levels, len(before.Free), len(after.Free))
 		}
-		t.Logf("%s: %v allocations per operation", name, got)
+		t.Logf("%s: %v allocations, %.0f B per operation", name, got, bytes[name])
 		if got > max {
 			t.Errorf("%s: %v allocations per operation, budget %v", name, got, max)
 		}
@@ -115,6 +170,7 @@ func TestUpdateAllocationBudget(t *testing.T) {
 		}
 		return err
 	})
+	return bytes
 }
 
 // BenchmarkPagedInsert grows the warm tree by b.N items, splits included.

@@ -413,6 +413,10 @@ type PagedTree struct {
 	pool buffer.PagePool
 	meta TreeMeta
 
+	// index holds every page's group MBRs, which a buffer hit scans
+	// before the entries (pageindex.go).
+	index pageIndex
+
 	// fr, when attached, records per-query access attribution (nil — the
 	// default — is the disabled recorder; the query paths call it
 	// unconditionally with zero overhead).
@@ -487,9 +491,10 @@ func OpenPagedTreeWith(dm DiskManager, bufferPages int, policy string, shards in
 		pool = buffer.NewPoolWith(dmSource{dm}, bufferPages, meta.PageSpan(), factory)
 	}
 	return &PagedTree{
-		dm:   dm,
-		pool: pool,
-		meta: meta,
+		dm:    dm,
+		pool:  pool,
+		meta:  meta,
+		index: newPageIndex(meta.PageSpan(), dm.PageSize()),
 	}, nil
 }
 
@@ -518,8 +523,17 @@ func openMeta(dm DiskManager) (TreeMeta, error) {
 	return meta, nil
 }
 
-// Meta returns the tree catalog.
-func (pt *PagedTree) Meta() TreeMeta { return pt.meta }
+// Meta returns a copy of the tree catalog: the update path reuses the
+// Levels and Free slices of pt.meta (update.go).
+func (pt *PagedTree) Meta() TreeMeta {
+	m := pt.meta
+	m.Levels = slices.Clone(m.Levels)
+	m.Free = nil
+	if len(pt.meta.Free) > 0 {
+		m.Free = slices.Clone(pt.meta.Free)
+	}
+	return m
+}
 
 // Pool exposes the underlying buffer pool (for statistics and pinning).
 func (pt *PagedTree) Pool() buffer.PagePool { return pt.pool }
@@ -576,11 +590,12 @@ func (pt *PagedTree) PinLevels(n int) error {
 }
 
 // read lends fn the frame of page, a node at the given tree level, and
+// whether the pool had it resident (see buffer.PagePool's View), and
 // attributes the read: to aq's flight record (nil for a read no query
 // records) and to the per-level series. Every read a query or an update
 // makes goes through here, failed ones included, so the levels and the
 // flight record count each read once.
-func (pt *PagedTree) read(page, depth int, aq *obs.ActiveQuery, fn func(frame []byte)) error {
+func (pt *PagedTree) read(page, depth int, aq *obs.ActiveQuery, fn func(frame []byte, hit bool)) error {
 	info, err := pt.pool.View(page, fn)
 	aq.Access(depth, info.Hit, info.WriteBacks)
 	pt.metrics.Level(depth, info.Hit)
@@ -620,7 +635,9 @@ type pageRef struct{ page, depth int }
 // scans the whole frame into its own slices — matching leaf entries into
 // items, matching children into kids, a kNN node's entries into the
 // frontier's candidates — and only after View has returned does it ask
-// for the next page (or the frontier push the candidates it kept). A
+// for the next page (or the frontier push the candidates it kept). On a
+// hit the scan goes through the page's group MBRs (pt.index); on a fault
+// it reads every entry. Both yield the same entries in the same order. A
 // frame is never read after another pool operation: Pool recycles an
 // evicted frame for the next fault, so reading the parent's frame after
 // a child visit returns another page's entries on a small buffer, and
@@ -633,6 +650,7 @@ type query struct {
 
 	// Window search and leaf scan.
 	window geom.Rect
+	page   int          // the page scanFrame is about to read
 	depth  int          // level of the node scanFrame is about to read
 	leaf   bool         // whether the node scanFrame read last is a leaf
 	items  []rtree.Item // leaf entries matched so far
@@ -646,8 +664,8 @@ type query struct {
 	// scanFrame, pushFrame and expandNode as func values, bound once per
 	// query value: a func passed through the PagePool interface escapes,
 	// so binding them per visit would cost an allocation per visit.
-	scan   func(frame []byte)
-	push   func(frame []byte)
+	scan   func(frame []byte, hit bool)
+	push   func(frame []byte, hit bool)
 	expand func(n pageRef) error
 }
 
@@ -752,22 +770,52 @@ func (q *query) visit(page, depth int) error {
 	for depth >= len(q.kids) {
 		q.kids = append(q.kids, nil)
 	}
-	q.depth, q.kids[depth] = depth, q.kids[depth][:0]
+	q.page, q.depth, q.kids[depth] = page, depth, q.kids[depth][:0]
 	return q.pt.read(page, depth, q.aq, q.scan)
 }
 
 // scanFrame is visit's View callback: the entries intersecting q.window
-// go to q.items (a leaf's) or q.kids[q.depth] (an internal node's).
-// The window test is geom.Rect.Intersects taken apart: the same four
-// comparisons in the same order, each field loaded only when the tests
-// before it passed, and each written !(a <= b) so that a NaN fails it
-// as it fails Intersects. One if per test compiles to a load, a compare
-// and a branch; a single || of the four would materialize booleans. The
-// payload is read only for a match.
-func (q *query) scanFrame(frame []byte) {
-	w, leaf := q.window, pageIsLeaf(frame)
+// go to q.items (a leaf's) or q.kids[q.depth] (an internal node's), in
+// entry order. A fault scans every entry. A hit first puts the page's
+// group MBRs through the same four tests as scanEntries and scans only
+// the entries of the groups that pass: a group's bounds are its entries'
+// exact min and max, so a group that fails a test, for a NaN window too,
+// holds no entry that passes it.
+func (q *query) scanFrame(frame []byte, hit bool) {
+	leaf, entries := pageIsLeaf(frame), pageEntries(frame)
 	q.leaf = leaf
-	for e := pageEntries(frame); len(e) >= entrySize; e = e[entrySize:] {
+	if !hit {
+		q.scanEntries(entries, leaf)
+		return
+	}
+	w := q.window
+	for i, g := range q.pt.index.of(q.page, frame) {
+		if !(g.MinX <= w.MaxX) {
+			continue
+		}
+		if !(w.MinX <= g.MaxX) {
+			continue
+		}
+		if !(g.MinY <= w.MaxY) {
+			continue
+		}
+		if !(w.MinY <= g.MaxY) {
+			continue
+		}
+		q.scanEntries(groupEntries(entries, i), leaf)
+	}
+}
+
+// scanEntries appends the entries of e intersecting q.window to q.items
+// (leaf) or q.kids[q.depth]. The window test is geom.Rect.Intersects
+// taken apart: the same four comparisons in the same order, each field
+// loaded only when the tests before it passed, and each written
+// !(a <= b) so that a NaN fails it as it fails Intersects. One if per
+// test compiles to a load, a compare and a branch; a single || of the
+// four would materialize booleans. The payload is read only for a match.
+func (q *query) scanEntries(e []byte, leaf bool) {
+	w := q.window
+	for ; len(e) >= entrySize; e = e[entrySize:] {
 		if !(getFloat(e) <= w.MaxX) {
 			continue
 		}
@@ -843,12 +891,35 @@ func (q *query) expandNode(n pageRef) error {
 	return q.pt.read(n.page, n.depth, q.aq, q.push)
 }
 
-// pushFrame is expandNode's View callback: it offers every entry of the
-// frame to the frontier, in entry order, making the frontier's bound
+// pushFrame is expandNode's View callback: it offers the entries of the
+// frame to the frontier, in entry order. A fault offers every entry. A
+// hit skips the groups (pt.index) whose MBR lies beyond the frontier's
+// bound: minDistSq only grows from a rectangle to one inside it, in
+// floating point too (each subtraction rounds monotonically, and max,
+// the squares and the sum are monotone), and the bound only falls while
+// a node is offered, so every entry of a skipped group would have failed
+// Within at its own turn. A group at NaN distance is scanned: a point at
+// infinity makes Inf-Inf of a group edge that an entry inside may not
+// share.
+func (q *query) pushFrame(frame []byte, hit bool) {
+	leaf, entries := pageIsLeaf(frame), pageEntries(frame)
+	if !hit {
+		q.pushEntries(entries, leaf)
+		return
+	}
+	for i, g := range q.pt.index.of(q.node.page, frame) {
+		if d, ok := q.frontier.Within(g); !ok && !math.IsNaN(d) {
+			continue
+		}
+		q.pushEntries(groupEntries(entries, i), leaf)
+	}
+}
+
+// pushEntries offers the entries of e to the frontier, making its bound
 // test inline so that the entries beyond it (most of them) cost no call.
-func (q *query) pushFrame(frame []byte) {
-	leaf, depth := pageIsLeaf(frame), q.node.depth+1
-	for e := pageEntries(frame); len(e) >= entrySize; e = e[entrySize:] {
+func (q *query) pushEntries(e []byte, leaf bool) {
+	depth := q.node.depth + 1
+	for ; len(e) >= entrySize; e = e[entrySize:] {
 		r := getRect(e)
 		d, ok := q.frontier.Within(r)
 		if !ok {

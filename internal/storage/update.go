@@ -48,8 +48,10 @@ import (
 // reused buffer; the WAL frames every record in one buffer of its own.
 // Three rules keep the reuse invisible:
 //
-//   - pt.meta never aliases the updater: beginUpdate copies Levels and
-//     Free afresh, because Meta() hands out their slice headers.
+//   - The catalog's Levels and Free are double-buffered: beginUpdate
+//     copies pt.meta's into the updater's spare pair, and a commit
+//     installs the updater's pair in pt.meta and keeps the old one as the
+//     next spare. Meta() hands out copies, so no caller holds either.
 //   - A node is recycled only when no caller holds it: staged and
 //     replaced nodes at the next reset, a split's spare and a node whose
 //     first read failed before the function that took them returns.
@@ -97,7 +99,11 @@ func OpenPagedTreeWAL(dm, walDev DiskManager, bufferPages int) (*PagedTree, Reco
 	}
 	pool := buffer.NewPool(dmSource{dm}, bufferPages, meta.PageSpan())
 	pool.SetSink(dm)
-	pt := &PagedTree{dm: dm, pool: pool, meta: meta, wal: w, wpool: pool}
+	pt := &PagedTree{
+		dm: dm, pool: pool, meta: meta,
+		index: newPageIndex(meta.PageSpan(), dm.PageSize()),
+		wal:   w, wpool: pool,
+	}
 	pt.upd = newUpdater(pt)
 	return pt, rep, nil
 }
@@ -196,10 +202,14 @@ type updater struct {
 	meta  TreeMeta // Levels and Free copied per operation; mutated freely
 	nodes map[int]*updateNode
 
-	free    []*updateNode      // recycled nodes, ready to stage
-	retired []*updateNode      // replaced in nodes this operation; free at the next reset
-	reading *updateNode        // the node decodeFrame fills
-	decode  func(frame []byte) // decodeFrame, bound once: a func passed to View escapes
+	// The spare Levels and Free that beginUpdate copies pt.meta's into:
+	// the pair pt.meta held before the last commit.
+	levels, freeList []int
+
+	free    []*updateNode                // recycled nodes, ready to stage
+	retired []*updateNode                // replaced in nodes this operation; free at the next reset
+	reading *updateNode                  // the node decodeFrame fills
+	decode  func(frame []byte, hit bool) // decodeFrame, bound once: a func passed to View escapes
 
 	// Scratch of the operation's walks.
 	path     []int    // insertEntry's root-to-target pages
@@ -229,8 +239,8 @@ func (pt *PagedTree) beginUpdate() (*updater, error) {
 	u := pt.upd
 	u.reset()
 	u.meta = pt.meta
-	u.meta.Levels = append([]int(nil), pt.meta.Levels...)
-	u.meta.Free = append([]int(nil), pt.meta.Free...)
+	u.meta.Levels = append(u.levels[:0], pt.meta.Levels...)
+	u.meta.Free = append(u.freeList[:0], pt.meta.Free...)
 	u.meta.TotalPages = pt.meta.PageSpan()
 	return u, nil
 }
@@ -291,7 +301,7 @@ func (u *updater) node(page, depth int) (*updateNode, error) {
 // decodeFrame is node's View callback: the frame's entries go into the
 // node being read while the frame is on loan. The frame was validated
 // when it entered the pool, so this only decodes.
-func (u *updater) decodeFrame(frame []byte) { decodeInto(&u.reading.NodeData, frame) }
+func (u *updater) decodeFrame(frame []byte, _ bool) { decodeInto(&u.reading.NodeData, frame) }
 
 // newNode stages a fresh node on page, replacing any earlier staging
 // (reusing a page freed in this same batch is legal; so is replacing the
@@ -654,6 +664,11 @@ func (pt *PagedTree) commitUpdate(u *updater) error {
 	}
 
 	// The batch is durable; from here every failure poisons the handle.
+	// The rewritten pages' group MBRs are dropped before the first Put,
+	// so that no hit scans new bytes through old groups, not even on a
+	// handle that a Put failing halfway leaves poisoned.
+	pt.index.grow(u.meta.PageSpan())
+	pt.index.forget(images)
 	pt.wpool.Grow(u.meta.PageSpan())
 	for _, img := range images {
 		if err := pt.wpool.Put(img.Page, img.Data); err != nil {
@@ -672,6 +687,7 @@ func (pt *PagedTree) commitUpdate(u *updater) error {
 	if len(u.meta.Levels) != len(pt.meta.Levels) {
 		pt.metrics.WithLevels(len(u.meta.Levels)) // the tree changed height
 	}
+	u.levels, u.freeList = pt.meta.Levels, pt.meta.Free
 	pt.meta = u.meta
 
 	if pt.ckpt.Due(pt.wal) {
