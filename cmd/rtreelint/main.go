@@ -28,9 +28,9 @@
 // not silently disable a check.
 //
 // The package patterns on the command line are accepted for familiarity
-// ("./...") but the whole module is always loaded; per-package analyzers
-// restrict themselves to their declared targets, and the module-wide
-// analyzers (marked in -list) see everything.
+// ("./...") but the whole module is always loaded; the per-package
+// analyzer (errcheck) restricts itself to its declared targets, and the
+// module-wide analyzers (marked in -list) see everything.
 package main
 
 import (

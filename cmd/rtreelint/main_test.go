@@ -121,6 +121,6 @@ func TestBaselineFlagsAreGone(t *testing.T) {
 
 // survivors is the registry the kill matrix left, in run order.
 var survivors = []string{
-	"floatcmp", "errcheck", "probrange", "lockcheck", "iopurity",
-	"sharecheck", "determcheck", "atomiccheck", "durcheck", "errflow",
+	"errcheck", "lockcheck", "iopurity", "sharecheck", "atomiccheck",
+	"durcheck", "errflow",
 }

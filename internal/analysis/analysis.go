@@ -2,14 +2,14 @@
 // analysis layer of the repository. It loads the module with go/parser and
 // go/types (standard library only — no external analysis framework) and
 // runs analyzers that encode correctness rules this codebase depends on
-// but that go vet cannot know about. Three look at one package at a time
-// (floatcmp, errcheck and probrange, at the packages Analyzers lists);
-// the rest read the whole module through two engines. Across calls, one
-// callees-first pass over the call graph's SCCs (facts.go) computes each
-// function's facts, effect set and SCC (iopurity, determcheck and the
-// others read these). Within a body, one path walker (flow.go)
-// carries either of two lattices: must-held lock sets (lockcheck,
-// sharecheck, atomiccheck) or ordered effect traces (durcheck, errflow).
+// but that go vet cannot know about. One looks at one package at a time
+// (errcheck, at the packages Analyzers lists); the rest read the whole
+// module through two engines. Across calls, one callees-first pass over
+// the call graph's SCCs (facts.go) computes each function's facts, effect
+// set and SCC (iopurity, sharecheck and the others read these). Within a
+// body, one path walker (flow.go) carries either of two lattices:
+// must-held lock sets (lockcheck, sharecheck, atomiccheck) or ordered
+// effect traces (durcheck, errflow).
 // `rtreelint -list` prints each analyzer with its one-line contract.
 //
 // Which analyzers exist is decided by evidence, not by what was once
@@ -21,7 +21,7 @@
 // Findings are suppressed by an explicit annotation on the offending line
 // (or the line directly above):
 //
-//	//lint:allow floatcmp exact comparison is the contract here
+//	//lint:allow errcheck best effort: the process is exiting anyway
 //
 // The annotation names one analyzer (or a comma-separated list, or "all");
 // everything after the names is free-form justification. Keeping the
@@ -99,17 +99,6 @@ func Analyzers() []*Analyzer {
 	const mod = "rtreebuf"
 	return []*Analyzer{
 		{
-			Name: "floatcmp",
-			Doc:  "exact ==/!= on floating-point operands (use geom.ApproxEqual or annotate)",
-			Targets: []string{
-				mod + "/internal/geom",
-				mod + "/internal/core",
-				mod + "/internal/hilbert",
-				mod + "/internal/nd",
-			},
-			Check: checkFloatCmp,
-		},
-		{
 			Name: "errcheck",
 			Doc:  "silently discarded error results (assign to _ or handle)",
 			Targets: []string{
@@ -120,15 +109,6 @@ func Analyzers() []*Analyzer {
 				mod + "/cmd/...",
 			},
 			Check: checkErrCheck,
-		},
-		{
-			Name: "probrange",
-			Doc:  "probability-valued function returns unclamped arithmetic",
-			Targets: []string{
-				mod + "/internal/core",
-				mod + "/internal/nd",
-			},
-			Check: checkProbRange,
 		},
 		{
 			Name:        "lockcheck",
@@ -144,11 +124,6 @@ func Analyzers() []*Analyzer {
 			Name:        "sharecheck",
 			Doc:         "variable captured by a goroutine mutated on both sides of the spawn without a guard",
 			CheckModule: checkShare,
-		},
-		{
-			Name:        "determcheck",
-			Doc:         "nondeterminism source (map order, time, global rand) reachable from a result root",
-			CheckModule: func(m *Module) []Finding { return checkDeterm(m, DetermRoots()) },
 		},
 		{
 			Name:        "atomiccheck",

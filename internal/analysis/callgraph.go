@@ -10,7 +10,7 @@ import (
 
 // This file builds the whole-module call graph that backs the fact store
 // (facts.go) and the fact-consuming analyzers (lockcheck, iopurity,
-// determcheck and the others). The graph is intentionally conservative:
+// sharecheck and the others). The graph is intentionally conservative:
 //
 //   - static calls resolve to their *types.Func callee;
 //   - interface method calls resolve by Class Hierarchy Analysis: every
@@ -268,30 +268,12 @@ func (g *CallGraph) walkBody(n *FuncNode) {
 			n.Intrinsics = append(n.Intrinsics, Intrinsic{FactMayBlock, x.Pos(), "channel send"})
 		case *ast.SelectStmt:
 			n.Intrinsics = append(n.Intrinsics, Intrinsic{FactMayBlock, x.Pos(), "select statement"})
-			// With two or more communication cases the scheduler picks
-			// among simultaneously ready ones pseudo-randomly.
-			cases := 0
-			for _, cl := range x.Body.List {
-				if c, ok := cl.(*ast.CommClause); ok && c.Comm != nil {
-					cases++
-				}
-			}
-			if cases >= 2 {
-				n.Intrinsics = append(n.Intrinsics, Intrinsic{FactNondet, x.Pos(), "select with multiple communication cases"})
-			}
 		case *ast.GoStmt:
 			n.Intrinsics = append(n.Intrinsics, Intrinsic{FactSpawnsGoroutine, x.Pos(), "go statement"})
 		case *ast.RangeStmt:
 			if t := info.TypeOf(x.X); t != nil {
-				switch t.Underlying().(type) {
-				case *types.Chan:
+				if _, ok := t.Underlying().(*types.Chan); ok {
 					n.Intrinsics = append(n.Intrinsics, Intrinsic{FactMayBlock, x.Pos(), "range over channel"})
-				case *types.Map:
-					// Key or value bound: iteration order varies run to run.
-					// A keyless `for range m {}` only counts iterations.
-					if x.Key != nil || x.Value != nil {
-						n.Intrinsics = append(n.Intrinsics, Intrinsic{FactNondet, x.Pos(), "range over map (iteration order)"})
-					}
 				}
 			}
 		}

@@ -105,3 +105,24 @@ func render(w io.Writer) string {
 }
 `)
 }
+
+// TestErrCheckHonorsAllowAnnotation: an annotation excuses its own line
+// or the line below it, may list several analyzers, and excuses nothing
+// for an analyzer it does not name.
+func TestErrCheckHonorsAllowAnnotation(t *testing.T) {
+	runFixture(t, checkErrCheck, "errcheck", `
+package fixture
+
+import "errors"
+
+func fail() error { return errors.New("boom") }
+
+func excused() {
+	fail() //lint:allow errcheck best effort by design
+	//lint:allow errcheck the caller retries
+	fail()
+	fail() //lint:allow lockcheck,errcheck both excused
+	fail() //lint:allow lockcheck wrong analyzer  // WANT
+}
+`)
+}

@@ -125,3 +125,40 @@ func firstCommit(traces []EffTrace) *EffEvent {
 	}
 	return first
 }
+
+// localAssignments maps each variable object to the expressions assigned
+// to it in the function body, in source order: `x := e`, `x = e`,
+// `var x = e`, and each target of a tuple assignment from one call
+// (`v, err := f()` records f() for both).
+func localAssignments(info *types.Info, body *ast.BlockStmt) map[types.Object][]ast.Expr {
+	out := make(map[types.Object][]ast.Expr)
+	record := func(lhs, rhs []ast.Expr) {
+		for i, l := range lhs {
+			id, ok := ast.Unparen(l).(*ast.Ident)
+			if !ok || len(rhs) == 0 {
+				continue
+			}
+			obj := info.Defs[id]
+			if obj == nil {
+				obj = info.Uses[id]
+			}
+			if obj != nil {
+				out[obj] = append(out[obj], rhs[min(i, len(rhs)-1)])
+			}
+		}
+	}
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.AssignStmt:
+			record(x.Lhs, x.Rhs)
+		case *ast.ValueSpec:
+			lhs := make([]ast.Expr, len(x.Names))
+			for i, id := range x.Names {
+				lhs[i] = id
+			}
+			record(lhs, x.Values)
+		}
+		return true
+	})
+	return out
+}

@@ -28,11 +28,6 @@ const (
 	// this to treat function literals handed to spawning callees as
 	// concurrently-executing bodies.
 	FactSpawnsGoroutine
-	// FactNondet: the function can observe a nondeterminism source:
-	// map iteration order, wall-clock time (time.Now/Since/Until),
-	// the global math/rand[/v2] stream, or a multi-way select.
-	// determcheck reports where this fact reaches a result sink.
-	FactNondet
 	// FactUsesAtomic: the function can perform a sync/atomic operation.
 	// sharecheck accepts atomics (like acquiresLock) as a guard for
 	// captured-value method calls.
@@ -46,7 +41,6 @@ var factNames = map[FactSet]string{
 	FactMayBlock:        "mayBlock",
 	FactAcquiresLock:    "acquiresLock",
 	FactSpawnsGoroutine: "spawnsGoroutine",
-	FactNondet:          "nondet",
 	FactUsesAtomic:      "usesAtomic",
 }
 
@@ -101,21 +95,8 @@ func stdFacts(fn *types.Func) FactSet {
 			return FactMayBlock
 		}
 	case path == "time":
-		switch name {
-		case "Sleep":
+		if name == "Sleep" {
 			return FactMayBlock
-		case "Now", "Since", "Until":
-			// Wall-clock reads are nondeterminism sources for determcheck.
-			return FactNondet
-		}
-	case path == "math/rand" || path == "math/rand/v2":
-		// Package-level draw functions use the shared global stream —
-		// nondeterministic across runs and goroutine interleavings.
-		// Constructors (New, NewPCG, NewSource, ...) and methods on an
-		// explicitly seeded *Rand are the deterministic per-replica
-		// streams the simulator depends on and stay fact-free.
-		if recvBase(fn) == "" && !strings.HasPrefix(name, "New") && name != "Seed" {
-			return FactNondet
 		}
 	case path == "os" || strings.HasPrefix(path, "os/"),
 		path == "syscall" || strings.HasPrefix(path, "syscall/"),
@@ -359,47 +340,6 @@ func (g *CallGraph) ResolveName(name string) []*FuncNode {
 		}
 	}
 	return out
-}
-
-// Reachable walks calls and value references breadth-first from the
-// functions the specs resolve to and returns every node reached, mapped
-// to the node it was first reached from (roots map to nil).
-func (g *CallGraph) Reachable(roots []RootSpec) map[*FuncNode]*FuncNode {
-	parent := make(map[*FuncNode]*FuncNode)
-	var queue []*FuncNode
-	for _, spec := range roots {
-		for _, r := range g.Resolve(spec) {
-			if _, ok := parent[r]; !ok {
-				parent[r] = nil
-				queue = append(queue, r)
-			}
-		}
-	}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		for _, c := range n.Calls {
-			for _, t := range c.Targets {
-				if _, ok := parent[t]; !ok {
-					parent[t] = n
-					queue = append(queue, t)
-				}
-			}
-		}
-	}
-	return parent
-}
-
-// RootPath renders the reach chain from a root to n ("a -> b -> c").
-func RootPath(parent map[*FuncNode]*FuncNode, n *FuncNode) string {
-	var chain []string
-	for at := n; at != nil; at = parent[at] {
-		chain = append(chain, at.String())
-	}
-	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
-		chain[i], chain[j] = chain[j], chain[i]
-	}
-	return strings.Join(chain, " -> ")
 }
 
 // Module bundles the loaded packages with their call graph for

@@ -137,7 +137,8 @@ var catalogue = []mutant{
 		pkgs: []string{storagePkg, benchPkg},
 	},
 
-	// ---- determcheck
+	// ---- determcheck (retired: tier-1 tests kill every row but one,
+	// which is an equivalent mutant)
 	{
 		name: "determ-clock-in-batch-mean", aim: "determcheck",
 		what: "runReplica adds the wall clock's parity to a batch's miss count",
@@ -394,8 +395,10 @@ var catalogue = []mutant{
 			"\tw.pos.X = reflect01(w.pos.X + w.Step*rand.NormFloat64())\n"}},
 		pkgs: []string{simPkg, expPkg},
 	},
+	// Equivalent: the last cumulative weight is sum/sum, exactly 1, and
+	// rng.Float64() is < 1, so the branch the edit rewrites never runs.
 	{
-		name: "determ-global-rand-edge", aim: "determcheck", rare: true,
+		name: "determ-global-rand-edge", aim: "determcheck", rare: true, benign: true,
 		what: "WeightedCenters.Next picks a global-stream random center when the draw lands past the last cumulative weight",
 		edits: []edit{{"internal/sim/locality.go",
 			"\tif i >= len(w.centers) {\n\t\ti = len(w.centers) - 1\n\t}\n",
@@ -446,7 +449,7 @@ var catalogue = []mutant{
 		pkgs: []string{simPkg, expPkg},
 	},
 
-	// ---- floatcmp
+	// ---- floatcmp (retired: tier-1 tests kill every row)
 	{
 		name: "float-uniform-exact-zero", aim: "floatcmp",
 		what: "UniformQueries.AccessProb tests its clipped extents with == 0, so an MBR outside on both axes gets a positive probability",
@@ -469,7 +472,8 @@ var catalogue = []mutant{
 		pkgs: []string{ndPkg, expPkg},
 	},
 
-	// ---- probrange
+	// ---- probrange (retired: tier-1 tests kill every row but one, which
+	// is an equivalent mutant)
 	{
 		name: "prob-kamel-faloutsos-uncapped", aim: "probrange",
 		what: "KamelFaloutsosQueries.AccessProb returns the raw extended area, which exceeds 1 near the boundary",
@@ -486,8 +490,11 @@ var catalogue = []mutant{
 			"\t\t\tp += w.weights[k]\n\t\t}\n\t}\n\treturn p\n"}},
 		pkgs: []string{corePkg, expPkg},
 	},
+	// Equivalent: each clipped extent c = min(1, max+q) - max(min, q) is
+	// at most 1-q, and rounding is monotone, so every factor c/(1-q) is
+	// at most 1 and the cap never binds.
 	{
-		name: "prob-nd-uniform-uncapped", aim: "probrange",
+		name: "prob-nd-uniform-uncapped", aim: "probrange", benign: true,
 		what: "nd.UniformQueries.AccessProb returns the product without its cap",
 		edits: []edit{{"internal/nd/model.go",
 			"\treturn math.Min(p, 1)\n", "\treturn p\n"}},

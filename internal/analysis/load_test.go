@@ -111,13 +111,10 @@ func TestAnalyzerTargets(t *testing.T) {
 		t.Error("empty target list must apply everywhere")
 	}
 
-	// The registry's scopes follow the code, not the PR 1 layout: the N-D
-	// geometry and model are float and probability code like core, and
-	// the pool and the metrics registry return errors like storage.
+	// The registry's scopes follow the code, not the PR 1 layout: the pool
+	// and the metrics registry return errors like storage.
 	want := map[string]string{
-		"floatcmp":  "internal/geom internal/core internal/hilbert internal/nd",
-		"errcheck":  "internal/storage internal/buffer internal/obs internal/datagen cmd/...",
-		"probrange": "internal/core internal/nd",
+		"errcheck": "internal/storage internal/buffer internal/obs internal/datagen cmd/...",
 	}
 	for _, a := range Analyzers() {
 		if a.Check == nil {

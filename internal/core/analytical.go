@@ -79,7 +79,7 @@ func AnalyticalLevels(p AnalyticalParams) ([]AnalyticalLevel, error) {
 			side = 1
 		}
 		out = append(out, AnalyticalLevel{Level: j, Nodes: nodes, Side: side, Density: d})
-		if nodes == 1 { //lint:allow floatcmp nodes is clamped to exactly 1 above
+		if nodes == 1 { // nodes is clamped to exactly 1 above
 			break
 		}
 	}

@@ -156,7 +156,7 @@ func pow1m(a, n float64) float64 {
 	case a <= 0:
 		return 1
 	case a >= 1:
-		if n == 0 { //lint:allow floatcmp n counts queries; exactly zero is the 0^0 = 1 case
+		if n == 0 { // n counts queries; exactly zero is the 0^0 = 1 case
 			return 1
 		}
 		return 0

@@ -92,7 +92,7 @@ func (p *Predictor) edt(from, stride int, nstar float64, split []float64) float6
 	switch {
 	case math.IsInf(nstar, 1):
 		return 0
-	case nstar == 0: //lint:allow floatcmp N* counts queries; exactly zero means a buffer of no pages
+	case nstar == 0: // N* counts queries; exactly zero means a buffer of no pages
 		return p.sum(from, stride, split, p.prob)
 	}
 	return p.sum(from, stride, split, func(i int) float64 { return p.sw.term(i, nstar) })

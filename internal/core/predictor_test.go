@@ -90,6 +90,20 @@ func TestPredictorHitRatio(t *testing.T) {
 	}
 }
 
+// TestHitRatioZeroWhenNoNodeReachable: a tree whose one node has an
+// access probability of 1e-13 has an EPT that is rounding noise, and
+// HitRatio is 0 there, as documented ("0 when EPT is 0"), at every buffer
+// size. A guard that tests EPT for exact zero divides instead and reports
+// a hit ratio of 1 once the buffer holds the node.
+func TestHitRatioZeroWhenNoNodeReachable(t *testing.T) {
+	p := NewPredictorFromProbs([][]float64{{1e-13}})
+	for b := 0; b <= 2; b++ {
+		if hr := p.HitRatio(b); hr != 0 {
+			t.Errorf("HitRatio(%d) = %g, want 0", b, hr)
+		}
+	}
+}
+
 func TestPinnedPagesAndMaxPinnable(t *testing.T) {
 	p := pointPredictor(t)
 	if got := p.PinnedPages(0); got != 0 {

@@ -121,7 +121,7 @@ func (s *sweeper) distinctAtLeast(from int, n, b float64) bool {
 			case a <= 0:
 				// term is exactly 0
 			case a >= 1:
-				if n != 0 { //lint:allow floatcmp n counts queries; exactly zero is the 0^0 = 1 case
+				if n != 0 { // n counts queries; exactly zero is the 0^0 = 1 case
 					d++
 				}
 			default:
@@ -133,7 +133,7 @@ func (s *sweeper) distinctAtLeast(from int, n, b float64) bool {
 		}
 		if i < m {
 			bound := float64(s.onesTail[i])
-			if s.activeTail[i] > 0 && n != 0 { //lint:allow floatcmp D(0) tail is exactly zero
+			if s.activeTail[i] > 0 && n != 0 { // the D(0) tail is exactly zero
 				bound += float64(s.activeTail[i]) * (1 - math.Exp(n*s.minLogTail[i]))
 			}
 			if d+bound*(1+1e-12) < b-predicateGuard {

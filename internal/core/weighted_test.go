@@ -112,3 +112,23 @@ func TestZipfWeights(t *testing.T) {
 		t.Error("negative exponent accepted")
 	}
 }
+
+// TestWeightedAccessProbCapped: nine equal weights normalize to 1/9 each,
+// and their float64 sum is 1 + 2^-52. An MBR that covers every center
+// must still get a probability of at most 1: the cap absorbs the
+// rounding.
+func TestWeightedAccessProbCapped(t *testing.T) {
+	var centers []geom.Point
+	var weights []float64
+	for i := 0; i < 9; i++ {
+		centers = append(centers, geom.Point{X: 0.1 + 0.1*float64(i), Y: 0.5})
+		weights = append(weights, 1)
+	}
+	w, err := NewWeightedQueries(0, 0, centers, weights)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := w.AccessProb(geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}); got > 1 || got < 1-1e-12 {
+		t.Errorf("AccessProb of an MBR covering every center = %.17g, want 1", got)
+	}
+}

@@ -187,8 +187,7 @@ func clamp(v, lo, hi float64) float64 {
 	return v
 }
 
-// ApproxEqual reports whether a and b differ by at most eps. It is the
-// float comparison the floatcmp analyzer steers code toward: R-tree MBRs
+// ApproxEqual reports whether a and b differ by at most eps. R-tree MBRs
 // are unions and products of many float64 values, so exact == on derived
 // quantities encodes an accident of rounding, not a geometric fact.
 func ApproxEqual(a, b, eps float64) bool {
@@ -200,7 +199,7 @@ func ApproxEqual(a, b, eps float64) bool {
 // rectangle must be bit-for-bit the MBR of its child, because both are
 // computed by the same Union fold); for tolerant comparison use
 // AlmostEqual.
-func (r Rect) Equal(s Rect) bool { return r == s } //lint:allow floatcmp identity is the contract here
+func (r Rect) Equal(s Rect) bool { return r == s }
 
 // AlmostEqual reports equality of all four coordinates within eps.
 func (r Rect) AlmostEqual(s Rect, eps float64) bool {

@@ -39,6 +39,23 @@ func TestNDRegionAccessProbInterior(t *testing.T) {
 	}
 }
 
+// TestNDUniformAccessProbOutsideCube is the N-D twin of core's
+// TestUniformRegionAccessProbBoundary: an MBR outside the unit cube on
+// both axes, which no query reaches, has access probability 0. Its
+// clipped extent is negative on each axis, so a guard that tests only
+// for an exact zero extent multiplies two negative factors into a
+// positive probability.
+func TestNDUniformAccessProbOutsideCube(t *testing.T) {
+	qm, err := NewUniformQueries([]float64{0.1, 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, _ := NewRect(Point{2, 2}, Point{3, 3})
+	if got := qm.AccessProb(r); got != 0 {
+		t.Errorf("AccessProb of [2,3]^2 = %g, want 0", got)
+	}
+}
+
 func TestNDDataDriven(t *testing.T) {
 	centers := []Point{{0.1, 0.1, 0.1}, {0.9, 0.9, 0.9}, {0.2, 0.2, 0.2}, {0.8, 0.8, 0.8}}
 	dd, err := NewDataDrivenQueries([]float64{0, 0, 0}, centers)

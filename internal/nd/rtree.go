@@ -167,7 +167,7 @@ func (t *Tree) CheckInvariants() error {
 			}
 			got := c.mbr()
 			for k := range got.Min {
-				//lint:allow floatcmp an entry rect is a copy of its child MBR; the validator checks it bit for bit
+				// An entry rect is a copy of its child MBR: checked bit for bit.
 				if got.Min[k] != e.rect.Min[k] || got.Max[k] != e.rect.Max[k] {
 					return fmt.Errorf("nd: entry %d rect != child MBR", i)
 				}

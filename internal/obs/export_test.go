@@ -134,6 +134,27 @@ sim_fill_query 1234
 	}
 }
 
+// TestWritePrometheusLabelOrderStable renders a counter with six labels
+// 20 times: every render is the same bytes, with the labels in key order
+// (here also the order they were registered in). A renderer that ranged
+// a map of the labels would change the order from render to render.
+func TestWritePrometheusLabelOrderStable(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("six_total", L("a", "1"), L("b", "2"), L("c", "3"), L("d", "4"), L("e", "5"), L("f", "6")).Add(9)
+	const want = `# TYPE six_total counter
+six_total{a="1",b="2",c="3",d="4",e="5",f="6"} 9
+`
+	for i := 0; i < 20; i++ {
+		var b strings.Builder
+		if err := WritePrometheus(&b, r); err != nil {
+			t.Fatal(err)
+		}
+		if b.String() != want {
+			t.Fatalf("render %d:\n%s\nwant:\n%s", i, b.String(), want)
+		}
+	}
+}
+
 // TestPromEscapeHostileValues pins the exact escaping of every character
 // class the text-exposition 0.0.4 spec requires in label values —
 // backslash, double quote, and newline — including combinations where a

@@ -50,11 +50,18 @@ func EncodeNode(nd rtree.NodeData, pageSize int) ([]byte, error) {
 
 // encodeNodeInto serializes nd over buf, one whole page: every byte of it
 // is written, so a buffer that held another page before is as good as a
-// fresh one.
+// fresh one. It refuses what validatePage refuses, more entries than the
+// page holds or a rectangle that is not Valid (a NaN or an inverted
+// one), so that no page it writes is unreadable.
 func encodeNodeInto(buf []byte, nd rtree.NodeData) error {
 	if len(nd.Rects) > NodeCapacity(len(buf)) {
 		return fmt.Errorf("storage: node with %d entries exceeds page capacity %d",
 			len(nd.Rects), NodeCapacity(len(buf)))
+	}
+	for i, r := range nd.Rects {
+		if !r.Valid() {
+			return fmt.Errorf("storage: node entry %d has invalid rect %v", i, r)
+		}
 	}
 	clear(buf[:nodeHeaderSize])
 	if nd.Leaf {

@@ -94,14 +94,10 @@ func groupEntries(entries []byte, i int) []byte {
 
 // appendGroups appends the group MBRs of a frame's entries to dst. Each
 // is the exact min and max of its entries' coordinates, so a group that
-// fails one of scanFrame's four tests holds no entry that passes it.
-// min and max carry a NaN coordinate into the group's bound, where it
-// would fail the group for every window, so a NaN bound is widened to
-// the infinity that passes every test on its side: the entry holding the
-// NaN fails its own test, and its neighbours are scanned as they should
-// be. (Only a page the update path encoded can hold a NaN: validatePage
-// refuses one.) min and max keep the loop free of the branches a
-// compare-and-assign would mispredict.
+// fails one of scanFrame's four tests holds no entry that passes it. No
+// frame holds a NaN: encodeNodeInto refuses to write one and
+// validatePage to read one. min and max keep the loop free of the
+// branches a compare-and-assign would mispredict.
 func appendGroups(dst []geom.Rect, frame []byte) []geom.Rect {
 	entries := pageEntries(frame)
 	for i := 0; i*groupSize*entrySize < len(entries); i++ {
@@ -110,18 +106,6 @@ func appendGroups(dst []geom.Rect, frame []byte) []geom.Rect {
 			r := getRect(e)
 			g.MinX, g.MinY = min(g.MinX, r.MinX), min(g.MinY, r.MinY)
 			g.MaxX, g.MaxY = max(g.MaxX, r.MaxX), max(g.MaxY, r.MaxY)
-		}
-		if math.IsNaN(g.MinX) {
-			g.MinX = math.Inf(-1)
-		}
-		if math.IsNaN(g.MinY) {
-			g.MinY = math.Inf(-1)
-		}
-		if math.IsNaN(g.MaxX) {
-			g.MaxX = math.Inf(1)
-		}
-		if math.IsNaN(g.MaxY) {
-			g.MaxY = math.Inf(1)
 		}
 		dst = append(dst, g)
 	}

@@ -149,32 +149,6 @@ func TestPushFrameGroupAtNaNDistance(t *testing.T) {
 	}
 }
 
-// TestGroupBoundsSurviveNaN: a frame the update path encodes is not
-// validated, so an inserted rectangle may hold a NaN. A window its
-// neighbour matches still finds the neighbour through their group, as
-// the plain scan does.
-func TestGroupBoundsSurviveNaN(t *testing.T) {
-	nd := rtree.NodeData{Leaf: true}
-	for i := 0; i < groupSize; i++ {
-		r := geom.Rect{MinX: float64(i), MinY: 0, MaxX: float64(i) + 0.5, MaxY: 1}
-		if i == 0 {
-			r.MinX = math.NaN()
-		}
-		nd.Rects = append(nd.Rects, r)
-		nd.IDs = append(nd.IDs, int64(i))
-	}
-	frame, err := EncodeNode(nd, DefaultPageSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := geom.Rect{MinX: 1, MinY: 0, MaxX: 1, MaxY: 0}
-	_, plain, _ := scanPage(frame, w, false)
-	_, grouped, _ := scanPage(frame, w, true)
-	if len(plain) != 1 || !sameItemBits(plain, grouped) {
-		t.Fatalf("window %v: plain scan %v, grouped %v, want entry 1 from both", w, plain, grouped)
-	}
-}
-
 // TestPageIndexRewrite: on a WAL tree whose buffer holds two pages (the
 // root and one leaf), a commit that rewrites a leaf drops the leaf's
 // groups, and the hits after it scan the new entries: groupSize inserts

@@ -594,8 +594,14 @@ func (pt *PagedTree) PinLevels(n int) error {
 // attributes the read: to aq's flight record (nil for a read no query
 // records) and to the per-level series. Every read a query or an update
 // makes goes through here, failed ones included, so the levels and the
-// flight record count each read once.
+// flight record count each read once. On a poisoned handle (UpdateErr)
+// nothing is read: a commit that failed halfway may have left some of
+// its pages in the pool and the rest old on disk, a tree that never
+// existed.
 func (pt *PagedTree) read(page, depth int, aq *obs.ActiveQuery, fn func(frame []byte, hit bool)) error {
+	if pt.updateErr != nil {
+		return pt.poisoned()
+	}
 	info, err := pt.pool.View(page, fn)
 	aq.Access(depth, info.Hit, info.WriteBacks)
 	pt.metrics.Level(depth, info.Hit)

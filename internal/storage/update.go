@@ -118,8 +118,15 @@ func (pt *PagedTree) SetCheckpointPolicy(p CheckpointPolicy) { pt.ckpt = p }
 
 // UpdateErr returns the sticky error poisoning this handle, if any. A
 // non-nil value means a commit half-applied: the WAL holds the batch but
-// the in-process state is stale. Reopen with OpenPagedTreeWAL to recover.
+// the in-process state is stale, so every search, kNN query, leaf scan
+// and update on the handle fails with an error wrapping it. Reopen with OpenPagedTreeWAL to
+// recover.
 func (pt *PagedTree) UpdateErr() error { return pt.updateErr }
+
+// poisoned is the error an operation on a poisoned handle fails with.
+func (pt *PagedTree) poisoned() error {
+	return fmt.Errorf("storage: tree handle poisoned by earlier half-applied commit: %w", pt.updateErr)
+}
 
 // CheckpointErr returns the sticky checkpoint warning, if any. A non-nil
 // value means the most recent due checkpoint could not truncate the log:
@@ -132,6 +139,9 @@ func (pt *PagedTree) CheckpointErr() error { return pt.ckptErr }
 // AdjustTree against stored pages. The change is durable (or cleanly
 // absent) when Insert returns: one call is one WAL batch.
 func (pt *PagedTree) Insert(item rtree.Item) error {
+	if !item.Rect.Valid() {
+		return fmt.Errorf("storage: inserting invalid rect %v", item.Rect)
+	}
 	u, err := pt.beginUpdate()
 	if err != nil {
 		return err
@@ -234,7 +244,7 @@ func (pt *PagedTree) beginUpdate() (*updater, error) {
 		return nil, ErrReadOnlyTree
 	}
 	if pt.updateErr != nil {
-		return nil, fmt.Errorf("storage: tree handle poisoned by earlier half-applied commit: %w", pt.updateErr)
+		return nil, pt.poisoned()
 	}
 	u := pt.upd
 	u.reset()
