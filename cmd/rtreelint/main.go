@@ -17,8 +17,8 @@
 //	-skip names      run all but the named analyzers (comma-separated)
 //	-json            emit findings as a JSON array on stdout
 //	-sarif file      also write findings as SARIF 2.1.0 (GitHub code scanning)
-//	-facts name      dump the call-graph facts and effect traces for matching
-//	                 functions, then exit
+//	-facts name      print the fact set, effect set and effect traces of
+//	                 matching functions, then exit
 //	                 (name forms: "Get", "(*Pool).Get", "buffer.(*Pool).Get")
 //	-explain rule    print a durability rule's definition, the DESIGN.md §7e
 //	                 protocol step it encodes, and its witness format, then
@@ -292,36 +292,21 @@ func explainRule(name string) (string, error) {
 }
 
 // dumpFacts prints the fact store's view of every function matching name:
-// the transitive fact set, one witness chain per fact, and its effect
-// summary and body traces. This is the
-// debugging lens for "why does lockcheck think this callee blocks?" and
-// "what order does durcheck believe this function writes in?".
+// the transitive fact set, and its effect summary and body traces. This
+// is the debugging lens for "does sharecheck think this callee spawns?"
+// and "what order does durcheck believe this function writes in?".
 func dumpFacts(pkgs []*analysis.Package, name string) (string, error) {
 	m := analysis.NewModule(pkgs)
-	graph := m.Graph
 	effects := m.Effects()
-	nodes := graph.ResolveName(name)
+	nodes := m.Graph.ResolveName(name)
 	if len(nodes) == 0 {
 		return "", fmt.Errorf("no function matches %q", name)
-	}
-	width := 0 // the fact label column fits the longest label
-	for _, fact := range (^analysis.FactSet(0)).Facts() {
-		width = max(width, len(fact.String())+1)
 	}
 	var w strings.Builder
 	for _, n := range nodes {
 		pos := n.Pkg.Fset.Position(n.Decl.Pos())
 		fmt.Fprintf(&w, "%s\t%s:%d\n", n, relPath(pos.Filename), pos.Line)
 		fmt.Fprintf(&w, "  facts: %s\n", n.Facts)
-		for _, fact := range n.Facts.Facts() {
-			for i, hop := range graph.FactChain(n, fact) {
-				if i == 0 {
-					fmt.Fprintf(&w, "  %-*s %s\n", width, fact.String()+":", hop)
-				} else {
-					fmt.Fprintf(&w, "  %-*s   -> %s\n", width, "", hop)
-				}
-			}
-		}
 		fmt.Fprintf(&w, "  effects: %s\n", effects.EffectSet(n))
 		body := effects.BodyTraces(n)
 		if sum := effects.Summary(n); !sameTraces(sum, body) {

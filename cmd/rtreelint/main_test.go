@@ -41,9 +41,17 @@ func (s *store) bump() int {
 }
 `
 
-// leakSrc returns with the mutex held on one path: a lockcheck finding.
-var leakSrc = strings.Replace(cleanSrc, "\tdefer s.mu.Unlock()\n\ts.n++\n",
-	"\tif s.n < 0 {\n\t\treturn -1\n\t}\n\ts.n++\n\ts.mu.Unlock()\n", 1)
+// racySrc adds a goroutine that bumps a captured counter with no guard:
+// a sharecheck finding.
+const racySrc = cleanSrc + `
+func count() int {
+	n := 0
+	go func() {
+		n++
+	}()
+	return n
+}
+`
 
 func lint(args ...string) (code int, stdout, stderr string) {
 	var out, errb bytes.Buffer
@@ -55,24 +63,24 @@ func lint(args ...string) (code int, stdout, stderr string) {
 // findings (one "file:line:col: analyzer: message" line each), 2 when the
 // linter could not run — so a typo or a missing tree never reads as clean.
 func TestExitCodes(t *testing.T) {
-	clean, leaky := tempModule(t, cleanSrc), tempModule(t, leakSrc)
+	clean, racy := tempModule(t, cleanSrc), tempModule(t, racySrc)
 
 	if code, out, errs := lint("-root", clean); code != 0 || out != "" {
 		t.Errorf("clean module: exit %d, stdout %q, stderr %q; want 0 and no findings", code, out, errs)
 	}
 
-	code, out, _ := lint("-root", leaky)
+	code, out, _ := lint("-root", racy)
 	if code != 1 {
-		t.Errorf("module with a leaked lock: exit %d, want 1", code)
+		t.Errorf("module with an unguarded shared counter: exit %d, want 1", code)
 	}
-	if line := regexp.MustCompile(`(?m)^\S*store\.go:\d+:\d+: lockcheck: `); !line.MatchString(out) {
+	if line := regexp.MustCompile(`(?m)^\S*store\.go:\d+:\d+: sharecheck: `); !line.MatchString(out) {
 		t.Errorf("finding line does not match file:line:col: analyzer: message:\n%s", out)
 	}
 
 	for _, args := range [][]string{
-		{"-root", clean, "-only", "lockchek"},
+		{"-root", clean, "-only", "sharechek"},
 		{"-root", clean, "-skip", "nosuch"},
-		{"-root", clean, "-only", "lockcheck", "-skip", "iopurity"},
+		{"-root", clean, "-only", "sharecheck", "-skip", "errflow"},
 		{"-root", filepath.Join(clean, "missing")},
 		{"-explain", "no-such-rule"},
 	} {
@@ -121,6 +129,5 @@ func TestBaselineFlagsAreGone(t *testing.T) {
 
 // survivors is the registry the kill matrix left, in run order.
 var survivors = []string{
-	"errcheck", "lockcheck", "iopurity", "sharecheck", "atomiccheck",
-	"durcheck", "errflow",
+	"errcheck", "sharecheck", "atomiccheck", "durcheck", "errflow",
 }

@@ -45,7 +45,9 @@ func main() {
 
 	// 5. Insert and delete work too (Guttman's algorithms).
 	extra := rtreebuf.Item{Rect: rtreebuf.Rect{MinX: 0.1, MinY: 0.1, MaxX: 0.2, MaxY: 0.2}, ID: 999999}
-	tree.Insert(extra)
+	if err := tree.Insert(extra); err != nil {
+		log.Fatal(err)
+	}
 	if !tree.Delete(extra) {
 		log.Fatal("failed to delete the item just inserted")
 	}

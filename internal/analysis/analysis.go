@@ -6,10 +6,10 @@
 // (errcheck, at the packages Analyzers lists); the rest read the whole
 // module through two engines. Across calls, one callees-first pass over
 // the call graph's SCCs (facts.go) computes each function's facts, effect
-// set and SCC (iopurity, sharecheck and the others read these). Within a
-// body, one path walker (flow.go) carries either of two lattices:
-// must-held lock sets (lockcheck, sharecheck, atomiccheck) or ordered
-// effect traces (durcheck, errflow).
+// set and SCC (sharecheck and the others read these). Within a body, one
+// path walker (flow.go) carries either of two lattices: must-held lock
+// sets (sharecheck, atomiccheck) or ordered effect traces (durcheck,
+// errflow).
 // `rtreelint -list` prints each analyzer with its one-line contract.
 //
 // Which analyzers exist is decided by evidence, not by what was once
@@ -109,16 +109,6 @@ func Analyzers() []*Analyzer {
 				mod + "/cmd/...",
 			},
 			Check: checkErrCheck,
-		},
-		{
-			Name:        "lockcheck",
-			Doc:         "missing Unlock on a return path, or a lock held across a blocking/I/O call",
-			CheckModule: checkLock,
-		},
-		{
-			Name:        "iopurity",
-			Doc:         "simulation/model roots transitively reach disk or OS I/O",
-			CheckModule: func(m *Module) []Finding { return checkIOPurity(m, PureRoots()) },
 		},
 		{
 			Name:        "sharecheck",

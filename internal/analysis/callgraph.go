@@ -9,8 +9,8 @@ import (
 )
 
 // This file builds the whole-module call graph that backs the fact store
-// (facts.go) and the fact-consuming analyzers (lockcheck, iopurity,
-// sharecheck and the others). The graph is intentionally conservative:
+// (facts.go) and the analyzers that read it (sharecheck, atomiccheck,
+// durcheck and errflow). The graph is intentionally conservative:
 //
 //   - static calls resolve to their *types.Func callee;
 //   - interface method calls resolve by Class Hierarchy Analysis: every
@@ -36,9 +36,9 @@ type FuncNode struct {
 	// Calls lists every resolved call and value-reference site in body
 	// source order.
 	Calls []*Call
-	// Intrinsics are the facts this body establishes directly (channel
-	// operations, calls into fact-bearing stdlib, ...).
-	Intrinsics []Intrinsic
+	// Intrinsics are the facts this body establishes directly: a go
+	// statement. Stdlib callees' facts ride on their call sites (Std).
+	Intrinsics FactSet
 
 	// Facts is the transitive fact set, computed bottom-up over SCCs.
 	Facts FactSet
@@ -47,7 +47,6 @@ type FuncNode struct {
 	scc int       // the function's SCC: calls within one are traced as clumps
 
 	sites map[*ast.CallExpr]*Call // call expression -> site
-	via   map[FactSet]*witness    // single fact bit -> how it was acquired
 
 	index, lowlink int // Tarjan bookkeeping
 	onStack        bool
@@ -95,13 +94,6 @@ func (c *Call) Facts() FactSet {
 	return f
 }
 
-// Intrinsic is one fact a function body establishes directly.
-type Intrinsic struct {
-	Fact FactSet
-	Pos  token.Pos
-	What string
-}
-
 // CallGraph is the whole-module call graph plus the per-function facts
 // derived from it.
 type CallGraph struct {
@@ -137,7 +129,6 @@ func NewCallGraph(pkgs []*Package) *CallGraph {
 				g.nodes[fn] = &FuncNode{
 					Fn: fn, Pkg: pkg, Decl: fd,
 					sites: make(map[*ast.CallExpr]*Call),
-					via:   make(map[FactSet]*witness),
 				}
 			}
 		}
@@ -217,7 +208,7 @@ func (g *CallGraph) implementers(iface *types.Interface, m *types.Func) []*types
 }
 
 // walkBody records the function's call sites, value references and
-// intrinsics. A function literal's body is walked as part of the
+// go statements. A function literal's body is walked as part of the
 // enclosing body: it is assumed to run within the enclosing function's
 // dynamic extent (conservatively, even when the closure is stored for
 // later).
@@ -259,23 +250,8 @@ func (g *CallGraph) walkBody(n *FuncNode) {
 				g.addRef(n, x.Pos(), fn) // local function used as a value
 			}
 
-		case *ast.UnaryExpr:
-			if x.Op == token.ARROW {
-				n.Intrinsics = append(n.Intrinsics, Intrinsic{FactMayBlock, x.Pos(), "channel receive"})
-			}
-
-		case *ast.SendStmt:
-			n.Intrinsics = append(n.Intrinsics, Intrinsic{FactMayBlock, x.Pos(), "channel send"})
-		case *ast.SelectStmt:
-			n.Intrinsics = append(n.Intrinsics, Intrinsic{FactMayBlock, x.Pos(), "select statement"})
 		case *ast.GoStmt:
-			n.Intrinsics = append(n.Intrinsics, Intrinsic{FactSpawnsGoroutine, x.Pos(), "go statement"})
-		case *ast.RangeStmt:
-			if t := info.TypeOf(x.X); t != nil {
-				if _, ok := t.Underlying().(*types.Chan); ok {
-					n.Intrinsics = append(n.Intrinsics, Intrinsic{FactMayBlock, x.Pos(), "range over channel"})
-				}
-			}
+			n.Intrinsics |= FactSpawnsGoroutine
 		}
 		return true
 	})
@@ -328,7 +304,6 @@ func (g *CallGraph) addCall(n *FuncNode, call *ast.CallExpr) {
 					c.sync = lockOther
 				}
 			}
-			g.addStdIntrinsic(n, c)
 		}
 		n.Calls = append(n.Calls, c)
 		n.sites[call] = c
@@ -354,7 +329,6 @@ func (g *CallGraph) addDispatch(n *FuncNode, pos token.Pos, expr *ast.CallExpr, 
 			c.Std |= stdFacts(fn)
 		}
 	}
-	g.addStdIntrinsic(n, c)
 	n.Calls = append(n.Calls, c)
 	if expr != nil {
 		n.sites[expr] = c
@@ -371,17 +345,8 @@ func (g *CallGraph) addRef(n *FuncNode, pos token.Pos, fn *types.Func) {
 		if c.Std == 0 {
 			return // fact-free stdlib reference: nothing to record
 		}
-		g.addStdIntrinsic(n, c)
 	}
 	n.Calls = append(n.Calls, c)
-}
-
-// addStdIntrinsic turns a site's stdlib facts into intrinsics so witness
-// chains can explain them.
-func (g *CallGraph) addStdIntrinsic(n *FuncNode, c *Call) {
-	if c.Std != 0 {
-		n.Intrinsics = append(n.Intrinsics, Intrinsic{c.Std, c.Pos, "call to " + c.Desc})
-	}
 }
 
 // spans is a set of half-open position ranges: sharecheck's go-statement

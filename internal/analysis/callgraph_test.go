@@ -12,29 +12,32 @@ func one(t *testing.T, g *CallGraph, name string) *FuncNode {
 	return nodes[0]
 }
 
-// TestFactsMutualRecursionSCC puts the I/O evidence outside a two-function
-// cycle: both members must inherit it, the witness chain must thread
-// through the cycle to the intrinsic, and a self-recursive pure function
-// must stay pure.
+// TestFactsMutualRecursionSCC puts the lock evidence outside a
+// two-function cycle: both members must inherit it and share one SCC,
+// the callee that holds the evidence must not inherit the cycle, and a
+// self-recursive pure function must stay pure.
 func TestFactsMutualRecursionSCC(t *testing.T) {
 	pkg := fixturePkg(t, `package scc
 
-import "os"
+import "sync"
 
-func ping(n int) error {
+var mu sync.Mutex
+
+func ping(n int) int {
 	if n == 0 {
 		return touch()
 	}
 	return pong(n - 1)
 }
 
-func pong(n int) error {
+func pong(n int) int {
 	return ping(n - 1)
 }
 
-func touch() error {
-	_, err := os.Create("x")
-	return err
+func touch() int {
+	mu.Lock()
+	defer mu.Unlock()
+	return 1
 }
 
 func pure(n int) int {
@@ -46,17 +49,22 @@ func pure(n int) int {
 `)
 	g := NewModule([]*Package{pkg}).Graph
 	for _, name := range []string{"ping", "pong", "touch"} {
-		n := one(t, g, name)
-		if n.Facts&FactDoesIO == 0 || n.Facts&FactMayBlock == 0 {
-			t.Errorf("%s facts = %s, want doesIO|mayBlock", name, n.Facts)
+		if n := one(t, g, name); n.Facts != FactAcquiresLock {
+			t.Errorf("%s facts = %s, want acquiresLock", name, n.Facts)
 		}
 	}
-	if p := one(t, g, "pure"); p.Facts != 0 {
+	if p := one(t, g, "pure"); p.Facts.String() != "pure" {
 		t.Errorf("pure facts = %s, want pure", p.Facts)
 	}
-	chain := g.FactChain(one(t, g, "pong"), FactDoesIO)
-	if len(chain) < 2 {
-		t.Errorf("FactChain(pong, doesIO) = %v, want a multi-hop chain through the cycle", chain)
+	if s := (FactAcquiresLock | FactUsesAtomic).String(); s != "acquiresLock|usesAtomic" {
+		t.Errorf("FactSet.String = %q, want acquiresLock|usesAtomic", s)
+	}
+	ping, pong, touch := one(t, g, "ping"), one(t, g, "pong"), one(t, g, "touch")
+	if ping.scc != pong.scc || ping.scc == touch.scc {
+		t.Errorf("SCCs ping %d, pong %d, touch %d: want ping and pong together, touch apart", ping.scc, pong.scc, touch.scc)
+	}
+	if ping.Intrinsics != 0 || pong.Intrinsics != 0 {
+		t.Errorf("cycle intrinsics = %s, %s: the fact must come from touch", ping.Intrinsics, pong.Intrinsics)
 	}
 }
 
@@ -66,15 +74,23 @@ func pure(n int) int {
 func TestFactsMethodValueReference(t *testing.T) {
 	pkg := fixturePkg(t, `package mv
 
-import "os"
+import (
+	"sync"
+	"sync/atomic"
+)
 
-type sink struct{ f *os.File }
-
-func (s *sink) flush() error {
-	return s.f.Sync()
+type sink struct {
+	mu sync.Mutex
+	n  atomic.Int64
 }
 
-func holder(s *sink) func() error {
+func (s *sink) flush() {
+	s.mu.Lock()
+	s.n.Add(1)
+	s.mu.Unlock()
+}
+
+func holder(s *sink) func() {
 	return s.flush
 }
 
@@ -84,8 +100,8 @@ func bystander(n int) int {
 `)
 	g := NewModule([]*Package{pkg}).Graph
 	h := one(t, g, "holder")
-	if h.Facts&FactDoesIO == 0 {
-		t.Errorf("holder facts = %s, want doesIO through the method value", h.Facts)
+	if want := FactAcquiresLock | FactUsesAtomic; h.Facts != want {
+		t.Errorf("holder facts = %s, want %s through the method value", h.Facts, want)
 	}
 	if b := one(t, g, "bystander"); b.Facts != 0 {
 		t.Errorf("bystander facts = %s, want pure", b.Facts)
@@ -98,15 +114,22 @@ func bystander(n int) int {
 func TestDispatchTargetsOverInterface(t *testing.T) {
 	pkg := fixturePkg(t, `package ifd
 
-import "os"
+import "sync"
 
 type device interface {
 	read(p []byte) (int, error)
 }
 
-type fileDev struct{ f *os.File }
+type lockedDev struct {
+	mu   sync.Mutex
+	data []byte
+}
 
-func (d *fileDev) read(p []byte) (int, error) { return d.f.Read(p) }
+func (d *lockedDev) read(p []byte) (int, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return copy(p, d.data), nil
+}
 
 type memDev struct{ data []byte }
 
@@ -131,9 +154,89 @@ func drain(d device, p []byte) (int, error) {
 		t.Fatal("drain has no dispatch call site")
 	}
 	if len(dispatch.Targets) != 2 {
-		t.Errorf("dispatch targets = %d, want 2 (fileDev and memDev)", len(dispatch.Targets))
+		t.Errorf("dispatch targets = %d, want 2 (lockedDev and memDev)", len(dispatch.Targets))
 	}
-	if n.Facts&FactDoesIO == 0 {
-		t.Errorf("drain facts = %s, want doesIO from the fileDev implementer", n.Facts)
+	if n.Facts&FactAcquiresLock == 0 {
+		t.Errorf("drain facts = %s, want acquiresLock from the lockedDev implementer", n.Facts)
+	}
+}
+
+// TestFactsCrossPackageDispatch: the lock evidence sits in another
+// package, behind an interface, and reaches the caller whichever way the
+// caller's body is shaped; a function that dispatches nothing stays
+// pure, and a goroutine spawned in the other package shows as its own
+// fact.
+func TestFactsCrossPackageDispatch(t *testing.T) {
+	pkgs := fixtureModule(t, []fixtureFile{
+		{
+			path: "fixture/TestFactsCrossPackageDispatch/dev",
+			src: `package dev
+
+import "sync"
+
+// Dev abstracts the page source, mirroring buffer.PagePool.
+type Dev interface {
+	Read(p []byte) int
+}
+
+type Shared struct {
+	mu   sync.Mutex
+	data []byte
+}
+
+func (d *Shared) Read(p []byte) int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return copy(p, d.data)
+}
+
+type Prefetch struct{ data []byte }
+
+func (d *Prefetch) Read(p []byte) int {
+	go func() { _ = len(d.data) }()
+	return copy(p, d.data)
+}
+`,
+		},
+		{
+			path: "fixture/TestFactsCrossPackageDispatch/pool",
+			src: `package pool
+
+import "fixture/TestFactsCrossPackageDispatch/dev"
+
+type Pool struct {
+	d dev.Dev
+}
+
+func (p *Pool) Fill(buf []byte) int {
+	return p.d.Read(buf)
+}
+
+func (p *Pool) FillTwice(buf []byte) int {
+	n := 0
+	for i := 0; i < 2; i++ {
+		n += p.Fill(buf)
+	}
+	return n
+}
+
+func (p *Pool) Size(buf []byte) int {
+	return len(buf)
+}
+`,
+		},
+	})
+	g := NewModule(pkgs).Graph
+	want := FactAcquiresLock | FactSpawnsGoroutine
+	for _, name := range []string{"pool.(*Pool).Fill", "pool.(*Pool).FillTwice"} {
+		if n := one(t, g, name); n.Facts != want {
+			t.Errorf("%s facts = %s, want %s", name, n.Facts, want)
+		}
+	}
+	if n := one(t, g, "pool.(*Pool).Size"); n.Facts != 0 {
+		t.Errorf("Size facts = %s, want pure", n.Facts)
+	}
+	if n := one(t, g, "dev.(*Prefetch).Read"); n.Intrinsics != FactSpawnsGoroutine {
+		t.Errorf("Prefetch.Read intrinsics = %s, want spawnsGoroutine", n.Intrinsics)
 	}
 }

@@ -220,10 +220,9 @@ func (p *Pool) FlushDirty() error {
 	})
 }
 
-// TestDurcheckRulesResolve guards the rule scopes against silent rot the
-// same way TestPureRootsExist guards the fact roots: every scoped rule
-// must match at least one real-repo function, and the rule registry must
-// stay consistent.
+// TestDurcheckRulesResolve guards the rule scopes against silent rot:
+// every scoped rule must match at least one real-repo function, and the
+// rule registry must stay consistent.
 func TestDurcheckRulesResolve(t *testing.T) {
 	m := loadRepoModule(t)
 	for _, r := range Rules() {

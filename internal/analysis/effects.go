@@ -27,7 +27,7 @@ import (
 // (storage.TestWriteMetaSyncsInPlaceOverwrites), not a rule's.
 //
 // Traces are possibilistic: the path walker (flow.go) forks at branches
-// and joins by union (unlike lockcheck's must-held intersection), loops
+// and joins by union (unlike the lock lattice's must-held intersection), loops
 // contribute zero, one, and two body iterations (two captures
 // cross-iteration adjacency), deferred calls append at returns, and
 // function literals are inlined where they appear (consistent with

@@ -121,8 +121,8 @@ func excused() {
 	fail() //lint:allow errcheck best effort by design
 	//lint:allow errcheck the caller retries
 	fail()
-	fail() //lint:allow lockcheck,errcheck both excused
-	fail() //lint:allow lockcheck wrong analyzer  // WANT
+	fail() //lint:allow sharecheck,errcheck both excused
+	fail() //lint:allow sharecheck wrong analyzer  // WANT
 }
 `)
 }

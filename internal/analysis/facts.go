@@ -1,28 +1,21 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
-	"path/filepath"
 	"strings"
 )
 
 // FactSet is a bitmask of behavioural facts about a function. Facts are
 // computed bottom-up over the call graph's strongly connected components,
-// so they are transitive: a function has doesIO if anything it can reach
-// does I/O, across package boundaries and interface dispatch.
-type FactSet uint16
+// so they are transitive: a function has acquiresLock if anything it can
+// reach acquires a lock, across package boundaries and interface
+// dispatch.
+type FactSet uint8
 
 const (
-	// FactDoesIO: the function can reach a disk/OS/network operation.
-	FactDoesIO FactSet = 1 << iota
-	// FactMayBlock: the function can block (channel ops, lock waits,
-	// sleeps, I/O).
-	FactMayBlock
 	// FactAcquiresLock: the function can acquire a sync.Mutex/RWMutex.
-	FactAcquiresLock
+	FactAcquiresLock FactSet = 1 << iota
 	// FactSpawnsGoroutine: the function can start a goroutine (a `go`
 	// statement anywhere in its transitive call tree). sharecheck uses
 	// this to treat function literals handed to spawning callees as
@@ -37,14 +30,13 @@ const (
 )
 
 var factNames = map[FactSet]string{
-	FactDoesIO:          "doesIO",
-	FactMayBlock:        "mayBlock",
 	FactAcquiresLock:    "acquiresLock",
 	FactSpawnsGoroutine: "spawnsGoroutine",
 	FactUsesAtomic:      "usesAtomic",
 }
 
-// String renders the set as "doesIO|mayBlock" ("pure" when empty).
+// String renders the set as "acquiresLock|usesAtomic" ("pure" when
+// empty).
 func (f FactSet) String() string {
 	if f == 0 {
 		return "pure"
@@ -58,71 +50,16 @@ func (f FactSet) String() string {
 	return strings.Join(parts, "|")
 }
 
-// Facts returns the individual bits of the set.
-func (f FactSet) Facts() []FactSet {
-	var out []FactSet
-	for bit := FactSet(1); bit < factEnd; bit <<= 1 {
-		if f&bit != 0 {
-			out = append(out, bit)
-		}
-	}
-	return out
-}
-
-// stdFacts classifies a non-module (stdlib) function into intrinsic
-// facts. The table is deliberately coarse — anything in os/net/syscall
-// counts as I/O — because iopurity-style checks want "cannot possibly
-// touch the disk", not a precise effect system.
+// stdFacts classifies a non-module (stdlib) function by its sync/atomic
+// role: a lock acquisition (TryLock included) or an atomic operation.
 func stdFacts(fn *types.Func) FactSet {
-	pkg := fn.Pkg()
-	if pkg == nil {
-		return 0
-	}
 	switch syncKindOf(fn) {
-	case lockAcquire:
-		return FactAcquiresLock | FactMayBlock
-	case lockOther:
-		return FactAcquiresLock // TryLock: conditional, never waits
+	case lockAcquire, lockOther:
+		return FactAcquiresLock
 	case atomicFunc, atomicMethod:
 		return FactUsesAtomic
-	case waitGroupWait:
-		return FactMayBlock
-	}
-	path, name := pkg.Path(), fn.Name()
-	switch {
-	case path == "sync":
-		if name == "Wait" || name == "Do" { // Cond.Wait, Once.Do
-			return FactMayBlock
-		}
-	case path == "time":
-		if name == "Sleep" {
-			return FactMayBlock
-		}
-	case path == "os" || strings.HasPrefix(path, "os/"),
-		path == "syscall" || strings.HasPrefix(path, "syscall/"),
-		path == "net" || strings.HasPrefix(path, "net/"),
-		path == "io/ioutil":
-		return FactDoesIO | FactMayBlock
-	case path == "fmt":
-		if strings.HasPrefix(name, "Print") || strings.HasPrefix(name, "Fprint") ||
-			strings.HasPrefix(name, "Scan") || strings.HasPrefix(name, "Fscan") {
-			return FactDoesIO | FactMayBlock
-		}
-	case path == "log" || strings.HasPrefix(path, "log/"):
-		return FactDoesIO | FactMayBlock
-	case path == "bufio":
-		// Flushing/reading forwards to the wrapped reader/writer; the
-		// wrapped value's origin carries the I/O fact where it matters.
 	}
 	return 0
-}
-
-// witness records how a function acquired one fact: through a call into
-// callee, or (callee == nil) through an intrinsic in its own body.
-type witness struct {
-	callee *FuncNode
-	pos    token.Pos
-	what   string
 }
 
 // summarize condenses the graph into SCCs (Tarjan) and computes every
@@ -184,9 +121,7 @@ func (g *CallGraph) summarize() {
 		}
 		var facts FactSet
 		for _, m := range scc {
-			for _, in := range m.Intrinsics {
-				facts |= in.Fact
-			}
+			facts |= m.Intrinsics
 			for _, c := range m.Calls {
 				facts |= c.Std
 				for _, t := range c.Targets {
@@ -199,7 +134,6 @@ func (g *CallGraph) summarize() {
 		for _, m := range scc {
 			m.Facts = facts
 		}
-		assignWitnesses(scc, inSCC, facts)
 		for changed := true; changed; {
 			changed = false
 			for _, m := range scc {
@@ -217,115 +151,6 @@ func (g *CallGraph) summarize() {
 			}
 		}
 	}
-}
-
-// assignWitnesses records, for every member of an SCC and every fact the
-// SCC carries, one concrete reason: an own intrinsic if the member has
-// one, else a call to a function whose reason is already known. Iterating
-// until fixpoint threads witnesses through cycles.
-func assignWitnesses(scc []*FuncNode, inSCC map[*FuncNode]bool, facts FactSet) {
-	for _, fact := range facts.Facts() {
-		resolved := make(map[*FuncNode]bool, len(scc))
-		for _, m := range scc {
-			if w := ownWitness(m, fact); w != nil {
-				m.via[fact] = w
-				resolved[m] = true
-			}
-		}
-		for changed := true; changed; {
-			changed = false
-			for _, m := range scc {
-				if resolved[m] {
-					continue
-				}
-			calls:
-				for _, c := range m.Calls {
-					for _, t := range c.Targets {
-						if inSCC[t] && resolved[t] {
-							m.via[fact] = &witness{callee: t, pos: c.Pos, what: c.Desc}
-							resolved[m] = true
-							changed = true
-							break calls
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// ownWitness finds a reason for the fact within the function itself: an
-// intrinsic, or a call to an outside function already carrying the fact.
-func ownWitness(m *FuncNode, fact FactSet) *witness {
-	for _, in := range m.Intrinsics {
-		if in.Fact&fact != 0 {
-			return &witness{pos: in.Pos, what: in.What}
-		}
-	}
-	for _, c := range m.Calls {
-		for _, t := range c.Targets {
-			if t.Facts&fact != 0 && t.via[fact] != nil {
-				return &witness{callee: t, pos: c.Pos, what: c.Desc}
-			}
-		}
-	}
-	return nil
-}
-
-// FactChain explains how fn acquired fact as a call chain ending at the
-// intrinsic source, one "who: why at file:line" entry per hop.
-func (g *CallGraph) FactChain(n *FuncNode, fact FactSet) []string {
-	var out []string
-	seen := make(map[*FuncNode]bool)
-	for n != nil && !seen[n] {
-		seen[n] = true
-		w := n.via[fact]
-		if w == nil {
-			out = append(out, n.String())
-			break
-		}
-		pos := n.Pkg.Fset.Position(w.pos)
-		loc := fmt.Sprintf("%s:%d", filepath.Base(pos.Filename), pos.Line)
-		if w.callee == nil {
-			out = append(out, fmt.Sprintf("%s: %s at %s", n, w.what, loc))
-			break
-		}
-		out = append(out, fmt.Sprintf("%s: calls %s at %s", n, w.callee, loc))
-		n = w.callee
-	}
-	return out
-}
-
-// RootSpec names a set of root functions for reachability-based checks.
-type RootSpec struct {
-	// Path is the import path holding the roots.
-	Path string
-	// Recv and Name select functions in Path as ScopeSpec does.
-	Recv string
-	Name string
-}
-
-func (s RootSpec) String() string {
-	recv := ""
-	if s.Recv != "" && s.Recv != "*" {
-		recv = "(*" + s.Recv + ")."
-	}
-	base := s.Path
-	if i := strings.LastIndexByte(base, '/'); i >= 0 {
-		base = base[i+1:]
-	}
-	return base + "." + recv + s.Name
-}
-
-// Resolve returns the nodes matched by the spec, in graph order.
-func (g *CallGraph) Resolve(spec RootSpec) []*FuncNode {
-	var out []*FuncNode
-	for _, n := range g.order {
-		if n.Pkg.ImportPath == spec.Path && (ScopeSpec{spec.Recv, spec.Name}).Matches(n.Fn) {
-			out = append(out, n)
-		}
-	}
-	return out
 }
 
 // ResolveName matches nodes by display name for the -facts flag: exact

@@ -13,8 +13,7 @@ import (
 // iteration, and running deferred calls last-in-first-out at every
 // return. Two lattices ride on it: effect traces joined by union
 // (effects.go, for durcheck and errflow) and must-held lock sets joined
-// by intersection (lockcheck.go, for lockcheck, sharecheck and
-// atomiccheck).
+// by intersection (sync.go, for sharecheck and atomiccheck).
 //
 // The walk is possibilistic where Go is dynamic: both sides of && and ||
 // evaluate, a goto continues with the next statement, and deferred calls
@@ -25,9 +24,9 @@ import (
 type pathFlow[S any] interface {
 	join(a, b S) S
 	// step applies one node after its operands: a call (or a deferred
-	// call, at a return), a function literal, a channel receive or send,
-	// a select, a go statement, and a return statement once its results
-	// are evaluated and before its defers run.
+	// call, at a return), a function literal, a go statement, and a
+	// return statement once its results are evaluated and before its
+	// defers run.
 	step(st S, n ast.Node) S
 	// enter sees the state on entry to every walked statement.
 	enter(st S, s ast.Stmt)
@@ -84,7 +83,7 @@ func (w *walker[S]) stmt(s ast.Stmt, st S) (S, bool) {
 	case *ast.IncDecStmt:
 		st = w.expr(x.X, st)
 	case *ast.SendStmt:
-		st = w.f.step(w.expr(x.Value, w.expr(x.Chan, st)), x)
+		st = w.expr(x.Value, w.expr(x.Chan, st))
 	case *ast.GoStmt:
 		st = w.f.step(w.operands(x.Call, st), x)
 	case *ast.DeferStmt:
@@ -111,7 +110,7 @@ func (w *walker[S]) stmt(s ast.Stmt, st S) (S, bool) {
 	case *ast.TypeSwitchStmt:
 		return w.clauses(label, x.Body, w.init(x.Assign, w.init(x.Init, st)), false)
 	case *ast.SelectStmt:
-		return w.clauses(label, x.Body, w.f.step(st, x), true)
+		return w.clauses(label, x.Body, st, true)
 	}
 	return st, true
 }
@@ -246,7 +245,7 @@ func (w *walker[S]) exprs(list []ast.Expr, st S) S {
 }
 
 // expr applies an expression's nodes in evaluation order: operands before
-// the call or receive that consumes them.
+// the call that consumes them.
 func (w *walker[S]) expr(e ast.Expr, st S) S {
 	switch x := e.(type) {
 	case *ast.CallExpr:
@@ -254,10 +253,7 @@ func (w *walker[S]) expr(e ast.Expr, st S) S {
 	case *ast.FuncLit:
 		return w.f.step(st, x)
 	case *ast.UnaryExpr:
-		if st = w.expr(x.X, st); x.Op == token.ARROW {
-			st = w.f.step(st, x)
-		}
-		return st
+		return w.expr(x.X, st)
 	case *ast.ParenExpr:
 		return w.expr(x.X, st)
 	case *ast.SelectorExpr:

@@ -282,9 +282,10 @@ func runCheckers(t *testing.T, root string, m mutant) (matrixRow, string) {
 
 // repeatTests runs one `go test` command (args plus -timeout) up to
 // testRuns times and applies the kill rule: KILL iff every run failed and
-// some one test (or a timeout) failed in all of them; a mix is flaky and
-// not a kill. With stopOnPass the first passing run ends it (nothing can
-// be a kill then).
+// some one test (or a timeout) failed in all of them, or every run
+// reported a data race, whichever test each race landed in; a mix is
+// flaky and not a kill. With stopOnPass the first passing run ends it
+// (nothing can be a kill then).
 func repeatTests(root string, timeout time.Duration, stopOnPass bool, args []string) (cell, detail string) {
 	args = slices.Insert(args, 1, "-timeout", timeout.String())
 	var failed [][]string
@@ -306,7 +307,7 @@ func repeatTests(root string, timeout time.Duration, stopOnPass bool, args []str
 		return "pass", ""
 	}
 	detail = fmt.Sprintf("\n  failing runs of `go %s`: %v", strings.Join(args, " "), failed)
-	if always := inEveryRun(failed); len(failed) == testRuns && len(always) > 0 {
+	if always := inEveryRun(failed); len(failed) == testRuns && (len(always) > 0 || dataRace) {
 		if dataRace {
 			always = append([]string{"DATA RACE"}, always...)
 		}

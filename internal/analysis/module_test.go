@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"strings"
 	"sync"
 	"testing"
 )
@@ -33,51 +32,46 @@ func loadRepoModule(t *testing.T) *Module {
 }
 
 // TestFactsCrossPackageRealRepo is the acceptance check that facts flow
-// through the real codebase: buffer.(*Pool).Get does I/O only because a
-// storage.DiskManager implementation does, two packages away and behind
-// an interface, while the analytic model stays pure.
+// through the real codebase: storage.(*PagedTree).read acquires a lock
+// only because buffer.(*ShardedPool).View does, one package away and
+// behind the PagePool interface, while a fault's in-memory probe and the
+// analytic model take none.
 func TestFactsCrossPackageRealRepo(t *testing.T) {
 	g := loadRepoModule(t).Graph
 
-	get := one(t, g, "buffer.(*Pool).Get")
-	for _, want := range []FactSet{FactDoesIO, FactMayBlock} {
-		if get.Facts&want == 0 {
-			t.Errorf("Pool.Get facts = %s, want %s set", get.Facts, want)
+	read := one(t, g, "storage.(*PagedTree).read")
+	if read.Facts&FactAcquiresLock == 0 {
+		t.Errorf("PagedTree.read facts = %s, want acquiresLock", read.Facts)
+	}
+	var via *Call
+	for _, c := range read.Calls {
+		for _, tn := range c.Targets {
+			if c.Dispatch && tn.String() == "buffer.(*ShardedPool).View" {
+				via = c
+			}
 		}
 	}
-	chain := g.FactChain(get, FactDoesIO)
-	if len(chain) < 2 {
-		t.Fatalf("FactChain(Pool.Get, doesIO) = %v, want a cross-package chain", chain)
+	if via == nil {
+		t.Fatal("PagedTree.read has no PagePool.View dispatch reaching buffer.(*ShardedPool).View")
 	}
-	var crossesIntoStorage bool
-	for _, hop := range chain {
-		if strings.Contains(hop, "storage.") {
-			crossesIntoStorage = true
-		}
+	if via.Std != 0 || via.Facts()&FactAcquiresLock == 0 {
+		t.Errorf("PagePool.View dispatch: stdlib facts %s, transitive facts %s; want acquiresLock from a module target only", via.Std, via.Facts())
 	}
-	if !crossesIntoStorage {
-		t.Errorf("doesIO chain for Pool.Get never enters storage: %v", chain)
+	if probe := one(t, g, "buffer.(*Pool).probe"); probe.Facts&FactAcquiresLock != 0 {
+		t.Errorf("Pool.probe facts = %s: the fault's first phase takes no lock", probe.Facts)
 	}
 
-	// FileManager.ReadPage mostly copies from a mapping, which the facts
-	// cannot see; its pread fallback is what keeps the device read
-	// doesIO|mayBlock for lockcheck, so the fallback must stay.
-	read := one(t, g, "storage.(*FileManager).ReadPage")
-	if want := FactDoesIO | FactMayBlock; read.Facts&want != want {
-		t.Errorf("FileManager.ReadPage facts = %s, want %s set", read.Facts, want)
-	}
-
-	// The analytic model must be disk-free end to end.
-	for _, n := range g.Resolve(RootSpec{Path: "rtreebuf/internal/core", Recv: "*", Name: "AccessProb"}) {
-		if n.Facts&FactDoesIO != 0 {
-			t.Errorf("%s facts = %s, want no doesIO", n, n.Facts)
+	// The analytic model is lock-free and serial end to end.
+	for _, n := range g.Nodes() {
+		if n.Pkg.ImportPath == "rtreebuf/internal/core" && n.Facts&(FactAcquiresLock|FactSpawnsGoroutine) != 0 {
+			t.Errorf("%s facts = %s, want neither acquiresLock nor spawnsGoroutine", n, n.Facts)
 		}
 	}
 }
 
-// TestDiskManagerDispatchRealRepo pins the CHA behaviour the lockcheck
-// and iopurity results rely on: the retry layer's read through the
-// DiskManager interface must see more than one module implementer.
+// TestDiskManagerDispatchRealRepo pins the CHA behaviour the facts rely
+// on: the retry layer's read through the DiskManager interface must see
+// more than one module implementer.
 func TestDiskManagerDispatchRealRepo(t *testing.T) {
 	g := loadRepoModule(t).Graph
 	n := one(t, g, "storage.(*ResilientManager).ReadPage")
@@ -92,21 +86,6 @@ func TestDiskManagerDispatchRealRepo(t *testing.T) {
 	}
 	if len(best.Targets) < 2 {
 		t.Errorf("DiskManager.ReadPage dispatch resolves %d targets, want >= 2", len(best.Targets))
-	}
-	if best.Facts()&FactDoesIO == 0 {
-		t.Errorf("DiskManager.ReadPage dispatch facts = %s, want doesIO", best.Facts())
-	}
-}
-
-// TestPureRootsExist guards the iopurity root list against silent rot: a
-// renamed model or simulator function must fail here, not silently
-// disable iopurity.
-func TestPureRootsExist(t *testing.T) {
-	g := loadRepoModule(t).Graph
-	for _, spec := range PureRoots() {
-		if len(g.Resolve(spec)) == 0 {
-			t.Errorf("root spec %s matches no function in the repository", spec)
-		}
 	}
 }
 

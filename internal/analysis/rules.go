@@ -53,7 +53,7 @@ func (k RuleKind) String() string {
 // ScopeSpec selects functions by receiver base type and name,
 // package-agnostic — fixture packages modelling the protocol with their
 // own types participate in the same rules. It is the one name matcher:
-// rule scopes, the effect table and (with a package) RootSpec use it.
+// rule scopes and the effect table use it.
 // Recv "" matches package-level functions only, "*" any receiver,
 // anything else that receiver exactly; a trailing "*" on Name matches a
 // prefix.

@@ -72,7 +72,8 @@ func (s *stdImporter) Import(path string) (*types.Package, error) {
 	if err := s.closure(path, make(map[string]bool), &order); err != nil {
 		return nil, err
 	}
-	//lint:allow lockcheck the importer serializes whole-closure typechecking by design
+	// s.mu is held across the whole closure's typechecking: the importer
+	// serializes it by design.
 	if err := s.checkAll(order); err != nil {
 		return nil, err
 	}

@@ -4,13 +4,12 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 )
 
 // This file holds the synchronization model the concurrency analyzers
-// (lockcheck, sharecheck, atomiccheck) share: the one classification of a
-// call site's sync/atomic role, made when the call graph is built, and
-// the must-held lock sets the path walker (flow.go) records per statement.
+// (sharecheck, atomiccheck) share: the one classification of a call
+// site's sync/atomic role, made when the call graph is built, and the
+// must-held lock sets the path walker (flow.go) records per statement.
 
 // syncKind is a call site's synchronization role.
 type syncKind uint8
@@ -72,6 +71,53 @@ func lockName(info *types.Info, call *ast.CallExpr, fn *types.Func) string {
 	return name
 }
 
+// lockFlow is the path walker's lock lattice: must-held lock sets, met by
+// intersection. It records each statement's entry set, sharecheck's and
+// atomiccheck's "which locks are held here". A function literal is a body
+// of its own, entered with no lock held.
+type lockFlow struct {
+	n      *FuncNode
+	held   heldIndex
+	walked map[*ast.FuncLit]bool
+}
+
+// walkLocks runs the lock lattice over one function body and every
+// function literal in it.
+func walkLocks(n *FuncNode) *lockFlow {
+	f := &lockFlow{
+		n:      n,
+		held:   heldIndex{index: make(map[ast.Stmt]int)},
+		walked: make(map[*ast.FuncLit]bool),
+	}
+	walkPaths[lockSet](f, n.Decl.Body, lockSet{})
+	return f
+}
+
+func (f *lockFlow) join(a, b lockSet) lockSet { return a.meet(b) }
+
+func (f *lockFlow) enter(held lockSet, s ast.Stmt) { f.held.record(s, held) }
+
+func (f *lockFlow) exit(lockSet, *ast.ReturnStmt, token.Pos) {}
+
+func (f *lockFlow) step(held lockSet, node ast.Node) lockSet {
+	switch x := node.(type) {
+	case *ast.CallExpr:
+		switch c := f.n.SiteAt(x); {
+		case c == nil:
+		case c.sync == lockAcquire:
+			return held.with(c.lock, x.Pos())
+		case c.sync == lockRelease:
+			return held.with(c.lock, token.NoPos)
+		}
+	case *ast.FuncLit:
+		if !f.walked[x] {
+			f.walked[x] = true
+			walkPaths[lockSet](f, x.Body, lockSet{})
+		}
+	}
+	return held
+}
+
 // lockSet is a must-held lock set: lock name to acquisition site. States
 // are never changed in place, so a path can share its parent's set.
 type lockSet map[string]token.Pos
@@ -105,16 +151,6 @@ func (a lockSet) with(name string, pos token.Pos) lockSet {
 	} else {
 		out[name] = pos
 	}
-	return out
-}
-
-// names returns the held locks in sorted order.
-func (a lockSet) names() []string {
-	out := make([]string, 0, len(a))
-	for k := range a {
-		out = append(out, k)
-	}
-	sort.Strings(out)
 	return out
 }
 

@@ -199,11 +199,11 @@ func (p *Pool) Unpin(page int) {
 //	        counted and changes nothing else.
 //
 // ShardedPool takes its shard mutex around probe and around commit,
-// which therefore do no I/O (lockcheck holds them to it). Pool runs the
-// phases back to back (fault) and, being the one pool that can hold
-// dirty pages, writes them back between read and commit when the commit
-// may evict (makeRoom). One rule accounts for all of it: a miss is a
-// source read issued, whatever became of it.
+// which therefore do no I/O (TestShardedHitNotBlockedByParkedRead holds
+// them to it). Pool runs the phases back to back (fault) and, being the
+// one pool that can hold dirty pages, writes them back between read and
+// commit when the commit may evict (makeRoom). One rule accounts for all
+// of it: a miss is a source read issued, whatever became of it.
 
 // checkPage is the bounds check of every operation that names a page.
 func (p *Pool) checkPage(page int) error { return checkPageIn(page, len(p.frames)) }

@@ -71,7 +71,9 @@ func loadTAT(p rtree.Params, items []rtree.Item) (*rtree.Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.InsertAll(items)
+	if err := t.InsertAll(items); err != nil {
+		return nil, err
+	}
 	return t, nil
 }
 

@@ -1,7 +1,9 @@
 package pack
 
 import (
+	"math"
 	"math/rand/v2"
+	"strings"
 	"testing"
 
 	"rtreebuf/internal/geom"
@@ -267,6 +269,39 @@ func TestLoadDeterministic(t *testing.T) {
 					t.Fatalf("%s: MBR %d/%d differs", alg, i, j)
 				}
 			}
+		}
+	}
+}
+
+// TestLoadRejectsInvalidRect: every loading algorithm refuses an item
+// whose rectangle is NaN or inverted. Before the refusal, one NaN item
+// among 201 cost a full-window search between 8 (nx) and 63 (hs, str) of
+// the 200 valid items, with no error from Load.
+func TestLoadRejectsInvalidRect(t *testing.T) {
+	nan := math.NaN()
+	bad := map[string]geom.Rect{
+		"nan":      {MinX: nan, MinY: 0.1, MaxX: 0.2, MaxY: 0.2},
+		"inverted": {MinX: 0.3, MinY: 0.1, MaxX: 0.2, MaxY: 0.2},
+	}
+	rng := rand.New(rand.NewPCG(48, 4))
+	valid := make([]rtree.Item, 200)
+	for i := range valid {
+		x, y := rng.Float64()*0.99, rng.Float64()*0.99
+		valid[i] = rtree.Item{Rect: geom.Rect{MinX: x, MinY: y, MaxX: x + 0.01, MaxY: y + 0.01}, ID: int64(i)}
+	}
+	for _, alg := range Algorithms() {
+		for name, r := range bad {
+			items := append(append([]rtree.Item{}, valid...), rtree.Item{Rect: r, ID: 200})
+			if _, err := Load(alg, rtree.Params{MaxEntries: 8}, items); err == nil || !strings.Contains(err.Error(), "item 200 ") {
+				t.Errorf("%s/%s: Load err = %v, want a refusal naming item 200", alg, name, err)
+			}
+		}
+		tr, err := Load(alg, rtree.Params{MaxEntries: 8}, valid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(tr.SearchWindow(geom.UnitSquare)); got != len(valid) {
+			t.Errorf("%s: full window found %d of %d items", alg, got, len(valid))
 		}
 	}
 }

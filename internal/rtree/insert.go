@@ -1,12 +1,22 @@
 package rtree
 
-import "rtreebuf/internal/geom"
+import (
+	"fmt"
+
+	"rtreebuf/internal/geom"
+)
 
 // Insert adds one data rectangle to the tree using Guttman's insertion
 // algorithm (ChooseLeaf, split on overflow, AdjustTree), or the R*-tree
 // variant when Params.Split is SplitRStar. This is the primitive behind
-// the paper's Tuple-At-a-Time (TAT) loading algorithm.
-func (t *Tree) Insert(item Item) {
+// the paper's Tuple-At-a-Time (TAT) loading algorithm. An invalid
+// rectangle (inverted, or NaN in any coordinate) is refused before the
+// tree is touched: its NaN would spread into every covering rectangle
+// above it, and no window would intersect that subtree again.
+func (t *Tree) Insert(item Item) error {
+	if !item.Rect.Valid() {
+		return invalidItem("Insert", item, -1)
+	}
 	var ctx *insertCtx
 	if t.params.Split == SplitRStar {
 		ctx = &insertCtx{reinserted: make(map[int]bool)}
@@ -14,13 +24,43 @@ func (t *Tree) Insert(item Item) {
 	t.insertEntryCtx(entry{rect: item.Rect, id: item.ID}, 0, ctx)
 	t.size++
 	t.pagesValid = false
+	return nil
 }
 
-// InsertAll inserts items in order.
-func (t *Tree) InsertAll(items []Item) {
-	for _, it := range items {
-		t.Insert(it)
+// InsertAll inserts items in order. Every rectangle is checked first, so
+// a refused batch leaves the tree as it was.
+func (t *Tree) InsertAll(items []Item) error {
+	if i := firstInvalid(items); i >= 0 {
+		return invalidItem("InsertAll", items[i], i)
 	}
+	for _, it := range items {
+		_ = t.Insert(it) // valid: checked above
+	}
+	return nil
+}
+
+// firstInvalid returns the index of the first item whose rectangle is
+// not valid, or -1.
+func firstInvalid(items []Item) int {
+	for i := range items {
+		if !items[i].Rect.Valid() {
+			return i
+		}
+	}
+	return -1
+}
+
+// invalidItem builds the refusal of an invalid rectangle, naming the
+// item's index in its batch when there is one (index >= 0). It is kept
+// out of line so that a valid insert pays one comparison and no
+// allocation.
+//
+//go:noinline
+func invalidItem(op string, item Item, index int) error {
+	if index >= 0 {
+		return fmt.Errorf("rtree: %s: item %d (ID %d) has invalid rect %v", op, index, item.ID, item.Rect)
+	}
+	return fmt.Errorf("rtree: %s: item ID %d has invalid rect %v", op, item.ID, item.Rect)
 }
 
 // insertEntry places e at the given height (0 = leaf level) without

@@ -26,6 +26,8 @@ type Ordering func(rects []geom.Rect, groupSize int) []int
 // Packed nodes are filled to capacity (the last node of each level may be
 // short), so MinEntries violations cannot arise during loading; the
 // resulting tree is a valid R-tree for all subsequent Insert/Delete calls.
+// An item with an invalid rectangle is refused, by its index, before
+// anything is built.
 func Pack(p Params, items []Item, ord Ordering) (*Tree, error) {
 	np, err := p.normalized()
 	if err != nil {
@@ -33,6 +35,9 @@ func Pack(p Params, items []Item, ord Ordering) (*Tree, error) {
 	}
 	if ord == nil {
 		return nil, fmt.Errorf("rtree: Pack requires an ordering")
+	}
+	if i := firstInvalid(items); i >= 0 {
+		return nil, invalidItem("Pack", items[i], i)
 	}
 	t := &Tree{params: np}
 	if len(items) == 0 {

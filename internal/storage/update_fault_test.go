@@ -24,8 +24,9 @@ func checkFullWindow(t *testing.T, pt *PagedTree, want []rtree.Item, tag string)
 // written, and the handle stays usable. Were it written, the root's
 // covering rectangle would hold the NaN and every read of page 0 after
 // its eviction, and after a reopen, would fail validatePage. The buffer
-// holds two pages, so a full-window search evicts page 0. SaveTree
-// refuses a heap tree that holds a NaN for the same reason.
+// holds two pages, so a full-window search evicts page 0. The heap tree
+// refuses the NaN too, and the page encoder under SaveTree refuses a node
+// that holds one for the same reason.
 func TestInsertRejectsInvalidRect(t *testing.T) {
 	items := randomItems(rand.New(rand.NewSource(45)), 60, 0)
 	dm, walDev, pt := openUpdatable(t, items, 2)
@@ -63,14 +64,16 @@ func TestInsertRejectsInvalidRect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	heap.InsertAll(items)
-	heap.Insert(rtree.Item{Rect: geom.Rect{MinX: math.NaN(), MinY: 1, MaxX: 2, MaxY: 2}, ID: 1002})
-	mem, err := NewMemoryManager(updateTestPageSize)
-	if err != nil {
+	if err := heap.InsertAll(items); err != nil {
 		t.Fatal(err)
 	}
-	if err := SaveTree(mem, heap); err == nil {
-		t.Fatal("SaveTree wrote a tree that holds a NaN")
+	nan := rtree.Item{Rect: geom.Rect{MinX: math.NaN(), MinY: 1, MaxX: 2, MaxY: 2}, ID: 1002}
+	if err := heap.Insert(nan); err == nil {
+		t.Fatal("the heap tree accepted a NaN rect")
+	}
+	leaf := rtree.NodeData{Leaf: true, Rects: []geom.Rect{items[0].Rect, nan.Rect}, IDs: []int64{items[0].ID, nan.ID}}
+	if _, err := EncodeNode(leaf, updateTestPageSize); err == nil {
+		t.Fatal("EncodeNode wrote a node that holds a NaN")
 	}
 }
 

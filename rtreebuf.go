@@ -78,7 +78,8 @@ const (
 	STR         = pack.STR
 )
 
-// Load builds an R-tree over items with the named loading algorithm.
+// Load builds an R-tree over items with the named loading algorithm. An
+// item with an invalid rectangle (inverted, or NaN) is refused.
 func Load(alg Algorithm, p Params, items []Item) (*Tree, error) {
 	return pack.Load(alg, p, items)
 }
