@@ -26,6 +26,10 @@ func main() {
 	out := flag.String("o", "", "output file (default stdout)")
 	plot := flag.Bool("plot", false, "render an ASCII density plot instead of records")
 	flag.Parse()
+	if *n < 0 {
+		fmt.Fprintf(os.Stderr, "datagen: -n %d is negative\n", *n)
+		os.Exit(2)
+	}
 
 	var rects []geom.Rect
 	var points []geom.Point

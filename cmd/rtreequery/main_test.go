@@ -30,15 +30,7 @@ func TestMain(m *testing.M) {
 // so a run of no queries, or of a negative number, is a usage error
 // rather than a NaN or an infinite percentage.
 func TestRejectsFewerThanOneQuery(t *testing.T) {
-	tree, err := pack.Load(pack.HilbertSort, rtree.Params{MaxEntries: 20},
-		datagen.Items(datagen.SyntheticRegions(300, 1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "small.rt")
-	if err := storage.SaveTreeAtomic(path, storage.DefaultPageSize, tree); err != nil {
-		t.Fatal(err)
-	}
+	path := smallTreeFile(t)
 	for _, n := range []string{"0", "-5", "1"} {
 		cmd := exec.Command(os.Args[0], "-tree", path, "-buffer", "10", "-n", n)
 		cmd.Env = append(os.Environ(), "RTREEQUERY_AS_MAIN=1")
@@ -55,6 +47,40 @@ func TestRejectsFewerThanOneQuery(t *testing.T) {
 			t.Errorf("-n %s: exit %d, want %d:\n%s", n, code, want, out)
 		}
 	}
+}
+
+// TestRejectsNaNQuerySize: a NaN extent fails the model's size check as
+// a negative one does, so -qx NaN exits 1 like -qx -1 instead of
+// printing NaN figures.
+func TestRejectsNaNQuerySize(t *testing.T) {
+	path := smallTreeFile(t)
+	for _, qx := range []string{"-1", "NaN"} {
+		cmd := exec.Command(os.Args[0], "-tree", path, "-buffer", "10", "-n", "10", "-qx", qx)
+		cmd.Env = append(os.Environ(), "RTREEQUERY_AS_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if err != nil && !errors.As(err, &exit) {
+			t.Fatal(err)
+		}
+		if code := cmd.ProcessState.ExitCode(); code != 1 || strings.Contains(string(out), "measured") {
+			t.Errorf("-qx %s: exit %d, want 1:\n%s", qx, code, out)
+		}
+	}
+}
+
+// smallTreeFile saves a 300-region packed tree and returns its path.
+func smallTreeFile(t *testing.T) string {
+	t.Helper()
+	tree, err := pack.Load(pack.HilbertSort, rtree.Params{MaxEntries: 20},
+		datagen.Items(datagen.SyntheticRegions(300, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "small.rt")
+	if err := storage.SaveTreeAtomic(path, storage.DefaultPageSize, tree); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 // TestWarmupComparisonModelsThePinnedBuffer: with -pin k the simulator

@@ -150,7 +150,7 @@ var catalogue = []mutant{
 		name: "determ-clock-in-batch-mean", aim: "determcheck",
 		what: "runReplica adds the wall clock's parity to a batch's miss count",
 		edits: []edit{
-			{"internal/sim/sim.go", "import (\n\t\"fmt\"\n\t\"math/rand/v2\"\n", "import (\n\t\"fmt\"\n\t\"math/rand/v2\"\n\t\"time\"\n"},
+			{"internal/sim/sim.go", "import (\n\t\"fmt\"\n\t\"math\"\n\t\"math/rand/v2\"\n", "import (\n\t\"fmt\"\n\t\"math\"\n\t\"math/rand/v2\"\n\t\"time\"\n"},
 			{"internal/sim/sim.go",
 				"\t\tdiskBatch[b] = float64(disk) / float64(cfg.BatchSize)\n",
 				"\t\tdiskBatch[b] = float64(disk+int(time.Now().UnixNano()&1)) / float64(cfg.BatchSize)\n"},
@@ -449,7 +449,7 @@ var catalogue = []mutant{
 		name: "io-sim-warns-on-worker-cap", aim: "iopurity", rare: true,
 		what: "sim's Config.checked prints a warning to stderr before rejecting a buffer of no pages",
 		edits: []edit{
-			{"internal/sim/sim.go", "import (\n\t\"fmt\"\n\t\"math/rand/v2\"\n", "import (\n\t\"fmt\"\n\t\"math/rand/v2\"\n\t\"os\"\n"},
+			{"internal/sim/sim.go", "import (\n\t\"fmt\"\n\t\"math\"\n\t\"math/rand/v2\"\n", "import (\n\t\"fmt\"\n\t\"math\"\n\t\"math/rand/v2\"\n\t\"os\"\n"},
 			{"internal/sim/sim.go",
 				"\tif c.BufferSize < 1 {\n\t\treturn c, fmt.Errorf(",
 				"\tif c.BufferSize < 1 {\n\t\tfmt.Fprintf(os.Stderr, \"sim: rejecting buffer size %d\\n\", c.BufferSize)\n\t\treturn c, fmt.Errorf("},

@@ -97,8 +97,8 @@ func AnalyticalEPT(p AnalyticalParams, qx, qy float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if qx < 0 || qy < 0 {
-		return 0, fmt.Errorf("core: negative query size %gx%g", qx, qy)
+	if !(qx >= 0 && qy >= 0) || math.IsInf(qx+qy, 1) {
+		return 0, fmt.Errorf("core: query size %gx%g is not finite and non-negative", qx, qy)
 	}
 	var ept float64
 	for _, lvl := range levels {
@@ -125,8 +125,8 @@ func NewAnalyticalPredictor(p AnalyticalParams, qx, qy float64) (*AnalyticalPred
 	if err != nil {
 		return nil, err
 	}
-	if qx < 0 || qy < 0 {
-		return nil, fmt.Errorf("core: negative query size %gx%g", qx, qy)
+	if !(qx >= 0 && qy >= 0) || math.IsInf(qx+qy, 1) {
+		return nil, fmt.Errorf("core: query size %gx%g is not finite and non-negative", qx, qy)
 	}
 	ap := &AnalyticalPredictor{levels: levels}
 	for _, lvl := range levels {

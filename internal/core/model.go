@@ -43,7 +43,7 @@ type UniformQueries struct {
 
 // NewUniformQueries validates the query extents (each must lie in [0,1)).
 func NewUniformQueries(qx, qy float64) (UniformQueries, error) {
-	if qx < 0 || qx >= 1 || qy < 0 || qy >= 1 {
+	if !(qx >= 0 && qx < 1 && qy >= 0 && qy < 1) { // NaN fails too
 		return UniformQueries{}, fmt.Errorf("core: query size %gx%g outside [0,1)", qx, qy)
 	}
 	return UniformQueries{QX: qx, QY: qy}, nil
@@ -97,8 +97,8 @@ type DataDrivenQueries struct {
 // 256 x 256 grid, which suits 10^4..10^6 points; counts are exact at any
 // resolution.
 func NewDataDrivenQueries(qx, qy float64, centers []geom.Point) (DataDrivenQueries, error) {
-	if qx < 0 || qy < 0 {
-		return DataDrivenQueries{}, fmt.Errorf("core: negative query size %gx%g", qx, qy)
+	if !(qx >= 0 && qy >= 0) || math.IsInf(qx+qy, 1) {
+		return DataDrivenQueries{}, fmt.Errorf("core: query size %gx%g is not finite and non-negative", qx, qy)
 	}
 	if len(centers) == 0 {
 		return DataDrivenQueries{}, fmt.Errorf("core: data-driven model needs at least one data center")

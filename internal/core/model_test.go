@@ -28,6 +28,36 @@ func TestUniformQueriesValidation(t *testing.T) {
 	}
 }
 
+// TestQuerySizeChecksRefuseNaNAndInf: NaN compares false with every
+// bound, so each size check must be written so that NaN fails it; the
+// models unbounded above also refuse +Inf.
+func TestQuerySizeChecksRefuseNaNAndInf(t *testing.T) {
+	centers := []geom.Point{{X: 0.5, Y: 0.5}}
+	params := AnalyticalParams{N: 100, Fanout: 10}
+	for _, c := range []struct {
+		name string
+		make func(qx, qy float64) error
+	}{
+		{"NewUniformQueries", func(qx, qy float64) error { _, err := NewUniformQueries(qx, qy); return err }},
+		{"NewDataDrivenQueries", func(qx, qy float64) error { _, err := NewDataDrivenQueries(qx, qy, centers); return err }},
+		{"NewWeightedQueries", func(qx, qy float64) error {
+			_, err := NewWeightedQueries(qx, qy, centers, []float64{1})
+			return err
+		}},
+		{"AnalyticalEPT", func(qx, qy float64) error { _, err := AnalyticalEPT(params, qx, qy); return err }},
+		{"NewAnalyticalPredictor", func(qx, qy float64) error { _, err := NewAnalyticalPredictor(params, qx, qy); return err }},
+	} {
+		for _, q := range [][2]float64{{math.NaN(), 0.1}, {0.1, math.NaN()}, {math.Inf(1), 0.1}, {0.1, math.Inf(1)}, {-0.1, 0.1}} {
+			if c.make(q[0], q[1]) == nil {
+				t.Errorf("%s accepted %gx%g", c.name, q[0], q[1])
+			}
+		}
+		if err := c.make(0.1, 0.1); err != nil {
+			t.Errorf("%s refused 0.1x0.1: %v", c.name, err)
+		}
+	}
+}
+
 func TestUniformPointAccessProbIsArea(t *testing.T) {
 	u, _ := NewUniformQueries(0, 0)
 	r := rect(0.2, 0.3, 0.6, 0.8)

@@ -26,8 +26,8 @@ type WeightedQueries struct {
 // NewWeightedQueries validates and normalizes the weights (they must be
 // non-negative with a positive sum; they are scaled to sum to 1).
 func NewWeightedQueries(qx, qy float64, centers []geom.Point, weights []float64) (WeightedQueries, error) {
-	if qx < 0 || qy < 0 {
-		return WeightedQueries{}, fmt.Errorf("core: negative query size %gx%g", qx, qy)
+	if !(qx >= 0 && qy >= 0) || math.IsInf(qx+qy, 1) {
+		return WeightedQueries{}, fmt.Errorf("core: query size %gx%g is not finite and non-negative", qx, qy)
 	}
 	if len(centers) == 0 || len(centers) != len(weights) {
 		return WeightedQueries{}, fmt.Errorf("core: %d centers with %d weights", len(centers), len(weights))

@@ -25,7 +25,7 @@ func NewUniformQueries(q []float64) (UniformQueries, error) {
 		return UniformQueries{}, fmt.Errorf("nd: query needs >= 2 dims, got %d", len(q))
 	}
 	for i, v := range q {
-		if v < 0 || v >= 1 {
+		if !(v >= 0 && v < 1) { // NaN fails too
 			return UniformQueries{}, fmt.Errorf("nd: query extent %d = %g outside [0,1)", i, v)
 		}
 	}
@@ -64,8 +64,8 @@ func NewDataDrivenQueries(q []float64, centers []Point) (DataDrivenQueries, erro
 		return DataDrivenQueries{}, fmt.Errorf("nd: data-driven model needs centers")
 	}
 	for _, v := range q {
-		if v < 0 {
-			return DataDrivenQueries{}, fmt.Errorf("nd: negative query extent %g", v)
+		if !(v >= 0) || math.IsInf(v, 1) {
+			return DataDrivenQueries{}, fmt.Errorf("nd: query extent %g is not finite and non-negative", v)
 		}
 	}
 	return DataDrivenQueries{Q: append([]float64(nil), q...), centers: centers}, nil

@@ -7,6 +7,29 @@ import (
 	"rtreebuf/internal/sim"
 )
 
+// TestNDExtentChecksRefuseNaNAndInf: NaN compares false with every
+// bound, so each extent check must be written so that NaN fails it; the
+// data-driven model, unbounded above, also refuses +Inf.
+func TestNDExtentChecksRefuseNaNAndInf(t *testing.T) {
+	centers := []Point{{0.5, 0.5}}
+	for _, c := range []struct {
+		name string
+		make func(q []float64) error
+	}{
+		{"NewUniformQueries", func(q []float64) error { _, err := NewUniformQueries(q); return err }},
+		{"NewDataDrivenQueries", func(q []float64) error { _, err := NewDataDrivenQueries(q, centers); return err }},
+	} {
+		for _, q := range [][]float64{{math.NaN(), 0.1}, {0.1, math.NaN()}, {math.Inf(1), 0.1}, {0.1, math.Inf(1)}, {-0.1, 0.1}} {
+			if c.make(q) == nil {
+				t.Errorf("%s accepted %v", c.name, q)
+			}
+		}
+		if err := c.make([]float64{0.1, 0.1}); err != nil {
+			t.Errorf("%s refused [0.1 0.1]: %v", c.name, err)
+		}
+	}
+}
+
 func TestNDUniformQueriesValidation(t *testing.T) {
 	if _, err := NewUniformQueries([]float64{0.1}); err == nil {
 		t.Error("1-dim query accepted")

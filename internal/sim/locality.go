@@ -24,8 +24,8 @@ type WeightedCenters struct {
 
 // NewWeightedCenters validates and prepares the sampler.
 func NewWeightedCenters(qx, qy float64, centers []geom.Point, weights []float64) (WeightedCenters, error) {
-	if qx < 0 || qy < 0 {
-		return WeightedCenters{}, fmt.Errorf("sim: negative query size %gx%g", qx, qy)
+	if !(qx >= 0 && qy >= 0) || math.IsInf(qx+qy, 1) {
+		return WeightedCenters{}, fmt.Errorf("sim: query size %gx%g is not finite and non-negative", qx, qy)
 	}
 	if len(centers) == 0 || len(centers) != len(weights) {
 		return WeightedCenters{}, fmt.Errorf("sim: %d centers with %d weights", len(centers), len(weights))
@@ -86,7 +86,7 @@ type RandomWalk struct {
 
 // NewRandomWalk validates the step size.
 func NewRandomWalk(step float64) (*RandomWalk, error) {
-	if step <= 0 || step >= 1 {
+	if !(step > 0 && step < 1) { // NaN fails too
 		return nil, fmt.Errorf("sim: random-walk step %g outside (0,1)", step)
 	}
 	return &RandomWalk{Step: step}, nil

@@ -21,6 +21,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 
 	"rtreebuf/internal/buffer"
@@ -63,7 +64,7 @@ type UniformRegions struct {
 
 // NewUniformRegions validates the query extents.
 func NewUniformRegions(qx, qy float64) (UniformRegions, error) {
-	if qx < 0 || qx >= 1 || qy < 0 || qy >= 1 {
+	if !(qx >= 0 && qx < 1 && qy >= 0 && qy < 1) { // NaN fails too
 		return UniformRegions{}, fmt.Errorf("sim: region size %gx%g outside [0,1)", qx, qy)
 	}
 	return UniformRegions{QX: qx, QY: qy}, nil
@@ -96,8 +97,8 @@ type DataDriven struct {
 
 // NewDataDriven validates the workload.
 func NewDataDriven(qx, qy float64, centers []geom.Point) (DataDriven, error) {
-	if qx < 0 || qy < 0 {
-		return DataDriven{}, fmt.Errorf("sim: negative region size %gx%g", qx, qy)
+	if !(qx >= 0 && qy >= 0) || math.IsInf(qx+qy, 1) {
+		return DataDriven{}, fmt.Errorf("sim: region size %gx%g is not finite and non-negative", qx, qy)
 	}
 	if len(centers) == 0 {
 		return DataDriven{}, fmt.Errorf("sim: data-driven workload needs data centers")

@@ -25,6 +25,34 @@ func fixtureLevels(t testing.TB, n, capacity int) ([][]geom.Rect, []geom.Rect) {
 	return tr.Levels(), rects
 }
 
+// TestWorkloadSizeChecksRefuseNaNAndInf: NaN compares false with every
+// bound, so each size check must be written so that NaN fails it; the
+// workloads unbounded above also refuse +Inf.
+func TestWorkloadSizeChecksRefuseNaNAndInf(t *testing.T) {
+	centers := []geom.Point{{X: 0.5, Y: 0.5}}
+	for _, c := range []struct {
+		name string
+		make func(qx, qy float64) error
+	}{
+		{"NewUniformRegions", func(qx, qy float64) error { _, err := NewUniformRegions(qx, qy); return err }},
+		{"NewDataDriven", func(qx, qy float64) error { _, err := NewDataDriven(qx, qy, centers); return err }},
+		{"NewWeightedCenters", func(qx, qy float64) error {
+			_, err := NewWeightedCenters(qx, qy, centers, []float64{1})
+			return err
+		}},
+		{"NewRandomWalk", func(qx, qy float64) error { _, err := NewRandomWalk(qx * qy); return err }},
+	} {
+		for _, q := range [][2]float64{{math.NaN(), 0.1}, {0.1, math.NaN()}, {math.Inf(1), 0.1}, {0.1, math.Inf(1)}, {-0.1, 0.1}} {
+			if c.make(q[0], q[1]) == nil {
+				t.Errorf("%s accepted %gx%g", c.name, q[0], q[1])
+			}
+		}
+		if err := c.make(0.1, 0.1); err != nil {
+			t.Errorf("%s refused 0.1x0.1: %v", c.name, err)
+		}
+	}
+}
+
 func TestWorkloadValidation(t *testing.T) {
 	if _, err := NewUniformRegions(1, 0); err == nil {
 		t.Error("region size 1 accepted")

@@ -34,7 +34,15 @@ type FaultStats struct {
 // programmable fault plan: transient read/write errors on every Nth (or
 // a seeded fraction of) accesses, permanently unreadable pages, bit-flip
 // corruption of stored pages, torn writes that persist only a prefix of
-// the page, and crash points after which the manager goes fail-stop.
+// the page, and crashes after which the manager goes fail-stop.
+//
+// It is the storage layer's one model of a crash. A write (WritePage or
+// WriteMeta) is pending from when it is issued until the next Sync, and
+// a later write to the same page (or the catalog) replaces it, as in a
+// page cache; a crash decides which pending writes the medium keeps.
+// Writes reach the inner manager as issued, and a crash undoes those it
+// drops from the undo record, whose one cost before a crash is a read
+// of each page's synced bytes at its first write after a Sync.
 //
 // It is the standing harness for proving robustness claims: wrap the
 // real manager, program a plan, and drive the ordinary save/load/query
@@ -60,8 +68,15 @@ type FaultManager struct {
 
 	tornWrites map[uint64]int // write number -> bytes actually persisted
 
+	// The undo record: the pages (metaTarget: the catalog) written since
+	// the last Sync, in first-write order, and what each held at it.
+	written []int
+	synced  map[int][]byte
+
 	stats FaultStats
 }
+
+const metaTarget = -1 // the catalog in the undo record
 
 // NewFaultManager wraps inner with an empty fault plan. With no plan
 // programmed it is a transparent proxy.
@@ -71,6 +86,7 @@ func NewFaultManager(inner DiskManager, seed uint64) *FaultManager {
 		rng:        rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)),
 		badPages:   make(map[int]bool),
 		tornWrites: make(map[uint64]int),
+		synced:     make(map[int][]byte),
 	}
 }
 
@@ -114,7 +130,8 @@ func (f *FaultManager) BadPage(page int) *FaultManager {
 // persist only the first keep bytes of the page — the device acks a
 // write it only partially performed, so the caller continues unaware.
 // The rest of the page keeps its previous contents (zeros if fresh),
-// which is exactly what a torn sector write leaves behind.
+// which is exactly what a torn sector write leaves behind. A plan aimed
+// at a WriteMeta tears nothing: the catalog is written whole.
 func (f *FaultManager) TornWrite(writeNumber int, keep int) *FaultManager {
 	if writeNumber > 0 && keep >= 0 {
 		f.tornWrites[uint64(writeNumber)] = keep
@@ -125,7 +142,8 @@ func (f *FaultManager) TornWrite(writeNumber int, keep int) *FaultManager {
 // CrashAfterWrites arms a crash point: the first n writes (WritePage and
 // WriteMeta both count) succeed, the (n+1)th is not performed and fails
 // with ErrCrashed, and from then on every operation fails with
-// ErrCrashed. n = 0 crashes on the first write.
+// ErrCrashed. The crash keeps every write issued before it, synced or
+// not. n = 0 crashes on the first write.
 func (f *FaultManager) CrashAfterWrites(n int) *FaultManager {
 	f.crashArmed = true
 	f.crashed = false
@@ -136,13 +154,44 @@ func (f *FaultManager) CrashAfterWrites(n int) *FaultManager {
 	return f
 }
 
+// Pending returns the number of pending writes: one for each page, and
+// for the catalog, written since the last Sync.
+func (f *FaultManager) Pending() int { return len(f.written) }
+
+// Crash crashes the device now: it keeps the i-th pending write (pages
+// in first-write order since the Sync) exactly when keep(i) and undoes
+// the others, so the inner manager holds its synced bytes plus the kept
+// writes (a dropped page past the synced end reads back as zeros: a
+// manager cannot shrink). Every later operation fails with ErrCrashed.
+func (f *FaultManager) Crash(keep func(i int) bool) error {
+	if err := f.checkCrashed(); err != nil {
+		return err
+	}
+	f.crashed = true
+	defer f.forget()
+	for i, target := range f.written {
+		var err error
+		switch {
+		case keep(i):
+		case target == metaTarget:
+			err = f.inner.WriteMeta(f.synced[target])
+		default:
+			err = f.inner.WritePage(target, f.synced[target])
+		}
+		if err != nil {
+			return fmt.Errorf("storage: crash: undoing a dropped write: %w", err)
+		}
+	}
+	return nil
+}
+
 // Writes returns the number of write operations (WritePage and
 // WriteMeta) issued so far. Crash-matrix harnesses read it to aim
 // CrashAfterWrites/TornWrite at the k-th write of a specific operation
 // rather than of the whole session.
 func (f *FaultManager) Writes() uint64 { return f.writes }
 
-// Crashed reports whether a crash point has fired.
+// Crashed reports whether the device has crashed.
 func (f *FaultManager) Crashed() bool { return f.crashed }
 
 // FaultStats returns the injected-fault counters.
@@ -174,6 +223,12 @@ func (f *FaultManager) checkCrashed() error {
 	return nil
 }
 
+// forget empties the undo record.
+func (f *FaultManager) forget() {
+	f.written = f.written[:0]
+	clear(f.synced)
+}
+
 // PageSize implements DiskManager.
 func (f *FaultManager) PageSize() int { return f.inner.PageSize() }
 
@@ -201,63 +256,64 @@ func (f *FaultManager) ReadPage(page int, dst []byte) error {
 	return f.inner.ReadPage(page, dst)
 }
 
-// WritePage implements DiskManager, applying the write fault plan.
-func (f *FaultManager) WritePage(page int, data []byte) error {
+// startWrite counts a write (the catalog's too, the most interesting
+// one to interrupt), applies the crash point and the transient rule,
+// and records target's bytes at its first write since the last Sync.
+func (f *FaultManager) startWrite(target int) error {
 	if err := f.checkCrashed(); err != nil {
 		return err
 	}
 	f.writes++
 	if f.crashArmed && f.writes > f.crashAfterWrites {
 		f.crashed = true
+		f.forget() // it keeps every pending write: nothing to undo
 		f.stats.CrashedOps++
 		return fmt.Errorf("storage: crash point at write %d: %w", f.writes, ErrCrashed)
 	}
 	if f.transientWriteEvery > 0 && f.writes%f.transientWriteEvery == 0 {
 		f.stats.TransientWrites++
-		return fmt.Errorf("storage: injected fault on write %d of page %d: %w", f.writes, page, ErrTransient)
+		return fmt.Errorf("storage: injected fault on write %d: %w", f.writes, ErrTransient)
 	}
-	if keep, torn := f.tornWrites[f.writes]; torn {
+	if _, seen := f.synced[target]; !seen {
+		f.synced[target] = f.storedBytes(target)
+		f.written = append(f.written, target)
+	}
+	return nil
+}
+
+// storedBytes returns what the inner manager holds at target; a page
+// past its end or unreadable holds zeros, an unreadable catalog nothing.
+func (f *FaultManager) storedBytes(target int) []byte {
+	if target == metaTarget {
+		meta, _ := f.inner.ReadMeta()
+		return meta
+	}
+	buf := make([]byte, f.inner.PageSize())
+	if target < f.inner.NumPages() && f.inner.ReadPage(target, buf) != nil {
+		clear(buf)
+	}
+	return buf
+}
+
+// WritePage implements DiskManager, applying the write fault plan.
+func (f *FaultManager) WritePage(page int, data []byte) error {
+	if err := f.startWrite(page); err != nil {
+		return err
+	}
+	if keep, ok := f.tornWrites[f.writes]; ok {
+		// A lying disk: the prefix lands, and the write reports success.
 		f.stats.TornWrites++
-		return f.tornWrite(page, data, keep)
+		torn := f.storedBytes(page)
+		copy(torn, data[:min(keep, len(data))])
+		data = torn
 	}
 	return f.inner.WritePage(page, data)
 }
 
-// tornWrite persists only the first keep bytes of data over whatever the
-// page held before, then reports success like a lying disk would.
-func (f *FaultManager) tornWrite(page int, data []byte, keep int) error {
-	if keep > len(data) {
-		keep = len(data)
-	}
-	composed := make([]byte, f.inner.PageSize())
-	if page < f.inner.NumPages() {
-		if err := f.inner.ReadPage(page, composed); err != nil {
-			// Unreadable old contents: the tear lands on zeros.
-			for i := range composed {
-				composed[i] = 0
-			}
-		}
-	}
-	copy(composed, data[:keep])
-	return f.inner.WritePage(page, composed)
-}
-
-// WriteMeta implements DiskManager. Metadata writes count toward the
-// write sequence, so crash points and transient-write rules can land on
-// the catalog write — the most interesting write to interrupt.
+// WriteMeta implements DiskManager, applying the write fault plan.
 func (f *FaultManager) WriteMeta(meta []byte) error {
-	if err := f.checkCrashed(); err != nil {
+	if err := f.startWrite(metaTarget); err != nil {
 		return err
-	}
-	f.writes++
-	if f.crashArmed && f.writes > f.crashAfterWrites {
-		f.crashed = true
-		f.stats.CrashedOps++
-		return fmt.Errorf("storage: crash point at write %d (meta): %w", f.writes, ErrCrashed)
-	}
-	if f.transientWriteEvery > 0 && f.writes%f.transientWriteEvery == 0 {
-		f.stats.TransientWrites++
-		return fmt.Errorf("storage: injected fault on meta write %d: %w", f.writes, ErrTransient)
 	}
 	return f.inner.WriteMeta(meta)
 }
@@ -272,12 +328,16 @@ func (f *FaultManager) ReadMeta() ([]byte, error) {
 
 // Sync forwards a durability barrier to the inner manager (when it
 // supports one), honouring the fail-stop state: a crashed device cannot
-// be synced.
+// be synced. Once it succeeds no write issued before it is pending.
 func (f *FaultManager) Sync() error {
 	if err := f.checkCrashed(); err != nil {
 		return err
 	}
-	return syncManager(f.inner)
+	if err := syncManager(f.inner); err != nil {
+		return err
+	}
+	f.forget()
+	return nil
 }
 
 // Stats implements DiskManager, delegating physical I/O accounting.
@@ -288,7 +348,8 @@ func (f *FaultManager) ResetStats() { f.inner.ResetStats() }
 
 // Close implements DiskManager. It always releases the inner manager —
 // after a simulated crash the test harness still owns the real file —
-// but reports ErrCrashed if the crash point fired first.
+// but reports ErrCrashed if a crash came first. Without one, every
+// pending write stays: closing is not a crash.
 func (f *FaultManager) Close() error {
 	err := f.inner.Close()
 	if f.crashed {

@@ -1,8 +1,10 @@
 package storage
 
 import (
+	"bytes"
 	"errors"
 	"math/rand/v2"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -158,44 +160,143 @@ func TestFaultManagerTornWrite(t *testing.T) {
 	if st := fm.FaultStats(); st.TornWrites != 1 {
 		t.Errorf("TornWrites = %d", st.TornWrites)
 	}
+
+	// A plan aimed at a WriteMeta tears nothing, and the crash matrix
+	// relies on that: the catalog is written whole and a crash on the
+	// next write keeps it.
+	fm.TornWrite(3, 3).CrashAfterWrites(3)
+	if err := fm.WriteMeta([]byte("catalog")); err != nil {
+		t.Fatal(err)
+	}
+	if err := fm.WritePage(2, page); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("write past the crash point = %v", err)
+	}
+	if meta, err := dm.ReadMeta(); err != nil || string(meta) != "catalog" || fm.FaultStats().TornWrites != 1 {
+		t.Fatalf("catalog after the crash = %q, %v; tears %d, want it whole", meta, err, fm.FaultStats().TornWrites)
+	}
 }
 
+// TestFaultManagerCrashIsFailStop: a crash point fails the write that
+// reaches it, and after it, as after a Crash, every operation fails
+// with ErrCrashed, Crash and Close included. Close still releases the
+// inner manager.
 func TestFaultManagerCrashIsFailStop(t *testing.T) {
-	dm, err := NewMemoryManager(256)
+	page := make([]byte, 256)
+	for _, explicit := range []bool{false, true} {
+		dm, err := NewMemoryManager(256)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fm := NewFaultManager(dm, 1)
+		if !explicit {
+			fm.CrashAfterWrites(2)
+		}
+		if err := errors.Join(fm.WritePage(0, page), fm.WritePage(1, page)); err != nil {
+			t.Fatal(err)
+		}
+		if explicit {
+			if err := fm.Crash(func(int) bool { return true }); err != nil {
+				t.Fatal(err)
+			}
+		} else if err := fm.WritePage(2, page); !errors.Is(err, ErrCrashed) {
+			t.Fatalf("third write past crash point = %v", err)
+		}
+		if !fm.Crashed() {
+			t.Fatal("manager not in crashed state")
+		}
+		// The write that hit the crash point was not performed.
+		if dm.NumPages() != 2 {
+			t.Errorf("crashed write reached the medium: %d pages", dm.NumPages())
+		}
+		for _, op := range []struct {
+			name string
+			run  func() error
+		}{
+			{"ReadPage", func() error { return fm.ReadPage(0, page) }},
+			{"WritePage", func() error { return fm.WritePage(0, page) }},
+			{"WriteMeta", func() error { return fm.WriteMeta([]byte("x")) }},
+			{"ReadMeta", func() error { _, err := fm.ReadMeta(); return err }},
+			{"Sync", fm.Sync},
+			{"Crash", func() error { return fm.Crash(func(int) bool { return true }) }},
+			{"Close", fm.Close},
+		} {
+			if err := op.run(); !errors.Is(err, ErrCrashed) {
+				t.Errorf("explicit crash %v: %s after the crash = %v", explicit, op.name, err)
+			}
+		}
+	}
+}
+
+// TestFaultCrashKeepsSyncedAndChosenWrites pins the crash rule: a write
+// is pending from its issue until the next Sync, a rewrite of the same
+// page replaces it, and a crash leaves the synced medium plus exactly
+// the pending writes its caller keeps.
+func TestFaultCrashKeepsSyncedAndChosenWrites(t *testing.T) {
+	writes := []struct {
+		pending int // the Crash index of the page it writes
+		write   func(DiskManager) error
+	}{
+		{0, func(dm DiskManager) error { return dm.WritePage(1, protoFill(0xA1)) }},
+		{1, func(dm DiskManager) error { return dm.WriteMeta([]byte("catalog-v2")) }},
+		{2, func(dm DiskManager) error { return dm.WritePage(3, protoFill(0xB3)) }},
+		{0, func(dm DiskManager) error { return dm.WritePage(1, protoFill(0xA2)) }},
+	}
+	for mask := 0; mask < 8; mask++ {
+		kept := func(i int) bool { return mask&(1<<i) != 0 }
+		dm, want := protoSeedDurable(t), protoSeedDurable(t)
+		f := NewFaultManager(dm, 1)
+		for _, m := range []DiskManager{f, want} { // synced: no crash drops it
+			if err := m.WritePage(0, protoFill(0xC0)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := f.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range writes {
+			if err := w.write(f); err != nil {
+				t.Fatal(err)
+			}
+			if kept(w.pending) {
+				if err := w.write(want); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if f.Pending() != 3 {
+			t.Fatalf("Pending() = %d, want 3", f.Pending())
+		}
+		if err := f.Crash(kept); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := protoState(t, dm), protoState(t, want); got != want {
+			t.Errorf("keep %03b: medium %s, want %s", mask, got, want)
+		}
+	}
+}
+
+// TestFaultCloseWithoutCrashKeepsPendingWrites: closing is not a crash,
+// so a reopened file holds every write, synced or not.
+func TestFaultCloseWithoutCrashKeepsPendingWrites(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "pages.rt")
+	fm, err := CreateFile(path, MinPageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fm := NewFaultManager(dm, 1).CrashAfterWrites(2)
-	page := make([]byte, 256)
-	if err := fm.WritePage(0, page); err != nil {
+	f := NewFaultManager(fm, 1)
+	page := bytes.Repeat([]byte{0x5A}, MinPageSize)
+	if err := errors.Join(f.WritePage(2, page), f.WriteMeta([]byte("catalog")), f.Close()); err != nil {
 		t.Fatal(err)
 	}
-	if err := fm.WritePage(1, page); err != nil {
+	dm, err := OpenFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fm.WritePage(2, page); err == nil || !errors.Is(err, ErrCrashed) {
-		t.Fatalf("third write past crash point = %v", err)
-	}
-	if !fm.Crashed() {
-		t.Fatal("manager not in crashed state")
-	}
-	// Fail-stop: every operation now fails, including reads and meta.
-	if err := fm.ReadPage(0, page); !errors.Is(err, ErrCrashed) {
-		t.Errorf("read after crash = %v", err)
-	}
-	if err := fm.WriteMeta([]byte("x")); !errors.Is(err, ErrCrashed) {
-		t.Errorf("meta write after crash = %v", err)
-	}
-	if _, err := fm.ReadMeta(); !errors.Is(err, ErrCrashed) {
-		t.Errorf("meta read after crash = %v", err)
-	}
-	// The write that hit the crash point was not performed.
-	if dm.NumPages() != 2 {
-		t.Errorf("crashed write reached the medium: %d pages", dm.NumPages())
-	}
-	// Close still releases the inner manager but reports the crash.
-	if err := fm.Close(); !errors.Is(err, ErrCrashed) {
-		t.Errorf("close after crash = %v", err)
+	defer dm.Close()
+	got := make([]byte, MinPageSize)
+	meta, err := dm.ReadMeta()
+	if err := errors.Join(err, dm.ReadPage(2, got)); err != nil || !bytes.Equal(got, page) || string(meta) != "catalog" {
+		t.Fatalf("reopened file: page 2 begins %x, catalog %q, err %v", got[:4], meta, err)
 	}
 }
 

@@ -145,8 +145,9 @@ func (m *Metrics) noteWALReplayedBatch() {
 // SetManagerMetrics attaches m to dm and, for the wrapping managers
 // (resilient, fault), descends into the wrapped manager too, so one call
 // instruments a whole stack. A fault manager is a test harness and keeps
-// its own record (FaultStats); it only passes m down. Managers of
-// unknown type are skipped.
+// its own record (FaultStats); it only passes m down, so m also counts
+// the I/O of its undo record (FaultManager). Managers of unknown type
+// are skipped.
 func SetManagerMetrics(dm DiskManager, m *Metrics) {
 	for dm != nil {
 		switch v := dm.(type) {

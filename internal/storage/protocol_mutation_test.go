@@ -3,7 +3,6 @@ package storage
 import (
 	"bytes"
 	"fmt"
-	"sort"
 	"testing"
 
 	"rtreebuf/internal/analysis"
@@ -18,140 +17,18 @@ import (
 // cell. durcheck flags statically what this matrix catches dynamically.
 //
 // The sweep crashes after every protocol step. Because the interesting
-// orderings are about *durability*, the page device is a volatile write
-// cache over durable media: at a crash, an arbitrary subset of unsynced
-// writes may or may not have reached the platter (that is what an OS
-// page cache does), so every subset is enumerated. The WAL device stays
-// durable, modeling the log's write-through discipline.
-
-// volatileManager is a DiskManager that buffers writes in a volatile
-// overlay over a durable MemoryManager. Sync flushes the overlay;
-// crash() persists a chosen subset of pending writes and drops the rest.
-type volatileManager struct {
-	durable *MemoryManager
-	pages   map[int][]byte
-	meta    []byte
-	hasMeta bool
-	stats   IOStats
-}
-
-func newVolatileManager(durable *MemoryManager) *volatileManager {
-	return &volatileManager{durable: durable, pages: make(map[int][]byte)}
-}
-
-func (v *volatileManager) PageSize() int { return v.durable.PageSize() }
-
-func (v *volatileManager) NumPages() int {
-	n := v.durable.NumPages()
-	for p := range v.pages {
-		if p+1 > n {
-			n = p + 1
-		}
-	}
-	return n
-}
-
-func (v *volatileManager) ReadPage(page int, dst []byte) error {
-	if d, ok := v.pages[page]; ok {
-		copy(dst, d)
-		v.stats.Reads++
-		return nil
-	}
-	return v.durable.ReadPage(page, dst)
-}
-
-func (v *volatileManager) WritePage(page int, data []byte) error {
-	if len(data) != v.PageSize() {
-		return fmt.Errorf("storage: write of %d bytes != page size %d", len(data), v.PageSize())
-	}
-	v.pages[page] = append([]byte(nil), data...)
-	v.stats.Writes++
-	return nil
-}
-
-func (v *volatileManager) WriteMeta(meta []byte) error {
-	v.meta = append([]byte(nil), meta...)
-	v.hasMeta = true
-	v.stats.Writes++
-	return nil
-}
-
-func (v *volatileManager) ReadMeta() ([]byte, error) {
-	if v.hasMeta {
-		return append([]byte(nil), v.meta...), nil
-	}
-	return v.durable.ReadMeta()
-}
-
-func (v *volatileManager) Stats() IOStats { return v.stats }
-func (v *volatileManager) ResetStats()    { v.stats = IOStats{} }
-func (v *volatileManager) Close() error   { return v.durable.Close() }
-
-// Sync implements the optional syncManager interface: everything in the
-// volatile overlay reaches durable media.
-func (v *volatileManager) Sync() error {
-	for _, p := range v.pendingPages() {
-		if err := v.durable.WritePage(p, v.pages[p]); err != nil {
-			return err
-		}
-	}
-	if v.hasMeta {
-		if err := v.durable.WriteMeta(v.meta); err != nil {
-			return err
-		}
-	}
-	v.pages = make(map[int][]byte)
-	v.meta, v.hasMeta = nil, false
-	return nil
-}
-
-func (v *volatileManager) pendingPages() []int {
-	out := make([]int, 0, len(v.pages))
-	for p := range v.pages {
-		out = append(out, p)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// pendingWrites counts the crash-subset dimension at this moment: one
-// bit per unsynced page plus one for an unsynced catalog.
-func (v *volatileManager) pendingWrites() int {
-	n := len(v.pages)
-	if v.hasMeta {
-		n++
-	}
-	return n
-}
-
-// crash persists the subset of pending writes selected by mask (bit i =
-// i-th pending page in ascending order; the highest bit is the catalog
-// when one is pending) and discards the rest — the machine dies with
-// the cache in an arbitrary flush state.
-func (v *volatileManager) crash(mask int) error {
-	for i, p := range v.pendingPages() {
-		if mask&(1<<i) != 0 {
-			if err := v.durable.WritePage(p, v.pages[p]); err != nil {
-				return err
-			}
-		}
-	}
-	if v.hasMeta && mask&(1<<len(v.pages)) != 0 {
-		if err := v.durable.WriteMeta(v.meta); err != nil {
-			return err
-		}
-	}
-	v.pages = make(map[int][]byte)
-	v.meta, v.hasMeta = nil, false
-	return nil
-}
+// orderings are about *durability*, the page device is a FaultManager:
+// at a crash, any subset of the writes issued since its last Sync may
+// or may not have reached the platter (that is what an OS page cache
+// does), so every subset is enumerated. The WAL device stays durable,
+// modeling the log's write-through discipline.
 
 const protoPageSize = 512
 
 // protoHarness is one in-flight hand-rolled commit: the batch's page
-// images and catalog, the volatile page device, and the WAL.
+// images and catalog, the page device, and the WAL.
 type protoHarness struct {
-	dm     *volatileManager
+	dm     *FaultManager
 	wal    *WAL
 	images []PageImage
 	meta   []byte
@@ -177,7 +54,7 @@ var protoStepFns = map[string]func(h *protoHarness) error{
 		return nil
 	},
 	"catalog": func(h *protoHarness) error { return h.dm.WriteMeta(h.meta) },
-	"sync":    func(h *protoHarness) error { return syncManager(h.dm) },
+	"sync":    func(h *protoHarness) error { return h.dm.Sync() },
 	"checkpoint": func(h *protoHarness) error {
 		return h.wal.Checkpoint(h.batch)
 	},
@@ -229,12 +106,8 @@ func protoSeedDurable(t *testing.T) *MemoryManager {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]byte, protoPageSize)
 	for p := 0; p < 4; p++ {
-		for i := range buf {
-			buf[i] = byte(p + 1)
-		}
-		if err := m.WritePage(p, buf); err != nil {
+		if err := m.WritePage(p, protoFill(byte(p+1))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -247,15 +120,11 @@ func protoSeedDurable(t *testing.T) *MemoryManager {
 // protoBatch is the update under test: new images for pages 1 and 3 and
 // a v2 catalog.
 func protoBatch() ([]PageImage, []byte) {
-	mk := func(fill byte) []byte {
-		b := make([]byte, protoPageSize)
-		for i := range b {
-			b[i] = fill
-		}
-		return b
-	}
-	return []PageImage{{Page: 1, Data: mk(0xA1)}, {Page: 3, Data: mk(0xB3)}}, []byte("catalog-v2")
+	return []PageImage{{Page: 1, Data: protoFill(0xA1)}, {Page: 3, Data: protoFill(0xB3)}}, []byte("catalog-v2")
 }
+
+// protoFill returns a page of b bytes.
+func protoFill(b byte) []byte { return bytes.Repeat([]byte{b}, protoPageSize) }
 
 // protoState renders a durable manager's full content for exact
 // pre/post comparison.
@@ -278,10 +147,10 @@ func protoState(t *testing.T, m *MemoryManager) string {
 }
 
 // runProtoCell executes one cell: run the first ci steps of the
-// sequence, crash with the chosen cache-flush subset, recover from the
-// surviving media, and return the recovered durable state plus whether
-// the batch had reached its commit point. A second return of -1 means
-// the subset index exceeded this boundary's pending-write count.
+// sequence, crash the page device keeping the pending writes mask
+// selects, recover from the surviving media, and return the recovered
+// state, the oracle's, and the number of subsets at this boundary (a
+// mask at or past it runs nothing).
 func runProtoCell(t *testing.T, mut protoMutation, ci, mask int) (got, want string, subsets int) {
 	t.Helper()
 	durable := protoSeedDurable(t)
@@ -309,7 +178,7 @@ func runProtoCell(t *testing.T, mut protoMutation, ci, mask int) (got, want stri
 		t.Fatal(err)
 	}
 
-	h := &protoHarness{dm: newVolatileManager(durable), wal: w, images: images, meta: meta}
+	h := &protoHarness{dm: NewFaultManager(durable, 1), wal: w, images: images, meta: meta}
 	committed := false
 	for _, name := range mut.steps[:ci] {
 		if err := protoStepFns[name](h); err != nil {
@@ -319,11 +188,11 @@ func runProtoCell(t *testing.T, mut protoMutation, ci, mask int) (got, want stri
 			committed = true
 		}
 	}
-	subsets = 1 << h.dm.pendingWrites()
+	subsets = 1 << h.dm.Pending()
 	if mask >= subsets {
 		return "", "", subsets
 	}
-	if err := h.dm.crash(mask); err != nil {
+	if err := h.dm.Crash(func(i int) bool { return mask&(1<<i) != 0 }); err != nil {
 		t.Fatal(err)
 	}
 
