@@ -184,6 +184,66 @@ func TestNearestTieOrderMatchesReference(t *testing.T) {
 	}
 }
 
+// siblingBounds offers the root's children, each as (squared MAXDIST,
+// items under it), to a search for k items around the origin within
+// limitSq, and returns the squared bound after each offer. Child i is
+// the segment from the origin to (sqrt(maxDistSq), 0): at distance 0,
+// so every offer is taken, with the given MAXDIST (exact for the squares
+// of binary fractions the cases use).
+func siblingBounds(k int, limitSq float64, children []reach) []float64 {
+	var f Frontier[int]
+	var bounds []float64
+	_, _ = f.BestFirst(nil, geom.Point{}, 0, k, limitSq, func(n int) error {
+		if n != 0 {
+			return nil
+		}
+		for i, c := range children {
+			r := geom.Rect{MaxX: math.Sqrt(c.distSq)}
+			d, ok := f.Within(r)
+			if !ok {
+				panic("a child at distance 0 is beyond the bound")
+			}
+			f.PushNodeAt(i, d, r, i+1, c.count)
+			bounds = append(bounds, f.boundSq)
+		}
+		return nil
+	}) // expand never fails
+	return bounds
+}
+
+// TestSiblingBoundCountsItems: the sibling bound drops to the smallest
+// MAXDIST at which the children offered so far hold k items, each child
+// counted with the items its caller states: a child whose count alone
+// reaches k sets it, counts below k add up, a count above k counts as k
+// (so that counts near the int range do not overflow), a count of 0
+// counts nothing, and a search with no k leaves the bound alone.
+func TestSiblingBoundCountsItems(t *testing.T) {
+	inf := math.Inf(1)
+	for _, tc := range []struct {
+		name     string
+		k        int
+		limitSq  float64
+		children []reach
+		want     []float64
+	}{
+		{"one child reaches k", 10, inf, []reach{{4, 10}}, []float64{4}},
+		{"a nearer child that reaches k lowers it", 10, inf, []reach{{9, 3}, {4, 10}, {1, 12}}, []float64{inf, 4, 1}},
+		{"counts below k add up", 10, inf, []reach{{1, 4}, {9, 3}, {16, 3}, {4, 3}}, []float64{inf, inf, 16, 9}},
+		{"a farther child can complete k", 10, inf, []reach{{1, 9}, {16, 1}, {9, 1}}, []float64{inf, 16, 9}},
+		{"count above k is capped", 10, inf, []reach{{1, 5}, {16, math.MaxInt}, {4, math.MaxInt}}, []float64{inf, 16, 4}},
+		{"count of 0 counts nothing", 2, inf, []reach{{1, 0}, {4, 1}, {9, 1}}, []float64{inf, inf, 9}},
+		{"one item each", 3, inf, []reach{{9, 1}, {4, 1}, {1, 1}, {16, 1}, {0.25, 1}}, []float64{inf, inf, 9, 9, 4}},
+		{"no k", 0, inf, []reach{{4, 100}, {1, 100}}, []float64{inf, inf}},
+		{"no k, with a limit", 0, 25, []reach{{4, 100}, {1, 100}}, []float64{25, 25}},
+		{"k below 0", -1, inf, []reach{{4, 100}}, []float64{inf}},
+		{"the limit is lower", 1, 10, []reach{{16, 1}, {4, 1}}, []float64{10, 4}},
+	} {
+		if got := siblingBounds(tc.k, tc.limitSq, tc.children); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: bounds %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestNearestMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewPCG(801, 802))
 	items := testItems(rng, 2000)

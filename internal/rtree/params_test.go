@@ -10,6 +10,12 @@ func newTestRNG(seed uint64) *rand.Rand {
 	return rand.New(rand.NewPCG(seed, seed^0xabc))
 }
 
+// DefaultParams returns parameters with node capacity max and conventional
+// defaults for everything else.
+func DefaultParams(max int) Params {
+	return Params{MaxEntries: max}
+}
+
 func TestDefaultParams(t *testing.T) {
 	p := DefaultParams(50)
 	if p.MaxEntries != 50 || p.MinEntries != 0 || p.Split != SplitQuadratic {

@@ -63,12 +63,6 @@ type Params struct {
 	Split SplitAlgorithm
 }
 
-// DefaultParams returns parameters with node capacity max and conventional
-// defaults for everything else.
-func DefaultParams(max int) Params {
-	return Params{MaxEntries: max}
-}
-
 // normalized validates p and fills defaults. It returns an error rather
 // than panicking: capacities frequently come from user flags.
 func (p Params) normalized() (Params, error) {

@@ -59,7 +59,7 @@ func (t *Tree) putSearch(s *treeSearch) {
 	if cap(s.found) > maxScratchItems {
 		s.found = nil
 	}
-	s.f.recycle(maxScratchItems)
+	s.f.Recycle(maxScratchItems)
 	t.searches.Put(s)
 }
 

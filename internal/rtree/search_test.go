@@ -267,7 +267,7 @@ func TestWindowAndNearestShareSearches(t *testing.T) {
 		if n == 0 {
 			t.Fatalf("%s returned nothing: the case does not test what it says", tc.name)
 		}
-		for _, c := range []int{cap(s.items), cap(s.found), cap(s.f.keys), cap(s.f.nodes), cap(s.f.items), cap(s.f.best)} {
+		for _, c := range []int{cap(s.items), cap(s.found), cap(s.f.keys), cap(s.f.nodes), cap(s.f.items), cap(s.f.best.heap), cap(s.f.far.heap)} {
 			if c > maxScratchItems {
 				t.Errorf("%s: the recycled search keeps an array of %d, cap %d", tc.name, c, maxScratchItems)
 			}

@@ -2,13 +2,14 @@ package storage
 
 import (
 	"math"
+	"sync/atomic"
 
 	"rtreebuf/internal/geom"
 )
 
 // groupSize is how many consecutive entries of a page one group MBR
-// covers. At 8 a full 4 KiB page (102 entries) has 13 groups, 416 bytes
-// of index beside 4,096 of page. 4 and 16 were no faster (DESIGN §7c,
+// covers. At 8 a full 4 KiB page (102 entries) has 13 groups: with its
+// entry count, 420 bytes of index beside 4,096 of page. 4 and 16 were no faster (DESIGN §7c,
 // "The page index").
 const groupSize = 8
 
@@ -19,10 +20,10 @@ const groupSize = 8
 // query.pushFrame). The page format is unchanged; the index lives only
 // here and is derived from a frame the pool lends.
 //
-// A page's groups are built from its frame on the first hit that scans
-// it, and from then on every hit uses them; a fault neither builds nor
-// reads them, because it has just copied and checked the frame and
-// scans it faster plainly. An empty slot is a page not built yet (or
+// A page's groups and its entry count are built from its frame on the
+// first hit that scans it, and from then on every hit uses them; a fault
+// neither builds nor reads them, because it has just copied and checked
+// the frame and scans it faster plainly. An empty slot is a page not built yet (or
 // with no entries, whose rebuild costs nothing).
 //
 // Page bytes only change through commitUpdate, which marks the pages it
@@ -34,6 +35,12 @@ const groupSize = 8
 type pageIndex struct {
 	groups [][]geom.Rect // page -> group MBRs; len 0 while unbuilt
 	per    int           // groups of a full page, each slot's capacity
+
+	// counts[page] is the page's entry count once built, 0 while
+	// unbuilt. A kNN query reads a child's count under its parent's
+	// shard mutex while a hit on the child may be building it under
+	// another, so it is atomic.
+	counts []atomic.Int32
 }
 
 // newPageIndex returns the index of span pages of pageSize bytes. The
@@ -46,7 +53,7 @@ func newPageIndex(span, pageSize int) pageIndex {
 	for p := range groups {
 		groups[p] = arena[p*per : p*per : (p+1)*per]
 	}
-	return pageIndex{groups: groups, per: per}
+	return pageIndex{groups: groups, per: per, counts: make([]atomic.Int32, span)}
 }
 
 // of returns page's group MBRs, building them from frame, the page's
@@ -66,6 +73,7 @@ func (ix *pageIndex) build(page int, frame []byte) []geom.Rect {
 	}
 	g = appendGroups(g, frame)
 	ix.groups[page] = g
+	ix.counts[page].Store(int32(pageCount(frame)))
 	return g
 }
 
@@ -74,6 +82,7 @@ func (ix *pageIndex) build(page int, frame []byte) []geom.Rect {
 func (ix *pageIndex) grow(span int) {
 	if extra := span - len(ix.groups); extra > 0 {
 		ix.groups = append(ix.groups, make([][]geom.Rect, extra)...)
+		ix.counts = append(ix.counts, make([]atomic.Int32, extra)...)
 	}
 }
 
@@ -82,7 +91,20 @@ func (ix *pageIndex) grow(span int) {
 func (ix *pageIndex) forget(images []PageImage) {
 	for _, img := range images {
 		ix.groups[img.Page] = ix.groups[img.Page][:0]
+		ix.counts[img.Page].Store(0)
 	}
+}
+
+// items returns a lower bound on the items stored under page, a child a
+// kNN query is offered: its entry count once built, and 1 before, or
+// for a page number past the index (the read of such a child fails). No
+// page a query reaches below the root is empty (errEmptyNode), and each
+// of its entries is an item or a non-empty subtree.
+func (ix *pageIndex) items(page int) int {
+	if uint(page) >= uint(len(ix.counts)) {
+		return 1
+	}
+	return max(int(ix.counts[page].Load()), 1)
 }
 
 // groupEntries returns the entry bytes of group i of a page whose entry

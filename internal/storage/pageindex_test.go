@@ -356,9 +356,12 @@ func ask(tree *PagedTree, i int, p geom.Point) (result, error) {
 
 // TestPageIndexConcurrentFirstHits: four goroutines query one ShardedPool
 // tree whose pages are all resident but none built, so their first hits
-// build the groups concurrently, each under its page's shard mutex.
-// Every point, window and kNN query returns what it returns on a tree
-// whose one-frame buffer makes every read a fault, in the same order.
+// build the groups and entry counts concurrently, each under its page's
+// shard mutex, while kNN queries (k = 10, and 101, past one leaf's
+// entries) read the counts of the children they are offered under their
+// parents' mutexes. Every point, window and kNN query returns what it
+// returns on a tree whose one-frame buffer makes every read a fault, in
+// the same order, and every built page ends with its own entry count.
 // Run under -race (CI repeats it).
 func TestPageIndexConcurrentFirstHits(t *testing.T) {
 	dm, _ := savedTree(t, 4305, 10_000)
@@ -382,9 +385,13 @@ func TestPageIndexConcurrentFirstHits(t *testing.T) {
 	rng := rand.New(rand.NewPCG(4307, 4308))
 	points := make([]geom.Point, 150)
 	want := make([]result, len(points))
+	wide := make([][]rtree.Neighbor, len(points))
 	for i := range points {
 		points[i] = geom.Point{X: rng.Float64(), Y: rng.Float64()}
 		if want[i], err = ask(ref, i, points[i]); err != nil {
+			t.Fatal(err)
+		}
+		if wide[i], err = ref.Nearest(points[i], 101); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -405,11 +412,27 @@ func TestPageIndexConcurrentFirstHits(t *testing.T) {
 					t.Errorf("goroutine %d, query %d: %v %v, want %v %v", g, i, got.items, got.near, want[i].items, want[i].near)
 					return
 				}
+				if i%3 != 2 {
+					continue
+				}
+				if near, err := pt.Nearest(points[i], 101); err != nil || !slices.Equal(near, wide[i]) {
+					t.Errorf("goroutine %d, query %d: k=101 returned %v (err %v), want %v", g, i, near, err, wide[i])
+					return
+				}
 			}
 		}()
 	}
 	wg.Wait()
 	if builtPages(pt) == 0 {
 		t.Fatal("the queries built no page's groups")
+	}
+	for page, g := range pt.index.groups {
+		var count int
+		if _, err := pt.Pool().View(page, func(frame []byte, _ bool) { count = pageCount(frame) }); err != nil {
+			t.Fatal(err)
+		}
+		if built, n := len(g) > 0, int(pt.index.counts[page].Load()); built && n != count || !built && n != 0 {
+			t.Errorf("page %d (built %v, %d entries) has a count of %d", page, built, count, n)
+		}
 	}
 }

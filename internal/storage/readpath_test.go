@@ -410,9 +410,12 @@ func TestQueryAllocations(t *testing.T) {
 	}
 }
 
-// TestPutQueryCapsResultScratch: a full-window query over more than
-// maxScratchItems items leaves no result buffer beyond the cap in the
-// recycling pool, while an ordinary query's scratch is kept for reuse.
+// TestPutQueryCapsResultScratch: a full-window query or a kNN query for
+// every item of a tree of more than maxScratchItems items leaves no
+// result buffer beyond the cap in the recycling pool, while an ordinary
+// query's scratch is kept for reuse. (rtree's TestNearestRecyclesSearch
+// holds Frontier.Recycle, which caps the kNN queue's arrays, to the
+// same cap.)
 func TestPutQueryCapsResultScratch(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop values at random")
@@ -438,6 +441,15 @@ func TestPutQueryCapsResultScratch(t *testing.T) {
 	q := pt.getQuery()
 	if cap(q.items) > maxScratchItems {
 		t.Errorf("recycled query holds a %d-item result buffer, cap %d", cap(q.items), maxScratchItems)
+	}
+	pt.putQuery(q)
+	near, err := pt.Nearest(geom.Point{X: 0.5, Y: 0.5}, tr.Len())
+	if err != nil || len(near) != tr.Len() {
+		t.Fatalf("kNN for every item: %d of %d items, err %v", len(near), tr.Len(), err)
+	}
+	q = pt.getQuery()
+	if cap(q.found) > maxScratchItems {
+		t.Errorf("recycled query holds a %d-item kNN result buffer, cap %d", cap(q.found), maxScratchItems)
 	}
 	for _, size := range []int{100, maxScratchItems, maxScratchItems + 1} {
 		q.items = make([]rtree.Item, 0, size)
@@ -499,12 +511,18 @@ func packedHotTree(tb testing.TB, shards int) (*PagedTree, []geom.Point) {
 	return pt, points
 }
 
+// benchCount is a count a benchmark reports per query, in unit.
+type benchCount struct {
+	unit  string
+	count func(pt *PagedTree, p geom.Point) int
+}
+
 // benchQueries runs one query kind on Pool and on the 8-shard
 // ShardedPool over two hot trees: hotTree, built by 30,000 inserts and
 // queried at item centers, and packedHotTree, the shape read_hot
-// queries. count, when non-nil, is reported per query as unit; it is
-// taken on a separate pass over the same points, after the timed loop.
-func benchQueries(b *testing.B, run func(pt *PagedTree, p geom.Point) (int, error), count func(pt *PagedTree, p geom.Point) int, unit string) {
+// queries. Each of counts is reported per query; it is taken on a
+// separate pass over the same points, after the timed loop.
+func benchQueries(b *testing.B, run func(pt *PagedTree, p geom.Point) (int, error), counts ...benchCount) {
 	fixtures := []struct {
 		name string
 		open func(tb testing.TB, shards int) (*PagedTree, []geom.Point)
@@ -533,13 +551,13 @@ func benchQueries(b *testing.B, run func(pt *PagedTree, p geom.Point) (int, erro
 					benchSink += n
 				}
 				b.StopTimer()
-				if count != nil {
+				for _, c := range counts {
 					n := min(b.N, len(points))
 					total := 0
 					for _, p := range points[:n] {
-						total += count(pt, p)
+						total += c.count(pt, p)
 					}
-					b.ReportMetric(float64(total)/float64(n), unit)
+					b.ReportMetric(float64(total)/float64(n), c.unit)
 				}
 			})
 		}
@@ -550,28 +568,35 @@ func BenchmarkPagedSearchPoint(b *testing.B) {
 	benchQueries(b, func(pt *PagedTree, p geom.Point) (int, error) {
 		got, err := pt.SearchPoint(p)
 		return len(got), err
-	}, nil, "")
+	})
 }
 
 func BenchmarkPagedSearchWindow(b *testing.B) {
 	benchQueries(b, func(pt *PagedTree, p geom.Point) (int, error) {
 		got, err := pt.SearchWindow(geom.RectAround(p, 0.01, 0.01))
 		return len(got), err
-	}, nil, "")
+	})
 }
 
 // BenchmarkPagedNearest times a k = 10 search, read_hot's kNN, and
-// reports the entries its frontier queues per query.
+// reports the entries its frontier queues and the pages it expands per
+// query.
 func BenchmarkPagedNearest(b *testing.B) {
 	benchQueries(b, func(pt *PagedTree, p geom.Point) (int, error) {
 		got, err := pt.Nearest(p, 10)
 		return len(got), err
-	}, func(pt *PagedTree, p geom.Point) int {
+	}, benchCount{"pushes/op", func(pt *PagedTree, p geom.Point) int {
 		q := pt.getQuery()
 		defer pt.putQuery(q)
 		if _, err := q.nearest(p, 10); err != nil {
 			panic(err)
 		}
 		return q.frontier.Pushes()
-	}, "pushes/op")
+	}}, benchCount{"pages/op", func(pt *PagedTree, p geom.Point) int {
+		pages, _, err := tracedNearest(pt, p, 10)
+		if err != nil {
+			panic(err)
+		}
+		return len(pages)
+	}})
 }

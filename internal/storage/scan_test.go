@@ -206,9 +206,9 @@ func testScanFrameMatchesDecode(t *testing.T, hit bool) {
 						continue
 					}
 					if leaf {
-						f.PushItemAt(d, r, nd.IDs[i])
+						f.PushItemAt(i, d, r, nd.IDs[i])
 					} else {
-						f.PushNodeAt(d, r, pageRef{nd.Children[i], root.depth + 1})
+						f.PushNodeAt(i, d, r, pageRef{nd.Children[i], root.depth + 1}, 1)
 					}
 				}
 			})

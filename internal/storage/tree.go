@@ -666,6 +666,7 @@ type query struct {
 	frontier rtree.Frontier[pageRef]
 	node     pageRef          // the node pushFrame is about to read
 	found    []rtree.Neighbor // BestFirst's output buffer
+	near     []groupDist      // pushFrame's groups within the bound, nearest first
 
 	// scanFrame, pushFrame and expandNode as func values, bound once per
 	// query value: a func passed through the PagePool interface escapes,
@@ -685,9 +686,10 @@ func (pt *PagedTree) getQuery() *query {
 	return q
 }
 
-// maxScratchItems bounds the result scratch a recycled query keeps: a
+// maxScratchItems bounds every array a recycled query keeps: a
 // full-window query would otherwise park its whole result buffer (40 MB
-// at a million items) in the recycling pool until the collector clears it.
+// at a million items) in the recycling pool until the collector clears
+// it, and a kNN query for as many items its results and its queue.
 const maxScratchItems = 1 << 16
 
 func (pt *PagedTree) putQuery(q *query) {
@@ -695,6 +697,10 @@ func (pt *PagedTree) putQuery(q *query) {
 	if cap(q.items) > maxScratchItems {
 		q.items = nil
 	}
+	if cap(q.found) > maxScratchItems {
+		q.found = nil
+	}
+	q.frontier.Recycle(maxScratchItems)
 	pt.queries.Put(q)
 }
 
@@ -897,44 +903,76 @@ func (q *query) expandNode(n pageRef) error {
 	return q.pt.read(n.page, n.depth, q.aq, q.push)
 }
 
+// groupDist is one of a page's groups that a kNN hit reads: its index
+// and its squared distance from the search point.
+type groupDist struct {
+	distSq float64
+	group  int
+}
+
 // pushFrame is expandNode's View callback: it offers the entries of the
-// frame to the frontier, in entry order. A fault offers every entry. A
-// hit skips the groups (pt.index) whose MBR lies beyond the frontier's
-// bound: minDistSq only grows from a rectangle to one inside it, in
-// floating point too (each subtraction rounds monotonically, and max,
-// the squares and the sum are monotone), and the bound only falls while
-// a node is offered, so every entry of a skipped group would have failed
-// Within at its own turn. A group at NaN distance is scanned: a point at
+// frame to the frontier. A fault offers every entry, in entry order. A
+// hit measures the page's groups (pt.index) first and offers the entries
+// of those within the frontier's bound, nearest group first, so the
+// nearest items and children lower the bound before the farther groups
+// are reached; it stops at the first group the bound has dropped below.
+// minDistSq only grows from a rectangle to one inside it, in floating
+// point too (each subtraction rounds monotonically, and max, the squares
+// and the sum are monotone), and the bound only falls while a node is
+// offered, so every entry of a group beyond it would have failed Within
+// at its own turn. The frontier queues entries by their index, not by
+// the order they are offered in, so the order of the groups changes no
+// visit and no result. A group at NaN distance is read first: a point at
 // infinity makes Inf-Inf of a group edge that an entry inside may not
 // share.
 func (q *query) pushFrame(frame []byte, hit bool) {
 	leaf, entries := pageIsLeaf(frame), pageEntries(frame)
 	if !hit {
-		q.pushEntries(entries, leaf)
+		q.pushEntries(entries, leaf, 0)
 		return
 	}
+	near := q.near[:0]
 	for i, g := range q.pt.index.of(q.node.page, frame) {
-		if d, ok := q.frontier.Within(g); !ok && !math.IsNaN(d) {
-			continue
+		d, ok := q.frontier.Within(g)
+		if !ok {
+			if !math.IsNaN(d) {
+				continue
+			}
+			d = math.Inf(-1)
 		}
-		q.pushEntries(groupEntries(entries, i), leaf)
+		j := len(near)
+		near = append(near, groupDist{})
+		for ; j > 0 && near[j-1].distSq > d; j-- {
+			near[j] = near[j-1]
+		}
+		near[j] = groupDist{d, i}
 	}
+	for _, g := range near {
+		if !q.frontier.Keeps(g.distSq) {
+			break
+		}
+		q.pushEntries(groupEntries(entries, g.group), leaf, g.group*groupSize)
+	}
+	q.near = near
 }
 
-// pushEntries offers the entries of e to the frontier, making its bound
-// test inline so that the entries beyond it (most of them) cost no call.
-func (q *query) pushEntries(e []byte, leaf bool) {
+// pushEntries offers the entries of e, the first of them entry i of the
+// node, to the frontier, making its bound test inline so that the
+// entries beyond it (most of them) cost no call. A child is offered with
+// the entry count its page's index slot holds.
+func (q *query) pushEntries(e []byte, leaf bool, i int) {
 	depth := q.node.depth + 1
-	for ; len(e) >= entrySize; e = e[entrySize:] {
+	for ; len(e) >= entrySize; e, i = e[entrySize:], i+1 {
 		r := getRect(e)
 		d, ok := q.frontier.Within(r)
 		if !ok {
 			continue
 		}
 		if payload := getPayload(e); leaf {
-			q.frontier.PushItemAt(d, r, int64(payload))
+			q.frontier.PushItemAt(i, d, r, int64(payload))
 		} else {
-			q.frontier.PushNodeAt(d, r, pageRef{int(payload), depth})
+			child := int(payload)
+			q.frontier.PushNodeAt(i, d, r, pageRef{child, depth}, q.pt.index.items(child))
 		}
 	}
 }
