@@ -12,7 +12,7 @@
 // Flags:
 //
 //	-root dir        module root to analyze (default: nearest go.mod upward)
-//	-list            list the analyzers and their target packages, then exit
+//	-list            list the analyzers and their one-line contracts, then exit
 //	-only names      run only the named analyzers (comma-separated)
 //	-skip names      run all but the named analyzers (comma-separated)
 //	-json            emit findings as a JSON array on stdout
@@ -28,9 +28,8 @@
 // not silently disable a check.
 //
 // The package patterns on the command line are accepted for familiarity
-// ("./...") but the whole module is always loaded; the per-package
-// analyzer (errcheck) restricts itself to its declared targets, and the
-// module-wide analyzers (marked in -list) see everything.
+// ("./...") but the whole module is always loaded: every analyzer reads
+// the module's call graph, and findings land wherever the evidence is.
 package main
 
 import (
@@ -91,15 +90,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		for _, a := range analyzers {
 			width = max(width, len(a.Name))
 		}
-		indent := strings.Repeat(" ", width+1)
 		for _, a := range analyzers {
 			printf(stdout, "%-*s %s\n", width, a.Name, a.Doc)
-			if a.CheckModule != nil {
-				printf(stdout, "%smodule-wide (call-graph facts)\n", indent)
-			}
-			for _, t := range a.Targets {
-				printf(stdout, "%starget %s\n", indent, t)
-			}
 		}
 		return 0
 	}

@@ -79,6 +79,7 @@ func TestExitCodes(t *testing.T) {
 
 	for _, args := range [][]string{
 		{"-root", clean, "-only", "sharechek"},
+		{"-root", clean, "-only", "errcheck"}, // retired: unknown like a typo
 		{"-root", clean, "-skip", "nosuch"},
 		{"-root", clean, "-only", "sharecheck", "-skip", "errflow"},
 		{"-root", filepath.Join(clean, "missing")},
@@ -129,5 +130,5 @@ func TestBaselineFlagsAreGone(t *testing.T) {
 
 // survivors is the registry the kill matrix left, in run order.
 var survivors = []string{
-	"errcheck", "sharecheck", "atomiccheck", "durcheck", "errflow",
+	"sharecheck", "durcheck", "errflow",
 }

@@ -116,23 +116,43 @@ func wantLines(src string) map[int]bool {
 	return out
 }
 
-// runFixture runs one analyzer (without target filtering, with suppression)
-// over a fixture and compares finding lines against the WANT markers.
-func runFixture(t *testing.T, check func(*Package) []Finding, name, src string) {
-	t.Helper()
-	pkg := fixturePkg(t, src)
-	findings := Run([]*Package{pkg}, []*Analyzer{{Name: name, Check: check}})
-	want := wantLines(src)
-	got := make(map[int]bool)
-	for _, f := range findings {
-		got[f.Pos.Line] = true
-		if !want[f.Pos.Line] {
-			t.Errorf("unexpected finding: %s", f)
+// callcheck reports every call of a function named fail. It stands in
+// for an analyzer in the annotation test, whose subject is Run.
+var callcheck = &Analyzer{Name: "callcheck", Check: func(m *Module) []Finding {
+	var out []Finding
+	for _, pkg := range m.Pkgs {
+		for _, file := range pkg.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "fail" {
+						out = append(out, Finding{Pos: pkg.Fset.Position(call.Pos()), Analyzer: "callcheck", Message: "fail called"})
+					}
+				}
+				return true
+			})
 		}
 	}
-	for line := range want {
-		if !got[line] {
-			t.Errorf("missing finding at line %d", line)
-		}
-	}
+	return out
+}}
+
+// TestRunHonorsAllowAnnotation: an annotation excuses its own line or
+// the line below it, may list several analyzers, and excuses nothing
+// for an analyzer it does not name.
+func TestRunHonorsAllowAnnotation(t *testing.T) {
+	runModuleFixture(t, callcheck, []fixtureFile{{path: "fixture/allow", src: `package allow
+
+import "errors"
+
+func fail() error { return errors.New("boom") }
+
+func excused() {
+	fail() //lint:allow callcheck best effort by design
+	//lint:allow callcheck the caller retries
+	fail()
+	fail() //lint:allow sharecheck,callcheck both excused
+	fail() //lint:allow all every analyzer excused
+	fail() //lint:allow sharecheck wrong analyzer  // WANT
+	fail() // WANT
+}
+`}})
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // This file builds the whole-module call graph that backs the fact store
-// (facts.go) and the analyzers that read it (sharecheck, atomiccheck,
-// durcheck and errflow). The graph is intentionally conservative:
+// (facts.go) and the analyzers that read it (sharecheck, durcheck and
+// errflow). The graph is intentionally conservative:
 //
 //   - static calls resolve to their *types.Func callee;
 //   - interface method calls resolve by Class Hierarchy Analysis: every

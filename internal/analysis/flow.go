@@ -13,7 +13,7 @@ import (
 // iteration, and running deferred calls last-in-first-out at every
 // return. Two lattices ride on it: effect traces joined by union
 // (effects.go, for durcheck and errflow) and must-held lock sets joined
-// by intersection (sync.go, for sharecheck and atomiccheck).
+// by intersection (sync.go, for sharecheck).
 //
 // The walk is possibilistic where Go is dynamic: both sides of && and ||
 // evaluate, a goto continues with the next statement, and deferred calls

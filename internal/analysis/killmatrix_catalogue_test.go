@@ -175,7 +175,8 @@ var catalogue = []mutant{
 		pkgs: []string{bufferPkg, storagePkg},
 	},
 
-	// ---- atomiccheck
+	// ---- atomiccheck (retired: storage's TestTypedAtomicsOnly kills the
+	// legacy-API row, go vet copylocks the copy)
 	{
 		name: "atomic-legacy-iocounters", aim: "atomiccheck",
 		what: "the disk managers' I/O counters become plain uint64s bumped with atomic.AddUint64 and read plainly in Stats",
@@ -509,7 +510,8 @@ var catalogue = []mutant{
 		pkgs: []string{ndPkg, expPkg},
 	},
 
-	// ---- errcheck
+	// ---- errcheck (retired: storage's TestSaveTreeAtomicCrashMatrix and
+	// TestCloseFileReportsCloseError kill both rows)
 	{
 		name: "err-atomic-save-drops-close", aim: "errcheck",
 		what: "SaveTreeAtomicWith ignores the temp file's Close (its header flush and fsync) before the rename",

@@ -26,8 +26,9 @@ import (
 // and the same command without -update (CI's nightly step) fails on any
 // kill cell that differs from testdata/killmatrix.golden: who reported,
 // and whether the tests killed. Test names, flaky runs and wall times
-// are evidence, not compared. `-run 'TestKillMatrix$/<mutant>'` runs the
-// control and a subset, and only prints the rows. -update is the
+// are evidence, not compared. `-run 'TestKillMatrix$/(control|<mutant>)'`
+// runs the control and a subset, and only prints the rows (a pattern
+// that does not name the control skips it). -update is the
 // package's golden flag (sarif_test.go).
 
 const (

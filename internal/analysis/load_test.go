@@ -3,7 +3,6 @@ package analysis
 import (
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -91,38 +90,5 @@ func TestFindModuleRootFailsOutsideModules(t *testing.T) {
 			t.Skip("go.mod at filesystem root")
 		}
 		t.Error("FindModuleRoot found a module above the temp directory")
-	}
-}
-
-func TestAnalyzerTargets(t *testing.T) {
-	a := &Analyzer{Targets: []string{"rtreebuf/internal/geom", "rtreebuf/cmd/..."}}
-	for path, want := range map[string]bool{
-		"rtreebuf/internal/geom": true,
-		"rtreebuf/internal/core": false,
-		"rtreebuf/cmd":           true,
-		"rtreebuf/cmd/rtreelint": true,
-		"rtreebuf/cmdextra":      false,
-	} {
-		if got := a.AppliesTo(path); got != want {
-			t.Errorf("AppliesTo(%q) = %v, want %v", path, got, want)
-		}
-	}
-	if !(&Analyzer{}).AppliesTo("anything") {
-		t.Error("empty target list must apply everywhere")
-	}
-
-	// The registry's scopes follow the code, not the PR 1 layout: the pool
-	// and the metrics registry return errors like storage.
-	want := map[string]string{
-		"errcheck": "internal/storage internal/buffer internal/obs internal/datagen cmd/...",
-	}
-	for _, a := range Analyzers() {
-		if a.Check == nil {
-			continue
-		}
-		got := strings.ReplaceAll(strings.Join(a.Targets, " "), "rtreebuf/", "")
-		if got != want[a.Name] {
-			t.Errorf("%s targets %q, want %q", a.Name, got, want[a.Name])
-		}
 	}
 }

@@ -19,7 +19,7 @@ func TestWriteSARIFGolden(t *testing.T) {
 	root := string(filepath.Separator) + filepath.Join("mod")
 	analyzers := []*Analyzer{
 		{Name: "sharecheck", Doc: "variable captured by a goroutine mutated on both sides of the spawn without a guard"},
-		{Name: "atomiccheck", Doc: "field accessed both atomically and plainly with no lock dominating the atomic sites"},
+		{Name: "errflow", Doc: "checkpoint-stage error returned as the operation error after the commit point"},
 	}
 	findings := []Finding{
 		{
@@ -29,8 +29,8 @@ func TestWriteSARIFGolden(t *testing.T) {
 		},
 		{
 			Pos:      token.Position{Filename: filepath.Join(root, "internal", "p", "b.go"), Line: 7, Column: 9},
-			Analyzer: "atomiccheck",
-			Message:  "plain access to field hits, which is accessed atomically at 2 site(s) (first: a.go:4); no lock dominates all atomic sites",
+			Analyzer: "errflow",
+			Message:  "rule no-post-commit-error-return: err (effects Sync) returned as the operation error after the commit point (Commit at a.go:4) in p.Update; checkpoint-stage failures must go to the sticky CheckpointErr/observability path, the committed update succeeded",
 		},
 	}
 	var buf bytes.Buffer

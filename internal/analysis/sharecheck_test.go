@@ -3,7 +3,7 @@ package analysis
 import "testing"
 
 func sharecheckAnalyzer() *Analyzer {
-	return &Analyzer{Name: "sharecheck", CheckModule: checkShare}
+	return &Analyzer{Name: "sharecheck", Check: checkShare}
 }
 
 // TestShareCheckGoClosure covers the basic spawn/outside conflict: a
@@ -314,5 +314,17 @@ func TestSpawnFactRealRepo(t *testing.T) {
 	}
 	if !via {
 		t.Error("experiments.RunAll does not reach spawnsGoroutine through RunAllTimed")
+	}
+}
+
+// TestAtomicFactRealRepo pins the usesAtomic fact on the obs hot-path
+// methods: sharecheck relies on it to bless captured metric handles, so
+// a refactor away from atomics must fail here.
+func TestAtomicFactRealRepo(t *testing.T) {
+	g := loadRepoModule(t).Graph
+	for _, name := range []string{"obs.(*Counter).Add", "obs.(*Counter).Inc", "obs.(*Gauge).Set", "obs.(*Histogram).Observe"} {
+		if n := one(t, g, name); n.Facts&FactUsesAtomic == 0 {
+			t.Errorf("%s facts = %s, want usesAtomic", n, n.Facts)
+		}
 	}
 }

@@ -6,10 +6,10 @@ import (
 	"go/types"
 )
 
-// This file holds the synchronization model the concurrency analyzers
-// (sharecheck, atomiccheck) share: the one classification of a call
-// site's sync/atomic role, made when the call graph is built, and the
-// must-held lock sets the path walker (flow.go) records per statement.
+// This file holds the synchronization model sharecheck reads: the one
+// classification of a call site's sync/atomic role, made when the call
+// graph is built, and the must-held lock sets the path walker (flow.go)
+// records per statement.
 
 // syncKind is a call site's synchronization role.
 type syncKind uint8
@@ -72,9 +72,9 @@ func lockName(info *types.Info, call *ast.CallExpr, fn *types.Func) string {
 }
 
 // lockFlow is the path walker's lock lattice: must-held lock sets, met by
-// intersection. It records each statement's entry set, sharecheck's and
-// atomiccheck's "which locks are held here". A function literal is a body
-// of its own, entered with no lock held.
+// intersection. It records each statement's entry set, sharecheck's
+// "which locks are held here". A function literal is a body of its own,
+// entered with no lock held.
 type lockFlow struct {
 	n      *FuncNode
 	held   heldIndex

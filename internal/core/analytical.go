@@ -89,25 +89,6 @@ func AnalyticalLevels(p AnalyticalParams) ([]AnalyticalLevel, error) {
 	return out, nil
 }
 
-// AnalyticalEPT predicts the expected number of node accesses for a
-// uniform qx x qy query from data properties alone (the TS-style
-// counterpart of Equation 2).
-func AnalyticalEPT(p AnalyticalParams, qx, qy float64) (float64, error) {
-	levels, err := AnalyticalLevels(p)
-	if err != nil {
-		return 0, err
-	}
-	if !(qx >= 0 && qy >= 0) || math.IsInf(qx+qy, 1) {
-		return 0, fmt.Errorf("core: query size %gx%g is not finite and non-negative", qx, qy)
-	}
-	var ept float64
-	for _, lvl := range levels {
-		prob := math.Min(1, lvl.Side+qx) * math.Min(1, lvl.Side+qy)
-		ept += lvl.Nodes * prob
-	}
-	return ept, nil
-}
-
 // AnalyticalPredictor builds a buffer-aware Predictor-compatible
 // probability set from the analytical level structure: every level-j node
 // gets the access probability min(1, side+qx) * min(1, side+qy). The

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -20,7 +21,7 @@ func TestAnalyticalParamsValidation(t *testing.T) {
 			t.Errorf("params %+v accepted", p)
 		}
 	}
-	if _, err := AnalyticalEPT(AnalyticalParams{N: 100, Fanout: 10}, -0.1, 0); err == nil {
+	if _, err := analyticalEPT(AnalyticalParams{N: 100, Fanout: 10}, -0.1, 0); err == nil {
 		t.Error("negative query accepted")
 	}
 }
@@ -66,7 +67,7 @@ func TestAnalyticalEPTMonotonicity(t *testing.T) {
 	p := AnalyticalParams{N: 50000, Fanout: 50}
 	prev := 0.0
 	for _, q := range []float64{0, 0.01, 0.05, 0.1, 0.2, 0.5} {
-		ept, err := AnalyticalEPT(p, q, q)
+		ept, err := analyticalEPT(p, q, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,10 +75,17 @@ func TestAnalyticalEPTMonotonicity(t *testing.T) {
 			t.Fatalf("EPT not increasing in query size at q=%g", q)
 		}
 		prev = ept
+		ap, err := NewAnalyticalPredictor(p, q, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ap.NodesVisited(); math.Abs(got-ept) > 1e-9*ept {
+			t.Errorf("q=%g: predictor's NodesVisited %g, reference EPT %g", q, got, ept)
+		}
 	}
 	// EPT grows with N at fixed query size.
-	small, _ := AnalyticalEPT(AnalyticalParams{N: 10000, Fanout: 50}, 0.1, 0.1)
-	large, _ := AnalyticalEPT(AnalyticalParams{N: 100000, Fanout: 50}, 0.1, 0.1)
+	small, _ := analyticalEPT(AnalyticalParams{N: 10000, Fanout: 50}, 0.1, 0.1)
+	large, _ := analyticalEPT(AnalyticalParams{N: 100000, Fanout: 50}, 0.1, 0.1)
 	if large <= small {
 		t.Errorf("EPT(100k)=%g <= EPT(10k)=%g", large, small)
 	}
@@ -158,4 +166,24 @@ func TestAnalyticalDensityForRectData(t *testing.T) {
 	if rc[0].Side <= pt[0].Side {
 		t.Errorf("denser data should give larger leaf MBRs: %g vs %g", rc[0].Side, pt[0].Side)
 	}
+}
+
+// analyticalEPT predicts the expected number of node accesses for a
+// uniform qx x qy query from data properties alone (the TS-style
+// counterpart of Equation 2), kept as a reference for the predictor: its
+// NodesVisited must agree.
+func analyticalEPT(p AnalyticalParams, qx, qy float64) (float64, error) {
+	levels, err := AnalyticalLevels(p)
+	if err != nil {
+		return 0, err
+	}
+	if !(qx >= 0 && qy >= 0) || math.IsInf(qx+qy, 1) {
+		return 0, fmt.Errorf("core: query size %gx%g is not finite and non-negative", qx, qy)
+	}
+	var ept float64
+	for _, lvl := range levels {
+		prob := math.Min(1, lvl.Side+qx) * math.Min(1, lvl.Side+qy)
+		ept += lvl.Nodes * prob
+	}
+	return ept, nil
 }

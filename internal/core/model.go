@@ -125,29 +125,6 @@ func AccessProbs(levels [][]geom.Rect, qm QueryModel) [][]float64 {
 	return out
 }
 
-// EPTClosedForm evaluates Equation 2 of the paper, the Kamel–Faloutsos
-// closed form for the expected number of nodes accessed by an
-// (uncorrected) uniform region query:
-//
-//	EPT(qx,qy) = A + qx*Ly + qy*Lx + M*qx*qy
-//
-// where A, Lx, Ly are the total area and per-axis extent sums of all node
-// MBRs and M is the node count. With qx = qy = 0 it reduces to Equation 1,
-// EPT(0,0) = A.
-func EPTClosedForm(levels [][]geom.Rect, qx, qy float64) float64 {
-	var a, lx, ly float64
-	m := 0
-	for _, lvl := range levels {
-		m += len(lvl)
-		for _, r := range lvl {
-			a += r.Area()
-			lx += r.Width()
-			ly += r.Height()
-		}
-	}
-	return a + qx*ly + qy*lx + float64(m)*qx*qy
-}
-
 // pow1m returns (1-a)^n for a in [0,1] and n >= 0, computed in log space
 // for accuracy when a is tiny and n is huge — exactly the regime of large
 // trees and large warm-up counts.

@@ -44,7 +44,7 @@ func TestQuerySizeChecksRefuseNaNAndInf(t *testing.T) {
 			_, err := NewWeightedQueries(qx, qy, centers, []float64{1})
 			return err
 		}},
-		{"AnalyticalEPT", func(qx, qy float64) error { _, err := AnalyticalEPT(params, qx, qy); return err }},
+		{"analyticalEPT", func(qx, qy float64) error { _, err := analyticalEPT(params, qx, qy); return err }},
 		{"NewAnalyticalPredictor", func(qx, qy float64) error { _, err := NewAnalyticalPredictor(params, qx, qy); return err }},
 	} {
 		for _, q := range [][2]float64{{math.NaN(), 0.1}, {0.1, math.NaN()}, {math.Inf(1), 0.1}, {0.1, math.Inf(1)}, {-0.1, 0.1}} {
@@ -154,11 +154,11 @@ func TestEPTClosedForm(t *testing.T) {
 		{rect(0, 0, 0.5, 1), rect(0.5, 0, 1, 1)},
 	}
 	// A = 1 + 0.5 + 0.5 = 2; Lx = 1+0.5+0.5 = 2; Ly = 3; M = 3.
-	if got := EPTClosedForm(levels, 0, 0); math.Abs(got-2) > 1e-15 {
+	if got := eptClosedForm(levels, 0, 0); math.Abs(got-2) > 1e-15 {
 		t.Errorf("EPT(0,0) = %g", got)
 	}
 	want := 2.0 + 0.1*3 + 0.2*2 + 3*0.1*0.2
-	if got := EPTClosedForm(levels, 0.1, 0.2); math.Abs(got-want) > 1e-12 {
+	if got := eptClosedForm(levels, 0.1, 0.2); math.Abs(got-want) > 1e-12 {
 		t.Errorf("EPT(0.1,0.2) = %g, want %g", got, want)
 	}
 	// Closed form equals the sum of raw (uncapped) extended areas
@@ -367,4 +367,27 @@ func TestBufferModelQuick(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
+}
+
+// eptClosedForm evaluates Equation 2 of the paper, the Kamel–Faloutsos
+// closed form for the expected number of nodes accessed by an
+// (uncorrected) uniform region query:
+//
+//	EPT(qx,qy) = A + qx*Ly + qy*Lx + M*qx*qy
+//
+// where A, Lx, Ly are the total area and per-axis extent sums of all node
+// MBRs and M is the node count. With qx = qy = 0 it reduces to Equation 1,
+// EPT(0,0) = A.
+func eptClosedForm(levels [][]geom.Rect, qx, qy float64) float64 {
+	var a, lx, ly float64
+	m := 0
+	for _, lvl := range levels {
+		m += len(lvl)
+		for _, r := range lvl {
+			a += r.Area()
+			lx += r.Width()
+			ly += r.Height()
+		}
+	}
+	return a + qx*ly + qy*lx + float64(m)*qx*qy
 }

@@ -250,16 +250,6 @@ func TotalArea(rects []Rect) float64 {
 	return a
 }
 
-// TotalExtents returns the per-axis extent sums (Lx, Ly) of rects, the
-// quantities Lx and Ly of the paper's Equation 2.
-func TotalExtents(rects []Rect) (lx, ly float64) {
-	for _, r := range rects {
-		lx += r.Width()
-		ly += r.Height()
-	}
-	return lx, ly
-}
-
 // Normalize maps rects into the unit square: it computes the MBR of all
 // rects and applies the affine map taking that MBR onto [0,1] x [0,1]
 // (uniform scale on each axis independently, as in the paper's

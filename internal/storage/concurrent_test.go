@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -60,7 +61,7 @@ func TestManagersConcurrentPageIO(t *testing.T) {
 				}
 			}
 			var wg sync.WaitGroup
-			errs := make(chan error, writers+readers+1)
+			errs := make(chan error, writers+readers+2)
 			// Writers overwrite their own seed page and extend the page
 			// space with disjoint ranges, racing each other on the
 			// page-count state.
@@ -113,10 +114,40 @@ func TestManagersConcurrentPageIO(t *testing.T) {
 					}
 				}()
 			}
+			// A Stats reader runs beside the I/O, so the counters are read
+			// while the writers and readers bump them: -race reports any
+			// counter that is not read and written atomically.
+			stop := make(chan struct{})
+			var statsDone sync.WaitGroup
+			statsDone.Add(1)
+			go func() {
+				defer statsDone.Done()
+				var last IOStats
+				for {
+					s := dm.Stats()
+					if s.Reads < last.Reads || s.Writes < last.Writes {
+						errs <- fmt.Errorf("Stats went backwards: %+v after %+v", s, last)
+						return
+					}
+					last = s
+					select {
+					case <-stop:
+						return
+					default:
+						runtime.Gosched()
+					}
+				}
+			}()
 			wg.Wait()
+			close(stop)
+			statsDone.Wait()
 			close(errs)
 			for err := range errs {
 				t.Fatal(err)
+			}
+			want := IOStats{Reads: readers * readOps, Writes: seedPages + 2*writers*extendEach}
+			if got := dm.Stats(); got != want {
+				t.Errorf("Stats = %+v after the concurrent I/O, want %+v (a counted transfer was lost)", got, want)
 			}
 			wantPages := seedPages + writers*extendEach
 			if got := dm.NumPages(); got != wantPages {

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -44,6 +45,19 @@ func TestSaveTreeAtomicCrashMatrix(t *testing.T) {
 		if err := got.CheckInvariants(); err != nil {
 			t.Fatalf("crash at write %d: reopened tree invalid: %v", i, err)
 		}
+	}
+
+	// Every write lands, but the temp file's final Close fails (its
+	// fsync finds the file closed underneath it): the save must report
+	// it and must not publish a file whose durability nobody confirmed.
+	err := SaveTreeAtomicWith(path, DefaultPageSize, replacement,
+		func(dm DiskManager) DiskManager { return &closeAfterMeta{dm.(*FileManager)} })
+	if err == nil {
+		t.Fatal("failed final close: save reported success")
+	}
+	assertDirHasOnly(t, dir, "tree.rt")
+	if got := reopenAndLoad(t, path); got.Len() != old.Len() {
+		t.Fatalf("failed final close: reopened tree has %d items, want the old tree's %d", got.Len(), old.Len())
 	}
 
 	// No crash: the new tree lands completely.
@@ -194,6 +208,37 @@ func assertDirHasOnly(t *testing.T, dir string, names ...string) {
 		if !want[e.Name()] {
 			t.Fatalf("stray file %q left in %s", e.Name(), dir)
 		}
+	}
+}
+
+// closeAfterMeta closes the file under a FileManager once the catalog
+// write has landed, so every write of a save succeeds and only the
+// final Close (its fsync and the file's own close) can fail.
+type closeAfterMeta struct{ *FileManager }
+
+func (c *closeAfterMeta) WriteMeta(meta []byte) error {
+	if err := c.FileManager.WriteMeta(meta); err != nil {
+		return err
+	}
+	return c.f.Close()
+}
+
+// TestCloseFileReportsCloseError: the file's own close error is what
+// closeFile returns. Close reaches it on every path (after a failed sync
+// as well), so a dropped error here is a dropped error at every Close.
+func TestCloseFileReportsCloseError(t *testing.T) {
+	fm, err := CreateFile(filepath.Join(t.TempDir(), "closed.rt"), DefaultPageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fm.WritePage(0, make([]byte, DefaultPageSize)); err != nil {
+		t.Fatal(err)
+	}
+	if err := fm.f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fm.closeFile(); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("closeFile of an already closed file = %v, want os.ErrClosed", err)
 	}
 }
 
