@@ -17,12 +17,8 @@
 //	-skip names      run all but the named analyzers (comma-separated)
 //	-json            emit findings as a JSON array on stdout
 //	-sarif file      also write findings as SARIF 2.1.0 (GitHub code scanning)
-//	-facts name      print the fact set, effect set and effect traces of
-//	                 matching functions, then exit
+//	-facts name      print the fact set of matching functions, then exit
 //	                 (name forms: "Get", "(*Pool).Get", "buffer.(*Pool).Get")
-//	-explain rule    print a durability rule's definition, the DESIGN.md §7e
-//	                 protocol step it encodes, and its witness format, then
-//	                 exit (unknown rule names exit 2, matching -only)
 //
 // Unknown analyzer names in -only/-skip are an error (exit 2): a typo must
 // not silently disable a check.
@@ -59,8 +55,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	skip := fs.String("skip", "", "run all but these `analyzers` (comma-separated)")
 	jsonOut := fs.Bool("json", false, "emit findings as JSON on stdout")
 	sarifPath := fs.String("sarif", "", "also write findings as SARIF 2.1.0 to `file`")
-	factsOf := fs.String("facts", "", "dump call-graph facts and effect traces for functions matching `name` and exit")
-	explainOf := fs.String("explain", "", "explain the durability `rule` (definition, protocol step, witness format) and exit")
+	factsOf := fs.String("facts", "", "dump call-graph facts for functions matching `name` and exit")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -70,15 +65,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fail := func(err error) int {
 		printf(stderr, "rtreelint: %v\n", err)
 		return 2
-	}
-
-	if *explainOf != "" {
-		text, err := explainRule(*explainOf)
-		if err != nil {
-			return fail(err)
-		}
-		printf(stdout, "%s", text)
-		return 0
 	}
 
 	analyzers, err := selectAnalyzers(analysis.Analyzers(), *only, *skip)
@@ -244,53 +230,11 @@ func printJSON(w io.Writer, findings []analysis.Finding) error {
 	return enc.Encode(out)
 }
 
-// explainRule prints one durability rule's full definition: its temporal
-// shape, the effect sets it quantifies over, the functions it scopes to,
-// the DESIGN.md §7e protocol step it encodes, and what a violation's
-// witness chain points at. Unknown names are an error (exit 2), matching
-// -only's contract that a typo must not read as "no such problem".
-func explainRule(name string) (string, error) {
-	r := analysis.RuleByName(name)
-	if r == nil {
-		var known []string
-		for _, r := range analysis.Rules() {
-			known = append(known, r.Name)
-		}
-		return "", fmt.Errorf("unknown rule %q (rules: %s)", name, strings.Join(known, ", "))
-	}
-	var w strings.Builder
-	fmt.Fprintf(&w, "rule %s (analyzer %s)\n", r.Name, r.Analyzer)
-	fmt.Fprintf(&w, "  kind:    %s\n", r.Kind)
-	fmt.Fprintf(&w, "  A:       %s\n", r.A)
-	if r.B != 0 {
-		fmt.Fprintf(&w, "  B:       %s\n", r.B)
-	}
-	if r.C != 0 {
-		fmt.Fprintf(&w, "  C:       %s\n", r.C)
-	}
-	if len(r.Scope) == 0 {
-		fmt.Fprintf(&w, "  scope:   every module function\n")
-	} else {
-		var specs []string
-		for _, s := range r.Scope {
-			specs = append(specs, s.String())
-		}
-		fmt.Fprintf(&w, "  scope:   %s\n", strings.Join(specs, ", "))
-	}
-	fmt.Fprintf(&w, "  invariant: %s\n", r.Doc)
-	fmt.Fprintf(&w, "  protocol:  %s\n", r.Step)
-	fmt.Fprintf(&w, "  witness:   %s\n", r.Witness)
-	return w.String(), nil
-}
-
-// dumpFacts prints the fact store's view of every function matching name:
-// the transitive fact set, and its effect summary and body traces. This
-// is the debugging lens for "does sharecheck think this callee spawns?"
-// and "what order does durcheck believe this function writes in?".
+// dumpFacts prints the fact store's view of every function matching
+// name: its transitive fact set. This is the debugging lens for "does
+// sharecheck think this callee spawns?".
 func dumpFacts(pkgs []*analysis.Package, name string) (string, error) {
-	m := analysis.NewModule(pkgs)
-	effects := m.Effects()
-	nodes := m.Graph.ResolveName(name)
+	nodes := analysis.NewModule(pkgs).Graph.ResolveName(name)
 	if len(nodes) == 0 {
 		return "", fmt.Errorf("no function matches %q", name)
 	}
@@ -299,34 +243,8 @@ func dumpFacts(pkgs []*analysis.Package, name string) (string, error) {
 		pos := n.Pkg.Fset.Position(n.Decl.Pos())
 		fmt.Fprintf(&w, "%s\t%s:%d\n", n, relPath(pos.Filename), pos.Line)
 		fmt.Fprintf(&w, "  facts: %s\n", n.Facts)
-		fmt.Fprintf(&w, "  effects: %s\n", effects.EffectSet(n))
-		body := effects.BodyTraces(n)
-		if sum := effects.Summary(n); !sameTraces(sum, body) {
-			// Effect-table function: what callers compose (the contract)
-			// differs from what the body does (what the rules check).
-			for _, tr := range sum {
-				fmt.Fprintf(&w, "  contract: %s\n", tr)
-			}
-		}
-		for _, tr := range body {
-			fmt.Fprintf(&w, "  trace: %s\n", tr)
-		}
 	}
 	return w.String(), nil
-}
-
-// sameTraces reports whether two trace slices render identically, used to
-// suppress the contract line when it adds nothing over the body traces.
-func sameTraces(a, b []analysis.EffTrace) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].String() != b[i].String() {
-			return false
-		}
-	}
-	return true
 }
 
 // relativize shortens the finding's file path relative to the working

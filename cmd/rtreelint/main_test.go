@@ -81,9 +81,8 @@ func TestExitCodes(t *testing.T) {
 		{"-root", clean, "-only", "sharechek"},
 		{"-root", clean, "-only", "errcheck"}, // retired: unknown like a typo
 		{"-root", clean, "-skip", "nosuch"},
-		{"-root", clean, "-only", "sharecheck", "-skip", "errflow"},
+		{"-root", clean, "-only", "sharecheck", "-skip", "sharecheck"},
 		{"-root", filepath.Join(clean, "missing")},
-		{"-explain", "no-such-rule"},
 	} {
 		if code, _, errs := lint(args...); code != 2 || errs == "" {
 			t.Errorf("%v: exit %d, stderr %q; want 2 with a diagnostic", args, code, errs)
@@ -118,9 +117,10 @@ func TestListNamesTheSurvivors(t *testing.T) {
 }
 
 // TestBaselineFlagsAreGone: the linter always enforces; the flags that
-// selected otherwise are unknown flags now, not silent no-ops.
+// selected otherwise are unknown flags now, not silent no-ops. So is
+// -explain, which explained the retired durcheck's rules.
 func TestBaselineFlagsAreGone(t *testing.T) {
-	for _, args := range [][]string{{"-baseline", "x"}, {"-no-baseline"}, {"-write-baseline"}} {
+	for _, args := range [][]string{{"-baseline", "x"}, {"-no-baseline"}, {"-write-baseline"}, {"-explain", "commit-before-writeback"}} {
 		code, _, errs := lint(args...)
 		if code != 2 || !strings.Contains(errs, "flag provided but not defined") {
 			t.Errorf("%v: exit %d, stderr %q; want 2 and an unknown-flag diagnostic", args, code, errs)
@@ -129,6 +129,4 @@ func TestBaselineFlagsAreGone(t *testing.T) {
 }
 
 // survivors is the registry the kill matrix left, in run order.
-var survivors = []string{
-	"sharecheck", "durcheck", "errflow",
-}
+var survivors = []string{"sharecheck"}

@@ -4,10 +4,8 @@
 // runs analyzers that encode correctness rules this codebase depends on
 // but that go vet cannot know about. Every analyzer reads the whole
 // module through two engines. Across calls, one callees-first pass over
-// the call graph's SCCs (facts.go) computes each function's facts, effect
-// set and SCC. Within a body, one path walker (flow.go) carries either
-// of two lattices: must-held lock sets (sharecheck) or ordered effect
-// traces (durcheck, errflow).
+// the call graph's SCCs (facts.go) computes each function's facts.
+// Within a body, one path walker (flow.go) carries must-held lock sets.
 // `rtreelint -list` prints each analyzer with its one-line contract.
 //
 // Which analyzers exist is decided by evidence, not by what was once
@@ -28,8 +26,8 @@
 // code it excuses does.
 //
 // To add a new analyzer: write a `func checkFoo(m *Module) []Finding`
-// over m.Graph (and m.Effects() for effect traces), wrap it in an
-// Analyzer literal, and append it to the slice in Analyzers. Tests in
+// over m.Graph, wrap it in an Analyzer literal, and append it to the
+// slice in Analyzers. Tests in
 // this package typecheck small fixture modules with seeded violations
 // and assert on the findings; add at least two positive and one negative
 // fixture for the new analyzer, and two kill-matrix mutants
@@ -74,16 +72,6 @@ func Analyzers() []*Analyzer {
 			Name:  "sharecheck",
 			Doc:   "variable captured by a goroutine mutated on both sides of the spawn without a guard",
 			Check: checkShare,
-		},
-		{
-			Name:  "durcheck",
-			Doc:   "WAL commit-protocol effect ordering violated (see rtreelint -explain <rule>)",
-			Check: checkDur,
-		},
-		{
-			Name:  "errflow",
-			Doc:   "checkpoint-stage error returned as the operation error after the commit point",
-			Check: checkErrFlow,
 		},
 	}
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // This file builds the whole-module call graph that backs the fact store
-// (facts.go) and the analyzers that read it (sharecheck, durcheck and
-// errflow). The graph is intentionally conservative:
+// (facts.go) and sharecheck, the analyzer that reads it. The graph is
+// intentionally conservative:
 //
 //   - static calls resolve to their *types.Func callee;
 //   - interface method calls resolve by Class Hierarchy Analysis: every
@@ -43,9 +43,6 @@ type FuncNode struct {
 	// Facts is the transitive fact set, computed bottom-up over SCCs.
 	Facts FactSet
 
-	eff EffectSet // transitive effect set (or the effect table's contract)
-	scc int       // the function's SCC: calls within one are traced as clumps
-
 	sites map[*ast.CallExpr]*Call // call expression -> site
 
 	index, lowlink int // Tarjan bookkeeping
@@ -66,8 +63,7 @@ type Call struct {
 	Targets []*FuncNode
 	// Callee is the resolved callee object: the static callee for direct
 	// calls, the interface method for dispatch sites, the referenced
-	// function for value references, nil for dynamic calls. The effect
-	// store matches it against the effect table.
+	// function for value references, nil for dynamic calls.
 	Callee *types.Func
 	// Std carries facts contributed by non-module callees at this site.
 	Std FactSet
@@ -80,8 +76,6 @@ type Call struct {
 	lock string
 	// Dispatch marks a site resolved by interface CHA.
 	Dispatch bool
-	// Ref marks a value reference rather than a call.
-	Ref bool
 }
 
 // Facts returns the union of the site's stdlib facts and every possible
@@ -233,7 +227,7 @@ func (g *CallGraph) walkBody(n *FuncNode) {
 						return true
 					}
 					if iface, ok := sel.Recv().Underlying().(*types.Interface); ok && sel.Kind() == types.MethodVal {
-						g.addDispatch(n, x.Pos(), nil, sel.Recv(), iface, m, true)
+						g.addDispatch(n, x.Pos(), nil, sel.Recv(), iface, m)
 					} else {
 						g.addRef(n, x.Pos(), m)
 					}
@@ -290,7 +284,7 @@ func (g *CallGraph) addCall(n *FuncNode, call *ast.CallExpr) {
 	case *types.Func:
 		if sel != nil && sel.Kind() == types.MethodVal {
 			if iface, ok := sel.Recv().Underlying().(*types.Interface); ok {
-				g.addDispatch(n, call.Pos(), call, sel.Recv(), iface, callee, false)
+				g.addDispatch(n, call.Pos(), call, sel.Recv(), iface, callee)
 				return
 			}
 		}
@@ -317,9 +311,9 @@ func (g *CallGraph) addCall(n *FuncNode, call *ast.CallExpr) {
 }
 
 // addDispatch resolves an interface method call or method value by CHA.
-func (g *CallGraph) addDispatch(n *FuncNode, pos token.Pos, expr *ast.CallExpr, recv types.Type, iface *types.Interface, m *types.Func, ref bool) {
+func (g *CallGraph) addDispatch(n *FuncNode, pos token.Pos, expr *ast.CallExpr, recv types.Type, iface *types.Interface, m *types.Func) {
 	c := &Call{
-		Pos: pos, Expr: expr, Dispatch: true, Ref: ref, Callee: m,
+		Pos: pos, Expr: expr, Dispatch: true, Callee: m,
 		Desc: "interface method " + typeString(recv) + "." + m.Name(),
 	}
 	for _, fn := range g.implementers(iface, m) {
@@ -337,7 +331,7 @@ func (g *CallGraph) addDispatch(n *FuncNode, pos token.Pos, expr *ast.CallExpr, 
 
 // addRef records a function or method used as a value.
 func (g *CallGraph) addRef(n *FuncNode, pos token.Pos, fn *types.Func) {
-	c := &Call{Pos: pos, Ref: true, Desc: "reference to " + funcDisplay(fn), Callee: fn}
+	c := &Call{Pos: pos, Desc: "reference to " + funcDisplay(fn), Callee: fn}
 	if tn := g.NodeOf(fn); tn != nil {
 		c.Targets = []*FuncNode{tn}
 	} else {
@@ -363,9 +357,6 @@ func (s spans) covers(p token.Pos) bool {
 	}
 	return false
 }
-
-// errType is the predeclared error type.
-var errType = types.Universe.Lookup("error").Type()
 
 // funcDisplay renders a function as package.Name or package.(*Recv).Name.
 func funcDisplay(fn *types.Func) string {

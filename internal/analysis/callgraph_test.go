@@ -13,9 +13,8 @@ func one(t *testing.T, g *CallGraph, name string) *FuncNode {
 }
 
 // TestFactsMutualRecursionSCC puts the lock evidence outside a
-// two-function cycle: both members must inherit it and share one SCC,
-// the callee that holds the evidence must not inherit the cycle, and a
-// self-recursive pure function must stay pure.
+// two-function cycle: both members must inherit it from the callee that
+// holds it, and a self-recursive pure function must stay pure.
 func TestFactsMutualRecursionSCC(t *testing.T) {
 	pkg := fixturePkg(t, `package scc
 
@@ -59,10 +58,7 @@ func pure(n int) int {
 	if s := (FactAcquiresLock | FactUsesAtomic).String(); s != "acquiresLock|usesAtomic" {
 		t.Errorf("FactSet.String = %q, want acquiresLock|usesAtomic", s)
 	}
-	ping, pong, touch := one(t, g, "ping"), one(t, g, "pong"), one(t, g, "touch")
-	if ping.scc != pong.scc || ping.scc == touch.scc {
-		t.Errorf("SCCs ping %d, pong %d, touch %d: want ping and pong together, touch apart", ping.scc, pong.scc, touch.scc)
-	}
+	ping, pong := one(t, g, "ping"), one(t, g, "pong")
 	if ping.Intrinsics != 0 || pong.Intrinsics != 0 {
 		t.Errorf("cycle intrinsics = %s, %s: the fact must come from touch", ping.Intrinsics, pong.Intrinsics)
 	}

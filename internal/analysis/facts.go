@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"go/ast"
 	"go/types"
 	"strings"
 )
@@ -63,14 +62,11 @@ func stdFacts(fn *types.Func) FactSet {
 }
 
 // summarize condenses the graph into SCCs (Tarjan) and computes every
-// per-function summary in one callees-first pass: Tarjan emits each SCC
-// only after every SCC it can reach, so the summaries of a member's
-// outside callees are final when its SCC comes up. It records each
-// function's SCC; the facts of an SCC are the union of its members'
-// intrinsics and of every outside callee's facts (every member reaches
-// every other); the effect sets, where effect-table members are fixed
-// contracts that cut the cycle, iterate over the SCC's members alone
-// until stable.
+// function's facts in one callees-first pass: Tarjan emits each SCC only
+// after every SCC it can reach, so the facts of a member's outside
+// callees are final when its SCC comes up. The facts of an SCC are the
+// union of its members' intrinsics and of every outside callee's facts
+// (every member reaches every other).
 func (g *CallGraph) summarize() {
 	index := 0
 	var stack []*FuncNode
@@ -113,11 +109,10 @@ func (g *CallGraph) summarize() {
 		}
 	}
 
-	for id, scc := range sccs {
+	for _, scc := range sccs {
 		inSCC := make(map[*FuncNode]bool, len(scc))
 		for _, m := range scc {
 			inSCC[m] = true
-			m.scc = id
 		}
 		var facts FactSet
 		for _, m := range scc {
@@ -133,22 +128,6 @@ func (g *CallGraph) summarize() {
 		}
 		for _, m := range scc {
 			m.Facts = facts
-		}
-		for changed := true; changed; {
-			changed = false
-			for _, m := range scc {
-				var s EffectSet
-				if en := effectEntry(m.Fn); en != nil {
-					s = effects(en.trace...)
-				} else {
-					for _, c := range m.Calls {
-						s |= siteEffects(c)
-					}
-				}
-				if s != m.eff {
-					m.eff, changed = s, true
-				}
-			}
 		}
 	}
 }
@@ -172,20 +151,9 @@ func (g *CallGraph) ResolveName(name string) []*FuncNode {
 type Module struct {
 	Pkgs  []*Package
 	Graph *CallGraph
-
-	effects *Effects
 }
 
 // NewModule builds the call graph over the given packages.
 func NewModule(pkgs []*Package) *Module {
 	return &Module{Pkgs: pkgs, Graph: NewCallGraph(pkgs)}
-}
-
-// Effects returns the module's trace store, built on first use and
-// shared by durcheck, errflow, and the -facts dump.
-func (m *Module) Effects() *Effects {
-	if m.effects == nil {
-		m.effects = &Effects{bodies: make(map[*FuncNode][]EffTrace), lits: make(map[*ast.FuncLit][]EffTrace)}
-	}
-	return m.effects
 }

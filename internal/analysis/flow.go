@@ -11,9 +11,8 @@ import (
 // times (two is the cheapest shape that exposes cross-iteration order),
 // taking break and continue paths to the loop exit and the next
 // iteration, and running deferred calls last-in-first-out at every
-// return. Two lattices ride on it: effect traces joined by union
-// (effects.go, for durcheck and errflow) and must-held lock sets joined
-// by intersection (sync.go, for sharecheck).
+// return. The lattice that rides on it is sharecheck's must-held lock
+// sets, joined by intersection (sync.go).
 //
 // The walk is possibilistic where Go is dynamic: both sides of && and ||
 // evaluate, a goto continues with the next statement, and deferred calls

@@ -185,8 +185,8 @@ func goCmd(dir string, testTimeout time.Duration, args ...string) (string, error
 }
 
 // runAnalyzers runs rtreelint's analyzers in-process on the module under
-// root, each on its own so a kill is attributed (durcheck per rule) and
-// timed. It returns the matrix cell, each finding's site, and the costs.
+// root, each on its own so a kill is attributed and timed. It returns the
+// matrix cell, each finding's site, and the costs.
 func runAnalyzers(t *testing.T, root string) (cell string, sites []string, cost string) {
 	t.Helper()
 	start := time.Now()
@@ -201,12 +201,11 @@ func runAnalyzers(t *testing.T, root string) (cell string, sites []string, cost 
 		findings := Run(pkgs, []*Analyzer{a})
 		cost += fmt.Sprintf(" %s %d", a.Name, time.Since(start).Milliseconds())
 		for _, f := range findings {
-			name := killerName(f)
-			if !slices.Contains(killers, name) {
-				killers = append(killers, name)
+			if !slices.Contains(killers, f.Analyzer) {
+				killers = append(killers, f.Analyzer)
 			}
 			rel, _ := filepath.Rel(root, f.Pos.Filename)
-			sites = append(sites, fmt.Sprintf("%s@%s:%d", name, filepath.ToSlash(rel), f.Pos.Line))
+			sites = append(sites, fmt.Sprintf("%s@%s:%d", f.Analyzer, filepath.ToSlash(rel), f.Pos.Line))
 		}
 	}
 	return joinOrDash(killers), sites, cost
@@ -318,20 +317,10 @@ func repeatTests(root string, timeout time.Duration, stopOnPass bool, args []str
 }
 
 var (
-	ruleRe     = regexp.MustCompile(`^rule ([a-z-]+):`)
 	failRe     = regexp.MustCompile(`(?m)^--- FAIL: (\S+)`)
 	pkgFailRe  = regexp.MustCompile(`(?m)^FAIL\s+(\S+)`)
 	vetCheckRe = regexp.MustCompile(`(?m)^\S+\.go:\d+:\d+: (.*)$`)
 )
-
-// killerName names the check behind a finding: the analyzer, or
-// "durcheck:<rule>" so the rule is applied per durcheck rule.
-func killerName(f Finding) string {
-	if m := ruleRe.FindStringSubmatch(f.Message); m != nil && f.Analyzer == "durcheck" {
-		return "durcheck:" + m[1]
-	}
-	return f.Analyzer
-}
 
 // vetChecks names what go vet reported: "copylocks" for its lock-copy
 // messages (vet does not print pass names), "vet" for anything else.

@@ -13,14 +13,14 @@ import (
 // (killmatrix_catalogue_test.go) seeds faults into a copy of the real
 // module; the full run (killmatrix_run_test.go, build tag killmatrix)
 // records, per mutant, which checkers kill it — every registered
-// analyzer (durcheck per rule), go vet, the tier-1 tests, and the same
-// tests under -race where CI's Race step runs them — into
-// testdata/killmatrix.golden. One rule reads the table:
+// analyzer, go vet, the tier-1 tests, and the same tests under -race
+// where CI's Race step runs them — into testdata/killmatrix.golden. One
+// rule reads the table:
 //
-//	an analyzer (for durcheck, a rule) stays iff some mutant is killed
-//	by it and by no other analyzer, not by go vet, and not by a tier-1
-//	test; a kill seen only under -race is not a duplicate, because
-//	`go test ./...` does not run it.
+//	an analyzer stays iff some mutant is killed by it and by no other
+//	analyzer, not by go vet, and not by a tier-1 test; a kill seen only
+//	under -race is not a duplicate, because `go test ./...` does not
+//	run it.
 //
 // Tier-1 checks only what is cheap: every anchor still applies to the
 // working tree, the golden lists exactly the catalogue, every registered
@@ -33,7 +33,7 @@ type edit struct{ file, old, new string }
 // mutant is one seeded fault.
 type mutant struct {
 	name string // row key in the golden
-	aim  string // the analyzer or durcheck:<rule> the fault is aimed at
+	aim  string // the analyzer (or retired durcheck:<rule>) the fault is aimed at
 	what string // the fault, in one line
 	rare bool   // sits on a branch tests rarely drive
 	// benign marks an edit that changes no behaviour the check is about:
@@ -181,20 +181,11 @@ func renderMatrix(rows []matrixRow) string {
 	return b.String()
 }
 
-// registeredChecks names what the rule is applied to: every analyzer,
-// with durcheck split into its rules.
+// registeredChecks names what the rule is applied to: every analyzer.
 func registeredChecks() []string {
 	var out []string
 	for _, a := range Analyzers() {
-		if a.Name != "durcheck" {
-			out = append(out, a.Name)
-			continue
-		}
-		for _, r := range Rules() {
-			if r.Analyzer == "durcheck" {
-				out = append(out, "durcheck:"+r.Name)
-			}
-		}
+		out = append(out, a.Name)
 	}
 	return out
 }
@@ -267,9 +258,9 @@ func TestKillMatrixGoldenListsCatalogue(t *testing.T) {
 	}
 }
 
-// TestKillMatrixCoversEveryCheck: every registered analyzer and durcheck
-// rule is aimed at by at least two mutants at distinct sites, one of
-// them on a rarely driven branch.
+// TestKillMatrixCoversEveryCheck: every registered analyzer is aimed at
+// by at least two mutants at distinct sites, one of them on a rarely
+// driven branch.
 func TestKillMatrixCoversEveryCheck(t *testing.T) {
 	for _, k := range registeredChecks() {
 		sites := map[string]bool{}
@@ -290,8 +281,8 @@ func TestKillMatrixCoversEveryCheck(t *testing.T) {
 }
 
 // TestEveryRegisteredCheckHasAUniqueKill is the rule, enforced: an
-// analyzer or durcheck rule that is registered must own a row of the
-// golden where it alone makes the kill.
+// analyzer that is registered must own a row of the golden where it
+// alone makes the kill.
 func TestEveryRegisteredCheckHasAUniqueKill(t *testing.T) {
 	names, rows := goldenRows(t)
 	if len(names) != len(catalogue) {

@@ -349,3 +349,60 @@ func TestCommitWriteSequenceUnchanged(t *testing.T) {
 		t.Fatalf("dirty page lost after the failed write-back: %v", err)
 	}
 }
+
+// catalogSink is a page sink that also holds a catalog, as every storage
+// manager does, and records each call the pool makes of it.
+type catalogSink struct {
+	*fakeSink
+	calls []string
+}
+
+func (s *catalogSink) WritePage(page int, data []byte) error {
+	s.calls = append(s.calls, "WritePage")
+	return s.fakeSink.WritePage(page, data)
+}
+
+func (s *catalogSink) ReadMeta() ([]byte, error) {
+	s.calls = append(s.calls, "ReadMeta")
+	return []byte("catalog"), nil
+}
+
+func (s *catalogSink) WriteMeta([]byte) error {
+	s.calls = append(s.calls, "WriteMeta")
+	return nil
+}
+
+// TestPoolWritesBackPagesOnly: a write-back is a page write and nothing
+// more. The WAL tree's sink is its page file, whose catalog may reach the
+// medium only after the log commits the batch (DESIGN §7e), so the pool
+// never touches it: Put, FlushDirty, an eviction's write-back and a
+// failing write-back all call WritePage alone.
+func TestPoolWritesBackPagesOnly(t *testing.T) {
+	src := &fakeSource{pageSize: 16, numPages: 8}
+	sink := &catalogSink{fakeSink: newFakeSink(16)}
+	p := NewPool(src, 2, 8)
+	p.SetSink(sink)
+	put := func(page int) {
+		t.Helper()
+		if err := p.Put(page, pattern(16, byte(page))); err != nil {
+			t.Fatalf("Put(%d): %v", page, err)
+		}
+	}
+	put(0)
+	put(1)
+	put(2) // evicts, writing pages 0 and 1 back first
+	if err := p.FlushDirty(); err != nil {
+		t.Fatal(err)
+	}
+	sink.failOn[3] = true
+	put(3)
+	if err := p.FlushDirty(); err == nil {
+		t.Fatal("flush through a failing sink succeeded")
+	}
+	if _, err := p.Get(4); err == nil {
+		t.Fatal("a fault whose dirty victim cannot be written back succeeded")
+	}
+	if want := []string{"WritePage", "WritePage", "WritePage", "WritePage", "WritePage"}; !slices.Equal(sink.calls, want) {
+		t.Fatalf("the pool called its sink's %v, want %v: pages 0 and 1 at the eviction, 2 at the flush, 3 failing twice", sink.calls, want)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 )
 
 // ErrTransient marks an injected or observed I/O error that a retry of
@@ -37,12 +38,16 @@ type FaultStats struct {
 // the page, and crashes after which the manager goes fail-stop.
 //
 // It is the storage layer's one model of a crash. A write (WritePage or
-// WriteMeta) is pending from when it is issued until the next Sync, and
+// WriteMeta) is pending from when it is issued until the next sync, and
 // a later write to the same page (or the catalog) replaces it, as in a
 // page cache; a crash decides which pending writes the medium keeps.
-// Writes reach the inner manager as issued, and a crash undoes those it
-// drops from the undo record, whose one cost before a crash is a read
-// of each page's synced bytes at its first write after a Sync.
+// WriteMeta is FileManager's barrier: it syncs before it writes the
+// catalog whenever a page write is pending, so everything issued before
+// it is durable, and the catalog write itself stays pending until the
+// next Sync. Writes reach the inner manager as issued, and a crash
+// undoes those it drops from the undo record, whose one cost before a
+// crash is a read of each page's synced bytes at its first write after
+// a sync.
 //
 // It is the standing harness for proving robustness claims: wrap the
 // real manager, program a plan, and drive the ordinary save/load/query
@@ -69,7 +74,7 @@ type FaultManager struct {
 	tornWrites map[uint64]int // write number -> bytes actually persisted
 
 	// The undo record: the pages (metaTarget: the catalog) written since
-	// the last Sync, in first-write order, and what each held at it.
+	// the last sync, in first-write order, and what each held at it.
 	written []int
 	synced  map[int][]byte
 
@@ -155,11 +160,12 @@ func (f *FaultManager) CrashAfterWrites(n int) *FaultManager {
 }
 
 // Pending returns the number of pending writes: one for each page, and
-// for the catalog, written since the last Sync.
+// for the catalog, written since the last sync (a Sync, or a WriteMeta
+// that found a page write pending).
 func (f *FaultManager) Pending() int { return len(f.written) }
 
 // Crash crashes the device now: it keeps the i-th pending write (pages
-// in first-write order since the Sync) exactly when keep(i) and undoes
+// in first-write order since the sync) exactly when keep(i) and undoes
 // the others, so the inner manager holds its synced bytes plus the kept
 // writes (a dropped page past the synced end reads back as zeros: a
 // manager cannot shrink). Every later operation fails with ErrCrashed.
@@ -258,7 +264,9 @@ func (f *FaultManager) ReadPage(page int, dst []byte) error {
 
 // startWrite counts a write (the catalog's too, the most interesting
 // one to interrupt), applies the crash point and the transient rule,
-// and records target's bytes at its first write since the last Sync.
+// and records target's bytes at its first write since the last sync.
+// A catalog write first syncs, as FileManager's does, when a page write
+// is pending.
 func (f *FaultManager) startWrite(target int) error {
 	if err := f.checkCrashed(); err != nil {
 		return err
@@ -273,6 +281,9 @@ func (f *FaultManager) startWrite(target int) error {
 	if f.transientWriteEvery > 0 && f.writes%f.transientWriteEvery == 0 {
 		f.stats.TransientWrites++
 		return fmt.Errorf("storage: injected fault on write %d: %w", f.writes, ErrTransient)
+	}
+	if target == metaTarget && slices.ContainsFunc(f.written, func(p int) bool { return p != metaTarget }) {
+		f.forget()
 	}
 	if _, seen := f.synced[target]; !seen {
 		f.synced[target] = f.storedBytes(target)
@@ -310,7 +321,10 @@ func (f *FaultManager) WritePage(page int, data []byte) error {
 	return f.inner.WritePage(page, data)
 }
 
-// WriteMeta implements DiskManager, applying the write fault plan.
+// WriteMeta implements DiskManager with FileManager's contract, applying
+// the write fault plan: every write issued before it is durable once a
+// page write was pending, and the catalog stays pending until the next
+// Sync.
 func (f *FaultManager) WriteMeta(meta []byte) error {
 	if err := f.startWrite(metaTarget); err != nil {
 		return err

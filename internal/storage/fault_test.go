@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand/v2"
 	"path/filepath"
 	"testing"
@@ -228,25 +229,30 @@ func TestFaultManagerCrashIsFailStop(t *testing.T) {
 }
 
 // TestFaultCrashKeepsSyncedAndChosenWrites pins the crash rule: a write
-// is pending from its issue until the next Sync, a rewrite of the same
+// is pending from its issue until the next sync, a rewrite of the same
 // page replaces it, and a crash leaves the synced medium plus exactly
-// the pending writes its caller keeps.
+// the pending writes its caller keeps. WriteMeta is FileManager's
+// barrier: with a page write pending it makes every earlier write
+// durable, and the catalog itself stays pending; with none it syncs
+// nothing, and a second catalog replaces the pending first.
 func TestFaultCrashKeepsSyncedAndChosenWrites(t *testing.T) {
+	const durable = -1 // made durable by the barrier of a later WriteMeta
 	writes := []struct {
-		pending int // the Crash index of the page it writes
+		pending int // the Crash index of what it writes, or durable
 		write   func(DiskManager) error
 	}{
-		{0, func(dm DiskManager) error { return dm.WritePage(1, protoFill(0xA1)) }},
-		{1, func(dm DiskManager) error { return dm.WriteMeta([]byte("catalog-v2")) }},
-		{2, func(dm DiskManager) error { return dm.WritePage(3, protoFill(0xB3)) }},
-		{0, func(dm DiskManager) error { return dm.WritePage(1, protoFill(0xA2)) }},
+		{durable, func(dm DiskManager) error { return dm.WritePage(1, fillPage(0xA1)) }},
+		{0, func(dm DiskManager) error { return dm.WriteMeta([]byte("catalog-v2")) }},
+		{0, func(dm DiskManager) error { return dm.WriteMeta([]byte("catalog-v3")) }},
+		{1, func(dm DiskManager) error { return dm.WritePage(3, fillPage(0xB3)) }},
+		{2, func(dm DiskManager) error { return dm.WritePage(1, fillPage(0xA2)) }},
 	}
 	for mask := 0; mask < 8; mask++ {
 		kept := func(i int) bool { return mask&(1<<i) != 0 }
-		dm, want := protoSeedDurable(t), protoSeedDurable(t)
+		dm, want := seedDurable(t), seedDurable(t)
 		f := NewFaultManager(dm, 1)
 		for _, m := range []DiskManager{f, want} { // synced: no crash drops it
-			if err := m.WritePage(0, protoFill(0xC0)); err != nil {
+			if err := m.WritePage(0, fillPage(0xC0)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -257,7 +263,7 @@ func TestFaultCrashKeepsSyncedAndChosenWrites(t *testing.T) {
 			if err := w.write(f); err != nil {
 				t.Fatal(err)
 			}
-			if kept(w.pending) {
+			if w.pending == durable || kept(w.pending) {
 				if err := w.write(want); err != nil {
 					t.Fatal(err)
 				}
@@ -269,10 +275,53 @@ func TestFaultCrashKeepsSyncedAndChosenWrites(t *testing.T) {
 		if err := f.Crash(kept); err != nil {
 			t.Fatal(err)
 		}
-		if got, want := protoState(t, dm), protoState(t, want); got != want {
+		if got, want := mediumState(t, dm), mediumState(t, want); got != want {
 			t.Errorf("keep %03b: medium %s, want %s", mask, got, want)
 		}
 	}
+}
+
+const faultPageSize = 512
+
+// seedDurable builds a synced medium: four pages of known content and a
+// v1 catalog.
+func seedDurable(t *testing.T) *MemoryManager {
+	t.Helper()
+	m, err := NewMemoryManager(faultPageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p := 0; p < 4; p++ {
+		if err := m.WritePage(p, fillPage(byte(p+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.WriteMeta([]byte("catalog-v1")); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// fillPage returns a page of b bytes.
+func fillPage(b byte) []byte { return bytes.Repeat([]byte{b}, faultPageSize) }
+
+// mediumState renders a manager's full content for exact comparison.
+func mediumState(t *testing.T, m *MemoryManager) string {
+	t.Helper()
+	meta, err := m.ReadMeta()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb bytes.Buffer
+	fmt.Fprintf(&sb, "meta=%q", meta)
+	buf := make([]byte, m.PageSize())
+	for p := 0; p < m.NumPages(); p++ {
+		if err := m.ReadPage(p, buf); err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&sb, " page%d=%x", p, buf[:4])
+	}
+	return sb.String()
 }
 
 // TestFaultCloseWithoutCrashKeepsPendingWrites: closing is not a crash,

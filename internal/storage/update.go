@@ -19,19 +19,20 @@ import (
 // commits:
 //
 //	1. page images + new catalog  -> WAL (AppendBatch; the log device's
-//	   WriteMeta is the commit point)
+//	   WriteMeta is the commit point, and a sync makes it durable)
 //	2. images                     -> buffer pool (Put, dirty)
 //	3. dirty pages                -> page file (FlushDirty)
 //	4. catalog                    -> page file meta
 //	5. checkpoint when the policy says the log has earned truncation
 //
-// A failure before step 1 completes leaves the tree exactly as it was
-// (staging is discarded, the WAL rolls back its tail). A failure in
-// steps 2-4 leaves a committed batch that Recover replays on reopen; the
-// in-process handle is poisoned (sticky updateErr) because its pool and
-// file now disagree. A failure in step 5 is not an operation failure at
-// all — the batch is durable and applied — so it surfaces as a sticky
-// CheckpointErr warning rather than an error return.
+// A failure before step 1 writes the commit horizon leaves the tree
+// exactly as it was (staging is discarded, the WAL rolls back its tail).
+// A failure after it (the sync that makes the horizon durable included)
+// or in steps 2-4 leaves a batch that Recover replays on reopen if the
+// log kept it; the in-process handle is poisoned (sticky updateErr)
+// because its pool and file now disagree. A failure in step 5 is not an
+// operation failure at all — the batch is durable and applied — so it
+// surfaces as a sticky CheckpointErr warning rather than an error return.
 //
 // Updates abandon the level-order page layout SaveTree produces: a split
 // allocates the next free page wherever it lands, and a merge returns
@@ -113,7 +114,7 @@ func (pt *PagedTree) WAL() *WAL { return pt.wal }
 
 // SetCheckpointPolicy replaces the checkpoint policy. The zero policy
 // (the default) checkpoints after every batch — shortest possible
-// recovery, one extra sync per operation.
+// recovery, a sync of each device per operation.
 func (pt *PagedTree) SetCheckpointPolicy(p CheckpointPolicy) { pt.ckpt = p }
 
 // UpdateErr returns the sticky error poisoning this handle, if any. A
@@ -645,11 +646,12 @@ func (u *updater) encodeMeta() []byte {
 }
 
 // commitUpdate runs the commit sequence described at the top of the
-// file. On a WAL append failure the staged operation is discarded and
-// the stored tree is untouched; on a write-back or catalog failure after
-// the WAL commit the handle is poisoned (the log has the truth, the
-// process does not). Checkpoint-stage failures return nil: the operation
-// committed, so they are recorded in CheckpointErr instead.
+// file. On a WAL append failure before the commit horizon is written the
+// staged operation is discarded and the stored tree is untouched; on any
+// failure after it (the log's own sync, a write-back, the catalog) the
+// handle is poisoned (the log has the truth, the process does not).
+// Checkpoint-stage failures return nil: the operation committed, so they
+// are recorded in CheckpointErr instead.
 func (pt *PagedTree) commitUpdate(u *updater) error {
 	// The operation abandons level order the moment it commits.
 	u.meta.LevelOrder = false
@@ -670,6 +672,9 @@ func (pt *PagedTree) commitUpdate(u *updater) error {
 	metaBytes := u.encodeMeta()
 	batch, err := pt.wal.AppendBatch(images, metaBytes)
 	if err != nil {
+		if batch != 0 {
+			pt.updateErr = err // the batch's fate is unknown
+		}
 		return fmt.Errorf("storage: logging update: %w", err)
 	}
 
@@ -703,12 +708,13 @@ func (pt *PagedTree) commitUpdate(u *updater) error {
 	if pt.ckpt.Due(pt.wal) {
 		// The log may only be truncated once the page writes are
 		// durable, not merely issued. A failure from here on is NOT an
-		// operation failure — the batch is committed, applied, and would
-		// survive any crash; the log is merely longer than the policy
-		// wants, so recovery replays more. Returning an error would make
-		// a committed Insert look failed and invite a duplicating retry,
-		// so the warning goes out of band: sticky CheckpointErr plus a
-		// metrics counter, cleared by the next checkpoint that succeeds.
+		// operation failure — the batch is committed and applied, and the
+		// log that holds it is durable; the log is merely longer than the
+		// policy wants, so recovery replays more. Returning an error
+		// would make a committed Insert look failed and invite a
+		// duplicating retry, so the warning goes out of band: sticky
+		// CheckpointErr plus a metrics counter, cleared by the next
+		// checkpoint that succeeds.
 		if err := syncManager(pt.dm); err != nil {
 			pt.ckptErr = fmt.Errorf("storage: sync before checkpoint of batch %d: %w", batch, err)
 			pt.wal.metrics.noteWALCheckpointFailure()

@@ -10,12 +10,14 @@ import (
 //
 // The WAL turns a batch of dirty pages plus the new tree catalog into one
 // atomic unit: every page image and a commit marker are appended to a
-// dedicated log device, made durable in a single group-commit fsync, and
-// only then written back to the page file. A crash at any point leaves
-// either no trace of the batch (commit horizon not advanced — the tree is
-// exactly its pre-batch self) or a committed batch that Recover replays
-// idempotently until the page file and catalog match the post-batch tree.
-// There is no interleaving that yields a hybrid.
+// dedicated log device and made durable — on a FileManager, one fsync of
+// the records before the header advances the commit horizon and one of
+// the header itself — and only then written back to the page file. A
+// crash at any point leaves either no trace of the batch (commit horizon
+// not advanced — the tree is exactly its pre-batch self) or a committed
+// batch that Recover replays idempotently until the page file and catalog
+// match the post-batch tree. There is no interleaving that yields a
+// hybrid.
 //
 // The log device is an ordinary DiskManager whose page size is the data
 // page size plus a fixed frame header, so the whole fault harness
@@ -35,8 +37,9 @@ import (
 //
 // The commit point is the log device's WriteMeta: FileManager syncs all
 // record blocks before rewriting its header (the same ordering machinery
-// Flush/WriteMeta give the page file), and the WAL's meta blob carries the
-// committed-sequence horizon plus the checkpoint watermark:
+// Flush/WriteMeta give the page file), and the Sync after it makes the
+// header durable. The WAL's meta blob carries the committed-sequence
+// horizon plus the checkpoint watermark:
 //
 //	0:4   magic "WALM"
 //	4:8   format version (1)
@@ -327,13 +330,18 @@ func (w *WAL) scan() walScan {
 }
 
 // AppendBatch logs a batch — every post-batch page image plus the
-// post-batch catalog — and commits it durably in one meta write (the
-// group-commit fsync: the device syncs all record blocks before its
-// header advances the commit horizon). On success the batch will survive
-// any crash; nothing may be written to the page file before this returns.
-// On failure the log's in-memory position is rolled back so a retry (or
-// the next batch) overwrites the partial records, and the commit horizon
-// is untouched: the batch never happened.
+// post-batch catalog — and commits it durably: one meta write, which
+// syncs all record blocks before its header advances the commit horizon,
+// then a sync of the device, which makes the horizon itself durable (a
+// FileManager's WriteMeta leaves its header write unsynced). On success
+// the batch will survive any crash; nothing may be written to the page
+// file before this returns. A failure before the horizon is written rolls
+// the log's in-memory position back, so a retry (or the next batch)
+// overwrites the partial records, and leaves the commit horizon
+// untouched: the batch never happened (batchID 0). A failure of the
+// final sync returns the batch's ID with the error: the batch may or may
+// not survive a crash, and the caller must treat every later failure as
+// after the commit point.
 func (w *WAL) AppendBatch(pages []PageImage, treeMeta []byte) (batchID uint64, err error) {
 	if len(pages) == 0 {
 		return 0, fmt.Errorf("storage: WAL batch with no pages")
@@ -372,7 +380,8 @@ func (w *WAL) AppendBatch(pages []PageImage, treeMeta []byte) (batchID uint64, e
 	w.writeBlock++
 	w.metrics.noteWALRecord()
 
-	// The commit point: record data is synced, then the horizon advances.
+	// The commit point: record data is synced, then the horizon advances,
+	// and the horizon is synced in turn.
 	commitSeq := w.nextSeq - 1
 	prev := w.committedSeq
 	w.committedSeq = commitSeq
@@ -383,6 +392,12 @@ func (w *WAL) AppendBatch(pages []PageImage, treeMeta []byte) (batchID uint64, e
 	}
 	w.nextBatch = batchID + 1
 	w.batchesSinceCheckpoint++
+	if err := syncManager(w.dev); err != nil {
+		// The horizon was written: a crash may keep the batch or not. The
+		// position stays past it, so that no later append reuses its
+		// sequence numbers or its ID.
+		return batchID, fmt.Errorf("storage: WAL sync after commit of batch %d: %w", batchID, err)
+	}
 	w.metrics.noteWALCommit()
 	return batchID, nil
 }
@@ -391,21 +406,27 @@ func (w *WAL) AppendBatch(pages []PageImage, treeMeta []byte) (batchID uint64, e
 // every batch up to and including it is durably in the page file. Call it
 // only after the page file's data and catalog for those batches are
 // synced (syncManager on the page file's manager). When the whole log is
-// applied, the write position returns to block 0, truncating any torn
-// tail: dead records are overwritten by the next batch.
+// applied, the watermark is synced and the write position returns to
+// block 0, truncating any torn tail: dead records are overwritten by the
+// next batch. The sync comes first because an overwrite under a lost
+// watermark would leave an old batch whole in front of the new records,
+// and recovery would replay it over newer pages.
 func (w *WAL) Checkpoint(batch uint64) error {
 	if batch < w.appliedBatch {
 		return fmt.Errorf("storage: checkpoint watermark moving backwards (%d < %d)", batch, w.appliedBatch)
 	}
 	prev := w.appliedBatch
 	w.appliedBatch = batch
-	if batch >= w.nextBatch-1 {
-		// Everything committed is applied: the live log is empty.
-		w.writeBlock = 0
-	}
 	if err := w.writeWALMeta(); err != nil {
 		w.appliedBatch = prev
 		return err
+	}
+	if batch >= w.nextBatch-1 {
+		// Everything committed is applied: the live log is empty.
+		if err := syncManager(w.dev); err != nil {
+			return fmt.Errorf("storage: WAL sync after checkpoint of batch %d: %w", batch, err)
+		}
+		w.writeBlock = 0
 	}
 	w.batchesSinceCheckpoint = 0
 	w.metrics.noteWALCheckpoint()
@@ -415,7 +436,7 @@ func (w *WAL) Checkpoint(batch uint64) error {
 // CheckpointPolicy bounds recovery replay length: how many committed
 // batches (or log blocks) may accumulate before the update path must
 // checkpoint. The zero value checkpoints after every batch — shortest
-// replay, one extra meta write per batch.
+// replay, one extra meta write and one extra log sync per batch.
 type CheckpointPolicy struct {
 	// EveryBatches checkpoints once this many batches committed since the
 	// last checkpoint. 0 means every batch.

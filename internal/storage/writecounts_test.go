@@ -109,10 +109,11 @@ func runWriteStream(t *testing.T, seed int64, ops int) writeCounts {
 // saying why they moved.
 func TestWritePathCountsExact(t *testing.T) {
 	const ops = 300
-	// 674 fsyncs: each operation commits one batch (the log's commit
-	// record, then the page file's catalog), and each of the 37
-	// checkpoints syncs the page file and writes the log's watermark.
-	want := writeCounts{fsyncs: 2*ops + 2*(ops/8), bytesWritten: 814120, writeBacks: 585}
+	// 1,011 fsyncs: each operation commits one batch (the log's commit
+	// record, the sync that makes it durable, then the page file's
+	// catalog), and each of the 37 checkpoints syncs the page file, writes
+	// the log's watermark and syncs it before the log is overwritten.
+	want := writeCounts{fsyncs: 3*ops + 3*(ops/8), bytesWritten: 814120, writeBacks: 585}
 	got := runWriteStream(t, 601, ops)
 	if again := runWriteStream(t, 601, ops); again != got {
 		t.Fatalf("the same stream counted %+v, then %+v", got, again)
