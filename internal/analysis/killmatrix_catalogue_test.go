@@ -430,8 +430,8 @@ var catalogue = []mutant{
 		edits: []edit{
 			{"internal/storage/codec.go", "\t\"hash/crc32\"\n\t\"math\"\n", "\t\"hash/crc32\"\n\t\"math\"\n\t\"time\"\n"},
 			{"internal/storage/codec.go",
-				"\tbinary.LittleEndian.PutUint16(buf[2:4], uint16(len(nd.Rects)))\n\toff := nodeHeaderSize\n",
-				"\tbinary.LittleEndian.PutUint16(buf[2:4], uint16(len(nd.Rects)))\n\tbinary.LittleEndian.PutUint32(buf[12:16], uint32(time.Now().Unix()))\n\toff := nodeHeaderSize\n"},
+				"\tsetPageCount(buf, count)\n\tclear(buf[nodeHeaderSize+count*entrySize:])\n",
+				"\tsetPageCount(buf, count)\n\tbinary.LittleEndian.PutUint32(buf[12:16], uint32(time.Now().Unix()))\n\tclear(buf[nodeHeaderSize+count*entrySize:])\n"},
 		},
 		pkgs: []string{storagePkg, benchPkg, "./cmd/rtreeload", "./cmd/rtreefsck"},
 	},

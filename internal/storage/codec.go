@@ -63,26 +63,15 @@ func encodeNodeInto(buf []byte, nd rtree.NodeData) error {
 			return fmt.Errorf("storage: node entry %d has invalid rect %v", i, r)
 		}
 	}
-	clear(buf[:nodeHeaderSize])
-	if nd.Leaf {
-		buf[0] = flagLeaf
-	}
-	binary.LittleEndian.PutUint16(buf[2:4], uint16(len(nd.Rects)))
-	off := nodeHeaderSize
 	for i, r := range nd.Rects {
-		putFloat(buf[off:], r.MinX)
-		putFloat(buf[off+8:], r.MinY)
-		putFloat(buf[off+16:], r.MaxX)
-		putFloat(buf[off+24:], r.MaxY)
+		e := buf[nodeHeaderSize+i*entrySize:]
 		if nd.Leaf {
-			binary.LittleEndian.PutUint64(buf[off+32:], uint64(nd.IDs[i]))
+			putEntry(e, r, uint64(nd.IDs[i]))
 		} else {
-			binary.LittleEndian.PutUint64(buf[off+32:], uint64(nd.Children[i]))
+			putEntry(e, r, uint64(nd.Children[i]))
 		}
-		off += entrySize
 	}
-	clear(buf[off:])
-	binary.LittleEndian.PutUint32(buf[checksumOffset:], pageChecksum(buf))
+	finishPage(buf, nd.Leaf, len(nd.Rects))
 	return nil
 }
 
@@ -177,15 +166,6 @@ func DecodeNode(buf []byte, page int) (rtree.NodeData, error) {
 	} else {
 		nd.Children = make([]int, 0, count)
 	}
-	decodeInto(&nd, buf)
-	return nd, nil
-}
-
-// decodeInto sets nd's leaf flag from a page that already passed
-// validatePage and appends the page's entries to nd's slices: sized by
-// the caller, so the update path decodes into recycled slices and
-// allocates nothing.
-func decodeInto(nd *rtree.NodeData, buf []byte) {
 	nd.Leaf = pageIsLeaf(buf)
 	for e := pageEntries(buf); len(e) >= entrySize; e = e[entrySize:] {
 		nd.Rects = append(nd.Rects, getRect(e))
@@ -195,6 +175,40 @@ func decodeInto(nd *rtree.NodeData, buf []byte) {
 			nd.Children = append(nd.Children, int(payload))
 		}
 	}
+	return nd, nil
+}
+
+// Writing a page in place, as encodeNodeInto and the update path do:
+// entries go in with putEntry or are copied whole, rectangles are
+// rewritten with putRect, and finishPage completes the page.
+
+func setPageCount(buf []byte, n int) { binary.LittleEndian.PutUint16(buf[2:4], uint16(n)) }
+
+// putRect overwrites the rectangle of the entry e starts with.
+func putRect(e []byte, r geom.Rect) {
+	putFloat(e, r.MinX)
+	putFloat(e[8:], r.MinY)
+	putFloat(e[16:], r.MaxX)
+	putFloat(e[24:], r.MaxY)
+}
+
+// putEntry writes the entry e starts with: rectangle and payload.
+func putEntry(e []byte, r geom.Rect, payload uint64) {
+	putRect(e, r)
+	binary.LittleEndian.PutUint64(e[32:], payload)
+}
+
+// finishPage completes a page whose count entries are in place: the
+// header (the leaf flag, the count, the reserved bytes zero), every byte
+// past the entries zeroed, and the checksum.
+func finishPage(buf []byte, leaf bool, count int) {
+	clear(buf[:nodeHeaderSize])
+	if leaf {
+		buf[0] = flagLeaf
+	}
+	setPageCount(buf, count)
+	clear(buf[nodeHeaderSize+count*entrySize:])
+	binary.LittleEndian.PutUint32(buf[checksumOffset:], pageChecksum(buf))
 }
 
 func putFloat(b []byte, v float64) {

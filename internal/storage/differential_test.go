@@ -524,18 +524,18 @@ func TestSplitParityHeapVsPaged(t *testing.T) {
 			}
 
 			u := &updater{
-				meta:  TreeMeta{MaxEntries: p.MaxEntries, MinEntries: p.MinEntries, Split: alg, Levels: []int{1, 1}, TotalPages: 2},
-				nodes: make(map[int]*updateNode),
+				pageSize: updateTestPageSize,
+				meta:     TreeMeta{MaxEntries: p.MaxEntries, MinEntries: p.MinEntries, Split: alg, Levels: []int{1, 1}, TotalPages: 2},
 			}
-			parent := u.newNode(0, false)
-			n := u.newNode(1, true)
+			parentImg := u.newNode(0, false)
+			nImg := u.newNode(1, true)
 			for _, it := range items {
-				n.Rects = append(n.Rects, it.Rect)
-				n.IDs = append(n.IDs, it.ID)
+				nImg.add(it.Rect, uint64(it.ID))
 			}
-			parent.Rects, parent.Children = []geom.Rect{geom.MBR(n.Rects)}, []int{n.Page}
-			u.splitChild(n, parent, 1)
-			sib := u.nodes[parent.Children[1]]
+			parentImg.add(nImg.mbr(), uint64(nImg.page))
+			u.splitChild(nImg, parentImg, 1)
+			sibImg := u.lookup(parentImg.child(1))
+			n, parent, sib := stagedNode(t, u, nImg), stagedNode(t, u, parentImg), stagedNode(t, u, sibImg)
 
 			if !reflect.DeepEqual(n.IDs, nodes[1].IDs) || !reflect.DeepEqual(sib.IDs, nodes[2].IDs) {
 				t.Errorf("%v seed %d: groups differ\nin-memory %v | %v\npaged     %v | %v",
@@ -547,4 +547,16 @@ func TestSplitParityHeapVsPaged(t *testing.T) {
 			}
 		}
 	}
+}
+
+// stagedNode finishes a staged image as a commit would and decodes it.
+func stagedNode(t *testing.T, u *updater, n *stagedPage) rtree.NodeData {
+	t.Helper()
+	img := n.img[:u.pageSize]
+	finishPage(img, n.leaf(), n.count())
+	nd, err := DecodeNode(img, n.page)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return nd
 }

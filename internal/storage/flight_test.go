@@ -141,10 +141,10 @@ func TestStagedReadAttribution(t *testing.T) {
 				if (err != nil) != tc.wantErr {
 					t.Errorf("%s: err = %v, want error %v", tc.name, err, tc.wantErr)
 				}
-				if err == nil && (n.Page != tc.page || len(n.Rects) == 0) {
-					t.Errorf("%s: staged page %d with %d entries, want page %d", tc.name, n.Page, len(n.Rects), tc.page)
+				if err == nil && (n.page != tc.page || n.count() == 0) {
+					t.Errorf("%s: staged page %d with %d entries, want page %d", tc.name, n.page, n.count(), tc.page)
 				}
-				if _, staged := u.nodes[tc.page]; staged == tc.wantErr {
+				if staged := u.lookup(tc.page) != nil; staged == tc.wantErr {
 					t.Errorf("%s: page staged = %v after err = %v", tc.name, staged, err)
 				}
 				if fr, res := pt.Pool().FailedReads(), pt.Pool().Resident(); fr != tc.failedReads || res != tc.resident {

@@ -345,7 +345,7 @@ func TestStagedReadCountsStoredLevel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	child := root.Children[0]
+	child := root.child(0)
 	u.splitRoot(root) // the stored root's children now sit at staged depth 2
 	if _, err := u.node(child, 2); err != nil {
 		t.Fatal(err)

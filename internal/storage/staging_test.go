@@ -182,11 +182,13 @@ func BenchmarkPagedInsert(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
+	before := pt.upd.updateWork
 	for _, it := range items {
 		if err := pt.Insert(it); err != nil {
 			b.Fatal(err)
 		}
 	}
+	reportUpdateWork(b, before, pt.upd.updateWork)
 }
 
 // BenchmarkPagedDelete removes b.N items inserted (untimed) into the warm
@@ -202,11 +204,24 @@ func BenchmarkPagedDelete(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
+	before := pt.upd.updateWork
 	for _, it := range items {
 		if found, err := pt.Delete(it); err != nil || !found {
 			b.Fatalf("delete %d: found=%v err=%v", it.ID, found, err)
 		}
 	}
+	reportUpdateWork(b, before, pt.upd.updateWork)
+}
+
+// reportUpdateWork reports the updater's page work per operation
+// between two counts: pages staged (copied in from a frame), pages
+// decoded (by a split) and images finished (handed to the log and the
+// pool).
+func reportUpdateWork(b *testing.B, before, after updateWork) {
+	n := float64(b.N)
+	b.ReportMetric(float64(after.staged-before.staged)/n, "staged/op")
+	b.ReportMetric(float64(after.decoded-before.decoded)/n, "decoded/op")
+	b.ReportMetric(float64(after.finished-before.finished)/n, "finished/op")
 }
 
 // TestStagingCannotLeak: the updater's recycled staging carries nothing

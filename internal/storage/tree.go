@@ -841,7 +841,19 @@ func (q *query) scanEntries(e []byte, leaf bool) {
 			continue
 		}
 		if leaf {
-			q.items = append(q.items, rtree.Item{Rect: getRect(e), ID: int64(getPayload(e))})
+			// The item is written field by field into its slot. Built
+			// first and then appended, it is five 8-byte stores read back
+			// by two 16-byte loads, each spanning two stores, which the
+			// store buffer cannot forward.
+			n := len(q.items)
+			if n == cap(q.items) {
+				q.items = slices.Grow(q.items, 1)
+			}
+			q.items = q.items[:n+1]
+			it := &q.items[n]
+			it.Rect.MinX, it.Rect.MinY = getFloat(e), getFloat(e[8:])
+			it.Rect.MaxX, it.Rect.MaxY = getFloat(e[16:]), getFloat(e[24:])
+			it.ID = int64(getPayload(e))
 		} else {
 			q.kids[q.depth] = append(q.kids[q.depth], int(getPayload(e)))
 		}

@@ -15,8 +15,8 @@ import (
 // every mutation funneled through a redo-only write-ahead log.
 //
 // One operation is one WAL batch. An operation stages its changes in
-// memory (each touched page decoded once into a staged node), then
-// commits:
+// memory (each touched page copied once, as its bytes, into a staged
+// image that the operation then edits in place), then commits:
 //
 //	1. page images + new catalog  -> WAL (AppendBatch; the log device's
 //	   WriteMeta is the commit point, and a sync makes it durable)
@@ -39,23 +39,32 @@ import (
 // pages to a free list. The catalog records this (meta v2, LevelOrder
 // false) so readers switch from range scans to root walks.
 //
+// A staged page is a page image, read and written with the codec's entry
+// accessors as queries read a frame: the descent, FindLeaf and
+// CondenseTree read rectangles and children in place, and an operation
+// writes only what it changes — an appended entry, a grown or tightened
+// covering rectangle, a removal that shifts the entries after it down by
+// one. The header's entry count is kept current; only a split decodes a
+// page's rectangles, for rtree.SplitIndices, and it builds both halves by
+// copying entries in index order. Each image has room for one entry
+// more than a page or MaxEntries holds: the most a node holds between an
+// overflow and its split. The commit finishes each dirty image in place
+// (header, zeroed tail, checksum) and hands it as it is to the log and
+// the pool: the bytes are those encodeNodeInto writes for the same node.
+//
 // In the steady state an operation allocates next to nothing: the memory
-// it stages, encodes and logs in is recycled. The tree owns one updater,
-// reset by every beginUpdate. Its staged nodes come from a free list with
-// slices at capacity MaxEntries+1 (the most a node holds, between an
-// overflow and its split), and a page is decoded into them inside its one
-// View. commitUpdate encodes each dirty node once, into a page buffer of
-// an arena the updater keeps across batches, and the catalog into one
-// reused buffer; the WAL frames every record in one buffer of its own.
-// Three rules keep the reuse invisible:
+// it stages and logs in is recycled. The tree owns one updater, reset by
+// every beginUpdate. Its staged images come from a free list, and the
+// catalog is encoded into one reused buffer; the WAL frames every record
+// in one buffer of its own. Three rules keep the reuse invisible:
 //
 //   - The catalog's Levels and Free are double-buffered: beginUpdate
 //     copies pt.meta's into the updater's spare pair, and a commit
 //     installs the updater's pair in pt.meta and keeps the old one as the
 //     next spare. Meta() hands out copies, so no caller holds either.
-//   - A node is recycled only when no caller holds it: staged and
-//     replaced nodes at the next reset, a split's spare and a node whose
-//     first read failed before the function that took them returns.
+//   - An image is recycled only when no caller holds it: staged and
+//     replaced images at the next reset, a split's spare and an image
+//     whose first read failed before the function that took them returns.
 //   - Whatever the commit hands on is copied by its receiver (Pool.Put,
 //     AppendBatch, the managers' WritePage and WriteMeta), so no byte of
 //     one operation, failed or committed, survives into the next.
@@ -140,14 +149,11 @@ func (pt *PagedTree) CheckpointErr() error { return pt.ckptErr }
 // AdjustTree against stored pages. The change is durable (or cleanly
 // absent) when Insert returns: one call is one WAL batch.
 func (pt *PagedTree) Insert(item rtree.Item) error {
-	if !item.Rect.Valid() {
-		return fmt.Errorf("storage: inserting invalid rect %v", item.Rect)
-	}
 	u, err := pt.beginUpdate()
 	if err != nil {
 		return err
 	}
-	if err := u.insertEntry(item.Rect, 0, item.ID, true, len(u.meta.Levels)-1); err != nil {
+	if err := u.insertEntry(item.Rect, uint64(item.ID), len(u.meta.Levels)-1); err != nil {
 		return err
 	}
 	u.meta.Items++
@@ -173,18 +179,11 @@ func (pt *PagedTree) Delete(item rtree.Item) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	idx := -1
-	for i, r := range leaf.Rects {
-		if leaf.IDs[i] == item.ID && r.Equal(item.Rect) {
-			idx = i
-			break
-		}
-	}
+	idx := leaf.find(item)
 	if idx < 0 {
-		return false, fmt.Errorf("storage: found leaf lost entry (page %d)", leaf.Page)
+		return false, fmt.Errorf("storage: found leaf lost entry (page %d)", leaf.page)
 	}
-	leaf.Rects = append(leaf.Rects[:idx], leaf.Rects[idx+1:]...)
-	leaf.IDs = append(leaf.IDs[:idx], leaf.IDs[idx+1:]...)
+	leaf.remove(idx)
 	leaf.dirty = true
 	u.meta.Items--
 	if err := u.condense(path); err != nil {
@@ -196,47 +195,127 @@ func (pt *PagedTree) Delete(item rtree.Item) (bool, error) {
 	return true, pt.commitUpdate(u)
 }
 
-// updateNode is one staged page: the decoded node plus batch-local flags.
-type updateNode struct {
-	rtree.NodeData
+// stagedPage is one staged page: its image plus batch-local flags. img
+// holds the page's header, whose leaf flag and entry count are current,
+// and its entries, with room for one more than a page or MaxEntries
+// holds; the rest of the header and the bytes past the entries are stale
+// until finishPage.
+type stagedPage struct {
+	page  int
+	img   []byte
 	dirty bool // differs from the stored page; goes into the WAL batch
 	freed bool // released this batch; excluded from the batch images
 }
 
+func (n *stagedPage) leaf() bool { return pageIsLeaf(n.img) }
+
+func (n *stagedPage) count() int { return pageCount(n.img) }
+
+// entry returns the bytes of entry i.
+func (n *stagedPage) entry(i int) []byte {
+	return n.img[nodeHeaderSize+i*entrySize:][:entrySize]
+}
+
+// child returns the page entry i of an internal node points to.
+func (n *stagedPage) child(i int) int { return int(getPayload(n.entry(i))) }
+
+// add appends an entry: rectangle r and the payload (a child page or a
+// data ID).
+func (n *stagedPage) add(r geom.Rect, payload uint64) {
+	c := n.count()
+	putEntry(n.entry(c), r, payload)
+	setPageCount(n.img, c+1)
+}
+
+// remove deletes entry i, keeping the order of the others.
+func (n *stagedPage) remove(i int) {
+	c := n.count()
+	copy(n.img[nodeHeaderSize+i*entrySize:], n.img[nodeHeaderSize+(i+1)*entrySize:nodeHeaderSize+c*entrySize])
+	setPageCount(n.img, c-1)
+}
+
+// take appends src's entries at idx, in idx order: one split half.
+func (n *stagedPage) take(src *stagedPage, idx []int) {
+	c := n.count()
+	for _, j := range idx {
+		copy(n.entry(c), src.entry(j))
+		c++
+	}
+	setPageCount(n.img, c)
+}
+
+// childIndex returns the index of the entry pointing to page, or -1.
+func (n *stagedPage) childIndex(page int) int {
+	for i, e := 0, pageEntries(n.img); len(e) >= entrySize; i, e = i+1, e[entrySize:] {
+		if int(getPayload(e)) == page {
+			return i
+		}
+	}
+	return -1
+}
+
+// find returns the index of the leaf entry equal to item, or -1.
+func (n *stagedPage) find(item rtree.Item) int {
+	for i, e := 0, pageEntries(n.img); len(e) >= entrySize; i, e = i+1, e[entrySize:] {
+		if int64(getPayload(e)) == item.ID && getRect(e).Equal(item.Rect) {
+			return i
+		}
+	}
+	return -1
+}
+
+// mbr returns the MBR of a non-empty node's rectangles, folded in entry
+// order as geom.MBR folds them.
+func (n *stagedPage) mbr() geom.Rect {
+	e := pageEntries(n.img)
+	m := getRect(e)
+	for e = e[entrySize:]; len(e) >= entrySize; e = e[entrySize:] {
+		m = m.Union(getRect(e))
+	}
+	return m
+}
+
 // updater stages one operation's changes before the all-or-nothing
-// commit. Pages are decoded on first touch (reads go through the pool,
+// commit. Pages are staged on first touch (reads go through the pool,
 // so the operation's I/O is counted like any query's); the stored tree
 // and catalog stay untouched until commitUpdate. A tree has one updater
 // and every operation reuses it (see the top of the file).
 type updater struct {
-	pt    *PagedTree
-	meta  TreeMeta // Levels and Free copied per operation; mutated freely
-	nodes map[int]*updateNode
+	pt       *PagedTree
+	pageSize int
+	meta     TreeMeta      // Levels and Free copied per operation; mutated freely
+	nodes    []*stagedPage // staged this operation, one per page
 
 	// The spare Levels and Free that beginUpdate copies pt.meta's into:
 	// the pair pt.meta held before the last commit.
 	levels, freeList []int
 
-	free    []*updateNode                // recycled nodes, ready to stage
-	retired []*updateNode                // replaced in nodes this operation; free at the next reset
-	reading *updateNode                  // the node decodeFrame fills
-	decode  func(frame []byte, hit bool) // decodeFrame, bound once: a func passed to View escapes
+	free    []*stagedPage                // recycled images, ready to stage
+	retired []*stagedPage                // replaced in nodes this operation; free at the next reset
+	reading *stagedPage                  // the image stageFrame fills
+	stage   func(frame []byte, hit bool) // stageFrame, bound once: a func passed to View escapes
 
 	// Scratch of the operation's walks.
-	path     []int    // insertEntry's root-to-target pages
-	leafPath []int    // Delete's root-to-leaf pages
-	orphans  []orphan // condense's eliminated entries
+	path     []int       // insertEntry's root-to-target pages
+	leafPath []int       // Delete's root-to-leaf pages
+	orphans  []orphan    // condense's eliminated entries
+	rects    []geom.Rect // the rectangles of the node a split divides
 
-	// Commit scratch: page buffers, one per dirty node, kept across
-	// batches; the batch's images over them; the encoded catalog.
-	arena   [][]byte
+	// Commit scratch: the batch's images and the encoded catalog.
 	images  []PageImage
 	metaBuf []byte
+
+	updateWork // over the updater's life
 }
 
+// updateWork counts an updater's page work: pages copied in from a
+// frame, pages whose rectangles a split decoded, and dirty images a
+// commit finished.
+type updateWork struct{ staged, decoded, finished int }
+
 func newUpdater(pt *PagedTree) *updater {
-	u := &updater{pt: pt, nodes: make(map[int]*updateNode)}
-	u.decode = u.decodeFrame
+	u := &updater{pt: pt, pageSize: pt.dm.PageSize()}
+	u.stage = u.stageFrame
 	return u
 }
 
@@ -256,75 +335,95 @@ func (pt *PagedTree) beginUpdate() (*updater, error) {
 	return u, nil
 }
 
-// reset returns every node the last operation staged or replaced,
+// reset returns every image the last operation staged or replaced,
 // committed or failed, to the free list: once an operation has returned
 // no caller holds any of them.
 func (u *updater) reset() {
-	for _, n := range u.nodes {
-		u.free = append(u.free, n)
-	}
-	clear(u.nodes)
+	u.free = append(u.free, u.nodes...)
+	u.nodes = u.nodes[:0]
 	u.free = append(u.free, u.retired...)
 	u.retired = u.retired[:0]
 }
 
-// spare returns an empty node that is not staged: a recycled one, or a
-// new one whose slices hold MaxEntries+1 entries so that filling it never
-// reallocates.
-func (u *updater) spare(page int, leaf bool) *updateNode {
-	k := len(u.free)
-	if k == 0 {
-		c := u.meta.MaxEntries + 1
-		return &updateNode{NodeData: rtree.NodeData{
-			Page: page, Leaf: leaf,
-			Rects: make([]geom.Rect, 0, c), Children: make([]int, 0, c), IDs: make([]int64, 0, c),
-		}}
+// lookup returns the image staged for page this operation, or nil. An
+// operation stages a handful of pages, a root-to-leaf path or two, so a
+// scan beats a map, whose iteration would walk every slot a past
+// condense of dozens of pages grew it to.
+func (u *updater) lookup(page int) *stagedPage {
+	for _, n := range u.nodes {
+		if n.page == page {
+			return n
+		}
 	}
-	n := u.free[k-1]
-	u.free = u.free[:k-1]
-	n.Page, n.Leaf = page, leaf
-	n.Rects, n.Children, n.IDs = n.Rects[:0], n.Children[:0], n.IDs[:0]
-	n.dirty, n.freed = false, false
+	return nil
+}
+
+// spare returns an empty node image that is not staged: a recycled one,
+// or a new one with room for a full page and one entry more, and for
+// MaxEntries+1 entries, so that no node overflows its image before the
+// split that an overflow triggers.
+func (u *updater) spare(page int, leaf bool) *stagedPage {
+	var n *stagedPage
+	if k := len(u.free); k > 0 {
+		n = u.free[k-1]
+		u.free = u.free[:k-1]
+	} else {
+		size := max(u.pageSize+entrySize, nodeHeaderSize+(u.meta.MaxEntries+1)*entrySize)
+		n = &stagedPage{img: make([]byte, size)}
+	}
+	n.page, n.dirty, n.freed = page, false, false
+	clear(n.img[:nodeHeaderSize])
+	if leaf {
+		n.img[0] = flagLeaf
+	}
 	return n
 }
 
-// node returns the staged copy of page, the node at depth on the
-// operation's path, decoding it on first touch. That first read is of
+// node returns the staged image of page, the node at depth on the
+// operation's path, staging it on first touch. That first read is of
 // the stored tree, where the node sits as many levels higher as the
 // operation has so far grown the tree (a root split deepens it, a root
 // shrink lifts it), and it is counted at that stored level.
-func (u *updater) node(page, depth int) (*updateNode, error) {
-	if n, ok := u.nodes[page]; ok {
+func (u *updater) node(page, depth int) (*stagedPage, error) {
+	if n := u.lookup(page); n != nil {
 		return n, nil
 	}
 	n := u.spare(page, false)
 	u.reading = n
-	err := u.pt.read(page, depth-(len(u.meta.Levels)-len(u.pt.meta.Levels)), nil, u.decode)
+	err := u.pt.read(page, depth-(len(u.meta.Levels)-len(u.pt.meta.Levels)), nil, u.stage)
 	u.reading = nil
 	if err != nil {
 		u.free = append(u.free, n)
 		return nil, err
 	}
-	u.nodes[page] = n
+	u.nodes = append(u.nodes, n)
+	u.staged++
 	return n, nil
 }
 
-// decodeFrame is node's View callback: the frame's entries go into the
-// node being read while the frame is on loan. The frame was validated
-// when it entered the pool, so this only decodes.
-func (u *updater) decodeFrame(frame []byte, _ bool) { decodeInto(&u.reading.NodeData, frame) }
+// stageFrame is node's View callback: the frame's header and entries are
+// copied into the image being read while the frame is on loan. The frame
+// was validated when it entered the pool, so its entries are within it
+// and its rectangles valid.
+func (u *updater) stageFrame(frame []byte, _ bool) {
+	copy(u.reading.img, frame[:nodeHeaderSize+pageCount(frame)*entrySize])
+}
 
 // newNode stages a fresh node on page, replacing any earlier staging
 // (reusing a page freed in this same batch is legal; so is replacing the
-// root). The replaced node may still be in a caller's hands, so it is
+// root). The replaced image may still be in a caller's hands, so it is
 // recycled only at the next reset.
-func (u *updater) newNode(page int, leaf bool) *updateNode {
-	if old, ok := u.nodes[page]; ok {
-		u.retired = append(u.retired, old)
-	}
+func (u *updater) newNode(page int, leaf bool) *stagedPage {
 	n := u.spare(page, leaf)
 	n.dirty = true
-	u.nodes[page] = n
+	for i, old := range u.nodes {
+		if old.page == page {
+			u.retired = append(u.retired, old)
+			u.nodes[i] = n
+			return n
+		}
+	}
+	u.nodes = append(u.nodes, n)
 	return n
 }
 
@@ -342,18 +441,24 @@ func (u *updater) allocPage() int {
 
 // freePage returns a page to the free list. The page keeps its stale
 // bytes; only the catalog makes it dead.
-func (u *updater) freePage(n *updateNode) {
+func (u *updater) freePage(n *stagedPage) {
 	n.freed = true
 	n.dirty = false
-	u.meta.Free = append(u.meta.Free, n.Page)
+	u.meta.Free = append(u.meta.Free, n.page)
 }
 
 // insertEntry descends from the root to targetDepth choosing the child
 // needing least enlargement (ties: smaller area), appends the entry
-// (an item when isItem, else a subtree pointer), and resolves overflows
-// by splitting upward — Guttman's Insert generalized to any level so
-// condense can reinsert orphaned subtrees with it.
-func (u *updater) insertEntry(rect geom.Rect, childPage int, id int64, isItem bool, targetDepth int) error {
+// (rect and payload: a data ID at the leaf level, else a subtree's
+// page), and resolves overflows by splitting upward — Guttman's Insert
+// generalized to any level so condense can reinsert orphaned subtrees
+// with it. rect is the one rectangle an operation brings into the tree,
+// so it is checked here: every other rectangle the updater writes is an
+// entry copied from a validated frame or a union of valid ones.
+func (u *updater) insertEntry(rect geom.Rect, payload uint64, targetDepth int) error {
+	if !rect.Valid() {
+		return fmt.Errorf("storage: inserting invalid rect %v", rect)
+	}
 	path := append(u.path[:0], 0)
 	for depth := 0; depth < targetDepth; depth++ {
 		n, err := u.node(path[depth], depth)
@@ -361,24 +466,27 @@ func (u *updater) insertEntry(rect geom.Rect, childPage int, id int64, isItem bo
 			return err
 		}
 		best, bestEnl, bestArea := -1, 0.0, 0.0
-		for i, r := range n.Rects {
+		var bestRect geom.Rect
+		for i, e := 0, pageEntries(n.img); len(e) >= entrySize; i, e = i+1, e[entrySize:] {
+			r := getRect(e)
 			area := r.Area()
 			enl := r.Union(rect).Area() - area
 			if best < 0 || enl < bestEnl || (enl == bestEnl && area < bestArea) {
-				best, bestEnl, bestArea = i, enl, area
+				best, bestEnl, bestArea, bestRect = i, enl, area, r
 			}
 		}
 		if best < 0 {
-			return fmt.Errorf("storage: internal page %d has no children", n.Page)
+			return fmt.Errorf("storage: internal page %d has no children", n.page)
 		}
 		// Grow the covering rectangle on the way down (AdjustTree's
 		// upward pass, folded into the descent: union with an exact MBR
 		// stays exact).
-		if grown := n.Rects[best].Union(rect); !grown.Equal(n.Rects[best]) {
-			n.Rects[best] = grown
+		e := n.entry(best)
+		if grown := bestRect.Union(rect); !grown.Equal(bestRect) {
+			putRect(e, grown)
 			n.dirty = true
 		}
-		path = append(path, n.Children[best])
+		path = append(path, int(getPayload(e)))
 	}
 	u.path = path
 
@@ -386,12 +494,7 @@ func (u *updater) insertEntry(rect geom.Rect, childPage int, id int64, isItem bo
 	if err != nil {
 		return err
 	}
-	target.Rects = append(target.Rects, rect)
-	if isItem {
-		target.IDs = append(target.IDs, id)
-	} else {
-		target.Children = append(target.Children, childPage)
-	}
+	target.add(rect, payload)
 	target.dirty = true
 
 	for d := targetDepth; d >= 0; d-- {
@@ -399,7 +502,7 @@ func (u *updater) insertEntry(rect geom.Rect, childPage int, id int64, isItem bo
 		if err != nil {
 			return err
 		}
-		if len(n.Rects) <= u.meta.MaxEntries {
+		if n.count() <= u.meta.MaxEntries {
 			break
 		}
 		if d == 0 {
@@ -415,46 +518,40 @@ func (u *updater) insertEntry(rect geom.Rect, childPage int, id int64, isItem bo
 	return nil
 }
 
-// take appends src's entries at idx, in idx order, to n: one split half.
-func (n *updateNode) take(src *updateNode, idx []int) {
-	for _, j := range idx {
-		n.Rects = append(n.Rects, src.Rects[j])
-		if src.Leaf {
-			n.IDs = append(n.IDs, src.IDs[j])
-		} else {
-			n.Children = append(n.Children, src.Children[j])
-		}
+// splitGroups decodes n's rectangles into the updater's scratch and
+// returns the two groups rtree.SplitIndices divides them into.
+func (u *updater) splitGroups(n *stagedPage) (left, right []int) {
+	rects := u.rects[:0]
+	for e := pageEntries(n.img); len(e) >= entrySize; e = e[entrySize:] {
+		rects = append(rects, getRect(e))
 	}
+	u.rects = rects
+	u.decoded++
+	return rtree.SplitIndices(u.meta.Split, u.meta.MinEntries, rects)
 }
 
 // splitChild splits an overflowing non-root node in place: the left
 // group keeps the page, the right group gets a fresh one, and the parent
 // swaps its single covering entry for two exact ones (which may overflow
 // the parent — the caller's loop continues upward).
-func (u *updater) splitChild(n, parent *updateNode, depth int) {
-	left, right := rtree.SplitIndices(u.meta.Split, u.meta.MinEntries, n.Rects)
-	sib := u.newNode(u.allocPage(), n.Leaf)
+func (u *updater) splitChild(n, parent *stagedPage, depth int) {
+	left, right := u.splitGroups(n)
+	sib := u.newNode(u.allocPage(), n.leaf())
 	sib.take(n, right)
 
-	// The left group is gathered in a spare node whose slices then trade
+	// The left group is gathered in a spare image that then trades
 	// places with n's, so no entry of n is overwritten before it is read.
-	spare := u.spare(n.Page, n.Leaf)
+	spare := u.spare(n.page, n.leaf())
 	spare.take(n, left)
-	n.Rects, spare.Rects = spare.Rects, n.Rects
-	n.Children, spare.Children = spare.Children, n.Children
-	n.IDs, spare.IDs = spare.IDs, n.IDs
+	n.img, spare.img = spare.img, n.img
 	u.free = append(u.free, spare)
 	n.dirty = true
 	u.meta.Levels[depth]++
 
-	for i, c := range parent.Children {
-		if c == n.Page {
-			parent.Rects[i] = geom.MBR(n.Rects)
-			break
-		}
+	if i := parent.childIndex(n.page); i >= 0 {
+		putRect(parent.entry(i), n.mbr())
 	}
-	parent.Rects = append(parent.Rects, geom.MBR(sib.Rects))
-	parent.Children = append(parent.Children, sib.Page)
+	parent.add(sib.mbr(), uint64(sib.page))
 	parent.dirty = true
 }
 
@@ -462,16 +559,16 @@ func (u *updater) splitChild(n, parent *updateNode, depth int) {
 // becomes a new two-entry internal root, growing the tree by one level.
 // Every other node's depth shifts by one and none is rewritten: pages do
 // not store their level.
-func (u *updater) splitRoot(root *updateNode) {
-	left, right := rtree.SplitIndices(u.meta.Split, u.meta.MinEntries, root.Rects)
-	ln := u.newNode(u.allocPage(), root.Leaf)
+func (u *updater) splitRoot(root *stagedPage) {
+	left, right := u.splitGroups(root)
+	ln := u.newNode(u.allocPage(), root.leaf())
 	ln.take(root, left)
-	rn := u.newNode(u.allocPage(), root.Leaf)
+	rn := u.newNode(u.allocPage(), root.leaf())
 	rn.take(root, right)
 
 	newRoot := u.newNode(0, false)
-	newRoot.Rects = append(newRoot.Rects, geom.MBR(ln.Rects), geom.MBR(rn.Rects))
-	newRoot.Children = append(newRoot.Children, ln.Page, rn.Page)
+	newRoot.add(ln.mbr(), uint64(ln.page))
+	newRoot.add(rn.mbr(), uint64(rn.page))
 
 	levels := make([]int, 0, len(u.meta.Levels)+1)
 	levels = append(levels, 1, 2)
@@ -488,18 +585,16 @@ func (u *updater) findLeaf(page int, item rtree.Item, path *[]int) (bool, error)
 	if err != nil {
 		return false, err
 	}
-	if n.Leaf {
-		for i, r := range n.Rects {
-			if n.IDs[i] == item.ID && r.Equal(item.Rect) {
-				return true, nil
-			}
+	if n.leaf() {
+		if n.find(item) >= 0 {
+			return true, nil
 		}
 		*path = (*path)[:len(*path)-1]
 		return false, nil
 	}
-	for i, r := range n.Rects {
-		if r.ContainsRect(item.Rect) {
-			found, err := u.findLeaf(n.Children[i], item, path)
+	for i, e := 0, pageEntries(n.img); len(e) >= entrySize; i, e = i+1, e[entrySize:] {
+		if getRect(e).ContainsRect(item.Rect) {
+			found, err := u.findLeaf(int(getPayload(e)), item, path)
 			if err != nil || found {
 				return found, err
 			}
@@ -511,11 +606,9 @@ func (u *updater) findLeaf(page int, item rtree.Item, path *[]int) (bool, error)
 
 // orphan is an entry condense takes out of an eliminated node.
 type orphan struct {
-	rect   geom.Rect
-	child  int // subtree page; item orphans use id instead
-	id     int64
-	isItem bool
-	height int // of the node the entry lived in (0 = leaf)
+	rect    geom.Rect
+	payload uint64 // a data ID, or a subtree's page
+	height  int    // of the node the entry lived in (0 = leaf)
 }
 
 // condense walks the deletion path leaf-to-root, eliminating under-full
@@ -532,35 +625,23 @@ func (u *updater) condense(path []int) error {
 		if err != nil {
 			return err
 		}
-		pi := -1
-		for i, c := range parent.Children {
-			if c == n.Page {
-				pi = i
-				break
-			}
-		}
+		pi := parent.childIndex(n.page)
 		if pi < 0 {
-			return fmt.Errorf("storage: page %d not a child of page %d", n.Page, parent.Page)
+			return fmt.Errorf("storage: page %d not a child of page %d", n.page, parent.page)
 		}
-		if len(n.Rects) < u.meta.MinEntries {
+		if count := n.count(); count < u.meta.MinEntries {
 			height := len(u.meta.Levels) - 1 - d
-			for i, r := range n.Rects {
-				o := orphan{rect: r, height: height}
-				if n.Leaf {
-					o.isItem, o.id = true, n.IDs[i]
-				} else {
-					o.child = n.Children[i]
-				}
-				orphans = append(orphans, o)
+			for e := pageEntries(n.img); len(e) >= entrySize; e = e[entrySize:] {
+				orphans = append(orphans, orphan{rect: getRect(e), payload: getPayload(e), height: height})
 			}
-			parent.Rects = append(parent.Rects[:pi], parent.Rects[pi+1:]...)
-			parent.Children = append(parent.Children[:pi], parent.Children[pi+1:]...)
+			parent.remove(pi)
 			parent.dirty = true
 			u.freePage(n)
 			u.meta.Levels[d]--
-		} else if len(n.Rects) > 0 {
-			if m := geom.MBR(n.Rects); !m.Equal(parent.Rects[pi]) {
-				parent.Rects[pi] = m
+		} else if count > 0 {
+			e := parent.entry(pi)
+			if m := n.mbr(); !m.Equal(getRect(e)) {
+				putRect(e, m)
 				parent.dirty = true
 			}
 		}
@@ -574,7 +655,7 @@ func (u *updater) condense(path []int) error {
 	for i := len(orphans) - 1; i >= 0; i-- {
 		o := orphans[i]
 		targetDepth := len(u.meta.Levels) - 1 - o.height
-		if err := u.insertEntry(o.rect, o.child, o.id, o.isItem, targetDepth); err != nil {
+		if err := u.insertEntry(o.rect, o.payload, targetDepth); err != nil {
 			return err
 		}
 	}
@@ -582,7 +663,7 @@ func (u *updater) condense(path []int) error {
 }
 
 // shrinkRoot collapses the root while it is an internal node with one
-// child: the child's contents move onto page 0 and the tree loses a
+// child: the child's entries move onto page 0 and the tree loses a
 // level.
 func (u *updater) shrinkRoot() error {
 	for {
@@ -590,17 +671,16 @@ func (u *updater) shrinkRoot() error {
 		if err != nil {
 			return err
 		}
-		if root.Leaf || len(root.Rects) != 1 {
+		if root.leaf() || root.count() != 1 {
 			return nil
 		}
-		child, err := u.node(root.Children[0], 1)
+		child, err := u.node(root.child(0), 1)
 		if err != nil {
 			return err
 		}
-		next := u.newNode(0, child.Leaf)
-		next.Rects = append(next.Rects, child.Rects...)
-		next.Children = append(next.Children, child.Children...)
-		next.IDs = append(next.IDs, child.IDs...)
+		next := u.newNode(0, child.leaf())
+		copy(next.img[nodeHeaderSize:], pageEntries(child.img))
+		setPageCount(next.img, child.count())
 		u.freePage(child)
 		u.meta.Levels = u.meta.Levels[1:]
 		u.meta.Levels[0] = 1
@@ -618,23 +698,25 @@ func maxFreeListLen(pageSize, nLevels int) int {
 	return n
 }
 
-// encodeDirty encodes every dirty live node once, each into its own page
-// buffer of the arena, and returns their images in ascending page order.
-func (u *updater) encodeDirty() ([]PageImage, error) {
+// finishDirty finishes every dirty live image in place (finishPage) and
+// returns them, a page each, in ascending page order. It refuses a node
+// with more entries than a page holds, as encodeNodeInto does: only a
+// catalog whose MaxEntries exceeds the page's capacity lets one grow so
+// far without a split.
+func (u *updater) finishDirty() ([]PageImage, error) {
 	u.images = u.images[:0]
-	for page, n := range u.nodes {
+	for _, n := range u.nodes {
 		if !n.dirty || n.freed {
 			continue
 		}
-		if len(u.images) == len(u.arena) {
-			u.arena = append(u.arena, make([]byte, u.pt.dm.PageSize()))
+		if c, max := n.count(), NodeCapacity(u.pageSize); c > max {
+			return nil, fmt.Errorf("storage: node with %d entries exceeds page capacity %d", c, max)
 		}
-		data := u.arena[len(u.images)]
-		if err := encodeNodeInto(data, n.NodeData); err != nil {
-			return nil, err
-		}
-		u.images = append(u.images, PageImage{Page: page, Data: data})
+		data := n.img[:u.pageSize]
+		finishPage(data, n.leaf(), n.count())
+		u.images = append(u.images, PageImage{Page: n.page, Data: data})
 	}
+	u.finished += len(u.images)
 	slices.SortFunc(u.images, func(a, b PageImage) int { return cmp.Compare(a.Page, b.Page) })
 	return u.images, nil
 }
@@ -661,7 +743,7 @@ func (pt *PagedTree) commitUpdate(u *updater) error {
 		u.meta.Free = u.meta.Free[:max]
 	}
 
-	images, err := u.encodeDirty()
+	images, err := u.finishDirty()
 	if err != nil {
 		return err
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"rtreebuf/internal/geom"
+	"rtreebuf/internal/pack"
 	"rtreebuf/internal/rtree"
 )
 
@@ -517,4 +518,48 @@ func TestLogSyncFailurePoisonsHandle(t *testing.T) {
 		t.Fatalf("reopen replayed %d batches, want the one whose sync failed", rep.ReplayedBatches)
 	}
 	checkFullWindow(t, reopened, append(seed, extra), "after reopen")
+}
+
+// TestInsertIntoLeafFullerThanMaxEntries: a catalog whose MaxEntries is
+// below what its pages hold (written by another program, or edited) is
+// read as it stands: an Insert into a full page overflows it by one entry
+// and splits it, as it would a node at MaxEntries, instead of running
+// past the staged image.
+func TestInsertIntoLeafFullerThanMaxEntries(t *testing.T) {
+	full := NodeCapacity(updateTestPageSize)
+	items := randomItems(rand.New(rand.NewSource(47)), 4*full, 0)
+	tree, err := pack.Load(pack.HilbertSort, rtree.Params{MaxEntries: full, MinEntries: 4}, items) // every leaf full but the last
+	if err != nil {
+		t.Fatal(err)
+	}
+	dm, err := NewMemoryManager(updateTestPageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveTree(dm, tree); err != nil {
+		t.Fatal(err)
+	}
+	meta, err := openMeta(dm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta.MaxEntries, meta.MinEntries = 8, 3
+	if err := dm.WriteMeta(encodeMetaV2(meta)); err != nil {
+		t.Fatal(err)
+	}
+	walDev, err := NewMemoryManager(updateTestPageSize + WALFrameOverhead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt, _, err := OpenPagedTreeWAL(dm, walDev, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	extra := randomItems(rand.New(rand.NewSource(48)), 3*full, int64(len(items)))
+	for _, it := range extra {
+		if err := pt.Insert(it); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkFullWindow(t, pt, append(items, extra...), "after inserts into full pages")
 }
