@@ -118,31 +118,20 @@ func RunAllTimed(ids []string, cfg Config, workers int) ([]*Report, []Timing, er
 
 	reports := make([]*Report, len(ids))
 	timings := make([]Timing, len(ids))
-	errs := make([]error, len(ids))
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				start := time.Now()
-				reports[i], errs[i] = Run(ids[i], cfg)
-				timings[i] = Timing{ID: ids[i], Seconds: time.Since(start).Seconds()}
-				cfg.Metrics.Gauge("experiment_wall_seconds", obs.L("id", ids[i])).Set(timings[i].Seconds)
-				cfg.Metrics.Counter("experiments_run_total").Inc()
-			}
-		}()
-	}
-	for i := range ids {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	for i, err := range errs {
+	err := runIndexed(workers, len(ids), func(i int) error {
+		start := time.Now()
+		var err error
+		reports[i], err = Run(ids[i], cfg)
+		timings[i] = Timing{ID: ids[i], Seconds: time.Since(start).Seconds()}
+		cfg.Metrics.Gauge("experiment_wall_seconds", obs.L("id", ids[i])).Set(timings[i].Seconds)
+		cfg.Metrics.Counter("experiments_run_total").Inc()
 		if err != nil {
-			return nil, nil, fmt.Errorf("experiments: %s: %w", ids[i], err)
+			return fmt.Errorf("experiments: %s: %w", ids[i], err)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	return reports, timings, nil
 }
@@ -161,14 +150,18 @@ func (c Config) forEachPoint(n int, fn func(i int) error) error {
 		}
 		return nil
 	}
-	workers := c.workers
-	if workers > n {
-		workers = n
-	}
+	return runIndexed(c.workers, n, fn)
+}
+
+// runIndexed runs fn(i) for every i in [0,n) on min(workers, n) goroutines
+// fed from one work queue, and returns the lowest index's error. Every
+// index runs exactly once, whatever fails, and fn must write only what
+// index i owns.
+func runIndexed(workers, n int, fn func(i int) error) error {
 	errs := make([]error, n)
 	work := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < max(min(workers, n), 1); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

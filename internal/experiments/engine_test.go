@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -160,6 +161,35 @@ func TestForEachPoint(t *testing.T) {
 		for i, v := range got {
 			if v != i+1 {
 				t.Errorf("workers=%d: slot %d = %d", workers, i, v)
+			}
+		}
+	}
+}
+
+// The engine's one work queue: every index runs exactly once, whatever
+// the worker count and whatever fails, and the lowest index's error wins.
+func TestRunIndexed(t *testing.T) {
+	for _, n := range []int{0, 1, 5} {
+		for _, workers := range []int{0, 1, 3, 8} {
+			runs := make([]atomic.Int32, n)
+			err := runIndexed(workers, n, func(i int) error {
+				runs[i].Add(1)
+				if i == 1 || i == 3 {
+					return fmt.Errorf("point %d", i)
+				}
+				return nil
+			})
+			for i := range runs {
+				if c := runs[i].Load(); c != 1 {
+					t.Errorf("n=%d workers=%d: index %d ran %d times", n, workers, i, c)
+				}
+			}
+			want := "<nil>"
+			if n > 1 {
+				want = "point 1"
+			}
+			if fmt.Sprint(err) != want {
+				t.Errorf("n=%d workers=%d: error %v, want %s", n, workers, err, want)
 			}
 		}
 	}

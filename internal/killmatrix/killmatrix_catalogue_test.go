@@ -1,4 +1,4 @@
-package analysis
+package killmatrix
 
 // The kill matrix's seeded faults. Each is a small edit a reviewer could
 // plausibly wave through; names say what breaks, aims say which check
@@ -10,6 +10,7 @@ const (
 	storagePkg = "./internal/storage"
 	simPkg     = "./internal/sim"
 	expPkg     = "./internal/experiments"
+	parPkg     = "./internal/par"
 	corePkg    = "./internal/core"
 	obsPkg     = "./internal/obs"
 	ndPkg      = "./internal/nd"
@@ -50,18 +51,15 @@ var catalogue = []mutant{
 		pkgs: []string{bufferPkg, storagePkg},
 	},
 
-	// ---- sharecheck
+	// ---- sharecheck (retired: internal/par's TestSpawnSitesRunUnderRace
+	// runs the engine's fan-out under -race in tier-1 and kills both rows)
 	{
 		name: "share-replica-total", aim: "sharecheck",
 		what: "forEachPoint's workers count finished sweep points into one captured total for a counter",
-		edits: []edit{
-			{"internal/experiments/engine.go", "\terrs := make([]error, n)\n", "\terrs := make([]error, n)\n\tvar done uint64\n"},
-			{"internal/experiments/engine.go", "\t\t\t\terrs[i] = fn(i)\n", "\t\t\t\terrs[i] = fn(i)\n\t\t\t\tdone++\n"},
-			{"internal/experiments/engine.go",
-				"\twg.Wait()\n\tfor _, err := range errs {\n",
-				"\twg.Wait()\n\tc.Metrics.Counter(\"experiments_points_total\").Add(done)\n\tfor _, err := range errs {\n"},
-		},
-		pkgs: []string{expPkg},
+		edits: []edit{{"internal/experiments/engine.go",
+			"\treturn runIndexed(c.workers, n, fn)\n",
+			"\tvar done uint64\n\terr := runIndexed(c.workers, n, func(i int) error {\n\t\terr := fn(i)\n\t\tdone++\n\t\treturn err\n\t})\n\tc.Metrics.Counter(\"experiments_points_total\").Add(done)\n\treturn err\n"}},
+		pkgs: []string{expPkg, parPkg},
 	},
 	{
 		name: "share-engine-wall-total", aim: "sharecheck", rare: true,
@@ -71,13 +69,13 @@ var catalogue = []mutant{
 				"\ttimings := make([]Timing, len(ids))\n",
 				"\ttimings := make([]Timing, len(ids))\n\tvar wall float64\n"},
 			{"internal/experiments/engine.go",
-				"\t\t\t\ttimings[i] = Timing{ID: ids[i], Seconds: time.Since(start).Seconds()}\n",
-				"\t\t\t\ttimings[i] = Timing{ID: ids[i], Seconds: time.Since(start).Seconds()}\n\t\t\t\twall += timings[i].Seconds\n"},
+				"\t\ttimings[i] = Timing{ID: ids[i], Seconds: time.Since(start).Seconds()}\n",
+				"\t\ttimings[i] = Timing{ID: ids[i], Seconds: time.Since(start).Seconds()}\n\t\twall += timings[i].Seconds\n"},
 			{"internal/experiments/engine.go",
-				"\tfor i, err := range errs {\n\t\tif err != nil {\n\t\t\treturn nil, nil, fmt.Errorf(\"experiments: %s: %w\", ids[i], err)",
-				"\tcfg.Metrics.Gauge(\"experiments_wall_seconds\").Set(wall)\n\tfor i, err := range errs {\n\t\tif err != nil {\n\t\t\treturn nil, nil, fmt.Errorf(\"experiments: %s: %w\", ids[i], err)"},
+				"\tif err != nil {\n\t\treturn nil, nil, err\n\t}\n\treturn reports, timings, nil\n",
+				"\tcfg.Metrics.Gauge(\"experiments_wall_seconds\").Set(wall)\n\tif err != nil {\n\t\treturn nil, nil, err\n\t}\n\treturn reports, timings, nil\n"},
 		},
-		pkgs: []string{expPkg},
+		pkgs: []string{expPkg, parPkg},
 	},
 
 	// ---- hotalloc (retired: the runtime allocation gates kill every row)

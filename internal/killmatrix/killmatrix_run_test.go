@@ -1,10 +1,11 @@
 //go:build killmatrix
 
-package analysis
+package killmatrix
 
 import (
 	"bytes"
 	"context"
+	"flag"
 	"fmt"
 	"io/fs"
 	"os"
@@ -21,15 +22,17 @@ import (
 // and killmatrix_catalogue_test.go for the mutants). One command
 // regenerates the golden, about an hour on two cores:
 //
-//	go test -tags killmatrix -run 'TestKillMatrix$' -timeout 3h ./internal/analysis -update
+//	go test -tags killmatrix -run 'TestKillMatrix$' -timeout 3h ./internal/killmatrix -update
 //
 // and the same command without -update (CI's nightly step) fails on any
-// kill cell that differs from testdata/killmatrix.golden: who reported,
-// and whether the tests killed. Test names, flaky runs and wall times
-// are evidence, not compared. `-run 'TestKillMatrix$/(control|<mutant>)'`
-// runs the control and a subset, and only prints the rows (a pattern
-// that does not name the control skips it). -update is the
-// package's golden flag (sarif_test.go).
+// kill cell that differs from testdata/killmatrix.golden: whether go vet
+// reported, and whether the tests killed. Test names, flaky runs and
+// wall times are evidence, not compared.
+// `-run 'TestKillMatrix$/(control|<mutant>)'` runs the control and a
+// subset, and only prints the rows (a pattern that does not name the
+// control skips it).
+
+var update = flag.Bool("update", false, "rewrite testdata/killmatrix.golden")
 
 const (
 	testTimeout = 60 * time.Second // tier-1 budget per package binary; a timeout is a kill
@@ -50,7 +53,7 @@ func TestKillMatrix(t *testing.T) {
 		// timing tests on a shared box), which is why a kill needs every run.
 		row, evidence := runCheckers(t, work, controlMutant())
 		t.Logf("%+v\n%s", row, evidence)
-		if row.analyzers != "–" || row.vet != "–" || killed(row.tests) || killed(row.race) {
+		if row.vet != "–" || killed(row.tests) || killed(row.race) {
 			t.Fatal("the unmutated copy is killed by a checker")
 		}
 	}
@@ -76,7 +79,7 @@ func TestKillMatrix(t *testing.T) {
 		return // a -run subset: rows were logged, the golden needs every mutant
 	}
 
-	path := filepath.Join(root, "internal", "analysis", "testdata", "killmatrix.golden")
+	path := filepath.Join(root, "internal", "killmatrix", "testdata", "killmatrix.golden")
 	if *update {
 		full := renderMatrix(rows) + killMatrixEvidenceMarker + "\n" + strings.Join(evidence, "\n") + "\n"
 		if err := os.WriteFile(path, []byte(full), 0o644); err != nil {
@@ -184,70 +187,13 @@ func goCmd(dir string, testTimeout time.Duration, args ...string) (string, error
 	return out.String(), err
 }
 
-// runAnalyzers runs rtreelint's analyzers in-process on the module under
-// root, each on its own so a kill is attributed and timed. It returns the
-// matrix cell, each finding's site, and the costs.
-func runAnalyzers(t *testing.T, root string) (cell string, sites []string, cost string) {
-	t.Helper()
-	start := time.Now()
-	pkgs, err := LoadModule(root)
-	if err != nil {
-		t.Fatalf("LoadModule: %v", err)
-	}
-	cost = fmt.Sprintf("load %d", time.Since(start).Milliseconds())
-	var killers []string
-	for _, a := range Analyzers() {
-		start := time.Now()
-		findings := Run(pkgs, []*Analyzer{a})
-		cost += fmt.Sprintf(" %s %d", a.Name, time.Since(start).Milliseconds())
-		for _, f := range findings {
-			if !slices.Contains(killers, f.Analyzer) {
-				killers = append(killers, f.Analyzer)
-			}
-			rel, _ := filepath.Rel(root, f.Pos.Filename)
-			sites = append(sites, fmt.Sprintf("%s@%s:%d", f.Analyzer, filepath.ToSlash(rel), f.Pos.Line))
-		}
-	}
-	return joinOrDash(killers), sites, cost
-}
-
-// TestKillMatrixAnalyzerCells is the minute-long half of the matrix: it
-// recomputes only the analyzers column (no go vet, no test subprocess)
-// and compares it with the golden, so a change to an analyzer shows at
-// once which mutants it stopped or started killing.
-//
-//	go test -tags killmatrix -run TestKillMatrixAnalyzerCells -v ./internal/analysis
-func TestKillMatrixAnalyzerCells(t *testing.T) {
-	work := t.TempDir()
-	copyModule(t, repoRoot(t), work)
-	names, want := goldenRows(t)
-	if len(names) != len(catalogue) {
-		t.Fatalf("the golden lists %d mutants, the catalogue %d: regenerate it", len(names), len(catalogue))
-	}
-	if cell, sites, _ := runAnalyzers(t, work); cell != "–" {
-		t.Fatalf("the unmutated copy is not clean: %v", sites)
-	}
-	for i, m := range catalogue {
-		restore := applyMutant(t, work, m)
-		cell, sites, _ := runAnalyzers(t, work)
-		restore()
-		t.Logf("%s: %s", m.name, joinOrDash(sites))
-		if cell != want[i].analyzers {
-			t.Errorf("%s: analyzers report %q, the golden says %q", m.name, cell, want[i].analyzers)
-		}
-	}
-}
-
 // runCheckers records which checkers kill the module as it now stands
-// under root, and the evidence: each finding's site, each failing test,
-// what each checker cost.
+// under root, and the evidence: each failing test, what each checker
+// cost.
 func runCheckers(t *testing.T, root string, m mutant) (matrixRow, string) {
 	t.Helper()
 	var row matrixRow
-	var sites []string
-	var cost string
-	row.analyzers, sites, cost = runAnalyzers(t, root)
-	evidence := m.name + ":\n  findings: " + joinOrDash(sites)
+	evidence := m.name + ":"
 
 	// go vet on the packages the mutant touched.
 	start := time.Now()
@@ -258,7 +204,7 @@ func runCheckers(t *testing.T, root string, m mutant) (matrixRow, string) {
 		}
 	}
 	row.vet = joinOrDash(vetKills)
-	cost += fmt.Sprintf(" | vet %d", time.Since(start).Milliseconds())
+	cost := fmt.Sprintf("vet %d", time.Since(start).Milliseconds())
 
 	// Tier-1 tests on the packages whose tests could notice.
 	start = time.Now()

@@ -1,0 +1,5 @@
+//go:build race
+
+package par
+
+const raceBuild = true

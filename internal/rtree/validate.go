@@ -4,8 +4,7 @@ import (
 	"fmt"
 )
 
-// CheckInvariants is the runtime counterpart of the static checks in
-// internal/analysis: a single deep pass asserting every structural
+// CheckInvariants is a single deep pass asserting every structural
 // invariant an R-tree must satisfy for the paper's buffer model to be
 // meaningful. It returns the first violation found, or nil. Tests and
 // loaders call it after every build.
