@@ -66,7 +66,10 @@ func TestSpawnSitesRunUnderRace(t *testing.T) {
 	slices.Sort(pkgs)
 	slices.Sort(tests)
 	tests = slices.Compact(tests)
-	cmd := exec.Command("go", append([]string{"test", "-race", "-v", "-run", "^(" + strings.Join(tests, "|") + ")$"}, pkgs...)...)
+	// The detector reports only the interleavings a run takes, so each
+	// test runs three times; -count also keeps go test from replaying a
+	// cached pass.
+	cmd := exec.Command("go", append([]string{"test", "-race", "-count=3", "-v", "-run", "^(" + strings.Join(tests, "|") + ")$"}, pkgs...)...)
 	cmd.Dir = root
 	out, err := cmd.CombinedOutput()
 	if err != nil {

@@ -99,7 +99,9 @@ func (t *Tree) overflow(n *node, ctx *insertCtx) {
 // MBR needs the least area enlargement to include r, breaking ties by
 // smallest area (Guttman's ChooseLeaf, generalized to any level). Under
 // SplitRStar, the step onto the target level instead minimizes overlap
-// enlargement (the R* ChooseSubtree refinement).
+// enlargement (the R* ChooseSubtree refinement). Guttman's choice is
+// chooseLeast: the ChooseSubtree assembly kernel on amd64, the Go loop
+// chooseLeastLoop elsewhere, both choosing the same entry bit for bit.
 //
 // The descent also does AdjustTree's MBR work: it unions r into every
 // entry on the path, so once the caller appends r's entry to the returned
@@ -117,15 +119,7 @@ func (t *Tree) chooseNode(r geom.Rect, height int) *node {
 		if t.params.Split == SplitRStar && n.height == height+1 {
 			best = chooseSubtreeRStar(n, r)
 		} else {
-			best = -1
-			var bestEnl, bestArea float64
-			for i := range n.entries {
-				enl := n.entries[i].rect.Enlargement(r)
-				area := n.entries[i].rect.Area()
-				if best == -1 || enl < bestEnl || (enl == bestEnl && area < bestArea) {
-					best, bestEnl, bestArea = i, enl, area
-				}
-			}
+			best = chooseLeast(n.entries, r)
 		}
 		// Extend the chosen subtree's MBR on the way down so ancestors are
 		// already exact when the entry lands.
@@ -133,6 +127,24 @@ func (t *Tree) chooseNode(r geom.Rect, height int) *node {
 		n = n.entries[best].child
 	}
 	return n
+}
+
+// chooseLeastLoop returns the index of the entry of es whose rectangle
+// needs the least area enlargement to cover q, ties to the smaller area
+// and then to the lower index, or -1 for no entries. It is chooseLeast on
+// every architecture but amd64, where ChooseSubtree runs and this loop is
+// its test oracle.
+func chooseLeastLoop(es []entry, q geom.Rect) int {
+	best := -1
+	var bestEnl, bestArea float64
+	for i := range es {
+		enl := es[i].rect.Enlargement(q)
+		area := es[i].rect.Area()
+		if best == -1 || enl < bestEnl || (enl == bestEnl && area < bestArea) {
+			best, bestEnl, bestArea = i, enl, area
+		}
+	}
+	return best
 }
 
 // splitAndAdjust splits the overflowing node n and propagates splits

@@ -465,16 +465,7 @@ func (u *updater) insertEntry(rect geom.Rect, payload uint64, targetDepth int) e
 		if err != nil {
 			return err
 		}
-		best, bestEnl, bestArea := -1, 0.0, 0.0
-		var bestRect geom.Rect
-		for i, e := 0, pageEntries(n.img); len(e) >= entrySize; i, e = i+1, e[entrySize:] {
-			r := getRect(e)
-			area := r.Area()
-			enl := r.Union(rect).Area() - area
-			if best < 0 || enl < bestEnl || (enl == bestEnl && area < bestArea) {
-				best, bestEnl, bestArea, bestRect = i, enl, area, r
-			}
-		}
+		best := chooseChild(pageEntries(n.img), rect)
 		if best < 0 {
 			return fmt.Errorf("storage: internal page %d has no children", n.page)
 		}
@@ -482,6 +473,7 @@ func (u *updater) insertEntry(rect geom.Rect, payload uint64, targetDepth int) e
 		// upward pass, folded into the descent: union with an exact MBR
 		// stays exact).
 		e := n.entry(best)
+		bestRect := getRect(e)
 		if grown := bestRect.Union(rect); !grown.Equal(bestRect) {
 			putRect(e, grown)
 			n.dirty = true
@@ -516,6 +508,24 @@ func (u *updater) insertEntry(rect geom.Rect, payload uint64, targetDepth int) e
 		u.splitChild(n, parent, d)
 	}
 	return nil
+}
+
+// chooseChildLoop returns the index of the entry of entries (a page's
+// entry bytes) whose rectangle needs the least area enlargement to cover
+// rect, ties to the smaller area and then to the lower index, or -1 for
+// no entries. It is chooseChild on every architecture but amd64, where
+// rtree.ChooseSubtree runs and this loop is its test oracle.
+func chooseChildLoop(entries []byte, rect geom.Rect) int {
+	best, bestEnl, bestArea := -1, 0.0, 0.0
+	for i, e := 0, entries; len(e) >= entrySize; i, e = i+1, e[entrySize:] {
+		r := getRect(e)
+		area := r.Area()
+		enl := r.Union(rect).Area() - area
+		if best < 0 || enl < bestEnl || (enl == bestEnl && area < bestArea) {
+			best, bestEnl, bestArea = i, enl, area
+		}
+	}
+	return best
 }
 
 // splitGroups decodes n's rectangles into the updater's scratch and
